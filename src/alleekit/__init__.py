@@ -40,6 +40,7 @@ from .linear import (
     SpatialSpectrum,
     band_modes,
     branch_point_sigmas,
+    branch_point_table,
     kpm_roots,
     mode_reports,
     nonexistence_dstar,
@@ -79,6 +80,7 @@ from .model import (
     sigma_sn,
     sigma_tc,
     trivial_equilibrium,
+    upper_coexisting,
 )
 from .temporal import (
     AttractorKind,
@@ -120,6 +122,7 @@ __all__ = [
     "axial_equilibria",
     "coexisting_equilibria",
     "all_equilibria",
+    "upper_coexisting",
     "sigma_sn",
     "sigma_tc",
     "sigma_s",
@@ -140,6 +143,7 @@ __all__ = [
     "spatial_spectrum",
     "turing_bd_thresholds",
     "branch_point_sigmas",
+    "branch_point_table",
     "kpm_roots",
     "band_modes",
     "nonexistence_dstar",

@@ -25,16 +25,23 @@ import numpy as np
 
 from .config import COMMANDS, ExperimentConfig, parse_config
 from .continuation import SteadyProblem, continue_branch, interleave, split_fields
-from .diagnostics import dominant_period, island_series, largest_lyapunov
+from .diagnostics import (
+    MIN_RENORMALIZATIONS,
+    dominant_period,
+    island_series,
+    kept_renormalizations,
+    largest_lyapunov,
+)
 from .errors import (
     ConfigError,
     ConvergenceError,
     HypothesisFailed,
     NumericalError,
+    OutOfRange,
     ToolkitError,
 )
 from .linear import (
-    branch_point_sigmas,
+    branch_point_table,
     kpm_roots,
     mode_reports,
     spatial_spectrum,
@@ -46,7 +53,7 @@ from .model import (
     Stability,
     all_equilibria,
     axial_equilibria,
-    coexisting_equilibria,
+    upper_coexisting,
 )
 from .pde import (
     Grid,
@@ -169,7 +176,7 @@ def cmd_thresholds(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
     rows = []
     for sigma, regime in turing_bd_thresholds(cfg.p, cfg.d, cfg.bracket):
         ps = cfg.p.with_sigma(sigma)
-        e = coexisting_equilibria(ps)[-1]
+        e = upper_coexisting(ps)
         spec = spatial_spectrum(e, ps, cfg.d)
         try:
             km, kp = kpm_roots(e, ps, cfg.d)
@@ -181,20 +188,14 @@ def cmd_thresholds(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
 
     if cfg.L is None:
         return
-    e = coexisting_equilibria(cfg.p)[-1]
+    e = upper_coexisting(cfg.p)
     _write_csv(out / "modes.csv",
                ("j", "k_j", "trace", "det", "unstable"),
                ((m.j, m.k_j, m.trace, m.det, m.unstable)
                 for m in mode_reports(e, cfg.p, cfg.d, cfg.L)),
                preamble=(f"sigma = {_fmt(cfg.p.sigma)}",))
-    bp_rows = []
-    for n in range(1, 33):
-        try:
-            for sigma in branch_point_sigmas(cfg.p, cfg.d, cfg.L, n, cfg.bracket):
-                bp_rows.append((n, sigma))
-        except ConvergenceError:
-            continue
-    _write_csv(out / "bps.csv", ("n", "sigma"), bp_rows)
+    _write_csv(out / "bps.csv", ("n", "sigma"),
+               branch_point_table(cfg.p, cfg.d, cfg.L, range(1, 33), cfg.bracket))
 
 
 def _write_summary(out: Path, rec) -> None:
@@ -226,7 +227,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
 def cmd_continue(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
     n = cfg.N if cfg.N is not None else 1024
     prob = SteadyProblem(Grid(L=cfg.L, N=n), cfg.p, cfg.d)
-    e = coexisting_equilibria(cfg.p)[-1]
+    e = upper_coexisting(cfg.p)
     x0 = interleave(np.full(n, e.u), np.full(n, e.v))
     br = continue_branch(x0, cfg.p.sigma, prob, direction=cfg.direction,
                          steps=cfg.steps, ds0=cfg.ds0,
@@ -265,6 +266,11 @@ def cmd_wave_scan(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
 
 
 def cmd_lyapunov(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
+    kept = kept_renormalizations(cfg.T, cfg.renorm_interval)
+    if kept < MIN_RENORMALIZATIONS:
+        raise OutOfRange(
+            f"lyapunov: t = {cfg.T} gives {kept} renormalizations after the "
+            f"discard window; it needs at least {MIN_RENORMALIZATIONS}")
     grid, dt = _grid_and_dt(cfg)
     rng = _rng(cfg)
     f0 = make_ic(cfg.ic, grid, cfg.p, amplitude=cfg.amplitude, rng=rng)
@@ -289,9 +295,8 @@ def cmd_pulse(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
                        snapshot_every=cfg.snapshot_every or 50.0),
               dt=dt, scheme=cfg.scheme)
     u1 = max(a.u for a in axial_equilibria(cfg.p))
-    counts = island_series(rec, 0.05 * u1)
-    _write_csv(out / "islands.csv", ("t", "island_count"),
-               zip(rec.snap_times, counts))
+    times, counts = island_series(rec, 0.05 * u1)
+    _write_csv(out / "islands.csv", ("t", "island_count"), zip(times, counts))
     _write_summary(out, rec)
     period = dominant_period(rec.times, rec.u_av, window=cfg.T / 2)
     (out / "result.txt").write_text(

@@ -11,6 +11,18 @@ from .model import KineticParams, jacobian_fields
 from .pde import Field, ImexStepper, SpaceTimeRecord, _dominant_period, default_dt
 
 
+# growth factors largest_lyapunov needs after its discard window
+MIN_RENORMALIZATIONS = 200
+
+
+def kept_renormalizations(T: float, renorm_interval: float,
+                          discard: float = 0.1) -> int:
+    """Growth factors largest_lyapunov keeps after dropping the first
+    ``discard`` fraction of the ceil(T / renorm_interval) it takes."""
+    n_renorm = math.ceil(T / renorm_interval)
+    return n_renorm - math.ceil(discard * n_renorm)
+
+
 @dataclass(frozen=True)
 class LyapunovResult:
     """Largest Lyapunov exponent with its running-estimate history."""
@@ -36,7 +48,8 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
 
     Raises NotConverged when the running estimate has not settled (standard
     deviation over the last quartile above 20% of the mean magnitude).
-    Needs at least 200 renormalizations after the discard window.
+    Needs at least MIN_RENORMALIZATIONS renormalizations after the discard
+    window.
     """
     if not (T > 0 and math.isfinite(T)):
         raise ValueError("T must be positive and finite")
@@ -48,11 +61,12 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     steps_per = max(1, round(renorm_interval / dt))
     dt = renorm_interval / steps_per
     n_renorm = math.ceil(T / renorm_interval)
-    n_skip = math.ceil(discard * n_renorm)
-    if n_renorm - n_skip < 200:
+    n_kept = kept_renormalizations(T, renorm_interval, discard)
+    n_skip = n_renorm - n_kept
+    if n_kept < MIN_RENORMALIZATIONS:
         raise ValueError(
-            f"T={T} allows only {n_renorm - n_skip} renormalizations after "
-            "the transient; need at least 200")
+            f"T={T} allows only {n_kept} renormalizations after "
+            f"the transient; need at least {MIN_RENORMALIZATIONS}")
     rng = rng or np.random.default_rng(0)
 
     stepper = ImexStepper(grid, p, d, dt)

@@ -17,16 +17,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
-from .errors import HypothesisFailed, NotApplicable, OutOfRange
+from .errors import HypothesisFailed, NoRoot, NotApplicable, OutOfRange
 from .model import (
     Equilibrium,
     EquilibriumKind,
     KineticParams,
-    coexisting_equilibria,
     jacobian,
+    upper_coexisting,
 )
-from .rootfind import scan_roots
+from .rootfind import roots_from_scan, scan_grid, scan_roots
 
 __all__ = [
     "ModeReport",
@@ -35,6 +36,7 @@ __all__ = [
     "mode_reports",
     "turing_bd_thresholds",
     "spatial_spectrum",
+    "branch_point_table",
     "branch_point_sigmas",
     "nonexistence_dstar",
     "dstar_parts",
@@ -87,13 +89,7 @@ def _upper_estar(p: KineticParams, sigma: float) -> tuple[Equilibrium, KineticPa
     parameter set (the Jacobian depends on sigma explicitly, so the two
     must never be mixed across sigma values)."""
     ps = p.with_sigma(sigma)
-    eqs = coexisting_equilibria(ps)
-    if not eqs:
-        raise OutOfRange(
-            f"no coexisting equilibrium at sigma={sigma}; the requested "
-            "bracket leaves the coexistence range"
-        )
-    return eqs[-1], ps
+    return upper_coexisting(ps), ps
 
 
 def _s_and_d(e: Equilibrium, p: KineticParams, d: float) -> tuple[float, float]:
@@ -218,6 +214,48 @@ def spatial_spectrum(e: Equilibrium, p: KineticParams, d: float) -> SpatialSpect
     return SpatialSpectrum(lambdas=lambdas, K=-s / (2.0 * d), regime=regime)
 
 
+def branch_point_table(
+    p: KineticParams,
+    d: float,
+    L: float,
+    modes: Iterable[int],
+    bracket: tuple[float, float],
+    *,
+    n_scan: int = 400,
+) -> list[tuple[int, float]]:
+    """(n, sigma) pairs where Neumann mode n is marginally stable, for each
+    requested mode in turn, sigma ascending within a mode.
+
+    Solves det L_n(sigma) = d k_n**2 - s(sigma) k_n + D(sigma) = 0 with
+    k_n = (n*pi/L)**2, implicitly through E*(sigma), on the bracket.
+    s and D do not depend on n, so they are scanned once on the n_scan-cell
+    grid and every mode's sign changes come from those cached values; a
+    mode whose scan sees no sign change contributes no pair.
+    """
+    modes = list(modes)
+    if any(n < 1 for n in modes):
+        raise ValueError(f"mode indices must be >= 1, got {modes}")
+    if d <= 0 or L <= 0:
+        raise ValueError(f"need d > 0 and L > 0, got d={d}, L={L}")
+
+    def s_and_d(sigma: float) -> tuple[float, float]:
+        e, ps = _upper_estar(p, sigma)
+        return _s_and_d(e, ps, d)
+
+    xs, sd = scan_grid(s_and_d, bracket[0], bracket[1], n=n_scan)
+    out = []
+    for n in modes:
+        k = (n * math.pi / L) ** 2
+
+        def det_n(sigma: float) -> float:
+            s, det0 = s_and_d(sigma)
+            return d * k * k - s * k + det0
+
+        fs = [d * k * k - s * k + det0 for s, det0 in sd]
+        out.extend((n, sigma) for sigma in roots_from_scan(det_n, xs, fs, tol=1e-10))
+    return out
+
+
 def branch_point_sigmas(
     p: KineticParams,
     d: float,
@@ -229,21 +267,18 @@ def branch_point_sigmas(
 ) -> list[float]:
     """sigma values where Neumann mode n is marginally stable.
 
-    Solves det L_n(sigma) = d k_n**2 - s(sigma) k_n + D(sigma) = 0 with
-    k_n = (n*pi/L)**2, implicitly through E*(sigma), on the bracket.
+    The one-mode case of :func:`branch_point_table`, which scans s and D
+    once for many modes; raises :class:`NoRoot` when the scan sees no sign
+    change of det L_n.
     """
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
-    if d <= 0 or L <= 0:
-        raise ValueError(f"need d > 0 and L > 0, got d={d}, L={L}")
-    k = (n * math.pi / L) ** 2
-
-    def det_n(sigma: float) -> float:
-        e, ps = _upper_estar(p, sigma)
-        s, det0 = _s_and_d(e, ps, d)
-        return d * k * k - s * k + det0
-
-    return scan_roots(det_n, bracket[0], bracket[1], n=n_scan, tol=1e-10)
+    roots = [sigma for _, sigma in branch_point_table(p, d, L, (n,), bracket,
+                                                      n_scan=n_scan)]
+    if not roots:
+        raise NoRoot(
+            f"no sign change of det L_{n} on [{bracket[0]}, {bracket[1]}] "
+            f"with {n_scan} scan cells"
+        )
+    return roots
 
 
 def dstar_parts(p: KineticParams, L: float) -> dict[str, float]:

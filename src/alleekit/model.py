@@ -41,6 +41,7 @@ __all__ = [
     "axial_equilibria",
     "coexisting_equilibria",
     "all_equilibria",
+    "upper_coexisting",
     "sigma_sn",
     "sigma_tc",
     "sigma_s",
@@ -140,14 +141,50 @@ def _classify(trace: float, det: float, *, tol: float = 1e-9) -> Stability:
     return Stability.UNSTABLE_NODE if disc >= 0 else Stability.UNSTABLE_FOCUS
 
 
+def _masked_div(num, den):
+    """num / den, with 0 where den == 0 (the origin convention)."""
+    if isinstance(den, float):
+        return num / den if den != 0.0 else 0.0
+    out = np.zeros_like(den)
+    np.divide(num, den, out=out, where=den != 0.0)
+    return out
+
+
+def _rates(u, v, p: KineticParams):
+    den = p.alpha + u + p.beta * v
+    inter = _masked_div(u * v, den)
+    f1 = p.sigma * u * u * (1.0 - u) - p.eta * u - inter
+    f2 = p.gamma * inter - v
+    return f1, f2
+
+
+def _derivatives(u, v, p: KineticParams):
+    inv = _masked_div(1.0, p.alpha + u + p.beta * v)
+    inv2 = inv * inv
+    a10 = p.sigma * u * (2.0 - 3.0 * u) - p.eta - v * inv + u * v * inv2
+    a01 = -u * (p.alpha + u) * inv2
+    b10 = p.gamma * v * (p.alpha + p.beta * v) * inv2
+    b01 = p.gamma * u * inv - p.gamma * p.beta * u * v * inv2 - 1.0
+    return a10, a01, b10, b01
+
+
 def kinetics(u, v, p: KineticParams):
     """Reaction rates (F1, F2). Accepts scalars or same-shape arrays.
+
+    Scalar contract: when u and v are both floats (np.float64 included),
+    the rates are computed in plain Python arithmetic and returned as
+    Python floats, bit for bit equal to the array path at the same point.
 
     At (0, 0) with alpha = 0 the interaction terms are defined as 0 (the
     limit along any ray is bounded). Slightly negative trial states from
     adaptive steppers are evaluated as written rather than rejected; only
     non-finite input is an error.
     """
+    if isinstance(u, float) and isinstance(v, float):
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise NonFinite("kinetics called with non-finite state")
+        f1, f2 = _rates(float(u), float(v), p)
+        return float(f1), float(f2)
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
     if not (np.all(np.isfinite(ua)) and np.all(np.isfinite(va))):
@@ -155,11 +192,7 @@ def kinetics(u, v, p: KineticParams):
     # overflow on a diverging state is reported by the caller's finiteness
     # check, not as a warning here
     with np.errstate(over="ignore", invalid="ignore"):
-        den = p.alpha + ua + p.beta * va
-        inter = np.zeros_like(den)
-        np.divide(ua * va, den, out=inter, where=den != 0.0)
-        f1 = p.sigma * ua * ua * (1.0 - ua) - p.eta * ua - inter
-        f2 = p.gamma * inter - va
+        f1, f2 = _rates(ua, va, p)
     if np.isscalar(u) and np.isscalar(v):
         return float(f1), float(f2)
     return f1, f2
@@ -170,35 +203,34 @@ def jacobian_fields(u, v, p: KineticParams):
 
     Vectorized counterpart of :func:`jacobian`; at points where the
     response denominator vanishes (origin, alpha = 0) the interaction
-    derivatives are taken as 0, matching the origin convention.
+    derivatives are taken as 0, matching the origin convention. Float
+    inputs take the same plain-Python path as :func:`kinetics` and give
+    Python floats.
     """
-    ua = np.asarray(u, dtype=float)
-    va = np.asarray(v, dtype=float)
-    den = p.alpha + ua + p.beta * va
-    ok = den != 0.0
-    inv = np.zeros_like(den)
-    np.divide(1.0, den, out=inv, where=ok)
-    inv2 = inv * inv
-    a10 = p.sigma * ua * (2.0 - 3.0 * ua) - p.eta - va * inv + ua * va * inv2
-    a01 = -ua * (p.alpha + ua) * inv2
-    b10 = p.gamma * va * (p.alpha + p.beta * va) * inv2
-    b01 = p.gamma * ua * inv - p.gamma * p.beta * ua * va * inv2 - 1.0
-    return a10, a01, b10, b01
+    if isinstance(u, float) and isinstance(v, float):
+        a10, a01, b10, b01 = _derivatives(float(u), float(v), p)
+        return float(a10), float(a01), float(b10), float(b01)
+    return _derivatives(np.asarray(u, dtype=float), np.asarray(v, dtype=float), p)
+
+
+def _jacobian_entries(u: float, v: float,
+                      p: KineticParams) -> tuple[float, float, float, float]:
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise NonFinite(f"jacobian called at non-finite point ({u}, {v})")
+    return jacobian_fields(float(u), float(v), p)
 
 
 def jacobian(u: float, v: float, p: KineticParams) -> np.ndarray:
     """2x2 Jacobian of the kinetics at a point."""
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise NonFinite(f"jacobian called at non-finite point ({u}, {v})")
-    a10, a01, b10, b01 = jacobian_fields(u, v, p)
-    return np.array([[float(a10), float(a01)], [float(b10), float(b01)]])
+    a10, a01, b10, b01 = _jacobian_entries(u, v, p)
+    return np.array([[a10, a01], [b10, b01]])
 
 
 def _make_equilibrium(kind: EquilibriumKind, u: float, v: float, p: KineticParams,
                       *, force_nonhyperbolic: bool = False) -> Equilibrium:
-    j = jacobian(u, v, p)
-    tr = float(j[0, 0] + j[1, 1])
-    det = float(j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0])
+    a10, a01, b10, b01 = _jacobian_entries(u, v, p)
+    tr = a10 + b01
+    det = a10 * b01 - a01 * b10
     stab = Stability.NON_HYPERBOLIC if force_nonhyperbolic else _classify(tr, det)
     return Equilibrium(kind=kind, u=u, v=v, trace=tr, det=det, stability=stab)
 
@@ -346,9 +378,12 @@ def sigma_s(e: Equilibrium, p: KineticParams) -> float:
     return e.v / (p.gamma**2 * e.u**3 * (2.0 * e.u - 1.0))
 
 
-def _upper_coexisting(p: KineticParams) -> Equilibrium | None:
+def upper_coexisting(p: KineticParams) -> Equilibrium:
+    """The largest-u coexisting equilibrium; OutOfRange when there is none."""
     eqs = coexisting_equilibria(p)
-    return eqs[-1] if eqs else None
+    if not eqs:
+        raise OutOfRange(f"no coexisting equilibrium at sigma={p.sigma}")
+    return eqs[-1]
 
 
 def hopf_sigma(p: KineticParams, bracket: tuple[float, float]) -> tuple[float, Equilibrium]:
@@ -360,18 +395,16 @@ def hopf_sigma(p: KineticParams, bracket: tuple[float, float]) -> tuple[float, E
     (central difference). Returns (sigma_H, equilibrium at sigma_H).
     """
     def trace_at(sigma: float) -> float:
-        e = _upper_coexisting(p.with_sigma(sigma))
-        if e is None:
+        try:
+            return upper_coexisting(p.with_sigma(sigma)).trace
+        except OutOfRange as exc:
             raise NoSignChange(
-                f"no coexisting equilibrium at sigma={sigma}; "
-                "the bracket must lie inside the coexistence range"
-            )
-        return e.trace
+                f"{exc}; the bracket must lie inside the coexistence range"
+            ) from exc
 
     lo, hi = bracket
     root = bracketed_root(trace_at, lo, hi, tol=1e-10)
-    e = _upper_coexisting(p.with_sigma(root))
-    assert e is not None
+    e = upper_coexisting(p.with_sigma(root))
     if e.det <= 0.0:
         raise C1Violated(
             f"det(J) = {e.det:.6g} <= 0 at the trace zero sigma={root:.10g}; "

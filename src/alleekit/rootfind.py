@@ -1,7 +1,9 @@
 """Scalar root finding shared by every module.
 
 One bracketed solver (bisection with secant acceleration), one sign-change
-scanner built on it, and a closed-form real-cubic solver with Newton polish.
+scanner built on it (split into grid evaluation and root extraction, so
+one scanned grid can serve several functions), and a closed-form
+real-cubic solver with Newton polish.
 Everything downstream (threshold curves, branch-point locations, Hopf
 location) goes through these so tolerances live in one place.
 """
@@ -13,7 +15,13 @@ from typing import Callable, Sequence
 
 from .errors import NoRoot, NoSignChange, NonFinite
 
-__all__ = ["bracketed_root", "scan_roots", "real_cubic_roots"]
+__all__ = [
+    "bracketed_root",
+    "scan_grid",
+    "roots_from_scan",
+    "scan_roots",
+    "real_cubic_roots",
+]
 
 
 def bracketed_root(
@@ -73,6 +81,44 @@ def bracketed_root(
     return a if abs(fa) <= abs(fb) else b
 
 
+def scan_grid(
+    f: Callable[[float], float], a: float, b: float, *, n: int = 400
+) -> tuple[list[float], list[float]]:
+    """The ``n``-cell grid of ``[a, b]`` and the values of ``f`` on it."""
+    if n < 1:
+        raise ValueError(f"scan needs at least one cell, got n={n}")
+    xs = [a + (b - a) * i / n for i in range(n + 1)]
+    return xs, [f(x) for x in xs]
+
+
+def roots_from_scan(
+    f: Callable[[float], float],
+    xs: Sequence[float],
+    fs: Sequence[float],
+    *,
+    tol: float = 1e-10,
+) -> list[float]:
+    """Roots of ``f`` at the grid zeros and sign changes of a scanned grid
+    (``fs[i] = f(xs[i])``), each change refined with :func:`bracketed_root`;
+    ascending, and empty when the scan sees none."""
+    roots: list[float] = []
+    for x, fx in zip(xs, fs):
+        if not math.isfinite(fx):
+            raise NonFinite(f"f({x}) is not finite during root scan")
+        if fx == 0.0:
+            roots.append(x)
+    for i in range(len(xs) - 1):
+        fa, fb = fs[i], fs[i + 1]
+        if fa == 0.0 or fb == 0.0:
+            continue
+        if (fa > 0) != (fb > 0):
+            roots.append(
+                bracketed_root(f, xs[i], xs[i + 1], tol=tol, fa=fa, fb=fb)
+            )
+    roots.sort()
+    return roots
+
+
 def scan_roots(
     f: Callable[[float], float],
     a: float,
@@ -87,27 +133,9 @@ def scan_roots(
     Raises :class:`NoRoot` when the scan sees no sign change (a root of even
     multiplicity can hide between grid points; callers choose ``n``).
     """
-    if n < 1:
-        raise ValueError(f"scan needs at least one cell, got n={n}")
-    xs = [a + (b - a) * i / n for i in range(n + 1)]
-    fs = [f(x) for x in xs]
-    roots: list[float] = []
-    for x, fx in zip(xs, fs):
-        if not math.isfinite(fx):
-            raise NonFinite(f"f({x}) is not finite during root scan")
-        if fx == 0.0:
-            roots.append(x)
-    for i in range(n):
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0 or fb == 0.0:
-            continue
-        if (fa > 0) != (fb > 0):
-            roots.append(
-                bracketed_root(f, xs[i], xs[i + 1], tol=tol, fa=fa, fb=fb)
-            )
+    roots = roots_from_scan(f, *scan_grid(f, a, b, n=n), tol=tol)
     if not roots:
         raise NoRoot(f"no sign change of f on [{a}, {b}] with {n} scan cells")
-    roots.sort()
     return roots
 
 

@@ -14,6 +14,7 @@ from alleekit.linear import (
     Regime,
     band_modes,
     branch_point_sigmas,
+    branch_point_table,
     dstar_parts,
     kpm_roots,
     mode_reports,
@@ -27,8 +28,10 @@ from alleekit.model import (
     Stability,
     axial_equilibria,
     coexisting_equilibria,
+    jacobian,
     trivial_equilibrium,
 )
+from alleekit.rootfind import scan_roots
 
 D_REF = 46.0
 L_REF = 200.0
@@ -165,6 +168,32 @@ def test_branch_point_residual_and_band_membership(p_main):
 def test_branch_point_no_root(p_main):
     with pytest.raises(NoRoot):
         branch_point_sigmas(p_main, D_REF, L_REF, 19, (2.0, 2.4))
+
+
+def test_branch_point_table_matches_per_mode_scans(p_main):
+    """The shared sigma scan gives exactly what one scan per mode gives."""
+    bracket = (1.5, 2.4)
+    table = branch_point_table(p_main, D_REF, L_REF, range(1, 33), bracket)
+    per_mode, direct = [], []
+    for n in range(1, 33):
+        try:
+            per_mode.extend((n, s) for s in
+                            branch_point_sigmas(p_main, D_REF, L_REF, n, bracket))
+        except NoRoot:
+            pass
+        k = (n * math.pi / L_REF) ** 2
+
+        def det_n(sigma):
+            e, ps = _at(p_main, sigma)
+            (a10, a01), (b10, b01) = jacobian(e.u, e.v, ps)
+            return D_REF * k * k - (D_REF * a10 + b01) * k + (a10 * b01 - a01 * b10)
+
+        try:
+            direct.extend((n, s) for s in scan_roots(det_n, *bracket, n=400))
+        except NoRoot:
+            pass
+    assert table == per_mode == direct
+    assert set(BP_ORACLE) <= {n for n, _ in table}
 
 
 def test_kpm_roots_oracle(p_main):

@@ -13,6 +13,7 @@ import pytest
 
 from alleekit.errors import (
     DegenerateKinetics,
+    NonFinite,
     NoSignChange,
     NotAtHopf,
     OutOfRange,
@@ -28,6 +29,7 @@ from alleekit.model import (
     first_lyapunov_coefficient,
     hopf_sigma,
     jacobian,
+    jacobian_fields,
     kinetics,
     sigma_s,
     sigma_sn,
@@ -75,6 +77,47 @@ def test_kinetics_vectorized_matches_scalar(p_main, rng):
         s1, s2 = kinetics(float(u[i]), float(v[i]), p_main)
         assert abs(f1[i] - s1) < 1e-14
         assert abs(f2[i] - s2) < 1e-14
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _trial_states():
+    """States an adaptive stepper can hand the kinetics: the origin,
+    slightly negative undershoots, a vanishing response denominator for
+    alpha = 0 (u = -beta*v), and ordinary interior points."""
+    vals = [0.0, -1e-12, -1e-6, 1e-9, 0.1, 0.598612943406, 0.729093758784, 1.3]
+    u, v = np.meshgrid(vals + [-0.1], vals + [0.5])
+    return u.ravel(), v.ravel()
+
+
+@pytest.mark.parametrize("alpha", [0.07, 0.0])
+def test_scalar_and_array_paths_agree_bit_for_bit(alpha):
+    p = KineticParams(alpha=alpha, beta=0.2, gamma=1.2, sigma=2.7, eta=0.1)
+    u, v = _trial_states()
+    f_arr = kinetics(u, v, p)
+    j_arr = jacobian_fields(u, v, p)
+    for i in range(u.size):
+        for a, b in ((float(u[i]), float(v[i])), (u[i], v[i])):
+            f = kinetics(a, b, p)
+            assert all(type(x) is float for x in f)
+            assert _bits(f).tolist() == _bits([c[i] for c in f_arr]).tolist(), (a, b)
+            j = jacobian_fields(a, b, p)
+            assert all(type(x) is float for x in j)
+            assert _bits(j).tolist() == _bits([c[i] for c in j_arr]).tolist(), (a, b)
+            assert _bits(jacobian(a, b, p)).ravel().tolist() == _bits(j).tolist()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_kinetics_rejects_non_finite(p_main, bad):
+    for u, v in ((bad, 0.3), (0.3, bad), (np.float64(bad), np.float64(0.3))):
+        with pytest.raises(NonFinite):
+            kinetics(u, v, p_main)
+        with pytest.raises(NonFinite):
+            jacobian(u, v, p_main)
+    with pytest.raises(NonFinite):
+        kinetics(np.array([0.3, bad]), np.array([0.3, 0.3]), p_main)
 
 
 def test_jacobian_at_origin(p_main):

@@ -311,7 +311,6 @@ def test_front_speed_stationary_is_zero(p_main):
         measure_front_speed(rec, 0.55, (100.0, 200.0))
 
 
-@pytest.mark.slow
 def test_invasion_front_speed_near_cmin(p_main):
     # the selected front crawls up to the linear spreading speed from below
     g = Grid(L=2000.0, N=4096)

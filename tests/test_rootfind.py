@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from alleekit.errors import NoRoot, NoSignChange
-from alleekit.rootfind import bracketed_root, real_cubic_roots, scan_roots
+from alleekit.rootfind import (
+    bracketed_root,
+    real_cubic_roots,
+    roots_from_scan,
+    scan_grid,
+    scan_roots,
+)
 
 
 def test_bracketed_root_simple():
@@ -44,6 +50,13 @@ def test_scan_roots_collects_all():
 def test_scan_roots_empty_interval():
     with pytest.raises(NoRoot):
         scan_roots(lambda x: 1.0 + x * x, -1.0, 1.0, n=50)
+
+
+def test_roots_from_scan_reuses_a_grid():
+    xs, fs = scan_grid(math.sin, 0.5, 10.0, n=200)
+    assert roots_from_scan(math.sin, xs, fs) == scan_roots(math.sin, 0.5, 10.0, n=200)
+    xs, fs = scan_grid(lambda x: 1.0 + x * x, -1.0, 1.0, n=50)
+    assert roots_from_scan(lambda x: 1.0 + x * x, xs, fs) == []
 
 
 def test_cubic_three_real_roots():

@@ -95,7 +95,6 @@ def test_attractor_summary_synthetic_extinction():
     assert s.kind is AttractorKind.EXTINCTION
 
 
-@pytest.mark.slow
 def test_predicate_signs_around_threshold(p_main):
     """sigma=1.7 loses the cycle, sigma=1.85 keeps it."""
     with pytest.raises(BracketInvalid):
@@ -104,14 +103,12 @@ def test_predicate_signs_around_threshold(p_main):
         heteroclinic_threshold(p_main, (1.60, 1.70))
 
 
-@pytest.mark.slow
 def test_heteroclinic_threshold_narrow_bracket(p_main):
     het = heteroclinic_threshold(p_main, (1.78, 1.80))
     assert abs(het - 1.789) <= 0.005
     assert het < 1.85660156367  # always below the Hopf point
 
 
-@pytest.mark.slow
 def test_period_grows_toward_threshold(p_main):
     periods = []
     for s in (1.790, 1.795, 1.800, 1.810, 1.820):
