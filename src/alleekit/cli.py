@@ -125,7 +125,7 @@ def _rng(cfg: ExperimentConfig) -> np.random.Generator | None:
     return None if cfg.seed is None else np.random.default_rng(cfg.seed)
 
 
-def cmd_equilibria(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
+def cmd_equilibria(cfg: ExperimentConfig, out: Path) -> None:
     rows = [
         (cfg.p.sigma, e.kind.value, e.u, e.v, e.trace, e.det,
          _STAB_CODE[e.stability])
@@ -154,7 +154,7 @@ def _branch_ids(eqs) -> list[int]:
     return ids
 
 
-def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
+def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> None:
     nan = float("nan")
     rows = []
     for pt in bifurcation_diagram(cfg.p, cfg.sigma_grid, t_sim=cfg.t_sim):
@@ -171,7 +171,7 @@ def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
                rows)
 
 
-def cmd_thresholds(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
+def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> None:
     nan = float("nan")
     rows = []
     for sigma, regime in turing_bd_thresholds(cfg.p, cfg.d, cfg.bracket):
@@ -204,7 +204,7 @@ def _write_summary(out: Path, rec) -> None:
                zip(rec.times, rec.u_av, rec.v_av, rec.var_u))
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
+def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
     grid, dt = _grid_and_dt(cfg)
     f0 = make_ic(cfg.ic, grid, cfg.p, amplitude=cfg.amplitude, rng=_rng(cfg))
     rec = run(f0, cfg.p, cfg.d, cfg.T,
@@ -224,7 +224,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
     (out / "classification.txt").write_text(kind.value + "\n")
 
 
-def cmd_continue(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
+def cmd_continue(cfg: ExperimentConfig, out: Path) -> None:
     n = cfg.N if cfg.N is not None else 1024
     prob = SteadyProblem(Grid(L=cfg.L, N=n), cfg.p, cfg.d)
     e = upper_coexisting(cfg.p)
@@ -249,8 +249,8 @@ def cmd_continue(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
                         (f"sigma = {_fmt(pt.sigma)}",))
 
 
-def cmd_wave_scan(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
-    res = scan_plane(cfg.p, cfg.d, cfg.sigma_grid, cfg.c_grid, jobs=jobs)
+def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> None:
+    res = scan_plane(cfg.p, cfg.d, cfg.sigma_grid, cfg.c_grid)
     rows = [
         (res.sigmas[i], res.cs[j], int(res.codes[i, j]), res.c_min_at_sigma[i])
         for i in range(res.sigmas.size)
@@ -265,7 +265,7 @@ def cmd_wave_scan(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
                    zip(shot.t, *shot.states))
 
 
-def cmd_lyapunov(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
+def cmd_lyapunov(cfg: ExperimentConfig, out: Path) -> None:
     kept = kept_renormalizations(cfg.T, cfg.renorm_interval)
     if kept < MIN_RENORMALIZATIONS:
         raise OutOfRange(
@@ -287,7 +287,7 @@ def cmd_lyapunov(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
         f"lambda_max = {_fmt(res.lambda_max)}\n")
 
 
-def cmd_pulse(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
+def cmd_pulse(cfg: ExperimentConfig, out: Path) -> None:
     grid, dt = _grid_and_dt(cfg)
     f0 = make_ic(cfg.ic, grid, cfg.p, amplitude=cfg.amplitude, rng=_rng(cfg))
     rec = run(f0, cfg.p, cfg.d, cfg.T,
@@ -304,7 +304,7 @@ def cmd_pulse(cfg: ExperimentConfig, out: Path, jobs: int) -> None:
         f"period = {'none' if period is None else _fmt(period)}\n")
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig, Path, int], None]] = {
+_RUNNERS: dict[str, Callable[[ExperimentConfig, Path], None]] = {
     "equilibria": cmd_equilibria,
     "temporal-diagram": cmd_temporal_diagram,
     "thresholds": cmd_thresholds,
@@ -316,12 +316,11 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig, Path, int], None]] = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
-                   jobs: int = 1) -> Path:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     """Run one configured experiment, returning the output directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _RUNNERS[cfg.command](cfg, out, jobs)
+    _RUNNERS[cfg.command](cfg, out)
     _manifest(out)
     return out
 
@@ -340,8 +339,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "from the config, else the working directory)")
     parser.add_argument("--seed", type=int, default=None,
                         help="overrides [run] seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for wave-scan cells")
     args = parser.parse_args(argv)
 
     try:
@@ -352,10 +349,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         cfg = parse_config(text, command=args.command, seed=args.seed)
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
         out = args.out or cfg.out_dir or "."
-        run_experiment(cfg, out, jobs=args.jobs)
+        run_experiment(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

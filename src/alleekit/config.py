@@ -6,7 +6,7 @@ stopping at the first, so a config can be fixed in one pass.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,7 +110,6 @@ class ExperimentConfig:
     bracket: tuple[float, float] = (1.5, 2.4)
     t_sim: float = 3000.0
     out_dir: str | None = None
-    extra_tags: dict = field(default_factory=dict)
 
 
 def _tokenize(text: str, issues: list[str]) -> dict[tuple[str, str], str]:
@@ -336,11 +335,4 @@ def parse_config(text: str, *, command: str | None = None,
         bracket=(b_lo, b_hi),
         t_sim=t_sim,
         out_dir=data.get(("output", "dir")),
-        extra_tags={
-            # commands that treat an explicit bracket as a request for more
-            # work (the global-threshold bisection) need to see the difference
-            # between "given" and "defaulted"
-            "bracket_explicit": ("sweep", "bracket_lo") in data
-                                or ("sweep", "bracket_hi") in data,
-        },
     )

@@ -4,7 +4,9 @@ Unknowns are interleaved (u0, v0, u1, v1, ...) so the steady-state
 Jacobian is banded with two sub- and two superdiagonals; one LAPACK
 banded LU serves the Newton corrector, the extended-system determinant
 sign used for branch-point detection, and the shifted inverse iteration
-behind linear stability.
+behind linear stability. The diffusion rows use the Neumann operator
+owned by :mod:`alleekit.pde` (``apply_laplacian`` and ``laplacian_bands``),
+so the steady states here are exactly those of the PDE stepper.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from .errors import (
     KernelNotFound,
     NoConvergence,
     NonFinite,
+    OutOfRange,
     SingularJacobian,
     StepUnderflow,
 )
 from .model import KineticParams, jacobian_fields, kinetics
-from .pde import Grid, l2_norm
+from .pde import Grid, apply_laplacian, l2_norm, laplacian_bands
 
 KL = 2
 KU = 2
@@ -71,20 +74,10 @@ def _wdot(a: np.ndarray, b: np.ndarray) -> float:
 def residual(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarray:
     """Semi-discrete time derivative; zero exactly at steady states."""
     u, v = split_fields(x)
-    p = prob.p.with_sigma(sigma)
-    f1, f2 = kinetics(u, v, p)
-    dx2 = prob.grid.dx ** 2
-    r = np.empty_like(x)
-    ru, rv = r[0::2], r[1::2]
-    ru[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx2
-    ru[0] = 2.0 * (u[1] - u[0]) / dx2
-    ru[-1] = 2.0 * (u[-2] - u[-1]) / dx2
-    rv[1:-1] = prob.d * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dx2
-    rv[0] = prob.d * 2.0 * (v[1] - v[0]) / dx2
-    rv[-1] = prob.d * 2.0 * (v[-2] - v[-1]) / dx2
-    ru += f1
-    rv += f2
-    return r
+    f1, f2 = kinetics(u, v, prob.p.with_sigma(sigma))
+    dx = prob.grid.dx
+    return interleave(apply_laplacian(u, dx) + f1,
+                      prob.d * apply_laplacian(v, dx) + f2)
 
 
 def sigma_derivative(x: np.ndarray, prob: SteadyProblem) -> np.ndarray:
@@ -101,27 +94,20 @@ def jacobian_banded(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndar
     u, v = split_fields(x)
     p = prob.p.with_sigma(sigma)
     a10, a01, b10, b01 = jacobian_fields(u, v, p)
-    cu = 1.0 / prob.grid.dx ** 2
-    cv = prob.d * cu
+    lo_u, dg_u, up_u = laplacian_bands(n, prob.grid.dx)
+    lo_v, dg_v, up_v = laplacian_bands(n, prob.grid.dx, prob.d)
 
     ab = np.zeros((2 * KL + KU + 1, 2 * n))
-    # A[i, j] lives at ab[KL + KU + i - j, j]
-    ab[4, 0::2] = -2.0 * cu + a10
-    ab[4, 1::2] = -2.0 * cv + b01
+    # A[i, j] lives at ab[KL + KU + i - j, j]; neighbouring nodes sit two
+    # unknowns apart, so the Laplacian's off-diagonals land in rows 2 and 6
+    ab[4, 0::2] = dg_u + a10
+    ab[4, 1::2] = dg_v + b01
     ab[3, 1::2] = a01
     ab[5, 0::2] = b10
-    up_u = np.full(n - 1, cu)
-    up_u[0] = 2.0 * cu            # reflected ghost at the left end
-    up_v = np.full(n - 1, cv)
-    up_v[0] = 2.0 * cv
-    dn_u = np.full(n - 1, cu)
-    dn_u[-1] = 2.0 * cu           # reflected ghost at the right end
-    dn_v = np.full(n - 1, cv)
-    dn_v[-1] = 2.0 * cv
     ab[2, 2::2] = up_u
     ab[2, 3::2] = up_v
-    ab[6, 0:2 * n - 2:2] = dn_u
-    ab[6, 1:2 * n - 1:2] = dn_v
+    ab[6, 0:2 * n - 2:2] = lo_u
+    ab[6, 1:2 * n - 1:2] = lo_v
     return ab
 
 
@@ -412,6 +398,10 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     """Trace a solution branch with fold and branch-point tagging."""
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
+    if sigma_range is not None and not (sigma_range[0] <= sigma_start <= sigma_range[1]):
+        raise OutOfRange(
+            f"start sigma={sigma_start:.6g} lies outside the continuation range "
+            f"[{sigma_range[0]:.6g}, {sigma_range[1]:.6g}]")
     x = newton_correct(np.asarray(x_start, dtype=float), sigma_start, prob, tol)
     sigma = sigma_start
     tau = tangent_at(x, sigma, prob)

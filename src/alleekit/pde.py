@@ -2,9 +2,12 @@
 
 Neumann boundaries are encoded by reflected ghost points on a
 vertex-centered grid, which makes the discrete pure-diffusion flow
-conserve trapezoid mass exactly. Time stepping is first-order IMEX
-(explicit reaction, implicit tridiagonal diffusion) with a second-order
-Strang variant.
+conserve trapezoid mass exactly. This module owns that discrete Neumann
+operator: ``apply_laplacian`` applies it and ``laplacian_bands`` gives its
+tridiagonal bands, which the implicit diffusion solves here and the
+steady-state Jacobian in :mod:`alleekit.continuation` are built from.
+Time stepping is first-order IMEX (explicit reaction, implicit tridiagonal
+diffusion) with a second-order Strang variant.
 """
 
 from __future__ import annotations
@@ -80,6 +83,22 @@ def apply_laplacian(w: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def laplacian_bands(n: int, dx: float,
+                    coef: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, diag, upper) of coef times the matrix of apply_laplacian.
+
+    Row i reads lower[i-1]*w[i-1] + diag[i]*w[i] + upper[i]*w[i+1].
+    """
+    r = coef / (dx * dx)
+    diag = np.full(n, -2.0 * r)
+    lower = np.full(n - 1, r)
+    upper = np.full(n - 1, r)
+    # the reflected ghost doubles the inward coupling at both ends
+    upper[0] = 2.0 * r
+    lower[-1] = 2.0 * r
+    return lower, diag, upper
+
+
 def trapezoid_mass(w: np.ndarray, dx: float) -> float:
     """Integral of a nodal profile; the weights annihilate the Laplacian."""
     return float(np.trapezoid(w, dx=dx))
@@ -93,14 +112,9 @@ class _TriFactor:
     """Cached LU factorization of I - coef*Laplacian (tridiagonal)."""
 
     def __init__(self, n: int, dx: float, coef: float):
-        r = coef / (dx * dx)
-        main = np.full(n, 1.0 + 2.0 * r)
-        dl = np.full(n - 1, -r)
-        du = np.full(n - 1, -r)
-        # reflection doubles the off-diagonal coupling at both ends
-        du[0] = -2.0 * r
-        dl[-1] = -2.0 * r
-        self.dl, self.d, self.du, self.du2, self.ipiv, info = lapack.dgttrf(dl, main, du)
+        lower, diag, upper = laplacian_bands(n, dx, coef)
+        self.dl, self.d, self.du, self.du2, self.ipiv, info = lapack.dgttrf(
+            -lower, 1.0 - diag, -upper)
         if info != 0:
             raise NonFinite(f"diffusion matrix factorization failed (info={info})")
 
@@ -250,8 +264,11 @@ def make_ic(kind: ICKind | str, grid: Grid, p: KineticParams, *,
             amplitude: float = 1e-2,
             rng: np.random.Generator | None = None,
             interface: float = 200.0,
-            window: tuple[float, float] = (495.0, 505.0)) -> Field:
-    """Initial-condition constructors anchored at the upper coexisting state."""
+            window: tuple[float, float] | None = None) -> Field:
+    """Initial-condition constructors anchored at the upper coexisting state.
+
+    The center pulse fills `window`, by default the 10 units around L/2.
+    """
     kind = ICKind(kind)
     coex = coexisting_equilibria(p)
     if not coex:
@@ -278,6 +295,8 @@ def make_ic(kind: ICKind | str, grid: Grid, p: KineticParams, *,
         u = np.where(left, e.u, u1)
         v = np.where(left, e.v, 0.0)
     else:
+        if window is None:
+            window = (0.5 * grid.L - 5.0, 0.5 * grid.L + 5.0)
         a, b = window
         if not (0.0 <= a < b <= grid.L):
             raise BadSupport(f"pulse window [{a}, {b}] does not fit inside [0, {grid.L}]")

@@ -60,23 +60,29 @@ def c_min(p: KineticParams, d: float) -> float:
 
 
 def tw_rhs(s: np.ndarray, p: KineticParams, d: float, c: float) -> np.ndarray:
-    """Right-hand side of the 4D profile system at state (X, Y, W, Z)."""
+    """Right-hand side of the 4D profile system at a state (X, Y, W, Z),
+    shape (4,), or at each column of a (4, m) block of states."""
     X, Y, W, Z = s
     f1, f2 = kinetics(X, W, p)
     c2 = c * c
-    return np.array([c2 * (X - Y), float(f1), (c2 / d) * (W - Z), float(f2)])
+    return np.array([c2 * (X - Y), f1, (c2 / d) * (W - Z), f2])
 
 
 def tw_jacobian(s: np.ndarray, p: KineticParams, d: float, c: float) -> np.ndarray:
+    """Jacobian of tw_rhs: shape (4, 4) at a state, (4, 4, m) on a block."""
     X, _, W, _ = s
-    a10, a01, b10, b01 = (float(q) for q in jacobian_fields(X, W, p))
+    a10, a01, b10, b01 = jacobian_fields(X, W, p)
     c2 = c * c
-    return np.array([
-        [c2, -c2, 0.0, 0.0],
-        [a10, 0.0, a01, 0.0],
-        [0.0, 0.0, c2 / d, -c2 / d],
-        [b10, 0.0, b01, 0.0],
-    ])
+    J = np.zeros((4, 4) + np.shape(X))
+    J[0, 0] = c2
+    J[0, 1] = -c2
+    J[1, 0] = a10
+    J[1, 2] = a01
+    J[2, 2] = c2 / d
+    J[2, 3] = -c2 / d
+    J[3, 0] = b10
+    J[3, 2] = b01
+    return J
 
 
 def wedge_zeta(d: float, c: float) -> float:
@@ -169,14 +175,6 @@ def _oscillation(series: np.ndarray) -> float:
     return tv - abs(float(series[-1] - series[0]))
 
 
-def _rhs_fields(y: np.ndarray, p: KineticParams, d: float, c: float) -> np.ndarray:
-    """Profile right-hand side for a (4, m) block of states."""
-    X, Y, W, Z = y
-    f1, f2 = kinetics(X, W, p)
-    c2 = c * c
-    return np.vstack([c2 * (X - Y), f1, (c2 / d) * (W - Z), f2])
-
-
 def _kinetic_seed(p: KineticParams, d: float, c: float, y0: np.ndarray,
                   target: np.ndarray, r_cut: float,
                   t_max: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -198,9 +196,8 @@ def _kinetic_seed(p: KineticParams, d: float, c: float, y0: np.ndarray,
 
     near.terminal = True
     near.direction = -1.0
-    # RK45, not LSODA: the kinetics are non-stiff at wave parameters, scipy's
-    # LSODA holds a global handle that breaks under scan_plane's pool, and
-    # DOP853's long-step dense output is too wiggly to seed the collocation
+    # RK45: the kinetics are non-stiff at wave parameters, and DOP853's
+    # long-step dense output is too wiggly to seed the collocation
     sol = solve_ivp(kin, (0.0, 2.0 * t_max), y0[[0, 2]], method="RK45",
                     rtol=1e-10, atol=1e-13, dense_output=True, events=near)
     if not sol.t_events[0].size:
@@ -326,26 +323,11 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
         raise NoConvergence("seed endpoint coincides with the target state")
     w_end = w_end / r0
 
-    c2 = c * c
-
     def fun(_s, y, q):
-        return q[0] * _rhs_fields(y, p, d, c)
+        return q[0] * tw_rhs(y, p, d, c)
 
     def fun_jac(_s, y, q):
-        X, _, W, _ = y
-        a10, a01, b10, b01 = jacobian_fields(X, W, p)
-        m = y.shape[1]
-        J = np.zeros((4, 4, m))
-        J[0, 0] = c2
-        J[0, 1] = -c2
-        J[1, 0] = a10
-        J[1, 2] = a01
-        J[2, 2] = c2 / d
-        J[2, 3] = -c2 / d
-        J[3, 0] = b10
-        J[3, 2] = b01
-        dfdp = _rhs_fields(y, p, d, c)[:, None, :]
-        return q[0] * J, dfdp
+        return q[0] * tw_jacobian(y, p, d, c), tw_rhs(y, p, d, c)[:, None, :]
 
     def bc(ya, yb, q):
         da = ya - e1
@@ -490,16 +472,12 @@ def _classify_cell(p: KineticParams, d: float, c: float,
 
 
 def scan_plane(p: KineticParams, d: float, sigmas, cs, *,
-               t_max: float = 2000.0, tol: float = 1e-8,
-               jobs: int = 1) -> ScanResult:
+               t_max: float = 2000.0, tol: float = 1e-8) -> ScanResult:
     """Classify every (sigma, c) cell of the travelling-wave plane.
 
     Requires every sigma above the temporal Hopf value (the coexisting state
     must attract). Cells below the minimal speed are NoWave without shooting;
-    per-cell failures are recorded as Unknown, never raised. Cells are
-    independent: jobs > 1 fans them out to a thread pool, and either way the
-    result grid is assembled in a fixed row-major order, so the output is
-    deterministic.
+    per-cell failures are recorded as Unknown, never raised.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     cs = np.asarray(cs, dtype=float)
@@ -508,11 +486,8 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs, *,
         raise OutOfRange(
             f"scan sigmas must exceed the Hopf value {sig_h:.4f}; "
             f"got min {sigmas.min():.4f}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     codes = np.full((sigmas.size, cs.size), int(WaveClass.UNKNOWN), dtype=int)
     cmins = np.empty(sigmas.size)
-    work: list[tuple[int, int, KineticParams, float]] = []
     for i, sig in enumerate(sigmas):
         ps = p.with_sigma(float(sig))
         try:
@@ -525,16 +500,5 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs, *,
             if c < cm:
                 codes[i, j] = WaveClass.NO_WAVE
             else:
-                work.append((i, j, ps, float(c)))
-    if jobs == 1:
-        for i, j, ps, c in work:
-            codes[i, j] = _classify_cell(ps, d, c, t_max, tol)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                lambda w: _classify_cell(w[2], d, w[3], t_max, tol), work)
-            for (i, j, _, _), code in zip(work, results):
-                codes[i, j] = code
+                codes[i, j] = _classify_cell(ps, d, float(c), t_max, tol)
     return ScanResult(sigmas, cs, codes, cmins)

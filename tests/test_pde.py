@@ -15,6 +15,7 @@ from alleekit.pde import (
     ImexStepper,
     Recorder,
     StrangStepper,
+    _TriFactor,
     _dominant_period,
     apply_laplacian,
     classify_asymptotic,
@@ -22,6 +23,7 @@ from alleekit.pde import (
     default_grid_size,
     front_position,
     l2_norm,
+    laplacian_bands,
     make_ic,
     make_stepper,
     measure_front_speed,
@@ -67,6 +69,38 @@ def test_laplacian_cosine_eigenvector():
     w = np.cos(j * np.pi * g.x / g.L)
     kappa = 2.0 * (1.0 - math.cos(j * math.pi / (g.N - 1))) / g.dx ** 2
     assert np.allclose(apply_laplacian(w, g.dx), -kappa * w, atol=1e-10)
+
+
+def _band_matvec(bands, w):
+    lower, diag, upper = bands
+    out = diag * w
+    out[:-1] += upper * w[1:]
+    out[1:] += lower * w[:-1]
+    return out
+
+
+def test_laplacian_bands_match_stencil(rng):
+    g = Grid(L=7.0, N=64)
+    w = rng.uniform(-1.0, 2.0, g.N)
+    ref = apply_laplacian(w, g.dx)
+    for coef in (1.0, 46.0, 0.0125):
+        got = _band_matvec(laplacian_bands(g.N, g.dx, coef), w)
+        scale = coef * np.abs(ref).max()
+        assert np.abs(got - coef * ref).max() < 1e-13 * scale
+        # the reflected end rows couple to their one neighbour at twice weight
+        assert got[0] == pytest.approx(coef * 2.0 * (w[1] - w[0]) / g.dx ** 2,
+                                       rel=1e-13)
+        assert got[-1] == pytest.approx(coef * 2.0 * (w[-2] - w[-1]) / g.dx ** 2,
+                                        rel=1e-13)
+
+
+def test_tri_factor_inverts_implicit_diffusion(rng):
+    g = Grid(L=7.0, N=64)
+    b = rng.standard_normal(g.N)
+    for coef in (0.05, 2.3):
+        x = _TriFactor(g.N, g.dx, coef).solve(b)
+        back = x - coef * apply_laplacian(x, g.dx)
+        assert np.abs(back - b).max() < 1e-12 * (1.0 + np.abs(x).max())
 
 
 def test_ic_perturbed_amplitude_zero_is_constant(p_main):

@@ -73,6 +73,18 @@ def test_jacobian_matches_finite_differences(p_main):
         assert np.abs(col - J[:, k]).max() < 1e-5
 
 
+def test_block_calls_equal_column_calls(p_main, rng):
+    u1 = _u1(p_main)
+    block = rng.uniform(0.0, u1, (4, 7))
+    r = tw_rhs(block, p_main, D_REF, C_REF)
+    J = tw_jacobian(block, p_main, D_REF, C_REF)
+    assert r.shape == (4, 7) and J.shape == (4, 4, 7)
+    for k in range(block.shape[1]):
+        assert np.array_equal(r[:, k], tw_rhs(block[:, k], p_main, D_REF, C_REF))
+        assert np.array_equal(J[:, :, k],
+                              tw_jacobian(block[:, k], p_main, D_REF, C_REF))
+
+
 def test_prey_only_spectrum_closed_form(p_main):
     sp = end_state_spectra(p_main, D_REF, C_REF)
     closed = sorted(sp.lambdas_prey_only, key=lambda z: z.real)
