@@ -240,7 +240,7 @@ def parse_config(text: str, *, command: str | None = None,
     seed = data.get(("run", "seed"))
     if seed is not None and seed < 0:
         issues.append("[run] seed: must be non-negative")
-    amplitude = data.get(("run", "amplitude"), 1e-2)
+    amplitude = data.get(("run", "amplitude"), ExperimentConfig.amplitude)
     if amplitude < 0:
         issues.append("[run] amplitude: must be non-negative")
 
@@ -281,30 +281,31 @@ def parse_config(text: str, *, command: str | None = None,
         issues.append("[sweep]: sigma_lo/sigma_hi/sigma_count required for "
                       "the temporal-diagram command")
 
-    steps = data.get(("sweep", "steps"), 250)
+    steps = data.get(("sweep", "steps"), ExperimentConfig.steps)
     if steps < 1:
         issues.append("[sweep] steps: must be >= 1")
-    ds0 = data.get(("sweep", "ds0"), 0.02)
+    ds0 = data.get(("sweep", "ds0"), ExperimentConfig.ds0)
     if ds0 <= 0:
         issues.append("[sweep] ds0: must be positive")
-    direction = data.get(("sweep", "direction"), -1)
+    direction = data.get(("sweep", "direction"), ExperimentConfig.direction)
     if direction not in (-1, 1):
         issues.append("[sweep] direction: must be -1 or +1")
-    b_lo = data.get(("sweep", "bracket_lo"), 1.5)
-    b_hi = data.get(("sweep", "bracket_hi"), 2.4)
+    b_lo = data.get(("sweep", "bracket_lo"), ExperimentConfig.bracket[0])
+    b_hi = data.get(("sweep", "bracket_hi"), ExperimentConfig.bracket[1])
     if b_hi <= b_lo:
         issues.append("[sweep] bracket_hi: must exceed bracket_lo")
-    t_sim = data.get(("sweep", "t_sim"), 3000.0)
+    t_sim = data.get(("sweep", "t_sim"), ExperimentConfig.t_sim)
     if t_sim <= 0:
         issues.append("[sweep] t_sim: must be positive")
-    transient = data.get(("run", "transient"), 800.0)
+    transient = data.get(("run", "transient"), ExperimentConfig.transient)
     if transient < 0:
         issues.append("[run] transient: must be non-negative")
-    renorm = data.get(("run", "renorm_interval"), 1.0)
+    renorm = data.get(("run", "renorm_interval"),
+                      ExperimentConfig.renorm_interval)
     if renorm <= 0:
         issues.append("[run] renorm_interval: must be positive")
     for key in ("snapshot_every", "series_every"):
-        val = data.get(("run", key), 0.0)
+        val = data.get(("run", key), getattr(ExperimentConfig, key))
         if val < 0:
             issues.append(f"[run] {key}: must be non-negative")
 
@@ -322,9 +323,11 @@ def parse_config(text: str, *, command: str | None = None,
         ic=ic,
         amplitude=amplitude,
         seed=seed,
-        scheme=data.get(("run", "scheme"), "imex1"),
-        snapshot_every=data.get(("run", "snapshot_every"), 0.0),
-        series_every=data.get(("run", "series_every"), 0.0),
+        scheme=data.get(("run", "scheme"), ExperimentConfig.scheme),
+        snapshot_every=data.get(("run", "snapshot_every"),
+                                ExperimentConfig.snapshot_every),
+        series_every=data.get(("run", "series_every"),
+                              ExperimentConfig.series_every),
         transient=transient,
         renorm_interval=renorm,
         sigma_grid=sigma_grid,

@@ -4,9 +4,10 @@ Unknowns are interleaved (u0, v0, u1, v1, ...) so the steady-state
 Jacobian is banded with two sub- and two superdiagonals; one LAPACK
 banded LU serves the Newton corrector, the extended-system determinant
 sign used for branch-point detection, and the shifted inverse iteration
-behind linear stability. The diffusion rows use the Neumann operator
-owned by :mod:`alleekit.pde` (``apply_laplacian`` and ``laplacian_bands``),
-so the steady states here are exactly those of the PDE stepper.
+behind linear stability. The residual is the PDE stepper's own
+right-hand side (``semidiscrete_rhs`` in :mod:`alleekit.pde`) and the
+Jacobian's diffusion rows come from its ``laplacian_bands``, so the steady
+states here are exactly those of the PDE stepper.
 """
 
 from __future__ import annotations
@@ -26,13 +27,17 @@ from .errors import (
     NonFinite,
     OutOfRange,
     SingularJacobian,
-    StepUnderflow,
+    StepSizeUnderflow,
 )
-from .model import KineticParams, jacobian_fields, kinetics
-from .pde import Grid, apply_laplacian, l2_norm, laplacian_bands
+from .model import KineticParams, jacobian_fields
+from .pde import Grid, l2_norm, laplacian_bands, semidiscrete_rhs
 
 KL = 2
 KU = 2
+# solution_stability inverts J - STABILITY_SHIFT*I and counts eigenvalues
+# with real part above UNSTABLE_TOL as unstable
+STABILITY_SHIFT = 0.13
+UNSTABLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,11 +47,8 @@ class SteadyProblem:
     grid: Grid
     p: KineticParams
     d: float
-    active_parameter: str = "sigma"
 
     def __post_init__(self) -> None:
-        if self.active_parameter != "sigma":
-            raise ValueError("only sigma continuation is supported")
         if not (self.d > 0 and math.isfinite(self.d)):
             raise ValueError("diffusion ratio d must be positive")
 
@@ -74,10 +76,8 @@ def _wdot(a: np.ndarray, b: np.ndarray) -> float:
 def residual(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarray:
     """Semi-discrete time derivative; zero exactly at steady states."""
     u, v = split_fields(x)
-    f1, f2 = kinetics(u, v, prob.p.with_sigma(sigma))
-    dx = prob.grid.dx
-    return interleave(apply_laplacian(u, dx) + f1,
-                      prob.d * apply_laplacian(v, dx) + f2)
+    return interleave(*semidiscrete_rhs(u, v, prob.p.with_sigma(sigma), prob.d,
+                                        prob.grid.dx))
 
 
 def sigma_derivative(x: np.ndarray, prob: SteadyProblem) -> np.ndarray:
@@ -272,72 +272,58 @@ def _bendixson_caps(x: np.ndarray, sigma: float, prob: SteadyProblem) -> tuple[f
     return re_cap, im_cap
 
 
-def _banded_to_dense(ab: np.ndarray) -> np.ndarray:
-    n = ab.shape[1]
-    out = np.zeros((n, n))
-    for off in range(-KL, KU + 1):
-        row = KL + KU - off
-        if off >= 0:
-            out[np.arange(n - off), np.arange(off, n)] = ab[row, off:]
-        else:
-            out[np.arange(-off, n), np.arange(n + off)] = ab[row, :off]
-    return out
-
-
 def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
-                       n_eigs: int = 32, *, shift: float = 0.13,
-                       unstable_tol: float = 1e-8) -> tuple[int, np.ndarray]:
+                       n_eigs: int = 32) -> tuple[int, np.ndarray]:
     """Leading spectrum of the linearized evolution operator.
 
-    Shift-inverted Arnoldi on the banded LU of J - shift*I finds the
-    eigenvalues nearest the shift; k is grown until the covered disk
-    provably contains the whole Bendixson box of possible unstable
-    eigenvalues, so the unstable count is certified, not sampled.
+    One certified path at every grid size, with no dense fallback:
+    shift-inverted Arnoldi on the banded LU of J - STABILITY_SHIFT*I finds
+    the k eigenvalues nearest the shift, starting from k = n_eigs (at
+    least 8), and k is grown until the covered disk provably contains the
+    whole Bendixson box of possible unstable eigenvalues, so the unstable
+    count is certified, not sampled. Returns that count and the k
+    eigenvalues, by decreasing real part.
     """
     n = prob.n_unknowns
     ab = jacobian_banded(x, sigma, prob)
     re_cap, im_cap = _bendixson_caps(x, sigma, prob)
-    r_req = math.hypot(max(shift, re_cap - shift), im_cap)
+    s = STABILITY_SHIFT
+    r_req = math.hypot(max(s, re_cap - s), im_cap)
 
-    if n <= 600:
-        lam = np.linalg.eigvals(_banded_to_dense(ab))
+    for _ in range(4):
+        shifted = ab.copy()
+        shifted[KL + KU, :] -= s
+        lu = BandedLU(shifted)
+        if not lu.singular:
+            break
+        s *= 1.37  # a pivot collision means the shift hit an eigenvalue
     else:
-        s = shift
-        lu = None
-        for _ in range(4):
-            shifted = ab.copy()
-            shifted[KL + KU, :] -= s
-            lu = BandedLU(shifted)
-            if not lu.singular:
-                break
-            s *= 1.37  # a pivot collision means the shift hit an eigenvalue
-        else:
-            raise EigSolverStall("no usable shift for inverse iteration")
+        raise EigSolverStall("no usable shift for inverse iteration")
 
-        op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        k = min(max(8, n_eigs), n - 2)
-        k_cap = min(n - 2, max(192, k))
-        while True:
+    op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    k = min(max(8, n_eigs), n - 2)
+    k_cap = min(n - 2, max(192, k))
+    while True:
+        try:
+            mu = eigs(op, k=k, which="LM", return_eigenvectors=False,
+                      maxiter=max(300, 20 * k))
+        except ArpackNoConvergence:
             try:
-                mu = eigs(op, k=k, which="LM", return_eigenvectors=False,
-                          maxiter=max(300, 20 * k))
-            except ArpackNoConvergence:
-                try:
-                    mu = eigs(op, k=k, ncv=min(n, 4 * k + 1), which="LM",
-                              return_eigenvectors=False, maxiter=max(600, 40 * k))
-                except ArpackNoConvergence as exc:
-                    raise EigSolverStall(f"eigensolver stalled: {exc}") from exc
-            lam = s + 1.0 / mu
-            if np.abs(lam - s).max() >= r_req or k >= k_cap:
-                break
-            k = min(2 * k, k_cap)
-        if np.abs(lam - s).max() < r_req:
-            raise EigSolverStall(
-                "could not cover the unstable region "
-                f"(needed radius {r_req:.3g} around {s:.3g})")
+                mu = eigs(op, k=k, ncv=min(n, 4 * k + 1), which="LM",
+                          return_eigenvectors=False, maxiter=max(600, 40 * k))
+            except ArpackNoConvergence as exc:
+                raise EigSolverStall(f"eigensolver stalled: {exc}") from exc
+        lam = s + 1.0 / mu
+        if np.abs(lam - s).max() >= r_req or k >= k_cap:
+            break
+        k = min(2 * k, k_cap)
+    if np.abs(lam - s).max() < r_req:
+        raise EigSolverStall(
+            "could not cover the unstable region "
+            f"(needed radius {r_req:.3g} around {s:.3g})")
 
     lam = lam[np.argsort(-lam.real)]
-    n_unstable = int((lam.real > unstable_tol).sum())
+    n_unstable = int((lam.real > UNSTABLE_TOL).sum())
     return n_unstable, lam
 
 
@@ -428,7 +414,7 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
             except (NoConvergence, SingularJacobian):
                 ds *= 0.5
                 if ds < ds_min:
-                    raise StepUnderflow(
+                    raise StepSizeUnderflow(
                         f"arclength step fell below {ds_min} near sigma={sigma:.6g}")
         x1, sig1, iters = accepted
         tau1 = tangent_at(x1, sig1, prob, prev=tau)

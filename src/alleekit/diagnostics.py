@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged
-from .model import KineticParams, jacobian_fields
+from .model import KineticParams
 from .pde import Field, ImexStepper, SpaceTimeRecord, _dominant_period, default_dt
 
 
@@ -39,10 +39,11 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
                      discard: float = 0.1) -> LyapunovResult:
     """Benettin-style tangent propagation along the discretized flow.
 
-    The tangent is advanced with the exact linearization of the IMEX map
-    (reaction Jacobian explicit, the same cached tridiagonal solves
-    implicit), so growth factors measure the discrete flow itself rather
-    than a separately discretized variational equation. The tangent starts
+    The tangent is advanced by ``ImexStepper.tangent_arrays``, the exact
+    linearization of the IMEX map (reaction Jacobian explicit, the same
+    cached tridiagonal solves implicit), so growth factors measure the
+    discrete flow itself rather than a separately discretized variational
+    equation. The tangent starts
     as normalized noise and the first `discard` fraction of growth factors
     is dropped to let it align with the leading direction.
 
@@ -81,9 +82,7 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     t = f0.t
     for k in range(n_renorm):
         for _ in range(steps_per):
-            a10, a01, b10, b01 = jacobian_fields(u, v, p)
-            du, dv = (stepper._fu.solve(du + dt * (a10 * du + a01 * dv)),
-                      stepper._fv.solve(dv + dt * (b10 * du + b01 * dv)))
+            du, dv = stepper.tangent_arrays(u, v, du, dv)
             u, v = stepper.step_arrays(u, v, t)
             t += dt
         g = math.hypot(np.linalg.norm(du), np.linalg.norm(dv))

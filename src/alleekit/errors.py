@@ -30,7 +30,6 @@ __all__ = [
     "NoConvergence",
     "NotConverged",
     "StepSizeUnderflow",
-    "StepUnderflow",
     "EigSolverStall",
     "KernelNotFound",
     "FellBackToParent",
@@ -154,10 +153,6 @@ class NotConverged(ConvergenceError):
 
 class StepSizeUnderflow(ConvergenceError):
     """Adaptive step control pushed the step below its floor."""
-
-
-# arclength code reads better with the shorter name
-StepUnderflow = StepSizeUnderflow
 
 
 class EigSolverStall(ConvergenceError):

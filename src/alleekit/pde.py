@@ -6,8 +6,10 @@ conserve trapezoid mass exactly. This module owns that discrete Neumann
 operator: ``apply_laplacian`` applies it and ``laplacian_bands`` gives its
 tridiagonal bands, which the implicit diffusion solves here and the
 steady-state Jacobian in :mod:`alleekit.continuation` are built from.
-Time stepping is first-order IMEX (explicit reaction, implicit tridiagonal
-diffusion) with a second-order Strang variant.
+``semidiscrete_rhs`` is the one right-hand side of the discrete system:
+continuation solves it for zero and ``run`` samples it. Time stepping is
+first-order IMEX (explicit reaction, implicit tridiagonal diffusion) with
+a second-order Strang variant.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ from .errors import (
     NonFinite,
     OutOfRange,
 )
-from .model import KineticParams, axial_equilibria, coexisting_equilibria, kinetics
+from .model import (
+    KineticParams,
+    axial_equilibria,
+    coexisting_equilibria,
+    jacobian_fields,
+    kinetics,
+)
 
 DERIV_TOL = 1e-6
 VARIANCE_TOL = 1e-6
@@ -137,8 +145,6 @@ class ImexStepper:
     positivity for any dt; the explicit reaction bounds dt in practice.
     """
 
-    order = 1
-
     def __init__(self, grid: Grid, p: KineticParams, d: float, dt: float,
                  *, include_reaction: bool = True):
         if not (dt > 0 and math.isfinite(dt)):
@@ -163,15 +169,18 @@ class ImexStepper:
         _check_finite(un, vn, t + self.dt)
         return un, vn
 
-    def step(self, f: Field) -> Field:
-        un, vn = self.step_arrays(f.u, f.v, f.t)
-        return Field(f.grid, un, vn, f.t + self.dt)
+    def tangent_arrays(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
+                       dv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact linearization of step_arrays at (u, v), applied to (du, dv)."""
+        if self.include_reaction:
+            a10, a01, b10, b01 = jacobian_fields(u, v, self.p)
+            du, dv = (du + self.dt * (a10 * du + a01 * dv),
+                      dv + self.dt * (b10 * du + b01 * dv))
+        return self._fu.solve(du), self._fv.solve(dv)
 
 
 class StrangStepper:
     """Half-step Crank-Nicolson diffusion, RK4 reaction, half-step again."""
-
-    order = 2
 
     def __init__(self, grid: Grid, p: KineticParams, d: float, dt: float,
                  *, include_reaction: bool = True):
@@ -213,10 +222,6 @@ class StrangStepper:
         u, v = self._half_diffuse(u, v)
         _check_finite(u, v, t + self.dt)
         return u, v
-
-    def step(self, f: Field) -> Field:
-        un, vn = self.step_arrays(f.u, f.v, f.t)
-        return Field(f.grid, un, vn, f.t + self.dt)
 
 
 _SCHEMES = {"imex1": ImexStepper, "strang": StrangStepper}
@@ -344,15 +349,19 @@ class SpaceTimeRecord:
                      float(self.snap_times[-1]))
 
 
-def _rhs_sup(u: np.ndarray, v: np.ndarray, p: KineticParams, d: float, dx: float,
-             include_reaction: bool) -> float:
+def semidiscrete_rhs(u: np.ndarray, v: np.ndarray, p: KineticParams, d: float,
+                     dx: float, include_reaction: bool = True
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivative (du, dv) of the method-of-lines system.
+
+    Its zeros are the discrete steady states that
+    :mod:`alleekit.continuation` follows.
+    """
     if include_reaction:
         f1, f2 = kinetics(u, v, p)
     else:
         f1 = f2 = 0.0
-    du = apply_laplacian(u, dx) + f1
-    dv = d * apply_laplacian(v, dx) + f2
-    return float(max(np.abs(du).max(), np.abs(dv).max()))
+    return apply_laplacian(u, dx) + f1, d * apply_laplacian(v, dx) + f2
 
 
 def run(f0: Field, p: KineticParams, d: float, T: float,
@@ -378,11 +387,8 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
     if recorder.snapshot_every:
         snap_stride = max(1, round(recorder.snapshot_every / dt))
 
-    times: list[float] = []
-    u_av: list[float] = []
-    v_av: list[float] = []
-    var_u: list[float] = []
-    dudt: list[float] = []
+    # one row per series sample: t, mean u, mean v, var u, sup |du/dt|
+    samples: list[tuple[float, float, float, float, float]] = []
     snap_t: list[float] = []
     snaps_u: list[np.ndarray] = []
     snaps_v: list[np.ndarray] = []
@@ -393,11 +399,16 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
     min_value = float(min(u.min(), v.min()))
 
     def sample(tt: float, uu: np.ndarray, vv: np.ndarray) -> None:
-        times.append(tt)
-        u_av.append(trapezoid_mass(uu, dx) / grid.L)
-        v_av.append(trapezoid_mass(vv, dx) / grid.L)
-        var_u.append(float(np.var(uu)))
-        dudt.append(_rhs_sup(uu, vv, p, d, dx, include_reaction))
+        # a diverging state can still be finite while its statistics
+        # overflow; that is a NonFinite failure, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            du, dv = semidiscrete_rhs(uu, vv, p, d, dx, include_reaction)
+            row = (tt, trapezoid_mass(uu, dx) / grid.L,
+                   trapezoid_mass(vv, dx) / grid.L, float(np.var(uu)),
+                   float(np.maximum(np.abs(du).max(), np.abs(dv).max())))
+        if not all(map(math.isfinite, row)):
+            raise NonFinite(f"state lost finiteness near t={tt:.6g}")
+        samples.append(row)
 
     def snapshot(tt: float, uu: np.ndarray, vv: np.ndarray) -> None:
         snap_t.append(tt)
@@ -419,13 +430,14 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
             snapshot(t, u, v)
     snapshot(t, u, v)
 
+    times, u_av, v_av, var_u, dudt = map(np.asarray, zip(*samples))
     return SpaceTimeRecord(
         grid=grid,
-        times=np.asarray(times),
-        u_av=np.asarray(u_av),
-        v_av=np.asarray(v_av),
-        var_u=np.asarray(var_u),
-        dudt_sup=np.asarray(dudt),
+        times=times,
+        u_av=u_av,
+        v_av=v_av,
+        var_u=var_u,
+        dudt_sup=dudt,
         snap_times=np.asarray(snap_t),
         snap_u=np.asarray(snaps_u),
         snap_v=np.asarray(snaps_v),

@@ -93,6 +93,12 @@ def test_simulate_failure_exit_codes(tmp_path, capsys, grid, run, code):
                   "c_lo = 5.9\nc_hi = 5.9\nc_count = 1\n"),
     ("temporal-diagram", "[sweep]\nsigma_lo = 1.82\nsigma_hi = 1.9\n"
                          "sigma_count = 2\nt_sim = 200\n"),
+    ("equilibria", ""),
+    ("simulate", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 20\n"
+                 "ic = perturbed_homogeneous\n"),
+    ("lyapunov", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 230\n"
+                 "transient = 10\n"),
+    ("pulse", "l = 200\n[grid]\nn = 128\n[run]\nseed = 1\nt = 20\n"),
 ])
 def test_reruns_give_identical_manifests(tmp_path, capsys, command, body):
     manifests = []

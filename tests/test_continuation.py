@@ -14,8 +14,9 @@ import pytest
 from alleekit.continuation import (
     BandedLU,
     Branch,
+    KL,
+    KU,
     SteadyProblem,
-    _banded_to_dense,
     branch_switch,
     continue_branch,
     interleave,
@@ -33,7 +34,7 @@ from alleekit.errors import (
     FellBackToParent,
     KernelNotFound,
     NoConvergence,
-    StepUnderflow,
+    StepSizeUnderflow,
 )
 from alleekit.linear import branch_point_sigmas, mode_reports, vbounds
 from alleekit.model import KineticParams, coexisting_equilibria, jacobian
@@ -68,6 +69,19 @@ def _flat(prob, sigma) -> np.ndarray:
     return interleave(np.full(n, e.u), np.full(n, e.v))
 
 
+def _banded_to_dense(ab: np.ndarray) -> np.ndarray:
+    # dense oracle for the banded Jacobian, in LAPACK gbtrf layout
+    n = ab.shape[1]
+    out = np.zeros((n, n))
+    for off in range(-KL, KU + 1):
+        row = KL + KU - off
+        if off >= 0:
+            out[np.arange(n - off), np.arange(off, n)] = ab[row, off:]
+        else:
+            out[np.arange(-off, n), np.arange(n + off)] = ab[row, :off]
+    return out
+
+
 def _monotone_runs(u: np.ndarray, rel_tol: float = 1e-2) -> int:
     du = np.diff(u)
     keep = du[np.abs(du) > rel_tol * (u.max() - u.min() + 1e-300)]
@@ -77,8 +91,6 @@ def _monotone_runs(u: np.ndarray, rel_tol: float = 1e-2) -> int:
 
 
 def test_problem_validation(base_p):
-    with pytest.raises(ValueError):
-        SteadyProblem(Grid(L=L_REF, N=64), base_p, D_REF, active_parameter="eta")
     with pytest.raises(ValueError):
         SteadyProblem(Grid(L=L_REF, N=64), base_p, 0.0)
 
@@ -248,7 +260,7 @@ def test_kernel_rejected_away_from_bifurcation(base_p):
 def test_step_underflow_on_hopeless_step(base_p):
     prob = _problem(base_p)
     x = newton_correct(localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
-    with pytest.raises(StepUnderflow):
+    with pytest.raises(StepSizeUnderflow):
         continue_branch(x, 2.1, prob, direction=1, steps=3, ds0=8.0,
                         ds_min=7.9, stability=False)
 
@@ -331,9 +343,11 @@ def test_stability_counts_band_and_oscillatory_pairs(base_p):
     assert n_un == expect == 12
 
 
-def test_arnoldi_path_agrees_with_dense(base_p):
-    # n > 600 takes the shift-inverted path; same count as direct eigvals
-    prob = _problem(base_p, n=512)
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_arnoldi_path_agrees_with_dense(base_p, n):
+    # the shift-inverted path serves every size, down to the smallest grid;
+    # same count and leading eigenvalue as direct eigvals
+    prob = _problem(base_p, n=n)
     sig = 1.83
     x = _flat(prob, sig)
     n_un, lam = solution_stability(x, sig, prob)
