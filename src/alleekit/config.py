@@ -173,6 +173,9 @@ def _grid_from(data, issues, prefix: str) -> np.ndarray | None:
     if hi < lo:
         issues.append(f"[sweep] {prefix}_hi: must be >= {prefix}_lo")
         return None
+    # sigma is a kinetic rate and c a wave speed: both must be positive
+    if lo <= 0:
+        issues.append(f"[sweep] {prefix}_lo: must be positive")
     if count == 1:
         return np.array([lo])
     return np.linspace(lo, hi, count)
@@ -292,6 +295,8 @@ def parse_config(text: str, *, command: str | None = None,
         issues.append("[sweep] direction: must be -1 or +1")
     b_lo = data.get(("sweep", "bracket_lo"), ExperimentConfig.bracket[0])
     b_hi = data.get(("sweep", "bracket_hi"), ExperimentConfig.bracket[1])
+    if b_lo <= 0:
+        issues.append("[sweep] bracket_lo: must be positive")
     if b_hi <= b_lo:
         issues.append("[sweep] bracket_hi: must exceed bracket_lo")
     t_sim = data.get(("sweep", "t_sim"), ExperimentConfig.t_sim)

@@ -38,6 +38,9 @@ KU = 2
 # with real part above UNSTABLE_TOL as unstable
 STABILITY_SHIFT = 0.13
 UNSTABLE_TOL = 1e-8
+# max-norm residual at which Newton, the arclength corrector, event
+# refinement and branch switching accept a point
+NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -143,16 +146,16 @@ def _factor(x: np.ndarray, sigma: float, prob: SteadyProblem) -> BandedLU:
     return BandedLU(jacobian_banded(x, sigma, prob))
 
 
-def newton_correct(x0: np.ndarray, sigma: float, prob: SteadyProblem,
-                   tol: float = 1e-10, max_iter: int = 25) -> np.ndarray:
-    """Damped Newton at fixed sigma; max-norm residual below tol on return."""
+def newton_correct(x0: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarray:
+    """Damped Newton at fixed sigma, at most 25 iterations; max-norm
+    residual below NEWTON_TOL on return."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (prob.n_unknowns,):
         raise ValueError("solution vector has the wrong length")
     r = residual(x, sigma, prob)
     rn = float(np.abs(r).max())
-    for _ in range(max_iter):
-        if rn < tol:
+    for _ in range(25):
+        if rn < NEWTON_TOL:
             return x
         lu = _factor(x, sigma, prob)
         if lu.singular:
@@ -166,15 +169,15 @@ def newton_correct(x0: np.ndarray, sigma: float, prob: SteadyProblem,
                 rtn = float(np.abs(rt).max())
             except NonFinite:
                 rtn = math.inf
-            if math.isfinite(rtn) and (rtn < (1.0 - 0.25 * lam) * rn or rtn < tol):
+            if math.isfinite(rtn) and (rtn < (1.0 - 0.25 * lam) * rn or rtn < NEWTON_TOL):
                 break
             lam *= 0.5
             if lam < 1.0 / 64.0:
                 raise NoConvergence("Newton line search stalled")
         x, r, rn = xt, rt, rtn
-    if rn < tol:
+    if rn < NEWTON_TOL:
         return x
-    raise NoConvergence(f"Newton residual {rn:.3e} after {max_iter} iterations")
+    raise NoConvergence(f"Newton residual {rn:.3e} after 25 iterations")
 
 
 @dataclass
@@ -198,18 +201,17 @@ def tangent_at(x: np.ndarray, sigma: float, prob: SteadyProblem,
     return tau
 
 
-def _arclength_correct(x_pred, sigma_pred, x0, sigma0, tau: Tangent, ds,
-                       prob, tol, max_iter=10):
+def _arclength_correct(x_pred, sigma_pred, x0, sigma0, tau: Tangent, ds, prob):
     x = x_pred.copy()
     sig = sigma_pred
-    for it in range(max_iter):
+    for it in range(10):
         try:
             r = residual(x, sig, prob)
         except NonFinite:
             raise NoConvergence("corrector left the finite region")
         con = _wdot(tau.x, x - x0) + tau.sigma * (sig - sigma0) - ds
         rn = max(float(np.abs(r).max()), abs(con))
-        if rn < tol:
+        if rn < NEWTON_TOL:
             return x, sig, it
         lu = _factor(x, sig, prob)
         fs = sigma_derivative(x, prob)
@@ -327,18 +329,18 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     return n_unstable, lam
 
 
-def _make_point(index, x, sigma, prob, tags, stability, n_eigs):
+def _make_point(index, x, sigma, prob, tags, stability):
     u, _ = split_fields(x)
     n_un = None
     if stability:
-        n_un, _ = solution_stability(x, sigma, prob, n_eigs)
+        n_un, _ = solution_stability(x, sigma, prob, n_eigs=24)
     return BranchPoint(index, sigma, x.copy(), l2_norm(u, prob.grid.dx), n_un,
                        set(tags))
 
 
-def _refine_event(x0, sigma0, tau, ds_hi, prob, tol, sign_lo, which,
-                  refine_tol=1e-7):
-    """Bisect the arclength step until the flagged sign flip is localized.
+def _refine_event(x0, sigma0, tau, ds_hi, prob, sign_lo, which):
+    """Bisect the arclength step until the flagged sign flip is localized
+    to 1e-7 in sigma.
 
     which = "fold" brackets the sign of tau_sigma, "bp" the extended
     determinant sign. Returns the corrected event point.
@@ -354,7 +356,7 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, tol, sign_lo, which,
         try:
             xm, sm, _ = _arclength_correct(
                 x0 + mid * tau.x, sigma0 + mid * tau.sigma,
-                x0, sigma0, tau, mid, prob, tol)
+                x0, sigma0, tau, mid, prob)
         except (NoConvergence, SingularJacobian):
             hi = mid  # treat failures as the far side; shrink toward x0
             continue
@@ -368,7 +370,7 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, tol, sign_lo, which,
         else:
             hi, sig_hi_val = mid, sm
             x_ev, sig_ev = xm, sm
-        if sig_hi_val is not None and abs(sig_hi_val - sig_lo_val) < refine_tol:
+        if sig_hi_val is not None and abs(sig_hi_val - sig_lo_val) < 1e-7:
             break
     if x_ev is None:
         return None
@@ -377,25 +379,25 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, tol, sign_lo, which,
 
 def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem,
                     direction: int = 1, steps: int = 100, ds0: float = 0.02, *,
-                    tol: float = 1e-10, ds_min: float = 1e-4,
+                    ds_min: float = 1e-4,
                     sigma_range: tuple[float, float] | None = None,
-                    stability: bool = True, n_eigs: int = 24,
-                    adapt: bool = True, refine_tol: float = 1e-7) -> Branch:
-    """Trace a solution branch with fold and branch-point tagging."""
+                    stability: bool = True, adapt: bool = True) -> Branch:
+    """Trace a solution branch with fold and branch-point tagging; events
+    are localized to 1e-7 in sigma, and stability starts from 24 eigenvalues."""
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     if sigma_range is not None and not (sigma_range[0] <= sigma_start <= sigma_range[1]):
         raise OutOfRange(
             f"start sigma={sigma_start:.6g} lies outside the continuation range "
             f"[{sigma_range[0]:.6g}, {sigma_range[1]:.6g}]")
-    x = newton_correct(np.asarray(x_start, dtype=float), sigma_start, prob, tol)
+    x = newton_correct(np.asarray(x_start, dtype=float), sigma_start, prob)
     sigma = sigma_start
     tau = tangent_at(x, sigma, prob)
     if tau.sigma != 0.0 and (1 if tau.sigma > 0 else -1) != direction:
         tau = Tangent(-tau.x, -tau.sigma)
 
     branch = Branch(prob)
-    branch.points.append(_make_point(0, x, sigma, prob, {"Start"}, stability, n_eigs))
+    branch.points.append(_make_point(0, x, sigma, prob, {"Start"}, stability))
 
     det_sign = _factor(x, sigma, prob).det_sign
     tau_sign = 1 if tau.sigma > 0 else -1 if tau.sigma < 0 else 0
@@ -408,7 +410,7 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
             try:
                 x1, sig1, iters = _arclength_correct(
                     x + ds * tau.x, sigma + ds * tau.sigma,
-                    x, sigma, tau, ds, prob, tol)
+                    x, sigma, tau, ds, prob)
                 accepted = (x1, sig1, iters)
                 break
             except (NoConvergence, SingularJacobian):
@@ -427,17 +429,16 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
         if fold_hit or det_hit:
             which = "fold" if fold_hit else "bp"
             ref_sign = tau_sign if fold_hit else det_sign
-            ev = _refine_event(x, sigma, tau, ds, prob, tol, ref_sign, which,
-                               refine_tol)
+            ev = _refine_event(x, sigma, tau, ds, prob, ref_sign, which)
             if ev is not None:
                 xe, se = ev
                 tags = {"Fold"} if fold_hit else {"BP"}
                 branch.points.append(
-                    _make_point(idx, xe, se, prob, tags, stability, n_eigs))
+                    _make_point(idx, xe, se, prob, tags, stability))
                 idx += 1
 
         branch.points.append(
-            _make_point(idx, x1, sig1, prob, set(), stability, n_eigs))
+            _make_point(idx, x1, sig1, prob, set(), stability))
         idx += 1
 
         x, sigma, tau = x1, sig1, tau1
@@ -454,14 +455,14 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     return branch
 
 
-def kernel_vector(x: np.ndarray, sigma: float, prob: SteadyProblem,
-                  max_iter: int = 100, rel_tol: float = 1e-8) -> np.ndarray:
-    """Near-null vector of the steady-state Jacobian by inverse iteration.
+def kernel_vector(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarray:
+    """Near-null vector of the steady-state Jacobian by inverse iteration
+    (at most 100 steps).
 
-    rel_tol bounds |J v|_inf relative to the matrix scale; it is sized for
-    points localized to ~1e-7 in sigma by event refinement, where the
-    crossing eigenvalue is orders below any other, and rejects points that
-    are merely close to a bifurcation.
+    |J v|_inf must stay below 1e-8 times the matrix scale. That bound is
+    sized for points localized to ~1e-7 in sigma by event refinement, where
+    the crossing eigenvalue is orders below any other, and rejects points
+    that are merely close to a bifurcation.
     """
     ab = jacobian_banded(x, sigma, prob)
     scale = float(np.abs(ab).max())
@@ -475,7 +476,7 @@ def kernel_vector(x: np.ndarray, sigma: float, prob: SteadyProblem,
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(x.size)
     v /= np.abs(v).max()
-    for _ in range(max_iter):
+    for _ in range(100):
         w = lu.solve(v)
         wn = float(np.abs(w).max())
         if not math.isfinite(wn) or wn == 0.0:
@@ -486,7 +487,7 @@ def kernel_vector(x: np.ndarray, sigma: float, prob: SteadyProblem,
             break
         v = w
     r = residual_matvec(ab, v)
-    if float(np.abs(r).max()) > rel_tol * scale:
+    if float(np.abs(r).max()) > 1e-8 * scale:
         raise KernelNotFound("no sufficiently small singular direction found")
     return v
 
@@ -502,13 +503,12 @@ def residual_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def branch_switch(branch: Branch, bp_index: int, amplitude: float, *,
-                  sigma_offset: float = 1e-3,
-                  tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def branch_switch(branch: Branch, bp_index: int,
+                  amplitude: float) -> tuple[np.ndarray, float]:
     """Start point on the bifurcating branch at a detected BP.
 
     The side of the pitchfork is not known in advance, so the seed is
-    corrected at sigma_bp -/+ sigma_offset with a short ladder of shrinking
+    corrected at sigma_bp -/+ 1e-3 with a short ladder of shrinking
     kernel amplitudes; the first correction that lands off the parent
     branch wins. FellBackToParent means every attempt returned to it.
     """
@@ -520,11 +520,11 @@ def branch_switch(branch: Branch, bp_index: int, amplitude: float, *,
     u_par, _ = split_fields(pt.x)
     par_var = float(np.var(u_par))
     only_fellback = True
-    for off in (-abs(sigma_offset), abs(sigma_offset)):
+    for off in (-1e-3, 1e-3):
         sig_new = pt.sigma + off
         for amp in (amplitude, amplitude / 4.0, amplitude / 16.0):
             try:
-                x_new = newton_correct(pt.x + amp * phi, sig_new, prob, tol)
+                x_new = newton_correct(pt.x + amp * phi, sig_new, prob)
             except (NoConvergence, SingularJacobian, NonFinite):
                 only_fellback = False
                 continue

@@ -13,14 +13,16 @@ from .pde import Field, ImexStepper, SpaceTimeRecord, _dominant_period, default_
 
 # growth factors largest_lyapunov needs after its discard window
 MIN_RENORMALIZATIONS = 200
+# leading fraction of growth factors largest_lyapunov drops while the
+# tangent aligns with the leading direction
+DISCARD = 0.1
 
 
-def kept_renormalizations(T: float, renorm_interval: float,
-                          discard: float = 0.1) -> int:
+def kept_renormalizations(T: float, renorm_interval: float) -> int:
     """Growth factors largest_lyapunov keeps after dropping the first
-    ``discard`` fraction of the ceil(T / renorm_interval) it takes."""
+    DISCARD fraction of the ceil(T / renorm_interval) it takes."""
     n_renorm = math.ceil(T / renorm_interval)
-    return n_renorm - math.ceil(discard * n_renorm)
+    return n_renorm - math.ceil(DISCARD * n_renorm)
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,7 @@ class LyapunovResult:
 def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
                      renorm_interval: float = 1.0, *,
                      dt: float | None = None,
-                     rng: np.random.Generator | None = None,
-                     discard: float = 0.1) -> LyapunovResult:
+                     rng: np.random.Generator | None = None) -> LyapunovResult:
     """Benettin-style tangent propagation along the discretized flow.
 
     The tangent is advanced by ``ImexStepper.tangent_arrays``, the exact
@@ -44,7 +45,7 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     cached tridiagonal solves implicit), so growth factors measure the
     discrete flow itself rather than a separately discretized variational
     equation. The tangent starts
-    as normalized noise and the first `discard` fraction of growth factors
+    as normalized noise and the first DISCARD fraction of growth factors
     is dropped to let it align with the leading direction.
 
     Raises NotConverged when the running estimate has not settled (standard
@@ -62,7 +63,7 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     steps_per = max(1, round(renorm_interval / dt))
     dt = renorm_interval / steps_per
     n_renorm = math.ceil(T / renorm_interval)
-    n_kept = kept_renormalizations(T, renorm_interval, discard)
+    n_kept = kept_renormalizations(T, renorm_interval)
     n_skip = n_renorm - n_kept
     if n_kept < MIN_RENORMALIZATIONS:
         raise ValueError(
@@ -105,10 +106,9 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
 
 
 def dominant_period(times: np.ndarray, values: np.ndarray, *,
-                    window: float | None = None,
-                    threshold: float = 0.9) -> float | None:
+                    window: float | None = None) -> float | None:
     """Autocorrelation-peak period of a scalar series; None when the best
-    off-zero peak stays below `threshold`.
+    off-zero peak stays below 0.9.
 
     `window` restricts the search to the trailing span of that length; it
     should cover at least three candidate periods.
@@ -120,7 +120,7 @@ def dominant_period(times: np.ndarray, values: np.ndarray, *,
     if window is not None:
         keep = t >= t[-1] - window
         t, x = t[keep], x[keep]
-    return _dominant_period(t, x, threshold=threshold)
+    return _dominant_period(t, x)
 
 
 def island_count(f: Field | np.ndarray, threshold: float) -> int:

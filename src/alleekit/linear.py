@@ -45,6 +45,9 @@ __all__ = [
     "vbounds",
 ]
 
+# scan cells on the sigma bracket behind every threshold and branch point
+N_SCAN = 400
+
 
 @dataclass(frozen=True)
 class ModeReport:
@@ -155,8 +158,6 @@ def turing_bd_thresholds(
     p: KineticParams,
     d: float,
     bracket: tuple[float, float],
-    *,
-    n_scan: int = 400,
 ) -> list[tuple[float, Regime]]:
     """All roots of G(sigma) = 4 d D - s**2 on the bracket, tagged by side.
 
@@ -171,7 +172,7 @@ def turing_bd_thresholds(
         s, det0 = _s_and_d(e, ps, d)
         return 4.0 * d * det0 - s * s
 
-    roots = scan_roots(g, bracket[0], bracket[1], n=n_scan, tol=1e-10)
+    roots = scan_roots(g, bracket[0], bracket[1], n=N_SCAN)
     out = []
     for r in roots:
         e, ps = _upper_estar(p, r)
@@ -220,15 +221,13 @@ def branch_point_table(
     L: float,
     modes: Iterable[int],
     bracket: tuple[float, float],
-    *,
-    n_scan: int = 400,
 ) -> list[tuple[int, float]]:
     """(n, sigma) pairs where Neumann mode n is marginally stable, for each
     requested mode in turn, sigma ascending within a mode.
 
     Solves det L_n(sigma) = d k_n**2 - s(sigma) k_n + D(sigma) = 0 with
     k_n = (n*pi/L)**2, implicitly through E*(sigma), on the bracket.
-    s and D do not depend on n, so they are scanned once on the n_scan-cell
+    s and D do not depend on n, so they are scanned once on the N_SCAN-cell
     grid and every mode's sign changes come from those cached values; a
     mode whose scan sees no sign change contributes no pair.
     """
@@ -242,7 +241,7 @@ def branch_point_table(
         e, ps = _upper_estar(p, sigma)
         return _s_and_d(e, ps, d)
 
-    xs, sd = scan_grid(s_and_d, bracket[0], bracket[1], n=n_scan)
+    xs, sd = scan_grid(s_and_d, bracket[0], bracket[1], n=N_SCAN)
     out = []
     for n in modes:
         k = (n * math.pi / L) ** 2
@@ -252,7 +251,7 @@ def branch_point_table(
             return d * k * k - s * k + det0
 
         fs = [d * k * k - s * k + det0 for s, det0 in sd]
-        out.extend((n, sigma) for sigma in roots_from_scan(det_n, xs, fs, tol=1e-10))
+        out.extend((n, sigma) for sigma in roots_from_scan(det_n, xs, fs))
     return out
 
 
@@ -262,8 +261,6 @@ def branch_point_sigmas(
     L: float,
     n: int,
     bracket: tuple[float, float],
-    *,
-    n_scan: int = 400,
 ) -> list[float]:
     """sigma values where Neumann mode n is marginally stable.
 
@@ -271,12 +268,11 @@ def branch_point_sigmas(
     once for many modes; raises :class:`NoRoot` when the scan sees no sign
     change of det L_n.
     """
-    roots = [sigma for _, sigma in branch_point_table(p, d, L, (n,), bracket,
-                                                      n_scan=n_scan)]
+    roots = [sigma for _, sigma in branch_point_table(p, d, L, (n,), bracket)]
     if not roots:
         raise NoRoot(
             f"no sign change of det L_{n} on [{bracket[0]}, {bracket[1]}] "
-            f"with {n_scan} scan cells"
+            f"with {N_SCAN} scan cells"
         )
     return roots
 

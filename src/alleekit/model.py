@@ -121,14 +121,14 @@ class Equilibrium:
         return (complex(half, -s), complex(half, s))
 
 
-def _classify(trace: float, det: float, *, tol: float = 1e-9) -> Stability:
+def _classify(trace: float, det: float) -> Stability:
     """Standard planar classification from (trace, det).
 
-    A determinant or trace within tol (scaled) of zero is NonHyperbolic;
+    A determinant or trace within 1e-9 (scaled) of zero is NonHyperbolic;
     disc = 0 (repeated eigenvalue) counts as a node.
     """
     scale = max(1.0, abs(trace), abs(det))
-    t = tol * scale
+    t = 1e-9 * scale
     if det < -t:
         return Stability.SADDLE
     if abs(det) <= t:
@@ -390,9 +390,9 @@ def hopf_sigma(p: KineticParams, bracket: tuple[float, float]) -> tuple[float, E
     """sigma at which trace(J(E*(sigma))) = 0 on the upper coexisting branch.
 
     Follows the largest-u coexisting equilibrium across the bracket, locates
-    the trace zero to 1e-8 in sigma, then checks the genericity conditions:
-    det(J) > 0 at the zero and d(trace)/d sigma bounded away from 0
-    (central difference). Returns (sigma_H, equilibrium at sigma_H).
+    the trace zero to ROOT_TOL (1e-10) in sigma, then checks the genericity
+    conditions: det(J) > 0 at the zero and d(trace)/d sigma bounded away
+    from 0 (central difference). Returns (sigma_H, equilibrium at sigma_H).
     """
     def trace_at(sigma: float) -> float:
         try:
@@ -403,7 +403,7 @@ def hopf_sigma(p: KineticParams, bracket: tuple[float, float]) -> tuple[float, E
             ) from exc
 
     lo, hi = bracket
-    root = bracketed_root(trace_at, lo, hi, tol=1e-10)
+    root = bracketed_root(trace_at, lo, hi)
     e = upper_coexisting(p.with_sigma(root))
     if e.det <= 0.0:
         raise C1Violated(
@@ -420,9 +420,10 @@ def hopf_sigma(p: KineticParams, bracket: tuple[float, float]) -> tuple[float, E
     return root, e
 
 
-def _taylor_coefficients(p: KineticParams, u0: float, v0: float, h: float = 1e-4):
-    """Taylor coefficients a_ij, b_ij (coefficient of x^i y^j) of the
-    kinetics about (u0, v0), orders 2 and 3, by central differences."""
+def _taylor_coefficients(p: KineticParams, u0: float, v0: float):
+    """Taylor coefficients a_ij, b_ij (coefficient of x^i y^j) of the kinetics
+    about (u0, v0), orders 2 and 3, by central differences of step 1e-4."""
+    h = 1e-4
     def f(du: float, dv: float) -> tuple[float, float]:
         return kinetics(u0 + du, v0 + dv, p)
 

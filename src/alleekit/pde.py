@@ -481,12 +481,12 @@ class AsymptoticKind(enum.Enum):
     IRREGULAR = "Irregular"
 
 
-def _dominant_period(t: np.ndarray, x: np.ndarray, *, threshold: float = 0.9) -> float | None:
+def _dominant_period(t: np.ndarray, x: np.ndarray) -> float | None:
     """Lag of the first strong autocorrelation peak, parabolically refined.
 
     Each lag is normalized by the energies of the two overlapping segments,
     so a genuinely periodic signal scores near 1 regardless of window length.
-    Returns None when no lag beyond the first dip reaches the threshold.
+    Returns None when no lag beyond the first dip reaches 0.9.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -512,7 +512,7 @@ def _dominant_period(t: np.ndarray, x: np.ndarray, *, threshold: float = 0.9) ->
         return None
     start = int(below[0]) + 1
     for k in range(max(start, 1), kmax - 1):
-        if corr[k] >= threshold and corr[k] >= corr[k - 1] and corr[k] >= corr[k + 1]:
+        if corr[k] >= 0.9 and corr[k] >= corr[k - 1] and corr[k] >= corr[k + 1]:
             c0, c1, c2 = corr[k - 1], corr[k], corr[k + 1]
             den = c0 - 2.0 * c1 + c2
             shift = 0.0 if den == 0 else 0.5 * (c0 - c2) / den

@@ -23,23 +23,25 @@ __all__ = [
     "real_cubic_roots",
 ]
 
+# bracket width or residual at which every root refinement stops
+ROOT_TOL = 1e-10
+
 
 def bracketed_root(
     f: Callable[[float], float],
     a: float,
     b: float,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 200,
     fa: float | None = None,
     fb: float | None = None,
 ) -> float:
     """Root of ``f`` in ``[a, b]``, assuming a sign change.
 
     Bisection, with a secant candidate tried first whenever it falls safely
-    inside the current bracket; converges when the bracket width or the
-    residual drops below ``tol``. Endpoint zeros are returned directly.
-    ``fa``/``fb`` let callers reuse endpoint evaluations from a scan.
+    inside the current bracket; stops when the bracket is narrower than
+    ``ROOT_TOL`` (or after 200 iterations, or at an exact zero). Endpoint
+    zeros are returned directly. ``fa``/``fb`` let callers reuse endpoint
+    evaluations from a scan.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NonFinite(f"bracket endpoints must be finite, got [{a}, {b}]")
@@ -58,9 +60,9 @@ def bracketed_root(
         raise NoSignChange(
             f"no sign change on [{a}, {b}]: f(a)={fa:.6g}, f(b)={fb:.6g}"
         )
-    for _ in range(max_iter):
+    for _ in range(200):
         width = b - a
-        if width <= tol:
+        if width <= ROOT_TOL:
             break
         # Secant proposal; fall back to the midpoint when it degenerates or
         # crowds an endpoint (which would stall the bracket shrink).
@@ -95,8 +97,6 @@ def roots_from_scan(
     f: Callable[[float], float],
     xs: Sequence[float],
     fs: Sequence[float],
-    *,
-    tol: float = 1e-10,
 ) -> list[float]:
     """Roots of ``f`` at the grid zeros and sign changes of a scanned grid
     (``fs[i] = f(xs[i])``), each change refined with :func:`bracketed_root`;
@@ -113,7 +113,7 @@ def roots_from_scan(
             continue
         if (fa > 0) != (fb > 0):
             roots.append(
-                bracketed_root(f, xs[i], xs[i + 1], tol=tol, fa=fa, fb=fb)
+                bracketed_root(f, xs[i], xs[i + 1], fa=fa, fb=fb)
             )
     roots.sort()
     return roots
@@ -125,7 +125,6 @@ def scan_roots(
     b: float,
     *,
     n: int = 400,
-    tol: float = 1e-10,
 ) -> list[float]:
     """All roots of ``f`` found by sign changes on an ``n``-cell grid of
     ``[a, b]``, each refined with :func:`bracketed_root`, left to right.
@@ -133,7 +132,7 @@ def scan_roots(
     Raises :class:`NoRoot` when the scan sees no sign change (a root of even
     multiplicity can hide between grid points; callers choose ``n``).
     """
-    roots = roots_from_scan(f, *scan_grid(f, a, b, n=n), tol=tol)
+    roots = roots_from_scan(f, *scan_grid(f, a, b, n=n))
     if not roots:
         raise NoRoot(f"no sign change of f on [{a}, {b}] with {n} scan cells")
     return roots
@@ -156,24 +155,25 @@ def _polish_cubic(c3: float, c2: float, c1: float, c0: float, x: float) -> float
 def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     """Real roots of ``c3 x³ + c2 x² + c1 x + c0``, ascending.
 
-    Degenerate leading coefficients fall through to the quadratic/linear
-    cases. Three-real-root cubics use the trigonometric form, the one-real
+    Zero leading coefficients fall through to the quadratic/linear cases.
+    Three-real-root cubics use the trigonometric form, the one-real
     case uses Cardano via cube roots; every root gets a Newton polish on the
     original coefficients. Multiple roots are returned once.
     """
     coeffs = (c3, c2, c1, c0)
     if not all(math.isfinite(c) for c in coeffs):
         raise NonFinite(f"cubic coefficients must be finite, got {coeffs}")
-    scale = max(abs(c) for c in coeffs)
-    if scale == 0.0:
+    if not any(coeffs):
         raise ValueError("all cubic coefficients are zero")
-    if abs(c3) <= 1e-14 * scale:
+    if c3 == 0.0:
         # Quadratic (or linear) case.
-        if abs(c2) <= 1e-14 * scale:
-            if c1 == 0.0:
-                return []
-            return [-c0 / c1]
+        if c2 == 0.0:
+            return [] if c1 == 0.0 else [-c0 / c1]
         disc = c1 * c1 - 4.0 * c2 * c0
+        # as in the cubic below, a discriminant lost in roundoff means a
+        # repeated root
+        if abs(disc) <= 1e-12 * (c1 * c1 + abs(4.0 * c2 * c0)):
+            disc = 0.0
         if disc < 0.0:
             return []
         s = math.sqrt(disc)
@@ -213,12 +213,20 @@ def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
         u = math.copysign(abs(-q / 2.0 + h) ** (1.0 / 3.0), -q / 2.0 + h)
         v = math.copysign(abs(-q / 2.0 - h) ** (1.0 / 3.0), -q / 2.0 - h)
         roots = [shift + u + v]
+    elif p == 0.0:
+        roots = [shift]  # triple root
     else:
-        # Repeated roots.
-        if p == 0.0:
-            roots = [shift]
+        # A (nearly) repeated pair beside the simple root shift + 3q/p: divide
+        # that root out, from the end of the cubic that keeps the division
+        # stable, and let the quadratic tell a real pair from a complex one.
+        r = _polish_cubic(c3, c2, c1, c0, shift + 3.0 * q / p)
+        if abs(r) > abs(shift - 3.0 * q / (2.0 * p)):
+            e0 = -c0 / r
+            e1 = (e0 - c1) / r
         else:
-            roots = [shift + 3.0 * q / p, shift - 3.0 * q / (2.0 * p)]
+            e1 = c2 + c3 * r
+            e0 = c1 + e1 * r
+        roots = [r] + real_cubic_roots(0.0, c3, e1, e0)
     roots = [_polish_cubic(c3, c2, c1, c0, r) for r in roots]
     roots.sort()
     # Collapse duplicates the polish may have merged.

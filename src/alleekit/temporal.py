@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -248,39 +248,28 @@ def attractor_summary(tr: Trajectory, transient: float) -> AttractorSummary:
     )
 
 
-def _default_ic_rule(p: KineticParams) -> Callable[[float], tuple[float, float]]:
-    def rule(sigma: float) -> tuple[float, float]:
-        eqs = coexisting_equilibria(p.with_sigma(sigma))
-        if not eqs:
-            raise BracketInvalid(
-                f"no coexisting equilibrium at sigma={sigma}; bracket must "
-                "stay inside the coexistence range"
-            )
-        e = eqs[-1]
-        return (e.u + 0.01, e.v + 0.01)
-
-    return rule
-
-
-def _is_cycle_side(
-    ic: tuple[float, float],
-    p: KineticParams,
-    *,
-    t_ceiling: float,
-    tol: float,
-) -> bool:
-    """True when the orbit holds a limit cycle, False when it goes extinct.
+def _is_cycle_side(p: KineticParams) -> bool:
+    """True when the orbit from E*(sigma) + (0.01, 0.01) holds a limit
+    cycle, False when it goes extinct.
 
     Integrates in growing chunks so the extinction side exits early; if the
-    time ceiling passes with no extinction, the orbit counts as cycle-side
-    (documented finite-T proxy: periods diverge at the global bifurcation).
+    time ceiling of 5e4 passes with no extinction, the orbit counts as
+    cycle-side (documented finite-T proxy: periods diverge at the global
+    bifurcation).
     """
-    state = ic
+    eqs = coexisting_equilibria(p)
+    if not eqs:
+        raise BracketInvalid(
+            f"no coexisting equilibrium at sigma={p.sigma}; bracket must "
+            "stay inside the coexistence range"
+        )
+    state = (eqs[-1].u + 0.01, eqs[-1].v + 0.01)
+    t_ceiling = 5e4
     used = 0.0
     chunk = 2500.0
     while used < t_ceiling:
         span = min(chunk, t_ceiling - used)
-        tr = integrate_ode(state, p, span, tol=tol)
+        tr = integrate_ode(state, p, span)
         used += tr.times[-1]
         final = tr.states[-1]
         if tr.terminal is Terminal.CONVERGED_TO_POINT and max(final) < 1e-4:
@@ -304,30 +293,18 @@ def _is_cycle_side(
     return True
 
 
-def heteroclinic_threshold(
-    p: KineticParams,
-    bracket: tuple[float, float],
-    ic_rule: Callable[[float], tuple[float, float]] | None = None,
-    *,
-    t_ceiling: float = 5e4,
-    tol: float = 1e-8,
-) -> float:
+def heteroclinic_threshold(p: KineticParams, bracket: tuple[float, float]) -> float:
     """sigma at which the stable cycle is destroyed globally.
 
     Bisection on the cycle-vs-extinction predicate, to a bracket width of
-    1e-4. ``ic_rule`` maps sigma to the seeding state; the default is
-    E*(sigma) + (0.01, 0.01).
+    1e-4. Each orbit is seeded at E*(sigma) + (0.01, 0.01).
     """
-    rule = ic_rule if ic_rule is not None else _default_ic_rule(p)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must be increasing, got {bracket}")
 
-    def side(sigma: float) -> bool:
-        return _is_cycle_side(rule(sigma), p.with_sigma(sigma), t_ceiling=t_ceiling, tol=tol)
-
-    side_lo = side(lo)
-    side_hi = side(hi)
+    side_lo = _is_cycle_side(p.with_sigma(lo))
+    side_hi = _is_cycle_side(p.with_sigma(hi))
     if side_lo == side_hi:
         kind = "cycle" if side_lo else "extinction"
         raise BracketInvalid(
@@ -336,7 +313,7 @@ def heteroclinic_threshold(
         )
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if side(mid) == side_lo:
+        if _is_cycle_side(p.with_sigma(mid)) == side_lo:
             lo = mid
         else:
             hi = mid
@@ -356,7 +333,6 @@ def bifurcation_diagram(
     sigmas: Sequence[float],
     *,
     t_sim: float = 3000.0,
-    tol: float = 1e-8,
 ) -> list[DiagramPoint]:
     """Equilibria plus simulated cycle envelope on a sigma grid.
 
@@ -382,7 +358,7 @@ def bifurcation_diagram(
         if coex and coex[-1].stability in unstable:
             e = coex[-1]
             try:
-                tr = integrate_ode((e.u + 0.01, e.v + 0.01), ps, t_sim, tol=tol)
+                tr = integrate_ode((e.u + 0.01, e.v + 0.01), ps, t_sim)
                 summary = attractor_summary(tr, transient=0.5 * t_sim)
                 if summary.kind is AttractorKind.LIMIT_CYCLE:
                     cycle = (summary.u_min, summary.u_max)

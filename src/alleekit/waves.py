@@ -221,16 +221,20 @@ def _kinetic_seed(p: KineticParams, d: float, c: float, y0: np.ndarray,
 # and a spiral approach drags the free transit time through many windings.
 _CORE_AMPLITUDE = 0.02
 _CORE_RADIUS = 0.02
+# Launch distance from the prey-only state, in units of u1, and the target
+# ball (max-norm radius) an orbit must enter and stay inside for _STAY time
+# units to count as found.
+_LAUNCH_SCALE = 1e-5
+_BALL = 1e-4
+_STAY = 10.0
 
 
 def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
-                       eps_scale: float = 1e-5, t_max: float = 2000.0,
-                       ball: float = 1e-4, stay: float = 10.0,
-                       tol: float = 1e-10) -> Shot:
+                       t_max: float = 2000.0, tol: float = 1e-10) -> Shot:
     """Compute the orbit leaving the prey-only state along its slow unstable
     eigenvector and track it into the coexisting state.
 
-    The launch point is pinned at distance eps_scale*u1 along the slow
+    The launch point is pinned at distance _LAUNCH_SCALE*u1 along the slow
     eigenvector. Stepping the orbit out forward is hopeless here: the prey
     pair carries a transverse growth rate of about c^2 everywhere, so
     roundoff overwhelms the connection after t ~ 35/c^2 while the transit
@@ -242,9 +246,9 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     conditions and free transit time down to radius _CORE_RADIUS, and the
     linear flow on the stable subspace of the coexisting state from there on.
 
-    found requires the orbit to enter the max-norm ball of radius `ball`
+    found requires the orbit to enter the max-norm ball of radius _BALL
     around the coexisting point and remain inside through the end, for at
-    least `stay` time units. The orbit leaving the box [-1, 2 u1]^4 raises
+    least _STAY time units. The orbit leaving the box [-1, 2 u1]^4 raises
     Escaped; a transit longer than t_max raises Timeout; collocation failure
     raises NoConvergence. Monotonicity of X and W is judged on the trailing
     80% of the orbit with oscillation tolerance 1e-4.
@@ -266,7 +270,7 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
 
     v = _slow_unstable_vector(p, d, c)
     e1 = np.array([u1, u1, 0.0, 0.0])
-    y0 = e1 + eps_scale * u1 * v
+    y0 = e1 + _LAUNCH_SCALE * u1 * v
 
     frac, seed, T0 = _kinetic_seed(p, d, c, y0, target, _CORE_RADIUS, t_max)
 
@@ -384,13 +388,13 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
         ph = np.exp(np.outer(lam_tail, dt))
         return target[:, None] + np.real(V_tail @ (coef_tail[:, None] * ph))
 
-    cap = math.log(max(r0, ball) * 1e3 / ball) / rate + stay + 15.0
+    cap = math.log(max(r0, _BALL) * 1e3 / _BALL) / rate + _STAY + 15.0
     dts = np.arange(0.0, cap, 0.05)
     rad = np.abs(stable_flow(dts) - target[:, None]).max(axis=0)
-    ever_in = np.maximum.accumulate(rad[::-1])[::-1] < ball
+    ever_in = np.maximum.accumulate(rad[::-1])[::-1] < _BALL
     if not ever_in.any():
         raise Timeout("orbit does not settle into the target ball")
-    T2 = float(dts[int(np.argmax(ever_in))]) + stay + 5.0
+    T2 = float(dts[int(np.argmax(ever_in))]) + _STAY + 5.0
 
     T = T1 + Tc + T2
     if T > t_max:
@@ -410,11 +414,11 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     if sarr.min() < lo or sarr.max() > hi:
         raise Escaped("computed orbit leaves the physical box")
 
-    inside = np.abs(sarr - target).max(axis=1) < ball
+    inside = np.abs(sarr - target).max(axis=1) < _BALL
     if not inside[-1]:
         raise Timeout("orbit does not end inside the target ball")
     i_ball = int(np.nonzero(~inside)[0][-1]) + 1 if not inside.all() else 0
-    found = T - tarr[i_ball] >= stay
+    found = T - tarr[i_ball] >= _STAY
 
     tail = slice(ns // 5, None)
     osc = max(_oscillation(sarr[tail, 0]), _oscillation(sarr[tail, 2]))
@@ -459,10 +463,9 @@ class ScanResult:
         return "high_sigma" if mono_mean > non_mean else "low_sigma"
 
 
-def _classify_cell(p: KineticParams, d: float, c: float,
-                   t_max: float, tol: float) -> int:
+def _classify_cell(p: KineticParams, d: float, c: float) -> int:
     try:
-        shot = shoot_heteroclinic(p, d, c, t_max=t_max, tol=tol)
+        shot = shoot_heteroclinic(p, d, c, tol=1e-8)
     except (Escaped, Timeout, OutOfRange, NoConvergence):
         return int(WaveClass.UNKNOWN)
     if not shot.found:
@@ -471,9 +474,9 @@ def _classify_cell(p: KineticParams, d: float, c: float,
     return int(WaveClass.MONOTONIC if mono else WaveClass.NON_MONOTONIC)
 
 
-def scan_plane(p: KineticParams, d: float, sigmas, cs, *,
-               t_max: float = 2000.0, tol: float = 1e-8) -> ScanResult:
-    """Classify every (sigma, c) cell of the travelling-wave plane.
+def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
+    """Classify every (sigma, c) cell of the travelling-wave plane, each
+    shot with collocation tolerance 1e-8.
 
     Requires every sigma above the temporal Hopf value (the coexisting state
     must attract). Cells below the minimal speed are NoWave without shooting;
@@ -500,5 +503,5 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs, *,
             if c < cm:
                 codes[i, j] = WaveClass.NO_WAVE
             else:
-                codes[i, j] = _classify_cell(ps, d, float(c), t_max, tol)
+                codes[i, j] = _classify_cell(ps, d, float(c))
     return ScanResult(sigmas, cs, codes, cmins)

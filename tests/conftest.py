@@ -1,7 +1,12 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from alleekit.model import KineticParams
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
 
 
 @pytest.fixture
@@ -21,3 +26,15 @@ def p_ratio() -> KineticParams:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260815)
+
+
+def pytest_configure(config):
+    """Hypothesis caches the literals of the code under test in its storage
+    directory while collecting, even with database=None; a temporary one
+    keeps .hypothesis/ out of the checkout."""
+    config.stash[_HYPOTHESIS_HOME] = home = tempfile.TemporaryDirectory()
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[_HYPOTHESIS_HOME].cleanup()

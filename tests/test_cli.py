@@ -71,6 +71,21 @@ def test_continue_start_outside_range_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "branch.csv").exists()
 
 
+@pytest.mark.parametrize("command,body,key", [
+    ("temporal-diagram", "[sweep]\nsigma_lo = -1\nsigma_hi = 1.9\n"
+                         "sigma_count = 2\nt_sim = 200\n", "sigma_lo"),
+    ("thresholds", "l = 200\n[sweep]\nbracket_lo = -1\n", "bracket_lo"),
+    ("wave-scan", "[sweep]\nsigma_lo = 2.7\nsigma_hi = 2.7\nsigma_count = 1\n"
+                  "c_lo = -1\nc_hi = -1\nc_count = 1\n", "c_lo"),
+])
+def test_nonpositive_sweep_low_is_a_config_error(tmp_path, capsys, command,
+                                                 body, key):
+    rc, err = _run(tmp_path, capsys, command, body)
+    assert rc == 2, err
+    assert f"[sweep] {key}: must be positive" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("grid,run,code", [
     # an explicit reaction step of 50 time units overshoots to non-finite
     ("dt = 50\n", "t = 2000\namplitude = 0.5\n", 3),

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from alleekit.errors import (
     DegenerateKinetics,
@@ -23,6 +24,7 @@ from alleekit.model import (
     EquilibriumKind,
     KineticParams,
     Stability,
+    _classify,
     all_equilibria,
     axial_equilibria,
     coexisting_equilibria,
@@ -223,6 +225,56 @@ def test_coexisting_feasibility_window():
             lo = max(p.alpha / (p.gamma - 1.0), ax[-1].u)
             assert lo < e.u < ax[0].u
             assert e.v > 0
+
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+@_PROPERTY
+@given(alpha=st.floats(0.0, 1.0),
+       beta=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+       gamma=st.floats(0.5, 4.0), sigma=st.floats(0.05, 10.0),
+       eta=st.floats(0.01, 1.0))
+def test_coexisting_states_are_feasible_zeros(alpha, beta, gamma, sigma, eta):
+    """Every coexisting state zeroes both rates (the two nullclines cross
+    there), has v > 0 and lies in the feasibility window
+    max(alpha/(gamma-1), u2) < u < u1, taken closed: where a coexisting
+    state merges with an axial one, roundoff decides whether it is listed."""
+    assume(beta > 0.0 or gamma > 1.0)  # beta = 0, gamma <= 1 is degenerate
+    p = KineticParams(alpha=alpha, beta=beta, gamma=gamma, sigma=sigma, eta=eta)
+    for e in coexisting_equilibria(p):
+        u, v = e.u, e.v
+        inter = u * v / (alpha + u + beta * v)
+        f1, f2 = kinetics(u, v, p)
+        assert abs(f1) <= 1e-9 * (sigma * u * u * abs(1.0 - u) + eta * u + inter)
+        assert abs(f2) <= 1e-9 * (gamma * inter + v)
+        root = math.sqrt(sigma * sigma - 4.0 * sigma * eta)
+        u1, u2 = (sigma + root) / (2.0 * sigma), (sigma - root) / (2.0 * sigma)
+        assert max(alpha / (gamma - 1.0), u2) <= u <= u1
+        assert v > 0.0
+
+
+_TRACE_DET = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-8, 1e-8))
+
+
+@_PROPERTY
+@given(_TRACE_DET, _TRACE_DET)
+def test_classify_follows_the_trace_det_table(trace, det):
+    """det < 0: saddle; det > 0: stable for trace < 0, unstable for
+    trace > 0, a node when trace**2 >= 4 det and a focus otherwise; a det
+    or trace within 1e-9 (relative) of zero is non-hyperbolic."""
+    band = 1e-9 * max(1.0, abs(trace), abs(det))
+    if det < -band:
+        expected = Stability.SADDLE
+    elif abs(det) <= band or abs(trace) <= band:
+        expected = Stability.NON_HYPERBOLIC
+    elif trace < 0.0:
+        expected = (Stability.STABLE_NODE if trace * trace >= 4.0 * det
+                    else Stability.STABLE_FOCUS)
+    else:
+        expected = (Stability.UNSTABLE_NODE if trace * trace >= 4.0 * det
+                    else Stability.UNSTABLE_FOCUS)
+    assert _classify(trace, det) is expected
 
 
 def test_coexisting_empty_below_sn():

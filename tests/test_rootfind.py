@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from alleekit.errors import NoRoot, NoSignChange
 from alleekit.rootfind import (
@@ -106,3 +107,25 @@ def test_cubic_random_polish_accuracy(rng):
         for r in roots:
             res = ((c[0] * r + c[1]) * r + c[2]) * r + c[3]
             assert abs(res) < 1e-10 * max(1.0, abs(r) ** 3)
+
+
+# Coefficients from 0 and 1e-20 up to 1e3 in magnitude, drawn both by
+# hypothesis's own float search and spread evenly over the decades.
+_COEF = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-20, 3)),
+).filter(lambda c: c == 0.0 or abs(c) >= 1e-20)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_COEF, _COEF, _COEF, _COEF)
+@example(1e-15, 0.0, 1e-13, 1.0)  # a tiny leading term ruling a far root
+@example(0.125, 480.0, 1.0, 0.0)  # a close pair beside a far root
+def test_cubic_roots_zero_the_cubic(c3, c2, c1, c0):
+    """Each root is a root of the cubic itself, to roundoff in its terms."""
+    coeffs = (c3, c2, c1, c0)
+    assume(any(coeffs))
+    for r in real_cubic_roots(*coeffs):
+        res = ((c3 * r + c2) * r + c1) * r + c0
+        terms = abs(c3 * r**3) + abs(c2 * r * r) + abs(c1 * r) + abs(c0)
+        assert abs(res) <= 1e-9 * terms + 1e-12 * max(map(abs, coeffs)), r
