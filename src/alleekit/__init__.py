@@ -13,179 +13,64 @@ Submodules:
 * :mod:`alleekit.config` / :mod:`alleekit.cli` - experiment driver
 * :mod:`alleekit.rootfind` - shared scalar root finding
 * :mod:`alleekit.errors` - exception taxonomy
+
+The names in ``__all__`` are loaded lazily (PEP 562): ``import alleekit``
+imports no submodule, and ``alleekit.X`` imports only the submodule that
+defines ``X``, on first use. So the scipy-backed layers (``temporal``,
+``pde``, ``continuation``, ``waves``, ``diagnostics``) cost nothing until
+something asks for them.
 """
 
-from .config import ExperimentConfig, parse_config
-from .continuation import (
-    Branch,
-    BranchPoint,
-    SteadyProblem,
-    branch_switch,
-    continue_branch,
-    localized_seed,
-    newton_correct,
-    solution_stability,
-)
-from .diagnostics import (
-    LyapunovResult,
-    dominant_period,
-    island_count,
-    island_series,
-    largest_lyapunov,
-)
-from .errors import ConfigError, ConvergenceError, NumericalError, ToolkitError
-from .linear import (
-    ModeReport,
-    Regime,
-    SpatialSpectrum,
-    band_modes,
-    branch_point_sigmas,
-    branch_point_table,
-    kpm_roots,
-    mode_reports,
-    nonexistence_dstar,
-    spatial_spectrum,
-    turing_bd_thresholds,
-    vbounds,
-)
-from .pde import (
-    AsymptoticKind,
-    Field,
-    Grid,
-    ICKind,
-    ImexStepper,
-    Recorder,
-    SpaceTimeRecord,
-    StrangStepper,
-    classify_asymptotic,
-    front_position,
-    make_ic,
-    make_stepper,
-    measure_front_speed,
-    run,
-)
-from .model import (
-    Equilibrium,
-    EquilibriumKind,
-    KineticParams,
-    Stability,
-    all_equilibria,
-    axial_equilibria,
-    coexisting_equilibria,
-    first_lyapunov_coefficient,
-    hopf_sigma,
-    jacobian,
-    kinetics,
-    sigma_s,
-    sigma_sn,
-    sigma_tc,
-    trivial_equilibrium,
-    upper_coexisting,
-)
-from .temporal import (
-    AttractorKind,
-    AttractorSummary,
-    DiagramPoint,
-    Trajectory,
-    attractor_summary,
-    bifurcation_diagram,
-    heteroclinic_threshold,
-    integrate_ode,
-)
-from .waves import (
-    EndStateSpectra,
-    ScanResult,
-    Shot,
-    WaveClass,
-    c_min,
-    end_state_spectra,
-    j_constants,
-    scan_plane,
-    shoot_heteroclinic,
-    wedge_zeta,
-)
+from importlib import import_module
+
+# public names by defining submodule; __all__ keeps this order
+_EXPORTS_BY_MODULE = {
+    "errors": ("ToolkitError", "ConfigError", "NumericalError",
+               "ConvergenceError"),
+    "model": ("KineticParams", "Equilibrium", "EquilibriumKind", "Stability",
+              "kinetics", "jacobian", "trivial_equilibrium",
+              "axial_equilibria", "coexisting_equilibria", "all_equilibria",
+              "upper_coexisting", "sigma_sn", "sigma_tc", "sigma_s",
+              "hopf_sigma", "first_lyapunov_coefficient"),
+    "temporal": ("Trajectory", "AttractorKind", "AttractorSummary",
+                 "DiagramPoint", "integrate_ode", "attractor_summary",
+                 "heteroclinic_threshold", "bifurcation_diagram"),
+    "linear": ("ModeReport", "Regime", "SpatialSpectrum", "mode_reports",
+               "spatial_spectrum", "turing_bd_thresholds",
+               "branch_point_sigmas", "branch_point_table", "kpm_roots",
+               "band_modes", "nonexistence_dstar", "vbounds"),
+    "pde": ("Grid", "Field", "ICKind", "Recorder", "SpaceTimeRecord",
+            "AsymptoticKind", "ImexStepper", "StrangStepper", "make_stepper",
+            "make_ic", "run", "front_position", "measure_front_speed",
+            "classify_asymptotic"),
+    "continuation": ("SteadyProblem", "Branch", "BranchPoint",
+                     "newton_correct", "continue_branch", "branch_switch",
+                     "localized_seed", "solution_stability"),
+    "waves": ("Shot", "WaveClass", "ScanResult", "EndStateSpectra",
+              "j_constants", "c_min", "wedge_zeta", "end_state_spectra",
+              "shoot_heteroclinic", "scan_plane"),
+    "diagnostics": ("LyapunovResult", "largest_lyapunov", "dominant_period",
+                    "island_count", "island_series"),
+    "config": ("ExperimentConfig", "parse_config"),
+}
+_EXPORTS = {name: module for module, names in _EXPORTS_BY_MODULE.items()
+            for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ToolkitError",
-    "ConfigError",
-    "NumericalError",
-    "ConvergenceError",
-    "KineticParams",
-    "Equilibrium",
-    "EquilibriumKind",
-    "Stability",
-    "kinetics",
-    "jacobian",
-    "trivial_equilibrium",
-    "axial_equilibria",
-    "coexisting_equilibria",
-    "all_equilibria",
-    "upper_coexisting",
-    "sigma_sn",
-    "sigma_tc",
-    "sigma_s",
-    "hopf_sigma",
-    "first_lyapunov_coefficient",
-    "Trajectory",
-    "AttractorKind",
-    "AttractorSummary",
-    "DiagramPoint",
-    "integrate_ode",
-    "attractor_summary",
-    "heteroclinic_threshold",
-    "bifurcation_diagram",
-    "ModeReport",
-    "Regime",
-    "SpatialSpectrum",
-    "mode_reports",
-    "spatial_spectrum",
-    "turing_bd_thresholds",
-    "branch_point_sigmas",
-    "branch_point_table",
-    "kpm_roots",
-    "band_modes",
-    "nonexistence_dstar",
-    "vbounds",
-    "Grid",
-    "Field",
-    "ICKind",
-    "Recorder",
-    "SpaceTimeRecord",
-    "AsymptoticKind",
-    "ImexStepper",
-    "StrangStepper",
-    "make_stepper",
-    "make_ic",
-    "run",
-    "front_position",
-    "measure_front_speed",
-    "classify_asymptotic",
-    "SteadyProblem",
-    "Branch",
-    "BranchPoint",
-    "newton_correct",
-    "continue_branch",
-    "branch_switch",
-    "localized_seed",
-    "solution_stability",
-    "Shot",
-    "WaveClass",
-    "ScanResult",
-    "EndStateSpectra",
-    "j_constants",
-    "c_min",
-    "wedge_zeta",
-    "end_state_spectra",
-    "shoot_heteroclinic",
-    "scan_plane",
-    "LyapunovResult",
-    "largest_lyapunov",
-    "dominant_period",
-    "island_count",
-    "island_series",
-    "ExperimentConfig",
-    "parse_config",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

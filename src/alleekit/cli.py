@@ -8,6 +8,19 @@ profile shooter. Identical (config, seed) pairs produce byte-identical
 output files; ``manifest.txt`` records a sha256 per emitted file so reruns
 diff cheaply.
 
+Each command loads only the layers it runs. ``import alleekit`` and
+``import alleekit.cli`` load ``config``, ``errors``, ``model``, ``linear``
+and ``rootfind``, and no scipy; that is all ``equilibria`` and
+``thresholds`` need. The other commands add, after the config is parsed
+and before the run starts:
+
+* ``temporal-diagram``: ``temporal`` (``scipy.integrate``);
+* ``simulate``: ``pde`` (LAPACK from ``scipy.linalg``);
+* ``lyapunov`` and ``pulse``: ``pde`` and ``diagnostics``;
+* ``continue``: ``pde`` and ``continuation`` (also ``scipy.sparse.linalg``);
+* ``wave-scan``: ``waves`` (``scipy.integrate``) and ``scipy.interpolate``,
+  which ``solve_bvp`` would otherwise import during the run.
+
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 honest
 non-convergence.
 """
@@ -15,23 +28,15 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import sys
+from importlib import import_module
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .config import COMMANDS, ExperimentConfig, parse_config
-from .continuation import SteadyProblem, continue_branch, interleave, split_fields
-from .diagnostics import (
-    MIN_RENORMALIZATIONS,
-    dominant_period,
-    island_series,
-    kept_renormalizations,
-    largest_lyapunov,
-)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -49,23 +54,14 @@ from .linear import (
 )
 from .model import (
     EquilibriumKind,
-    KineticParams,
     Stability,
     all_equilibria,
     axial_equilibria,
     upper_coexisting,
 )
-from .pde import (
-    Grid,
-    Recorder,
-    classify_asymptotic,
-    default_dt,
-    default_grid_size,
-    make_ic,
-    run,
-)
-from .temporal import bifurcation_diagram
-from .waves import scan_plane, shoot_heteroclinic
+
+if TYPE_CHECKING:
+    from .pde import Grid
 
 # Stable integer labels for CSV output; the enum itself stays string-valued
 # so library-level reprs remain readable.
@@ -115,6 +111,8 @@ def _manifest(out: Path) -> None:
 
 
 def _grid_and_dt(cfg: ExperimentConfig) -> tuple[Grid, float]:
+    from .pde import Grid, default_dt, default_grid_size
+
     n = cfg.N if cfg.N is not None else default_grid_size(cfg.p, cfg.d, cfg.L)
     grid = Grid(L=cfg.L, N=n)
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, cfg.d)
@@ -155,6 +153,8 @@ def _branch_ids(eqs) -> list[int]:
 
 
 def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> None:
+    from .temporal import bifurcation_diagram
+
     nan = float("nan")
     rows = []
     for pt in bifurcation_diagram(cfg.p, cfg.sigma_grid, t_sim=cfg.t_sim):
@@ -205,6 +205,8 @@ def _write_summary(out: Path, rec) -> None:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
+    from .pde import Recorder, classify_asymptotic, make_ic, run
+
     grid, dt = _grid_and_dt(cfg)
     f0 = make_ic(cfg.ic, grid, cfg.p, amplitude=cfg.amplitude, rng=_rng(cfg))
     rec = run(f0, cfg.p, cfg.d, cfg.T,
@@ -225,6 +227,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_continue(cfg: ExperimentConfig, out: Path) -> None:
+    from .continuation import (SteadyProblem, continue_branch, interleave,
+                               split_fields)
+    from .pde import Grid
+
     n = cfg.N if cfg.N is not None else 1024
     prob = SteadyProblem(Grid(L=cfg.L, N=n), cfg.p, cfg.d)
     e = upper_coexisting(cfg.p)
@@ -250,6 +256,8 @@ def cmd_continue(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> None:
+    from .waves import scan_plane, shoot_heteroclinic
+
     res = scan_plane(cfg.p, cfg.d, cfg.sigma_grid, cfg.c_grid)
     rows = [
         (res.sigmas[i], res.cs[j], int(res.codes[i, j]), res.c_min_at_sigma[i])
@@ -266,6 +274,10 @@ def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_lyapunov(cfg: ExperimentConfig, out: Path) -> None:
+    from .diagnostics import (MIN_RENORMALIZATIONS, kept_renormalizations,
+                              largest_lyapunov)
+    from .pde import make_ic, run
+
     kept = kept_renormalizations(cfg.T, cfg.renorm_interval)
     if kept < MIN_RENORMALIZATIONS:
         raise OutOfRange(
@@ -288,6 +300,9 @@ def cmd_lyapunov(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_pulse(cfg: ExperimentConfig, out: Path) -> None:
+    from .diagnostics import dominant_period, island_series
+    from .pde import Recorder, make_ic, run
+
     grid, dt = _grid_and_dt(cfg)
     f0 = make_ic(cfg.ic, grid, cfg.p, amplitude=cfg.amplitude, rng=_rng(cfg))
     rec = run(f0, cfg.p, cfg.d, cfg.T,
@@ -304,15 +319,19 @@ def cmd_pulse(cfg: ExperimentConfig, out: Path) -> None:
         f"period = {'none' if period is None else _fmt(period)}\n")
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig, Path], None]] = {
-    "equilibria": cmd_equilibria,
-    "temporal-diagram": cmd_temporal_diagram,
-    "thresholds": cmd_thresholds,
-    "simulate": cmd_simulate,
-    "continue": cmd_continue,
-    "wave-scan": cmd_wave_scan,
-    "lyapunov": cmd_lyapunov,
-    "pulse": cmd_pulse,
+# command -> (runner, the modules its run imports beyond those of this
+# module); main imports them before the run starts
+_RUNNERS: dict[str, tuple[Callable[[ExperimentConfig, Path], None],
+                          tuple[str, ...]]] = {
+    "equilibria": (cmd_equilibria, ()),
+    "temporal-diagram": (cmd_temporal_diagram, (".temporal",)),
+    "thresholds": (cmd_thresholds, ()),
+    "simulate": (cmd_simulate, (".pde",)),
+    "continue": (cmd_continue, (".pde", ".continuation")),
+    # solve_bvp imports scipy.interpolate on its first call
+    "wave-scan": (cmd_wave_scan, (".waves", "scipy.interpolate")),
+    "lyapunov": (cmd_lyapunov, (".pde", ".diagnostics")),
+    "pulse": (cmd_pulse, (".pde", ".diagnostics")),
 }
 
 
@@ -320,7 +339,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     """Run one configured experiment, returning the output directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _RUNNERS[cfg.command](cfg, out)
+    runner, _ = _RUNNERS[cfg.command]
+    runner(cfg, out)
     _manifest(out)
     return out
 
@@ -350,6 +370,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = parse_config(text, command=args.command, seed=args.seed)
         out = args.out or cfg.out_dir or "."
+        # import here, not in the runner, so start-up cost is not run time
+        for module in _RUNNERS[cfg.command][1]:
+            import_module(module, __package__)
         run_experiment(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -154,11 +154,17 @@ def _tokenize(text: str, issues: list[str]) -> dict[tuple[str, str], str]:
     return data
 
 
-def _grid_from(data, issues, prefix: str) -> np.ndarray | None:
+def _grid_from(data, issues, prefix: str,
+               required_by: str | None = None) -> np.ndarray | None:
+    """The {prefix}_lo/_hi/_count grid, or None when it is absent or bad;
+    each problem is reported once, "required" only when no key is given."""
     lo = data.get(("sweep", f"{prefix}_lo"))
     hi = data.get(("sweep", f"{prefix}_hi"))
     count = data.get(("sweep", f"{prefix}_count"))
     if lo is None and hi is None and count is None:
+        if required_by is not None:
+            issues.append(f"[sweep]: {prefix}_lo/{prefix}_hi/{prefix}_count "
+                          f"required for the {required_by} command")
         return None
     missing = [k for k, v in ((f"{prefix}_lo", lo), (f"{prefix}_hi", hi),
                               (f"{prefix}_count", count)) if v is None]
@@ -247,8 +253,11 @@ def parse_config(text: str, *, command: str | None = None,
     if amplitude < 0:
         issues.append("[run] amplitude: must be non-negative")
 
-    sigma_grid = _grid_from(data, issues, "sigma")
-    c_grid = _grid_from(data, issues, "c")
+    sigma_grid = _grid_from(
+        data, issues, "sigma",
+        cmd if cmd in ("wave-scan", "temporal-diagram") else None)
+    c_grid = _grid_from(data, issues, "c",
+                        cmd if cmd == "wave-scan" else None)
 
     spatial_cmds = {"simulate", "lyapunov", "pulse"}
     if cmd in spatial_cmds:
@@ -259,6 +268,10 @@ def parse_config(text: str, *, command: str | None = None,
         ic = need("run", "ic", "the simulate command")
     if cmd == "lyapunov":
         ic = ic or "perturbed_homogeneous"
+        # the tangent is propagated by the linearised IMEX map only
+        if data.get(("run", "scheme")) == "strang":
+            issues.append("[run] scheme: the lyapunov command supports "
+                          "imex1 only")
     if cmd == "pulse":
         if ic not in (None, "center_pulse"):
             issues.append("[run] ic: the pulse command always uses center_pulse")
@@ -274,15 +287,6 @@ def parse_config(text: str, *, command: str | None = None,
         need("spatial", "l", "the continue command")
     if cmd == "wave-scan":
         need("spatial", "d", "the wave-scan command")
-        if sigma_grid is None:
-            issues.append("[sweep]: sigma_lo/sigma_hi/sigma_count required "
-                          "for the wave-scan command")
-        if c_grid is None:
-            issues.append("[sweep]: c_lo/c_hi/c_count required for the "
-                          "wave-scan command")
-    if cmd == "temporal-diagram" and sigma_grid is None:
-        issues.append("[sweep]: sigma_lo/sigma_hi/sigma_count required for "
-                      "the temporal-diagram command")
 
     steps = data.get(("sweep", "steps"), ExperimentConfig.steps)
     if steps < 1:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConverged
+from .errors import NoConvergence
 from .model import KineticParams
 from .pde import Field, ImexStepper, SpaceTimeRecord, _dominant_period, default_dt
 
@@ -48,7 +48,7 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     as normalized noise and the first DISCARD fraction of growth factors
     is dropped to let it align with the leading direction.
 
-    Raises NotConverged when the running estimate has not settled (standard
+    Raises NoConvergence when the running estimate has not settled (standard
     deviation over the last quartile above 20% of the mean magnitude).
     Needs at least MIN_RENORMALIZATIONS renormalizations after the discard
     window.
@@ -88,7 +88,7 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
             t += dt
         g = math.hypot(np.linalg.norm(du), np.linalg.norm(dv))
         if not (g > 0 and math.isfinite(g)):
-            raise NotConverged("tangent vector collapsed or blew up")
+            raise NoConvergence("tangent vector collapsed or blew up")
         logs[k] = math.log(g)
         du /= g
         dv /= g
@@ -98,7 +98,7 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     lam = float(series[-1])
     quart = series[-(series.size // 4):]
     if float(np.std(quart)) > 0.2 * abs(float(np.mean(quart))):
-        raise NotConverged(
+        raise NoConvergence(
             f"running Lyapunov estimate has not settled (last-quartile std "
             f"{np.std(quart):.2e} vs mean {np.mean(quart):.2e})")
     return LyapunovResult(lambda_max=lam, convergence_series=series,

@@ -28,7 +28,6 @@ __all__ = [
     "BracketInvalid",
     "NoRoot",
     "NoConvergence",
-    "NotConverged",
     "StepSizeUnderflow",
     "EigSolverStall",
     "KernelNotFound",
@@ -144,11 +143,9 @@ class NoRoot(ConvergenceError):
 
 
 class NoConvergence(ConvergenceError):
-    """Newton (or damped Newton) exhausted its iteration budget."""
-
-
-class NotConverged(ConvergenceError):
-    """A running estimate failed its convergence criterion."""
+    """An iterative solve or estimate did not converge: Newton or the
+    arclength corrector ran out of iterations, collocation failed, or a
+    running estimate (the Lyapunov exponent) did not settle."""
 
 
 class StepSizeUnderflow(ConvergenceError):

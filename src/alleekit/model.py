@@ -262,13 +262,21 @@ def axial_equilibria(p: KineticParams) -> list[Equilibrium]:
     ]
 
 
-def _feasibility_window(p: KineticParams) -> tuple[float, float] | None:
-    """(lo, hi) such that coexisting states need lo < u < hi; None if empty."""
-    if p.gamma <= 1.0 or p.sigma <= 4.0 * p.eta:
+def _prey_window(p: KineticParams) -> tuple[float, float] | None:
+    """(u2, u1), where the prey nullcline v > 0 exactly on u2 < u < u1;
+    None unless sigma > 4*eta."""
+    if p.sigma <= 4.0 * p.eta:
         return None
     s = math.sqrt(p.sigma * p.sigma - 4.0 * p.sigma * p.eta)
-    u1 = (p.sigma + s) / (2.0 * p.sigma)
-    u2 = (p.sigma - s) / (2.0 * p.sigma)
+    return (p.sigma - s) / (2.0 * p.sigma), (p.sigma + s) / (2.0 * p.sigma)
+
+
+def _feasibility_window(p: KineticParams) -> tuple[float, float] | None:
+    """(lo, hi) such that coexisting states need lo < u < hi; None if empty."""
+    prey = _prey_window(p)
+    if p.gamma <= 1.0 or prey is None:
+        return None
+    u2, u1 = prey
     lo = max(p.alpha / (p.gamma - 1.0), u2)
     return (lo, u1) if lo < u1 else None
 
@@ -294,9 +302,13 @@ def coexisting_equilibria(p: KineticParams) -> list[Equilibrium]:
             )
         # With beta = 0 the predator nullcline pins u* = alpha/(gamma-1)
         # exactly, so the generic strict window (which uses that same value
-        # as its lower edge) does not apply; feasibility is just v* > 0,
-        # i.e. the prey nullcline positive at u*, i.e. u2 < u* < u1.
+        # as its lower edge) does not apply; feasibility is the prey
+        # nullcline positive at u*, i.e. u2 < u* < u1. Judged on u, not on
+        # the sign of v*, so a roundoff v* beside an axial state is no state.
         ustar = p.alpha / (p.gamma - 1.0)
+        prey = _prey_window(p)
+        if prey is None or not prey[0] < ustar < prey[1]:
+            return []
         vstar = (p.sigma * ustar * (1.0 - ustar) - p.eta) * (p.alpha + ustar)
         if vstar <= 0.0:
             return []

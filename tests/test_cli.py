@@ -60,6 +60,18 @@ def test_lyapunov_too_short_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_lyapunov_rejects_strang(tmp_path, capsys):
+    # the tangent is the linearised IMEX map, so a Strang run would measure
+    # a different flow from the one asked for
+    rc, err = _run(tmp_path, capsys, "lyapunov",
+                   "l = 200\n[grid]\nn = 64\n[run]\nt = 230\n"
+                   "scheme = strang\n", seed=1)
+    assert rc == 2, err
+    assert "[run] scheme" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "lyapunov.csv").exists()
+
+
 def test_continue_start_outside_range_is_a_config_error(tmp_path, capsys):
     # sigma = 2.7 lies above the default range [1.5, 2.4]; no truncated
     # branch may be written

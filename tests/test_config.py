@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from alleekit.config import _SCHEMA, ExperimentConfig, parse_config
-from alleekit.errors import ParseError
+from alleekit.errors import ParseError, ValidationError
 
 _KINETICS = """[kinetics]
 sigma = 2.7
@@ -96,3 +96,15 @@ def test_kinetics_only_gives_dataclass_defaults():
     for f in dataclasses.fields(ExperimentConfig):
         if f.default is not dataclasses.MISSING:
             assert getattr(cfg, f.name) == f.default, f.name
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("wave-scan", "c_lo = 4.7\nc_hi = 6.0\nc_count = 2\n"),
+    ("temporal-diagram", ""),
+])
+def test_bad_sweep_grid_is_not_reported_missing(command, extra):
+    text = (_KINETICS + "[spatial]\nd = 46\n[sweep]\nsigma_lo = 2.9\n"
+            "sigma_hi = 2.7\nsigma_count = 3\n" + extra)
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text, command=command)
+    assert exc.value.messages == ["[sweep] sigma_hi: must be >= sigma_lo"]

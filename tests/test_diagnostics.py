@@ -13,7 +13,8 @@ from alleekit.diagnostics import (
     island_series,
     largest_lyapunov,
 )
-from alleekit.model import coexisting_equilibria
+from alleekit.errors import NoConvergence
+from alleekit.model import KineticParams, coexisting_equilibria
 from alleekit.pde import Field, Grid, ImexStepper, SpaceTimeRecord
 
 
@@ -155,3 +156,14 @@ def test_lyapunov_needs_enough_renormalizations(p_main):
         largest_lyapunov(f0, p_main, 46.0, T=50.0)
     with pytest.raises(ValueError):
         largest_lyapunov(f0, p_main, 46.0, T=250.0, renorm_interval=-1.0)
+
+
+def test_lyapunov_on_a_limit_cycle_does_not_settle():
+    # sigma=1.82 lies in the cycle window below the Hopf point and the short
+    # domain damps every spatial mode; the leading exponent is the zero one
+    # along the cycle, so the running estimate keeps swinging about zero
+    p = KineticParams(alpha=0.07, beta=0.2, gamma=1.2, sigma=1.82, eta=0.1)
+    g = Grid(L=1.0, N=16)
+    f0 = Field(g, np.full(g.N, 0.69), np.full(g.N, 0.16), 0.0)
+    with pytest.raises(NoConvergence, match="has not settled"):
+        largest_lyapunov(f0, p, 46.0, T=250.0, dt=0.05)

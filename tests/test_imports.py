@@ -1,0 +1,121 @@
+"""The import contract: ``import alleekit`` and ``import alleekit.cli`` load
+no scipy, each CLI command loads its layers before its run starts, and the
+lazy package namespace still serves every public name.
+
+Each check runs in a fresh interpreter, because the test session itself has
+already imported every layer.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_KINETICS = """[kinetics]
+sigma = 2.7
+alpha = 0.07
+beta = 0.2
+gamma = 1.2
+eta = 0.1
+[spatial]
+d = 46
+"""
+
+# small configs, one per command
+_BODIES = {
+    "equilibria": "",
+    "temporal-diagram": "[sweep]\nsigma_lo = 1.82\nsigma_hi = 1.9\n"
+                        "sigma_count = 2\nt_sim = 200\n",
+    "thresholds": "l = 200\n",
+    "simulate": "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 20\n"
+                "ic = perturbed_homogeneous\n",
+    "continue": "l = 200\n[grid]\nn = 64\n[sweep]\nsteps = 3\n"
+                "bracket_hi = 2.8\n",
+    "wave-scan": "[sweep]\nsigma_lo = 2.7\nsigma_hi = 2.7\nsigma_count = 1\n"
+                 "c_lo = 5.9\nc_hi = 5.9\nc_count = 1\n",
+    "lyapunov": "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 230\n"
+                "transient = 10\n",
+    "pulse": "l = 200\n[grid]\nn = 128\n[run]\nseed = 1\nt = 20\n",
+}
+
+# Runs the commands given as (command, config, out) triples through
+# alleekit.cli.main and prints, as JSON, the exit codes, the alleekit and
+# scipy modules loaded at the end, and those each run_experiment added.
+_DRIVER = """
+import json, sys
+ours = lambda: {m for m in sys.modules if m.split(".")[0] in ("alleekit", "scipy")}
+import alleekit
+after_package = sorted(ours())
+import alleekit.cli as cli
+report = {"after_package": after_package, "rc": [], "added_by_run": []}
+real_run = cli.run_experiment
+def spy(*args, **kwargs):
+    before = ours()
+    try:
+        return real_run(*args, **kwargs)
+    finally:
+        report["added_by_run"].append(sorted(ours() - before))
+cli.run_experiment = spy
+for command, config, out in json.loads(sys.argv[1]):
+    report["rc"].append(cli.main([command, "--config", config, "--out", out]))
+report["loaded"] = sorted(ours())
+print(json.dumps(report))
+"""
+
+
+def _python(code: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _drive(tmp_path, commands) -> dict:
+    runs = []
+    for command in commands:
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(_KINETICS + _BODIES[command])
+        runs.append((command, str(cfg), str(tmp_path / command)))
+    report = json.loads(_python(_DRIVER, json.dumps(runs)))
+    assert report["rc"] == [0] * len(runs)
+    return report
+
+
+def test_scipy_free_commands_load_no_scipy(tmp_path):
+    report = _drive(tmp_path, ["equilibria", "thresholds"])
+    assert report["after_package"] == ["alleekit"]
+    assert not [m for m in report["loaded"] if m.split(".")[0] == "scipy"]
+    assert "alleekit.pde" not in report["loaded"]
+
+
+@pytest.mark.parametrize("command", list(_BODIES))
+def test_run_imports_nothing_new(tmp_path, command):
+    # main loads the command's layers, so the run itself imports nothing
+    report = _drive(tmp_path, [command])
+    assert report["added_by_run"] == [[]]
+
+
+def test_lazy_namespace_serves_every_public_name():
+    out = _python(
+        "import json, alleekit\n"
+        "missing = [n for n in alleekit.__all__ if n not in dir(alleekit)]\n"
+        "values = {n: getattr(alleekit, n) for n in alleekit.__all__}\n"
+        "try:\n"
+        "    alleekit.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError:\n"
+        "    unknown = 'AttributeError'\n"
+        "print(json.dumps({'missing': missing, 'count': len(values),\n"
+        "                  'unknown': unknown,\n"
+        "                  'version': alleekit.__version__}))\n")
+    report = json.loads(out)
+    assert report == {"missing": [], "count": 80, "unknown": "AttributeError",
+                      "version": "0.1.0"}

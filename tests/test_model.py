@@ -300,6 +300,14 @@ def test_holling_branch_beta_zero():
     assert abs(f1) < 1e-14 and abs(f2) < 1e-14
 
 
+def test_holling_branch_no_state_at_axial2():
+    # u* = alpha/(gamma-1) = 1/3 = u2: the predator nullcline meets the prey
+    # nullcline on the u axis, at Axial2; v* there is roundoff, not a state
+    p = KineticParams(alpha=1 / 3, beta=0.0, gamma=2.0, sigma=1.5, eta=1 / 3)
+    assert axial_equilibria(p)[-1].u == 1 / 3
+    assert coexisting_equilibria(p) == []
+
+
 def test_holling_branch_degenerate():
     p = KineticParams(alpha=0.07, beta=0.0, gamma=1.0, sigma=2.7, eta=0.1)
     with pytest.raises(DegenerateKinetics):
