@@ -16,7 +16,8 @@ and before the run starts:
 
 * ``temporal-diagram``: ``temporal`` (``scipy.integrate``);
 * ``simulate``: ``pde`` (LAPACK from ``scipy.linalg``);
-* ``lyapunov`` and ``pulse``: ``pde`` and ``diagnostics``;
+* ``lyapunov`` and ``pulse``: ``pde`` and ``diagnostics`` (``lyapunov``
+  loads them while the config is parsed, to check ``[run] t``);
 * ``continue``: ``pde`` and ``continuation`` (also ``scipy.sparse.linalg``);
 * ``wave-scan``: ``waves`` (``scipy.integrate``) and ``scipy.interpolate``,
   which ``solve_bvp`` would otherwise import during the run.
@@ -42,8 +43,6 @@ from .errors import (
     ConvergenceError,
     HypothesisFailed,
     NumericalError,
-    OutOfRange,
-    ToolkitError,
 )
 from .linear import (
     branch_point_table,
@@ -56,7 +55,7 @@ from .model import (
     EquilibriumKind,
     Stability,
     all_equilibria,
-    axial_equilibria,
+    upper_axial,
     upper_coexisting,
 )
 
@@ -274,15 +273,9 @@ def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_lyapunov(cfg: ExperimentConfig, out: Path) -> None:
-    from .diagnostics import (MIN_RENORMALIZATIONS, kept_renormalizations,
-                              largest_lyapunov)
+    from .diagnostics import largest_lyapunov
     from .pde import make_ic, run
 
-    kept = kept_renormalizations(cfg.T, cfg.renorm_interval)
-    if kept < MIN_RENORMALIZATIONS:
-        raise OutOfRange(
-            f"lyapunov: t = {cfg.T} gives {kept} renormalizations after the "
-            f"discard window; it needs at least {MIN_RENORMALIZATIONS}")
     grid, dt = _grid_and_dt(cfg)
     rng = _rng(cfg)
     f0 = make_ic(cfg.ic, grid, cfg.p, amplitude=cfg.amplitude, rng=rng)
@@ -309,7 +302,7 @@ def cmd_pulse(cfg: ExperimentConfig, out: Path) -> None:
               Recorder(series_every=cfg.series_every or 2.0,
                        snapshot_every=cfg.snapshot_every or 50.0),
               dt=dt, scheme=cfg.scheme)
-    u1 = max(a.u for a in axial_equilibria(cfg.p))
+    u1 = upper_axial(cfg.p).u
     times, counts = island_series(rec, 0.05 * u1)
     _write_csv(out / "islands.csv", ("t", "island_count"), zip(times, counts))
     _write_summary(out, rec)
@@ -383,9 +376,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return 4
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

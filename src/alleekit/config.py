@@ -313,6 +313,15 @@ def parse_config(text: str, *, command: str | None = None,
                       ExperimentConfig.renorm_interval)
     if renorm <= 0:
         issues.append("[run] renorm_interval: must be positive")
+    if cmd == "lyapunov" and T is not None and T > 0 and renorm > 0:
+        from .diagnostics import MIN_RENORMALIZATIONS, kept_renormalizations
+
+        kept = kept_renormalizations(T, renorm)
+        if kept < MIN_RENORMALIZATIONS:
+            issues.append(
+                f"[run] t: t = {T} gives {kept} renormalizations after the "
+                f"discard window; the lyapunov command needs at least "
+                f"{MIN_RENORMALIZATIONS}")
     for key in ("snapshot_every", "series_every"):
         val = data.get(("run", key), getattr(ExperimentConfig, key))
         if val < 0:

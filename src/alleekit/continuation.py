@@ -19,17 +19,9 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-from .errors import (
-    EigSolverStall,
-    FellBackToParent,
-    KernelNotFound,
-    NoConvergence,
-    NonFinite,
-    OutOfRange,
-    SingularJacobian,
-    StepSizeUnderflow,
-)
-from .model import KineticParams, jacobian_fields
+from .errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
+from .linear import spatial_spectrum
+from .model import KineticParams, jacobian_fields, upper_coexisting
 from .pde import Grid, l2_norm, laplacian_bands, semidiscrete_rhs
 
 KL = 2
@@ -300,7 +292,7 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
             break
         s *= 1.37  # a pivot collision means the shift hit an eigenvalue
     else:
-        raise EigSolverStall("no usable shift for inverse iteration")
+        raise NoConvergence("no usable shift for inverse iteration")
 
     op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     k = min(max(8, n_eigs), n - 2)
@@ -314,13 +306,13 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
                 mu = eigs(op, k=k, ncv=min(n, 4 * k + 1), which="LM",
                           return_eigenvectors=False, maxiter=max(600, 40 * k))
             except ArpackNoConvergence as exc:
-                raise EigSolverStall(f"eigensolver stalled: {exc}") from exc
+                raise NoConvergence(f"eigensolver stalled: {exc}") from exc
         lam = s + 1.0 / mu
         if np.abs(lam - s).max() >= r_req or k >= k_cap:
             break
         k = min(2 * k, k_cap)
     if np.abs(lam - s).max() < r_req:
-        raise EigSolverStall(
+        raise NoConvergence(
             "could not cover the unstable region "
             f"(needed radius {r_req:.3g} around {s:.3g})")
 
@@ -416,7 +408,7 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
             except (NoConvergence, SingularJacobian):
                 ds *= 0.5
                 if ds < ds_min:
-                    raise StepSizeUnderflow(
+                    raise NoConvergence(
                         f"arclength step fell below {ds_min} near sigma={sigma:.6g}")
         x1, sig1, iters = accepted
         tau1 = tangent_at(x1, sig1, prob, prev=tau)
@@ -472,7 +464,7 @@ def kernel_vector(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarra
         shifted[KL + KU, :] -= 1e-10 * scale
         lu = BandedLU(shifted)
         if lu.singular:
-            raise KernelNotFound("could not factor near the branch point")
+            raise NoConvergence("could not factor near the branch point")
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(x.size)
     v /= np.abs(v).max()
@@ -480,7 +472,7 @@ def kernel_vector(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarra
         w = lu.solve(v)
         wn = float(np.abs(w).max())
         if not math.isfinite(wn) or wn == 0.0:
-            raise KernelNotFound("inverse iteration collapsed")
+            raise NoConvergence("inverse iteration collapsed")
         w /= wn
         if np.abs(w - v).max() < 1e-12 or np.abs(w + v).max() < 1e-12:
             v = w
@@ -488,7 +480,7 @@ def kernel_vector(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarra
         v = w
     r = residual_matvec(ab, v)
     if float(np.abs(r).max()) > 1e-8 * scale:
-        raise KernelNotFound("no sufficiently small singular direction found")
+        raise NoConvergence("no sufficiently small singular direction found")
     return v
 
 
@@ -510,7 +502,8 @@ def branch_switch(branch: Branch, bp_index: int,
     The side of the pitchfork is not known in advance, so the seed is
     corrected at sigma_bp -/+ 1e-3 with a short ladder of shrinking
     kernel amplitudes; the first correction that lands off the parent
-    branch wins. FellBackToParent means every attempt returned to it.
+    branch wins. Raises NoConvergence when every attempt fails, saying
+    whether they all returned to the parent branch.
     """
     pt = branch.points[bp_index]
     if "BP" not in pt.tags:
@@ -534,7 +527,7 @@ def branch_switch(branch: Branch, bp_index: int,
             if abs(float(np.var(u_new)) - par_var) > 1e-10 + 0.1 * par_var:
                 return x_new, sig_new
     if only_fellback:
-        raise FellBackToParent(
+        raise NoConvergence(
             f"all corrections near sigma={pt.sigma:.6g} returned to the parent branch")
     raise NoConvergence(
         f"no convergent correction off the parent branch at sigma={pt.sigma:.6g}")
@@ -548,11 +541,8 @@ def localized_seed(prob: SteadyProblem, sigma: float, amplitude: float,
     the tail decay length 1/sqrt(K) (several times narrower) tends to sit
     in a larger Newton basin, so a width override is accepted.
     """
-    from .linear import spatial_spectrum
-    from .model import coexisting_equilibria
-
     p = prob.p.with_sigma(sigma)
-    e = coexisting_equilibria(p)[-1]
+    e = upper_coexisting(p)
     spec = spatial_spectrum(e, p, prob.d)
     if width is None:
         width = 2.0 * math.pi / math.sqrt(abs(spec.K))

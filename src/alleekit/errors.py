@@ -1,15 +1,32 @@
-"""Exception taxonomy.
+"""Exception taxonomy: three families, ten leaves, one name per failure.
 
-Three families, mapped to CLI exit codes by :mod:`alleekit.cli`:
+The families map to CLI exit codes in :mod:`alleekit.cli`:
 
-* :class:`ConfigError` (exit 2): the input file or argument set is wrong.
-* :class:`NumericalError` (exit 3): a computation produced garbage
-  (non-finite state, singular matrix, orbit left the admissible region).
+* :class:`ConfigError` (exit 2): the input asks for something the model
+  or the requested analysis cannot give.
+
+  - :class:`ParseError`: the config text is malformed.
+  - :class:`ValidationError`: the config parses but breaks a precondition.
+  - :class:`DegenerateKinetics`: the parameters collapse the interaction.
+  - :class:`OutOfRange`: a state, formula or window does not exist here.
+  - :class:`HypothesisFailed`: a hypothesis of the statement is false.
+
+* :class:`NumericalError` (exit 3): a computation produced garbage.
+
+  - :class:`NonFinite`: NaN/Inf, or an orbit left its admissible region.
+  - :class:`SingularJacobian`: a linear solve met a singular matrix.
+
 * :class:`ConvergenceError` (exit 4): an iteration ran honestly and did not
   converge, or a search found nothing in the requested range.
 
-Library callers catch the family; the leaf classes exist so tests and error
-messages can name the precise failure.
+  - :class:`NoRoot`: a search interval holds no sign change or crossing.
+  - :class:`NoConvergence`: an iteration or estimate did not settle.
+  - :class:`Inconclusive`: the data are too short or ambiguous to classify.
+
+Library callers catch the family; a leaf names the kind of failure, and
+the message says where it happened. Add a leaf only when code catches it
+by name or when no leaf above names that kind of failure; otherwise raise
+the existing leaf with a message that tells the cases apart.
 """
 
 from __future__ import annotations
@@ -19,30 +36,16 @@ __all__ = [
     "ConfigError",
     "ParseError",
     "ValidationError",
+    "DegenerateKinetics",
+    "OutOfRange",
+    "HypothesisFailed",
     "NumericalError",
     "NonFinite",
     "SingularJacobian",
-    "Escaped",
     "ConvergenceError",
-    "NoSignChange",
-    "BracketInvalid",
     "NoRoot",
     "NoConvergence",
-    "StepSizeUnderflow",
-    "EigSolverStall",
-    "KernelNotFound",
-    "FellBackToParent",
-    "NoCrossing",
     "Inconclusive",
-    "Timeout",
-    "DomainError",
-    "DegenerateKinetics",
-    "OutOfRange",
-    "NotApplicable",
-    "NotAtHopf",
-    "C1Violated",
-    "HypothesisFailed",
-    "BadSupport",
 ]
 
 
@@ -73,41 +76,21 @@ class ValidationError(ConfigError):
         super().__init__("\n".join(self.messages))
 
 
-class DomainError(ConfigError):
-    """Arguments outside a function's admissible parameter region.
-
-    Grouped under ConfigError because a driver run only hits these when the
-    config asked for something the model cannot express.
-    """
-
-
-class DegenerateKinetics(DomainError):
+class DegenerateKinetics(ConfigError):
     """Parameter combination collapses the interaction structure."""
 
 
-class OutOfRange(DomainError):
-    """A closed-form expression was requested outside its validity window."""
+class OutOfRange(ConfigError):
+    """A state, closed-form expression or spatial window was requested
+    where it does not exist: no coexisting or prey-only state, a formula
+    outside its validity window, or a support window (pulse, interface)
+    that is empty or leaves the domain."""
 
 
-class NotApplicable(DomainError):
-    """The requested bound/diagnostic does not exist for these parameters."""
-
-
-class NotAtHopf(DomainError):
-    """A Hopf-specific computation was requested away from trace = 0."""
-
-
-class C1Violated(DomainError):
-    """A Hopf genericity condition (determinant sign or transversality)
-    failed at the located trace zero."""
-
-
-class HypothesisFailed(DomainError):
-    """An explicit hypothesis of the statement being evaluated is false."""
-
-
-class BadSupport(DomainError):
-    """A requested spatial support window is empty or leaves the domain."""
+class HypothesisFailed(ConfigError):
+    """An explicit hypothesis of the statement being evaluated is false:
+    a Turing-band or non-existence-bound hypothesis, or a Hopf condition
+    (trace zero, det(J) > 0, transversal crossing) at the given point."""
 
 
 class NumericalError(ToolkitError):
@@ -115,62 +98,33 @@ class NumericalError(ToolkitError):
 
 
 class NonFinite(NumericalError):
-    """NaN/Inf appeared in a state, residual, or matrix."""
+    """NaN/Inf appeared in a state, residual, or matrix, or an orbit left
+    the admissible region before any verdict was reached."""
 
 
 class SingularJacobian(NumericalError):
     """A linear solve met a numerically singular matrix."""
 
 
-class Escaped(NumericalError):
-    """An orbit left the admissible region before any verdict was reached."""
-
-
 class ConvergenceError(ToolkitError):
     """Honest non-convergence or empty search (CLI exit code 4)."""
 
 
-class NoSignChange(ConvergenceError):
-    """Root bracket endpoints have the same sign."""
-
-
-class BracketInvalid(ConvergenceError):
-    """Bisection endpoints classify identically; no threshold inside."""
-
-
 class NoRoot(ConvergenceError):
-    """A scanned interval contains no root of the target function."""
+    """A search interval holds nothing to find: no root of a scanned
+    function, no sign change across a root or bisection bracket, or no
+    crossing of a profile through a level."""
 
 
 class NoConvergence(ConvergenceError):
     """An iterative solve or estimate did not converge: Newton or the
-    arclength corrector ran out of iterations, collocation failed, or a
-    running estimate (the Lyapunov exponent) did not settle."""
-
-
-class StepSizeUnderflow(ConvergenceError):
-    """Adaptive step control pushed the step below its floor."""
-
-
-class EigSolverStall(ConvergenceError):
-    """Iterative eigensolver did not converge after restarts."""
-
-
-class KernelNotFound(ConvergenceError):
-    """Inverse iteration found no near-null vector at a branch point."""
-
-
-class FellBackToParent(ConvergenceError):
-    """Branch switching converged back onto the branch it started from."""
-
-
-class NoCrossing(ConvergenceError):
-    """A profile never crosses the requested level."""
+    arclength corrector ran out of iterations, the arclength step fell
+    below its floor, an integrator failed, the eigensolver stalled,
+    inverse iteration found no kernel vector, branch switching returned to
+    the parent branch, collocation failed, an orbit reached its time
+    ceiling with no verdict, or a running estimate (the Lyapunov exponent)
+    did not settle."""
 
 
 class Inconclusive(ConvergenceError):
     """The data window is too short or too ambiguous to classify."""
-
-
-class Timeout(ConvergenceError):
-    """An orbit reached its time ceiling with no verdict."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .errors import HypothesisFailed, NoRoot, NotApplicable, OutOfRange
+from .errors import HypothesisFailed, NoRoot, OutOfRange
 from .model import (
     Equilibrium,
     EquilibriumKind,
@@ -280,7 +280,7 @@ def branch_point_sigmas(
 def dstar_parts(p: KineticParams, L: float) -> dict[str, float]:
     """Ingredients of the non-existence bound: u1, u2, A, B, k1, dstar."""
     if p.alpha == 0.0 or p.beta == 0.0:
-        raise NotApplicable(
+        raise HypothesisFailed(
             "the non-existence bound needs alpha > 0 and beta > 0, got "
             f"alpha={p.alpha}, beta={p.beta}"
         )

@@ -20,11 +20,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    C1Violated,
     DegenerateKinetics,
+    HypothesisFailed,
     NonFinite,
-    NoSignChange,
-    NotAtHopf,
+    NoRoot,
     OutOfRange,
 )
 from .rootfind import bracketed_root, real_cubic_roots
@@ -41,6 +40,7 @@ __all__ = [
     "axial_equilibria",
     "coexisting_equilibria",
     "all_equilibria",
+    "upper_axial",
     "upper_coexisting",
     "sigma_sn",
     "sigma_tc",
@@ -390,6 +390,15 @@ def sigma_s(e: Equilibrium, p: KineticParams) -> float:
     return e.v / (p.gamma**2 * e.u**3 * (2.0 * e.u - 1.0))
 
 
+def upper_axial(p: KineticParams) -> Equilibrium:
+    """The prey-only state u1 (the larger-u axial one); OutOfRange when
+    there is none (sigma < 4*eta)."""
+    ax = axial_equilibria(p)
+    if not ax:
+        raise OutOfRange(f"no prey-only state at sigma={p.sigma} (< 4*eta)")
+    return ax[0]
+
+
 def upper_coexisting(p: KineticParams) -> Equilibrium:
     """The largest-u coexisting equilibrium; OutOfRange when there is none."""
     eqs = coexisting_equilibria(p)
@@ -410,7 +419,7 @@ def hopf_sigma(p: KineticParams, bracket: tuple[float, float]) -> tuple[float, E
         try:
             return upper_coexisting(p.with_sigma(sigma)).trace
         except OutOfRange as exc:
-            raise NoSignChange(
+            raise NoRoot(
                 f"{exc}; the bracket must lie inside the coexistence range"
             ) from exc
 
@@ -418,14 +427,14 @@ def hopf_sigma(p: KineticParams, bracket: tuple[float, float]) -> tuple[float, E
     root = bracketed_root(trace_at, lo, hi)
     e = upper_coexisting(p.with_sigma(root))
     if e.det <= 0.0:
-        raise C1Violated(
+        raise HypothesisFailed(
             f"det(J) = {e.det:.6g} <= 0 at the trace zero sigma={root:.10g}; "
             "the crossing pair is not complex"
         )
     h = 1e-5 * max(1.0, abs(root))
     dtrace = (trace_at(root + h) - trace_at(root - h)) / (2.0 * h)
     if abs(dtrace) < 1e-6:
-        raise C1Violated(
+        raise HypothesisFailed(
             f"d(trace)/d(sigma) = {dtrace:.3g} at sigma={root:.10g}; "
             "the eigenvalue pair does not cross transversally"
         )
@@ -492,9 +501,9 @@ def first_lyapunov_coefficient(p: KineticParams, sigma_h: float, estar: Equilibr
     tr = a + d
     delta = a * d - b * c
     if abs(tr) > 1e-6 * max(1.0, abs(a), abs(d)):
-        raise NotAtHopf(f"trace(J) = {tr:.3g} is not ~0 at sigma={sigma_h}")
+        raise HypothesisFailed(f"trace(J) = {tr:.3g} is not ~0 at sigma={sigma_h}")
     if delta <= 0.0:
-        raise NotAtHopf(f"det(J) = {delta:.3g} <= 0: no pure-imaginary pair")
+        raise HypothesisFailed(f"det(J) = {delta:.3g} <= 0: no pure-imaginary pair")
     acoef, bcoef = _taylor_coefficients(ph, estar.u, estar.v)
     a20, a11, a02 = acoef[(2, 0)], acoef[(1, 1)], acoef[(0, 2)]
     a30, a21, a12 = acoef[(3, 0)], acoef[(2, 1)], acoef[(1, 2)]

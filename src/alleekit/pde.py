@@ -21,19 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import (
-    BadSupport,
-    Inconclusive,
-    NoCrossing,
-    NonFinite,
-    OutOfRange,
-)
+from .errors import Inconclusive, NonFinite, NoRoot, OutOfRange, ToolkitError
+from .linear import kpm_roots
 from .model import (
     KineticParams,
-    axial_equilibria,
-    coexisting_equilibria,
     jacobian_fields,
     kinetics,
+    upper_axial,
+    upper_coexisting,
 )
 
 DERIV_TOL = 1e-6
@@ -243,16 +238,11 @@ def default_dt(grid: Grid, d: float) -> float:
 
 def default_grid_size(p: KineticParams, d: float, L: float) -> int:
     """At least 4 nodes per expected pattern wavelength, floored hard."""
-    from .errors import DomainError, ToolkitError
-    from .linear import kpm_roots
-
     n = 0
     try:
-        coex = coexisting_equilibria(p)
-        if coex:
-            _, kp = kpm_roots(coex[-1], p, d)
-            wavelength = 2.0 * math.pi / math.sqrt(kp)
-            n = math.ceil(4.0 * L / wavelength)
+        _, kp = kpm_roots(upper_coexisting(p), p, d)
+        wavelength = 2.0 * math.pi / math.sqrt(kp)
+        n = math.ceil(4.0 * L / wavelength)
     except ToolkitError:
         pass
     floor = 512 if L >= 200 else 128
@@ -275,10 +265,7 @@ def make_ic(kind: ICKind | str, grid: Grid, p: KineticParams, *,
     The center pulse fills `window`, by default the 10 units around L/2.
     """
     kind = ICKind(kind)
-    coex = coexisting_equilibria(p)
-    if not coex:
-        raise OutOfRange("no coexisting state exists for this parameter set")
-    e = coex[-1]
+    e = upper_coexisting(p)
     x = grid.x
 
     if kind is ICKind.PERTURBED_HOMOGENEOUS:
@@ -291,11 +278,8 @@ def make_ic(kind: ICKind | str, grid: Grid, p: KineticParams, *,
             v = v + amplitude * rng.standard_normal(grid.N)
     elif kind is ICKind.INVASION_STEP:
         if not (0.0 < interface < grid.L):
-            raise BadSupport(f"interface {interface} lies outside the domain (0, {grid.L})")
-        axial = axial_equilibria(p)
-        if not axial:
-            raise OutOfRange("no prey-only state exists below the fold")
-        u1 = max(a.u for a in axial)
+            raise OutOfRange(f"interface {interface} lies outside the domain (0, {grid.L})")
+        u1 = upper_axial(p).u
         left = x < interface
         u = np.where(left, e.u, u1)
         v = np.where(left, e.v, 0.0)
@@ -304,7 +288,7 @@ def make_ic(kind: ICKind | str, grid: Grid, p: KineticParams, *,
             window = (0.5 * grid.L - 5.0, 0.5 * grid.L + 5.0)
         a, b = window
         if not (0.0 <= a < b <= grid.L):
-            raise BadSupport(f"pulse window [{a}, {b}] does not fit inside [0, {grid.L}]")
+            raise OutOfRange(f"pulse window [{a}, {b}] does not fit inside [0, {grid.L}]")
         if amplitude != 0.0 and rng is None:
             raise ValueError("a seeded generator is required for noisy initial data")
         inside = (x >= a) & (x <= b)
@@ -451,7 +435,7 @@ def front_position(f: Field, level: float) -> float:
     prod = s[:-1] * s[1:]
     hits = np.nonzero(prod <= 0.0)[0]
     if hits.size == 0:
-        raise NoCrossing(f"prey profile never crosses level {level}")
+        raise NoRoot(f"prey profile never crosses level {level}")
     i = int(hits[0])
     if s[i] == 0.0:
         return float(f.grid.x[i])

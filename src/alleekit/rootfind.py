@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .errors import NoRoot, NoSignChange, NonFinite
+from .errors import NoRoot, NonFinite
 
 __all__ = [
     "bracketed_root",
@@ -57,7 +57,7 @@ def bracketed_root(
     if fb == 0.0:
         return b
     if (fa > 0) == (fb > 0):
-        raise NoSignChange(
+        raise NoRoot(
             f"no sign change on [{a}, {b}]: f(a)={fa:.6g}, f(b)={fb:.6g}"
         )
     for _ in range(200):

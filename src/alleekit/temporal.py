@@ -17,10 +17,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
-    BracketInvalid,
     Inconclusive,
+    NoConvergence,
     NonFinite,
-    StepSizeUnderflow,
+    NoRoot,
     ToolkitError,
 )
 from .model import (
@@ -145,7 +145,7 @@ def integrate_ode(
         events=(ext_event, div_event),
     )
     if sol.status == -1:
-        raise StepSizeUnderflow(f"integrator failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
+        raise NoConvergence(f"integrator failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
 
     times = sol.t
     states = sol.y.T.copy()
@@ -259,7 +259,7 @@ def _is_cycle_side(p: KineticParams) -> bool:
     """
     eqs = coexisting_equilibria(p)
     if not eqs:
-        raise BracketInvalid(
+        raise NoRoot(
             f"no coexisting equilibrium at sigma={p.sigma}; bracket must "
             "stay inside the coexistence range"
         )
@@ -307,7 +307,7 @@ def heteroclinic_threshold(p: KineticParams, bracket: tuple[float, float]) -> fl
     side_hi = _is_cycle_side(p.with_sigma(hi))
     if side_lo == side_hi:
         kind = "cycle" if side_lo else "extinction"
-        raise BracketInvalid(
+        raise NoRoot(
             f"both bracket endpoints classify as {kind}; no threshold inside "
             f"[{lo}, {hi}]"
         )

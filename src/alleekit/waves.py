@@ -16,22 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_bvp, solve_ivp
 
-from .errors import Escaped, NoConvergence, NonFinite, OutOfRange, Timeout
+from .errors import NoConvergence, NonFinite, OutOfRange
 from .model import (
     KineticParams,
-    axial_equilibria,
-    coexisting_equilibria,
     hopf_sigma,
     jacobian_fields,
     kinetics,
+    upper_axial,
+    upper_coexisting,
 )
-
-
-def _u1(p: KineticParams) -> float:
-    ax = axial_equilibria(p)
-    if not ax:
-        raise OutOfRange(f"no prey-only state at sigma={p.sigma} (< 4*eta)")
-    return max(e.u for e in ax)
 
 
 def j_constants(p: KineticParams, d: float) -> tuple[float, float]:
@@ -43,7 +36,7 @@ def j_constants(p: KineticParams, d: float) -> tuple[float, float]:
     """
     if d <= 0:
         raise ValueError(f"need d > 0, got {d}")
-    u1 = _u1(p)
+    u1 = upper_axial(p).u
     j1 = p.sigma * u1 * (1.0 - 2.0 * u1)
     j3 = (p.gamma * u1 / (p.alpha + u1) - 1.0) / d
     return j1, j3
@@ -123,10 +116,7 @@ def end_state_spectra(p: KineticParams, d: float, c: float) -> EndStateSpectra:
         (c2 - c * r34) / (2.0 * d),
     )
 
-    co = coexisting_equilibria(p)
-    if not co:
-        raise OutOfRange(f"no coexisting state at sigma={p.sigma}")
-    e = co[-1]
+    e = upper_coexisting(p)
     star = np.array([e.u, e.u, e.v, e.v])
     lam_star = np.linalg.eigvals(tw_jacobian(star, p, d, c))
     lam_star = lam_star[np.argsort(lam_star.real)]
@@ -148,7 +138,7 @@ class Shot:
 
 
 def _slow_unstable_vector(p: KineticParams, d: float, c: float) -> np.ndarray:
-    u1 = _u1(p)
+    u1 = upper_axial(p).u
     e1 = np.array([u1, u1, 0.0, 0.0])
     lam, vecs = np.linalg.eig(tw_jacobian(e1, p, d, c))
     pos = [i for i in range(4) if lam[i].real > 1e-12]
@@ -201,7 +191,7 @@ def _kinetic_seed(p: KineticParams, d: float, c: float, y0: np.ndarray,
     sol = solve_ivp(kin, (0.0, 2.0 * t_max), y0[[0, 2]], method="RK45",
                     rtol=1e-10, atol=1e-13, dense_output=True, events=near)
     if not sol.t_events[0].size:
-        raise Timeout(
+        raise NoConvergence(
             f"reaction flow does not reach the coexisting state by t={t_max}")
     T0 = float(sol.t_events[0][0])
 
@@ -249,17 +239,14 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     found requires the orbit to enter the max-norm ball of radius _BALL
     around the coexisting point and remain inside through the end, for at
     least _STAY time units. The orbit leaving the box [-1, 2 u1]^4 raises
-    Escaped; a transit longer than t_max raises Timeout; collocation failure
-    raises NoConvergence. Monotonicity of X and W is judged on the trailing
+    NonFinite; a transit longer than t_max, or collocation failure, raises
+    NoConvergence. Monotonicity of X and W is judged on the trailing
     80% of the orbit with oscillation tolerance 1e-4.
     """
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
-    u1 = _u1(p)
-    co = coexisting_equilibria(p)
-    if not co:
-        raise OutOfRange(f"no coexisting state at sigma={p.sigma}")
-    e = co[-1]
+    u1 = upper_axial(p).u
+    e = upper_coexisting(p)
     target = np.array([e.u, e.u, e.v, e.v])
 
     spectra = end_state_spectra(p, d, c)
@@ -393,12 +380,12 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     rad = np.abs(stable_flow(dts) - target[:, None]).max(axis=0)
     ever_in = np.maximum.accumulate(rad[::-1])[::-1] < _BALL
     if not ever_in.any():
-        raise Timeout("orbit does not settle into the target ball")
+        raise NoConvergence("orbit does not settle into the target ball")
     T2 = float(dts[int(np.argmax(ever_in))]) + _STAY + 5.0
 
     T = T1 + Tc + T2
     if T > t_max:
-        raise Timeout(f"transit time {T:.0f} exceeds t_max={t_max}")
+        raise NoConvergence(f"transit time {T:.0f} exceeds t_max={t_max}")
 
     ns = max(2000, min(2 * sol.x.size, 6000))
     tarr = np.linspace(0.0, T, ns)
@@ -412,11 +399,11 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
 
     lo, hi = -1.0, 2.0 * u1
     if sarr.min() < lo or sarr.max() > hi:
-        raise Escaped("computed orbit leaves the physical box")
+        raise NonFinite("computed orbit leaves the physical box")
 
     inside = np.abs(sarr - target).max(axis=1) < _BALL
     if not inside[-1]:
-        raise Timeout("orbit does not end inside the target ball")
+        raise NoConvergence("orbit does not end inside the target ball")
     i_ball = int(np.nonzero(~inside)[0][-1]) + 1 if not inside.all() else 0
     found = T - tarr[i_ball] >= _STAY
 
@@ -466,7 +453,7 @@ class ScanResult:
 def _classify_cell(p: KineticParams, d: float, c: float) -> int:
     try:
         shot = shoot_heteroclinic(p, d, c, tol=1e-8)
-    except (Escaped, Timeout, OutOfRange, NoConvergence):
+    except (NonFinite, OutOfRange, NoConvergence):
         return int(WaveClass.UNKNOWN)
     if not shot.found:
         return int(WaveClass.UNKNOWN)

@@ -60,6 +60,16 @@ def test_lyapunov_too_short_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_lyapunov_too_short_writes_nothing(tmp_path, capsys):
+    # the renormalization count is checked with the config, before --out
+    # is created
+    rc, err = _run(tmp_path, capsys, "lyapunov",
+                   "l = 200\n[grid]\nn = 64\n[run]\nt = 50\n", seed=1)
+    assert rc == 2
+    assert "[run] t:" in err and "renormalizations" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_lyapunov_rejects_strang(tmp_path, capsys):
     # the tangent is the linearised IMEX map, so a Strang run would measure
     # a different flow from the one asked for

@@ -30,12 +30,7 @@ from alleekit.continuation import (
     solution_stability,
     split_fields,
 )
-from alleekit.errors import (
-    FellBackToParent,
-    KernelNotFound,
-    NoConvergence,
-    StepSizeUnderflow,
-)
+from alleekit.errors import NoConvergence, OutOfRange, SingularJacobian
 from alleekit.linear import branch_point_sigmas, mode_reports, vbounds
 from alleekit.model import KineticParams, coexisting_equilibria, jacobian
 from alleekit.pde import Grid, l2_norm
@@ -93,6 +88,21 @@ def _monotone_runs(u: np.ndarray, rel_tol: float = 1e-2) -> int:
 def test_problem_validation(base_p):
     with pytest.raises(ValueError):
         SteadyProblem(Grid(L=L_REF, N=64), base_p, 0.0)
+
+
+def test_singular_band_refuses_to_solve():
+    ab = np.zeros((2 * KL + KU + 1, 8))
+    ab[KL + KU] = [1.0, 2.0, 0.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    lu = BandedLU(ab)
+    assert lu.singular and lu.det_sign == 0
+    with pytest.raises(SingularJacobian, match="numerically singular"):
+        lu.solve(np.ones(8))
+
+
+def test_localized_seed_needs_a_coexisting_state(base_p):
+    prob = _problem(base_p, n=64)
+    with pytest.raises(OutOfRange, match="no coexisting equilibrium at sigma=0.3"):
+        localized_seed(prob, 0.3, 0.1)
 
 
 def test_residual_vanishes_at_constant_state(base_p):
@@ -247,20 +257,21 @@ def test_branch_switch_tiny_amplitude_falls_back(base_p):
                          steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796),
                          stability=False)
     bp = br.tagged("BP")[0]
-    with pytest.raises(FellBackToParent):
+    with pytest.raises(NoConvergence, match="returned to the parent branch"):
         branch_switch(br, bp.index, amplitude=1e-9)
 
 
 def test_kernel_rejected_away_from_bifurcation(base_p):
     prob = _problem(base_p)
-    with pytest.raises(KernelNotFound):
+    with pytest.raises(NoConvergence,
+                       match="no sufficiently small singular direction"):
         kernel_vector(_flat(prob, 1.9), 1.9, prob)
 
 
 def test_step_underflow_on_hopeless_step(base_p):
     prob = _problem(base_p)
     x = newton_correct(localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
-    with pytest.raises(StepSizeUnderflow):
+    with pytest.raises(NoConvergence, match="arclength step fell below"):
         continue_branch(x, 2.1, prob, direction=1, steps=3, ds0=8.0,
                         ds_min=7.9, stability=False)
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from alleekit.errors import HypothesisFailed, NoRoot, NotApplicable, OutOfRange
+from alleekit.errors import HypothesisFailed, NoRoot, OutOfRange
 from alleekit.linear import (
     Regime,
     band_modes,
@@ -261,11 +261,11 @@ def test_dstar_scales_as_L_squared():
 
 
 def test_dstar_not_applicable():
-    with pytest.raises(NotApplicable):
+    with pytest.raises(HypothesisFailed, match="needs alpha > 0 and beta > 0"):
         nonexistence_dstar(
             KineticParams(alpha=0.0, beta=2.4, gamma=1.3, sigma=1.5, eta=0.1), 1.0
         )
-    with pytest.raises(NotApplicable):
+    with pytest.raises(HypothesisFailed, match="needs alpha > 0 and beta > 0"):
         nonexistence_dstar(
             KineticParams(alpha=0.2, beta=0.0, gamma=1.3, sigma=1.5, eta=0.1), 1.0
         )

@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from alleekit.errors import (
     DegenerateKinetics,
+    HypothesisFailed,
     NonFinite,
-    NoSignChange,
-    NotAtHopf,
+    NoRoot,
     OutOfRange,
 )
 from alleekit.model import (
@@ -37,6 +37,7 @@ from alleekit.model import (
     sigma_sn,
     sigma_tc,
     trivial_equilibrium,
+    upper_axial,
 )
 
 # Frozen oracle values, main set (alpha=0.07, beta=0.2, gamma=1.2, eta=0.1).
@@ -176,6 +177,14 @@ def test_axial_values_main_set(p_main):
     # Both sit outside [alpha/(gamma-1), 1/2] on opposite sides: saddles.
     assert e1.stability is Stability.SADDLE
     assert e2.stability is Stability.SADDLE
+
+
+def test_upper_axial_is_u1_down_to_the_fold():
+    mk = lambda s: KineticParams(alpha=0.07, beta=0.2, gamma=1.2, sigma=s, eta=0.1)
+    assert abs(upper_axial(mk(2.7)).u - U1_27) < 1e-10
+    assert upper_axial(mk(0.4)).u == 0.5
+    with pytest.raises(OutOfRange, match="no prey-only state at sigma=0.39"):
+        upper_axial(mk(0.39))
 
 
 def test_axial_stable_and_unstable_classes():
@@ -385,7 +394,7 @@ def test_hopf_location(p_main):
 
 
 def test_hopf_no_sign_change(p_main):
-    with pytest.raises(NoSignChange):
+    with pytest.raises(NoRoot, match="no sign change on"):
         hopf_sigma(p_main, (2.0, 2.4))
 
 
@@ -413,5 +422,5 @@ def test_first_lyapunov_positive_for_ratio_dependent():
 
 def test_first_lyapunov_rejects_non_hopf(p_main):
     e = coexisting_equilibria(p_main)[0]
-    with pytest.raises(NotAtHopf):
+    with pytest.raises(HypothesisFailed, match="is not ~0 at sigma"):
         first_lyapunov_coefficient(p_main, 2.7, e)

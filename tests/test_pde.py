@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from alleekit.errors import BadSupport, Inconclusive, NoCrossing, NonFinite
+from alleekit.errors import Inconclusive, NonFinite, NoRoot, OutOfRange
 from alleekit.model import axial_equilibria, coexisting_equilibria
 from alleekit.pde import (
     AsymptoticKind,
@@ -147,10 +147,10 @@ def test_ic_center_pulse_support(p_main):
 
 def test_ic_center_pulse_bad_window(p_main):
     g = Grid(L=100.0, N=256)
-    with pytest.raises(BadSupport):
+    with pytest.raises(OutOfRange, match="does not fit inside"):
         make_ic("center_pulse", g, p_main, rng=np.random.default_rng(1),
                 window=(495.0, 505.0))
-    with pytest.raises(BadSupport):
+    with pytest.raises(OutOfRange, match="lies outside the domain"):
         make_ic("invasion_step", g, p_main, interface=150.0)
 
 
@@ -328,7 +328,7 @@ def test_front_position_interpolates(p_main):
     pos = front_position(f, 0.5)
     i = int(np.searchsorted(g.x, 40.3)) - 1
     assert g.x[i] <= pos <= g.x[i + 1]
-    with pytest.raises(NoCrossing):
+    with pytest.raises(NoRoot, match="never crosses level"):
         front_position(Field(g, np.full(g.N, 0.9), np.zeros(g.N)), 0.5)
 
 

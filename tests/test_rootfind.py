@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from alleekit.errors import NoRoot, NoSignChange
+from alleekit.errors import NoRoot
 from alleekit.rootfind import (
     bracketed_root,
     real_cubic_roots,
@@ -37,7 +37,7 @@ def test_bracketed_root_steep_function():
 
 
 def test_bracketed_root_no_sign_change():
-    with pytest.raises(NoSignChange):
+    with pytest.raises(NoRoot, match="no sign change on"):
         bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alleekit.errors import BracketInvalid, Inconclusive
+from alleekit.errors import Inconclusive, NoRoot
 from alleekit.model import KineticParams, coexisting_equilibria
 from alleekit.temporal import (
     AttractorKind,
@@ -97,9 +97,9 @@ def test_attractor_summary_synthetic_extinction():
 
 def test_predicate_signs_around_threshold(p_main):
     """sigma=1.7 loses the cycle, sigma=1.85 keeps it."""
-    with pytest.raises(BracketInvalid):
+    with pytest.raises(NoRoot, match="both bracket endpoints classify as cycle"):
         heteroclinic_threshold(p_main, (1.82, 1.85))
-    with pytest.raises(BracketInvalid):
+    with pytest.raises(NoRoot, match="both bracket endpoints classify as extinction"):
         heteroclinic_threshold(p_main, (1.60, 1.70))
 
 

@@ -6,13 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from alleekit.errors import OutOfRange
-from alleekit.model import axial_equilibria, coexisting_equilibria, kinetics
+from alleekit import waves
+from alleekit.errors import NoConvergence, NonFinite, OutOfRange
+from alleekit.model import (
+    axial_equilibria,
+    coexisting_equilibria,
+    kinetics,
+    upper_axial,
+)
 from alleekit.waves import (
     Shot,
     WaveClass,
+    _classify_cell,
     _slow_unstable_vector,
-    _u1,
     c_min,
     end_state_spectra,
     j_constants,
@@ -54,7 +60,7 @@ def test_c_min_needs_prey_only_state(p_main):
 
 
 def test_rhs_vanishes_at_end_states(p_main):
-    u1 = _u1(p_main)
+    u1 = upper_axial(p_main).u
     e = coexisting_equilibria(p_main)[-1]
     for s in ([u1, u1, 0.0, 0.0], [e.u, e.u, e.v, e.v]):
         r = tw_rhs(np.array(s), p_main, D_REF, C_REF)
@@ -74,7 +80,7 @@ def test_jacobian_matches_finite_differences(p_main):
 
 
 def test_block_calls_equal_column_calls(p_main, rng):
-    u1 = _u1(p_main)
+    u1 = upper_axial(p_main).u
     block = rng.uniform(0.0, u1, (4, 7))
     r = tw_rhs(block, p_main, D_REF, C_REF)
     J = tw_jacobian(block, p_main, D_REF, C_REF)
@@ -88,7 +94,7 @@ def test_block_calls_equal_column_calls(p_main, rng):
 def test_prey_only_spectrum_closed_form(p_main):
     sp = end_state_spectra(p_main, D_REF, C_REF)
     closed = sorted(sp.lambdas_prey_only, key=lambda z: z.real)
-    u1 = _u1(p_main)
+    u1 = upper_axial(p_main).u
     numeric = sorted(
         np.linalg.eigvals(tw_jacobian(np.array([u1, u1, 0.0, 0.0]),
                                       p_main, D_REF, C_REF)),
@@ -125,7 +131,7 @@ def test_wedge_zeta_frozen():
 def test_predation_rate_is_pinched(p_main, rng):
     # -W < F2(X, W) < (gamma - 1) W on the strip 0 < X < u1, W > 0; this is
     # what makes the wedge invariant work
-    u1 = _u1(p_main)
+    u1 = upper_axial(p_main).u
     X = rng.uniform(1e-6, u1, 400)
     W = rng.uniform(1e-6, 3.0, 400)
     _, f2 = kinetics(X, W, p_main)
@@ -134,7 +140,7 @@ def test_predation_rate_is_pinched(p_main, rng):
 
 
 def test_slow_vector_is_eigenvector(p_main):
-    u1 = _u1(p_main)
+    u1 = upper_axial(p_main).u
     v = _slow_unstable_vector(p_main, D_REF, C_REF)
     J = tw_jacobian(np.array([u1, u1, 0.0, 0.0]), p_main, D_REF, C_REF)
     w = J @ v
@@ -151,7 +157,7 @@ def test_shot_main_front(p_main):
     assert np.all(np.diff(s.t) > 0)
     assert np.isfinite(s.states).all()
 
-    u1 = _u1(p_main)
+    u1 = upper_axial(p_main).u
     e = coexisting_equilibria(p_main)[-1]
     X, W = s.states[:, 0], s.states[:, 2]
     assert u1 - 2e-5 < X.max() < u1  # starts at the launch point, not at E1
@@ -224,3 +230,15 @@ def test_scan_small_grid(p_main):
 def test_scan_refuses_sigmas_below_hopf(p_main):
     with pytest.raises(OutOfRange):
         scan_plane(p_main, D_REF, np.array([1.5, 2.0]), np.array([5.0]))
+
+
+@pytest.mark.parametrize("error", [NonFinite("computed orbit leaves the physical box"),
+                                   OutOfRange("degenerate slow eigenvector"),
+                                   NoConvergence("profile collocation failed")])
+def test_failed_shot_classifies_as_unknown(p_main, monkeypatch, error):
+    # scan_plane records per-cell failures as Unknown and never raises them
+    def failing_shot(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(waves, "shoot_heteroclinic", failing_shot)
+    assert _classify_cell(p_main, D_REF, 5.9) == WaveClass.UNKNOWN
