@@ -16,9 +16,9 @@ Submodules:
 
 The names in ``__all__`` are loaded lazily (PEP 562): ``import alleekit``
 imports no submodule, and ``alleekit.X`` imports only the submodule that
-defines ``X``, on first use. So the scipy-backed layers (``temporal``,
-``pde``, ``continuation``, ``waves``, ``diagnostics``) cost nothing until
-something asks for them.
+defines ``X``, on first use. So the scipy-backed layers (``pde``,
+``continuation``, ``waves``, ``diagnostics``) cost nothing until something
+asks for them.
 """
 
 from importlib import import_module

@@ -14,7 +14,7 @@ and ``rootfind``, and no scipy; that is all ``equilibria`` and
 ``thresholds`` need. The other commands add, after the config is parsed
 and before the run starts:
 
-* ``temporal-diagram``: ``temporal`` (``scipy.integrate``);
+* ``temporal-diagram``: ``temporal`` (no scipy);
 * ``simulate``: ``pde`` (LAPACK from ``scipy.linalg``);
 * ``lyapunov`` and ``pulse``: ``pde`` and ``diagnostics`` (``lyapunov``
   loads them while the config is parsed, to check ``[run] t``);

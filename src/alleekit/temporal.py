@@ -1,9 +1,19 @@
 """Time integration of the planar kinetics and attractor characterization.
 
-The integrator is scipy's RK45 (Dormand-Prince embedded 5(4) pair); the
-kinetics are non-stiff, so the adaptive pair with relative tolerance 1e-8
-is the default. Everything downstream works on densely sampled
-:class:`Trajectory` objects.
+The integrator is the Dormand-Prince embedded 5(4) pair (Dormand & Prince,
+J. Comput. Appl. Math. 6, 1980), written for the two-variable kinetics in
+plain Python floats, with the step-size controller, order-4 dense output
+and event location of Hairer, Norsett & Wanner, *Solving Ordinary
+Differential Equations I*, sections II.4-II.6. It reproduces scipy's RK45:
+the same tableau, error weights, first-step rule and controller, and the
+same interpolant at the sample times. The two differ only in the rounding
+of their sums, so their step sizes drift apart slowly (from about 1e-11
+relative), and an accept test that falls within that drift of its bound
+can go the other way. On the sigma = 1.82 cycle orbit they take the same
+steps; near a fixed point, where the error estimate is mostly rounding,
+they can differ by a step or two. The kinetics are non-stiff, so the explicit pair with
+relative tolerance 1e-8 is the default. Everything downstream works on
+densely sampled :class:`Trajectory` objects.
 """
 
 from __future__ import annotations
@@ -14,7 +24,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     Inconclusive,
@@ -31,6 +40,7 @@ from .model import (
     coexisting_equilibria,
     kinetics,
 )
+from .rootfind import bracketed_root
 
 __all__ = [
     "Terminal",
@@ -83,6 +93,187 @@ class AttractorSummary:
     period: float | None = None
 
 
+# Dormand-Prince 5(4) with the coefficients of scipy's RK45. The kinetics are
+# autonomous, so the stage nodes c_i never enter. _B* are the fifth-order
+# weights (b2 = 0), _E* the fifth-minus-fourth-order error weights over the
+# seven FSAL stages, and _P* the order-4 dense output of Shampine (1986):
+# y(t + x*h) = y + h*(k1*x + Q1*x^2 + Q2*x^3 + Q3*x^4), Qj = sum_i Pij*ki.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P11, _P12, _P13 = (-8048581381 / 2820520608, 8663915743 / 2820520608,
+                    -12715105075 / 11282082432)
+_P31, _P32, _P33 = (131558114200 / 32700410799, -68118460800 / 10900136933,
+                    87487479700 / 32700410799)
+_P41, _P42, _P43 = (-1754552775 / 470086768, 14199869525 / 1410260304,
+                    -10690763975 / 1880347072)
+_P51, _P52, _P53 = (127303824393 / 49829197408, -318862633887 / 49829197408,
+                    701980252875 / 199316789632)
+_P61, _P62, _P63 = (-282668133 / 205662961, 2019193451 / 616988883,
+                    -1453857185 / 822651844)
+_P71, _P72, _P73 = (40617522 / 29380423, -110615467 / 29380423,
+                    69997945 / 29380423)
+# step-size controller: safety factor, factor limits, and the exponent
+# -1/(q+1) of the embedded order q = 4
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERR_EXPONENT = -1 / 5
+_SQRT2 = 2 ** 0.5
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / _SQRT2
+
+
+def _initial_step(u: float, v: float, fu: float, fv: float, p: KineticParams,
+                  T: float, rtol: float, atol: float) -> float:
+    """First step for an order-4 error estimate (Hairer-Norsett-Wanner
+    II.4, scipy's ``select_initial_step``); one right-hand-side call."""
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = _rms(u / su, v / sv), _rms(fu / su, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, T)
+    gu, gv = kinetics(u + h0 * fu, v + h0 * fv, p)
+    d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, T)
+
+
+def _extinction_gap(u: float, v: float) -> float:
+    return max(u, v) - EXTINCTION_LEVEL
+
+
+def _divergence_gap(u: float, v: float) -> float:
+    return max(abs(u), abs(v)) - DIVERGENCE_LEVEL
+
+
+def _dense(s: float, t: float, h: float, u: float, v: float,
+           cu: tuple[float, ...], cv: tuple[float, ...]) -> tuple[float, float]:
+    """The state at time s on the interpolant of the step [t, t + h]."""
+    x = (s - t) / h
+    return (u + x * (cu[0] + x * (cu[1] + x * (cu[2] + x * cu[3]))),
+            v + x * (cv[0] + x * (cv[1] + x * (cv[2] + x * cv[3]))))
+
+
+def _crossing(gap, step: tuple, t_new: float, g_old: float, g_new: float) -> float:
+    """Where the event function ``gap`` changes sign on the interpolant of
+    the accepted step ending at ``t_new``."""
+    return bracketed_root(lambda s: gap(*_dense(s, *step)), step[0], t_new,
+                          fa=g_old, fb=g_new)
+
+
+def _dopri5(u: float, v: float, p: KineticParams, T: float, rtol: float,
+            atol: float, t_eval: list[float],
+            ) -> tuple[list[float], list[float], Terminal | None]:
+    """Integrate from (u, v) at t = 0 toward T, sampling the dense output
+    at ``t_eval`` (ascending, inside [0, T]).
+
+    Returns the times, the flat states [u0, v0, u1, v1, ...] and the
+    terminal event that stopped the run (None when T was reached). Events
+    are checked at each step end: extinction when max(u, v) falls through
+    EXTINCTION_LEVEL, divergence when max(|u|, |v|) rises through
+    DIVERGENCE_LEVEL. The run stops at the root of the event function on
+    the step's interpolant, with the samples before it and then the event
+    state itself, unless a sample time falls exactly on it.
+    """
+    k1u, k1v = kinetics(u, v, p)
+    h_abs = _initial_step(u, v, k1u, k1v, p, T, rtol, atol)
+    g_ext, g_div = _extinction_gap(u, v), _divergence_gap(u, v)
+    n_eval = len(t_eval)
+    times: list[float] = []
+    out: list[float] = []
+    i = 0
+    t = 0.0
+    while True:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NoConvergence(
+                    f"integrator failed at t={t}: required step size is less "
+                    "than spacing between numbers")
+            t_new = min(t + h_abs, T)
+            h = t_new - t
+            k2u, k2v = kinetics(u + (_A21 * k1u) * h, v + (_A21 * k1v) * h, p)
+            k3u, k3v = kinetics(u + (_A31 * k1u + _A32 * k2u) * h,
+                                v + (_A31 * k1v + _A32 * k2v) * h, p)
+            k4u, k4v = kinetics(u + (_A41 * k1u + _A42 * k2u + _A43 * k3u) * h,
+                                v + (_A41 * k1v + _A42 * k2v + _A43 * k3v) * h, p)
+            k5u, k5v = kinetics(
+                u + (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u) * h,
+                v + (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v) * h, p)
+            k6u, k6v = kinetics(
+                u + (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u
+                     + _A65 * k5u) * h,
+                v + (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v
+                     + _A65 * k5v) * h, p)
+            un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+            vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+            k7u, k7v = kinetics(un, vn, p)
+            eu = (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u
+                  + _E7 * k7u) * h
+            ev = (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v
+                  + _E7 * k7v) * h
+            err = _rms(eu / (atol + max(abs(u), abs(un)) * rtol),
+                       ev / (atol + max(abs(v), abs(vn)) * rtol))
+            if err < 1.0:
+                factor = (_MAX_FACTOR if err == 0.0
+                          else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)
+            rejected = True
+
+        # the step's interpolant y(t + x*h) = y + x*(c1 + x*(c2 + x*(c3 + x*c4)))
+        cu = (h * k1u,
+              h * (_P11 * k1u + _P31 * k3u + _P41 * k4u + _P51 * k5u
+                   + _P61 * k6u + _P71 * k7u),
+              h * (_P12 * k1u + _P32 * k3u + _P42 * k4u + _P52 * k5u
+                   + _P62 * k6u + _P72 * k7u),
+              h * (_P13 * k1u + _P33 * k3u + _P43 * k4u + _P53 * k5u
+                   + _P63 * k6u + _P73 * k7u))
+        cv = (h * k1v,
+              h * (_P11 * k1v + _P31 * k3v + _P41 * k4v + _P51 * k5v
+                   + _P61 * k6v + _P71 * k7v),
+              h * (_P12 * k1v + _P32 * k3v + _P42 * k4v + _P52 * k5v
+                   + _P62 * k6v + _P72 * k7v),
+              h * (_P13 * k1v + _P33 * k3v + _P43 * k4v + _P53 * k5v
+                   + _P63 * k6v + _P73 * k7v))
+        step = (t, h, u, v, cu, cv)
+
+        t_end, event = t_new, None
+        ge, gd = _extinction_gap(un, vn), _divergence_gap(un, vn)
+        if g_ext >= 0.0 >= ge:
+            t_end = _crossing(_extinction_gap, step, t_new, g_ext, ge)
+            event = Terminal.CONVERGED_TO_POINT
+        if g_div <= 0.0 <= gd:
+            t_div = _crossing(_divergence_gap, step, t_new, g_div, gd)
+            if event is None or t_div < t_end:
+                t_end, event = t_div, Terminal.DIVERGED
+
+        while i < n_eval and t_eval[i] <= t_end:
+            times.append(t_eval[i])
+            out.extend(_dense(t_eval[i], *step))
+            i += 1
+        if event is not None:
+            if not times or times[-1] < t_end:
+                times.append(t_end)
+                out.extend(_dense(t_end, *step))
+            return times, out, event
+        if t_new >= T:
+            return times, out, None
+        t, u, v, k1u, k1v, g_ext, g_div = t_new, un, vn, k7u, k7v, ge, gd
+
+
 def integrate_ode(
     ic: tuple[float, float],
     p: KineticParams,
@@ -93,12 +284,15 @@ def integrate_ode(
 ) -> Trajectory:
     """Integrate the kinetics from ``ic`` for ``T`` time units.
 
-    Stops early (terminal ConvergedToPoint) once max(u, v) falls below
-    1e-6: from there the origin absorbs the orbit, since the prey growth
-    term is quadratic at low density. Diverged is flagged at 1e3, which the
-    bounded kinetics never reach from valid states. States that undershoot
-    zero by less than ``tol`` are clipped to 0; a worse undershoot is an
-    integration failure.
+    Relative tolerance ``tol``, absolute ``tol * 1e-2``. The trajectory is
+    sampled on ``sample_times`` (a strictly increasing grid inside
+    [0, T]), by default on a uniform grid from 0 to T. Stops early
+    (terminal ConvergedToPoint) once max(u, v) falls below 1e-6: from there
+    the origin absorbs the orbit, since the prey growth term is quadratic
+    at low density. Diverged is flagged at 1e3, which the bounded kinetics
+    never reach from valid states. States that undershoot zero by less
+    than ``tol`` are clipped to 0; a worse undershoot is an integration
+    failure.
     """
     u0, v0 = float(ic[0]), float(ic[1])
     if not (math.isfinite(u0) and math.isfinite(v0)):
@@ -107,8 +301,8 @@ def integrate_ode(
         raise ValueError(f"initial condition must be non-negative, got {ic}")
     if not (1e-12 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-12, 1e-3], got {tol}")
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
 
     if sample_times is None:
         dt_out = max(min(0.25, T / 1000.0), T / 200000.0)
@@ -116,46 +310,17 @@ def integrate_ode(
         t_eval = np.linspace(0.0, T, n_out + 1)
     else:
         t_eval = np.asarray(sample_times, dtype=float)
-        if t_eval.ndim != 1 or t_eval.size < 2 or np.any(np.diff(t_eval) <= 0):
+        if t_eval.ndim != 1 or t_eval.size < 2 or not np.all(np.diff(t_eval) > 0):
             raise ValueError("sample_times must be a strictly increasing 1-D grid")
+        if not 0.0 <= t_eval[0] <= t_eval[-1] <= T:
+            raise ValueError(
+                f"sample_times must lie inside [0, T] = [0, {T}], got "
+                f"[{t_eval[0]}, {t_eval[-1]}]")
 
-    def rhs(_t: float, y: np.ndarray):
-        return kinetics(float(y[0]), float(y[1]), p)
-
-    def ext_event(_t: float, y: np.ndarray) -> float:
-        return max(y[0], y[1]) - EXTINCTION_LEVEL
-
-    ext_event.terminal = True
-    ext_event.direction = -1.0
-
-    def div_event(_t: float, y: np.ndarray) -> float:
-        return max(abs(y[0]), abs(y[1])) - DIVERGENCE_LEVEL
-
-    div_event.terminal = True
-    div_event.direction = 1.0
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        [u0, v0],
-        method="RK45",
-        rtol=tol,
-        atol=tol * 1e-2,
-        t_eval=t_eval,
-        events=(ext_event, div_event),
-    )
-    if sol.status == -1:
-        raise NoConvergence(f"integrator failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
-
-    times = sol.t
-    states = sol.y.T.copy()
-    if sol.status == 1 and sol.t_events is not None:
-        # Append the event state so the trajectory ends where it stopped.
-        for ev_t, ev_y in zip(sol.t_events, sol.y_events):
-            if len(ev_t):
-                if times.size == 0 or ev_t[-1] > times[-1]:
-                    times = np.append(times, ev_t[-1])
-                    states = np.vstack([states, ev_y[-1]])
+    t_list, flat, event = _dopri5(u0, v0, p, float(T), tol, tol * 1e-2,
+                                  t_eval.tolist())
+    times = np.array(t_list)
+    states = np.array(flat).reshape(-1, 2)
 
     if not np.all(np.isfinite(states)):
         raise NonFinite("integration produced non-finite states")
@@ -164,11 +329,8 @@ def integrate_ode(
         raise NonFinite(f"positivity lost: state component reached {low:.3g} < -tol")
     np.clip(states, 0.0, None, out=states)
 
-    if sol.status == 1 and len(sol.t_events[1]):
-        terminal = Terminal.DIVERGED
-    elif sol.status == 1:
-        terminal = Terminal.CONVERGED_TO_POINT
-    else:
+    terminal = event
+    if terminal is None:
         terminal = Terminal.REACHED_T
         f1, f2 = kinetics(float(states[-1, 0]), float(states[-1, 1]), p)
         if math.hypot(f1, f2) < 1e-9:

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_bvp, solve_ivp
 
-from .errors import NoConvergence, NonFinite, OutOfRange
+from .errors import NoConvergence, NonFinite, NoRoot, OutOfRange
 from .model import (
     KineticParams,
     hopf_sigma,
     jacobian_fields,
     kinetics,
+    sigma_tc,
     upper_axial,
     upper_coexisting,
 )
@@ -188,6 +189,8 @@ def _kinetic_seed(p: KineticParams, d: float, c: float, y0: np.ndarray,
     near.direction = -1.0
     # RK45: the kinetics are non-stiff at wave parameters, and DOP853's
     # long-step dense output is too wiggly to seed the collocation
+    # scipy's, not temporal's own stepper: atol 1e-13 and the continuous
+    # sol.sol, and solve_bvp needs scipy.integrate anyway
     sol = solve_ivp(kin, (0.0, 2.0 * t_max), y0[[0, 2]], method="RK45",
                     rtol=1e-10, atol=1e-13, dense_output=True, events=near)
     if not sol.t_events[0].size:
@@ -471,11 +474,22 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
     """
     sigmas = np.asarray(sigmas, dtype=float)
     cs = np.asarray(cs, dtype=float)
-    sig_h, _ = hopf_sigma(p, (0.5, 4.0))
-    if sigmas.min() <= sig_h:
+    sig_min = float(sigmas.min())
+    # The upper coexisting state leaves the prey axis at sigma_TC, at the
+    # Allee threshold, where the prey self-term makes it unstable; so the
+    # first Hopf point lies between just above sigma_TC and any scanned
+    # sigma at which that state attracts.
+    lo = 1.01 * sigma_tc(p)
+    try:
+        sig_h, _ = hopf_sigma(p, (lo, sig_min))
+    except NoRoot as exc:
+        raise OutOfRange(
+            f"scan sigmas must exceed the Hopf value, which does not lie in "
+            f"[{lo:.4f}, {sig_min:.4f}]: {exc}") from exc
+    if sig_min <= sig_h:
         raise OutOfRange(
             f"scan sigmas must exceed the Hopf value {sig_h:.4f}; "
-            f"got min {sigmas.min():.4f}")
+            f"got min {sig_min:.4f}")
     codes = np.full((sigmas.size, cs.size), int(WaveClass.UNKNOWN), dtype=int)
     cmins = np.empty(sigmas.size)
     for i, sig in enumerate(sigmas):

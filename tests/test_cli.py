@@ -10,15 +10,16 @@ sigma = {sigma}
 alpha = 0.07
 beta = 0.2
 gamma = 1.2
-eta = 0.1
+eta = {eta}
 [spatial]
 d = 46
 """
 
 
-def _run(tmp_path, capsys, command, body, *, sigma=2.7, out="out", seed=None):
+def _run(tmp_path, capsys, command, body, *, sigma=2.7, out="out", seed=None,
+         eta=0.1):
     cfg = tmp_path / f"{command}.cfg"
-    cfg.write_text(_KINETICS.format(sigma=sigma) + body)
+    cfg.write_text(_KINETICS.format(sigma=sigma, eta=eta) + body)
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / out)]
     if seed is not None:
         argv += ["--seed", str(seed)]
@@ -92,6 +93,17 @@ def test_continue_start_outside_range_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "branch.csv").exists()
 
+
+def test_wave_scan_brackets_hopf_above_coexistence_floor(tmp_path, capsys):
+    # with eta = 0.2 nothing coexists below sigma_TC = 0.879, so the Hopf
+    # point (2.190) must be sought above it, not from a fixed sigma = 0.5
+    rc, err = _run(tmp_path, capsys, "wave-scan",
+                   "[sweep]\nsigma_lo = 2.7\nsigma_hi = 2.7\nsigma_count = 1\n"
+                   "c_lo = 5.9\nc_hi = 5.9\nc_count = 1\n", eta=0.2)
+    assert rc == 0, err
+    rows = (tmp_path / "out" / "scan.csv").read_text().splitlines()
+    assert rows[0] == "sigma,c,classification_code,c_min_at_sigma"
+    assert len(rows) == 2
 
 @pytest.mark.parametrize("command,body,key", [
     ("temporal-diagram", "[sweep]\nsigma_lo = -1\nsigma_hi = 1.9\n"

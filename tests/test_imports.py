@@ -1,6 +1,7 @@
 """The import contract: ``import alleekit`` and ``import alleekit.cli`` load
-no scipy, each CLI command loads its layers before its run starts, and the
-lazy package namespace still serves every public name.
+no scipy, nor do the ``equilibria``, ``thresholds`` and ``temporal-diagram``
+runs; each CLI command loads its layers before its run starts; and the lazy
+package namespace still serves every public name.
 
 Each check runs in a fresh interpreter, because the test session itself has
 already imported every layer.
@@ -90,7 +91,7 @@ def _drive(tmp_path, commands) -> dict:
 
 
 def test_scipy_free_commands_load_no_scipy(tmp_path):
-    report = _drive(tmp_path, ["equilibria", "thresholds"])
+    report = _drive(tmp_path, ["equilibria", "thresholds", "temporal-diagram"])
     assert report["after_package"] == ["alleekit"]
     assert not [m for m in report["loaded"] if m.split(".")[0] == "scipy"]
     assert "alleekit.pde" not in report["loaded"]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from alleekit import temporal
 from alleekit.errors import Inconclusive, NoRoot
 from alleekit.model import KineticParams, coexisting_equilibria
 from alleekit.temporal import (
+    EXTINCTION_LEVEL,
     AttractorKind,
     Terminal,
     Trajectory,
@@ -69,6 +71,71 @@ def test_sample_times_are_honored(p_main):
     grid = np.linspace(0.0, 20.0, 41)
     tr = integrate_ode((0.8, 0.3), p_main, 20.0, sample_times=grid)
     np.testing.assert_allclose(tr.times, grid)
+
+
+def test_sample_times_outside_the_span_are_rejected(p_main):
+    for grid in ([-1.0, 5.0, 10.0], [0.0, 10.0, 20.5]):
+        with pytest.raises(ValueError, match=r"inside \[0, T\]"):
+            integrate_ode((0.8, 0.3), p_main, 20.0, sample_times=grid)
+
+
+def test_sample_grid_off_zero_is_returned_as_given(p_main):
+    grid = np.linspace(5.0, 20.0, 31)
+    tr = integrate_ode((0.8, 0.3), p_main, 20.0, sample_times=grid)
+    assert np.array_equal(tr.times, grid)
+    assert tr.states.shape == (31, 2)
+    # the same steps and interpolant as a run sampled from 0
+    full = integrate_ode((0.8, 0.3), p_main, 20.0,
+                         sample_times=np.concatenate([[0.0], grid]))
+    np.testing.assert_array_equal(full.states[1:], tr.states)
+
+
+def _scipy_rk45(ic, p, T, t_eval, tol=1e-8):
+    """The same problem through scipy's RK45, as integrate_ode sets it up."""
+    from scipy.integrate import solve_ivp
+
+    def extinct(_t, y):
+        return max(y[0], y[1]) - EXTINCTION_LEVEL
+
+    def diverged(_t, y):
+        return max(abs(y[0]), abs(y[1])) - temporal.DIVERGENCE_LEVEL
+
+    extinct.terminal, extinct.direction = True, -1.0
+    diverged.terminal, diverged.direction = True, 1.0
+    return solve_ivp(lambda _t, y: temporal.kinetics(float(y[0]), float(y[1]), p),
+                     (0.0, T), list(ic), method="RK45", rtol=tol, atol=tol * 1e-2,
+                     t_eval=t_eval, events=(extinct, diverged))
+
+
+def test_integrator_reproduces_scipy_rk45_on_the_cycle(p_main, monkeypatch):
+    p = p_main.with_sigma(1.82)
+    e = coexisting_equilibria(p)[-1]
+    ic = (e.u + 0.01, e.v + 0.01)
+    calls = []
+    kinetics = temporal.kinetics
+
+    def counted(u, v, p):
+        calls.append(None)
+        return kinetics(u, v, p)
+
+    monkeypatch.setattr(temporal, "kinetics", counted)
+    tr = integrate_ode(ic, p, 2500.0)
+    n_calls = len(calls)
+    monkeypatch.setattr(temporal, "kinetics", kinetics)
+    sol = _scipy_rk45(ic, p, 2500.0, tr.times)
+    assert sol.status == 0 and tr.terminal is Terminal.REACHED_T
+    assert np.abs(tr.states - sol.y.T).max() < 1e-10
+    # the same accepted and rejected steps; the one extra call is the
+    # fixed-point check at T
+    assert n_calls == sol.nfev + 1
+
+
+def test_integrator_reproduces_scipy_rk45_extinction_stop(p_main):
+    sol = _scipy_rk45((0.02, 0.01), p_main, 500.0, None)
+    tr = integrate_ode((0.02, 0.01), p_main, 500.0)
+    assert sol.status == 1 and tr.terminal is Terminal.CONVERGED_TO_POINT
+    assert abs(tr.times[-1] - sol.t_events[0][0]) < 1e-9
+    assert abs(tr.states[-1].max() - EXTINCTION_LEVEL) < 1e-12
 
 
 def test_classification_invariant_to_doubling_T(p_main):
