@@ -15,7 +15,8 @@ and ``rootfind``, and no scipy; that is all ``equilibria`` and
 and before the run starts:
 
 * ``temporal-diagram``: ``temporal`` (no scipy);
-* ``simulate``: ``pde`` (LAPACK from ``scipy.linalg``);
+* ``simulate``: ``pde`` (scipy's LAPACK extension ``scipy.linalg._flapack``
+  alone, not the ``scipy.linalg`` package);
 * ``lyapunov`` and ``pulse``: ``pde`` and ``diagnostics`` (``lyapunov``
   loads them while the config is parsed, to check ``[run] t``);
 * ``continue``: ``pde`` and ``continuation`` (also ``scipy.sparse.linalg``);
@@ -96,7 +97,12 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence],
 
 def _write_snapshot(path: Path, x: np.ndarray, u: np.ndarray, v: np.ndarray,
                     preamble: Sequence[str]) -> None:
-    _write_csv(path, ("x", "u", "v"), zip(x, u, v), preamble)
+    """_write_csv of float columns x, u, v, formatted a row at a time."""
+    row = "{:.11e},{:.11e},{:.11e}".format
+    lines = [f"# {p}" for p in preamble]
+    lines.append("x,u,v")
+    lines.extend(map(row, x.tolist(), u.tolist(), v.tolist()))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _manifest(out: Path) -> None:
@@ -274,13 +280,15 @@ def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> None:
 
 def cmd_lyapunov(cfg: ExperimentConfig, out: Path) -> None:
     from .diagnostics import largest_lyapunov
-    from .pde import make_ic, run
+    from .pde import Recorder, make_ic, run
 
     grid, dt = _grid_and_dt(cfg)
     rng = _rng(cfg)
     f0 = make_ic(cfg.ic, grid, cfg.p, amplitude=cfg.amplitude, rng=rng)
     if cfg.transient > 0:
-        f0 = run(f0, cfg.p, cfg.d, cfg.transient, dt=dt,
+        # only the final state is read, so sample the series at its ends
+        f0 = run(f0, cfg.p, cfg.d, cfg.transient,
+                 Recorder(series_every=cfg.transient), dt=dt,
                  scheme=cfg.scheme).final
     res = largest_lyapunov(f0, cfg.p, cfg.d, cfg.T,
                            renorm_interval=cfg.renorm_interval,

@@ -2,9 +2,10 @@
 
 Unknowns are interleaved (u0, v0, u1, v1, ...) so the steady-state
 Jacobian is banded with two sub- and two superdiagonals; one LAPACK
-banded LU serves the Newton corrector, the extended-system determinant
-sign used for branch-point detection, and the shifted inverse iteration
-behind linear stability. The residual is the PDE stepper's own
+banded LU (``dgbtrf`` from :mod:`alleekit.pde`'s ``flapack``) serves the
+Newton corrector, the extended-system determinant sign used for
+branch-point detection, and the shifted inverse iteration behind linear
+stability. The residual is the PDE stepper's own
 right-hand side (``semidiscrete_rhs`` in :mod:`alleekit.pde`) and the
 Jacobian's diffusion rows come from its ``laplacian_bands``, so the steady
 states here are exactly those of the PDE stepper.
@@ -16,13 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
 from .linear import spatial_spectrum
 from .model import KineticParams, jacobian_fields, upper_coexisting
-from .pde import Grid, l2_norm, laplacian_bands, semidiscrete_rhs
+from .pde import Grid, flapack, l2_norm, laplacian_bands, semidiscrete_rhs
 
 KL = 2
 KU = 2
@@ -110,7 +110,7 @@ class BandedLU:
     """LU factorization of a banded matrix with a sign-of-determinant."""
 
     def __init__(self, ab: np.ndarray):
-        self.lu, self.ipiv, info = lapack.dgbtrf(ab, KL, KU)
+        self.lu, self.ipiv, info = flapack.dgbtrf(ab, KL, KU)
         if info < 0:
             raise ValueError(f"bad argument {-info} to banded factorization")
         self.singular = info > 0
@@ -118,7 +118,7 @@ class BandedLU:
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.singular:
             raise SingularJacobian("banded Jacobian is numerically singular")
-        x, info = lapack.dgbtrs(self.lu, KL, KU, b, self.ipiv)
+        x, info = flapack.dgbtrs(self.lu, KL, KU, b, self.ipiv)
         if info != 0:
             raise SingularJacobian(f"banded solve failed (info={info})")
         return x

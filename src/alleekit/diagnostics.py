@@ -40,11 +40,11 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
                      rng: np.random.Generator | None = None) -> LyapunovResult:
     """Benettin-style tangent propagation along the discretized flow.
 
-    The tangent is advanced by ``ImexStepper.tangent_arrays``, the exact
-    linearization of the IMEX map (reaction Jacobian explicit, the same
-    cached tridiagonal solves implicit), so growth factors measure the
-    discrete flow itself rather than a separately discretized variational
-    equation. The tangent starts
+    The tangent is advanced with the state by
+    ``ImexStepper.step_with_tangent``, the exact linearization of the IMEX
+    map (reaction Jacobian explicit, the same cached tridiagonal solves
+    implicit), so growth factors measure the discrete flow itself rather
+    than a separately discretized variational equation. The tangent starts
     as normalized noise and the first DISCARD fraction of growth factors
     is dropped to let it align with the leading direction.
 
@@ -83,8 +83,7 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     t = f0.t
     for k in range(n_renorm):
         for _ in range(steps_per):
-            du, dv = stepper.tangent_arrays(u, v, du, dv)
-            u, v = stepper.step_arrays(u, v, t)
+            u, v, du, dv = stepper.step_with_tangent(u, v, du, dv, t)
             t += dt
         g = math.hypot(np.linalg.norm(du), np.linalg.norm(dv))
         if not (g > 0 and math.isfinite(g)):

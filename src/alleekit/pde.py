@@ -10,16 +10,28 @@ steady-state Jacobian in :mod:`alleekit.continuation` are built from.
 continuation solves it for zero and ``run`` samples it. Time stepping is
 first-order IMEX (explicit reaction, implicit tridiagonal diffusion) with
 a second-order Strang variant.
+
+The tridiagonal solves call LAPACK's ``dgttrf``/``dgttrs`` in scipy's f2py
+extension ``scipy.linalg._flapack``, loaded straight from its file by
+``_load_flapack``: importing ``scipy.linalg`` would first run that package's
+init, about 0.25 s per process on a 2-core x86-64 Xeon, which loads
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` and no solver used here.
+The module is registered under its own name, so a later
+``import scipy.linalg`` reuses it.
+:mod:`alleekit.continuation` takes its banded LAPACK routines from here too.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import Inconclusive, NonFinite, NoRoot, OutOfRange, ToolkitError
 from .linear import kpm_roots
@@ -33,6 +45,30 @@ from .model import (
 
 DERIV_TOL = 1e-6
 VARIANCE_TOL = 1e-6
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, without scipy.linalg's package init."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+
+        directory = os.path.join(scipy.__path__[0], "linalg")
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)
+                          ).find_spec(_FLAPACK)
+        if spec is None:
+            raise ImportError(
+                f"scipy's LAPACK extension _flapack is not in {directory}",
+                name=_FLAPACK)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module
+
+
+flapack = _load_flapack()
 
 
 @dataclass(frozen=True)
@@ -116,13 +152,13 @@ class _TriFactor:
 
     def __init__(self, n: int, dx: float, coef: float):
         lower, diag, upper = laplacian_bands(n, dx, coef)
-        self.dl, self.d, self.du, self.du2, self.ipiv, info = lapack.dgttrf(
+        self.dl, self.d, self.du, self.du2, self.ipiv, info = flapack.dgttrf(
             -lower, 1.0 - diag, -upper)
         if info != 0:
             raise NonFinite(f"diffusion matrix factorization failed (info={info})")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = lapack.dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, b)
+        x, info = flapack.dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, b)
         if info != 0:
             raise NonFinite(f"tridiagonal solve failed (info={info})")
         return x
@@ -154,9 +190,13 @@ class ImexStepper:
         self._fu = _TriFactor(grid.N, grid.dx, dt)
         self._fv = _TriFactor(grid.N, grid.dx, dt * d)
 
-    def step_arrays(self, u: np.ndarray, v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def step_arrays(self, u: np.ndarray, v: np.ndarray, t: float,
+                    reaction: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step from (u, v) at time t; `reaction` is kinetics(u, v, p)
+        when the caller has already evaluated it."""
         if self.include_reaction:
-            f1, f2 = kinetics(u, v, self.p)
+            f1, f2 = kinetics(u, v, self.p) if reaction is None else reaction
             u = u + self.dt * f1
             v = v + self.dt * f2
         un = self._fu.solve(u)
@@ -164,14 +204,26 @@ class ImexStepper:
         _check_finite(un, vn, t + self.dt)
         return un, vn
 
-    def tangent_arrays(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
-                       dv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact linearization of step_arrays at (u, v), applied to (du, dv)."""
+    def step_with_tangent(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
+                          dv: np.ndarray, t: float
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """step_arrays from (u, v), and its exact linearization at (u, v)
+        applied to (du, dv); each field's state and tangent share one
+        two-column solve."""
+        bu = np.empty((self.grid.N, 2), order="F")
+        bv = np.empty((self.grid.N, 2), order="F")
+        bu[:, 0], bv[:, 0], bu[:, 1], bv[:, 1] = u, v, du, dv
         if self.include_reaction:
+            f1, f2 = kinetics(u, v, self.p)
             a10, a01, b10, b01 = jacobian_fields(u, v, self.p)
-            du, dv = (du + self.dt * (a10 * du + a01 * dv),
-                      dv + self.dt * (b10 * du + b01 * dv))
-        return self._fu.solve(du), self._fv.solve(dv)
+            bu[:, 0] += self.dt * f1
+            bv[:, 0] += self.dt * f2
+            bu[:, 1] += self.dt * (a10 * du + a01 * dv)
+            bv[:, 1] += self.dt * (b10 * du + b01 * dv)
+        xu = self._fu.solve(bu)
+        xv = self._fv.solve(bv)
+        _check_finite(xu[:, 0], xv[:, 0], t + self.dt)
+        return xu[:, 0], xv[:, 0], xu[:, 1], xv[:, 1]
 
 
 class StrangStepper:
@@ -334,17 +386,16 @@ class SpaceTimeRecord:
 
 
 def semidiscrete_rhs(u: np.ndarray, v: np.ndarray, p: KineticParams, d: float,
-                     dx: float, include_reaction: bool = True
+                     dx: float, reaction: tuple | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative (du, dv) of the method-of-lines system.
 
     Its zeros are the discrete steady states that
-    :mod:`alleekit.continuation` follows.
+    :mod:`alleekit.continuation` follows. `reaction` is kinetics(u, v, p)
+    when the caller has already evaluated it, or (0.0, 0.0) for pure
+    diffusion.
     """
-    if include_reaction:
-        f1, f2 = kinetics(u, v, p)
-    else:
-        f1 = f2 = 0.0
+    f1, f2 = kinetics(u, v, p) if reaction is None else reaction
     return apply_laplacian(u, dx) + f1, d * apply_laplacian(v, dx) + f2
 
 
@@ -382,34 +433,45 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
     dx = grid.dx
     min_value = float(min(u.min(), v.min()))
 
-    def sample(tt: float, uu: np.ndarray, vv: np.ndarray) -> None:
+    # an IMEX step reacts at the state it starts from, so it reuses the
+    # kinetics its preceding sample evaluated there; Strang reacts at a
+    # half-diffused state and evaluates its own
+    reuse = include_reaction and isinstance(stepper, ImexStepper)
+
+    def sample(tt: float, uu: np.ndarray, vv: np.ndarray):
+        """Append a series row at (uu, vv); return the kinetics there when
+        the next step can reuse them."""
         # a diverging state can still be finite while its statistics
         # overflow; that is a NonFinite failure, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            du, dv = semidiscrete_rhs(uu, vv, p, d, dx, include_reaction)
+            reaction = kinetics(uu, vv, p) if include_reaction else (0.0, 0.0)
+            du, dv = semidiscrete_rhs(uu, vv, p, d, dx, reaction)
             row = (tt, trapezoid_mass(uu, dx) / grid.L,
                    trapezoid_mass(vv, dx) / grid.L, float(np.var(uu)),
                    float(np.maximum(np.abs(du).max(), np.abs(dv).max())))
         if not all(map(math.isfinite, row)):
             raise NonFinite(f"state lost finiteness near t={tt:.6g}")
         samples.append(row)
+        return reaction if reuse else None
 
     def snapshot(tt: float, uu: np.ndarray, vv: np.ndarray) -> None:
         snap_t.append(tt)
         snaps_u.append(uu.copy())
         snaps_v.append(vv.copy())
 
-    sample(t, u, v)
+    reaction = sample(t, u, v)
     snapshot(t, u, v)
 
     for k in range(1, n_steps + 1):
-        u, v = stepper.step_arrays(u, v, t)
+        u, v = (stepper.step_arrays(u, v, t) if reaction is None
+                else stepper.step_arrays(u, v, t, reaction))
+        reaction = None
         t = f0.t + k * dt
         m = float(min(u.min(), v.min()))
         if m < min_value:
             min_value = m
         if k % series_stride == 0 or k == n_steps:
-            sample(t, u, v)
+            reaction = sample(t, u, v)
         if (snap_stride and k % snap_stride == 0 and k != n_steps):
             snapshot(t, u, v)
     snapshot(t, u, v)

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_bvp, solve_ivp
 
-from .errors import NoConvergence, NonFinite, NoRoot, OutOfRange
+from .errors import NoConvergence, NonFinite, OutOfRange
 from .model import (
     KineticParams,
-    hopf_sigma,
+    Stability,
     jacobian_fields,
     kinetics,
-    sigma_tc,
     upper_axial,
     upper_coexisting,
 )
@@ -468,28 +467,19 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
     """Classify every (sigma, c) cell of the travelling-wave plane, each
     shot with collocation tolerance 1e-8.
 
-    Requires every sigma above the temporal Hopf value (the coexisting state
-    must attract). Cells below the minimal speed are NoWave without shooting;
+    Requires the upper coexisting state to be a stable node or focus at
+    every scanned sigma; OutOfRange names the first sigma where it is not.
+    Cells below the minimal speed are NoWave without shooting;
     per-cell failures are recorded as Unknown, never raised.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     cs = np.asarray(cs, dtype=float)
-    sig_min = float(sigmas.min())
-    # The upper coexisting state leaves the prey axis at sigma_TC, at the
-    # Allee threshold, where the prey self-term makes it unstable; so the
-    # first Hopf point lies between just above sigma_TC and any scanned
-    # sigma at which that state attracts.
-    lo = 1.01 * sigma_tc(p)
-    try:
-        sig_h, _ = hopf_sigma(p, (lo, sig_min))
-    except NoRoot as exc:
-        raise OutOfRange(
-            f"scan sigmas must exceed the Hopf value, which does not lie in "
-            f"[{lo:.4f}, {sig_min:.4f}]: {exc}") from exc
-    if sig_min <= sig_h:
-        raise OutOfRange(
-            f"scan sigmas must exceed the Hopf value {sig_h:.4f}; "
-            f"got min {sig_min:.4f}")
+    for sig in sigmas:
+        e = upper_coexisting(p.with_sigma(float(sig)))
+        if e.stability not in (Stability.STABLE_NODE, Stability.STABLE_FOCUS):
+            raise OutOfRange(
+                f"scan needs the coexisting state to attract at every sigma; "
+                f"at sigma={sig:.4f} it is {e.stability.value}")
     codes = np.full((sigmas.size, cs.size), int(WaveClass.UNKNOWN), dtype=int)
     cmins = np.empty(sigmas.size)
     for i, sig in enumerate(sigmas):

@@ -1,9 +1,10 @@
 """The command-line interface: documented exit codes, the pulse command, and
-byte-identical reruns."""
+byte-identical reruns and writers."""
 
+import numpy as np
 import pytest
 
-from alleekit.cli import main
+from alleekit.cli import _write_csv, _write_snapshot, main
 
 _KINETICS = """[kinetics]
 sigma = {sigma}
@@ -157,3 +158,16 @@ def test_reruns_give_identical_manifests(tmp_path, capsys, command, body):
         manifests.append((tmp_path / out / "manifest.txt").read_bytes())
     assert manifests[0] == manifests[1]
     assert manifests[0].count(b"\n") >= 1
+
+
+def test_snapshot_writer_matches_generic_writer(tmp_path):
+    awkward = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+               1e308, 0.1, 3.0]
+    x = np.array(awkward)
+    u = np.array(awkward[::-1])
+    v = np.roll(x, 3)
+    _write_snapshot(tmp_path / "fast.csv", x, u, v, ("t = 1.5",))
+    _write_csv(tmp_path / "generic.csv", ("x", "u", "v"), zip(x, u, v),
+               ("t = 1.5",))
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "generic.csv").read_bytes())

@@ -113,8 +113,7 @@ def test_tangent_matches_trajectory_separation(p_main):
     ub, vb = u + eps * du, v + eps * dv
     tu, tv = du.copy(), dv.copy()
     for k in range(100):
-        tu, tv = st.tangent_arrays(ua, va, tu, tv)
-        ua, va = st.step_arrays(ua, va, k * dt)
+        ua, va, tu, tv = st.step_with_tangent(ua, va, tu, tv, k * dt)
         ub, vb = st.step_arrays(ub, vb, k * dt)
     fd_u = (ub - ua) / eps
     fd_v = (vb - va) / eps

@@ -1,19 +1,25 @@
 """The import contract: ``import alleekit`` and ``import alleekit.cli`` load
 no scipy, nor do the ``equilibria``, ``thresholds`` and ``temporal-diagram``
-runs; each CLI command loads its layers before its run starts; and the lazy
-package namespace still serves every public name.
+runs; the time-stepping runs load scipy's LAPACK extension but not the
+``scipy.linalg`` package, and that package reuses the extension ``pde``
+loaded; each CLI command loads its layers before its run starts; and the
+lazy package namespace still serves every public name.
 
-Each check runs in a fresh interpreter, because the test session itself has
-already imported every layer.
+Each check of what gets loaded runs in a fresh interpreter, because the
+test session itself has already imported every layer.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import scipy
+
+from alleekit import pde
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -95,6 +101,31 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
     assert report["after_package"] == ["alleekit"]
     assert not [m for m in report["loaded"] if m.split(".")[0] == "scipy"]
     assert "alleekit.pde" not in report["loaded"]
+
+
+def test_stepping_commands_skip_scipy_linalg_package(tmp_path):
+    report = _drive(tmp_path, ["simulate", "lyapunov", "pulse"])
+    assert "scipy.linalg._flapack" in report["loaded"]
+    assert "scipy.linalg" not in report["loaded"]
+
+
+def test_scipy_linalg_reuses_the_extension_pde_loaded():
+    # a scipy release that moves _flapack fails here, not at a user's prompt
+    out = _python(
+        "import json, sys\n"
+        "from alleekit import pde\n"
+        "import scipy.linalg\n"
+        "print(json.dumps([scipy.linalg.lapack._flapack is pde.flapack,\n"
+        "                  sys.modules['scipy.linalg._flapack'] is pde.flapack,\n"
+        "                  scipy.linalg.lapack.dgttrs is pde.flapack.dgttrs]))\n")
+    assert json.loads(out) == [True, True, True]
+
+
+def test_missing_lapack_extension_names_the_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        pde._load_flapack()
 
 
 @pytest.mark.parametrize("command", list(_BODIES))

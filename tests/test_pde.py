@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from alleekit.errors import Inconclusive, NonFinite, NoRoot, OutOfRange
-from alleekit.model import axial_equilibria, coexisting_equilibria
+from alleekit.model import axial_equilibria, coexisting_equilibria, jacobian_fields
 from alleekit.pde import (
     AsymptoticKind,
     Field,
@@ -251,6 +251,40 @@ def test_run_records_and_positivity(p_main):
     assert rec.snap_u.shape[1] == g.N
     # sigma=2.7 is above every instability threshold: noise dies out
     assert rec.var_u[-1] < rec.var_u[0]
+
+
+@pytest.mark.parametrize("scheme", ["imex1", "strang"])
+def test_series_cadence_leaves_trajectory_unchanged(p_main, scheme):
+    # sampling never feeds back into stepping, so a run sampled only at
+    # its ends finishes on the very same state
+    g = Grid(L=50.0, N=128)
+    f0 = make_ic("perturbed_homogeneous", g, p_main, amplitude=1e-3,
+                 rng=np.random.default_rng(11))
+    sparse = run(f0, p_main, D_REF, 10.0, Recorder(series_every=10.0),
+                 dt=0.05, scheme=scheme)
+    dense = run(f0, p_main, D_REF, 10.0, dt=0.05, scheme=scheme)
+    assert sparse.times.tolist() == [0.0, 10.0]
+    assert dense.times.size == 201
+    assert np.array_equal(sparse.final.u, dense.final.u)
+    assert np.array_equal(sparse.final.v, dense.final.v)
+    assert sparse.final.t == dense.final.t
+
+
+def test_step_with_tangent_matches_separate_solves(p_main, rng):
+    g = Grid(L=20.0, N=64)
+    st = ImexStepper(g, p_main, D_REF, 0.02)
+    e = coexisting_equilibria(p_main)[-1]
+    u = e.u + 0.01 * rng.standard_normal(g.N)
+    v = e.v + 0.01 * rng.standard_normal(g.N)
+    du, dv = rng.standard_normal(g.N), rng.standard_normal(g.N)
+    un, vn, dun, dvn = st.step_with_tangent(u, v, du, dv, 0.0)
+    # the state half is step_arrays to the bit
+    su, sv = st.step_arrays(u, v, 0.0)
+    assert np.array_equal(un, su) and np.array_equal(vn, sv)
+    # and a two-column solve is two one-column solves to the bit
+    a10, a01, b10, b01 = jacobian_fields(u, v, p_main)
+    assert np.array_equal(dun, st._fu.solve(du + 0.02 * (a10 * du + a01 * dv)))
+    assert np.array_equal(dvn, st._fv.solve(dv + 0.02 * (b10 * du + b01 * dv)))
 
 
 def test_run_homogeneous_relaxation_classified(p_main):

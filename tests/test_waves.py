@@ -232,6 +232,14 @@ def test_scan_refuses_sigmas_below_hopf(p_main):
         scan_plane(p_main, D_REF, np.array([1.5, 2.0]), np.array([5.0]))
 
 
+def test_scan_runs_in_ratio_dependent_limit(p_ratio):
+    # alpha = 0 has no transcritical point, but the coexisting state at
+    # sigma = 4.2 is a stable focus (trace -0.406, det 0.156)
+    res = scan_plane(p_ratio, D_REF, [4.2], [5.9])
+    assert res.c_min_at_sigma[0] > 5.9
+    assert res.codes[0, 0] == WaveClass.NO_WAVE
+
+
 @pytest.mark.parametrize("error", [NonFinite("computed orbit leaves the physical box"),
                                    OutOfRange("degenerate slow eigenvector"),
                                    NoConvergence("profile collocation failed")])
