@@ -5,8 +5,8 @@ The eight commands map onto the library layers: ``equilibria`` and
 linearization, ``simulate``/``lyapunov``/``pulse`` onto the time stepper,
 ``continue`` onto the steady-state solver, and ``wave-scan`` onto the
 profile shooter. Identical (config, seed) pairs produce byte-identical
-output files; ``manifest.txt`` records a sha256 per emitted file so reruns
-diff cheaply.
+output files; ``manifest.txt`` records a sha256 per file the run wrote (and
+nothing else in the output directory) so reruns diff cheaply.
 
 Each command loads only the layers it runs. ``import alleekit`` and
 ``import alleekit.cli`` load ``config``, ``errors``, ``model``, ``linear``
@@ -87,31 +87,36 @@ def _fmt(v) -> str:
     return f"{float(v):.11e}"
 
 
+# Each writer returns the path it wrote, so a runner can list its outputs.
+
+def _write_text(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
 def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence],
-               preamble: Sequence[str] = ()) -> None:
+               preamble: Sequence[str] = ()) -> Path:
     lines = [f"# {p}" for p in preamble]
     lines.append(",".join(columns))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_snapshot(path: Path, x: np.ndarray, u: np.ndarray, v: np.ndarray,
-                    preamble: Sequence[str]) -> None:
+                    preamble: Sequence[str]) -> Path:
     """_write_csv of float columns x, u, v, formatted a row at a time."""
     row = "{:.11e},{:.11e},{:.11e}".format
     lines = [f"# {p}" for p in preamble]
     lines.append("x,u,v")
     lines.extend(map(row, x.tolist(), u.tolist(), v.tolist()))
-    path.write_text("\n".join(lines) + "\n")
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
-def _manifest(out: Path) -> None:
-    entries = []
-    for f in sorted(out.rglob("*")):
-        if not f.is_file() or f.name == "manifest.txt":
-            continue
-        digest = hashlib.sha256(f.read_bytes()).hexdigest()
-        entries.append(f"{digest}  {f.relative_to(out).as_posix()}")
+def _manifest(out: Path, written: Iterable[Path]) -> None:
+    """A sha256 per file this run wrote; whatever else is in `out` is not
+    listed."""
+    entries = [f"{hashlib.sha256(f.read_bytes()).hexdigest()}  "
+               f"{f.relative_to(out).as_posix()}" for f in sorted(written)]
     (out / "manifest.txt").write_text("\n".join(entries) + "\n")
 
 
@@ -128,15 +133,16 @@ def _rng(cfg: ExperimentConfig) -> np.random.Generator | None:
     return None if cfg.seed is None else np.random.default_rng(cfg.seed)
 
 
-def cmd_equilibria(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_equilibria(cfg: ExperimentConfig, out: Path) -> list[Path]:
     rows = [
         (cfg.p.sigma, e.kind.value, e.u, e.v, e.trace, e.det,
          _STAB_CODE[e.stability])
         for e in all_equilibria(cfg.p)
     ]
-    _write_csv(out / "equilibria.csv",
-               ("sigma", "kind", "u", "v", "trace", "det", "stability_code"),
-               rows)
+    return [_write_csv(out / "equilibria.csv",
+                       ("sigma", "kind", "u", "v", "trace", "det",
+                        "stability_code"),
+                       rows)]
 
 
 def _branch_ids(eqs) -> list[int]:
@@ -157,7 +163,7 @@ def _branch_ids(eqs) -> list[int]:
     return ids
 
 
-def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> list[Path]:
     from .temporal import bifurcation_diagram
 
     nan = float("nan")
@@ -170,13 +176,13 @@ def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> None:
         for i, e in enumerate(pt.equilibria):
             lo, hi = pt.cycle if (i == top_coex and pt.cycle) else (nan, nan)
             rows.append((pt.sigma, ids[i], e.u, _STAB_CODE[e.stability], lo, hi))
-    _write_csv(out / "diagram.csv",
-               ("sigma", "branch_id", "u", "stability_code",
-                "cycle_umin", "cycle_umax"),
-               rows)
+    return [_write_csv(out / "diagram.csv",
+                       ("sigma", "branch_id", "u", "stability_code",
+                        "cycle_umin", "cycle_umax"),
+                       rows)]
 
 
-def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
     nan = float("nan")
     rows = []
     for sigma, regime in turing_bd_thresholds(cfg.p, cfg.d, cfg.bracket):
@@ -188,28 +194,32 @@ def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> None:
         except HypothesisFailed:
             km = kp = nan
         rows.append((sigma, regime.value, spec.K, km, kp))
-    _write_csv(out / "thresholds.csv",
-               ("sigma", "threshold_kind", "K", "kminus", "kplus"), rows)
+    written = [_write_csv(out / "thresholds.csv",
+                          ("sigma", "threshold_kind", "K", "kminus", "kplus"),
+                          rows)]
 
     if cfg.L is None:
-        return
+        return written
     e = upper_coexisting(cfg.p)
-    _write_csv(out / "modes.csv",
-               ("j", "k_j", "trace", "det", "unstable"),
-               ((m.j, m.k_j, m.trace, m.det, m.unstable)
-                for m in mode_reports(e, cfg.p, cfg.d, cfg.L)),
-               preamble=(f"sigma = {_fmt(cfg.p.sigma)}",))
-    _write_csv(out / "bps.csv", ("n", "sigma"),
-               branch_point_table(cfg.p, cfg.d, cfg.L, range(1, 33), cfg.bracket))
+    return written + [
+        _write_csv(out / "modes.csv",
+                   ("j", "k_j", "trace", "det", "unstable"),
+                   ((m.j, m.k_j, m.trace, m.det, m.unstable)
+                    for m in mode_reports(e, cfg.p, cfg.d, cfg.L)),
+                   preamble=(f"sigma = {_fmt(cfg.p.sigma)}",)),
+        _write_csv(out / "bps.csv", ("n", "sigma"),
+                   branch_point_table(cfg.p, cfg.d, cfg.L, range(1, 33),
+                                      cfg.bracket)),
+    ]
 
 
-def _write_summary(out: Path, rec) -> None:
-    _write_csv(out / "summary.csv",
-               ("t", "U_av", "V_av", "spatial_variance_u"),
-               zip(rec.times, rec.u_av, rec.v_av, rec.var_u))
+def _write_summary(out: Path, rec) -> Path:
+    return _write_csv(out / "summary.csv",
+                      ("t", "U_av", "V_av", "spatial_variance_u"),
+                      zip(rec.times, rec.u_av, rec.v_av, rec.var_u))
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
     from .pde import Recorder, classify_asymptotic, make_ic, run
 
     grid, dt = _grid_and_dt(cfg)
@@ -218,20 +228,22 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
               Recorder(series_every=cfg.series_every,
                        snapshot_every=cfg.snapshot_every),
               dt=dt, scheme=cfg.scheme)
-    _write_summary(out, rec)
+    written = [_write_summary(out, rec)]
     if cfg.snapshot_every > 0:
         for k, t in enumerate(rec.snap_times):
-            _write_snapshot(out / f"snapshot_{k:04d}.csv", grid.x,
-                            rec.snap_u[k], rec.snap_v[k],
-                            (f"t = {_fmt(float(t))}",))
+            written.append(_write_snapshot(
+                out / f"snapshot_{k:04d}.csv", grid.x,
+                rec.snap_u[k], rec.snap_v[k], (f"t = {_fmt(float(t))}",)))
     final = rec.final
-    _write_snapshot(out / "final.csv", grid.x, final.u, final.v,
-                    (f"t = {_fmt(float(rec.snap_times[-1]))}",))
+    written.append(_write_snapshot(
+        out / "final.csv", grid.x, final.u, final.v,
+        (f"t = {_fmt(float(rec.snap_times[-1]))}",)))
     kind = classify_asymptotic(rec, window=cfg.T / 4)
-    (out / "classification.txt").write_text(kind.value + "\n")
+    written.append(_write_text(out / "classification.txt", kind.value + "\n"))
+    return written
 
 
-def cmd_continue(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_continue(cfg: ExperimentConfig, out: Path) -> list[Path]:
     from .continuation import (SteadyProblem, continue_branch, interleave,
                                split_fields)
     from .pde import Grid
@@ -243,24 +255,26 @@ def cmd_continue(cfg: ExperimentConfig, out: Path) -> None:
     br = continue_branch(x0, cfg.p.sigma, prob, direction=cfg.direction,
                          steps=cfg.steps, ds0=cfg.ds0,
                          sigma_range=cfg.bracket)
-    _write_csv(out / "branch.csv",
-               ("point_index", "sigma", "l2norm_u", "n_unstable", "tag"),
-               ((pt.index, pt.sigma, pt.l2norm_u,
-                 -1 if pt.n_unstable is None else pt.n_unstable,
-                 ";".join(sorted(pt.tags)))
-                for pt in br.points))
+    written = [_write_csv(
+        out / "branch.csv",
+        ("point_index", "sigma", "l2norm_u", "n_unstable", "tag"),
+        ((pt.index, pt.sigma, pt.l2norm_u,
+          -1 if pt.n_unstable is None else pt.n_unstable,
+          ";".join(sorted(pt.tags)))
+         for pt in br.points))]
     keep = {0, br.points[-1].index}
     keep.update(pt.index for pt in br.points if pt.tags)
     for pt in br.points:
         if pt.index not in keep:
             continue
         u, v = split_fields(pt.x)
-        _write_snapshot(out / f"point_{pt.index:04d}.csv",
-                        prob.grid.x, u, v,
-                        (f"sigma = {_fmt(pt.sigma)}",))
+        written.append(_write_snapshot(out / f"point_{pt.index:04d}.csv",
+                                       prob.grid.x, u, v,
+                                       (f"sigma = {_fmt(pt.sigma)}",)))
+    return written
 
 
-def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
     from .waves import scan_plane, shoot_heteroclinic
 
     res = scan_plane(cfg.p, cfg.d, cfg.sigma_grid, cfg.c_grid)
@@ -269,16 +283,18 @@ def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> None:
         for i in range(res.sigmas.size)
         for j in range(res.cs.size)
     ]
-    _write_csv(out / "scan.csv",
-               ("sigma", "c", "classification_code", "c_min_at_sigma"), rows)
+    written = [_write_csv(out / "scan.csv",
+                          ("sigma", "c", "classification_code",
+                           "c_min_at_sigma"), rows)]
     if res.sigmas.size == 1 and res.cs.size == 1:
         shot = shoot_heteroclinic(cfg.p.with_sigma(float(res.sigmas[0])),
                                   cfg.d, float(res.cs[0]))
-        _write_csv(out / "orbit.csv", ("t", "X", "Y", "W", "Z"),
-                   zip(shot.t, *shot.states))
+        written.append(_write_csv(out / "orbit.csv", ("t", "X", "Y", "W", "Z"),
+                                  zip(shot.t, *shot.states)))
+    return written
 
 
-def cmd_lyapunov(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_lyapunov(cfg: ExperimentConfig, out: Path) -> list[Path]:
     from .diagnostics import largest_lyapunov
     from .pde import Recorder, make_ic, run
 
@@ -294,13 +310,13 @@ def cmd_lyapunov(cfg: ExperimentConfig, out: Path) -> None:
                            renorm_interval=cfg.renorm_interval,
                            dt=dt, rng=rng)
     ts = (1 + np.arange(res.convergence_series.size)) * res.renorm_interval
-    _write_csv(out / "lyapunov.csv", ("t", "lambda_running"),
-               zip(ts, res.convergence_series))
-    (out / "result.txt").write_text(
-        f"lambda_max = {_fmt(res.lambda_max)}\n")
+    return [_write_csv(out / "lyapunov.csv", ("t", "lambda_running"),
+                       zip(ts, res.convergence_series)),
+            _write_text(out / "result.txt",
+                        f"lambda_max = {_fmt(res.lambda_max)}\n")]
 
 
-def cmd_pulse(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_pulse(cfg: ExperimentConfig, out: Path) -> list[Path]:
     from .diagnostics import dominant_period, island_series
     from .pde import Recorder, make_ic, run
 
@@ -312,17 +328,19 @@ def cmd_pulse(cfg: ExperimentConfig, out: Path) -> None:
               dt=dt, scheme=cfg.scheme)
     u1 = upper_axial(cfg.p).u
     times, counts = island_series(rec, 0.05 * u1)
-    _write_csv(out / "islands.csv", ("t", "island_count"), zip(times, counts))
-    _write_summary(out, rec)
+    written = [_write_csv(out / "islands.csv", ("t", "island_count"),
+                          zip(times, counts)),
+               _write_summary(out, rec)]
     period = dominant_period(rec.times, rec.u_av, window=cfg.T / 2)
-    (out / "result.txt").write_text(
+    return written + [_write_text(
+        out / "result.txt",
         f"max_islands = {max(counts)}\n"
-        f"period = {'none' if period is None else _fmt(period)}\n")
+        f"period = {'none' if period is None else _fmt(period)}\n")]
 
 
 # command -> (runner, the modules its run imports beyond those of this
 # module); main imports them before the run starts
-_RUNNERS: dict[str, tuple[Callable[[ExperimentConfig, Path], None],
+_RUNNERS: dict[str, tuple[Callable[[ExperimentConfig, Path], list[Path]],
                           tuple[str, ...]]] = {
     "equilibria": (cmd_equilibria, ()),
     "temporal-diagram": (cmd_temporal_diagram, (".temporal",)),
@@ -341,8 +359,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner, _ = _RUNNERS[cfg.command]
-    runner(cfg, out)
-    _manifest(out)
+    _manifest(out, runner(cfg, out))
     return out
 
 

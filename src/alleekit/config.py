@@ -3,10 +3,17 @@
 Parsing collects every problem it finds (malformed lines, unknown keys, bad
 values, missing requirements) and reports them all at once instead of
 stopping at the first, so a config can be fixed in one pass.
+
+`_KEYS` is the one declaration of each key: its converter, the
+`ExperimentConfig` field it fills and its bound. Bounds are checked only on
+values that were given, because every default lies inside its bound.
+`_REQUIRED` lists the keys each command needs; checks that span keys or
+depend on the command are code in `parse_config`.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,10 +43,6 @@ def _as_int(s: str) -> int:
     return int(s)
 
 
-def _as_str(s: str) -> str:
-    return s
-
-
 def _as_choice(options):
     def conv(s: str) -> str:
         v = s.lower()
@@ -49,40 +52,64 @@ def _as_choice(options):
     return conv
 
 
-_SCHEMA: dict[str, dict[str, object]] = {
-    "": {"command": _as_choice(COMMANDS)},
-    "kinetics": {k: _as_float for k in ("sigma", "alpha", "beta", "gamma", "eta")},
-    "spatial": {"d": _as_float, "l": _as_float},
-    "grid": {"n": _as_int, "dt": _as_float},
-    "run": {
-        "t": _as_float,
-        "ic": _as_choice(IC_KINDS),
-        "amplitude": _as_float,
-        "seed": _as_int,
-        "scheme": _as_choice(SCHEMES),
-        "snapshot_every": _as_float,
-        "series_every": _as_float,
-        "transient": _as_float,
-        "renorm_interval": _as_float,
-    },
-    "sweep": {
-        "sigma_lo": _as_float,
-        "sigma_hi": _as_float,
-        "sigma_count": _as_int,
-        "c_lo": _as_float,
-        "c_hi": _as_float,
-        "c_count": _as_int,
-        "steps": _as_int,
-        "ds0": _as_float,
-        "direction": _as_int,
-        "bracket_lo": _as_float,
-        "bracket_hi": _as_float,
-        "t_sim": _as_float,
-    },
-    "output": {"dir": _as_str},
-}
+class _Key(NamedTuple):
+    convert: Callable[[str], object]
+    field: str | None = None  # the ExperimentConfig field the value fills
+    bound: tuple[Callable[[object], bool], str] | None = None  # (test, message)
+
+
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_NON_NEGATIVE = (lambda x: x >= 0, "must be non-negative")
 
 _KINETIC_KEYS = ("sigma", "alpha", "beta", "gamma", "eta")
+
+# (section, key) -> its converter, field and bound; "" is the top level.
+# parse_config assembles the keys with no field: the command, the kinetics,
+# ic, the sigma and c grids, and the bracket.
+_KEYS: dict[tuple[str, str], _Key] = {
+    ("", "command"): _Key(_as_choice(COMMANDS)),
+    **{("kinetics", k): _Key(_as_float) for k in _KINETIC_KEYS},
+    ("spatial", "d"): _Key(_as_float, "d", _POSITIVE),
+    ("spatial", "l"): _Key(_as_float, "L", _POSITIVE),
+    ("grid", "n"): _Key(_as_int, "N", (lambda n: n >= 16, "must be at least 16")),
+    ("grid", "dt"): _Key(_as_float, "dt", _POSITIVE),
+    ("run", "t"): _Key(_as_float, "T", _POSITIVE),
+    ("run", "ic"): _Key(_as_choice(IC_KINDS)),
+    ("run", "amplitude"): _Key(_as_float, "amplitude", _NON_NEGATIVE),
+    ("run", "seed"): _Key(_as_int, "seed", _NON_NEGATIVE),
+    ("run", "scheme"): _Key(_as_choice(SCHEMES), "scheme"),
+    ("run", "snapshot_every"): _Key(_as_float, "snapshot_every", _NON_NEGATIVE),
+    ("run", "series_every"): _Key(_as_float, "series_every", _NON_NEGATIVE),
+    ("run", "transient"): _Key(_as_float, "transient", _NON_NEGATIVE),
+    ("run", "renorm_interval"): _Key(_as_float, "renorm_interval", _POSITIVE),
+    # the sigma and c grids, read by _grid_from
+    **{("sweep", f"{grid}_{end}"): _Key(_as_int if end == "count" else _as_float)
+       for grid in ("sigma", "c") for end in ("lo", "hi", "count")},
+    ("sweep", "steps"): _Key(_as_int, "steps", (lambda n: n >= 1, "must be >= 1")),
+    ("sweep", "ds0"): _Key(_as_float, "ds0", _POSITIVE),
+    ("sweep", "direction"): _Key(_as_int, "direction",
+                                 (lambda s: s in (-1, 1), "must be -1 or +1")),
+    ("sweep", "bracket_lo"): _Key(_as_float, bound=_POSITIVE),
+    ("sweep", "bracket_hi"): _Key(_as_float),
+    ("sweep", "t_sim"): _Key(_as_float, "t_sim", _POSITIVE),
+    ("output", "dir"): _Key(str, "out_dir"),
+}
+
+# section -> key -> converter: the tokenizer's view of _KEYS
+_SCHEMA = {sec: {key: spec.convert for (s, key), spec in _KEYS.items() if s == sec}
+           for sec, _ in _KEYS}
+
+_STEPPING = (("spatial", "d"), ("spatial", "l"), ("run", "t"))
+
+# command -> the keys it cannot run without
+_REQUIRED: dict[str, tuple[tuple[str, str], ...]] = {
+    "thresholds": (("spatial", "d"),),
+    "simulate": _STEPPING + (("run", "ic"),),
+    "continue": (("spatial", "d"), ("spatial", "l")),
+    "wave-scan": (("spatial", "d"),),
+    "lyapunov": _STEPPING,
+    "pulse": _STEPPING,
+}
 
 
 @dataclass(frozen=True)
@@ -154,17 +181,17 @@ def _tokenize(text: str, issues: list[str]) -> dict[tuple[str, str], str]:
     return data
 
 
-def _grid_from(data, issues, prefix: str,
-               required_by: str | None = None) -> np.ndarray | None:
+def _grid_from(data, issues, prefix: str, cmd: str,
+               required: bool) -> np.ndarray | None:
     """The {prefix}_lo/_hi/_count grid, or None when it is absent or bad;
     each problem is reported once, "required" only when no key is given."""
     lo = data.get(("sweep", f"{prefix}_lo"))
     hi = data.get(("sweep", f"{prefix}_hi"))
     count = data.get(("sweep", f"{prefix}_count"))
     if lo is None and hi is None and count is None:
-        if required_by is not None:
+        if required:
             issues.append(f"[sweep]: {prefix}_lo/{prefix}_hi/{prefix}_count "
-                          f"required for the {required_by} command")
+                          f"required for the {cmd} command")
         return None
     missing = [k for k, v in ((f"{prefix}_lo", lo), (f"{prefix}_hi", hi),
                               (f"{prefix}_count", count)) if v is None]
@@ -215,57 +242,28 @@ def parse_config(text: str, *, command: str | None = None,
         raise ParseError(issues)
 
     missing_kin = [k for k in _KINETIC_KEYS if ("kinetics", k) not in data]
+    p = None
     if missing_kin:
         issues.append(f"[kinetics]: missing {', '.join(missing_kin)}")
-    p = None
-    if not missing_kin:
+    else:
         try:
             p = KineticParams(**{k: data[("kinetics", k)] for k in _KINETIC_KEYS})
         except ValueError as exc:
             issues.append(f"[kinetics]: {exc}")
 
-    def need(section: str, key: str, why: str):
-        if (section, key) not in data:
-            issues.append(f"[{section}] {key}: required for {why}")
-        return data.get((section, key))
+    for (sec, key), value in data.items():
+        bound = _KEYS[(sec, key)].bound
+        if bound is not None and not bound[0](value):
+            issues.append(f"[{sec}] {key}: {bound[1]}")
+    for sec, key in _REQUIRED.get(cmd, ()):
+        if (sec, key) not in data:
+            issues.append(f"[{sec}] {key}: required for the {cmd} command")
 
-    d = data.get(("spatial", "d"))
-    L = data.get(("spatial", "l"))
-    if d is not None and d <= 0:
-        issues.append("[spatial] d: must be positive")
-    if L is not None and L <= 0:
-        issues.append("[spatial] l: must be positive")
-    N = data.get(("grid", "n"))
-    if N is not None and N < 16:
-        issues.append("[grid] n: must be at least 16")
-    dt = data.get(("grid", "dt"))
-    if dt is not None and dt <= 0:
-        issues.append("[grid] dt: must be positive")
+    sigma_grid = _grid_from(data, issues, "sigma", cmd,
+                            cmd in ("wave-scan", "temporal-diagram"))
+    c_grid = _grid_from(data, issues, "c", cmd, cmd == "wave-scan")
 
-    T = data.get(("run", "t"))
-    if T is not None and T <= 0:
-        issues.append("[run] t: must be positive")
     ic = data.get(("run", "ic"))
-    seed = data.get(("run", "seed"))
-    if seed is not None and seed < 0:
-        issues.append("[run] seed: must be non-negative")
-    amplitude = data.get(("run", "amplitude"), ExperimentConfig.amplitude)
-    if amplitude < 0:
-        issues.append("[run] amplitude: must be non-negative")
-
-    sigma_grid = _grid_from(
-        data, issues, "sigma",
-        cmd if cmd in ("wave-scan", "temporal-diagram") else None)
-    c_grid = _grid_from(data, issues, "c",
-                        cmd if cmd == "wave-scan" else None)
-
-    spatial_cmds = {"simulate", "lyapunov", "pulse"}
-    if cmd in spatial_cmds:
-        need("spatial", "d", f"the {cmd} command")
-        need("spatial", "l", f"the {cmd} command")
-        need("run", "t", f"the {cmd} command")
-    if cmd == "simulate":
-        ic = need("run", "ic", "the simulate command")
     if cmd == "lyapunov":
         ic = ic or "perturbed_homogeneous"
         # the tangent is propagated by the linearised IMEX map only
@@ -276,84 +274,29 @@ def parse_config(text: str, *, command: str | None = None,
         if ic not in (None, "center_pulse"):
             issues.append("[run] ic: the pulse command always uses center_pulse")
         ic = "center_pulse"
-    if cmd in {"simulate", "lyapunov", "pulse"} and ic in _STOCHASTIC_ICS \
-            and seed is None:
+    if cmd in ("simulate", "lyapunov", "pulse") and ic in _STOCHASTIC_ICS \
+            and ("run", "seed") not in data:
         issues.append(f"[run] seed: required for stochastic initial "
                       f"condition {ic!r}")
-    if cmd == "thresholds":
-        need("spatial", "d", "the thresholds command")
-    if cmd == "continue":
-        need("spatial", "d", "the continue command")
-        need("spatial", "l", "the continue command")
-    if cmd == "wave-scan":
-        need("spatial", "d", "the wave-scan command")
 
-    steps = data.get(("sweep", "steps"), ExperimentConfig.steps)
-    if steps < 1:
-        issues.append("[sweep] steps: must be >= 1")
-    ds0 = data.get(("sweep", "ds0"), ExperimentConfig.ds0)
-    if ds0 <= 0:
-        issues.append("[sweep] ds0: must be positive")
-    direction = data.get(("sweep", "direction"), ExperimentConfig.direction)
-    if direction not in (-1, 1):
-        issues.append("[sweep] direction: must be -1 or +1")
-    b_lo = data.get(("sweep", "bracket_lo"), ExperimentConfig.bracket[0])
-    b_hi = data.get(("sweep", "bracket_hi"), ExperimentConfig.bracket[1])
-    if b_lo <= 0:
-        issues.append("[sweep] bracket_lo: must be positive")
-    if b_hi <= b_lo:
+    cfg = ExperimentConfig(
+        command=cmd, p=p, ic=ic, sigma_grid=sigma_grid, c_grid=c_grid,
+        bracket=(data.get(("sweep", "bracket_lo"), ExperimentConfig.bracket[0]),
+                 data.get(("sweep", "bracket_hi"), ExperimentConfig.bracket[1])),
+        **{_KEYS[key].field: value for key, value in data.items()
+           if _KEYS[key].field is not None})
+    if cfg.bracket[1] <= cfg.bracket[0]:
         issues.append("[sweep] bracket_hi: must exceed bracket_lo")
-    t_sim = data.get(("sweep", "t_sim"), ExperimentConfig.t_sim)
-    if t_sim <= 0:
-        issues.append("[sweep] t_sim: must be positive")
-    transient = data.get(("run", "transient"), ExperimentConfig.transient)
-    if transient < 0:
-        issues.append("[run] transient: must be non-negative")
-    renorm = data.get(("run", "renorm_interval"),
-                      ExperimentConfig.renorm_interval)
-    if renorm <= 0:
-        issues.append("[run] renorm_interval: must be positive")
-    if cmd == "lyapunov" and T is not None and T > 0 and renorm > 0:
+    if cmd == "lyapunov" and (cfg.T or 0) > 0 and cfg.renorm_interval > 0:
         from .diagnostics import MIN_RENORMALIZATIONS, kept_renormalizations
 
-        kept = kept_renormalizations(T, renorm)
+        kept = kept_renormalizations(cfg.T, cfg.renorm_interval)
         if kept < MIN_RENORMALIZATIONS:
             issues.append(
-                f"[run] t: t = {T} gives {kept} renormalizations after the "
+                f"[run] t: t = {cfg.T} gives {kept} renormalizations after the "
                 f"discard window; the lyapunov command needs at least "
                 f"{MIN_RENORMALIZATIONS}")
-    for key in ("snapshot_every", "series_every"):
-        val = data.get(("run", key), getattr(ExperimentConfig, key))
-        if val < 0:
-            issues.append(f"[run] {key}: must be non-negative")
 
     if issues:
         raise ValidationError(issues)
-
-    return ExperimentConfig(
-        command=cmd,
-        p=p,
-        d=d,
-        L=L,
-        N=N,
-        dt=dt,
-        T=T,
-        ic=ic,
-        amplitude=amplitude,
-        seed=seed,
-        scheme=data.get(("run", "scheme"), ExperimentConfig.scheme),
-        snapshot_every=data.get(("run", "snapshot_every"),
-                                ExperimentConfig.snapshot_every),
-        series_every=data.get(("run", "series_every"),
-                              ExperimentConfig.series_every),
-        transient=transient,
-        renorm_interval=renorm,
-        sigma_grid=sigma_grid,
-        c_grid=c_grid,
-        steps=steps,
-        ds0=ds0,
-        direction=direction,
-        bracket=(b_lo, b_hi),
-        t_sim=t_sim,
-        out_dir=data.get(("output", "dir")),
-    )
+    return cfg

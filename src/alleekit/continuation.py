@@ -234,18 +234,9 @@ class BranchPoint:
 class Branch:
     prob: SteadyProblem
     points: list[BranchPoint] = field(default_factory=list)
-    tangent: Tangent | None = None
 
     def tagged(self, tag: str) -> list[BranchPoint]:
         return [pt for pt in self.points if tag in pt.tags]
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.asarray([pt.sigma for pt in self.points])
-
-    @property
-    def norms(self) -> np.ndarray:
-        return np.asarray([pt.l2norm_u for pt in self.points])
 
 
 def _bendixson_caps(x: np.ndarray, sigma: float, prob: SteadyProblem) -> tuple[float, float]:
@@ -443,7 +434,6 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
             break
 
     branch.points[-1].tags.add("End")
-    branch.tangent = tau
     return branch
 
 

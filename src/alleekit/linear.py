@@ -24,7 +24,9 @@ from .model import (
     Equilibrium,
     EquilibriumKind,
     KineticParams,
+    _prey_window,
     jacobian,
+    upper_axial,
     upper_coexisting,
 )
 from .rootfind import roots_from_scan, scan_grid, scan_roots
@@ -291,9 +293,7 @@ def dstar_parts(p: KineticParams, L: float) -> dict[str, float]:
         )
     if L <= 0:
         raise ValueError(f"need L > 0, got {L}")
-    root = math.sqrt(p.sigma * p.sigma - 4.0 * p.sigma * p.eta)
-    u1 = (p.sigma + root) / (2.0 * p.sigma)
-    u2 = (p.sigma - root) / (2.0 * p.sigma)
+    u2, u1 = _prey_window(p)
     a = p.gamma / (2.0 * p.beta) + u1 / (2.0 * p.alpha) + u1 * (2.0 - u2)
     b = p.gamma / (2.0 * p.beta) + (p.gamma - 1.0) + u1 / (2.0 * p.alpha)
     k1 = (math.pi / L) ** 2
@@ -364,6 +364,5 @@ def vbounds(p: KineticParams) -> tuple[float, float]:
         raise OutOfRange(
             f"bounds need sigma >= 4*eta, got sigma={p.sigma}, eta={p.eta}"
         )
-    disc = max(p.sigma * p.sigma - 4.0 * p.sigma * p.eta, 0.0)
-    u1 = (p.sigma + math.sqrt(disc)) / (2.0 * p.sigma)
+    u1 = upper_axial(p).u
     return u1, p.gamma * u1 * (p.sigma / 4.0 - p.eta)

@@ -110,16 +110,6 @@ class Equilibrium:
     det: float
     stability: Stability
 
-    @property
-    def eigenvalues(self) -> tuple[complex, complex]:
-        half = 0.5 * self.trace
-        disc = half * half - self.det
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            return (half - s, half + s)
-        s = math.sqrt(-disc)
-        return (complex(half, -s), complex(half, s))
-
 
 def _classify(trace: float, det: float) -> Stability:
     """Standard planar classification from (trace, det).
@@ -251,11 +241,10 @@ def axial_equilibria(p: KineticParams) -> list[Equilibrium]:
     # sigma = 4*eta exactly is a legal input; absorb float noise around it.
     if abs(disc) <= 1e-14 * p.sigma * p.sigma:
         return [_make_equilibrium(EquilibriumKind.AXIAL1, 0.5, 0.0, p)]
-    if disc < 0.0:
+    prey = _prey_window(p)
+    if prey is None:
         return []
-    s = math.sqrt(disc)
-    u1 = (p.sigma + s) / (2.0 * p.sigma)
-    u2 = (p.sigma - s) / (2.0 * p.sigma)
+    u2, u1 = prey
     return [
         _make_equilibrium(EquilibriumKind.AXIAL1, u1, 0.0, p),
         _make_equilibrium(EquilibriumKind.AXIAL2, u2, 0.0, p),

@@ -1,5 +1,5 @@
-"""The command-line interface: documented exit codes, the pulse command, and
-byte-identical reruns and writers."""
+"""The command-line interface: documented exit codes, the pulse command,
+byte-identical reruns and writers, and manifests of what a run wrote."""
 
 import numpy as np
 import pytest
@@ -158,6 +158,25 @@ def test_reruns_give_identical_manifests(tmp_path, capsys, command, body):
         manifests.append((tmp_path / out / "manifest.txt").read_bytes())
     assert manifests[0] == manifests[1]
     assert manifests[0].count(b"\n") >= 1
+
+
+@pytest.mark.parametrize("give_out", [True, False], ids=["out", "cwd"])
+def test_manifest_lists_only_what_the_run_wrote(tmp_path, capsys, monkeypatch,
+                                               give_out):
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (out / "snapshot_0099.csv").write_text("stale\n")
+    (out / "sub" / "notes.txt").write_text("notes\n")
+    cfg = tmp_path / "equilibria.cfg"
+    cfg.write_text(_KINETICS.format(sigma=2.7, eta=0.1))
+    argv = ["equilibria", "--config", str(cfg)]
+    if give_out:
+        argv += ["--out", str(out)]
+    else:  # no --out and no [output] dir: the working directory
+        monkeypatch.chdir(out)
+    assert main(argv) == 0, capsys.readouterr().err
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert [line.split("  ", 1)[1] for line in lines] == ["equilibria.csv"]
 
 
 def test_snapshot_writer_matches_generic_writer(tmp_path):

@@ -1,12 +1,13 @@
-"""Config parsing: every schema key parsed and rejected by name, and one
-source of defaults."""
+"""Config parsing: every schema key parsed and rejected by name, every bound
+and per-command requirement in the key table enforced, and one source of
+defaults."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from alleekit.config import _SCHEMA, ExperimentConfig, parse_config
+from alleekit.config import _KEYS, _REQUIRED, _SCHEMA, ExperimentConfig, parse_config
 from alleekit.errors import ParseError, ValidationError
 
 _KINETICS = """[kinetics]
@@ -108,3 +109,87 @@ def test_bad_sweep_grid_is_not_reported_missing(command, extra):
     with pytest.raises(ValidationError) as exc:
         parse_config(text, command=command)
     assert exc.value.messages == ["[sweep] sigma_hi: must be >= sigma_lo"]
+
+
+# (section, key) -> (a value outside its bound, the message it must give)
+_OUT_OF_BOUND = {
+    ("spatial", "d"): ("0", "must be positive"),
+    ("spatial", "l"): ("-200", "must be positive"),
+    ("grid", "n"): ("15", "must be at least 16"),
+    ("grid", "dt"): ("0", "must be positive"),
+    ("run", "t"): ("-1", "must be positive"),
+    ("run", "amplitude"): ("-0.01", "must be non-negative"),
+    ("run", "seed"): ("-1", "must be non-negative"),
+    ("run", "snapshot_every"): ("-2", "must be non-negative"),
+    ("run", "series_every"): ("-0.5", "must be non-negative"),
+    ("run", "transient"): ("-10", "must be non-negative"),
+    ("run", "renorm_interval"): ("0", "must be positive"),
+    ("sweep", "steps"): ("0", "must be >= 1"),
+    ("sweep", "ds0"): ("0", "must be positive"),
+    ("sweep", "direction"): ("0", "must be -1 or +1"),
+    ("sweep", "bracket_lo"): ("0", "must be positive"),
+    ("sweep", "t_sim"): ("0", "must be positive"),
+}
+
+
+def test_out_of_bound_cases_cover_the_bounded_keys():
+    assert set(_OUT_OF_BOUND) == {k for k, spec in _KEYS.items() if spec.bound}
+
+
+@pytest.mark.parametrize("section,key", list(_OUT_OF_BOUND))
+def test_out_of_bound_value_names_its_key(section, key):
+    value, message = _OUT_OF_BOUND[(section, key)]
+    with pytest.raises(ValidationError) as exc:
+        parse_config(_KINETICS + _text({(section, key): value}),
+                     command="equilibria")
+    assert f"[{section}] {key}: {message}" in exc.value.messages
+
+
+def test_values_on_the_edge_of_a_bound_pass():
+    edge = {("grid", "n"): "16", ("run", "amplitude"): "0", ("run", "seed"): "0",
+            ("run", "snapshot_every"): "0", ("run", "series_every"): "0",
+            ("run", "transient"): "0", ("sweep", "steps"): "1",
+            ("sweep", "direction"): "-1"}
+    cfg = parse_config(_KINETICS + _text(edge), command="equilibria")
+    assert (cfg.N, cfg.amplitude, cfg.seed, cfg.snapshot_every,
+            cfg.series_every, cfg.transient, cfg.steps, cfg.direction) == (
+        16, 0.0, 0, 0.0, 0.0, 0.0, 1, -1)
+
+
+_STEPPING = {("spatial", "d"), ("spatial", "l"), ("run", "t")}
+
+# command -> the keys it must refuse to run without
+_MUST_HAVE = {
+    "thresholds": {("spatial", "d")},
+    "simulate": _STEPPING | {("run", "ic")},
+    "continue": {("spatial", "d"), ("spatial", "l")},
+    "wave-scan": {("spatial", "d")},
+    "lyapunov": _STEPPING,
+    "pulse": _STEPPING,
+}
+
+
+def test_required_table_matches_the_commands_needs():
+    assert {command: set(keys) for command, keys in _REQUIRED.items()} == _MUST_HAVE
+
+
+@pytest.mark.parametrize("command,section,key", [
+    (command, section, key)
+    for command, keys in _REQUIRED.items() for section, key in keys
+])
+def test_missing_required_key_names_it(command, section, key):
+    values = {k: _CASES[k][0] for k in _REQUIRED[command] if k != (section, key)}
+    with pytest.raises(ValidationError) as exc:
+        parse_config(_KINETICS + _text(values), command=command)
+    assert (f"[{section}] {key}: required for the {command} command"
+            in exc.value.messages)
+
+
+def test_key_table_and_config_fields_agree():
+    named = [spec.field for spec in _KEYS.values() if spec.field is not None]
+    by_hand = {"command", "p", "ic", "sigma_grid", "c_grid", "bracket"}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert len(named) == len(set(named))
+    assert set(named) <= fields
+    assert fields == set(named) | by_hand
+    assert not set(named) & by_hand
