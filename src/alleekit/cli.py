@@ -19,7 +19,8 @@ and before the run starts:
   alone, not the ``scipy.linalg`` package);
 * ``lyapunov`` and ``pulse``: ``pde`` and ``diagnostics`` (``lyapunov``
   loads them while the config is parsed, to check ``[run] t``);
-* ``continue``: ``pde`` and ``continuation`` (also ``scipy.sparse.linalg``);
+* ``continue``: ``pde`` and ``continuation``, so the LAPACK extension
+  alone again (no ``scipy.sparse``);
 * ``wave-scan``: ``waves`` (``scipy.integrate``) and ``scipy.interpolate``,
   which ``solve_bvp`` would otherwise import during the run.
 

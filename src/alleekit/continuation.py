@@ -4,8 +4,10 @@ Unknowns are interleaved (u0, v0, u1, v1, ...) so the steady-state
 Jacobian is banded with two sub- and two superdiagonals; one LAPACK
 banded LU (``dgbtrf`` from :mod:`alleekit.pde`'s ``flapack``) serves the
 Newton corrector, the extended-system determinant sign used for
-branch-point detection, and the shifted inverse iteration behind linear
-stability. The residual is the PDE stepper's own
+branch-point detection, and, shifted, the Krylov-Schur restarted Arnoldi
+behind linear stability, which takes its Schur forms from the same
+extension's ``dgees`` and ``dtrsen``; nothing here loads ``scipy.sparse``.
+The residual is the PDE stepper's own
 right-hand side (``semidiscrete_rhs`` in :mod:`alleekit.pde`) and the
 Jacobian's diffusion rows come from its ``laplacian_bands``, so the steady
 states here are exactly those of the PDE stepper.
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
 from .linear import spatial_spectrum
@@ -30,6 +31,9 @@ KU = 2
 # with real part above UNSTABLE_TOL as unstable
 STABILITY_SHIFT = 0.13
 UNSTABLE_TOL = 1e-8
+# the k that solution_stability, and each branch traced by continue_branch,
+# starts from
+STABILITY_K0 = 24
 # max-norm residual at which Newton, the arclength corrector, event
 # refinement and branch switching accept a point
 NEWTON_TOL = 1e-10
@@ -257,17 +261,118 @@ def _bendixson_caps(x: np.ndarray, sigma: float, prob: SteadyProblem) -> tuple[f
     return re_cap, im_cap
 
 
+def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gram-Schmidt of w against the orthonormal rows of basis, in place,
+    with the DGKS second pass when the first removes more than 1 - 1/sqrt(2)
+    of its norm.
+
+    Returns the coefficients and the norm left, 0.0 when w lies in the
+    span of the basis (the second pass removed as much again).
+    """
+    norm0 = math.sqrt(w @ w)
+    h = basis @ w
+    w -= h @ basis
+    beta = math.sqrt(w @ w)
+    if beta < math.sqrt(0.5) * norm0:
+        c = basis @ w
+        w -= c @ basis
+        h += c
+        beta, before = math.sqrt(w @ w), beta
+        if beta < math.sqrt(0.5) * before:
+            beta = 0.0
+    return h, beta
+
+
+def _largest_ritz(apply, n: int, k: int) -> np.ndarray:
+    """The k eigenvalues of largest modulus of the real n x n operator
+    ``apply`` (k <= n - 2), by Krylov-Schur restarted Arnoldi (Stewart,
+    SIAM J. Matrix Anal. Appl. 23 (2002) 601).
+
+    The basis holds m = min(n, max(2k + 1, 20)) vectors, as ARPACK's
+    default. Each cycle takes one real Schur form of the m x m projection
+    (``dgees``) and moves the k wanted Ritz values, with the partner of a
+    conjugate pair the k-th one splits, to its leading block (``dtrsen``).
+    They count as converged when each entry of the residual row over that
+    block is below machine epsilon times the Ritz value's modulus, as in
+    ARPACK; 300 cycles without that raise NoConvergence. A restart keeps,
+    besides the wanted block, the next half of the Ritz values by modulus:
+    with the wanted block alone, a Ritz value that one of nearly equal
+    modulus displaces is purged again and again, and the cycles can stall.
+    The start vector is seeded, so equal inputs give equal eigenvalues. A
+    conjugate pair split at position k keeps the member with Im > 0.
+    """
+    m = min(n, max(2 * k + 1, 20))
+    keep = k + (m - k - 1) // 2  # plus a split pair's partner, still < m
+    eps = np.finfo(float).eps
+    cycles = 300
+    rng = np.random.default_rng(12345)
+    basis = np.zeros((m + 1, n))
+    h = np.zeros((m + 1, m))
+    v = rng.standard_normal(n)
+    basis[0] = v / math.sqrt(v @ v)
+    p = 0
+    for _ in range(cycles):
+        for j in range(p, m):
+            w = apply(basis[j])
+            h[:j + 1, j], beta = _orthogonalize(basis[:j + 1], w)
+            if j + 1 == n:
+                break  # the basis spans the whole space: no residual left
+            if beta == 0.0:
+                # invariant subspace: go on from a fresh orthogonal direction
+                w = rng.standard_normal(n)
+                _orthogonalize(basis[:j + 1], w)
+                _orthogonalize(basis[:j + 1], w)
+                beta, h[j + 1, j] = math.sqrt(w @ w), 0.0
+            else:
+                h[j + 1, j] = beta
+            basis[j + 1] = w / beta
+        # dgees takes a sort callback even when told not to sort
+        t, _, wr, wi, q, _, info = flapack.dgees(lambda re, im: 0, h[:m, :m])
+        if info != 0:
+            raise NoConvergence(f"Schur factorization failed (info={info})")
+        t, q, wr, wi, p = _lead(t, q, wr, wi, k)
+        theta = wr[:p] + 1j * wi[:p]
+        converged = np.abs(h[m] @ q[:, :p]) <= eps * np.abs(theta)
+        if converged.all():
+            return theta[np.lexsort((-theta.imag, -np.abs(theta)))[:k]]
+        # dtrsen keeps the order of what it selects, so the wanted block
+        # stays leading; then A V' = V' T[:p, :p] + v_m resid^T holds
+        t, q, wr, wi, p = _lead(t, q, wr, wi, keep)
+        resid = h[m] @ q[:, :p]
+        basis[:p] = q[:, :p].T @ basis[:m]
+        basis[p] = basis[m]
+        h[:] = 0.0
+        h[:p, :p] = t[:p, :p]
+        h[p, :p] = resid
+    raise NoConvergence(
+        f"eigensolver stalled: {int(converged.sum())} of {converged.size} "
+        f"Ritz values converged after {cycles} cycles")
+
+
+def _lead(t, q, wr, wi, count):
+    """Reorder a real Schur form so that its count eigenvalues of largest
+    modulus (and the partner of a pair split at count) lead; returns the
+    new form, its eigenvalues and the size of that block."""
+    select = np.zeros(wr.size, dtype=np.int32)
+    select[np.argsort(-np.hypot(wr, wi), kind="stable")[:count]] = 1
+    t, q, wr, wi, p, _, _, info = flapack.dtrsen(select, t, q, job="N")
+    if info != 0:
+        raise NoConvergence(f"Schur reordering failed (info={info})")
+    return t, q, wr, wi, p
+
+
 def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
-                       n_eigs: int = 32) -> tuple[int, np.ndarray]:
+                       n_eigs: int = STABILITY_K0) -> tuple[int, np.ndarray]:
     """Leading spectrum of the linearized evolution operator.
 
-    One certified path at every grid size, with no dense fallback:
-    shift-inverted Arnoldi on the banded LU of J - STABILITY_SHIFT*I finds
-    the k eigenvalues nearest the shift, starting from k = n_eigs (at
-    least 8), and k is grown until the covered disk provably contains the
-    whole Bendixson box of possible unstable eigenvalues, so the unstable
-    count is certified, not sampled. Returns that count and the k
-    eigenvalues, by decreasing real part.
+    One certified path at every grid size, with no dense fallback: a
+    Krylov-Schur restarted Arnoldi (``_largest_ritz``) on the inverse of
+    J - STABILITY_SHIFT*I, applied through its banded LU, finds the k
+    eigenvalues nearest the shift, starting from k = n_eigs (at least 8).
+    k is doubled until the covered disk provably contains the whole
+    Bendixson box of possible unstable eigenvalues, so the unstable count
+    is certified, not sampled. Returns that count and the k eigenvalues,
+    by decreasing real part; equal inputs give bitwise-equal eigenvalues.
     """
     n = prob.n_unknowns
     ab = jacobian_banded(x, sigma, prob)
@@ -285,20 +390,10 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     else:
         raise NoConvergence("no usable shift for inverse iteration")
 
-    op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     k = min(max(8, n_eigs), n - 2)
     k_cap = min(n - 2, max(192, k))
     while True:
-        try:
-            mu = eigs(op, k=k, which="LM", return_eigenvectors=False,
-                      maxiter=max(300, 20 * k))
-        except ArpackNoConvergence:
-            try:
-                mu = eigs(op, k=k, ncv=min(n, 4 * k + 1), which="LM",
-                          return_eigenvectors=False, maxiter=max(600, 40 * k))
-            except ArpackNoConvergence as exc:
-                raise NoConvergence(f"eigensolver stalled: {exc}") from exc
-        lam = s + 1.0 / mu
+        lam = s + 1.0 / _largest_ritz(lu.solve, n, k)
         if np.abs(lam - s).max() >= r_req or k >= k_cap:
             break
         k = min(2 * k, k_cap)
@@ -310,15 +405,6 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     lam = lam[np.argsort(-lam.real)]
     n_unstable = int((lam.real > UNSTABLE_TOL).sum())
     return n_unstable, lam
-
-
-def _make_point(index, x, sigma, prob, tags, stability):
-    u, _ = split_fields(x)
-    n_un = None
-    if stability:
-        n_un, _ = solution_stability(x, sigma, prob, n_eigs=24)
-    return BranchPoint(index, sigma, x.copy(), l2_norm(u, prob.grid.dx), n_un,
-                       set(tags))
 
 
 def _refine_event(x0, sigma0, tau, ds_hi, prob, sign_lo, which):
@@ -366,7 +452,9 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
                     sigma_range: tuple[float, float] | None = None,
                     stability: bool = True, adapt: bool = True) -> Branch:
     """Trace a solution branch with fold and branch-point tagging; events
-    are localized to 1e-7 in sigma, and stability starts from 24 eigenvalues."""
+    are localized to 1e-7 in sigma. Stability starts from STABILITY_K0
+    eigenvalues at the first point, and each later point from the k that
+    certified the one before."""
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     if sigma_range is not None and not (sigma_range[0] <= sigma_start <= sigma_range[1]):
@@ -379,8 +467,20 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     if tau.sigma != 0.0 and (1 if tau.sigma > 0 else -1) != direction:
         tau = Tangent(-tau.x, -tau.sigma)
 
+    k = STABILITY_K0
+
+    def make_point(index, x, sigma, tags):
+        nonlocal k
+        n_un = None
+        if stability:
+            n_un, lam = solution_stability(x, sigma, prob, k)
+            k = lam.size
+        u, _ = split_fields(x)
+        return BranchPoint(index, sigma, x.copy(), l2_norm(u, prob.grid.dx),
+                           n_un, set(tags))
+
     branch = Branch(prob)
-    branch.points.append(_make_point(0, x, sigma, prob, {"Start"}, stability))
+    branch.points.append(make_point(0, x, sigma, {"Start"}))
 
     det_sign = _factor(x, sigma, prob).det_sign
     tau_sign = 1 if tau.sigma > 0 else -1 if tau.sigma < 0 else 0
@@ -416,12 +516,10 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
             if ev is not None:
                 xe, se = ev
                 tags = {"Fold"} if fold_hit else {"BP"}
-                branch.points.append(
-                    _make_point(idx, xe, se, prob, tags, stability))
+                branch.points.append(make_point(idx, xe, se, tags))
                 idx += 1
 
-        branch.points.append(
-            _make_point(idx, x1, sig1, prob, set(), stability))
+        branch.points.append(make_point(idx, x1, sig1, set()))
         idx += 1
 
         x, sigma, tau = x1, sig1, tau1

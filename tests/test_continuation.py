@@ -3,7 +3,9 @@
 Cross-module oracles: branch_point_sigmas and mode_reports from the linear
 module, l2_norm from the pde module. Discrete branch points differ from the
 continuum ones through the discrete-Laplacian symbol, which is why the
-matching tolerances are looser than Newton's own.
+matching tolerances are looser than Newton's own. scipy's ARPACK
+(``scipy.sparse.linalg.eigs``), imported here only, is the oracle for the
+Krylov-Schur eigensolver behind solution_stability.
 """
 
 import math
@@ -11,12 +13,17 @@ import math
 import numpy as np
 import pytest
 
+from alleekit import continuation
 from alleekit.continuation import (
+    STABILITY_K0,
+    STABILITY_SHIFT,
+    UNSTABLE_TOL,
     BandedLU,
     Branch,
     KL,
     KU,
     SteadyProblem,
+    _largest_ritz,
     branch_switch,
     continue_branch,
     interleave,
@@ -388,3 +395,126 @@ def test_polished_pattern_survives_grid_refinement(base_p):
         sols[n] = (u, v)
         norms[n] = l2_norm(u, prob.grid.dx)
     assert abs(norms[512] - norms[256]) / norms[256] < 0.01
+
+
+def _arpack_spectrum(x, sigma, prob, k):
+    # the k eigenvalues nearest the shift by ARPACK on the same banded LU
+    from scipy.sparse.linalg import LinearOperator, eigs
+
+    ab = jacobian_banded(x, sigma, prob)
+    ab[KL + KU] -= STABILITY_SHIFT
+    lu = BandedLU(ab)
+    n = prob.n_unknowns
+    mu = eigs(LinearOperator((n, n), matvec=lu.solve, dtype=float), k=k,
+              which="LM", return_eigenvectors=False, maxiter=max(300, 20 * k))
+    return STABILITY_SHIFT + 1.0 / mu
+
+
+def _assert_same_near_shift(lam, ref, tol):
+    # a conjugate pair on the rim of the covered disk may be split
+    # differently by the two solvers, so compare strictly inside it
+    radius = min(np.abs(lam - STABILITY_SHIFT).max(),
+                 np.abs(ref - STABILITY_SHIFT).max()) * (1.0 - 1e-9)
+    ours = lam[np.abs(lam - STABILITY_SHIFT) < radius]
+    theirs = ref[np.abs(ref - STABILITY_SHIFT) < radius]
+    assert ours.size == theirs.size
+    assert max(np.abs(theirs - z).min() for z in ours) < tol
+    assert max(np.abs(ours - z).min() for z in theirs) < tol
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_stability_agrees_with_arpack(base_p, n):
+    prob = _problem(base_p, n=n)
+    sig = 1.83
+    x = _flat(prob, sig)
+    # at n = 16 the basis fills all 32 dimensions, so the last Arnoldi
+    # step leaves a zero residual that must not be divided by
+    with np.errstate(all="raise"):
+        n_un, lam = solution_stability(x, sig, prob)
+    ref = _arpack_spectrum(x, sig, prob, lam.size)
+    assert n_un == int((ref.real > UNSTABLE_TOL).sum())
+    _assert_same_near_shift(lam, ref, 1e-10)
+
+
+@pytest.mark.parametrize("n, sigma_bp", [(256, 1.82971961783),
+                                         (1024, 1.82978641805)])
+def test_crossing_eigenvalue_at_benchmark_bp_agrees_with_arpack(base_p, n,
+                                                                 sigma_bp):
+    # the first step of each benchmark branch crosses the mode-8 BP; there
+    # the crossing eigenvalue sits only a few UNSTABLE_TOL above zero
+    prob = _problem(base_p, n=n)
+    br = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
+                         steps=1, ds0=1.5e-3, sigma_range=(1.767, 1.8305),
+                         stability=False)
+    (bp,) = br.tagged("BP")
+    assert abs(bp.sigma - sigma_bp) < 1e-9
+    n_un, lam = solution_stability(bp.x, bp.sigma, prob)
+    ref = _arpack_spectrum(bp.x, bp.sigma, prob, lam.size)
+    assert n_un == int((ref.real > UNSTABLE_TOL).sum()) == 13
+    _assert_same_near_shift(lam, ref, 1e-10)
+    crossing = lam[np.argmin(np.abs(lam))]
+    assert UNSTABLE_TOL < crossing.real < 5.0 * UNSTABLE_TOL
+    assert abs(crossing - ref[np.argmin(np.abs(ref))]) < 1e-12
+
+
+def test_stability_is_reproducible(base_p):
+    prob = _problem(base_p, n=256)
+    x = _flat(prob, 1.83)
+    _, lam1 = solution_stability(x, 1.83, prob)
+    _, lam2 = solution_stability(x, 1.83, prob)
+    assert lam1.tobytes() == lam2.tobytes()
+
+
+def test_stability_spectrum_is_the_discrete_symbol(base_p):
+    # at the homogeneous state the returned eigenvalues are mode-block
+    # eigenvalues of J - kappa_j diag(1, d), and every block eigenvalue
+    # inside the covered disk is returned
+    prob = _problem(base_p, n=256)
+    sig = 1.83
+    n_un, lam = solution_stability(_flat(prob, sig), sig, prob)
+    ps = base_p.with_sigma(sig)
+    e = coexisting_equilibria(ps)[-1]
+    J = jacobian(e.u, e.v, ps)
+    dx = prob.grid.dx
+    kappa = (4.0 / dx**2) * np.sin(np.arange(prob.grid.N) * math.pi * dx
+                                   / (2.0 * L_REF))**2
+    blocks = np.concatenate([np.linalg.eigvals(J - kap * np.diag([1.0, D_REF]))
+                             for kap in kappa])
+    assert max(np.abs(blocks - z).min() for z in lam) < 1e-10
+    radius = np.abs(lam - STABILITY_SHIFT).max() * (1.0 - 1e-9)
+    inside = np.abs(blocks - STABILITY_SHIFT) < radius
+    assert inside.sum() == (np.abs(lam - STABILITY_SHIFT) < radius).sum()
+    assert n_un == 12
+
+
+def test_krylov_schur_restarts_after_an_invariant_subspace():
+    # every Krylov space of a zero operator breaks down at once, and one of
+    # a diagonal with five distinct entries after five steps; the repeated
+    # top eigenvalue is found from fresh directions
+    with np.errstate(all="raise"):
+        assert np.array_equal(_largest_ritz(np.zeros_like, 40, 6), np.zeros(6))
+        d = np.repeat([5.0, -4.0, 3.0, 2.0, 1.0], 8)
+        mu = _largest_ritz(lambda v: d * v, 40, 10)
+    assert np.allclose(mu, [5.0] * 8 + [-4.0] * 2, rtol=0, atol=1e-12)
+
+
+def test_each_branch_carries_k_from_its_own_start(base_p, monkeypatch):
+    # every point starts from the k that certified the point before it, and
+    # a second trace starts again from STABILITY_K0
+    calls = []
+    real = continuation.solution_stability
+
+    def spy(x, sigma, prob, n_eigs):
+        n_un, lam = real(x, sigma, prob, n_eigs)
+        calls.append((n_eigs, lam.size))
+        return n_un, lam
+
+    monkeypatch.setattr(continuation, "solution_stability", spy)
+    prob = _problem(base_p, n=64)
+    for _ in range(2):
+        calls.clear()
+        continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1, steps=2,
+                        ds0=1.5e-3, sigma_range=(1.767, 1.8305))
+        assert calls[0][0] == STABILITY_K0
+        assert [n for n, _ in calls[1:]] == [size for _, size in calls[:-1]]
+        assert calls[-1][1] > STABILITY_K0

@@ -1,7 +1,8 @@
 """The import contract: ``import alleekit`` and ``import alleekit.cli`` load
 no scipy, nor do the ``equilibria``, ``thresholds`` and ``temporal-diagram``
-runs; the time-stepping runs load scipy's LAPACK extension but not the
-``scipy.linalg`` package, and that package reuses the extension ``pde``
+runs; the time-stepping and ``continue`` runs load scipy's LAPACK extension
+but not the ``scipy.linalg`` package, ``continue`` loads no
+``scipy.sparse``, and ``scipy.linalg`` reuses the extension ``pde``
 loaded; each CLI command loads its layers before its run starts; and the
 lazy package namespace still serves every public name.
 
@@ -107,6 +108,18 @@ def test_stepping_commands_skip_scipy_linalg_package(tmp_path):
     report = _drive(tmp_path, ["simulate", "lyapunov", "pulse"])
     assert "scipy.linalg._flapack" in report["loaded"]
     assert "scipy.linalg" not in report["loaded"]
+
+
+def test_continue_loads_lapack_but_no_sparse_or_linalg_package(tmp_path):
+    report = _drive(tmp_path, ["continue"])
+    assert "scipy.linalg._flapack" in report["loaded"]
+    assert "scipy.linalg" not in report["loaded"]
+    assert not [m for m in report["loaded"] if m.startswith("scipy.sparse")]
+    loaded = json.loads(_python(
+        "import json, sys\n"
+        "import alleekit.cli, alleekit.continuation\n"
+        "print(json.dumps(sorted(sys.modules)))\n"))
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
 def test_scipy_linalg_reuses_the_extension_pde_loaded():
