@@ -9,6 +9,7 @@ Submodules:
 * :mod:`alleekit.pde` - one-dimensional Neumann reaction-diffusion stepper
 * :mod:`alleekit.continuation` - steady-state branches in sigma
 * :mod:`alleekit.waves` - travelling-wave profiles and the (sigma, c) scan
+* :mod:`alleekit.collocation` - banded collocation for boundary value problems
 * :mod:`alleekit.diagnostics` - Lyapunov exponent, periods, island counts
 * :mod:`alleekit.config` / :mod:`alleekit.cli` - experiment driver
 * :mod:`alleekit.rootfind` - shared scalar root finding
@@ -16,8 +17,9 @@ Submodules:
 
 The names in ``__all__`` are loaded lazily (PEP 562): ``import alleekit``
 imports no submodule, and ``alleekit.X`` imports only the submodule that
-defines ``X``, on first use. So the scipy-backed layers (``pde``,
-``continuation``, ``waves``, ``diagnostics``) cost nothing until something
+defines ``X``, on first use. So the layers that load scipy's LAPACK
+extension (``pde`` and everything built on it: ``continuation``,
+``collocation``, ``waves``, ``diagnostics``) cost nothing until something
 asks for them.
 """
 

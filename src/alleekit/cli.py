@@ -21,8 +21,9 @@ and before the run starts:
   loads them while the config is parsed, to check ``[run] t``);
 * ``continue``: ``pde`` and ``continuation``, so the LAPACK extension
   alone again (no ``scipy.sparse``);
-* ``wave-scan``: ``waves`` (``scipy.integrate``) and ``scipy.interpolate``,
-  which ``solve_bvp`` would otherwise import during the run.
+* ``wave-scan``: ``waves``, with ``temporal``, ``collocation``, ``pde`` and
+  ``continuation`` beneath it, so the LAPACK extension alone again (no
+  ``scipy.integrate`` or ``scipy.interpolate``).
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 honest
 non-convergence.
@@ -348,8 +349,7 @@ _RUNNERS: dict[str, tuple[Callable[[ExperimentConfig, Path], list[Path]],
     "thresholds": (cmd_thresholds, ()),
     "simulate": (cmd_simulate, (".pde",)),
     "continue": (cmd_continue, (".pde", ".continuation")),
-    # solve_bvp imports scipy.interpolate on its first call
-    "wave-scan": (cmd_wave_scan, (".waves", "scipy.interpolate")),
+    "wave-scan": (cmd_wave_scan, (".waves",)),
     "lyapunov": (cmd_lyapunov, (".pde", ".diagnostics")),
     "pulse": (cmd_pulse, (".pde", ".diagnostics")),
 }

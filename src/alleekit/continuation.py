@@ -111,10 +111,13 @@ def jacobian_banded(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndar
 
 
 class BandedLU:
-    """LU factorization of a banded matrix with a sign-of-determinant."""
+    """LU factorization of a matrix with ``kl`` sub- and ``ku``
+    superdiagonals, given in LAPACK gbtrf layout, with a
+    sign-of-determinant."""
 
-    def __init__(self, ab: np.ndarray):
-        self.lu, self.ipiv, info = flapack.dgbtrf(ab, KL, KU)
+    def __init__(self, ab: np.ndarray, kl: int, ku: int):
+        self.kl, self.ku = kl, ku
+        self.lu, self.ipiv, info = flapack.dgbtrf(ab, kl, ku)
         if info < 0:
             raise ValueError(f"bad argument {-info} to banded factorization")
         self.singular = info > 0
@@ -122,14 +125,14 @@ class BandedLU:
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.singular:
             raise SingularJacobian("banded Jacobian is numerically singular")
-        x, info = flapack.dgbtrs(self.lu, KL, KU, b, self.ipiv)
+        x, info = flapack.dgbtrs(self.lu, self.kl, self.ku, b, self.ipiv)
         if info != 0:
             raise SingularJacobian(f"banded solve failed (info={info})")
         return x
 
     @property
     def det_sign(self) -> int:
-        diag = self.lu[KL + KU, :]
+        diag = self.lu[self.kl + self.ku, :]
         if self.singular or (diag == 0.0).any():
             return 0
         neg = int((diag < 0.0).sum())
@@ -139,7 +142,7 @@ class BandedLU:
 
 
 def _factor(x: np.ndarray, sigma: float, prob: SteadyProblem) -> BandedLU:
-    return BandedLU(jacobian_banded(x, sigma, prob))
+    return BandedLU(jacobian_banded(x, sigma, prob), KL, KU)
 
 
 def newton_correct(x0: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarray:
@@ -383,7 +386,7 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     for _ in range(4):
         shifted = ab.copy()
         shifted[KL + KU, :] -= s
-        lu = BandedLU(shifted)
+        lu = BandedLU(shifted, KL, KU)
         if not lu.singular:
             break
         s *= 1.37  # a pivot collision means the shift hit an eigenvalue
@@ -546,11 +549,11 @@ def kernel_vector(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarra
     """
     ab = jacobian_banded(x, sigma, prob)
     scale = float(np.abs(ab).max())
-    lu = BandedLU(ab)
+    lu = BandedLU(ab, KL, KU)
     if lu.singular:
         shifted = ab.copy()
         shifted[KL + KU, :] -= 1e-10 * scale
-        lu = BandedLU(shifted)
+        lu = BandedLU(shifted, KL, KU)
         if lu.singular:
             raise NoConvergence("could not factor near the branch point")
     rng = np.random.default_rng(12345)

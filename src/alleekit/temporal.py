@@ -13,7 +13,9 @@ can go the other way. On the sigma = 1.82 cycle orbit they take the same
 steps; near a fixed point, where the error estimate is mostly rounding,
 they can differ by a step or two. The kinetics are non-stiff, so the explicit pair with
 relative tolerance 1e-8 is the default. Everything downstream works on
-densely sampled :class:`Trajectory` objects.
+densely sampled :class:`Trajectory` objects. The same integrator, with its
+own stopping event and its accepted steps handed back, gives
+:mod:`alleekit.waves` the reaction-only orbit that seeds its collocation.
 """
 
 from __future__ import annotations
@@ -147,12 +149,14 @@ def _initial_step(u: float, v: float, fu: float, fv: float, p: KineticParams,
     return min(100 * h0, h1, T)
 
 
-def _extinction_gap(u: float, v: float) -> float:
-    return max(u, v) - EXTINCTION_LEVEL
+def _ode_gaps(u: float, v: float) -> tuple[float, float]:
+    """integrate_ode's terminal events, each rising through zero when it
+    fires: extinction as max(u, v) falls through EXTINCTION_LEVEL,
+    divergence as max(|u|, |v|) rises through DIVERGENCE_LEVEL."""
+    return EXTINCTION_LEVEL - max(u, v), max(abs(u), abs(v)) - DIVERGENCE_LEVEL
 
 
-def _divergence_gap(u: float, v: float) -> float:
-    return max(abs(u), abs(v)) - DIVERGENCE_LEVEL
+_ODE_EVENTS = (Terminal.CONVERGED_TO_POINT, Terminal.DIVERGED)
 
 
 def _dense(s: float, t: float, h: float, u: float, v: float,
@@ -163,30 +167,47 @@ def _dense(s: float, t: float, h: float, u: float, v: float,
             v + x * (cv[0] + x * (cv[1] + x * (cv[2] + x * cv[3]))))
 
 
-def _crossing(gap, step: tuple, t_new: float, g_old: float, g_new: float) -> float:
-    """Where the event function ``gap`` changes sign on the interpolant of
-    the accepted step ending at ``t_new``."""
-    return bracketed_root(lambda s: gap(*_dense(s, *step)), step[0], t_new,
+def _dense_on_steps(steps: list[tuple], s: np.ndarray) -> np.ndarray:
+    """:func:`_dense` at the times ``s`` over accepted ``steps``, shape
+    (2, len(s)). A time on a step boundary takes the step that ends there,
+    as scipy's ``OdeSolution`` does; times outside the steps extrapolate
+    the first or last one."""
+    t, h, u, v, cu, cv = (np.array(a) for a in zip(*steps))
+    k = np.clip(np.searchsorted(t, s, side="left") - 1, 0, len(steps) - 1)
+    x = (s - t[k]) / h[k]
+    cu, cv = cu[k].T, cv[k].T
+    return np.array([u[k] + x * (cu[0] + x * (cu[1] + x * (cu[2] + x * cu[3]))),
+                     v[k] + x * (cv[0] + x * (cv[1] + x * (cv[2] + x * cv[3])))])
+
+
+def _crossing(gaps, k: int, step: tuple, t_new: float, g_old: float,
+              g_new: float) -> float:
+    """Where event ``k`` of ``gaps`` rises through zero on the interpolant
+    of the accepted step ending at ``t_new``."""
+    return bracketed_root(lambda s: gaps(*_dense(s, *step))[k], step[0], t_new,
                           fa=g_old, fb=g_new)
 
 
 def _dopri5(u: float, v: float, p: KineticParams, T: float, rtol: float,
-            atol: float, t_eval: list[float],
-            ) -> tuple[list[float], list[float], Terminal | None]:
+            atol: float, t_eval: list[float], gaps, labels: Sequence,
+            steps: list | None = None) -> tuple[list[float], list[float], object]:
     """Integrate from (u, v) at t = 0 toward T, sampling the dense output
     at ``t_eval`` (ascending, inside [0, T]).
 
-    Returns the times, the flat states [u0, v0, u1, v1, ...] and the
-    terminal event that stopped the run (None when T was reached). Events
-    are checked at each step end: extinction when max(u, v) falls through
-    EXTINCTION_LEVEL, divergence when max(|u|, |v|) rises through
-    DIVERGENCE_LEVEL. The run stops at the root of the event function on
-    the step's interpolant, with the samples before it and then the event
-    state itself, unless a sample time falls exactly on it.
+    ``gaps(u, v)`` returns one value per terminal event, signed so that the
+    event fires when its value rises through zero; the sign carries the
+    event's direction. Gaps are checked at each step end. The run stops at
+    the root of the gap on the step's interpolant, with the samples before
+    it and then the event state itself, unless a sample time falls exactly
+    on it. Returns the times, the flat states [u0, v0, u1, v1, ...] and
+    ``labels[k]`` for the event k that stopped the run (None when T was
+    reached). When ``steps`` is a list, every accepted step is appended to
+    it as (t, h, u, v, cu, cv), the arguments :func:`_dense` takes after
+    the time.
     """
     k1u, k1v = kinetics(u, v, p)
     h_abs = _initial_step(u, v, k1u, k1v, p, T, rtol, atol)
-    g_ext, g_div = _extinction_gap(u, v), _divergence_gap(u, v)
+    g_old = gaps(u, v)
     n_eval = len(t_eval)
     times: list[float] = []
     out: list[float] = []
@@ -250,15 +271,17 @@ def _dopri5(u: float, v: float, p: KineticParams, T: float, rtol: float,
                    + _P63 * k6v + _P73 * k7v))
         step = (t, h, u, v, cu, cv)
 
+        if steps is not None:
+            steps.append(step)
+
         t_end, event = t_new, None
-        ge, gd = _extinction_gap(un, vn), _divergence_gap(un, vn)
-        if g_ext >= 0.0 >= ge:
-            t_end = _crossing(_extinction_gap, step, t_new, g_ext, ge)
-            event = Terminal.CONVERGED_TO_POINT
-        if g_div <= 0.0 <= gd:
-            t_div = _crossing(_divergence_gap, step, t_new, g_div, gd)
-            if event is None or t_div < t_end:
-                t_end, event = t_div, Terminal.DIVERGED
+        g_new = gaps(un, vn)
+        if max(g_new) >= 0.0:
+            for k, label in enumerate(labels):
+                if g_old[k] <= 0.0 <= g_new[k]:
+                    t_hit = _crossing(gaps, k, step, t_new, g_old[k], g_new[k])
+                    if event is None or t_hit < t_end:
+                        t_end, event = t_hit, label
 
         while i < n_eval and t_eval[i] <= t_end:
             times.append(t_eval[i])
@@ -271,7 +294,7 @@ def _dopri5(u: float, v: float, p: KineticParams, T: float, rtol: float,
             return times, out, event
         if t_new >= T:
             return times, out, None
-        t, u, v, k1u, k1v, g_ext, g_div = t_new, un, vn, k7u, k7v, ge, gd
+        t, u, v, k1u, k1v, g_old = t_new, un, vn, k7u, k7v, g_new
 
 
 def integrate_ode(
@@ -318,7 +341,8 @@ def integrate_ode(
                 f"[{t_eval[0]}, {t_eval[-1]}]")
 
     t_list, flat, event = _dopri5(u0, v0, p, float(T), tol, tol * 1e-2,
-                                  t_eval.tolist())
+                                  t_eval.tolist(), _ode_gaps,
+                                  _ODE_EVENTS)
     times = np.array(t_list)
     states = np.array(flat).reshape(-1, 2)
 

@@ -5,6 +5,11 @@ The profile substitution turns u(x - ct), v(x - ct) into the first-order
 system X' = c^2 (X - Y), Y' = F1(X, W), W' = (c^2 / d)(W - Z),
 Z' = F2(X, W), whose heteroclinic orbits from the prey-only state to the
 coexisting state are the invasion fronts seen in the PDE.
+
+The shooting runs on code of this package alone: the kinetic seed on
+:mod:`alleekit.temporal`'s Dormand-Prince pair, the profile on the banded
+Lobatto IIIA collocation of :mod:`alleekit.collocation`. Of scipy it loads
+only the LAPACK extension that :mod:`alleekit.pde` loads.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_bvp, solve_ivp
 
+from .collocation import solve_bvp
 from .errors import NoConvergence, NonFinite, OutOfRange
 from .model import (
     KineticParams,
@@ -25,6 +30,7 @@ from .model import (
     upper_axial,
     upper_coexisting,
 )
+from .temporal import _dense_on_steps, _dopri5
 
 
 def j_constants(p: KineticParams, d: float) -> tuple[float, float]:
@@ -172,34 +178,30 @@ def _kinetic_seed(p: KineticParams, d: float, c: float, y0: np.ndarray,
 
     The prey pair (X, Y) is slaved on the scale 1/c^2, so the kinetic orbit
     u' = F1, v' = F2 with Y = u - F1/c^2, Z = v - d F2/c^2 approximates the
-    connection well enough to seed the collocation solver. The guess stops
-    at distance r_cut from the coexisting point.
+    connection well enough to seed the collocation solver. The orbit runs
+    on temporal's Dormand-Prince 5(4) pair (the kinetics are non-stiff at
+    wave parameters, and DOP853's long-step dense output is too wiggly to
+    seed the collocation) at rtol 1e-10, atol 1e-13, and the guess stops
+    where it comes within distance r_cut of the coexisting point. It is
+    sampled at every step start and on a uniform grid of 801 points.
     """
-    uv_star = target[[0, 2]]
+    us, vs = float(target[0]), float(target[2])
 
-    def kin(_t, s):
-        f1, f2 = kinetics(s[0], s[1], p)
-        return [float(f1), float(f2)]
+    def near(u, v):
+        return (r_cut - math.hypot(u - us, v - vs),)
 
-    def near(_t, s):
-        return float(np.hypot(*(s - uv_star))) - r_cut
-
-    near.terminal = True
-    near.direction = -1.0
-    # RK45: the kinetics are non-stiff at wave parameters, and DOP853's
-    # long-step dense output is too wiggly to seed the collocation
-    # scipy's, not temporal's own stepper: atol 1e-13 and the continuous
-    # sol.sol, and solve_bvp needs scipy.integrate anyway
-    sol = solve_ivp(kin, (0.0, 2.0 * t_max), y0[[0, 2]], method="RK45",
-                    rtol=1e-10, atol=1e-13, dense_output=True, events=near)
-    if not sol.t_events[0].size:
+    steps: list[tuple] = []
+    times, _, hit = _dopri5(float(y0[0]), float(y0[2]), p, 2.0 * t_max,
+                            1e-10, 1e-13, [], near, (True,), steps)
+    if hit is None:
         raise NoConvergence(
             f"reaction flow does not reach the coexisting state by t={t_max}")
-    T0 = float(sol.t_events[0][0])
+    T0 = times[-1]
 
+    t = np.array([step[0] for step in steps])
     frac = np.unique(np.concatenate([
-        np.clip(sol.t[sol.t < T0] / T0, 0.0, 1.0), np.linspace(0.0, 1.0, 801)]))
-    uv = sol.sol(frac * T0)
+        np.clip(t[t < T0] / T0, 0.0, 1.0), np.linspace(0.0, 1.0, 801)]))
+    uv = _dense_on_steps(steps, frac * T0)
     f1, f2 = kinetics(uv[0], uv[1], p)
     c2 = c * c
     seed = np.vstack([uv[0], uv[0] - f1 / c2, uv[1], uv[1] - d * f2 / c2])
@@ -234,14 +236,19 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     for the required dwell either. The orbit is instead assembled from three
     exact-to-tolerance pieces: the linear flow along the slow eigenvector
     from the launch amplitude up to max-norm amplitude _CORE_AMPLITUDE, a
-    collocation solve of the full nonlinear profile with projection boundary
-    conditions and free transit time down to radius _CORE_RADIUS, and the
-    linear flow on the stable subspace of the coexisting state from there on.
+    collocation solve (:func:`alleekit.collocation.solve_bvp`, seeded by
+    the reaction-only flow) of the full nonlinear profile with projection
+    boundary conditions and free transit time down to radius _CORE_RADIUS,
+    and the linear flow on the stable subspace of the coexisting state from
+    there on. The collocation runs at ``tol`` and, failing that (more than
+    30000 nodes, a singular Newton matrix, a boundary residual that does
+    not settle, or a non-finite iterate), once more at max(100 tol, 1e-8).
 
     found requires the orbit to enter the max-norm ball of radius _BALL
     around the coexisting point and remain inside through the end, for at
     least _STAY time units. The orbit leaving the box [-1, 2 u1]^4 raises
-    NonFinite; a transit longer than t_max, or collocation failure, raises
+    NonFinite; a transit longer than t_max, a seed that does not reach the
+    coexisting state, or a collocation failure at both tolerances raises
     NoConvergence. Monotonicity of X and W is judged on the trailing
     80% of the orbit with oscillation tolerance 1e-4.
     """
@@ -439,6 +446,9 @@ class ScanResult:
     cs: np.ndarray
     codes: np.ndarray          # shape (len(sigmas), len(cs))
     c_min_at_sigma: np.ndarray
+    # per cell, why it is Unknown: the failure's exception name, or
+    # "NotFound" for an orbit that does not settle; "" for the other cells
+    reasons: np.ndarray
 
     @property
     def monotonic_side(self) -> str:
@@ -452,15 +462,24 @@ class ScanResult:
         return "high_sigma" if mono_mean > non_mean else "low_sigma"
 
 
-def _classify_cell(p: KineticParams, d: float, c: float) -> int:
+def _classify_cell(p: KineticParams, d: float, c: float,
+                   reasons: list[str] | None = None) -> int:
+    """WaveClass code of one cell at or above the minimal speed; appends
+    the cell's reason (see ScanResult.reasons) to ``reasons`` if given."""
     try:
         shot = shoot_heteroclinic(p, d, c, tol=1e-8)
-    except (NonFinite, OutOfRange, NoConvergence):
-        return int(WaveClass.UNKNOWN)
-    if not shot.found:
-        return int(WaveClass.UNKNOWN)
-    mono = shot.monotone and not shot.spiral_tail
-    return int(WaveClass.MONOTONIC if mono else WaveClass.NON_MONOTONIC)
+    except (NonFinite, OutOfRange, NoConvergence) as exc:
+        code, reason = WaveClass.UNKNOWN, type(exc).__name__
+    else:
+        if not shot.found:
+            code, reason = WaveClass.UNKNOWN, "NotFound"
+        elif shot.monotone and not shot.spiral_tail:
+            code, reason = WaveClass.MONOTONIC, ""
+        else:
+            code, reason = WaveClass.NON_MONOTONIC, ""
+    if reasons is not None:
+        reasons.append(reason)
+    return int(code)
 
 
 def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
@@ -470,7 +489,8 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
     Requires the upper coexisting state to be a stable node or focus at
     every scanned sigma; OutOfRange names the first sigma where it is not.
     Cells below the minimal speed are NoWave without shooting;
-    per-cell failures are recorded as Unknown, never raised.
+    per-cell failures are recorded as Unknown, with their reason in
+    ``reasons``, never raised.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     cs = np.asarray(cs, dtype=float)
@@ -481,6 +501,7 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
                 f"scan needs the coexisting state to attract at every sigma; "
                 f"at sigma={sig:.4f} it is {e.stability.value}")
     codes = np.full((sigmas.size, cs.size), int(WaveClass.UNKNOWN), dtype=int)
+    reasons = np.full(codes.shape, "", dtype=object)
     cmins = np.empty(sigmas.size)
     for i, sig in enumerate(sigmas):
         ps = p.with_sigma(float(sig))
@@ -488,11 +509,14 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
             cm = c_min(ps, d)
         except OutOfRange:
             cmins[i] = math.nan
+            reasons[i] = "OutOfRange"
             continue
         cmins[i] = cm
         for j, c in enumerate(cs):
             if c < cm:
                 codes[i, j] = WaveClass.NO_WAVE
             else:
-                codes[i, j] = _classify_cell(ps, d, float(c))
-    return ScanResult(sigmas, cs, codes, cmins)
+                why: list[str] = []
+                codes[i, j] = _classify_cell(ps, d, float(c), why)
+                reasons[i, j] = why[0]
+    return ScanResult(sigmas, cs, codes, cmins, reasons)

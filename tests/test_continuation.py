@@ -100,7 +100,7 @@ def test_problem_validation(base_p):
 def test_singular_band_refuses_to_solve():
     ab = np.zeros((2 * KL + KU + 1, 8))
     ab[KL + KU] = [1.0, 2.0, 0.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-    lu = BandedLU(ab)
+    lu = BandedLU(ab, KL, KU)
     assert lu.singular and lu.det_sign == 0
     with pytest.raises(SingularJacobian, match="numerically singular"):
         lu.solve(np.ones(8))
@@ -403,7 +403,7 @@ def _arpack_spectrum(x, sigma, prob, k):
 
     ab = jacobian_banded(x, sigma, prob)
     ab[KL + KU] -= STABILITY_SHIFT
-    lu = BandedLU(ab)
+    lu = BandedLU(ab, KL, KU)
     n = prob.n_unknowns
     mu = eigs(LinearOperator((n, n), matvec=lu.solve, dtype=float), k=k,
               which="LM", return_eigenvectors=False, maxiter=max(300, 20 * k))

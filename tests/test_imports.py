@@ -1,9 +1,10 @@
 """The import contract: ``import alleekit`` and ``import alleekit.cli`` load
 no scipy, nor do the ``equilibria``, ``thresholds`` and ``temporal-diagram``
-runs; the time-stepping and ``continue`` runs load scipy's LAPACK extension
-but not the ``scipy.linalg`` package, ``continue`` loads no
-``scipy.sparse``, and ``scipy.linalg`` reuses the extension ``pde``
-loaded; each CLI command loads its layers before its run starts; and the
+runs; the time-stepping, ``continue`` and ``wave-scan`` runs load scipy's
+LAPACK extension but not the ``scipy.linalg`` package, ``continue`` loads
+no ``scipy.sparse``, ``wave-scan`` no ``scipy.integrate``,
+``scipy.interpolate`` or ``scipy.sparse``, and ``scipy.linalg`` reuses the
+extension ``pde`` loaded; each CLI command loads its layers before its run starts; and the
 lazy package namespace still serves every public name.
 
 Each check of what gets loaded runs in a fresh interpreter, because the
@@ -120,6 +121,14 @@ def test_continue_loads_lapack_but_no_sparse_or_linalg_package(tmp_path):
         "import alleekit.cli, alleekit.continuation\n"
         "print(json.dumps(sorted(sys.modules)))\n"))
     assert not [m for m in loaded if m.startswith("scipy.sparse")]
+
+
+def test_wave_scan_loads_lapack_but_no_integrate_interpolate_or_sparse(tmp_path):
+    report = _drive(tmp_path, ["wave-scan"])
+    assert "scipy.linalg._flapack" in report["loaded"]
+    assert "scipy.linalg" not in report["loaded"]
+    assert not [m for m in report["loaded"] if m.startswith(
+        ("scipy.integrate", "scipy.interpolate", "scipy.sparse"))]
 
 
 def test_scipy_linalg_reuses_the_extension_pde_loaded():

@@ -250,3 +250,141 @@ def test_failed_shot_classifies_as_unknown(p_main, monkeypatch, error):
 
     monkeypatch.setattr(waves, "shoot_heteroclinic", failing_shot)
     assert _classify_cell(p_main, D_REF, 5.9) == WaveClass.UNKNOWN
+
+
+# the benchmark's monotone and spiral cells, (sigma, c)
+_ORACLE_CELLS = [(2.7, 4.7), (1.9, 6.0)]
+
+
+def _scipy_seed(p, d, c, y0, target, r_cut, t_max):
+    """The kinetic seed's flow through scipy's RK45, as the seed is
+    specified: rtol 1e-10, atol 1e-13, stop where the orbit comes within
+    r_cut of the coexisting point. Returns the solution, the stop time T0
+    and the seed's sample fractions of T0: the step starts and 801 uniform
+    points."""
+    from scipy.integrate import solve_ivp
+
+    uv_star = target[[0, 2]]
+
+    def kin(_t, s):
+        return list(kinetics(float(s[0]), float(s[1]), p))
+
+    def near(_t, s):
+        return float(np.hypot(*(s - uv_star))) - r_cut
+
+    near.terminal, near.direction = True, -1.0
+    sol = solve_ivp(kin, (0.0, 2.0 * t_max), y0[[0, 2]], method="RK45",
+                    rtol=1e-10, atol=1e-13, dense_output=True, events=near)
+    T0 = float(sol.t_events[0][0])
+    frac = np.unique(np.concatenate([
+        np.clip(sol.t[sol.t < T0] / T0, 0.0, 1.0), np.linspace(0.0, 1.0, 801)]))
+    return sol, T0, frac
+
+
+@pytest.mark.parametrize("sigma, c", _ORACLE_CELLS)
+def test_kinetic_seed_reproduces_scipy_rk45(p_main, monkeypatch, sigma, c):
+    p = p_main.with_sigma(sigma)
+    u1 = upper_axial(p).u
+    e = coexisting_equilibria(p)[-1]
+    target = np.array([e.u, e.u, e.v, e.v])
+    y0 = (np.array([u1, u1, 0.0, 0.0])
+          + waves._LAUNCH_SCALE * u1 * _slow_unstable_vector(p, D_REF, c))
+    args = (p, D_REF, c, y0, target, waves._CORE_RADIUS, 2000.0)
+
+    accepted = []
+    dopri5 = waves._dopri5
+
+    def counted(*a):
+        out = dopri5(*a)
+        accepted.append(len(a[-1]))  # the list of accepted steps
+        return out
+
+    monkeypatch.setattr(waves, "_dopri5", counted)
+    frac, seed, T0 = waves._kinetic_seed(*args)
+    sol, T0_ref, frac_ref = _scipy_seed(*args)
+    assert accepted == [sol.t.size - 1]
+    assert T0 == pytest.approx(T0_ref, rel=1e-12, abs=0.0)
+    # the step starts drift apart by rounding (see temporal's docstring),
+    # so the seed is compared on its own sample times
+    assert frac.shape == frac_ref.shape
+    assert np.abs(frac - frac_ref).max() < 1e-9
+    uv = sol.sol(frac * T0)
+    f1, f2 = kinetics(uv[0], uv[1], p)
+    ref = np.vstack([uv[0], uv[0] - f1 / c**2, uv[1], uv[1] - D_REF * f2 / c**2])
+    ref[:, 0] = y0
+    assert np.abs(seed - ref).max() < 1e-10
+
+
+@pytest.mark.parametrize("sigma, c", _ORACLE_CELLS)
+def test_collocation_agrees_with_scipy_solve_bvp(p_main, monkeypatch, sigma, c):
+    from scipy.integrate import solve_bvp
+
+    calls = []
+    own = waves.solve_bvp
+
+    def recorded(*args, **kwargs):
+        out = own(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(waves, "solve_bvp", recorded)
+    shoot_heteroclinic(p_main.with_sigma(sigma), D_REF, c, tol=1e-8)
+    assert len(calls) == 1
+    args, kwargs, sol = calls[0]
+    ref = solve_bvp(*args, **kwargs)
+    assert sol.status == ref.status == 0
+    assert sol.x.size == ref.x.size
+    assert sol.p[0] == pytest.approx(ref.p[0], rel=1e-9, abs=0.0)
+
+
+def _singular_dgbtrf(ab, kl, ku):
+    # the factorization of an exactly singular matrix: info > 0
+    return ab, np.zeros(ab.shape[1], dtype=np.int32), 1
+
+
+def test_singular_newton_matrix_is_an_unknown_cell(p_main, monkeypatch, tmp_path):
+    from alleekit import cli
+    from alleekit.pde import flapack
+
+    monkeypatch.setattr(flapack, "dgbtrf", _singular_dgbtrf)
+    reasons = []
+    assert _classify_cell(p_main, D_REF, 5.9, reasons) == WaveClass.UNKNOWN
+    assert reasons == ["NoConvergence"]
+
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("[kinetics]\nsigma = 2.7\nalpha = 0.07\nbeta = 0.2\n"
+                   "gamma = 1.2\neta = 0.1\n[spatial]\nd = 46\n[sweep]\n"
+                   "sigma_lo = 2.7\nsigma_hi = 2.7\nsigma_count = 1\n"
+                   "c_lo = 5.9\nc_hi = 6.0\nc_count = 2\n")
+    assert cli.main(["wave-scan", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    codes = [line.split(",")[2] for line in
+             (tmp_path / "out" / "scan.csv").read_text().splitlines()[1:]]
+    assert codes == ["3", "3"]
+
+
+def _shot(found: bool) -> Shot:
+    return Shot(found, np.zeros(1), np.zeros((1, 4)), True, True, False)
+
+
+@pytest.mark.parametrize("outcome, code, reason", [
+    (NonFinite("computed orbit leaves the physical box"), WaveClass.UNKNOWN,
+     "NonFinite"),
+    (OutOfRange("degenerate slow eigenvector"), WaveClass.UNKNOWN, "OutOfRange"),
+    (NoConvergence("profile collocation failed"), WaveClass.UNKNOWN,
+     "NoConvergence"),
+    (_shot(found=False), WaveClass.UNKNOWN, "NotFound"),
+    (_shot(found=True), WaveClass.MONOTONIC, ""),
+])
+def test_scan_reports_why_each_cell_is_unknown(p_main, monkeypatch, outcome,
+                                               code, reason):
+    def failing_shot(*args, **kwargs):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(waves, "shoot_heteroclinic", failing_shot)
+    # the first cell lies below the minimal speed and is never shot
+    res = scan_plane(p_main, D_REF, [2.7], [3.0, 5.9])
+    assert res.codes.tolist() == [[WaveClass.NO_WAVE, code]]
+    assert res.reasons.tolist() == [["", reason]]
