@@ -10,11 +10,14 @@ nothing else in the output directory) so reruns diff cheaply.
 
 Each command loads only the layers it runs. ``import alleekit`` and
 ``import alleekit.cli`` load ``config``, ``errors``, ``model``, ``linear``
-and ``rootfind``, and no scipy; that is all ``equilibria`` and
-``thresholds`` need. The other commands add, after the config is parsed
-and before the run starts:
+and ``rootfind``, and neither numpy nor scipy; that is all ``equilibria``
+and ``thresholds`` need, so those two run without numpy. Every other
+command loads numpy; it adds, after the config is parsed and before the
+run starts:
 
-* ``temporal-diagram``: ``temporal`` (no scipy);
+* ``temporal-diagram``: ``temporal`` (no scipy); numpy itself loads while
+  the config is parsed, to build the sigma grid, as it does for
+  ``wave-scan``;
 * ``simulate``: ``pde`` (scipy's LAPACK extension ``scipy.linalg._flapack``
   alone, not the ``scipy.linalg`` package);
 * ``lyapunov`` and ``pulse``: ``pde`` and ``diagnostics`` (``lyapunov``
@@ -24,6 +27,9 @@ and before the run starts:
 * ``wave-scan``: ``waves``, with ``temporal``, ``collocation``, ``pde`` and
   ``continuation`` beneath it, so the LAPACK extension alone again (no
   ``scipy.integrate`` or ``scipy.interpolate``).
+
+``simulate``, ``lyapunov``, ``pulse`` and ``continue`` also load
+``numpy.random``, which numpy itself loads only on first use.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 honest
 non-convergence.
@@ -37,8 +43,6 @@ import sys
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
-
-import numpy as np
 
 from .config import COMMANDS, ExperimentConfig, parse_config
 from .errors import (
@@ -63,6 +67,8 @@ from .model import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .pde import Grid
 
 # Stable integer labels for CSV output; the enum itself stays string-valued
@@ -80,9 +86,11 @@ _STAB_CODE = {
 def _fmt(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, (bool, np.bool_)):
+    # a value can be a numpy scalar only once numpy is loaded
+    np = sys.modules.get("numpy")
+    if isinstance(v, bool) or (np is not None and isinstance(v, np.bool_)):
         return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, int) or (np is not None and isinstance(v, np.integer)):
         return str(int(v))
     # 12 significant digits: enough to round-trip float32-scale differences,
     # short enough to keep golden files stable across platforms
@@ -132,6 +140,8 @@ def _grid_and_dt(cfg: ExperimentConfig) -> tuple[Grid, float]:
 
 
 def _rng(cfg: ExperimentConfig) -> np.random.Generator | None:
+    import numpy as np
+
     return None if cfg.seed is None else np.random.default_rng(cfg.seed)
 
 
@@ -246,6 +256,8 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def cmd_continue(cfg: ExperimentConfig, out: Path) -> list[Path]:
+    import numpy as np
+
     from .continuation import (SteadyProblem, continue_branch, interleave,
                                split_fields)
     from .pde import Grid
@@ -292,11 +304,13 @@ def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
         shot = shoot_heteroclinic(cfg.p.with_sigma(float(res.sigmas[0])),
                                   cfg.d, float(res.cs[0]))
         written.append(_write_csv(out / "orbit.csv", ("t", "X", "Y", "W", "Z"),
-                                  zip(shot.t, *shot.states)))
+                                  zip(shot.t, *shot.states.T)))
     return written
 
 
 def cmd_lyapunov(cfg: ExperimentConfig, out: Path) -> list[Path]:
+    import numpy as np
+
     from .diagnostics import largest_lyapunov
     from .pde import Recorder, make_ic, run
 
@@ -341,17 +355,18 @@ def cmd_pulse(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 # command -> (runner, the modules its run imports beyond those of this
-# module); main imports them before the run starts
+# module, numpy's lazily loaded numpy.random included); main imports them
+# before the run starts
 _RUNNERS: dict[str, tuple[Callable[[ExperimentConfig, Path], list[Path]],
                           tuple[str, ...]]] = {
     "equilibria": (cmd_equilibria, ()),
     "temporal-diagram": (cmd_temporal_diagram, (".temporal",)),
     "thresholds": (cmd_thresholds, ()),
-    "simulate": (cmd_simulate, (".pde",)),
-    "continue": (cmd_continue, (".pde", ".continuation")),
+    "simulate": (cmd_simulate, (".pde", "numpy.random")),
+    "continue": (cmd_continue, (".pde", ".continuation", "numpy.random")),
     "wave-scan": (cmd_wave_scan, (".waves",)),
-    "lyapunov": (cmd_lyapunov, (".pde", ".diagnostics")),
-    "pulse": (cmd_pulse, (".pde", ".diagnostics")),
+    "lyapunov": (cmd_lyapunov, (".pde", ".diagnostics", "numpy.random")),
+    "pulse": (cmd_pulse, (".pde", ".diagnostics", "numpy.random")),
 }
 
 

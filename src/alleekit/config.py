@@ -11,14 +11,17 @@ values that were given, because every default lies inside its bound.
 depend on the command are code in `parse_config`.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .model import KineticParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COMMANDS = ("equilibria", "temporal-diagram", "thresholds", "simulate",
             "continue", "wave-scan", "lyapunov", "pulse")
@@ -209,6 +212,8 @@ def _grid_from(data, issues, prefix: str, cmd: str,
     # sigma is a kinetic rate and c a wave speed: both must be positive
     if lo <= 0:
         issues.append(f"[sweep] {prefix}_lo: must be positive")
+    import numpy as np
+
     if count == 1:
         return np.array([lo])
     return np.linspace(lo, hi, count)

@@ -24,8 +24,8 @@ from .model import (
     Equilibrium,
     EquilibriumKind,
     KineticParams,
+    _jacobian_entries,
     _prey_window,
-    jacobian,
     upper_axial,
     upper_coexisting,
 )
@@ -85,8 +85,7 @@ class SpatialSpectrum:
 
 
 def _entries(e: Equilibrium, p: KineticParams) -> tuple[float, float, float, float]:
-    j = jacobian(e.u, e.v, p)
-    return float(j[0, 0]), float(j[0, 1]), float(j[1, 0]), float(j[1, 1])
+    return _jacobian_entries(e.u, e.v, p)
 
 
 def _upper_estar(p: KineticParams, sigma: float) -> tuple[Equilibrium, KineticParams]:

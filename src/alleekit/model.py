@@ -8,7 +8,8 @@ The non-dimensional planar kinetics are
 with prey growth reduced at low density (the sigma*u**2 factor), a linear
 prey mortality, and predator interference through beta. alpha = 0 is the
 ratio-dependent limit; beta = 0 the interference-free saturating limit.
-Everything here is a pure function of its inputs.
+Everything here is a pure function of its inputs. numpy is imported only
+inside the branches that take arrays, so the scalar path runs without it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateKinetics,
@@ -27,6 +27,9 @@ from .errors import (
     OutOfRange,
 )
 from .rootfind import bracketed_root, real_cubic_roots
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "KineticParams",
@@ -135,6 +138,8 @@ def _masked_div(num, den):
     """num / den, with 0 where den == 0 (the origin convention)."""
     if isinstance(den, float):
         return num / den if den != 0.0 else 0.0
+    import numpy as np
+
     out = np.zeros_like(den)
     np.divide(num, den, out=out, where=den != 0.0)
     return out
@@ -175,6 +180,8 @@ def kinetics(u, v, p: KineticParams):
             raise NonFinite("kinetics called with non-finite state")
         f1, f2 = _rates(float(u), float(v), p)
         return float(f1), float(f2)
+    import numpy as np
+
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
     if not (np.all(np.isfinite(ua)) and np.all(np.isfinite(va))):
@@ -200,6 +207,8 @@ def jacobian_fields(u, v, p: KineticParams):
     if isinstance(u, float) and isinstance(v, float):
         a10, a01, b10, b01 = _derivatives(float(u), float(v), p)
         return float(a10), float(a01), float(b10), float(b01)
+    import numpy as np
+
     return _derivatives(np.asarray(u, dtype=float), np.asarray(v, dtype=float), p)
 
 
@@ -212,6 +221,8 @@ def _jacobian_entries(u: float, v: float,
 
 def jacobian(u: float, v: float, p: KineticParams) -> np.ndarray:
     """2x2 Jacobian of the kinetics at a point."""
+    import numpy as np
+
     a10, a01, b10, b01 = _jacobian_entries(u, v, p)
     return np.array([[a10, a01], [b10, b01]])
 
@@ -484,9 +495,7 @@ def first_lyapunov_coefficient(p: KineticParams, sigma_h: float, estar: Equilibr
     1e-4. Negative sign means the emerging small cycle is stable.
     """
     ph = p.with_sigma(sigma_h)
-    j = jacobian(estar.u, estar.v, ph)
-    a, b = float(j[0, 0]), float(j[0, 1])
-    c, d = float(j[1, 0]), float(j[1, 1])
+    a, b, c, d = _jacobian_entries(estar.u, estar.v, ph)
     tr = a + d
     delta = a * d - b * c
     if abs(tr) > 1e-6 * max(1.0, abs(a), abs(d)):

@@ -137,7 +137,7 @@ class Shot:
 
     found: bool
     t: np.ndarray
-    states: np.ndarray  # rows (X, Y, W, Z)
+    states: np.ndarray  # one (X, Y, W, Z) row per sample
     monotone: bool
     wedge_ok: bool
     spiral_tail: bool
@@ -199,8 +199,10 @@ def _kinetic_seed(p: KineticParams, d: float, c: float, y0: np.ndarray,
     T0 = times[-1]
 
     t = np.array([step[0] for step in steps])
-    frac = np.unique(np.concatenate([
+    frac = np.sort(np.concatenate([
         np.clip(t[t < T0] / T0, 0.0, 1.0), np.linspace(0.0, 1.0, 801)]))
+    # np.unique, without the numpy.ma it imports
+    frac = frac[np.concatenate(([True], frac[1:] != frac[:-1]))]
     uv = _dense_on_steps(steps, frac * T0)
     f1, f2 = kinetics(uv[0], uv[1], p)
     c2 = c * c

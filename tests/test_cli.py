@@ -1,10 +1,15 @@
 """The command-line interface: documented exit codes, the pulse command,
-byte-identical reruns and writers, and manifests of what a run wrote."""
+byte-identical reruns and writers, golden manifests of the scalar commands,
+and manifests of what a run wrote."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from alleekit.cli import _write_csv, _write_snapshot, main
+from alleekit.cli import _fmt, _write_csv, _write_snapshot, main
+from alleekit.model import KineticParams
+from alleekit.waves import shoot_heteroclinic
 
 _KINETICS = """[kinetics]
 sigma = {sigma}
@@ -106,6 +111,23 @@ def test_wave_scan_brackets_hopf_above_coexistence_floor(tmp_path, capsys):
     assert rows[0] == "sigma,c,classification_code,c_min_at_sigma"
     assert len(rows) == 2
 
+
+def test_wave_scan_writes_one_orbit_row_per_sample(tmp_path, capsys):
+    rc, err = _run(tmp_path, capsys, "wave-scan",
+                   "[sweep]\nsigma_lo = 1.9\nsigma_hi = 1.9\nsigma_count = 1\n"
+                   "c_lo = 6.0\nc_hi = 6.0\nc_count = 1\n")
+    assert rc == 0, err
+    rows = (tmp_path / "out" / "orbit.csv").read_text().splitlines()
+    assert rows[0] == "t,X,Y,W,Z"
+    shot = shoot_heteroclinic(
+        KineticParams(alpha=0.07, beta=0.2, gamma=1.2, sigma=1.9, eta=0.1),
+        46.0, 6.0)
+    fields = [row.split(",") for row in rows[1:]]
+    assert {len(f) for f in fields} == {5}
+    assert [f[0] for f in fields] == [_fmt(t) for t in shot.t]
+    assert fields[-1][1:] == [_fmt(x) for x in shot.states[-1]]
+
+
 @pytest.mark.parametrize("command,body,key", [
     ("temporal-diagram", "[sweep]\nsigma_lo = -1\nsigma_hi = 1.9\n"
                          "sigma_count = 2\nt_sim = 200\n", "sigma_lo"),
@@ -160,6 +182,23 @@ def test_reruns_give_identical_manifests(tmp_path, capsys, command, body):
     assert manifests[0].count(b"\n") >= 1
 
 
+# sha256 of manifest.txt on the orbits benchmark configs (sigma = 2.7,
+# L = 200); both commands run on plain Python floats, with no numpy between
+# the kinetics and the CSV
+@pytest.mark.parametrize("command,body,digest", [
+    ("equilibria", "",
+     "d466ae329b7675bef17bf9d843447df590e5084ca8d837c284835e45cc01d1c7"),
+    ("thresholds", "l = 200\n",
+     "eb8d5da017f21ccfda1233ab8a74f491d692dbf64f7b664fad3f0221bf486021"),
+])
+def test_scalar_commands_give_golden_manifests(tmp_path, capsys, command, body,
+                                               digest):
+    rc, err = _run(tmp_path, capsys, command, body)
+    assert rc == 0, err
+    manifest = (tmp_path / "out" / "manifest.txt").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == digest
+
+
 @pytest.mark.parametrize("give_out", [True, False], ids=["out", "cwd"])
 def test_manifest_lists_only_what_the_run_wrote(tmp_path, capsys, monkeypatch,
                                                give_out):
@@ -190,3 +229,14 @@ def test_snapshot_writer_matches_generic_writer(tmp_path):
                ("t = 1.5",))
     assert ((tmp_path / "fast.csv").read_bytes()
             == (tmp_path / "generic.csv").read_bytes())
+
+
+@pytest.mark.parametrize("np_value,value,text", [
+    (np.True_, True, "1"),
+    (np.False_, False, "0"),
+    (np.int64(7), 7, "7"),
+    (np.float64(0.1), 0.1, "1.00000000000e-01"),
+])
+def test_fmt_gives_numpy_scalars_the_text_of_python_values(np_value, value,
+                                                           text):
+    assert _fmt(np_value) == _fmt(value) == text

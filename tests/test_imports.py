@@ -1,11 +1,13 @@
 """The import contract: ``import alleekit`` and ``import alleekit.cli`` load
-no scipy, nor do the ``equilibria``, ``thresholds`` and ``temporal-diagram``
-runs; the time-stepping, ``continue`` and ``wave-scan`` runs load scipy's
-LAPACK extension but not the ``scipy.linalg`` package, ``continue`` loads
-no ``scipy.sparse``, ``wave-scan`` no ``scipy.integrate``,
+neither numpy nor scipy, nor do the ``equilibria`` and ``thresholds`` runs;
+``temporal-diagram`` loads numpy but no scipy; the time-stepping,
+``continue`` and ``wave-scan`` runs load numpy and scipy's LAPACK extension
+but not the ``scipy.linalg`` package, ``continue`` loads no
+``scipy.sparse``, ``wave-scan`` no ``scipy.integrate``,
 ``scipy.interpolate`` or ``scipy.sparse``, and ``scipy.linalg`` reuses the
-extension ``pde`` loaded; each CLI command loads its layers before its run starts; and the
-lazy package namespace still serves every public name.
+extension ``pde`` loaded; each CLI command loads its layers, numpy
+included, before its run starts; and the lazy package namespace still
+serves every public name.
 
 Each check of what gets loaded runs in a fresh interpreter, because the
 test session itself has already imported every layer.
@@ -53,11 +55,12 @@ _BODIES = {
 }
 
 # Runs the commands given as (command, config, out) triples through
-# alleekit.cli.main and prints, as JSON, the exit codes, the alleekit and
-# scipy modules loaded at the end, and those each run_experiment added.
+# alleekit.cli.main and prints, as JSON, the exit codes, the alleekit, numpy
+# and scipy modules loaded at the end, and those each run_experiment added.
 _DRIVER = """
 import json, sys
-ours = lambda: {m for m in sys.modules if m.split(".")[0] in ("alleekit", "scipy")}
+ours = lambda: {m for m in sys.modules
+                if m.split(".")[0] in ("alleekit", "numpy", "scipy")}
 import alleekit
 after_package = sorted(ours())
 import alleekit.cli as cli
@@ -103,6 +106,12 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
     assert report["after_package"] == ["alleekit"]
     assert not [m for m in report["loaded"] if m.split(".")[0] == "scipy"]
     assert "alleekit.pde" not in report["loaded"]
+
+
+def test_scalar_commands_load_no_numpy(tmp_path):
+    # nothing loaded by the end: not by import alleekit.cli, nor by the runs
+    report = _drive(tmp_path, ["equilibria", "thresholds"])
+    assert all(m.split(".")[0] == "alleekit" for m in report["loaded"])
 
 
 def test_stepping_commands_skip_scipy_linalg_package(tmp_path):
@@ -152,9 +161,12 @@ def test_missing_lapack_extension_names_the_directory(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", list(_BODIES))
 def test_run_imports_nothing_new(tmp_path, command):
-    # main loads the command's layers, so the run itself imports nothing
+    # main loads the command's layers, numpy with them, so the run itself
+    # imports nothing
     report = _drive(tmp_path, [command])
     assert report["added_by_run"] == [[]]
+    scalar = command in ("equilibria", "thresholds")
+    assert ("numpy" in report["loaded"]) is not scalar
 
 
 def test_lazy_namespace_serves_every_public_name():

@@ -12,6 +12,7 @@ import pytest
 from alleekit.errors import HypothesisFailed, NoRoot, OutOfRange
 from alleekit.linear import (
     Regime,
+    _entries,
     band_modes,
     branch_point_sigmas,
     branch_point_table,
@@ -30,6 +31,7 @@ from alleekit.model import (
     coexisting_equilibria,
     jacobian,
     trivial_equilibrium,
+    upper_coexisting,
 )
 from alleekit.rootfind import scan_roots
 
@@ -284,3 +286,14 @@ def test_vbounds(p_main):
     assert u1_edge == 0.5 and mstar_edge == 0.0
     with pytest.raises(OutOfRange):
         vbounds(p_main.with_sigma(0.39))
+
+
+@pytest.mark.parametrize("sigma", [1.82, 2.7])
+def test_entries_are_the_jacobian_matrix_bit_for_bit(p_main, sigma):
+    # the entries come from the scalar path, with no numpy 2x2 in between
+    ps = p_main.with_sigma(sigma)
+    e = upper_coexisting(ps)
+    got = _entries(e, ps)
+    assert all(type(x) is float for x in got)
+    assert ([x.hex() for x in got]
+            == [float(x).hex() for x in jacobian(e.u, e.v, ps).ravel()])

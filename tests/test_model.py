@@ -412,12 +412,16 @@ def test_first_lyapunov_coefficient(p_main):
     assert abs(l1 - L1_ORACLE) < 1e-3 * abs(L1_ORACLE)
     # Reported magnitude check, as a multiple of pi.
     assert abs(l1 / math.pi + 22.7488) < 0.05 * 22.7488
+    # the package's own value, bit for bit: plain float arithmetic throughout
+    assert l1.hex() == "-0x1.1ddf3dd3a66adp+6"
 
 
 def test_first_lyapunov_positive_for_ratio_dependent():
     p = KineticParams(alpha=0.0, beta=0.2, gamma=1.2, sigma=3.9, eta=0.1)
     sh, e = hopf_sigma(p, (3.85, 4.0))
-    assert first_lyapunov_coefficient(p, sh, e) > 0
+    l1 = first_lyapunov_coefficient(p, sh, e)
+    assert l1 > 0
+    assert l1.hex() == "0x1.187bcb6123c82p+8"
 
 
 def test_first_lyapunov_rejects_non_hopf(p_main):
