@@ -50,6 +50,7 @@ from .errors import (
     ConvergenceError,
     HypothesisFailed,
     NumericalError,
+    ValidationError,
 )
 from .linear import (
     branch_point_table,
@@ -220,8 +221,7 @@ def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
                     for m in mode_reports(e, cfg.p, cfg.d, cfg.L)),
                    preamble=(f"sigma = {_fmt(cfg.p.sigma)}",)),
         _write_csv(out / "bps.csv", ("n", "sigma"),
-                   branch_point_table(cfg.p, cfg.d, cfg.L, range(1, 33),
-                                      cfg.bracket)),
+                   branch_point_table(cfg.p, cfg.d, cfg.L, None, cfg.bracket)),
     ]
 
 
@@ -300,7 +300,8 @@ def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
     written = [_write_csv(out / "scan.csv",
                           ("sigma", "c", "classification_code",
                            "c_min_at_sigma"), rows)]
-    if res.sigmas.size == 1 and res.cs.size == 1:
+    # one cell gets its orbit if c reaches its minimal speed (never a NaN one)
+    if res.codes.shape == (1, 1) and res.c_min_at_sigma[0] <= res.cs[0]:
         shot = shoot_heteroclinic(cfg.p.with_sigma(float(res.sigmas[0])),
                                   cfg.d, float(res.cs[0]))
         written.append(_write_csv(out / "orbit.csv", ("t", "X", "Y", "W", "Z"),
@@ -373,7 +374,10 @@ _RUNNERS: dict[str, tuple[Callable[[ExperimentConfig, Path], list[Path]],
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     """Run one configured experiment, returning the output directory."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError([f"output directory: {exc}"]) from None
     runner, _ = _RUNNERS[cfg.command]
     _manifest(out, runner(cfg, out))
     return out
@@ -396,8 +400,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,11 +3,11 @@
 Unknowns are interleaved (u0, v0, u1, v1, ...) so the steady-state
 Jacobian is banded with two sub- and two superdiagonals; one LAPACK
 banded LU (``dgbtrf`` from :mod:`alleekit.pde`'s ``flapack``) serves the
-Newton corrector, the extended-system determinant sign used for
-branch-point detection, and, shifted, the Krylov-Schur restarted Arnoldi
-behind linear stability, which takes its Schur forms from the same
-extension's ``dgees`` and ``dtrsen``; nothing here loads ``scipy.sparse``.
-The residual is the PDE stepper's own
+Newton corrector, the tangent and, from the same factorization, the
+determinant sign used for branch-point detection, and, shifted, the
+Krylov-Schur restarted Arnoldi behind linear stability, which takes its
+Schur forms from the same extension's ``dgees`` and ``dtrsen``; nothing
+here loads ``scipy.sparse``. The residual is the PDE stepper's own
 right-hand side (``semidiscrete_rhs`` in :mod:`alleekit.pde`) and the
 Jacobian's diffusion rows come from its ``laplacian_bands``, so the steady
 states here are exactly those of the PDE stepper.
@@ -189,15 +189,16 @@ class Tangent:
 
 
 def tangent_at(x: np.ndarray, sigma: float, prob: SteadyProblem,
-               prev: Tangent | None = None) -> Tangent:
-    """Unit tangent of the solution curve in the weighted metric."""
+               prev: Tangent | None = None) -> tuple[Tangent, int]:
+    """Unit tangent of the solution curve in the weighted metric, and the
+    determinant sign of the factorization that gave it."""
     lu = _factor(x, sigma, prob)
     w = lu.solve(-sigma_derivative(x, prob))
     nrm = math.sqrt(_wdot(w, w) + 1.0)
     tau = Tangent(w / nrm, 1.0 / nrm)
     if prev is not None and prev.dot(tau.x, tau.sigma) < 0.0:
         tau = Tangent(-tau.x, -tau.sigma)
-    return tau
+    return tau, lu.det_sign
 
 
 def _arclength_correct(x_pred, sigma_pred, x0, sigma0, tau: Tangent, ds, prob):
@@ -433,9 +434,10 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, sign_lo, which):
             hi = mid  # treat failures as the far side; shrink toward x0
             continue
         if which == "fold":
-            tau_m = tangent_at(xm, sm, prob, prev=tau)
+            tau_m, _ = tangent_at(xm, sm, prob, prev=tau)
             s_m = 1 if tau_m.sigma > 0 else -1 if tau_m.sigma < 0 else 0
         else:
+            # factor only: a singular point gives sign 0, not SingularJacobian
             s_m = _factor(xm, sm, prob).det_sign
         if s_m == sign_lo and s_m != 0:
             lo, sig_lo_val = mid, sm
@@ -466,7 +468,7 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
             f"[{sigma_range[0]:.6g}, {sigma_range[1]:.6g}]")
     x = newton_correct(np.asarray(x_start, dtype=float), sigma_start, prob)
     sigma = sigma_start
-    tau = tangent_at(x, sigma, prob)
+    tau, det_sign = tangent_at(x, sigma, prob)
     if tau.sigma != 0.0 and (1 if tau.sigma > 0 else -1) != direction:
         tau = Tangent(-tau.x, -tau.sigma)
 
@@ -485,28 +487,23 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     branch = Branch(prob)
     branch.points.append(make_point(0, x, sigma, {"Start"}))
 
-    det_sign = _factor(x, sigma, prob).det_sign
     tau_sign = 1 if tau.sigma > 0 else -1 if tau.sigma < 0 else 0
 
     ds = ds0
     idx = 1
     for _ in range(steps):
-        accepted = None
         while True:
             try:
                 x1, sig1, iters = _arclength_correct(
                     x + ds * tau.x, sigma + ds * tau.sigma,
                     x, sigma, tau, ds, prob)
-                accepted = (x1, sig1, iters)
                 break
             except (NoConvergence, SingularJacobian):
                 ds *= 0.5
                 if ds < ds_min:
                     raise NoConvergence(
                         f"arclength step fell below {ds_min} near sigma={sigma:.6g}")
-        x1, sig1, iters = accepted
-        tau1 = tangent_at(x1, sig1, prob, prev=tau)
-        det_sign1 = _factor(x1, sig1, prob).det_sign
+        tau1, det_sign1 = tangent_at(x1, sig1, prob, prev=tau)
         tau_sign1 = 1 if tau1.sigma > 0 else -1 if tau1.sigma < 0 else 0
 
         fold_hit = tau_sign != 0 and tau_sign1 != 0 and tau_sign1 != tau_sign

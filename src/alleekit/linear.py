@@ -1,14 +1,16 @@
 """Mode-wise linear algebra around homogeneous steady states.
 
 With Neumann modes cos(j*pi*x/L) and wavenumber-squared k_j = (j*pi/L)**2,
-the linearization about a homogeneous state E decomposes into 2x2 blocks
-L_j = J(E) - k_j*diag(1, d). Everything in this module is built from the
-two scalars
+written once (``_wavenumber``), the linearization about a homogeneous state
+E decomposes into 2x2 blocks L_j = J(E) - k_j*diag(1, d) of trace
+tr - (1+d)*k_j and determinant det L(k_j) = d*k_j**2 - s*k_j + D. Everything
+in this module is built from the three scalars
 
+    tr(sigma) = a10 + b01         (kinetic trace)
     s(sigma) = d*a10 + b01        (cross-diffusion weighted trace)
     D(sigma) = a10*b01 - a01*b10  (kinetic determinant)
 
-evaluated at the upper coexisting state E*(sigma).
+evaluated at the upper coexisting state E*(sigma) (``_estar_scalars``).
 """
 
 from __future__ import annotations
@@ -88,17 +90,36 @@ def _entries(e: Equilibrium, p: KineticParams) -> tuple[float, float, float, flo
     return _jacobian_entries(e.u, e.v, p)
 
 
-def _upper_estar(p: KineticParams, sigma: float) -> tuple[Equilibrium, KineticParams]:
-    """Upper coexisting state at the swept sigma, paired with the matching
-    parameter set (the Jacobian depends on sigma explicitly, so the two
-    must never be mixed across sigma values)."""
-    ps = p.with_sigma(sigma)
-    return upper_coexisting(ps), ps
-
-
-def _s_and_d(e: Equilibrium, p: KineticParams, d: float) -> tuple[float, float]:
+def _mode_scalars(e: Equilibrium, p: KineticParams, d: float) -> tuple[float, float, float]:
+    """(tr, s, D) of J(E), as in the module docstring."""
     a10, a01, b10, b01 = _entries(e, p)
-    return d * a10 + b01, a10 * b01 - a01 * b10
+    return a10 + b01, d * a10 + b01, a10 * b01 - a01 * b10
+
+
+def _estar_scalars(p: KineticParams, d: float, sigma: float) -> tuple[float, float, float]:
+    """(tr, s, D) at E*(sigma), with J at the same sigma: J depends on sigma
+    explicitly, so state and parameters must never mix sigma values."""
+    ps = p.with_sigma(sigma)
+    return _mode_scalars(upper_coexisting(ps), ps, d)
+
+
+def _wavenumber(j: int, L: float) -> float:
+    """k_j = (j*pi/L)**2 of the Neumann mode cos(j*pi*x/L) on [0, L]."""
+    return (j * math.pi / L) ** 2
+
+
+def _det_l(k: float, s: float, det0: float, d: float) -> float:
+    """det L(k) = d*k**2 - s*k + D."""
+    return d * k * k - s * k + det0
+
+
+def _band(s: float, det0: float, d: float) -> tuple[float, float] | None:
+    """The roots (k-, k+) of det L(k), or None when they are complex."""
+    disc = s * s - 4.0 * d * det0
+    if disc < 0.0:
+        return None
+    root = math.sqrt(disc)
+    return (s - root) / (2.0 * d), (s + root) / (2.0 * d)
 
 
 def _default_j_max(e: Equilibrium, p: KineticParams, d: float, L: float) -> int:
@@ -108,13 +129,9 @@ def _default_j_max(e: Equilibrium, p: KineticParams, d: float, L: float) -> int:
     and determinant conditions are stable, so modes past that wavenumber
     cannot flip. Falls back to a fixed floor when everything is stable.
     """
-    a10, a01, b10, b01 = _entries(e, p)
-    k_trace = max((a10 + b01) / (1.0 + d), 0.0)
-    s = d * a10 + b01
-    det0 = a10 * b01 - a01 * b10
-    disc = s * s - 4.0 * d * det0
-    k_det = (s + math.sqrt(disc)) / (2.0 * d) if disc >= 0.0 else 0.0
-    k_top = max(k_trace, k_det)
+    tr, s, det0 = _mode_scalars(e, p, d)
+    band = _band(s, det0, d)
+    k_top = max(tr / (1.0 + d), 0.0, band[1] if band else 0.0)
     j = math.ceil(L * math.sqrt(k_top) / math.pi) + 5 if k_top > 0 else 0
     return max(j, 8)
 
@@ -137,22 +154,10 @@ def mode_reports(
         j_max = _default_j_max(e, p, d, L)
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    a10, a01, b10, b01 = _entries(e, p)
-    tr0 = a10 + b01
-    det0 = a10 * b01 - a01 * b10
-    s = d * a10 + b01
-    out = []
-    for j in range(j_max + 1):
-        k = (j * math.pi / L) ** 2
-        out.append(
-            ModeReport(
-                j=j,
-                k_j=k,
-                trace=tr0 - (1.0 + d) * k,
-                det=d * k * k - s * k + det0,
-            )
-        )
-    return out
+    tr0, s, det0 = _mode_scalars(e, p, d)
+    ks = [_wavenumber(j, L) for j in range(j_max + 1)]
+    return [ModeReport(j, k, tr0 - (1.0 + d) * k, _det_l(k, s, det0, d))
+            for j, k in enumerate(ks)]
 
 
 def turing_bd_thresholds(
@@ -169,16 +174,12 @@ def turing_bd_thresholds(
         raise ValueError(f"need d > 0, got {d}")
 
     def g(sigma: float) -> float:
-        e, ps = _upper_estar(p, sigma)
-        s, det0 = _s_and_d(e, ps, d)
+        _, s, det0 = _estar_scalars(p, d, sigma)
         return 4.0 * d * det0 - s * s
 
-    roots = scan_roots(g, bracket[0], bracket[1], n=N_SCAN)
     out = []
-    for r in roots:
-        e, ps = _upper_estar(p, r)
-        s, _ = _s_and_d(e, ps, d)
-        K = -s / (2.0 * d)
+    for r in scan_roots(g, bracket[0], bracket[1], n=N_SCAN):
+        K = -_estar_scalars(p, d, r)[1] / (2.0 * d)
         out.append((r, Regime.TURING_SIDE if K < 0 else Regime.BD_SIDE))
     return out
 
@@ -191,7 +192,7 @@ def spatial_spectrum(e: Equilibrium, p: KineticParams, d: float) -> SpatialSpect
         )
     if d <= 0:
         raise ValueError(f"need d > 0, got {d}")
-    s, det0 = _s_and_d(e, p, d)
+    _, s, det0 = _mode_scalars(e, p, d)
     disc = s * s - 4.0 * d * det0
     sq = cmath.sqrt(complex(disc, 0.0))
     lam2 = ((-s + sq) / (2.0 * d), (-s - sq) / (2.0 * d))
@@ -220,7 +221,7 @@ def branch_point_table(
     p: KineticParams,
     d: float,
     L: float,
-    modes: Iterable[int],
+    modes: Iterable[int] | None,
     bracket: tuple[float, float],
 ) -> list[tuple[int, float]]:
     """(n, sigma) pairs where Neumann mode n is marginally stable, for each
@@ -230,28 +231,31 @@ def branch_point_table(
     k_n = (n*pi/L)**2, implicitly through E*(sigma), on the bracket.
     s and D do not depend on n, so they are scanned once on the N_SCAN-cell
     grid and every mode's sign changes come from those cached values; a
-    mode whose scan sees no sign change contributes no pair.
+    mode whose scan sees no sign change contributes no pair. ``modes=None``
+    takes modes 1 .. floor(L*sqrt(k+)/pi) + 1, k+ the scan's largest band top.
     """
-    modes = list(modes)
-    if any(n < 1 for n in modes):
-        raise ValueError(f"mode indices must be >= 1, got {modes}")
+    if modes is not None:
+        modes = list(modes)
+        if any(n < 1 for n in modes):
+            raise ValueError(f"mode indices must be >= 1, got {modes}")
     if d <= 0 or L <= 0:
         raise ValueError(f"need d > 0 and L > 0, got d={d}, L={L}")
 
-    def s_and_d(sigma: float) -> tuple[float, float]:
-        e, ps = _upper_estar(p, sigma)
-        return _s_and_d(e, ps, d)
-
-    xs, sd = scan_grid(s_and_d, bracket[0], bracket[1], n=N_SCAN)
+    xs, scalars = scan_grid(lambda sigma: _estar_scalars(p, d, sigma),
+                            bracket[0], bracket[1], n=N_SCAN)
+    if modes is None:
+        bands = [_band(s, det0, d) for _, s, det0 in scalars]
+        k_top = max([0.0] + [band[1] for band in bands if band])
+        modes = range(1, math.floor(L * math.sqrt(k_top) / math.pi) + 2)
     out = []
     for n in modes:
-        k = (n * math.pi / L) ** 2
+        k = _wavenumber(n, L)
 
         def det_n(sigma: float) -> float:
-            s, det0 = s_and_d(sigma)
-            return d * k * k - s * k + det0
+            _, s, det0 = _estar_scalars(p, d, sigma)
+            return _det_l(k, s, det0, d)
 
-        fs = [d * k * k - s * k + det0 for s, det0 in sd]
+        fs = [_det_l(k, s, det0, d) for _, s, det0 in scalars]
         out.extend((n, sigma) for sigma in roots_from_scan(det_n, xs, fs))
     return out
 
@@ -295,7 +299,7 @@ def dstar_parts(p: KineticParams, L: float) -> dict[str, float]:
     u2, u1 = _prey_window(p)
     a = p.gamma / (2.0 * p.beta) + u1 / (2.0 * p.alpha) + u1 * (2.0 - u2)
     b = p.gamma / (2.0 * p.beta) + (p.gamma - 1.0) + u1 / (2.0 * p.alpha)
-    k1 = (math.pi / L) ** 2
+    k1 = _wavenumber(1, L)
     return {
         "u1": u1,
         "u2": u2,
@@ -320,9 +324,8 @@ def kpm_roots(e: Equilibrium, p: KineticParams, d: float) -> tuple[float, float]
     """
     if d <= 0:
         raise ValueError(f"need d > 0, got {d}")
-    a10, a01, b10, b01 = _entries(e, p)
-    s = d * a10 + b01
-    det0 = a10 * b01 - a01 * b10
+    a10 = _entries(e, p)[0]
+    _, s, det0 = _mode_scalars(e, p, d)
     if a10 <= 0.0:
         raise HypothesisFailed(f"needs a10 > 0, got a10={a10:.6g}")
     if det0 <= 0.0:
@@ -332,8 +335,7 @@ def kpm_roots(e: Equilibrium, p: KineticParams, d: float) -> tuple[float, float]
         raise HypothesisFailed(
             f"needs s > 2*sqrt(d*D) > 0, got s={s:.6g}, 2*sqrt(dD)={2*math.sqrt(d*det0):.6g}"
         )
-    root = math.sqrt(s * s - 4.0 * d * det0)
-    return ((s - root) / (2.0 * d), (s + root) / (2.0 * d))
+    return _band(s, det0, d)
 
 
 def band_modes(e: Equilibrium, p: KineticParams, d: float, L: float) -> list[int]:
@@ -345,12 +347,8 @@ def band_modes(e: Equilibrium, p: KineticParams, d: float, L: float) -> list[int
     km, kp = kpm_roots(e, p, d)
     j_lo = math.floor(L * math.sqrt(km) / math.pi) + 1
     j_hi = math.ceil(L * math.sqrt(kp) / math.pi) - 1
-    out = []
-    for j in range(max(j_lo, 1), j_hi + 1):
-        k = (j * math.pi / L) ** 2
-        if km < k < kp:
-            out.append(j)
-    return out
+    return [j for j in range(max(j_lo, 1), j_hi + 1)
+            if km < _wavenumber(j, L) < kp]
 
 
 def vbounds(p: KineticParams) -> tuple[float, float]:

@@ -107,7 +107,8 @@ def end_state_spectra(p: KineticParams, d: float, c: float) -> EndStateSpectra:
 
     lam_{1,2} = (c^2 +/- c sqrt(c^2 - 4 j1)) / 2 and
     lam_{3,4} = (c^2 +/- c sqrt(c^2 - 4 d^2 j3)) / (2 d); the latter pair is
-    complex exactly for c < c_min, the spiral regime.
+    complex exactly for c < c_min, the spiral regime. At E* the stable count
+    and spiral flag come from :func:`_coexisting_spectrum`, as in a shot.
     """
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
@@ -124,11 +125,18 @@ def end_state_spectra(p: KineticParams, d: float, c: float) -> EndStateSpectra:
 
     e = upper_coexisting(p)
     star = np.array([e.u, e.u, e.v, e.v])
-    lam_star = np.linalg.eigvals(tw_jacobian(star, p, d, c))
-    lam_star = lam_star[np.argsort(lam_star.real)]
-    stable = lam_star[lam_star.real < 0.0]
-    spiral = bool(np.abs(stable.imag).max() > 1e-12) if stable.size else False
+    lam_star, stable, spiral = _coexisting_spectrum(
+        np.linalg.eigvals(tw_jacobian(star, p, d, c)))
     return EndStateSpectra(lam_e1, tuple(lam_star), int(stable.size), spiral)
+
+
+def _coexisting_spectrum(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The eigenvalues at E* by ascending real part, those with negative
+    real part, and whether these include a complex pair (a spiral tail)."""
+    lam = lam[np.argsort(lam.real)]
+    stable = lam[lam.real < 0.0]
+    spiral = bool(np.abs(stable.imag).max() > 1e-12) if stable.size else False
+    return lam, stable, spiral
 
 
 @dataclass
@@ -144,9 +152,15 @@ class Shot:
 
 
 def _slow_unstable_vector(p: KineticParams, d: float, c: float) -> np.ndarray:
+    """The launch direction at the prey-only state (see :func:`_launch`)."""
     u1 = upper_axial(p).u
     e1 = np.array([u1, u1, 0.0, 0.0])
-    lam, vecs = np.linalg.eig(tw_jacobian(e1, p, d, c))
+    return _launch(*np.linalg.eig(tw_jacobian(e1, p, d, c)))[1]
+
+
+def _launch(lam: np.ndarray, vecs: np.ndarray) -> tuple[int, np.ndarray]:
+    """From the prey-only state's ``np.linalg.eig``: the index of its slowest
+    unstable eigenvalue, and its real eigenvector (max-norm 1, W part > 0)."""
     pos = [i for i in range(4) if lam[i].real > 1e-12]
     if not pos:
         raise OutOfRange("prey-only state has no unstable direction")
@@ -162,7 +176,7 @@ def _slow_unstable_vector(p: KineticParams, d: float, c: float) -> np.ndarray:
     v = v / nv
     if v[2] < 0.0:  # launch into positive predator density
         v = -v
-    return v
+    return i_slow, v
 
 
 def _oscillation(series: np.ndarray) -> float:
@@ -246,6 +260,11 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     30000 nodes, a singular Newton matrix, a boundary residual that does
     not settle, or a non-finite iterate), once more at max(100 tol, 1e-8).
 
+    Each end state is linearized once, by one ``np.linalg.eig`` and the
+    inverse of its eigenvectors (the left rows), which give the launch and
+    entry conditions at E1 and the decay rate, spiral flag, projection rows
+    and tail flow at E*.
+
     found requires the orbit to enter the max-norm ball of radius _BALL
     around the coexisting point and remain inside through the end, for at
     least _STAY time units. The orbit leaving the box [-1, 2 u1]^4 raises
@@ -258,16 +277,21 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
         raise ValueError(f"need c > 0, got {c}")
     u1 = upper_axial(p).u
     e = upper_coexisting(p)
+    if d <= 0:
+        raise ValueError(f"need d > 0, got {d}")
+    e1 = np.array([u1, u1, 0.0, 0.0])
     target = np.array([e.u, e.u, e.v, e.v])
 
-    spectra = end_state_spectra(p, d, c)
-    stable = [l for l in spectra.lambdas_coexisting if l.real < 0]
-    if len(stable) < 2:
+    lam_s, vecs_s = np.linalg.eig(tw_jacobian(target, p, d, c))
+    left_s = np.linalg.inv(vecs_s)
+    _, stable, spiral = _coexisting_spectrum(lam_s)
+    if stable.size < 2:
         raise OutOfRange("coexisting state has no 2D stable manifold")
-    rate = min(-l.real for l in stable)
+    rate = -float(stable.real.max())
 
-    v = _slow_unstable_vector(p, d, c)
-    e1 = np.array([u1, u1, 0.0, 0.0])
+    lam1, vecs1 = np.linalg.eig(tw_jacobian(e1, p, d, c))
+    left1 = np.linalg.inv(vecs1)
+    i_slow, v = _launch(lam1, vecs1)
     y0 = e1 + _LAUNCH_SCALE * u1 * v
 
     frac, seed, T0 = _kinetic_seed(p, d, c, y0, target, _CORE_RADIUS, t_max)
@@ -285,34 +309,17 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     # the downstream end and decaying ones upstream, or the discrete system
     # inherits the e^(c^2 T) shooting conditioning; so the core entry pins
     # only the stable coefficient and the slow amplitude, and the far end
-    # kills both unstable coefficients of the coexisting state.
-    lam1, vecs1 = np.linalg.eig(tw_jacobian(e1, p, d, c))
-    left1 = np.linalg.inv(vecs1)
-    i_stab = int(np.argmin(lam1.real))
-    i_slow = min((i for i in range(4) if lam1[i].real > 1e-12),
-                 key=lambda i: lam1[i].real)
+    # kills both unstable coefficients of the coexisting state (of a complex
+    # pair, by the left row of its Im > 0 member, which LAPACK lists first).
     lam_slow = float(lam1[i_slow].real)
-    ell_stab = np.real(left1[i_stab])
+    ell_stab = np.real(left1[int(np.argmin(lam1.real))])
     ell_slow = np.real(left1[i_slow])
     a0 = float(ell_slow @ (y0 - e1))
     a_core = float(ell_slow @ (sub[:, 0] - e1))
 
-    lam_s, vecs_s = np.linalg.eig(tw_jacobian(target, p, d, c))
-    left_s = np.linalg.inv(vecs_s)
-    proj_rows = []
-    seen_conj = set()
-    for i in range(4):
-        if lam_s[i].real <= 0 or i in seen_conj:
-            continue
-        if abs(lam_s[i].imag) > 1e-12:
-            for j in range(i + 1, 4):
-                if abs(lam_s[j] - lam_s[i].conjugate()) < 1e-9:
-                    seen_conj.add(j)
-                    break
-            proj_rows.append(np.real(left_s[i]))
-            proj_rows.append(np.imag(left_s[i]))
-        else:
-            proj_rows.append(np.real(left_s[i]))
+    grow = [i for i in range(4) if lam_s[i].real > 0 and lam_s[i].imag >= 0]
+    proj_rows = ([np.real(left_s[i]) for i in grow]
+                 + [np.imag(left_s[i]) for i in grow if lam_s[i].imag > 0])
     if len(proj_rows) != 2:
         raise OutOfRange(
             f"coexisting state has {len(proj_rows)} unstable directions, need 2")
@@ -342,27 +349,22 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
             float(w_end @ db) - r0,
         ])
 
+    # the conditions are affine in (ya, yb), so their Jacobian is constant
+    dya = np.vstack([ell_stab, ell_slow, np.zeros((3, 4))])
+    dyb = np.vstack([np.zeros((2, 4)), proj_u, w_end])
+
     def bc_jac(ya, yb, q):
-        dya = np.zeros((5, 4))
-        dya[0] = ell_stab
-        dya[1] = ell_slow
-        dyb = np.zeros((5, 4))
-        dyb[2] = proj_u[0]
-        dyb[3] = proj_u[1]
-        dyb[4] = w_end
         return dya, dyb, np.zeros((5, 1))
 
-    sol = None
     for bvp_tol in (tol, max(100.0 * tol, 1e-8)):
         try:
-            cand = solve_bvp(fun, bc, sfr, sub, p=[Tc0], tol=bvp_tol,
-                             max_nodes=30000, fun_jac=fun_jac, bc_jac=bc_jac)
+            sol = solve_bvp(fun, bc, sfr, sub, p=[Tc0], tol=bvp_tol,
+                            max_nodes=30000, fun_jac=fun_jac, bc_jac=bc_jac)
         except NonFinite:
             continue
-        if cand.status == 0:
-            sol = cand
+        if sol.status == 0:
             break
-    if sol is None:
+    else:
         raise NoConvergence(
             f"profile collocation failed at sigma={p.sigma}, c={c}")
     Tc = float(sol.p[0])
@@ -377,14 +379,12 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     # target tail: the far end sits on the stable subspace (enforced by bc),
     # so the linear eigenflow from yb is the orbit there
     yb = sol.sol(1.0)
-    idx = np.nonzero(lam_s.real < 0)[0]
-    lam_tail = lam_s[idx]
-    coef_tail = (left_s @ (yb - target))[idx]
-    V_tail = vecs_s[:, idx]
+    decay = lam_s.real < 0
+    coef_tail = (left_s @ (yb - target))[decay]
 
     def stable_flow(dt):
-        ph = np.exp(np.outer(lam_tail, dt))
-        return target[:, None] + np.real(V_tail @ (coef_tail[:, None] * ph))
+        ph = coef_tail[:, None] * np.exp(np.outer(lam_s[decay], dt))
+        return target[:, None] + np.real(vecs_s[:, decay] @ ph)
 
     cap = math.log(max(r0, _BALL) * 1e3 / _BALL) / rate + _STAY + 15.0
     dts = np.arange(0.0, cap, 0.05)
@@ -430,7 +430,7 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
         and (Z >= 0.5 * W - slack).all() and (Z <= m * W + slack).all()
     )
 
-    return Shot(found, tarr, sarr, monotone, wedge_ok, spectra.spiral_tail)
+    return Shot(found, tarr, sarr, monotone, wedge_ok, spiral)
 
 
 class WaveClass(enum.IntEnum):

@@ -240,3 +240,69 @@ def test_snapshot_writer_matches_generic_writer(tmp_path):
 def test_fmt_gives_numpy_scalars_the_text_of_python_values(np_value, value,
                                                            text):
     assert _fmt(np_value) == _fmt(value) == text
+
+
+# sha256 of manifest.txt on a continue run that tags six branch points (21
+# points) and on a 1 x 1 wave-scan that writes orbit.csv, which pins to the
+# bit the determinant signs, end-state spectra, launch direction and
+# projection rows behind them
+@pytest.mark.parametrize("command,body,sigma,digest", [
+    ("continue", "l = 200\n[grid]\nn = 256\n[sweep]\nds0 = 1.5e-3\n"
+                 "bracket_lo = 1.767\nbracket_hi = 1.8305\nsteps = 20\n", 1.83,
+     "26287fb613f7881068735ec28b9a62eec8616fe964a34784fbcdcdc2d708347c"),
+    ("wave-scan", "[sweep]\nsigma_lo = 1.9\nsigma_hi = 1.9\nsigma_count = 1\n"
+                  "c_lo = 6.0\nc_hi = 6.0\nc_count = 1\n", 2.7,
+     "f8215b2f1365d5c772654324801c86771b6deec1411170612b0bd0b4fb604457"),
+])
+def test_linearizing_commands_give_golden_manifests(tmp_path, capsys, command,
+                                                    body, sigma, digest):
+    rc, err = _run(tmp_path, capsys, command, body, sigma=sigma)
+    assert rc == 0, err
+    if command == "continue":
+        rows = (tmp_path / "out" / "branch.csv").read_text().splitlines()[1:]
+        assert len(rows) == 21
+        assert sum(row.endswith(",BP") for row in rows) == 6
+    manifest = (tmp_path / "out" / "manifest.txt").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == digest
+
+
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "out").write_text("not a directory\n")
+    rc, err = _run(tmp_path, capsys, "equilibria", "")
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(_KINETICS.format(sigma=2.7, eta=0.1).encode()
+                    + "# prédateur\n".encode("latin-1"))
+    rc = main(["equilibria", "--config", str(cfg), "--out",
+               str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_wave_scan_of_one_nowave_cell_writes_no_orbit(tmp_path, capsys):
+    # c = 1 lies below the minimal speed at sigma = 2.7: there is no front
+    # to shoot, and the run still ends with its scan and manifest
+    rc, err = _run(tmp_path, capsys, "wave-scan",
+                   "[sweep]\nsigma_lo = 2.7\nsigma_hi = 2.7\nsigma_count = 1\n"
+                   "c_lo = 1.0\nc_hi = 1.0\nc_count = 1\n")
+    assert rc == 0, err
+    rows = (tmp_path / "out" / "scan.csv").read_text().splitlines()
+    assert rows[1].split(",")[2] == "0"
+    lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert [line.split("  ", 1)[1] for line in lines] == ["scan.csv"]
+
+
+def test_thresholds_list_every_branch_point_of_the_scan(tmp_path, capsys):
+    # at L = 600 the band top reaches mode 83, far past a fixed mode list
+    rc, err = _run(tmp_path, capsys, "thresholds", "l = 600\n")
+    assert rc == 0, err
+    rows = (tmp_path / "out" / "bps.csv").read_text().splitlines()[1:]
+    assert len(rows) == 72
+    assert max(int(row.split(",")[0]) for row in rows) == 83

@@ -518,3 +518,30 @@ def test_each_branch_carries_k_from_its_own_start(base_p, monkeypatch):
         assert calls[0][0] == STABILITY_K0
         assert [n for n, _ in calls[1:]] == [size for _, size in calls[:-1]]
         assert calls[-1][1] > STABILITY_K0
+
+
+def test_one_factorization_per_point_besides_the_correctors(base_p,
+                                                            monkeypatch):
+    # the tangent's factorization also gives the determinant sign, so a
+    # point costs one LU besides those of Newton and the arclength corrector
+    made = {"all": 0, "correctors": 0}
+
+    class Counting(BandedLU):
+        def __init__(self, *args):
+            made["all"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(continuation, "BandedLU", Counting)
+    for name in ("newton_correct", "_arclength_correct"):
+        def spy(*args, _real=getattr(continuation, name)):
+            before = made["all"]
+            try:
+                return _real(*args)
+            finally:
+                made["correctors"] += made["all"] - before
+        monkeypatch.setattr(continuation, name, spy)
+    prob = _problem(base_p, n=64)
+    br = continue_branch(_flat(prob, 2.0), 2.0, prob, direction=1, steps=8,
+                         ds0=5e-3, stability=False)
+    assert [pt.tags - {"Start", "End"} for pt in br.points] == [set()] * 9
+    assert made["all"] - made["correctors"] == len(br.points)

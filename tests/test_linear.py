@@ -297,3 +297,13 @@ def test_entries_are_the_jacobian_matrix_bit_for_bit(p_main, sigma):
     assert all(type(x) is float for x in got)
     assert ([x.hex() for x in got]
             == [float(x).hex() for x in jacobian(e.u, e.v, ps).ravel()])
+
+
+@pytest.mark.parametrize("L", [200.0, 600.0, 1000.0])
+def test_branch_point_table_without_modes_misses_none(p_main, L):
+    # modes=None stops one mode past the scan's largest band top, and every
+    # mode that has a branch point on the scan lies below it
+    bracket = (1.5, 2.4)
+    table = branch_point_table(p_main, D_REF, L, None, bracket)
+    assert table == branch_point_table(p_main, D_REF, L, range(1, 301), bracket)
+    assert max(n for n, _ in table) == {200.0: 27, 600.0: 83, 1000.0: 138}[L]

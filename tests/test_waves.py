@@ -388,3 +388,28 @@ def test_scan_reports_why_each_cell_is_unknown(p_main, monkeypatch, outcome,
     res = scan_plane(p_main, D_REF, [2.7], [3.0, 5.9])
     assert res.codes.tolist() == [[WaveClass.NO_WAVE, code]]
     assert res.reasons.tolist() == [["", reason]]
+
+
+@pytest.mark.parametrize("sigma,c", [(2.7, C_REF), (1.9, 6.0)],
+                         ids=["monotone", "spiral"])
+def test_each_end_state_is_decomposed_once_per_shot(p_main, monkeypatch,
+                                                    sigma, c):
+    # one eig and one inverse per end state supply the spectra, the launch
+    # direction, the projection rows and the tail flow
+    calls = dict.fromkeys(
+        ("eig", "eigvals", "inv", "upper_axial", "upper_coexisting"), 0)
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in ("eig", "eigvals", "inv"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    for name in ("upper_axial", "upper_coexisting"):
+        monkeypatch.setattr(waves, name, counting(name, getattr(waves, name)))
+    assert shoot_heteroclinic(p_main.with_sigma(sigma), D_REF, c).found
+    assert calls == {"eig": 2, "eigvals": 0, "inv": 2, "upper_axial": 1,
+                     "upper_coexisting": 1}
