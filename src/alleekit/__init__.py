@@ -20,8 +20,8 @@ imports no submodule, and ``alleekit.X`` imports only the submodule that
 defines ``X``, on first use. So the layers that load scipy's LAPACK
 extension (``pde`` and everything built on it: ``continuation``,
 ``collocation``, ``waves``, ``diagnostics``) cost nothing until something
-asks for them. numpy is kept out the same way: ``model`` and ``config``
-import it only inside the functions that handle arrays, and ``linear``,
+asks for them. numpy is kept out the same way: ``model`` imports it only
+inside the functions that handle arrays, and ``config``, ``linear``,
 ``rootfind`` and ``errors`` not at all, so the scalar analysis (equilibria,
 temporal and spatial thresholds, branch points) runs without it;
 ``temporal`` and every layer above it load it on import.

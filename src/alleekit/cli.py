@@ -8,25 +8,24 @@ profile shooter. Identical (config, seed) pairs produce byte-identical
 output files; ``manifest.txt`` records a sha256 per file the run wrote (and
 nothing else in the output directory) so reruns diff cheaply.
 
-Each command loads only the layers it runs. ``import alleekit`` and
-``import alleekit.cli`` load ``config``, ``errors``, ``model``, ``linear``
-and ``rootfind``, and neither numpy nor scipy; that is all ``equilibria``
-and ``thresholds`` need, so those two run without numpy. Every other
-command loads numpy; it adds, after the config is parsed and before the
-run starts:
+Each command loads only the layers it runs. ``import alleekit.cli`` loads
+``config``, ``errors``, ``model`` and ``rootfind``, and neither numpy nor
+scipy; that is all ``equilibria`` needs. Parsing a config loads nothing
+more, except for ``lyapunov``. Each command adds, after the config is
+parsed and before the run starts:
 
-* ``temporal-diagram``: ``temporal`` (no scipy); numpy itself loads while
-  the config is parsed, to build the sigma grid, as it does for
-  ``wave-scan``;
-* ``simulate``: ``pde`` (scipy's LAPACK extension ``scipy.linalg._flapack``
-  alone, not the ``scipy.linalg`` package);
+* ``thresholds``: ``linear`` (no numpy);
+* ``temporal-diagram``: ``temporal`` and numpy (no scipy);
+* ``simulate``: ``pde``, with ``linear`` beneath it, so numpy and scipy's
+  LAPACK extension ``scipy.linalg._flapack`` alone, not the
+  ``scipy.linalg`` package;
 * ``lyapunov`` and ``pulse``: ``pde`` and ``diagnostics`` (``lyapunov``
   loads them while the config is parsed, to check ``[run] t``);
 * ``continue``: ``pde`` and ``continuation``, so the LAPACK extension
   alone again (no ``scipy.sparse``);
-* ``wave-scan``: ``waves``, with ``temporal``, ``collocation``, ``pde`` and
-  ``continuation`` beneath it, so the LAPACK extension alone again (no
-  ``scipy.integrate`` or ``scipy.interpolate``).
+* ``wave-scan``: ``waves``, with ``temporal``, ``collocation`` and ``pde``
+  beneath it, so the LAPACK extension alone again (no ``scipy.integrate``,
+  ``scipy.interpolate`` or ``continuation``).
 
 ``simulate``, ``lyapunov``, ``pulse`` and ``continue`` also load
 ``numpy.random``, which numpy itself loads only on first use.
@@ -51,13 +50,6 @@ from .errors import (
     HypothesisFailed,
     NumericalError,
     ValidationError,
-)
-from .linear import (
-    branch_point_table,
-    kpm_roots,
-    mode_reports,
-    spatial_spectrum,
-    turing_bd_thresholds,
 )
 from .model import (
     EquilibriumKind,
@@ -196,6 +188,9 @@ def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
+    from .linear import (branch_point_table, kpm_roots, mode_reports,
+                         spatial_spectrum, turing_bd_thresholds)
+
     nan = float("nan")
     rows = []
     for sigma, regime in turing_bd_thresholds(cfg.p, cfg.d, cfg.bracket):
@@ -362,7 +357,7 @@ _RUNNERS: dict[str, tuple[Callable[[ExperimentConfig, Path], list[Path]],
                           tuple[str, ...]]] = {
     "equilibria": (cmd_equilibria, ()),
     "temporal-diagram": (cmd_temporal_diagram, (".temporal",)),
-    "thresholds": (cmd_thresholds, ()),
+    "thresholds": (cmd_thresholds, (".linear",)),
     "simulate": (cmd_simulate, (".pde", "numpy.random")),
     "continue": (cmd_continue, (".pde", ".continuation", "numpy.random")),
     "wave-scan": (cmd_wave_scan, (".waves",)),

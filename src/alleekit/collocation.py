@@ -13,7 +13,8 @@ parameters ride along as constant components (p' = 0) of the state at
 every node, and the boundary conditions on y(a) come first and those on
 y(b) last, so the Newton matrix is banded (Ascher, Mattheij & Russell,
 *Numerical Solution of Boundary Value Problems for ODEs*, 1995) and one
-LAPACK ``dgbtrf`` factors it in work linear in the node count.
+LAPACK ``dgbtrf`` (:mod:`alleekit.pde`'s ``BandedLU``) factors it in work
+linear in the node count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import BandedLU
+from .pde import BandedLU
 
 # damped Newton: at most _MAX_ITER iterations and _MAX_NJEV Jacobians per
 # mesh; a step is halved (_TAU) up to _N_TRIAL times until the criterion

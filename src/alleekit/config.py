@@ -8,20 +8,18 @@ stopping at the first, so a config can be fixed in one pass.
 `ExperimentConfig` field it fills and its bound. Bounds are checked only on
 values that were given, because every default lies inside its bound.
 `_REQUIRED` lists the keys each command needs; checks that span keys or
-depend on the command are code in `parse_config`.
+depend on the command are code in `parse_config`. The sigma and c grids are
+tuples of plain floats, so parsing loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .model import KineticParams
-
-if TYPE_CHECKING:
-    import numpy as np
 
 COMMANDS = ("equilibria", "temporal-diagram", "thresholds", "simulate",
             "continue", "wave-scan", "lyapunov", "pulse")
@@ -132,8 +130,8 @@ class ExperimentConfig:
     series_every: float = 0.0
     transient: float = 800.0
     renorm_interval: float = 1.0
-    sigma_grid: np.ndarray | None = None
-    c_grid: np.ndarray | None = None
+    sigma_grid: tuple[float, ...] | None = None
+    c_grid: tuple[float, ...] | None = None
     steps: int = 250
     ds0: float = 0.02
     direction: int = -1
@@ -185,7 +183,7 @@ def _tokenize(text: str, issues: list[str]) -> dict[tuple[str, str], str]:
 
 
 def _grid_from(data, issues, prefix: str, cmd: str,
-               required: bool) -> np.ndarray | None:
+               required: bool) -> tuple[float, ...] | None:
     """The {prefix}_lo/_hi/_count grid, or None when it is absent or bad;
     each problem is reported once, "required" only when no key is given."""
     lo = data.get(("sweep", f"{prefix}_lo"))
@@ -212,11 +210,15 @@ def _grid_from(data, issues, prefix: str, cmd: str,
     # sigma is a kinetic rate and c a wave speed: both must be positive
     if lo <= 0:
         issues.append(f"[sweep] {prefix}_lo: must be positive")
-    import numpy as np
-
     if count == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, count)
+        return (lo,)
+    # np.linspace(lo, hi, count) to the bit, which scales i / div by hi - lo
+    # when the step underflows to zero
+    div = count - 1
+    step = (hi - lo) / div
+    if step == 0.0:
+        return tuple(lo + i / div * (hi - lo) for i in range(div)) + (hi,)
+    return tuple(lo + i * step for i in range(div)) + (hi,)
 
 
 def parse_config(text: str, *, command: str | None = None,

@@ -2,11 +2,11 @@
 
 Unknowns are interleaved (u0, v0, u1, v1, ...) so the steady-state
 Jacobian is banded with two sub- and two superdiagonals; one LAPACK
-banded LU (``dgbtrf`` from :mod:`alleekit.pde`'s ``flapack``) serves the
+banded LU (:mod:`alleekit.pde`'s ``BandedLU``, on ``dgbtrf``) serves the
 Newton corrector, the tangent and, from the same factorization, the
 determinant sign used for branch-point detection, and, shifted, the
 Krylov-Schur restarted Arnoldi behind linear stability, which takes its
-Schur forms from the same extension's ``dgees`` and ``dtrsen``; nothing
+Schur forms from ``dgees`` and ``dtrsen`` in ``pde``'s ``flapack``; nothing
 here loads ``scipy.sparse``. The residual is the PDE stepper's own
 right-hand side (``semidiscrete_rhs`` in :mod:`alleekit.pde`) and the
 Jacobian's diffusion rows come from its ``laplacian_bands``, so the steady
@@ -23,7 +23,8 @@ import numpy as np
 from .errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
 from .linear import spatial_spectrum
 from .model import KineticParams, jacobian_fields, upper_coexisting
-from .pde import Grid, flapack, l2_norm, laplacian_bands, semidiscrete_rhs
+from .pde import (BandedLU, Grid, flapack, l2_norm, laplacian_bands,
+                  semidiscrete_rhs)
 
 KL = 2
 KU = 2
@@ -108,37 +109,6 @@ def jacobian_banded(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndar
     ab[6, 0:2 * n - 2:2] = lo_u
     ab[6, 1:2 * n - 1:2] = lo_v
     return ab
-
-
-class BandedLU:
-    """LU factorization of a matrix with ``kl`` sub- and ``ku``
-    superdiagonals, given in LAPACK gbtrf layout, with a
-    sign-of-determinant."""
-
-    def __init__(self, ab: np.ndarray, kl: int, ku: int):
-        self.kl, self.ku = kl, ku
-        self.lu, self.ipiv, info = flapack.dgbtrf(ab, kl, ku)
-        if info < 0:
-            raise ValueError(f"bad argument {-info} to banded factorization")
-        self.singular = info > 0
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.singular:
-            raise SingularJacobian("banded Jacobian is numerically singular")
-        x, info = flapack.dgbtrs(self.lu, self.kl, self.ku, b, self.ipiv)
-        if info != 0:
-            raise SingularJacobian(f"banded solve failed (info={info})")
-        return x
-
-    @property
-    def det_sign(self) -> int:
-        diag = self.lu[self.kl + self.ku, :]
-        if self.singular or (diag == 0.0).any():
-            return 0
-        neg = int((diag < 0.0).sum())
-        # scipy's gbtrf wrapper hands back 0-based pivot indices
-        swaps = int((self.ipiv != np.arange(diag.size)).sum())
-        return -1 if (neg + swaps) % 2 else 1
 
 
 def _factor(x: np.ndarray, sigma: float, prob: SteadyProblem) -> BandedLU:

@@ -11,14 +11,15 @@ continuation solves it for zero and ``run`` samples it. Time stepping is
 first-order IMEX (explicit reaction, implicit tridiagonal diffusion) with
 a second-order Strang variant.
 
-The tridiagonal solves call LAPACK's ``dgttrf``/``dgttrs`` in scipy's f2py
-extension ``scipy.linalg._flapack``, loaded straight from its file by
-``_load_flapack``: importing ``scipy.linalg`` would first run that package's
-init, about 0.25 s per process on a 2-core x86-64 Xeon, which loads
-``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` and no solver used here.
-The module is registered under its own name, so a later
-``import scipy.linalg`` reuses it.
-:mod:`alleekit.continuation` takes its banded LAPACK routines from here too.
+It also owns both LAPACK factor wrappers: ``_TriFactor`` (``dgttrf``) for
+the diffusion solves and ``BandedLU`` (``dgbtrf``, with the determinant
+sign) for the Newton matrices of :mod:`alleekit.continuation` and
+:mod:`alleekit.collocation`. Both call scipy's f2py extension
+``scipy.linalg._flapack``, which ``_load_flapack`` loads straight from its
+file: importing ``scipy.linalg`` would first run that package's init, about
+0.25 s per process on a 2-core x86-64 Xeon, which loads ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma`` and no solver used here. The module is
+registered under its own name, so a later ``import scipy.linalg`` reuses it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from importlib.util import module_from_spec
 
 import numpy as np
 
-from .errors import Inconclusive, NonFinite, NoRoot, OutOfRange, ToolkitError
+from .errors import (Inconclusive, NonFinite, NoRoot, OutOfRange,
+                     SingularJacobian, ToolkitError)
 from .linear import kpm_roots
 from .model import (
     KineticParams,
@@ -164,17 +166,47 @@ class _TriFactor:
         return x
 
 
+class BandedLU:
+    """LU factorization of a matrix with ``kl`` sub- and ``ku``
+    superdiagonals, given in LAPACK gbtrf layout, with a
+    sign-of-determinant."""
+
+    def __init__(self, ab: np.ndarray, kl: int, ku: int):
+        self.kl, self.ku = kl, ku
+        self.lu, self.ipiv, info = flapack.dgbtrf(ab, kl, ku)
+        if info < 0:
+            raise ValueError(f"bad argument {-info} to banded factorization")
+        self.singular = info > 0
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self.singular:
+            raise SingularJacobian("banded Jacobian is numerically singular")
+        x, info = flapack.dgbtrs(self.lu, self.kl, self.ku, b, self.ipiv)
+        if info != 0:
+            raise SingularJacobian(f"banded solve failed (info={info})")
+        return x
+
+    @property
+    def det_sign(self) -> int:
+        diag = self.lu[self.kl + self.ku, :]
+        if self.singular or (diag == 0.0).any():
+            return 0
+        neg = int((diag < 0.0).sum())
+        # scipy's gbtrf wrapper hands back 0-based pivot indices
+        swaps = int((self.ipiv != np.arange(diag.size)).sum())
+        return -1 if (neg + swaps) % 2 else 1
+
+
 def _check_finite(u: np.ndarray, v: np.ndarray, t: float) -> None:
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NonFinite(f"state lost finiteness near t={t:.6g}")
 
 
-class ImexStepper:
-    """Explicit reaction, implicit diffusion; first order in time.
+class _Stepper:
+    """What both schemes share: the checks, and ``_fu`` and ``_fv``, which
+    factor I - c*Laplacian for c = ``_cu`` = _SHARE*dt and ``_cv`` = _cu*d."""
 
-    The implicit matrices are M-matrices, so diffusion alone preserves
-    positivity for any dt; the explicit reaction bounds dt in practice.
-    """
+    _SHARE = 1.0
 
     def __init__(self, grid: Grid, p: KineticParams, d: float, dt: float,
                  *, include_reaction: bool = True):
@@ -187,8 +219,18 @@ class ImexStepper:
         self.d = d
         self.dt = dt
         self.include_reaction = include_reaction
-        self._fu = _TriFactor(grid.N, grid.dx, dt)
-        self._fv = _TriFactor(grid.N, grid.dx, dt * d)
+        self._cu = self._SHARE * dt
+        self._cv = self._SHARE * dt * d
+        self._fu = _TriFactor(grid.N, grid.dx, self._cu)
+        self._fv = _TriFactor(grid.N, grid.dx, self._cv)
+
+
+class ImexStepper(_Stepper):
+    """Explicit reaction, implicit diffusion; first order in time.
+
+    The implicit matrices are M-matrices, so diffusion alone preserves
+    positivity for any dt; the explicit reaction bounds dt in practice.
+    """
 
     def step_arrays(self, u: np.ndarray, v: np.ndarray, t: float,
                     reaction: tuple[np.ndarray, np.ndarray] | None = None
@@ -226,25 +268,11 @@ class ImexStepper:
         return xu[:, 0], xv[:, 0], xu[:, 1], xv[:, 1]
 
 
-class StrangStepper:
+class StrangStepper(_Stepper):
     """Half-step Crank-Nicolson diffusion, RK4 reaction, half-step again."""
 
-    def __init__(self, grid: Grid, p: KineticParams, d: float, dt: float,
-                 *, include_reaction: bool = True):
-        if not (dt > 0 and math.isfinite(dt)):
-            raise ValueError("dt must be positive and finite")
-        if not (d > 0 and math.isfinite(d)):
-            raise ValueError("diffusion ratio d must be positive")
-        self.grid = grid
-        self.p = p
-        self.d = d
-        self.dt = dt
-        self.include_reaction = include_reaction
-        # Crank-Nicolson over dt/2 shifts by dt/4 on each side
-        self._fu = _TriFactor(grid.N, grid.dx, 0.25 * dt)
-        self._fv = _TriFactor(grid.N, grid.dx, 0.25 * dt * d)
-        self._cu = 0.25 * dt
-        self._cv = 0.25 * dt * d
+    # Crank-Nicolson over dt/2 shifts by dt/4 on each side
+    _SHARE = 0.25
 
     def _half_diffuse(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dx = self.grid.dx
@@ -262,7 +290,11 @@ class StrangStepper:
         vn = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         return un, vn
 
-    def step_arrays(self, u: np.ndarray, v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def step_arrays(self, u: np.ndarray, v: np.ndarray, t: float,
+                    reaction: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step from (u, v) at time t; `reaction` is ignored, because
+        the step reacts at a half-diffused state."""
         u, v = self._half_diffuse(u, v)
         if self.include_reaction:
             u, v = self._react(u, v)
@@ -310,11 +342,13 @@ class ICKind(enum.Enum):
 def make_ic(kind: ICKind | str, grid: Grid, p: KineticParams, *,
             amplitude: float = 1e-2,
             rng: np.random.Generator | None = None,
-            interface: float = 200.0,
+            interface: float | None = None,
             window: tuple[float, float] | None = None) -> Field:
     """Initial-condition constructors anchored at the upper coexisting state.
 
-    The center pulse fills `window`, by default the 10 units around L/2.
+    The invasion step's `interface` defaults to x = 200 when that lies
+    inside (0, L), else L/2. The center pulse fills `window`, by default
+    the 10 units around L/2.
     """
     kind = ICKind(kind)
     e = upper_coexisting(p)
@@ -329,7 +363,9 @@ def make_ic(kind: ICKind | str, grid: Grid, p: KineticParams, *,
             u = u + amplitude * rng.standard_normal(grid.N)
             v = v + amplitude * rng.standard_normal(grid.N)
     elif kind is ICKind.INVASION_STEP:
-        if not (0.0 < interface < grid.L):
+        if interface is None:
+            interface = 200.0 if grid.L > 200.0 else 0.5 * grid.L
+        elif not (0.0 < interface < grid.L):
             raise OutOfRange(f"interface {interface} lies outside the domain (0, {grid.L})")
         u1 = upper_axial(p).u
         left = x < interface
@@ -433,14 +469,9 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
     dx = grid.dx
     min_value = float(min(u.min(), v.min()))
 
-    # an IMEX step reacts at the state it starts from, so it reuses the
-    # kinetics its preceding sample evaluated there; Strang reacts at a
-    # half-diffused state and evaluates its own
-    reuse = include_reaction and isinstance(stepper, ImexStepper)
-
     def sample(tt: float, uu: np.ndarray, vv: np.ndarray):
-        """Append a series row at (uu, vv); return the kinetics there when
-        the next step can reuse them."""
+        """Append a series row at (uu, vv); return the kinetics there, which
+        an IMEX step from (uu, vv) reuses."""
         # a diverging state can still be finite while its statistics
         # overflow; that is a NonFinite failure, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -452,7 +483,7 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
         if not all(map(math.isfinite, row)):
             raise NonFinite(f"state lost finiteness near t={tt:.6g}")
         samples.append(row)
-        return reaction if reuse else None
+        return reaction
 
     def snapshot(tt: float, uu: np.ndarray, vv: np.ndarray) -> None:
         snap_t.append(tt)
@@ -463,8 +494,7 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
     snapshot(t, u, v)
 
     for k in range(1, n_steps + 1):
-        u, v = (stepper.step_arrays(u, v, t) if reaction is None
-                else stepper.step_arrays(u, v, t, reaction))
+        u, v = stepper.step_arrays(u, v, t, reaction)
         reaction = None
         t = f0.t + k * dt
         m = float(min(u.min(), v.min()))

@@ -306,3 +306,11 @@ def test_thresholds_list_every_branch_point_of_the_scan(tmp_path, capsys):
     rows = (tmp_path / "out" / "bps.csv").read_text().splitlines()[1:]
     assert len(rows) == 72
     assert max(int(row.split(",")[0]) for row in rows) == 83
+
+
+def test_simulate_invasion_step_runs_on_a_short_domain(tmp_path, capsys):
+    # x = 200 is not inside (0, 200), so the interface defaults to L/2
+    rc, err = _run(tmp_path, capsys, "simulate",
+                   "l = 200\n[grid]\nn = 64\n[run]\nic = invasion_step\n"
+                   "t = 20\n")
+    assert rc == 0, err

@@ -193,3 +193,23 @@ def test_key_table_and_config_fields_agree():
     assert set(named) <= fields
     assert fields == set(named) | by_hand
     assert not set(named) & by_hand
+
+
+def test_grid_is_linspace_in_plain_floats():
+    from alleekit.config import _grid_from
+
+    # count 1, lo == hi, and a spacing that underflows to zero
+    cases = [(1.8, 1.9, 3), (4.7, 6.0, 2), (2.7, 2.7, 1), (2.7, 3.1, 1),
+             (2.7, 2.7, 5), (5e-324, 1e-323, 4), (0.1, 0.7, 7)]
+    rng = np.random.default_rng(0)
+    cases += [(lo, lo + w, n) for lo, w, n in zip(
+        rng.uniform(1e-3, 10.0, 300).tolist(),
+        (rng.uniform(0.0, 5.0, 300) ** rng.integers(1, 9, 300)).tolist(),
+        rng.integers(1, 60, 300).tolist())]
+    for lo, hi, count in cases:
+        data = {("sweep", "c_lo"): lo, ("sweep", "c_hi"): hi,
+                ("sweep", "c_count"): count}
+        grid = _grid_from(data, [], "c", "wave-scan", True)
+        assert all(type(x) is float for x in grid)
+        assert (np.array(grid).tobytes()
+                == np.linspace(lo, hi, count).tobytes()), (lo, hi, count)

@@ -185,3 +185,27 @@ def test_lazy_namespace_serves_every_public_name():
     report = json.loads(out)
     assert report == {"missing": [], "count": 80, "unknown": "AttributeError",
                       "version": "0.1.0"}
+
+
+def test_wave_scan_loads_no_continuation(tmp_path):
+    # collocation takes BandedLU from pde
+    report = _drive(tmp_path, ["wave-scan"])
+    assert "alleekit.collocation" in report["loaded"]
+    assert "alleekit.continuation" not in report["loaded"]
+
+
+def test_kinetic_commands_load_no_linear(tmp_path):
+    report = _drive(tmp_path, ["equilibria", "temporal-diagram"])
+    assert "alleekit.linear" not in report["loaded"]
+
+
+@pytest.mark.parametrize("command", ["wave-scan", "temporal-diagram"])
+def test_parsing_a_grid_loads_no_numpy(command):
+    out = _python(
+        "import json, sys\n"
+        "from alleekit.config import parse_config\n"
+        "cfg = parse_config(sys.argv[1], command=sys.argv[2])\n"
+        "print(json.dumps([type(cfg.sigma_grid).__name__, sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))]))\n",
+        _KINETICS + _BODIES[command], command)
+    assert json.loads(out) == ["tuple", []]

@@ -394,3 +394,15 @@ def test_invasion_front_speed_near_cmin(p_main):
 def test_l2_norm_of_constant():
     g = Grid(L=200.0, N=512)
     assert l2_norm(np.full(g.N, 0.5), g.dx) == pytest.approx(0.5 * math.sqrt(200.0))
+
+
+@pytest.mark.parametrize("L,at", [(100.0, 50.0), (200.0, 100.0), (600.0, 200.0)])
+def test_ic_invasion_step_default_interface(p_main, L, at):
+    # x = 200 when it lies inside (0, L), else L/2
+    g = Grid(L=L, N=257)
+    f = make_ic("invasion_step", g, p_main)
+    e = coexisting_equilibria(p_main)[-1]
+    left = g.x < at
+    assert np.all(f.u[left] == e.u) and np.all(f.v[left] == e.v)
+    assert np.all(f.u[~left] == max(a.u for a in axial_equilibria(p_main)))
+    assert np.all(f.v[~left] == 0.0)
