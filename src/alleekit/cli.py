@@ -16,16 +16,16 @@ parsed and before the run starts:
 
 * ``thresholds``: ``linear`` (no numpy);
 * ``temporal-diagram``: ``temporal`` and numpy (no scipy);
-* ``simulate``: ``pde``, with ``linear`` beneath it, so numpy and scipy's
-  LAPACK extension ``scipy.linalg._flapack`` alone, not the
-  ``scipy.linalg`` package;
-* ``lyapunov`` and ``pulse``: ``pde`` and ``diagnostics`` (``lyapunov``
-  loads them while the config is parsed, to check ``[run] t``);
+* ``simulate``: ``pde`` and ``linear`` (which sizes a grid without
+  ``[grid] n``), so numpy and scipy's LAPACK extension
+  ``scipy.linalg._flapack`` alone, not the ``scipy.linalg`` package;
+* ``lyapunov`` and ``pulse``: these and ``diagnostics``, which
+  ``lyapunov`` loads with ``pde`` while parsing, to check ``[run] t``;
 * ``continue``: ``pde`` and ``continuation``, so the LAPACK extension
   alone again (no ``scipy.sparse``);
 * ``wave-scan``: ``waves``, with ``temporal``, ``collocation`` and ``pde``
   beneath it, so the LAPACK extension alone again (no ``scipy.integrate``,
-  ``scipy.interpolate`` or ``continuation``).
+  ``scipy.interpolate``, ``continuation`` or ``linear``).
 
 ``simulate``, ``lyapunov``, ``pulse`` and ``continue`` also load
 ``numpy.random``, which numpy itself loads only on first use.
@@ -358,11 +358,11 @@ _RUNNERS: dict[str, tuple[Callable[[ExperimentConfig, Path], list[Path]],
     "equilibria": (cmd_equilibria, ()),
     "temporal-diagram": (cmd_temporal_diagram, (".temporal",)),
     "thresholds": (cmd_thresholds, (".linear",)),
-    "simulate": (cmd_simulate, (".pde", "numpy.random")),
+    "simulate": (cmd_simulate, (".pde", ".linear", "numpy.random")),
     "continue": (cmd_continue, (".pde", ".continuation", "numpy.random")),
     "wave-scan": (cmd_wave_scan, (".waves",)),
-    "lyapunov": (cmd_lyapunov, (".pde", ".diagnostics", "numpy.random")),
-    "pulse": (cmd_pulse, (".pde", ".diagnostics", "numpy.random")),
+    "lyapunov": (cmd_lyapunov, (".pde", ".linear", ".diagnostics", "numpy.random")),
+    "pulse": (cmd_pulse, (".pde", ".linear", ".diagnostics", "numpy.random")),
 }
 
 

@@ -11,6 +11,10 @@ here loads ``scipy.sparse``. The residual is the PDE stepper's own
 right-hand side (``semidiscrete_rhs`` in :mod:`alleekit.pde`) and the
 Jacobian's diffusion rows come from its ``laplacian_bands``, so the steady
 states here are exactly those of the PDE stepper.
+
+A Fold tag marks a sign change of the tangent's sigma part, a BP tag one of
+det J (an odd number of real crossings); a complex pair crossing, or two
+real crossings in one step, changes the unstable count with no tag.
 """
 
 from __future__ import annotations
@@ -159,14 +163,14 @@ class Tangent:
 
 
 def tangent_at(x: np.ndarray, sigma: float, prob: SteadyProblem,
-               prev: Tangent | None = None) -> tuple[Tangent, int]:
-    """Unit tangent of the solution curve in the weighted metric, and the
-    determinant sign of the factorization that gave it."""
+               prev: Tangent) -> tuple[Tangent, int]:
+    """Unit tangent of the solution curve in the weighted metric, oriented
+    along prev, and the determinant sign of the factorization that gave it."""
     lu = _factor(x, sigma, prob)
     w = lu.solve(-sigma_derivative(x, prob))
     nrm = math.sqrt(_wdot(w, w) + 1.0)
     tau = Tangent(w / nrm, 1.0 / nrm)
-    if prev is not None and prev.dot(tau.x, tau.sigma) < 0.0:
+    if prev.dot(tau.x, tau.sigma) < 0.0:
         tau = Tangent(-tau.x, -tau.sigma)
     return tau, lu.det_sign
 
@@ -175,6 +179,9 @@ def _arclength_correct(x_pred, sigma_pred, x0, sigma0, tau: Tangent, ds, prob):
     x = x_pred.copy()
     sig = sigma_pred
     for it in range(10):
+        if not sig > 0.0:
+            # the kinetics exist for sigma > 0 only; the caller shrinks ds
+            raise NoConvergence(f"corrector reached sigma={sig:.6g}")
         try:
             r = residual(x, sig, prob)
         except NonFinite:
@@ -381,17 +388,19 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     return n_unstable, lam
 
 
-def _refine_event(x0, sigma0, tau, ds_hi, prob, sign_lo, which):
-    """Bisect the arclength step until the flagged sign flip is localized
-    to 1e-7 in sigma.
+def _sign(a: float) -> int:
+    return 1 if a > 0 else -1 if a < 0 else 0
 
-    which = "fold" brackets the sign of tau_sigma, "bp" the extended
-    determinant sign. Returns the corrected event point.
-    """
-    lo = 0.0
-    hi = ds_hi
-    x_ev, sig_ev = None, None
-    sig_lo_val, sig_hi_val = sigma0, None
+
+def _refine_event(x0, sigma0, tau, ds_hi, prob, indicator, value_lo):
+    """Bisect the arclength step along tau until the point where the integer
+    ``indicator(x, sigma)`` of corrected points leaves value_lo is localized
+    to 1e-7 in sigma. Any other value, None (undetermined) and a failed
+    correction count as the far side. Returns the last far-side point, as
+    (x, sigma), or None."""
+    lo, hi = 0.0, ds_hi
+    ev = None
+    sig_lo = sigma0
     for _ in range(48):
         mid = 0.5 * (lo + hi)
         if mid <= 0.0 or hi - lo < 1e-12:
@@ -403,22 +412,13 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, sign_lo, which):
         except (NoConvergence, SingularJacobian):
             hi = mid  # treat failures as the far side; shrink toward x0
             continue
-        if which == "fold":
-            tau_m, _ = tangent_at(xm, sm, prob, prev=tau)
-            s_m = 1 if tau_m.sigma > 0 else -1 if tau_m.sigma < 0 else 0
+        if indicator(xm, sm) == value_lo:
+            lo, sig_lo = mid, sm
         else:
-            # factor only: a singular point gives sign 0, not SingularJacobian
-            s_m = _factor(xm, sm, prob).det_sign
-        if s_m == sign_lo and s_m != 0:
-            lo, sig_lo_val = mid, sm
-        else:
-            hi, sig_hi_val = mid, sm
-            x_ev, sig_ev = xm, sm
-        if sig_hi_val is not None and abs(sig_hi_val - sig_lo_val) < 1e-7:
+            hi, ev = mid, (xm, sm)
+        if ev is not None and abs(ev[1] - sig_lo) < 1e-7:
             break
-    if x_ev is None:
-        return None
-    return x_ev, sig_ev
+    return ev
 
 
 def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem,
@@ -426,10 +426,13 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
                     ds_min: float = 1e-4,
                     sigma_range: tuple[float, float] | None = None,
                     stability: bool = True, adapt: bool = True) -> Branch:
-    """Trace a solution branch with fold and branch-point tagging; events
-    are localized to 1e-7 in sigma. Stability starts from STABILITY_K0
-    eigenvalues at the first point, and each later point from the k that
-    certified the one before."""
+    """Trace a solution branch, adding each event, localized to 1e-7 in
+    sigma, as a point: Fold where the tangent's sigma part changes sign, and
+    otherwise BP where det J does (an odd number of real crossings). A
+    complex pair crossing, or two real crossings in one step, changes
+    ``n_unstable`` with no tag; ``stability=False`` gives no counts. Stability
+    starts from STABILITY_K0 eigenvalues at the first point, and each later
+    point from the k that certified the one before."""
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     if sigma_range is not None and not (sigma_range[0] <= sigma_start <= sigma_range[1]):
@@ -438,29 +441,33 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
             f"[{sigma_range[0]:.6g}, {sigma_range[1]:.6g}]")
     x = newton_correct(np.asarray(x_start, dtype=float), sigma_start, prob)
     sigma = sigma_start
-    tau, det_sign = tangent_at(x, sigma, prob)
-    if tau.sigma != 0.0 and (1 if tau.sigma > 0 else -1) != direction:
-        tau = Tangent(-tau.x, -tau.sigma)
+    tau, det_sign = tangent_at(x, sigma, prob, prev=Tangent(np.zeros_like(x), direction))
 
     k = STABILITY_K0
+    branch = Branch(prob)
 
-    def make_point(index, x, sigma, tags):
+    def add_point(x, sigma, tags):
         nonlocal k
         n_un = None
         if stability:
             n_un, lam = solution_stability(x, sigma, prob, k)
             k = lam.size
         u, _ = split_fields(x)
-        return BranchPoint(index, sigma, x.copy(), l2_norm(u, prob.grid.dx),
-                           n_un, set(tags))
+        branch.points.append(BranchPoint(len(branch.points), sigma, x.copy(),
+                                         l2_norm(u, prob.grid.dx), n_un, tags))
 
-    branch = Branch(prob)
-    branch.points.append(make_point(0, x, sigma, {"Start"}))
+    # (tag, indicator) per event, in order of precedence: det J flips at
+    # folds as well, so a fold is checked first
+    events = (
+        ("Fold", lambda xm, sm:
+            _sign(tangent_at(xm, sm, prob, prev=tau)[0].sigma) or None),
+        # factor only: a singular point is undetermined, not SingularJacobian
+        ("BP", lambda xm, sm: _factor(xm, sm, prob).det_sign or None),
+    )
 
-    tau_sign = 1 if tau.sigma > 0 else -1 if tau.sigma < 0 else 0
-
+    add_point(x, sigma, {"Start"})
+    values = (_sign(tau.sigma), det_sign)
     ds = ds0
-    idx = 1
     for _ in range(steps):
         while True:
             try:
@@ -474,26 +481,16 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
                     raise NoConvergence(
                         f"arclength step fell below {ds_min} near sigma={sigma:.6g}")
         tau1, det_sign1 = tangent_at(x1, sig1, prob, prev=tau)
-        tau_sign1 = 1 if tau1.sigma > 0 else -1 if tau1.sigma < 0 else 0
+        values1 = (_sign(tau1.sigma), det_sign1)
+        for (tag, indicator), v0, v1 in zip(events, values, values1):
+            if v0 and v1 and v0 != v1:
+                ev = _refine_event(x, sigma, tau, ds, prob, indicator, v0)
+                if ev is not None:
+                    add_point(*ev, {tag})
+                break
+        add_point(x1, sig1, set())
 
-        fold_hit = tau_sign != 0 and tau_sign1 != 0 and tau_sign1 != tau_sign
-        det_hit = det_sign != 0 and det_sign1 != 0 and det_sign1 != det_sign
-        # det(J) flips at folds as well, so a tau-sign flip takes precedence
-        if fold_hit or det_hit:
-            which = "fold" if fold_hit else "bp"
-            ref_sign = tau_sign if fold_hit else det_sign
-            ev = _refine_event(x, sigma, tau, ds, prob, ref_sign, which)
-            if ev is not None:
-                xe, se = ev
-                tags = {"Fold"} if fold_hit else {"BP"}
-                branch.points.append(make_point(idx, xe, se, tags))
-                idx += 1
-
-        branch.points.append(make_point(idx, x1, sig1, set()))
-        idx += 1
-
-        x, sigma, tau = x1, sig1, tau1
-        det_sign, tau_sign = det_sign1, tau_sign1
+        x, sigma, tau, values = x1, sig1, tau1, values1
         if adapt:
             if iters <= 4:
                 ds = min(ds * 1.3, 4.0 * ds0)

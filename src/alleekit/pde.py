@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (Inconclusive, NonFinite, NoRoot, OutOfRange,
                      SingularJacobian, ToolkitError)
-from .linear import kpm_roots
 from .model import (
     KineticParams,
     jacobian_fields,
@@ -322,6 +321,8 @@ def default_dt(grid: Grid, d: float) -> float:
 
 def default_grid_size(p: KineticParams, d: float, L: float) -> int:
     """At least 4 nodes per expected pattern wavelength, floored hard."""
+    from .linear import kpm_roots
+
     n = 0
     try:
         _, kp = kpm_roots(upper_coexisting(p), p, d)

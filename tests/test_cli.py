@@ -100,6 +100,16 @@ def test_continue_start_outside_range_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "branch.csv").exists()
 
 
+def test_continue_halves_a_first_step_past_sigma_zero(tmp_path, capsys):
+    # a predictor at sigma <= 0 fails like any other correction, so the
+    # step is halved instead of the kinetics raising
+    rc, err = _run(tmp_path, capsys, "continue",
+                   "l = 200\n[grid]\nn = 64\n[sweep]\nsteps = 3\n"
+                   "ds0 = 100\n", sigma=1.83)
+    assert rc in (0, 4), err
+    assert "Traceback" not in err
+
+
 def test_wave_scan_brackets_hopf_above_coexistence_floor(tmp_path, capsys):
     # with eta = 0.2 nothing coexists below sigma_TC = 0.879, so the Hopf
     # point (2.190) must be sought above it, not from a fixed sigma = 0.5

@@ -23,7 +23,9 @@ from alleekit.continuation import (
     KL,
     KU,
     SteadyProblem,
+    Tangent,
     _largest_ritz,
+    _refine_event,
     branch_switch,
     continue_branch,
     interleave,
@@ -36,6 +38,7 @@ from alleekit.continuation import (
     sigma_derivative,
     solution_stability,
     split_fields,
+    tangent_at,
 )
 from alleekit.errors import NoConvergence, OutOfRange, SingularJacobian
 from alleekit.linear import branch_point_sigmas, mode_reports, vbounds
@@ -230,6 +233,26 @@ def test_unstable_count_ladder_along_homogeneous_branch(base_p):
     assert diffs.sum() == len(bps)
 
 
+def test_count_bisection_stops_at_the_det_sign_branch_point(base_p):
+    # the event bisection on the certified unstable count, in place of the
+    # determinant sign, stops at the same corrected point: the mode-8 BP of
+    # the benchmark branch, where one real eigenvalue crosses (12 -> 13)
+    prob = _problem(base_p)
+    br = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
+                         steps=1, ds0=1.5e-3)
+    start, bp = br.points[:2]
+    assert bp.tags == {"BP"} and bp.n_unstable == 13
+    tau, _ = tangent_at(start.x, start.sigma, prob,
+                        prev=Tangent(np.zeros_like(start.x), -1.0))
+    x_ev, sig_ev = _refine_event(
+        start.x, start.sigma, tau, 1.5e-3, prob,
+        lambda x, sigma: solution_stability(x, sigma, prob)[0],
+        start.n_unstable)
+    assert sig_ev == bp.sigma
+    assert x_ev.tobytes() == bp.x.tobytes()
+    assert solution_stability(x_ev, sig_ev, prob)[0] == 13
+
+
 def test_branch_switch_counts_match_modes(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.796), 1.796, prob, direction=-1,
@@ -299,6 +322,28 @@ def test_localized_branch_snakes_through_folds(base_p):
         u1, mstar = vbounds(prob.p.with_sigma(pt.sigma))
         assert u.min() > 0.0 and u.max() < u1
         assert v.min() > 0.0 and v.max() < mstar
+
+
+def test_stability_on_the_snaking_branch_matches_dense_eigenvalues(base_p):
+    # a patterned-state oracle: the certified count equals the dense count
+    # on either side of every change along the localized branch and at the
+    # fold; at the BP points among them a real eigenvalue lies within 1e-12
+    # of zero
+    prob = _problem(base_p)
+    x = newton_correct(localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
+    br = continue_branch(x, 2.1, prob, direction=1, steps=60, ds0=0.01,
+                         sigma_range=(1.95, 2.45))
+    counts = [pt.n_unstable for pt in br.points]
+    changes = [i for i in range(1, len(counts)) if counts[i] != counts[i - 1]]
+    assert len(counts) == 30 and len(br.tagged("Fold")) == 1
+    assert [counts[0]] + [counts[i] for i in changes] == [3, 4, 5, 2, 3]
+    check = {br.tagged("Fold")[0].index}
+    check.update(j for i in changes for j in (i - 1, i))
+    for i in sorted(check):
+        pt = br.points[i]
+        ab = jacobian_banded(pt.x, pt.sigma, prob)
+        lam = np.linalg.eigvals(_banded_to_dense(ab))
+        assert (lam.real > UNSTABLE_TOL).sum() == pt.n_unstable, f"point {i}"
 
 
 def test_branch_norms_consistent_with_vectors(base_p):

@@ -90,11 +90,11 @@ def _python(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def _drive(tmp_path, commands) -> dict:
+def _drive(tmp_path, commands, bodies=_BODIES) -> dict:
     runs = []
     for command in commands:
         cfg = tmp_path / f"{command}.cfg"
-        cfg.write_text(_KINETICS + _BODIES[command])
+        cfg.write_text(_KINETICS + bodies[command])
         runs.append((command, str(cfg), str(tmp_path / command)))
     report = json.loads(_python(_DRIVER, json.dumps(runs)))
     assert report["rc"] == [0] * len(runs)
@@ -209,3 +209,19 @@ def test_parsing_a_grid_loads_no_numpy(command):
         "    m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))]))\n",
         _KINETICS + _BODIES[command], command)
     assert json.loads(out) == ["tuple", []]
+
+
+def test_wave_scan_loads_no_linear(tmp_path):
+    # pde imports linear only to size a grid, which wave-scan never does
+    report = _drive(tmp_path, ["wave-scan"])
+    assert "alleekit.pde" in report["loaded"]
+    assert "alleekit.linear" not in report["loaded"]
+
+
+def test_simulate_sizing_its_grid_imports_nothing_new(tmp_path):
+    # without [grid] n, default_grid_size imports linear; main has loaded it
+    body = ("l = 200\n[grid]\ndt = 0.05\n[run]\nseed = 1\nt = 20\n"
+            "ic = perturbed_homogeneous\n")
+    report = _drive(tmp_path, ["simulate"], {"simulate": body})
+    assert report["added_by_run"] == [[]]
+    assert "alleekit.linear" in report["loaded"]
