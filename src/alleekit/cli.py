@@ -22,7 +22,7 @@ parsed and before the run starts:
 * ``lyapunov`` and ``pulse``: these and ``diagnostics``, which
   ``lyapunov`` loads with ``pde`` while parsing, to check ``[run] t``;
 * ``continue``: ``pde`` and ``continuation``, so the LAPACK extension
-  alone again (no ``scipy.sparse``);
+  alone again (no ``scipy.sparse``, and no ``linear``);
 * ``wave-scan``: ``waves``, with ``temporal``, ``collocation`` and ``pde``
   beneath it, so the LAPACK extension alone again (no ``scipy.integrate``,
   ``scipy.interpolate``, ``continuation`` or ``linear``).

@@ -7,10 +7,13 @@ Newton corrector, the tangent and, from the same factorization, the
 determinant sign used for branch-point detection, and, shifted, the
 Krylov-Schur restarted Arnoldi behind linear stability, which takes its
 Schur forms from ``dgees`` and ``dtrsen`` in ``pde``'s ``flapack``; nothing
-here loads ``scipy.sparse``. The residual is the PDE stepper's own
-right-hand side (``semidiscrete_rhs`` in :mod:`alleekit.pde`) and the
-Jacobian's diffusion rows come from its ``laplacian_bands``, so the steady
-states here are exactly those of the PDE stepper.
+here loads ``scipy.sparse``. The Arnoldi's start size comes from the
+discrete Neumann symbol (``pde``'s ``neumann_symbol``), which gives the
+spectrum of the homogeneous state at each point's mean exactly. The
+residual is the PDE stepper's own right-hand side (``semidiscrete_rhs`` in
+:mod:`alleekit.pde`) and the Jacobian's diffusion rows come from its
+``laplacian_bands``, so the steady states here are exactly those of the
+PDE stepper.
 
 A Fold tag marks a sign change of the tangent's sigma part, a BP tag one of
 det J (an odd number of real crossings); a complex pair crossing, or two
@@ -25,10 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
-from .linear import spatial_spectrum
 from .model import KineticParams, jacobian_fields, upper_coexisting
 from .pde import (BandedLU, Grid, flapack, l2_norm, laplacian_bands,
-                  semidiscrete_rhs)
+                  neumann_symbol, semidiscrete_rhs)
 
 KL = 2
 KU = 2
@@ -36,9 +38,6 @@ KU = 2
 # with real part above UNSTABLE_TOL as unstable
 STABILITY_SHIFT = 0.13
 UNSTABLE_TOL = 1e-8
-# the k that solution_stability, and each branch traced by continue_branch,
-# starts from
-STABILITY_K0 = 24
 # max-norm residual at which Newton, the arclength corrector, event
 # refinement and branch switching accept a point
 NEWTON_TOL = 1e-10
@@ -343,17 +342,22 @@ def _lead(t, q, wr, wi, count):
 
 
 def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
-                       n_eigs: int = STABILITY_K0) -> tuple[int, np.ndarray]:
+                       n_eigs: int = 8) -> tuple[int, np.ndarray]:
     """Leading spectrum of the linearized evolution operator.
 
     One certified path at every grid size, with no dense fallback: a
     Krylov-Schur restarted Arnoldi (``_largest_ritz``) on the inverse of
     J - STABILITY_SHIFT*I, applied through its banded LU, finds the k
-    eigenvalues nearest the shift, starting from k = n_eigs (at least 8).
-    k is doubled until the covered disk provably contains the whole
-    Bendixson box of possible unstable eigenvalues, so the unstable count
-    is certified, not sampled. Returns that count and the k eigenvalues,
-    by decreasing real part; equal inputs give bitwise-equal eigenvalues.
+    eigenvalues nearest the shift. They must cover a disk around the shift
+    that holds the whole Bendixson box of possible unstable eigenvalues.
+    k starts from two more than the number of eigenvalues in that disk at
+    the homogeneous state of the same mean (u, v), counted exactly from
+    the 2x2 blocks J - kappa_j diag(1, d) of ``neumann_symbol``; n_eigs
+    (at least 8) is only a lower bound. k is then doubled until the
+    covered disk provably contains the box, so the unstable count is
+    certified, not sampled, and a poor start costs time, never the count.
+    Returns that count and the k eigenvalues, by decreasing real part;
+    equal inputs give bitwise-equal eigenvalues.
     """
     n = prob.n_unknowns
     ab = jacobian_banded(x, sigma, prob)
@@ -371,7 +375,7 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     else:
         raise NoConvergence("no usable shift for inverse iteration")
 
-    k = min(max(8, n_eigs), n - 2)
+    k = min(max(8, n_eigs, _symbol_count(x, sigma, prob, s, r_req) + 2), n - 2)
     k_cap = min(n - 2, max(192, k))
     while True:
         lam = s + 1.0 / _largest_ritz(lu.solve, n, k)
@@ -386,6 +390,19 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     lam = lam[np.argsort(-lam.real)]
     n_unstable = int((lam.real > UNSTABLE_TOL).sum())
     return n_unstable, lam
+
+
+def _symbol_count(x, sigma, prob, s, r):
+    """Eigenvalues within r of s of the homogeneous state at the mean of x."""
+    u, v = split_fields(x)
+    a10, a01, b10, b01 = jacobian_fields(float(u.mean()), float(v.mean()),
+                                         prob.p.with_sigma(sigma))
+    kappa = neumann_symbol(prob.grid.N, prob.grid.dx)
+    half_tr = 0.5 * (a10 + b01 - (1.0 + prob.d) * kappa)
+    det = (a10 - kappa) * (b01 - prob.d * kappa) - a01 * b10
+    root = np.sqrt((half_tr * half_tr - det).astype(complex))
+    lam = np.concatenate((half_tr + root, half_tr - root))
+    return int((np.abs(lam - s) < r).sum())
 
 
 def _sign(a: float) -> int:
@@ -430,9 +447,10 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     sigma, as a point: Fold where the tangent's sigma part changes sign, and
     otherwise BP where det J does (an odd number of real crossings). A
     complex pair crossing, or two real crossings in one step, changes
-    ``n_unstable`` with no tag; ``stability=False`` gives no counts. Stability
-    starts from STABILITY_K0 eigenvalues at the first point, and each later
-    point from the k that certified the one before."""
+    ``n_unstable`` with no tag; ``stability=False`` gives no counts. Nor
+    need a BP tag change ``n_unstable``: the real eigenvalue that crosses
+    can stay below UNSTABLE_TOL on both sides of the step. Each point's
+    stability depends on that point alone, not on the branch before it."""
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     if sigma_range is not None and not (sigma_range[0] <= sigma_start <= sigma_range[1]):
@@ -443,15 +461,10 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     sigma = sigma_start
     tau, det_sign = tangent_at(x, sigma, prob, prev=Tangent(np.zeros_like(x), direction))
 
-    k = STABILITY_K0
     branch = Branch(prob)
 
     def add_point(x, sigma, tags):
-        nonlocal k
-        n_un = None
-        if stability:
-            n_un, lam = solution_stability(x, sigma, prob, k)
-            k = lam.size
+        n_un = solution_stability(x, sigma, prob)[0] if stability else None
         u, _ = split_fields(x)
         branch.points.append(BranchPoint(len(branch.points), sigma, x.copy(),
                                          l2_norm(u, prob.grid.dx), n_un, tags))
@@ -596,6 +609,8 @@ def localized_seed(prob: SteadyProblem, sigma: float, amplitude: float,
     the tail decay length 1/sqrt(K) (several times narrower) tends to sit
     in a larger Newton basin, so a width override is accepted.
     """
+    from .linear import spatial_spectrum
+
     p = prob.p.with_sigma(sigma)
     e = upper_coexisting(p)
     spec = spatial_spectrum(e, p, prob.d)

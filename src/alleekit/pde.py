@@ -3,9 +3,10 @@
 Neumann boundaries are encoded by reflected ghost points on a
 vertex-centered grid, which makes the discrete pure-diffusion flow
 conserve trapezoid mass exactly. This module owns that discrete Neumann
-operator: ``apply_laplacian`` applies it and ``laplacian_bands`` gives its
+operator: ``apply_laplacian`` applies it, ``laplacian_bands`` gives its
 tridiagonal bands, which the implicit diffusion solves here and the
-steady-state Jacobian in :mod:`alleekit.continuation` are built from.
+steady-state Jacobian in :mod:`alleekit.continuation` are built from, and
+``neumann_symbol`` gives its eigenvalues.
 ``semidiscrete_rhs`` is the one right-hand side of the discrete system:
 continuation solves it for zero and ``run`` samples it. Time stepping is
 first-order IMEX (explicit reaction, implicit tridiagonal diffusion) with
@@ -137,6 +138,16 @@ def laplacian_bands(n: int, dx: float,
     upper[0] = 2.0 * r
     lower[-1] = 2.0 * r
     return lower, diag, upper
+
+
+def neumann_symbol(n: int, dx: float) -> np.ndarray:
+    """kappa_j = (4/dx^2) sin^2(j pi / (2(n-1))) for j < n.
+
+    With dx = L/(n-1) the sampled cosine cos(j pi x/L) is an exact
+    eigenvector of apply_laplacian, doubled end rows included, with
+    eigenvalue -kappa_j.
+    """
+    return (4.0 / (dx * dx)) * np.sin(np.arange(n) * (0.5 * math.pi / (n - 1))) ** 2
 
 
 def trapezoid_mass(w: np.ndarray, dx: float) -> float:

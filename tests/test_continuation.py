@@ -15,7 +15,6 @@ import pytest
 
 from alleekit import continuation
 from alleekit.continuation import (
-    STABILITY_K0,
     STABILITY_SHIFT,
     UNSTABLE_TOL,
     BandedLU,
@@ -543,26 +542,66 @@ def test_krylov_schur_restarts_after_an_invariant_subspace():
     assert np.allclose(mu, [5.0] * 8 + [-4.0] * 2, rtol=0, atol=1e-12)
 
 
-def test_each_branch_carries_k_from_its_own_start(base_p, monkeypatch):
-    # every point starts from the k that certified the point before it, and
-    # a second trace starts again from STABILITY_K0
-    calls = []
+def test_stability_of_a_point_does_not_depend_on_the_branch_before_it(
+        base_p, monkeypatch):
+    # the end of a branch traced up from sigma = 2.0, whose earlier points
+    # need a larger Krylov space, and the start of a fresh branch at that
+    # same state give bitwise-equal spectra
+    seen = []
     real = continuation.solution_stability
 
-    def spy(x, sigma, prob, n_eigs):
-        n_un, lam = real(x, sigma, prob, n_eigs)
-        calls.append((n_eigs, lam.size))
+    def spy(x, sigma, prob, *args):
+        n_un, lam = real(x, sigma, prob, *args)
+        seen.append((x.tobytes(), sigma, lam))
         return n_un, lam
 
     monkeypatch.setattr(continuation, "solution_stability", spy)
     prob = _problem(base_p, n=64)
-    for _ in range(2):
-        calls.clear()
-        continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1, steps=2,
-                        ds0=1.5e-3, sigma_range=(1.767, 1.8305))
-        assert calls[0][0] == STABILITY_K0
-        assert [n for n, _ in calls[1:]] == [size for _, size in calls[:-1]]
-        assert calls[-1][1] > STABILITY_K0
+    up = continue_branch(_flat(prob, 2.0), 2.0, prob, direction=1, steps=4,
+                         ds0=0.02, adapt=False)
+    end = up.points[-1]
+    assert end.sigma > 2.07
+    first = seen[-1]
+    seen.clear()
+    continue_branch(end.x, end.sigma, prob, direction=-1, steps=1, ds0=0.02)
+    again = seen[0]
+    assert first[:2] == again[:2]
+    assert first[2].size == again[2].size
+    assert np.array_equal(first[2], again[2])
+
+
+def _ritz_calls(monkeypatch):
+    calls = []
+    real = continuation._largest_ritz
+
+    def spy(apply, n, k):
+        calls.append(k)
+        return real(apply, n, k)
+
+    monkeypatch.setattr(continuation, "_largest_ritz", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_symbol_sizes_one_arnoldi_pass_at_the_benchmark_states(base_p, n,
+                                                               monkeypatch):
+    # the 50 eigenvalues of the homogeneous state inside the covered disk
+    # are counted by the discrete symbol, so the first k certifies
+    calls = _ritz_calls(monkeypatch)
+    prob = _problem(base_p, n=n)
+    solution_stability(_flat(prob, 1.83), 1.83, prob)
+    assert calls == [52]
+
+
+def test_symbol_sizes_one_arnoldi_pass_at_a_patterned_state(base_p,
+                                                            monkeypatch):
+    prob = _problem(base_p)
+    x = newton_correct(localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
+    u, _ = split_fields(x)
+    assert np.ptp(u) > 0.1
+    calls = _ritz_calls(monkeypatch)
+    solution_stability(x, 2.1, prob)
+    assert len(calls) == 1
 
 
 def test_one_factorization_per_point_besides_the_correctors(base_p,

@@ -3,7 +3,7 @@ neither numpy nor scipy, nor do the ``equilibria`` and ``thresholds`` runs;
 ``temporal-diagram`` loads numpy but no scipy; the time-stepping,
 ``continue`` and ``wave-scan`` runs load numpy and scipy's LAPACK extension
 but not the ``scipy.linalg`` package, ``continue`` loads no
-``scipy.sparse``, ``wave-scan`` no ``scipy.integrate``,
+``scipy.sparse`` and no ``linear``, ``wave-scan`` no ``scipy.integrate``,
 ``scipy.interpolate`` or ``scipy.sparse``, and ``scipy.linalg`` reuses the
 extension ``pde`` loaded; each CLI command loads its layers, numpy
 included, before its run starts; and the lazy package namespace still
@@ -225,3 +225,10 @@ def test_simulate_sizing_its_grid_imports_nothing_new(tmp_path):
     report = _drive(tmp_path, ["simulate"], {"simulate": body})
     assert report["added_by_run"] == [[]]
     assert "alleekit.linear" in report["loaded"]
+
+
+def test_continue_loads_no_linear(tmp_path):
+    # only localized_seed needs the spatial spectrum, and the CLI never seeds
+    report = _drive(tmp_path, ["continue"])
+    assert "alleekit.continuation" in report["loaded"]
+    assert "alleekit.linear" not in report["loaded"]

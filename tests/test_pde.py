@@ -27,6 +27,7 @@ from alleekit.pde import (
     make_ic,
     make_stepper,
     measure_front_speed,
+    neumann_symbol,
     run,
     trapezoid_mass,
 )
@@ -69,6 +70,20 @@ def test_laplacian_cosine_eigenvector():
     w = np.cos(j * np.pi * g.x / g.L)
     kappa = 2.0 * (1.0 - math.cos(j * math.pi / (g.N - 1))) / g.dx ** 2
     assert np.allclose(apply_laplacian(w, g.dx), -kappa * w, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [16, 257, 1024])
+def test_neumann_symbol_is_the_exact_spectrum(n):
+    # column j holds cos(j pi x_i / L), with j*i reduced mod 2(n-1) so the
+    # samples are exact to rounding; end rows included, every j < n; the
+    # error is relative to the operator's norm 4/dx^2
+    g = Grid(L=200.0, N=n)
+    i = np.arange(n)
+    w = np.cos(np.outer(i, i) % (2 * (n - 1)) * (math.pi / (n - 1)))
+    kappa = neumann_symbol(n, g.dx)
+    err = np.abs(apply_laplacian(w, g.dx) + kappa * w).max()
+    assert err < 1e-12 * 4.0 / g.dx ** 2
+    assert kappa[0] == 0.0 and np.all(np.diff(kappa) > 0.0)
 
 
 def _band_matvec(bands, w):
