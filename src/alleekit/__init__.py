@@ -3,9 +3,11 @@ with a reproductive Allee effect and an interference-saturating response.
 
 Submodules:
 
-* :mod:`alleekit.model` - kinetics, equilibria, temporal thresholds
+* :mod:`alleekit.model` - kinetics, equilibria, temporal thresholds, and
+  the mode algebra of a homogeneous state (det L(k), the Turing band)
 * :mod:`alleekit.temporal` - ODE integration and attractor classification
-* :mod:`alleekit.linear` - spatial mode analysis and instability thresholds
+* :mod:`alleekit.linear` - spatial mode analysis and instability thresholds,
+  built on that algebra; only the ``thresholds`` command loads it
 * :mod:`alleekit.pde` - one-dimensional Neumann reaction-diffusion stepper
 * :mod:`alleekit.continuation` - steady-state branches in sigma
 * :mod:`alleekit.waves` - travelling-wave profiles and the (sigma, c) scan
@@ -37,14 +39,14 @@ _EXPORTS_BY_MODULE = {
               "kinetics", "jacobian", "trivial_equilibrium",
               "axial_equilibria", "coexisting_equilibria", "all_equilibria",
               "upper_coexisting", "sigma_sn", "sigma_tc", "sigma_s",
-              "hopf_sigma", "first_lyapunov_coefficient"),
+              "hopf_sigma", "first_lyapunov_coefficient", "kpm_roots"),
     "temporal": ("Trajectory", "AttractorKind", "AttractorSummary",
                  "DiagramPoint", "integrate_ode", "attractor_summary",
                  "heteroclinic_threshold", "bifurcation_diagram"),
     "linear": ("ModeReport", "Regime", "SpatialSpectrum", "mode_reports",
                "spatial_spectrum", "turing_bd_thresholds",
-               "branch_point_sigmas", "branch_point_table", "kpm_roots",
-               "band_modes", "nonexistence_dstar", "vbounds"),
+               "branch_point_sigmas", "branch_point_table", "band_modes",
+               "nonexistence_dstar", "vbounds"),
     "pde": ("Grid", "Field", "ICKind", "Recorder", "SpaceTimeRecord",
             "AsymptoticKind", "ImexStepper", "StrangStepper", "make_stepper",
             "make_ic", "run", "front_position", "measure_front_speed",

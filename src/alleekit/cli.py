@@ -14,13 +14,14 @@ scipy; that is all ``equilibria`` needs. Parsing a config loads nothing
 more, except for ``lyapunov``. Each command adds, after the config is
 parsed and before the run starts:
 
-* ``thresholds``: ``linear`` (no numpy);
+* ``thresholds``: ``linear`` (no numpy), the only command that loads it;
 * ``temporal-diagram``: ``temporal`` and numpy (no scipy);
-* ``simulate``: ``pde`` and ``linear`` (which sizes a grid without
-  ``[grid] n``), so numpy and scipy's LAPACK extension
-  ``scipy.linalg._flapack`` alone, not the ``scipy.linalg`` package;
-* ``lyapunov`` and ``pulse``: these and ``diagnostics``, which
-  ``lyapunov`` loads with ``pde`` while parsing, to check ``[run] t``;
+* ``simulate``: ``pde``, so numpy and scipy's LAPACK extension
+  ``scipy.linalg._flapack`` alone, not the ``scipy.linalg`` package, and
+  no ``linear``: without ``[grid] n`` the grid is sized from ``model``'s
+  Turing band;
+* ``lyapunov`` and ``pulse``: ``pde`` and ``diagnostics``, which
+  ``lyapunov`` loads while parsing, to check ``[run] t``;
 * ``continue``: ``pde`` and ``continuation``, so the LAPACK extension
   alone again (no ``scipy.sparse``, and no ``linear``);
 * ``wave-scan``: ``waves``, with ``temporal``, ``collocation`` and ``pde``
@@ -358,11 +359,11 @@ _RUNNERS: dict[str, tuple[Callable[[ExperimentConfig, Path], list[Path]],
     "equilibria": (cmd_equilibria, ()),
     "temporal-diagram": (cmd_temporal_diagram, (".temporal",)),
     "thresholds": (cmd_thresholds, (".linear",)),
-    "simulate": (cmd_simulate, (".pde", ".linear", "numpy.random")),
+    "simulate": (cmd_simulate, (".pde", "numpy.random")),
     "continue": (cmd_continue, (".pde", ".continuation", "numpy.random")),
     "wave-scan": (cmd_wave_scan, (".waves",)),
-    "lyapunov": (cmd_lyapunov, (".pde", ".linear", ".diagnostics", "numpy.random")),
-    "pulse": (cmd_pulse, (".pde", ".linear", ".diagnostics", "numpy.random")),
+    "lyapunov": (cmd_lyapunov, (".pde", ".diagnostics", "numpy.random")),
+    "pulse": (cmd_pulse, (".pde", ".diagnostics", "numpy.random")),
 }
 
 

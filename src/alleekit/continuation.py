@@ -9,7 +9,9 @@ Krylov-Schur restarted Arnoldi behind linear stability, which takes its
 Schur forms from ``dgees`` and ``dtrsen`` in ``pde``'s ``flapack``; nothing
 here loads ``scipy.sparse``. The Arnoldi's start size comes from the
 discrete Neumann symbol (``pde``'s ``neumann_symbol``), which gives the
-spectrum of the homogeneous state at each point's mean exactly. The
+spectrum of the homogeneous state at each point's mean exactly, through
+the mode blocks' trace and det L(k) of :mod:`alleekit.model`, which owns
+that algebra; this module loads no :mod:`alleekit.linear`. The
 residual is the PDE stepper's own right-hand side (``semidiscrete_rhs`` in
 :mod:`alleekit.pde`) and the Jacobian's diffusion rows come from its
 ``laplacian_bands``, so the steady states here are exactly those of the
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
-from .model import KineticParams, jacobian_fields, upper_coexisting
+from .model import (KineticParams, _det_l, _mode_scalars, jacobian_fields,
+                    upper_coexisting)
 from .pde import (BandedLU, Grid, flapack, l2_norm, laplacian_bands,
                   neumann_symbol, semidiscrete_rhs)
 
@@ -348,8 +351,10 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     One certified path at every grid size, with no dense fallback: a
     Krylov-Schur restarted Arnoldi (``_largest_ritz``) on the inverse of
     J - STABILITY_SHIFT*I, applied through its banded LU, finds the k
-    eigenvalues nearest the shift. They must cover a disk around the shift
-    that holds the whole Bendixson box of possible unstable eigenvalues.
+    eigenvalues nearest the shift. A singular factorization raises the
+    shift 1.37-fold, up to three times. The eigenvalues must cover a disk
+    around the shift in use that holds the whole Bendixson box of possible
+    unstable eigenvalues.
     k starts from two more than the number of eigenvalues in that disk at
     the homogeneous state of the same mean (u, v), counted exactly from
     the 2x2 blocks J - kappa_j diag(1, d) of ``neumann_symbol``; n_eigs
@@ -361,10 +366,7 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     """
     n = prob.n_unknowns
     ab = jacobian_banded(x, sigma, prob)
-    re_cap, im_cap = _bendixson_caps(x, sigma, prob)
     s = STABILITY_SHIFT
-    r_req = math.hypot(max(s, re_cap - s), im_cap)
-
     for _ in range(4):
         shifted = ab.copy()
         shifted[KL + KU, :] -= s
@@ -375,6 +377,8 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     else:
         raise NoConvergence("no usable shift for inverse iteration")
 
+    re_cap, im_cap = _bendixson_caps(x, sigma, prob)
+    r_req = math.hypot(max(s, re_cap - s), im_cap)
     k = min(max(8, n_eigs, _symbol_count(x, sigma, prob, s, r_req) + 2), n - 2)
     k_cap = min(n - 2, max(192, k))
     while True:
@@ -392,17 +396,18 @@ def solution_stability(x: np.ndarray, sigma: float, prob: SteadyProblem,
     return n_unstable, lam
 
 
-def _symbol_count(x, sigma, prob, s, r):
-    """Eigenvalues within r of s of the homogeneous state at the mean of x."""
+def _symbol_count(x, sigma, prob, shift, r):
+    """Eigenvalues within r of shift of the homogeneous state at the mean of
+    x: those of the mode blocks at the wavenumbers of ``neumann_symbol``."""
     u, v = split_fields(x)
-    a10, a01, b10, b01 = jacobian_fields(float(u.mean()), float(v.mean()),
-                                         prob.p.with_sigma(sigma))
+    tr, s, det0 = _mode_scalars(float(u.mean()), float(v.mean()),
+                                prob.p.with_sigma(sigma), prob.d)
     kappa = neumann_symbol(prob.grid.N, prob.grid.dx)
-    half_tr = 0.5 * (a10 + b01 - (1.0 + prob.d) * kappa)
-    det = (a10 - kappa) * (b01 - prob.d * kappa) - a01 * b10
+    half_tr = 0.5 * (tr - (1.0 + prob.d) * kappa)
+    det = _det_l(kappa, s, det0, prob.d)
     root = np.sqrt((half_tr * half_tr - det).astype(complex))
     lam = np.concatenate((half_tr + root, half_tr - root))
-    return int((np.abs(lam - s) < r).sum())
+    return int((np.abs(lam - shift) < r).sum())
 
 
 def _sign(a: float) -> int:
@@ -450,13 +455,19 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     ``n_unstable`` with no tag; ``stability=False`` gives no counts. Nor
     need a BP tag change ``n_unstable``: the real eigenvalue that crosses
     can stay below UNSTABLE_TOL on both sides of the step. Each point's
-    stability depends on that point alone, not on the branch before it."""
+    stability depends on that point alone, not on the branch before it.
+
+    A branch ends on its range bound: a step that leaves sigma_range is
+    bisected like an event, and the first corrected point past the bound,
+    within 1e-7 of it, is written as End; an event refined past the bound
+    is dropped."""
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
-    if sigma_range is not None and not (sigma_range[0] <= sigma_start <= sigma_range[1]):
+    lo, hi = sigma_range if sigma_range is not None else (-math.inf, math.inf)
+    if not lo <= sigma_start <= hi:
         raise OutOfRange(
             f"start sigma={sigma_start:.6g} lies outside the continuation range "
-            f"[{sigma_range[0]:.6g}, {sigma_range[1]:.6g}]")
+            f"[{lo:.6g}, {hi:.6g}]")
     x = newton_correct(np.asarray(x_start, dtype=float), sigma_start, prob)
     sigma = sigma_start
     tau, det_sign = tangent_at(x, sigma, prob, prev=Tangent(np.zeros_like(x), direction))
@@ -468,6 +479,9 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
         u, _ = split_fields(x)
         branch.points.append(BranchPoint(len(branch.points), sigma, x.copy(),
                                          l2_norm(u, prob.grid.dx), n_un, tags))
+
+    def in_range(xm, sm):
+        return 1 if lo <= sm <= hi else -1
 
     # (tag, indicator) per event, in order of precedence: det J flips at
     # folds as well, so a fold is checked first
@@ -498,9 +512,14 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
         for (tag, indicator), v0, v1 in zip(events, values, values1):
             if v0 and v1 and v0 != v1:
                 ev = _refine_event(x, sigma, tau, ds, prob, indicator, v0)
-                if ev is not None:
+                if ev is not None and in_range(*ev) == 1:
                     add_point(*ev, {tag})
                 break
+        if in_range(x1, sig1) != 1:
+            ev = _refine_event(x, sigma, tau, ds, prob, in_range, 1)
+            if ev is not None:
+                add_point(*ev, set())
+            break
         add_point(x1, sig1, set())
 
         x, sigma, tau, values = x1, sig1, tau1, values1
@@ -508,8 +527,6 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
             if iters <= 4:
                 ds = min(ds * 1.3, 4.0 * ds0)
             ds = max(ds, ds_min)
-        if sigma_range is not None and not (sigma_range[0] <= sigma <= sigma_range[1]):
-            break
 
     branch.points[-1].tags.add("End")
     return branch
@@ -605,17 +622,16 @@ def localized_seed(prob: SteadyProblem, sigma: float, amplitude: float,
                    width: float | None = None) -> np.ndarray:
     """Single sech bump on top of the coexisting state, centered mid-domain.
 
-    The default width is the spatial-spectrum wavelength 2*pi/sqrt(|K|);
-    the tail decay length 1/sqrt(K) (several times narrower) tends to sit
-    in a larger Newton basin, so a width override is accepted.
+    The default width is the spatial-spectrum wavelength 2*pi/sqrt(|K|),
+    K = -s/(2d) the repeated squared spatial eigenvalue at a threshold; the
+    tail decay length 1/sqrt(K) (several times narrower) tends to sit in a
+    larger Newton basin, so a width override is accepted.
     """
-    from .linear import spatial_spectrum
-
     p = prob.p.with_sigma(sigma)
     e = upper_coexisting(p)
-    spec = spatial_spectrum(e, p, prob.d)
     if width is None:
-        width = 2.0 * math.pi / math.sqrt(abs(spec.K))
+        K = -_mode_scalars(e.u, e.v, p, prob.d)[1] / (2.0 * prob.d)
+        width = 2.0 * math.pi / math.sqrt(abs(K))
     xg = prob.grid.x
     bump = amplitude / np.cosh((xg - 0.5 * prob.grid.L) / width)
     u = e.u + bump

@@ -1,16 +1,15 @@
-"""Mode-wise linear algebra around homogeneous steady states.
+"""Spatial mode analysis and instability thresholds of homogeneous states.
 
 With Neumann modes cos(j*pi*x/L) and wavenumber-squared k_j = (j*pi/L)**2,
 written once (``_wavenumber``), the linearization about a homogeneous state
 E decomposes into 2x2 blocks L_j = J(E) - k_j*diag(1, d) of trace
-tr - (1+d)*k_j and determinant det L(k_j) = d*k_j**2 - s*k_j + D. Everything
-in this module is built from the three scalars
-
-    tr(sigma) = a10 + b01         (kinetic trace)
-    s(sigma) = d*a10 + b01        (cross-diffusion weighted trace)
-    D(sigma) = a10*b01 - a01*b10  (kinetic determinant)
-
-evaluated at the upper coexisting state E*(sigma) (``_estar_scalars``).
+tr - (1+d)*k_j and determinant det L(k_j) = d*k_j**2 - s*k_j + D. That
+mode algebra, the scalars (tr, s, D), det L(k) and its roots (the Turing
+band, ``kpm_roots``), lives in :mod:`alleekit.model`, which every command
+loads; ``kpm_roots`` is re-exported here. Everything in this module is
+built from those scalars evaluated at the upper coexisting state
+E*(sigma) (``_estar_scalars``), and only the ``thresholds`` command loads
+it.
 """
 
 from __future__ import annotations
@@ -26,8 +25,12 @@ from .model import (
     Equilibrium,
     EquilibriumKind,
     KineticParams,
+    _band,
+    _det_l,
     _jacobian_entries,
+    _mode_scalars,
     _prey_window,
+    kpm_roots,
     upper_axial,
     upper_coexisting,
 )
@@ -90,36 +93,17 @@ def _entries(e: Equilibrium, p: KineticParams) -> tuple[float, float, float, flo
     return _jacobian_entries(e.u, e.v, p)
 
 
-def _mode_scalars(e: Equilibrium, p: KineticParams, d: float) -> tuple[float, float, float]:
-    """(tr, s, D) of J(E), as in the module docstring."""
-    a10, a01, b10, b01 = _entries(e, p)
-    return a10 + b01, d * a10 + b01, a10 * b01 - a01 * b10
-
-
 def _estar_scalars(p: KineticParams, d: float, sigma: float) -> tuple[float, float, float]:
     """(tr, s, D) at E*(sigma), with J at the same sigma: J depends on sigma
     explicitly, so state and parameters must never mix sigma values."""
     ps = p.with_sigma(sigma)
-    return _mode_scalars(upper_coexisting(ps), ps, d)
+    e = upper_coexisting(ps)
+    return _mode_scalars(e.u, e.v, ps, d)
 
 
 def _wavenumber(j: int, L: float) -> float:
     """k_j = (j*pi/L)**2 of the Neumann mode cos(j*pi*x/L) on [0, L]."""
     return (j * math.pi / L) ** 2
-
-
-def _det_l(k: float, s: float, det0: float, d: float) -> float:
-    """det L(k) = d*k**2 - s*k + D."""
-    return d * k * k - s * k + det0
-
-
-def _band(s: float, det0: float, d: float) -> tuple[float, float] | None:
-    """The roots (k-, k+) of det L(k), or None when they are complex."""
-    disc = s * s - 4.0 * d * det0
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    return (s - root) / (2.0 * d), (s + root) / (2.0 * d)
 
 
 def _default_j_max(e: Equilibrium, p: KineticParams, d: float, L: float) -> int:
@@ -129,7 +113,7 @@ def _default_j_max(e: Equilibrium, p: KineticParams, d: float, L: float) -> int:
     and determinant conditions are stable, so modes past that wavenumber
     cannot flip. Falls back to a fixed floor when everything is stable.
     """
-    tr, s, det0 = _mode_scalars(e, p, d)
+    tr, s, det0 = _mode_scalars(e.u, e.v, p, d)
     band = _band(s, det0, d)
     k_top = max(tr / (1.0 + d), 0.0, band[1] if band else 0.0)
     j = math.ceil(L * math.sqrt(k_top) / math.pi) + 5 if k_top > 0 else 0
@@ -154,7 +138,7 @@ def mode_reports(
         j_max = _default_j_max(e, p, d, L)
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    tr0, s, det0 = _mode_scalars(e, p, d)
+    tr0, s, det0 = _mode_scalars(e.u, e.v, p, d)
     ks = [_wavenumber(j, L) for j in range(j_max + 1)]
     return [ModeReport(j, k, tr0 - (1.0 + d) * k, _det_l(k, s, det0, d))
             for j, k in enumerate(ks)]
@@ -192,7 +176,7 @@ def spatial_spectrum(e: Equilibrium, p: KineticParams, d: float) -> SpatialSpect
         )
     if d <= 0:
         raise ValueError(f"need d > 0, got {d}")
-    _, s, det0 = _mode_scalars(e, p, d)
+    _, s, det0 = _mode_scalars(e.u, e.v, p, d)
     disc = s * s - 4.0 * d * det0
     sq = cmath.sqrt(complex(disc, 0.0))
     lam2 = ((-s + sq) / (2.0 * d), (-s - sq) / (2.0 * d))
@@ -314,28 +298,6 @@ def nonexistence_dstar(p: KineticParams, L: float) -> float:
     """Diffusion level below which no non-constant steady state exists
     (sufficient bound; see dstar_parts for the pieces)."""
     return dstar_parts(p, L)["dstar"]
-
-
-def kpm_roots(e: Equilibrium, p: KineticParams, d: float) -> tuple[float, float]:
-    """Edges (k-, k+) of the unstable wavenumber band: roots of det L(k).
-
-    Hypothesis: a10 > 0 and s = d*a10 + b01 > 2*sqrt(d*D) > 0; then both
-    roots are real positive and det L(k) < 0 exactly on (k-, k+).
-    """
-    if d <= 0:
-        raise ValueError(f"need d > 0, got {d}")
-    a10 = _entries(e, p)[0]
-    _, s, det0 = _mode_scalars(e, p, d)
-    if a10 <= 0.0:
-        raise HypothesisFailed(f"needs a10 > 0, got a10={a10:.6g}")
-    if det0 <= 0.0:
-        raise HypothesisFailed(f"needs D > 0, got D={det0:.6g}")
-    gap = s - 2.0 * math.sqrt(d * det0)
-    if s <= 0.0 or gap <= 0.0:
-        raise HypothesisFailed(
-            f"needs s > 2*sqrt(d*D) > 0, got s={s:.6g}, 2*sqrt(dD)={2*math.sqrt(d*det0):.6g}"
-        )
-    return _band(s, det0, d)
 
 
 def band_modes(e: Equilibrium, p: KineticParams, d: float, L: float) -> list[int]:

@@ -8,6 +8,21 @@ The non-dimensional planar kinetics are
 with prey growth reduced at low density (the sigma*u**2 factor), a linear
 prey mortality, and predator interference through beta. alpha = 0 is the
 ratio-dependent limit; beta = 0 the interference-free saturating limit.
+
+This module also owns the mode algebra of a homogeneous state E = (u, v).
+With diffusion ratio d, each Neumann mode of wavenumber-squared k sees the
+2x2 block L(k) = J(E) - k*diag(1, d), of trace tr - (1+d)*k and determinant
+det L(k) = d*k**2 - s*k + D (``_det_l``), where
+
+    tr = a10 + b01         (kinetic trace)
+    s = d*a10 + b01        (cross-diffusion weighted trace)
+    D = a10*b01 - a01*b10  (kinetic determinant)
+
+come from ``_mode_scalars``, and the roots of det L(k) are the Turing band
+(``_band``, ``kpm_roots``). :mod:`alleekit.linear` builds its thresholds
+from them, :mod:`alleekit.pde` sizes its default grid from the band, and
+:mod:`alleekit.continuation` counts the symbol's eigenvalues with them.
+
 Everything here is a pure function of its inputs. numpy is imported only
 inside the branches that take arrays, so the scalar path runs without it.
 """
@@ -50,6 +65,7 @@ __all__ = [
     "sigma_s",
     "hopf_sigma",
     "first_lyapunov_coefficient",
+    "kpm_roots",
 ]
 
 
@@ -225,6 +241,50 @@ def jacobian(u: float, v: float, p: KineticParams) -> np.ndarray:
 
     a10, a01, b10, b01 = _jacobian_entries(u, v, p)
     return np.array([[a10, a01], [b10, b01]])
+
+
+def _mode_scalars(u: float, v: float, p: KineticParams,
+                  d: float) -> tuple[float, float, float]:
+    """(tr, s, D) of J at the homogeneous state (u, v), as in the module
+    docstring."""
+    a10, a01, b10, b01 = _jacobian_entries(u, v, p)
+    return a10 + b01, d * a10 + b01, a10 * b01 - a01 * b10
+
+
+def _det_l(k, s: float, det0: float, d: float):
+    """det L(k) = d*k**2 - s*k + D, for a float k or an array of them."""
+    return d * k * k - s * k + det0
+
+
+def _band(s: float, det0: float, d: float) -> tuple[float, float] | None:
+    """The roots (k-, k+) of det L(k), or None when they are complex."""
+    disc = s * s - 4.0 * d * det0
+    if disc < 0.0:
+        return None
+    root = math.sqrt(disc)
+    return (s - root) / (2.0 * d), (s + root) / (2.0 * d)
+
+
+def kpm_roots(e: Equilibrium, p: KineticParams, d: float) -> tuple[float, float]:
+    """Edges (k-, k+) of the unstable wavenumber band: roots of det L(k).
+
+    Hypothesis: a10 > 0 and s = d*a10 + b01 > 2*sqrt(d*D) > 0; then both
+    roots are real positive and det L(k) < 0 exactly on (k-, k+).
+    """
+    if d <= 0:
+        raise ValueError(f"need d > 0, got {d}")
+    a10 = _jacobian_entries(e.u, e.v, p)[0]
+    _, s, det0 = _mode_scalars(e.u, e.v, p, d)
+    if a10 <= 0.0:
+        raise HypothesisFailed(f"needs a10 > 0, got a10={a10:.6g}")
+    if det0 <= 0.0:
+        raise HypothesisFailed(f"needs D > 0, got D={det0:.6g}")
+    gap = s - 2.0 * math.sqrt(d * det0)
+    if s <= 0.0 or gap <= 0.0:
+        raise HypothesisFailed(
+            f"needs s > 2*sqrt(d*D) > 0, got s={s:.6g}, 2*sqrt(dD)={2*math.sqrt(d*det0):.6g}"
+        )
+    return _band(s, det0, d)
 
 
 def _make_equilibrium(kind: EquilibriumKind, u: float, v: float, p: KineticParams,

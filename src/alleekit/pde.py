@@ -6,7 +6,9 @@ conserve trapezoid mass exactly. This module owns that discrete Neumann
 operator: ``apply_laplacian`` applies it, ``laplacian_bands`` gives its
 tridiagonal bands, which the implicit diffusion solves here and the
 steady-state Jacobian in :mod:`alleekit.continuation` are built from, and
-``neumann_symbol`` gives its eigenvalues.
+``neumann_symbol`` gives its eigenvalues: the discrete wavenumbers k at
+which :mod:`alleekit.model`'s mode algebra, the blocks J - k*diag(1, d),
+applies. ``default_grid_size`` takes the Turing band from there too.
 ``semidiscrete_rhs`` is the one right-hand side of the discrete system:
 continuation solves it for zero and ``run`` samples it. Time stepping is
 first-order IMEX (explicit reaction, implicit tridiagonal diffusion) with
@@ -41,6 +43,7 @@ from .model import (
     KineticParams,
     jacobian_fields,
     kinetics,
+    kpm_roots,
     upper_axial,
     upper_coexisting,
 )
@@ -332,8 +335,6 @@ def default_dt(grid: Grid, d: float) -> float:
 
 def default_grid_size(p: KineticParams, d: float, L: float) -> int:
     """At least 4 nodes per expected pattern wavelength, floored hard."""
-    from .linear import kpm_roots
-
     n = 0
     try:
         _, kp = kpm_roots(upper_coexisting(p), p, d)

@@ -209,7 +209,7 @@ def _kinetic_seed(p: KineticParams, d: float, c: float, y0: np.ndarray,
                             1e-10, 1e-13, [], near, (True,), steps)
     if hit is None:
         raise NoConvergence(
-            f"reaction flow does not reach the coexisting state by t={t_max}")
+            f"reaction flow does not reach the coexisting state by t={2.0 * t_max}")
     T0 = times[-1]
 
     t = np.array([step[0] for step in steps])

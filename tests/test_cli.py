@@ -110,6 +110,23 @@ def test_continue_halves_a_first_step_past_sigma_zero(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("body,lo,hi", [
+    ("l = 200\n[grid]\nn = 64\n[sweep]\nsteps = 3\nds0 = 100\n", 1.5, 2.4),
+    ("l = 200\n[grid]\nn = 256\n[sweep]\nds0 = 1.5e-3\nbracket_lo = 1.767\n"
+     "bracket_hi = 1.8305\nsteps = 20\n", 1.767, 1.8305),
+])
+def test_continue_writes_no_point_outside_its_range(tmp_path, capsys, body,
+                                                     lo, hi):
+    # a step that leaves the bracket is cut back to the first corrected
+    # point past it, within the 1e-7 refinement width, and the branch ends
+    rc, err = _run(tmp_path, capsys, "continue", body, sigma=1.83)
+    assert rc == 0, err
+    rows = [row.split(",") for row in
+            (tmp_path / "out" / "branch.csv").read_text().splitlines()[1:]]
+    assert all(lo - 1e-7 <= float(row[1]) <= hi + 1e-7 for row in rows)
+    assert rows[-1][4] == "End" and abs(float(rows[-1][1]) - lo) < 1e-7
+
+
 def test_wave_scan_brackets_hopf_above_coexistence_floor(tmp_path, capsys):
     # with eta = 0.2 nothing coexists below sigma_TC = 0.879, so the Hopf
     # point (2.190) must be sought above it, not from a fixed sigma = 0.5
@@ -259,7 +276,7 @@ def test_fmt_gives_numpy_scalars_the_text_of_python_values(np_value, value,
 @pytest.mark.parametrize("command,body,sigma,digest", [
     ("continue", "l = 200\n[grid]\nn = 256\n[sweep]\nds0 = 1.5e-3\n"
                  "bracket_lo = 1.767\nbracket_hi = 1.8305\nsteps = 20\n", 1.83,
-     "26287fb613f7881068735ec28b9a62eec8616fe964a34784fbcdcdc2d708347c"),
+     "737d5709f27aab4b7692b23400d25ba2de8b7e8f1118c147a8fb74c79e7d423c"),
     ("wave-scan", "[sweep]\nsigma_lo = 1.9\nsigma_hi = 1.9\nsigma_count = 1\n"
                   "c_lo = 6.0\nc_hi = 6.0\nc_count = 1\n", 2.7,
      "f8215b2f1365d5c772654324801c86771b6deec1411170612b0bd0b4fb604457"),

@@ -3,7 +3,8 @@
 Cross-module oracles: branch_point_sigmas and mode_reports from the linear
 module, l2_norm from the pde module. Discrete branch points differ from the
 continuum ones through the discrete-Laplacian symbol, which is why the
-matching tolerances are looser than Newton's own. scipy's ARPACK
+matching tolerances are looser than Newton's own; model's det L(k) at pde's
+neumann_symbol, along linear's E*(sigma), gives them exactly. scipy's ARPACK
 (``scipy.sparse.linalg.eigs``), imported here only, is the oracle for the
 Krylov-Schur eigensolver behind solution_stability.
 """
@@ -40,9 +41,11 @@ from alleekit.continuation import (
     tangent_at,
 )
 from alleekit.errors import NoConvergence, OutOfRange, SingularJacobian
-from alleekit.linear import branch_point_sigmas, mode_reports, vbounds
-from alleekit.model import KineticParams, coexisting_equilibria, jacobian
-from alleekit.pde import Grid, l2_norm
+from alleekit.linear import (_estar_scalars, branch_point_sigmas, mode_reports,
+                             vbounds)
+from alleekit.model import KineticParams, _det_l, coexisting_equilibria, jacobian
+from alleekit.pde import Grid, l2_norm, neumann_symbol
+from alleekit.rootfind import bracketed_root
 
 D_REF = 46.0
 L_REF = 200.0
@@ -194,6 +197,31 @@ def test_branch_points_match_linear_analysis(base_p):
     for n_mode, found in zip((20, 19), got):
         cont = branch_point_sigmas(base_p, D_REF, L_REF, n_mode, (1.7, 1.9))[0]
         assert abs(found - cont) < 1e-2
+
+
+def test_branch_points_are_roots_of_the_discrete_symbol(base_p):
+    # exact oracle: on the grid, mode j's block sees kappa_j of the discrete
+    # Neumann symbol, so each BP tag of the golden branch is a root in sigma
+    # of det L(kappa_j) along E*(sigma), to the 1e-7 refinement width
+    prob = _problem(base_p)
+    br = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
+                         steps=20, ds0=1.5e-3, sigma_range=(1.767, 1.8305),
+                         stability=False)
+    kappa = neumann_symbol(prob.grid.N, prob.grid.dx)
+
+    def det_l(j, sigma):
+        _, s, det0 = _estar_scalars(base_p, D_REF, sigma)
+        return _det_l(kappa[j], s, det0, D_REF)
+
+    modes = []
+    for pt in br.tagged("BP"):
+        lo, hi = pt.sigma - 1e-5, pt.sigma + 1e-5
+        (j,) = [j for j in range(prob.grid.N)
+                if det_l(j, lo) * det_l(j, hi) < 0.0]
+        root = bracketed_root(lambda sigma: det_l(j, sigma), lo, hi)
+        assert abs(root - pt.sigma) < 1e-7, f"mode {j}"
+        modes.append(j)
+    assert modes == [8, 17, 18, 7, 19, 20]
 
 
 def test_branch_point_sharpens_under_grid_refinement(base_p):
@@ -629,3 +657,37 @@ def test_one_factorization_per_point_besides_the_correctors(base_p,
                          ds0=5e-3, stability=False)
     assert [pt.tags - {"Start", "End"} for pt in br.points] == [set()] * 9
     assert made["all"] - made["correctors"] == len(br.points)
+
+
+def test_coverage_radius_follows_a_raised_shift(base_p, monkeypatch):
+    # the first shifted factorization reports singular, so the shift rises
+    # 1.37-fold; the symbol's disk and the coverage check use the radius of
+    # that shift, and the certified count is the unforced one
+    prob = _problem(base_p)
+    x = _flat(prob, 1.83)
+    n_ref, _ = solution_stability(x, 1.83, prob)
+    made = []
+
+    class FirstSingular(BandedLU):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+            if len(made) == 1:
+                self.singular = True
+
+    seen = []
+    real = continuation._symbol_count
+
+    def spy(x, sigma, prob, shift, r):
+        seen.append((shift, r))
+        return real(x, sigma, prob, shift, r)
+
+    monkeypatch.setattr(continuation, "BandedLU", FirstSingular)
+    monkeypatch.setattr(continuation, "_symbol_count", spy)
+    n_un, lam = solution_stability(x, 1.83, prob)
+    s = STABILITY_SHIFT * 1.37
+    re_cap, im_cap = continuation._bendixson_caps(x, 1.83, prob)
+    assert len(made) == 2
+    assert seen == [(s, math.hypot(max(s, re_cap - s), im_cap))]
+    assert np.abs(lam - s).max() >= seen[0][1]
+    assert n_un == n_ref == 12

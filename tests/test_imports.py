@@ -3,11 +3,12 @@ neither numpy nor scipy, nor do the ``equilibria`` and ``thresholds`` runs;
 ``temporal-diagram`` loads numpy but no scipy; the time-stepping,
 ``continue`` and ``wave-scan`` runs load numpy and scipy's LAPACK extension
 but not the ``scipy.linalg`` package, ``continue`` loads no
-``scipy.sparse`` and no ``linear``, ``wave-scan`` no ``scipy.integrate``,
+``scipy.sparse``, ``wave-scan`` no ``scipy.integrate``,
 ``scipy.interpolate`` or ``scipy.sparse``, and ``scipy.linalg`` reuses the
-extension ``pde`` loaded; each CLI command loads its layers, numpy
-included, before its run starts; and the lazy package namespace still
-serves every public name.
+extension ``pde`` loaded; only ``thresholds`` loads ``linear`` (and the
+``cmath`` it needs), because ``model`` owns the mode algebra the other
+layers use; each CLI command loads its layers, numpy included, before its
+run starts; and the lazy package namespace still serves every public name.
 
 Each check of what gets loaded runs in a fresh interpreter, because the
 test session itself has already imported every layer.
@@ -56,7 +57,8 @@ _BODIES = {
 
 # Runs the commands given as (command, config, out) triples through
 # alleekit.cli.main and prints, as JSON, the exit codes, the alleekit, numpy
-# and scipy modules loaded at the end, and those each run_experiment added.
+# and scipy modules loaded at the end, those each run_experiment added, and
+# whether cmath is loaded at the end.
 _DRIVER = """
 import json, sys
 ours = lambda: {m for m in sys.modules
@@ -76,6 +78,7 @@ cli.run_experiment = spy
 for command, config, out in json.loads(sys.argv[1]):
     report["rc"].append(cli.main([command, "--config", config, "--out", out]))
 report["loaded"] = sorted(ours())
+report["cmath"] = "cmath" in sys.modules
 print(json.dumps(report))
 """
 
@@ -219,12 +222,13 @@ def test_wave_scan_loads_no_linear(tmp_path):
 
 
 def test_simulate_sizing_its_grid_imports_nothing_new(tmp_path):
-    # without [grid] n, default_grid_size imports linear; main has loaded it
+    # without [grid] n, default_grid_size takes the Turing band from model,
+    # so neither main nor the run loads linear
     body = ("l = 200\n[grid]\ndt = 0.05\n[run]\nseed = 1\nt = 20\n"
             "ic = perturbed_homogeneous\n")
     report = _drive(tmp_path, ["simulate"], {"simulate": body})
     assert report["added_by_run"] == [[]]
-    assert "alleekit.linear" in report["loaded"]
+    assert "alleekit.linear" not in report["loaded"]
 
 
 def test_continue_loads_no_linear(tmp_path):
@@ -232,3 +236,18 @@ def test_continue_loads_no_linear(tmp_path):
     report = _drive(tmp_path, ["continue"])
     assert "alleekit.continuation" in report["loaded"]
     assert "alleekit.linear" not in report["loaded"]
+
+
+@pytest.mark.parametrize("command,body", [
+    *_BODIES.items(),
+    ("simulate", "l = 200\n[grid]\ndt = 0.05\n[run]\nseed = 1\nt = 20\n"
+                 "ic = perturbed_homogeneous\n"),
+], ids=[*_BODIES, "simulate-sizing-its-grid"])
+def test_only_thresholds_loads_linear(tmp_path, command, body):
+    # model owns the mode algebra (tr, s, D), det L(k) and the Turing band,
+    # so pde sizes a grid and continuation counts the symbol without linear,
+    # and only the spatial spectrum of thresholds needs cmath
+    report = _drive(tmp_path, [command], {command: body})
+    thresholds = command == "thresholds"
+    assert ("alleekit.linear" in report["loaded"]) is thresholds
+    assert report["cmath"] is thresholds

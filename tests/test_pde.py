@@ -86,6 +86,33 @@ def test_neumann_symbol_is_the_exact_spectrum(n):
     assert kappa[0] == 0.0 and np.all(np.diff(kappa) > 0.0)
 
 
+@pytest.mark.parametrize("j", [0, 3, 17, 128])
+def test_imex_steps_multiply_a_mode_by_its_amplification_matrix(p_main, j):
+    # exact oracle: the sampled cosine is an eigenvector of the discrete
+    # Laplacian, so ten IMEX steps from E* + eps*cos(j pi x/L)*(a, b) leave
+    # M_j**10 eps (a, b) on it, M_j = (I + dt kappa_j diag(1, d))^-1
+    # (I + dt J), up to the O(eps) relative nonlinear remainder
+    n, dt, eps = 129, 0.05, 1e-7
+    g = Grid(L=200.0, N=n)
+    e = coexisting_equilibria(p_main)[-1]
+    i = np.arange(n)
+    mode = np.cos(i * j % (2 * (n - 1)) * (math.pi / (n - 1)))
+    ab = np.array([1.0, -0.5])
+    u, v = e.u + eps * ab[0] * mode, e.v + eps * ab[1] * mode
+    st = ImexStepper(g, p_main, D_REF, dt)
+    for step in range(10):
+        u, v = st.step_arrays(u, v, step * dt)
+
+    kappa = neumann_symbol(n, g.dx)[j]
+    jac = np.array(jacobian_fields(e.u, e.v, p_main)).reshape(2, 2)
+    amp = np.linalg.solve(np.diag([1.0 + dt * kappa, 1.0 + dt * kappa * D_REF]),
+                          np.eye(2) + dt * jac)
+    cu, cv = np.linalg.matrix_power(amp, 10) @ (eps * ab)
+    got = np.concatenate((u - e.u, v - e.v))
+    want = np.concatenate((cu * mode, cv * mode))
+    assert np.abs(got - want).max() < 1e-6 * np.abs(want).max()
+
+
 def _band_matvec(bands, w):
     lower, diag, upper = bands
     out = diag * w
