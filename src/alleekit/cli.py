@@ -285,7 +285,7 @@ def cmd_continue(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    from .waves import scan_plane, shoot_heteroclinic
+    from .waves import SCAN_TOL, WaveClass, scan_plane, shoot_heteroclinic
 
     res = scan_plane(cfg.p, cfg.d, cfg.sigma_grid, cfg.c_grid)
     rows = [
@@ -296,10 +296,12 @@ def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
     written = [_write_csv(out / "scan.csv",
                           ("sigma", "c", "classification_code",
                            "c_min_at_sigma"), rows)]
-    # one cell gets its orbit if c reaches its minimal speed (never a NaN one)
-    if res.codes.shape == (1, 1) and res.c_min_at_sigma[0] <= res.cs[0]:
+    # a single cell that holds a front gets its orbit, from a repeat of the
+    # shot that classified it
+    if res.codes.shape == (1, 1) and res.codes[0, 0] in (
+            WaveClass.MONOTONIC, WaveClass.NON_MONOTONIC):
         shot = shoot_heteroclinic(cfg.p.with_sigma(float(res.sigmas[0])),
-                                  cfg.d, float(res.cs[0]))
+                                  cfg.d, float(res.cs[0]), tol=SCAN_TOL)
         written.append(_write_csv(out / "orbit.csv", ("t", "X", "Y", "W", "Z"),
                                   zip(shot.t, *shot.states.T)))
     return written

@@ -44,6 +44,8 @@ UNSTABLE_TOL = 1e-8
 # max-norm residual at which Newton, the arclength corrector, event
 # refinement and branch switching accept a point
 NEWTON_TOL = 1e-10
+# continue_branch halves a failed arclength step down to this length
+DS_MIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -445,7 +447,6 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, indicator, value_lo):
 
 def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem,
                     direction: int = 1, steps: int = 100, ds0: float = 0.02, *,
-                    ds_min: float = 1e-4,
                     sigma_range: tuple[float, float] | None = None,
                     stability: bool = True, adapt: bool = True) -> Branch:
     """Trace a solution branch, adding each event, localized to 1e-7 in
@@ -504,9 +505,9 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
                 break
             except (NoConvergence, SingularJacobian):
                 ds *= 0.5
-                if ds < ds_min:
+                if ds < DS_MIN:
                     raise NoConvergence(
-                        f"arclength step fell below {ds_min} near sigma={sigma:.6g}")
+                        f"arclength step fell below {DS_MIN} near sigma={sigma:.6g}")
         tau1, det_sign1 = tangent_at(x1, sig1, prob, prev=tau)
         values1 = (_sign(tau1.sigma), det_sign1)
         for (tag, indicator), v0, v1 in zip(events, values, values1):
@@ -526,7 +527,7 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
         if adapt:
             if iters <= 4:
                 ds = min(ds * 1.3, 4.0 * ds0)
-            ds = max(ds, ds_min)
+            ds = max(ds, DS_MIN)
 
     branch.points[-1].tags.add("End")
     return branch
@@ -619,19 +620,11 @@ def branch_switch(branch: Branch, bp_index: int,
 
 
 def localized_seed(prob: SteadyProblem, sigma: float, amplitude: float,
-                   width: float | None = None) -> np.ndarray:
-    """Single sech bump on top of the coexisting state, centered mid-domain.
-
-    The default width is the spatial-spectrum wavelength 2*pi/sqrt(|K|),
-    K = -s/(2d) the repeated squared spatial eigenvalue at a threshold; the
-    tail decay length 1/sqrt(K) (several times narrower) tends to sit in a
-    larger Newton basin, so a width override is accepted.
-    """
+                   width: float) -> np.ndarray:
+    """Single sech bump of the given width on top of the coexisting state,
+    centered mid-domain."""
     p = prob.p.with_sigma(sigma)
     e = upper_coexisting(p)
-    if width is None:
-        K = -_mode_scalars(e.u, e.v, p, prob.d)[1] / (2.0 * prob.d)
-        width = 2.0 * math.pi / math.sqrt(abs(K))
     xg = prob.grid.x
     bump = amplitude / np.cosh((xg - 0.5 * prob.grid.L) / width)
     u = e.u + bump

@@ -83,8 +83,8 @@ class DegenerateKinetics(ConfigError):
 class OutOfRange(ConfigError):
     """A state, closed-form expression or spatial window was requested
     where it does not exist: no coexisting or prey-only state, a formula
-    outside its validity window, or a support window (pulse, interface)
-    that is empty or leaves the domain."""
+    outside its validity window, or a center pulse [L/2 - 5, L/2 + 5]
+    that does not fit a domain shorter than 10."""
 
 
 class HypothesisFailed(ConfigError):

@@ -27,7 +27,6 @@ from .model import (
     KineticParams,
     _band,
     _det_l,
-    _jacobian_entries,
     _mode_scalars,
     _prey_window,
     kpm_roots,
@@ -89,10 +88,6 @@ class SpatialSpectrum:
     regime: Regime
 
 
-def _entries(e: Equilibrium, p: KineticParams) -> tuple[float, float, float, float]:
-    return _jacobian_entries(e.u, e.v, p)
-
-
 def _estar_scalars(p: KineticParams, d: float, sigma: float) -> tuple[float, float, float]:
     """(tr, s, D) at E*(sigma), with J at the same sigma: J depends on sigma
     explicitly, so state and parameters must never mix sigma values."""
@@ -106,18 +101,9 @@ def _wavenumber(j: int, L: float) -> float:
     return (j * math.pi / L) ** 2
 
 
-def _default_j_max(e: Equilibrium, p: KineticParams, d: float, L: float) -> int:
-    """Smallest scan that provably covers every possibly-unstable mode.
-
-    Beyond k = max(trace(J)/(1+d), upper root of det L(k)) both the trace
-    and determinant conditions are stable, so modes past that wavenumber
-    cannot flip. Falls back to a fixed floor when everything is stable.
-    """
-    tr, s, det0 = _mode_scalars(e.u, e.v, p, d)
-    band = _band(s, det0, d)
-    k_top = max(tr / (1.0 + d), 0.0, band[1] if band else 0.0)
-    j = math.ceil(L * math.sqrt(k_top) / math.pi) + 5 if k_top > 0 else 0
-    return max(j, 8)
+def _mode_index(k: float, L: float) -> float:
+    """The real j with _wavenumber(j, L) = k, for k >= 0: L*sqrt(k)/pi."""
+    return L * math.sqrt(k) / math.pi
 
 
 def mode_reports(
@@ -125,20 +111,20 @@ def mode_reports(
     p: KineticParams,
     d: float,
     L: float,
-    j_max: int | None = None,
 ) -> list[ModeReport]:
     """trace/det of L_j = J(E) - k_j diag(1, d) for j = 0 .. j_max.
 
-    The default j_max extends past the largest wavenumber that could still
-    be unstable, so "no unstable mode in the list" means linear stability.
+    Beyond k = max(trace(J)/(1+d), upper root of det L(k)) both the trace
+    and determinant conditions are stable, so modes past that wavenumber
+    cannot flip. j_max runs 5 modes past it, and is at least 8, so "no
+    unstable mode in the list" means linear stability.
     """
     if d <= 0 or L <= 0:
         raise ValueError(f"need d > 0 and L > 0, got d={d}, L={L}")
-    if j_max is None:
-        j_max = _default_j_max(e, p, d, L)
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
     tr0, s, det0 = _mode_scalars(e.u, e.v, p, d)
+    band = _band(s, det0, d)
+    k_top = max(tr0 / (1.0 + d), 0.0, band[1] if band else 0.0)
+    j_max = max(math.ceil(_mode_index(k_top, L)) + 5, 8)
     ks = [_wavenumber(j, L) for j in range(j_max + 1)]
     return [ModeReport(j, k, tr0 - (1.0 + d) * k, _det_l(k, s, det0, d))
             for j, k in enumerate(ks)]
@@ -230,7 +216,7 @@ def branch_point_table(
     if modes is None:
         bands = [_band(s, det0, d) for _, s, det0 in scalars]
         k_top = max([0.0] + [band[1] for band in bands if band])
-        modes = range(1, math.floor(L * math.sqrt(k_top) / math.pi) + 2)
+        modes = range(1, math.floor(_mode_index(k_top, L)) + 2)
     out = []
     for n in modes:
         k = _wavenumber(n, L)
@@ -307,8 +293,8 @@ def band_modes(e: Equilibrium, p: KineticParams, d: float, L: float) -> list[int
     length is the index-count parity used by degree arguments.
     """
     km, kp = kpm_roots(e, p, d)
-    j_lo = math.floor(L * math.sqrt(km) / math.pi) + 1
-    j_hi = math.ceil(L * math.sqrt(kp) / math.pi) - 1
+    j_lo = math.floor(_mode_index(km, L)) + 1
+    j_hi = math.ceil(_mode_index(kp, L)) - 1
     return [j for j in range(max(j_lo, 1), j_hi + 1)
             if km < _wavenumber(j, L) < kp]
 

@@ -180,7 +180,7 @@ def _derivatives(u, v, p: KineticParams):
 
 
 def kinetics(u, v, p: KineticParams):
-    """Reaction rates (F1, F2). Accepts scalars or same-shape arrays.
+    """Reaction rates (F1, F2). Accepts floats or same-shape arrays.
 
     Scalar contract: when u and v are both floats (np.float64 included),
     the rates are computed in plain Python arithmetic and returned as
@@ -205,10 +205,7 @@ def kinetics(u, v, p: KineticParams):
     # overflow on a diverging state is reported by the caller's finiteness
     # check, not as a warning here
     with np.errstate(over="ignore", invalid="ignore"):
-        f1, f2 = _rates(ua, va, p)
-    if np.isscalar(u) and np.isscalar(v):
-        return float(f1), float(f2)
-    return f1, f2
+        return _rates(ua, va, p)
 
 
 def jacobian_fields(u, v, p: KineticParams):

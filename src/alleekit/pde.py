@@ -113,9 +113,6 @@ class Field:
         if self.u.shape != (self.grid.N,) or self.v.shape != (self.grid.N,):
             raise ValueError("field arrays must have one value per grid node")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.u.copy(), self.v.copy(), self.t)
-
 
 def apply_laplacian(w: np.ndarray, dx: float) -> np.ndarray:
     """Second-difference Laplacian with reflected (no-flux) end rows."""
@@ -354,14 +351,13 @@ class ICKind(enum.Enum):
 
 def make_ic(kind: ICKind | str, grid: Grid, p: KineticParams, *,
             amplitude: float = 1e-2,
-            rng: np.random.Generator | None = None,
-            interface: float | None = None,
-            window: tuple[float, float] | None = None) -> Field:
+            rng: np.random.Generator | None = None) -> Field:
     """Initial-condition constructors anchored at the upper coexisting state.
 
-    The invasion step's `interface` defaults to x = 200 when that lies
-    inside (0, L), else L/2. The center pulse fills `window`, by default
-    the 10 units around L/2.
+    The invasion step puts the coexisting state left of x = 200 when that
+    lies inside (0, L), else left of L/2, and the prey-only state right of
+    it. The center pulse puts the coexisting state on [L/2 - 5, L/2 + 5]
+    and zero elsewhere; it raises OutOfRange when L < 10.
     """
     kind = ICKind(kind)
     e = upper_coexisting(p)
@@ -376,18 +372,13 @@ def make_ic(kind: ICKind | str, grid: Grid, p: KineticParams, *,
             u = u + amplitude * rng.standard_normal(grid.N)
             v = v + amplitude * rng.standard_normal(grid.N)
     elif kind is ICKind.INVASION_STEP:
-        if interface is None:
-            interface = 200.0 if grid.L > 200.0 else 0.5 * grid.L
-        elif not (0.0 < interface < grid.L):
-            raise OutOfRange(f"interface {interface} lies outside the domain (0, {grid.L})")
+        interface = 200.0 if grid.L > 200.0 else 0.5 * grid.L
         u1 = upper_axial(p).u
         left = x < interface
         u = np.where(left, e.u, u1)
         v = np.where(left, e.v, 0.0)
     else:
-        if window is None:
-            window = (0.5 * grid.L - 5.0, 0.5 * grid.L + 5.0)
-        a, b = window
+        a, b = 0.5 * grid.L - 5.0, 0.5 * grid.L + 5.0
         if not (0.0 <= a < b <= grid.L):
             raise OutOfRange(f"pulse window [{a}, {b}] does not fit inside [0, {grid.L}]")
         if amplitude != 0.0 and rng is None:
@@ -450,14 +441,15 @@ def semidiscrete_rhs(u: np.ndarray, v: np.ndarray, p: KineticParams, d: float,
 
 def run(f0: Field, p: KineticParams, d: float, T: float,
         recorder: Recorder | None = None, *,
-        dt: float | None = None, scheme: str = "imex1",
+        dt: float, scheme: str = "imex1",
         include_reaction: bool = True) -> SpaceTimeRecord:
-    """Advance a field to time T, recording series samples and snapshots."""
+    """Advance a field to time T, recording series samples and snapshots.
+
+    The step is dt shrunk to T / ceil(T / dt), so that whole steps end at T.
+    """
     if not (T > 0 and math.isfinite(T)):
         raise ValueError("T must be positive and finite")
     grid = f0.grid
-    if dt is None:
-        dt = default_dt(grid, d)
     recorder = recorder or Recorder()
 
     n_steps = max(1, math.ceil(T / dt))

@@ -72,14 +72,6 @@ class Trajectory:
     states: np.ndarray  # shape (n, 2), columns u, v
     terminal: Terminal
 
-    @property
-    def u(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.states[:, 1]
-
 
 class AttractorKind(Enum):
     FIXED_POINT = "FixedPoint"
@@ -302,14 +294,12 @@ def integrate_ode(
     p: KineticParams,
     T: float,
     tol: float = 1e-8,
-    *,
-    sample_times: Sequence[float] | None = None,
 ) -> Trajectory:
     """Integrate the kinetics from ``ic`` for ``T`` time units.
 
     Relative tolerance ``tol``, absolute ``tol * 1e-2``. The trajectory is
-    sampled on ``sample_times`` (a strictly increasing grid inside
-    [0, T]), by default on a uniform grid from 0 to T. Stops early
+    sampled on a uniform grid from 0 to T, with samples about
+    max(min(0.25, T/1000), T/200000) apart. Stops early
     (terminal ConvergedToPoint) once max(u, v) falls below 1e-6: from there
     the origin absorbs the orbit, since the prey growth term is quadratic
     at low density. Diverged is flagged at 1e3, which the bounded kinetics
@@ -327,18 +317,9 @@ def integrate_ode(
     if not 0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
 
-    if sample_times is None:
-        dt_out = max(min(0.25, T / 1000.0), T / 200000.0)
-        n_out = int(round(T / dt_out))
-        t_eval = np.linspace(0.0, T, n_out + 1)
-    else:
-        t_eval = np.asarray(sample_times, dtype=float)
-        if t_eval.ndim != 1 or t_eval.size < 2 or not np.all(np.diff(t_eval) > 0):
-            raise ValueError("sample_times must be a strictly increasing 1-D grid")
-        if not 0.0 <= t_eval[0] <= t_eval[-1] <= T:
-            raise ValueError(
-                f"sample_times must lie inside [0, T] = [0, {T}], got "
-                f"[{t_eval[0]}, {t_eval[-1]}]")
+    dt_out = max(min(0.25, T / 1000.0), T / 200000.0)
+    n_out = int(round(T / dt_out))
+    t_eval = np.linspace(0.0, T, n_out + 1)
 
     t_list, flat, event = _dopri5(u0, v0, p, float(T), tol, tol * 1e-2,
                                   t_eval.tolist(), _ode_gaps,

@@ -151,13 +151,6 @@ class Shot:
     spiral_tail: bool
 
 
-def _slow_unstable_vector(p: KineticParams, d: float, c: float) -> np.ndarray:
-    """The launch direction at the prey-only state (see :func:`_launch`)."""
-    u1 = upper_axial(p).u
-    e1 = np.array([u1, u1, 0.0, 0.0])
-    return _launch(*np.linalg.eig(tw_jacobian(e1, p, d, c)))[1]
-
-
 def _launch(lam: np.ndarray, vecs: np.ndarray) -> tuple[int, np.ndarray]:
     """From the prey-only state's ``np.linalg.eig``: the index of its slowest
     unstable eigenvalue, and its real eigenvector (max-norm 1, W part > 0)."""
@@ -433,6 +426,11 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     return Shot(found, tarr, sarr, monotone, wedge_ok, spiral)
 
 
+# collocation tolerance of the scan's shots; a shot that repeats one of
+# them at this tolerance reproduces it
+SCAN_TOL = 1e-8
+
+
 class WaveClass(enum.IntEnum):
     """Cell classification for the (sigma, c) scan; values are the CSV codes."""
 
@@ -464,29 +462,23 @@ class ScanResult:
         return "high_sigma" if mono_mean > non_mean else "low_sigma"
 
 
-def _classify_cell(p: KineticParams, d: float, c: float,
-                   reasons: list[str] | None = None) -> int:
-    """WaveClass code of one cell at or above the minimal speed; appends
-    the cell's reason (see ScanResult.reasons) to ``reasons`` if given."""
+def _classify_cell(p: KineticParams, d: float, c: float) -> tuple[int, str]:
+    """WaveClass code and reason (see ScanResult.reasons) of one cell at or
+    above the minimal speed, from one shot at SCAN_TOL."""
     try:
-        shot = shoot_heteroclinic(p, d, c, tol=1e-8)
+        shot = shoot_heteroclinic(p, d, c, tol=SCAN_TOL)
     except (NonFinite, OutOfRange, NoConvergence) as exc:
-        code, reason = WaveClass.UNKNOWN, type(exc).__name__
-    else:
-        if not shot.found:
-            code, reason = WaveClass.UNKNOWN, "NotFound"
-        elif shot.monotone and not shot.spiral_tail:
-            code, reason = WaveClass.MONOTONIC, ""
-        else:
-            code, reason = WaveClass.NON_MONOTONIC, ""
-    if reasons is not None:
-        reasons.append(reason)
-    return int(code)
+        return int(WaveClass.UNKNOWN), type(exc).__name__
+    if not shot.found:
+        return int(WaveClass.UNKNOWN), "NotFound"
+    if shot.monotone and not shot.spiral_tail:
+        return int(WaveClass.MONOTONIC), ""
+    return int(WaveClass.NON_MONOTONIC), ""
 
 
 def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
     """Classify every (sigma, c) cell of the travelling-wave plane, each
-    shot with collocation tolerance 1e-8.
+    shot with collocation tolerance SCAN_TOL.
 
     Requires the upper coexisting state to be a stable node or focus at
     every scanned sigma; OutOfRange names the first sigma where it is not.
@@ -518,7 +510,5 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
             if c < cm:
                 codes[i, j] = WaveClass.NO_WAVE
             else:
-                why: list[str] = []
-                codes[i, j] = _classify_cell(ps, d, float(c), why)
-                reasons[i, j] = why[0]
+                codes[i, j], reasons[i, j] = _classify_cell(ps, d, float(c))
     return ScanResult(sigmas, cs, codes, cmins, reasons)

@@ -9,7 +9,9 @@ import pytest
 
 from alleekit.cli import _fmt, _write_csv, _write_snapshot, main
 from alleekit.model import KineticParams
-from alleekit.waves import shoot_heteroclinic
+from alleekit import waves
+from alleekit.errors import NoConvergence
+from alleekit.waves import SCAN_TOL, shoot_heteroclinic
 
 _KINETICS = """[kinetics]
 sigma = {sigma}
@@ -146,9 +148,10 @@ def test_wave_scan_writes_one_orbit_row_per_sample(tmp_path, capsys):
     assert rc == 0, err
     rows = (tmp_path / "out" / "orbit.csv").read_text().splitlines()
     assert rows[0] == "t,X,Y,W,Z"
+    # the orbit repeats the scan's shot
     shot = shoot_heteroclinic(
         KineticParams(alpha=0.07, beta=0.2, gamma=1.2, sigma=1.9, eta=0.1),
-        46.0, 6.0)
+        46.0, 6.0, tol=SCAN_TOL)
     fields = [row.split(",") for row in rows[1:]]
     assert {len(f) for f in fields} == {5}
     assert [f[0] for f in fields] == [_fmt(t) for t in shot.t]
@@ -279,7 +282,7 @@ def test_fmt_gives_numpy_scalars_the_text_of_python_values(np_value, value,
      "737d5709f27aab4b7692b23400d25ba2de8b7e8f1118c147a8fb74c79e7d423c"),
     ("wave-scan", "[sweep]\nsigma_lo = 1.9\nsigma_hi = 1.9\nsigma_count = 1\n"
                   "c_lo = 6.0\nc_hi = 6.0\nc_count = 1\n", 2.7,
-     "f8215b2f1365d5c772654324801c86771b6deec1411170612b0bd0b4fb604457"),
+     "5017b19e489d4ff98c4e61cfa9aed32e5f6663cbd9db726327d04e4ca35c11c0"),
 ])
 def test_linearizing_commands_give_golden_manifests(tmp_path, capsys, command,
                                                     body, sigma, digest):
@@ -324,6 +327,61 @@ def test_wave_scan_of_one_nowave_cell_writes_no_orbit(tmp_path, capsys):
     assert rows[1].split(",")[2] == "0"
     lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
     assert [line.split("  ", 1)[1] for line in lines] == ["scan.csv"]
+
+
+_ONE_FRONT_CELL = ("[sweep]\nsigma_lo = 1.9\nsigma_hi = 1.9\nsigma_count = 1\n"
+                   "c_lo = 6.0\nc_hi = 6.0\nc_count = 1\n")
+
+
+def _written(tmp_path) -> list[str]:
+    lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    return [line.split("  ", 1)[1] for line in lines]
+
+
+def test_wave_scan_orbit_repeats_the_shot_that_classified_the_cell(
+        tmp_path, capsys, monkeypatch):
+    # shots below SCAN_TOL fail, as a shot at the default 1e-10 does at
+    # (sigma, c) = (2.7, 100); the orbit is shot at the scan's tolerance
+    real = waves.shoot_heteroclinic
+
+    def shoot(*args, **kwargs):
+        if kwargs.get("tol", real.__kwdefaults__["tol"]) < SCAN_TOL:
+            raise NoConvergence("profile collocation failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(waves, "shoot_heteroclinic", shoot)
+    rc, err = _run(tmp_path, capsys, "wave-scan", _ONE_FRONT_CELL)
+    assert rc == 0, err
+    assert _written(tmp_path) == ["orbit.csv", "scan.csv"]
+
+
+def test_wave_scan_of_one_unknown_cell_writes_no_orbit(tmp_path, capsys,
+                                                       monkeypatch):
+    def failing_shot(*args, **kwargs):
+        raise NoConvergence("profile collocation failed")
+
+    monkeypatch.setattr(waves, "shoot_heteroclinic", failing_shot)
+    rc, err = _run(tmp_path, capsys, "wave-scan", _ONE_FRONT_CELL)
+    assert rc == 0, err
+    rows = (tmp_path / "out" / "scan.csv").read_text().splitlines()
+    assert rows[1].split(",")[2] == "3"
+    assert _written(tmp_path) == ["scan.csv"]
+
+
+def test_simulate_writes_a_snapshot_per_interval(tmp_path, capsys):
+    rc, err = _run(tmp_path, capsys, "simulate",
+                   "l = 200\n[grid]\nn = 64\ndt = 0.05\n[run]\nt = 20\n"
+                   "ic = perturbed_homogeneous\nsnapshot_every = 5\n", seed=1)
+    assert rc == 0, err
+    out = tmp_path / "out"
+    snapshots = [f"snapshot_{k:04d}.csv" for k in range(5)]
+    assert sorted(f.name for f in out.glob("snapshot_*")) == snapshots
+    for k, name in enumerate(snapshots):
+        assert (out / name).read_text().splitlines()[0] == f"# t = {_fmt(5.0 * k)}"
+    # the last snapshot is the final state
+    assert (out / snapshots[-1]).read_bytes() == (out / "final.csv").read_bytes()
+    assert _written(tmp_path) == sorted(
+        ["summary.csv", *snapshots, "final.csv", "classification.txt"])
 
 
 def test_thresholds_list_every_branch_point_of_the_scan(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_singular_band_refuses_to_solve():
 def test_localized_seed_needs_a_coexisting_state(base_p):
     prob = _problem(base_p, n=64)
     with pytest.raises(OutOfRange, match="no coexisting equilibrium at sigma=0.3"):
-        localized_seed(prob, 0.3, 0.1)
+        localized_seed(prob, 0.3, 0.1, width=8.0)
 
 
 def test_residual_vanishes_at_constant_state(base_p):
@@ -325,12 +325,22 @@ def test_kernel_rejected_away_from_bifurcation(base_p):
         kernel_vector(_flat(prob, 1.9), 1.9, prob)
 
 
-def test_step_underflow_on_hopeless_step(base_p):
-    prob = _problem(base_p)
-    x = newton_correct(localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
+def test_step_underflow_on_hopeless_step(base_p, monkeypatch):
+    # every correction fails, so the first step halves from ds0 until it
+    # falls below DS_MIN
+    tried = []
+
+    def hopeless(x_pred, sigma_pred, x0, sigma0, tau, ds, prob):
+        tried.append(ds)
+        raise NoConvergence("arclength corrector exhausted its iterations")
+
+    monkeypatch.setattr(continuation, "_arclength_correct", hopeless)
+    prob = _problem(base_p, n=64)
     with pytest.raises(NoConvergence, match="arclength step fell below"):
-        continue_branch(x, 2.1, prob, direction=1, steps=3, ds0=8.0,
-                        ds_min=7.9, stability=False)
+        continue_branch(_flat(prob, 1.9), 1.9, prob, steps=3, ds0=0.01,
+                        stability=False)
+    assert tried == [0.01 * 0.5 ** k for k in range(7)]
+    assert tried[-1] >= continuation.DS_MIN > 0.5 * tried[-1]
 
 
 def test_localized_branch_snakes_through_folds(base_p):

@@ -11,7 +11,8 @@ layers use; each CLI command loads its layers, numpy included, before its
 run starts; and the lazy package namespace still serves every public name.
 
 Each check of what gets loaded runs in a fresh interpreter, because the
-test session itself has already imported every layer.
+test session itself has already imported every layer. Each command config
+runs in one interpreter, whose report every check of that config reads.
 """
 
 import json
@@ -55,28 +56,25 @@ _BODIES = {
     "pulse": "l = 200\n[grid]\nn = 128\n[run]\nseed = 1\nt = 20\n",
 }
 
-# Runs the commands given as (command, config, out) triples through
-# alleekit.cli.main and prints, as JSON, the exit codes, the alleekit, numpy
-# and scipy modules loaded at the end, those each run_experiment added, and
-# whether cmath is loaded at the end.
+# Runs alleekit.cli.main on its arguments and prints, as JSON, the exit
+# code, the alleekit, numpy and scipy modules loaded after import alleekit,
+# at the end and by run_experiment, and whether cmath is loaded at the end.
 _DRIVER = """
 import json, sys
 ours = lambda: {m for m in sys.modules
                 if m.split(".")[0] in ("alleekit", "numpy", "scipy")}
 import alleekit
-after_package = sorted(ours())
+report = {"after_package": sorted(ours())}
 import alleekit.cli as cli
-report = {"after_package": after_package, "rc": [], "added_by_run": []}
 real_run = cli.run_experiment
 def spy(*args, **kwargs):
     before = ours()
     try:
         return real_run(*args, **kwargs)
     finally:
-        report["added_by_run"].append(sorted(ours() - before))
+        report["added_by_run"] = sorted(ours() - before)
 cli.run_experiment = spy
-for command, config, out in json.loads(sys.argv[1]):
-    report["rc"].append(cli.main([command, "--config", config, "--out", out]))
+report["rc"] = cli.main(sys.argv[1:])
 report["loaded"] = sorted(ours())
 report["cmath"] = "cmath" in sys.modules
 print(json.dumps(report))
@@ -93,38 +91,50 @@ def _python(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def _drive(tmp_path, commands, bodies=_BODIES) -> dict:
-    runs = []
-    for command in commands:
-        cfg = tmp_path / f"{command}.cfg"
-        cfg.write_text(_KINETICS + bodies[command])
-        runs.append((command, str(cfg), str(tmp_path / command)))
-    report = json.loads(_python(_DRIVER, json.dumps(runs)))
-    assert report["rc"] == [0] * len(runs)
+@pytest.fixture(scope="module")
+def drive(tmp_path_factory):
+    """The _DRIVER report of a command on a config body (by default its
+    _BODIES entry); each config runs once per module."""
+    reports = {}
+
+    def report(command, body=None):
+        body = _BODIES[command] if body is None else body
+        if (command, body) not in reports:
+            tmp = tmp_path_factory.mktemp("run")
+            cfg = tmp / f"{command}.cfg"
+            cfg.write_text(_KINETICS + body)
+            got = json.loads(_python(_DRIVER, command, "--config", str(cfg),
+                                     "--out", str(tmp / "out")))
+            assert got["rc"] == 0
+            reports[command, body] = got
+        return reports[command, body]
+
     return report
 
 
-def test_scipy_free_commands_load_no_scipy(tmp_path):
-    report = _drive(tmp_path, ["equilibria", "thresholds", "temporal-diagram"])
-    assert report["after_package"] == ["alleekit"]
-    assert not [m for m in report["loaded"] if m.split(".")[0] == "scipy"]
-    assert "alleekit.pde" not in report["loaded"]
+def test_scipy_free_commands_load_no_scipy(drive):
+    for command in ("equilibria", "thresholds", "temporal-diagram"):
+        report = drive(command)
+        assert report["after_package"] == ["alleekit"]
+        assert not [m for m in report["loaded"] if m.split(".")[0] == "scipy"]
+        assert "alleekit.pde" not in report["loaded"]
 
 
-def test_scalar_commands_load_no_numpy(tmp_path):
+def test_scalar_commands_load_no_numpy(drive):
     # nothing loaded by the end: not by import alleekit.cli, nor by the runs
-    report = _drive(tmp_path, ["equilibria", "thresholds"])
-    assert all(m.split(".")[0] == "alleekit" for m in report["loaded"])
+    for command in ("equilibria", "thresholds"):
+        assert all(m.split(".")[0] == "alleekit" for m in drive(command)["loaded"])
 
 
-def test_stepping_commands_skip_scipy_linalg_package(tmp_path):
-    report = _drive(tmp_path, ["simulate", "lyapunov", "pulse"])
-    assert "scipy.linalg._flapack" in report["loaded"]
-    assert "scipy.linalg" not in report["loaded"]
+def test_stepping_commands_skip_scipy_linalg_package(drive):
+    for command in ("simulate", "lyapunov", "pulse"):
+        report = drive(command)
+        assert "scipy.linalg._flapack" in report["loaded"]
+        assert "scipy.linalg" not in report["loaded"]
 
 
-def test_continue_loads_lapack_but_no_sparse_or_linalg_package(tmp_path):
-    report = _drive(tmp_path, ["continue"])
+def test_continue_loads_lapack_but_no_sparse_or_linalg_package(drive):
+    report = drive("continue")
     assert "scipy.linalg._flapack" in report["loaded"]
     assert "scipy.linalg" not in report["loaded"]
     assert not [m for m in report["loaded"] if m.startswith("scipy.sparse")]
@@ -135,8 +145,8 @@ def test_continue_loads_lapack_but_no_sparse_or_linalg_package(tmp_path):
     assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
-def test_wave_scan_loads_lapack_but_no_integrate_interpolate_or_sparse(tmp_path):
-    report = _drive(tmp_path, ["wave-scan"])
+def test_wave_scan_loads_lapack_but_no_integrate_interpolate_or_sparse(drive):
+    report = drive("wave-scan")
     assert "scipy.linalg._flapack" in report["loaded"]
     assert "scipy.linalg" not in report["loaded"]
     assert not [m for m in report["loaded"] if m.startswith(
@@ -162,12 +172,26 @@ def test_missing_lapack_extension_names_the_directory(tmp_path, monkeypatch):
         pde._load_flapack()
 
 
+# the layers each command runs on
+_LAYERS = {
+    "equilibria": ["alleekit.model"],
+    "temporal-diagram": ["alleekit.temporal"],
+    "thresholds": ["alleekit.linear"],
+    "simulate": ["alleekit.pde"],
+    "continue": ["alleekit.continuation", "alleekit.pde"],
+    "wave-scan": ["alleekit.collocation", "alleekit.pde", "alleekit.waves"],
+    "lyapunov": ["alleekit.diagnostics", "alleekit.pde"],
+    "pulse": ["alleekit.diagnostics", "alleekit.pde"],
+}
+
+
 @pytest.mark.parametrize("command", list(_BODIES))
-def test_run_imports_nothing_new(tmp_path, command):
+def test_run_imports_nothing_new(drive, command):
     # main loads the command's layers, numpy with them, so the run itself
     # imports nothing
-    report = _drive(tmp_path, [command])
-    assert report["added_by_run"] == [[]]
+    report = drive(command)
+    assert report["added_by_run"] == []
+    assert set(_LAYERS[command]) <= set(report["loaded"])
     scalar = command in ("equilibria", "thresholds")
     assert ("numpy" in report["loaded"]) is not scalar
 
@@ -190,16 +214,9 @@ def test_lazy_namespace_serves_every_public_name():
                       "version": "0.1.0"}
 
 
-def test_wave_scan_loads_no_continuation(tmp_path):
+def test_wave_scan_loads_no_continuation(drive):
     # collocation takes BandedLU from pde
-    report = _drive(tmp_path, ["wave-scan"])
-    assert "alleekit.collocation" in report["loaded"]
-    assert "alleekit.continuation" not in report["loaded"]
-
-
-def test_kinetic_commands_load_no_linear(tmp_path):
-    report = _drive(tmp_path, ["equilibria", "temporal-diagram"])
-    assert "alleekit.linear" not in report["loaded"]
+    assert "alleekit.continuation" not in drive("wave-scan")["loaded"]
 
 
 @pytest.mark.parametrize("command", ["wave-scan", "temporal-diagram"])
@@ -214,40 +231,27 @@ def test_parsing_a_grid_loads_no_numpy(command):
     assert json.loads(out) == ["tuple", []]
 
 
-def test_wave_scan_loads_no_linear(tmp_path):
-    # pde imports linear only to size a grid, which wave-scan never does
-    report = _drive(tmp_path, ["wave-scan"])
-    assert "alleekit.pde" in report["loaded"]
-    assert "alleekit.linear" not in report["loaded"]
+# simulate without [grid] n, which sizes its grid from the Turing band
+_SIZING_BODY = ("l = 200\n[grid]\ndt = 0.05\n[run]\nseed = 1\nt = 20\n"
+                "ic = perturbed_homogeneous\n")
 
 
-def test_simulate_sizing_its_grid_imports_nothing_new(tmp_path):
+def test_simulate_sizing_its_grid_imports_nothing_new(drive):
     # without [grid] n, default_grid_size takes the Turing band from model,
     # so neither main nor the run loads linear
-    body = ("l = 200\n[grid]\ndt = 0.05\n[run]\nseed = 1\nt = 20\n"
-            "ic = perturbed_homogeneous\n")
-    report = _drive(tmp_path, ["simulate"], {"simulate": body})
-    assert report["added_by_run"] == [[]]
-    assert "alleekit.linear" not in report["loaded"]
-
-
-def test_continue_loads_no_linear(tmp_path):
-    # only localized_seed needs the spatial spectrum, and the CLI never seeds
-    report = _drive(tmp_path, ["continue"])
-    assert "alleekit.continuation" in report["loaded"]
+    report = drive("simulate", _SIZING_BODY)
+    assert report["added_by_run"] == []
     assert "alleekit.linear" not in report["loaded"]
 
 
 @pytest.mark.parametrize("command,body", [
-    *_BODIES.items(),
-    ("simulate", "l = 200\n[grid]\ndt = 0.05\n[run]\nseed = 1\nt = 20\n"
-                 "ic = perturbed_homogeneous\n"),
+    *_BODIES.items(), ("simulate", _SIZING_BODY),
 ], ids=[*_BODIES, "simulate-sizing-its-grid"])
-def test_only_thresholds_loads_linear(tmp_path, command, body):
+def test_only_thresholds_loads_linear(drive, command, body):
     # model owns the mode algebra (tr, s, D), det L(k) and the Turing band,
     # so pde sizes a grid and continuation counts the symbol without linear,
     # and only the spatial spectrum of thresholds needs cmath
-    report = _drive(tmp_path, [command], {command: body})
+    report = drive(command, body)
     thresholds = command == "thresholds"
     assert ("alleekit.linear" in report["loaded"]) is thresholds
     assert report["cmath"] is thresholds

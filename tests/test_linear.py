@@ -12,7 +12,6 @@ import pytest
 from alleekit.errors import HypothesisFailed, NoRoot, OutOfRange
 from alleekit.linear import (
     Regime,
-    _entries,
     band_modes,
     branch_point_sigmas,
     branch_point_table,
@@ -27,6 +26,7 @@ from alleekit.linear import (
 from alleekit.model import (
     KineticParams,
     Stability,
+    _jacobian_entries,
     axial_equilibria,
     coexisting_equilibria,
     jacobian,
@@ -159,12 +159,12 @@ def test_branch_point_residual_and_band_membership(p_main):
     (sigma_bp,) = branch_point_sigmas(p_main, D_REF, L_REF, n, (1.7, 1.95))
     k = (n * math.pi / L_REF) ** 2
     e, ps = _at(p_main, sigma_bp)
-    reports = mode_reports(e, ps, D_REF, L_REF, j_max=n + 2)
+    reports = mode_reports(e, ps, D_REF, L_REF)
     assert abs(reports[n].det) < 1e-10
     assert abs(reports[n].k_j - k) < 1e-15
     # Just below the branch point the mode is inside the unstable band.
     e_in, ps_in = _at(p_main, sigma_bp - 1e-3)
-    assert mode_reports(e_in, ps_in, D_REF, L_REF, j_max=n + 2)[n].unstable
+    assert mode_reports(e_in, ps_in, D_REF, L_REF)[n].unstable
 
 
 def test_branch_point_no_root(p_main):
@@ -293,7 +293,7 @@ def test_entries_are_the_jacobian_matrix_bit_for_bit(p_main, sigma):
     # the entries come from the scalar path, with no numpy 2x2 in between
     ps = p_main.with_sigma(sigma)
     e = upper_coexisting(ps)
-    got = _entries(e, ps)
+    got = _jacobian_entries(e.u, e.v, ps)
     assert all(type(x) is float for x in got)
     assert ([x.hex() for x in got]
             == [float(x).hex() for x in jacobian(e.u, e.v, ps).ravel()])

@@ -8,12 +8,15 @@ import pytest
 from alleekit.errors import Inconclusive, NonFinite, NoRoot, OutOfRange
 from alleekit.model import axial_equilibria, coexisting_equilibria, jacobian_fields
 from alleekit.pde import (
+    DERIV_TOL,
+    VARIANCE_TOL,
     AsymptoticKind,
     Field,
     Grid,
     ICKind,
     ImexStepper,
     Recorder,
+    SpaceTimeRecord,
     StrangStepper,
     _TriFactor,
     _dominant_period,
@@ -188,12 +191,10 @@ def test_ic_center_pulse_support(p_main):
 
 
 def test_ic_center_pulse_bad_window(p_main):
-    g = Grid(L=100.0, N=256)
+    # the pulse window [L/2 - 5, L/2 + 5] needs L >= 10
+    g = Grid(L=8.0, N=16)
     with pytest.raises(OutOfRange, match="does not fit inside"):
-        make_ic("center_pulse", g, p_main, rng=np.random.default_rng(1),
-                window=(495.0, 505.0))
-    with pytest.raises(OutOfRange, match="lies outside the domain"):
-        make_ic("invasion_step", g, p_main, interface=150.0)
+        make_ic("center_pulse", g, p_main, rng=np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("scheme", ["imex1", "strang"])
@@ -361,6 +362,24 @@ def test_classify_window_too_long_raises(p_main):
     rec = run(f0, p_main, D_REF, 5.0, Recorder(series_every=0.5), dt=0.05)
     with pytest.raises(Inconclusive):
         classify_asymptotic(rec, 50.0)
+
+
+@pytest.mark.parametrize("var_u,kind", [
+    (2.0 * VARIANCE_TOL, AsymptoticKind.STATIONARY_PATTERN),
+    (VARIANCE_TOL, AsymptoticKind.HOMOGENEOUS),
+])
+def test_settled_record_is_classified_by_its_variance(var_u, kind):
+    # moving until t = 10, then settled: every sup |du/dt| of the trailing
+    # window [11, 31] lies below DERIV_TOL
+    g = Grid(L=10.0, N=16)
+    times = np.linspace(0.0, 31.0, 32)
+    rec = SpaceTimeRecord(
+        grid=g, times=times, u_av=np.full(32, 0.3), v_av=np.full(32, 0.2),
+        var_u=np.full(32, var_u),
+        dudt_sup=np.where(times < 10.0, 1.0, 0.5 * DERIV_TOL),
+        snap_times=np.array([0.0]), snap_u=np.zeros((1, 16)),
+        snap_v=np.zeros((1, 16)), min_value=0.0)
+    assert classify_asymptotic(rec, 20.0) is kind
 
 
 def test_dominant_period_pure_tone_and_drift():

@@ -67,29 +67,6 @@ def test_input_validation(p_main):
         integrate_ode((0.1, 0.2), p_main, -5.0)
 
 
-def test_sample_times_are_honored(p_main):
-    grid = np.linspace(0.0, 20.0, 41)
-    tr = integrate_ode((0.8, 0.3), p_main, 20.0, sample_times=grid)
-    np.testing.assert_allclose(tr.times, grid)
-
-
-def test_sample_times_outside_the_span_are_rejected(p_main):
-    for grid in ([-1.0, 5.0, 10.0], [0.0, 10.0, 20.5]):
-        with pytest.raises(ValueError, match=r"inside \[0, T\]"):
-            integrate_ode((0.8, 0.3), p_main, 20.0, sample_times=grid)
-
-
-def test_sample_grid_off_zero_is_returned_as_given(p_main):
-    grid = np.linspace(5.0, 20.0, 31)
-    tr = integrate_ode((0.8, 0.3), p_main, 20.0, sample_times=grid)
-    assert np.array_equal(tr.times, grid)
-    assert tr.states.shape == (31, 2)
-    # the same steps and interpolant as a run sampled from 0
-    full = integrate_ode((0.8, 0.3), p_main, 20.0,
-                         sample_times=np.concatenate([[0.0], grid]))
-    np.testing.assert_array_equal(full.states[1:], tr.states)
-
-
 def _scipy_rk45(ic, p, T, t_eval, tol=1e-8):
     """The same problem through scipy's RK45, as integrate_ode sets it up."""
     from scipy.integrate import solve_ivp

@@ -18,7 +18,7 @@ from alleekit.waves import (
     Shot,
     WaveClass,
     _classify_cell,
-    _slow_unstable_vector,
+    _launch,
     c_min,
     end_state_spectra,
     j_constants,
@@ -31,6 +31,13 @@ from alleekit.waves import (
 
 D_REF = 46.0
 C_REF = 5.9
+
+
+def _slow_vector(p, c):
+    """The launch direction at the prey-only state, as a shot takes it."""
+    u1 = upper_axial(p).u
+    e1 = np.array([u1, u1, 0.0, 0.0])
+    return _launch(*np.linalg.eig(tw_jacobian(e1, p, D_REF, c)))[1]
 
 
 def test_j_constants_frozen(p_main):
@@ -141,7 +148,7 @@ def test_predation_rate_is_pinched(p_main, rng):
 
 def test_slow_vector_is_eigenvector(p_main):
     u1 = upper_axial(p_main).u
-    v = _slow_unstable_vector(p_main, D_REF, C_REF)
+    v = _slow_vector(p_main, C_REF)
     J = tw_jacobian(np.array([u1, u1, 0.0, 0.0]), p_main, D_REF, C_REF)
     w = J @ v
     lam = (w @ v) / (v @ v)
@@ -167,7 +174,7 @@ def test_shot_main_front(p_main):
 
     # the launch point sits a distance ~eps along the slow eigenvector
     off = s.states[0] - np.array([u1, u1, 0.0, 0.0])
-    v = _slow_unstable_vector(p_main, D_REF, C_REF)
+    v = _slow_vector(p_main, C_REF)
     cosang = abs(off @ v) / (np.linalg.norm(off) * np.linalg.norm(v))
     assert np.linalg.norm(off) < 2e-5
     assert cosang > 0.999
@@ -249,7 +256,7 @@ def test_failed_shot_classifies_as_unknown(p_main, monkeypatch, error):
         raise error
 
     monkeypatch.setattr(waves, "shoot_heteroclinic", failing_shot)
-    assert _classify_cell(p_main, D_REF, 5.9) == WaveClass.UNKNOWN
+    assert _classify_cell(p_main, D_REF, 5.9)[0] == WaveClass.UNKNOWN
 
 
 # the benchmark's monotone and spiral cells, (sigma, c)
@@ -288,7 +295,7 @@ def test_kinetic_seed_reproduces_scipy_rk45(p_main, monkeypatch, sigma, c):
     e = coexisting_equilibria(p)[-1]
     target = np.array([e.u, e.u, e.v, e.v])
     y0 = (np.array([u1, u1, 0.0, 0.0])
-          + waves._LAUNCH_SCALE * u1 * _slow_unstable_vector(p, D_REF, c))
+          + waves._LAUNCH_SCALE * u1 * _slow_vector(p, c))
     args = (p, D_REF, c, y0, target, waves._CORE_RADIUS, 2000.0)
 
     accepted = []
@@ -347,9 +354,8 @@ def test_singular_newton_matrix_is_an_unknown_cell(p_main, monkeypatch, tmp_path
     from alleekit.pde import flapack
 
     monkeypatch.setattr(flapack, "dgbtrf", _singular_dgbtrf)
-    reasons = []
-    assert _classify_cell(p_main, D_REF, 5.9, reasons) == WaveClass.UNKNOWN
-    assert reasons == ["NoConvergence"]
+    assert _classify_cell(p_main, D_REF, 5.9) == (WaveClass.UNKNOWN,
+                                                  "NoConvergence")
 
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("[kinetics]\nsigma = 2.7\nalpha = 0.07\nbeta = 0.2\n"
