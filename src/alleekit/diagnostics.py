@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import NoConvergence
 from .model import KineticParams
-from .pde import Field, ImexStepper, SpaceTimeRecord, _dominant_period, default_dt
+from .pde import Field, ImexStepper, SpaceTimeRecord, _dominant_period
 
 
 # growth factors largest_lyapunov needs after its discard window
@@ -35,8 +35,7 @@ class LyapunovResult:
 
 
 def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
-                     renorm_interval: float = 1.0, *,
-                     dt: float | None = None,
+                     renorm_interval: float = 1.0, *, dt: float,
                      rng: np.random.Generator | None = None) -> LyapunovResult:
     """Benettin-style tangent propagation along the discretized flow.
 
@@ -58,8 +57,6 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     if not (renorm_interval > 0 and math.isfinite(renorm_interval)):
         raise ValueError("renorm_interval must be positive and finite")
     grid = f0.grid
-    if dt is None:
-        dt = default_dt(grid, d)
     steps_per = max(1, round(renorm_interval / dt))
     dt = renorm_interval / steps_per
     n_renorm = math.ceil(T / renorm_interval)

@@ -150,33 +150,142 @@ def _classify(trace: float, det: float) -> Stability:
     return Stability.UNSTABLE_NODE if disc >= 0 else Stability.UNSTABLE_FOCUS
 
 
-def _masked_div(num, den):
-    """num / den, with 0 where den == 0 (the origin convention)."""
-    if isinstance(den, float):
-        return num / den if den != 0.0 else 0.0
-    import numpy as np
-
-    out = np.zeros_like(den)
-    np.divide(num, den, out=out, where=den != 0.0)
-    return out
-
-
-def _rates(u, v, p: KineticParams):
+def _rates(u: float, v: float, p: KineticParams) -> tuple[float, float]:
     den = p.alpha + u + p.beta * v
-    inter = _masked_div(u * v, den)
+    inter = u * v / den if den != 0.0 else 0.0
     f1 = p.sigma * u * u * (1.0 - u) - p.eta * u - inter
     f2 = p.gamma * inter - v
     return f1, f2
 
 
-def _derivatives(u, v, p: KineticParams):
-    inv = _masked_div(1.0, p.alpha + u + p.beta * v)
+def _derivatives(u: float, v: float,
+                 p: KineticParams) -> tuple[float, float, float, float]:
+    den = p.alpha + u + p.beta * v
+    inv = 1.0 / den if den != 0.0 else 0.0
     inv2 = inv * inv
     a10 = p.sigma * u * (2.0 - 3.0 * u) - p.eta - v * inv + u * v * inv2
     a01 = -u * (p.alpha + u) * inv2
     b10 = p.gamma * v * (p.alpha + p.beta * v) * inv2
     b01 = p.gamma * u * inv - p.gamma * p.beta * u * v * inv2 - 1.0
     return a10, a01, b10, b01
+
+
+def _cleared(buf, like):
+    """buf set to 0, or a fresh zero array shaped like `like` when there is
+    no buffer."""
+    if buf is None:
+        import numpy as np
+
+        return np.zeros_like(like)
+    buf.fill(0.0)
+    return buf
+
+
+class _ArrayKinetics:
+    """The array formulas of the kinetics, for same-shape arrays u and v.
+
+    Each state gets one denominator alpha + u + beta*v and one den != 0
+    mask, shared by the rates and the Jacobian entries; where the mask is
+    off the interaction terms are 0, the origin convention. Every array
+    follows the order of operations of ``_rates`` / ``_derivatives``, so it
+    equals the scalar path bit for bit.
+
+    Sized with a shape, the instance holds one buffer per array and each
+    call overwrites the arrays the previous call returned; without one,
+    every call returns fresh arrays. There is no finiteness check: callers
+    check the state they go on to produce, and wrap the call in
+    ``np.errstate(over="ignore", invalid="ignore")`` where a diverging state
+    must not warn.
+    """
+
+    # the buffers of an unsized instance: each ufunc allocates its result
+    _mask = _au = _bv = _den = _uv = _tmp = _inter = _f1 = _f2 = None
+    _inv = _inv2 = _a10 = _a01 = _b10 = _b01 = None
+
+    def __init__(self, p: KineticParams, shape: tuple[int, ...] | None = None):
+        self.p = p
+        if shape is not None:
+            import numpy as np
+
+            self._mask = np.empty(shape, dtype=bool)
+            (self._au, self._bv, self._den, self._uv, self._tmp, self._inter,
+             self._f1, self._f2, self._inv, self._inv2, self._a10, self._a01,
+             self._b10, self._b01) = (np.empty(shape) for _ in range(14))
+
+    def _share(self, u, v):
+        """(alpha + u, beta*v, den, den != 0, u*v)."""
+        import numpy as np
+
+        au = np.add(u, self.p.alpha, out=self._au)
+        bv = np.multiply(v, self.p.beta, out=self._bv)
+        den = np.add(au, bv, out=self._den)
+        mask = np.not_equal(den, 0.0, out=self._mask)
+        return au, bv, den, mask, np.multiply(u, v, out=self._uv)
+
+    def _fill_rates(self, u, v, den, mask, uv):
+        import numpy as np
+
+        p = self.p
+        inter = _cleared(self._inter, den)
+        np.divide(uv, den, out=inter, where=mask)
+        # f1 = sigma*u*u*(1 - u) - eta*u - inter
+        f1 = np.multiply(u, p.sigma, out=self._f1)
+        f1 *= u
+        f1 *= np.subtract(1.0, u, out=self._tmp)
+        f1 -= np.multiply(u, p.eta, out=self._tmp)
+        f1 -= inter
+        # f2 = gamma*inter - v
+        f2 = np.multiply(inter, p.gamma, out=self._f2)
+        f2 -= v
+        return f1, f2
+
+    def _fill_derivatives(self, u, v, au, bv, den, mask, uv):
+        import numpy as np
+
+        p = self.p
+        inv = _cleared(self._inv, den)
+        np.divide(1.0, den, out=inv, where=mask)
+        inv2 = np.multiply(inv, inv, out=self._inv2)
+        # a10 = sigma*u*(2 - 3*u) - eta - v*inv + u*v*inv2
+        a10 = np.multiply(u, p.sigma, out=self._a10)
+        tmp = np.multiply(u, 3.0, out=self._tmp)
+        a10 *= np.subtract(2.0, tmp, out=self._tmp)
+        a10 -= p.eta
+        a10 -= np.multiply(v, inv, out=self._tmp)
+        a10 += np.multiply(uv, inv2, out=self._tmp)
+        # a01 = -u*(alpha + u)*inv2
+        a01 = np.negative(u, out=self._a01)
+        a01 *= au
+        a01 *= inv2
+        # b10 = gamma*v*(alpha + beta*v)*inv2
+        b10 = np.multiply(v, p.gamma, out=self._b10)
+        b10 *= np.add(bv, p.alpha, out=self._tmp)
+        b10 *= inv2
+        # b01 = gamma*u*inv - gamma*beta*u*v*inv2 - 1
+        b01 = np.multiply(u, p.gamma, out=self._b01)
+        b01 *= inv
+        tmp = np.multiply(u, p.gamma * p.beta, out=self._tmp)
+        tmp *= v
+        tmp *= inv2
+        b01 -= tmp
+        b01 -= 1.0
+        return a10, a01, b10, b01
+
+    def rates(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """(F1, F2) at the state (u, v)."""
+        au, bv, den, mask, uv = self._share(u, v)
+        return self._fill_rates(u, v, den, mask, uv)
+
+    def derivatives(self, u, v) -> tuple[np.ndarray, ...]:
+        """The Jacobian entries (a10, a01, b10, b01) at the state (u, v)."""
+        return self._fill_derivatives(u, v, *self._share(u, v))
+
+    def rates_and_derivatives(self, u, v) -> tuple[np.ndarray, ...]:
+        """(F1, F2, a10, a01, b10, b01) at the state (u, v), from one
+        denominator."""
+        au, bv, den, mask, uv = self._share(u, v)
+        return (self._fill_rates(u, v, den, mask, uv)
+                + self._fill_derivatives(u, v, au, bv, den, mask, uv))
 
 
 def kinetics(u, v, p: KineticParams):
@@ -202,10 +311,12 @@ def kinetics(u, v, p: KineticParams):
     va = np.asarray(v, dtype=float)
     if not (np.all(np.isfinite(ua)) and np.all(np.isfinite(va))):
         raise NonFinite("kinetics called with non-finite state")
+    if ua.shape != va.shape:
+        ua, va = np.broadcast_arrays(ua, va)
     # overflow on a diverging state is reported by the caller's finiteness
     # check, not as a warning here
     with np.errstate(over="ignore", invalid="ignore"):
-        return _rates(ua, va, p)
+        return _ArrayKinetics(p).rates(ua, va)
 
 
 def jacobian_fields(u, v, p: KineticParams):
@@ -222,7 +333,11 @@ def jacobian_fields(u, v, p: KineticParams):
         return float(a10), float(a01), float(b10), float(b01)
     import numpy as np
 
-    return _derivatives(np.asarray(u, dtype=float), np.asarray(v, dtype=float), p)
+    ua = np.asarray(u, dtype=float)
+    va = np.asarray(v, dtype=float)
+    if ua.shape != va.shape:
+        ua, va = np.broadcast_arrays(ua, va)
+    return _ArrayKinetics(p).derivatives(ua, va)
 
 
 def _jacobian_entries(u: float, v: float,

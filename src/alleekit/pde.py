@@ -12,7 +12,13 @@ applies. ``default_grid_size`` takes the Turing band from there too.
 ``semidiscrete_rhs`` is the one right-hand side of the discrete system:
 continuation solves it for zero and ``run`` samples it. Time stepping is
 first-order IMEX (explicit reaction, implicit tridiagonal diffusion) with
-a second-order Strang variant.
+a second-order Strang variant. Each stepper evaluates the reaction with
+its own :class:`alleekit.model._ArrayKinetics`, sized to the grid once:
+one denominator per state serves both the rates and the Jacobian entries
+of the tangent step, the arrays go to buffers the stepper holds, and no
+finiteness check runs per stage, since every step checks the state it
+makes. ``run`` samples its series with the same kernel and hands the
+rates on to the next IMEX step.
 
 It also owns both LAPACK factor wrappers: ``_TriFactor`` (``dgttrf``) for
 the diffusion solves and ``BandedLU`` (``dgbtrf``, with the determinant
@@ -41,7 +47,7 @@ from .errors import (Inconclusive, NonFinite, NoRoot, OutOfRange,
                      SingularJacobian, ToolkitError)
 from .model import (
     KineticParams,
-    jacobian_fields,
+    _ArrayKinetics,
     kinetics,
     kpm_roots,
     upper_axial,
@@ -212,9 +218,22 @@ def _check_finite(u: np.ndarray, v: np.ndarray, t: float) -> None:
         raise NonFinite(f"state lost finiteness near t={t:.6g}")
 
 
+def _shifted(base: np.ndarray, h: float, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """base + h*k, written into out."""
+    return np.add(base, np.multiply(k, h, out=out), out=out)
+
+
 class _Stepper:
-    """What both schemes share: the checks, and ``_fu`` and ``_fv``, which
-    factor I - c*Laplacian for c = ``_cu`` = _SHARE*dt and ``_cv`` = _cu*d."""
+    """What both schemes share: the checks, ``_fu`` and ``_fv``, which
+    factor I - c*Laplacian for c = ``_cu`` = _SHARE*dt and ``_cv`` = _cu*d,
+    and ``_kinetics``, the reaction sized to the grid.
+
+    The reaction and the work arrays of a step live in buffers the stepper
+    holds (``_hold``); every array a step returns is a fresh solve output.
+    The reaction arithmetic runs under ``np.errstate(over="ignore",
+    invalid="ignore")``: a diverging state is reported by ``_check_finite``
+    as NonFinite, not as a numpy warning.
+    """
 
     _SHARE = 1.0
 
@@ -233,6 +252,8 @@ class _Stepper:
         self._cv = self._SHARE * dt * d
         self._fu = _TriFactor(grid.N, grid.dx, self._cu)
         self._fv = _TriFactor(grid.N, grid.dx, self._cv)
+        self._kinetics = _ArrayKinetics(p, (grid.N,))
+        self._hold(grid.N)
 
 
 class ImexStepper(_Stepper):
@@ -242,15 +263,24 @@ class ImexStepper(_Stepper):
     positivity for any dt; the explicit reaction bounds dt in practice.
     """
 
+    def _hold(self, n: int) -> None:
+        # one Fortran-order (n, 2) right-hand side per field, so that a
+        # state column and a tangent column share one solve
+        self._bu, self._bv = np.empty((2, 2, n)).transpose(0, 2, 1)
+        (self._su, self._tu), (self._sv, self._tv) = self._bu.T, self._bv.T
+        self._tmp = np.empty(n)
+
     def step_arrays(self, u: np.ndarray, v: np.ndarray, t: float,
                     reaction: tuple[np.ndarray, np.ndarray] | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """One step from (u, v) at time t; `reaction` is kinetics(u, v, p)
-        when the caller has already evaluated it."""
+        """One step from (u, v) at time t; `reaction` is the rates
+        (F1, F2) of the kinetics at (u, v) when the caller has already
+        evaluated them."""
         if self.include_reaction:
-            f1, f2 = kinetics(u, v, self.p) if reaction is None else reaction
-            u = u + self.dt * f1
-            v = v + self.dt * f2
+            with np.errstate(over="ignore", invalid="ignore"):
+                f1, f2 = self._kinetics.rates(u, v) if reaction is None else reaction
+                u = _shifted(u, self.dt, f1, self._su)
+                v = _shifted(v, self.dt, f2, self._sv)
         un = self._fu.solve(u)
         vn = self._fv.solve(v)
         _check_finite(un, vn, t + self.dt)
@@ -262,19 +292,24 @@ class ImexStepper(_Stepper):
         """step_arrays from (u, v), and its exact linearization at (u, v)
         applied to (du, dv); each field's state and tangent share one
         two-column solve."""
-        bu = np.empty((self.grid.N, 2), order="F")
-        bv = np.empty((self.grid.N, 2), order="F")
-        bu[:, 0], bv[:, 0], bu[:, 1], bv[:, 1] = u, v, du, dv
+        dt, su, sv, tu, tv, tmp = self.dt, self._su, self._sv, self._tu, self._tv, self._tmp
         if self.include_reaction:
-            f1, f2 = kinetics(u, v, self.p)
-            a10, a01, b10, b01 = jacobian_fields(u, v, self.p)
-            bu[:, 0] += self.dt * f1
-            bv[:, 0] += self.dt * f2
-            bu[:, 1] += self.dt * (a10 * du + a01 * dv)
-            bv[:, 1] += self.dt * (b10 * du + b01 * dv)
-        xu = self._fu.solve(bu)
-        xv = self._fv.solve(bv)
-        _check_finite(xu[:, 0], xv[:, 0], t + self.dt)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f1, f2, a10, a01, b10, b01 = self._kinetics.rates_and_derivatives(u, v)
+                _shifted(u, dt, f1, su)
+                _shifted(v, dt, f2, sv)
+                # du + dt*(a10*du + a01*dv), and likewise for dv
+                np.multiply(a10, du, out=tu)
+                tu += np.multiply(a01, dv, out=tmp)
+                _shifted(du, dt, tu, tu)
+                np.multiply(b10, du, out=tv)
+                tv += np.multiply(b01, dv, out=tmp)
+                _shifted(dv, dt, tv, tv)
+        else:
+            su[:], sv[:], tu[:], tv[:] = u, v, du, dv
+        xu = self._fu.solve(self._bu)
+        xv = self._fv.solve(self._bv)
+        _check_finite(xu[:, 0], xv[:, 0], t + dt)
         return xu[:, 0], xv[:, 0], xu[:, 1], xv[:, 1]
 
 
@@ -290,15 +325,25 @@ class StrangStepper(_Stepper):
         v = self._fv.solve(v + self._cv * apply_laplacian(v, dx))
         return u, v
 
+    def _hold(self, n: int) -> None:
+        self._su, self._sv, self._sum_u, self._sum_v, self._tmp = np.empty((5, n))
+
     def _react(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dt = self.dt
-        k1u, k1v = kinetics(u, v, self.p)
-        k2u, k2v = kinetics(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, self.p)
-        k3u, k3v = kinetics(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, self.p)
-        k4u, k4v = kinetics(u + dt * k3u, v + dt * k3v, self.p)
-        un = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        vn = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        return un, vn
+        """Classical RK4 over dt, into held buffers: the stage states in
+        ``_su``/``_sv`` and k1 + 2*k2 + 2*k3 + k4 in ``_sum_u``/``_sum_v``."""
+        dt, rates, tmp = self.dt, self._kinetics.rates, self._tmp
+        su, sv, sum_u, sum_v = self._su, self._sv, self._sum_u, self._sum_v
+        ku, kv = rates(u, v)
+        np.copyto(sum_u, ku)
+        np.copyto(sum_v, kv)
+        for h in (0.5 * dt, 0.5 * dt):
+            ku, kv = rates(_shifted(u, h, ku, su), _shifted(v, h, kv, sv))
+            sum_u += np.multiply(ku, 2.0, out=tmp)
+            sum_v += np.multiply(kv, 2.0, out=tmp)
+        ku, kv = rates(_shifted(u, dt, ku, su), _shifted(v, dt, kv, sv))
+        sum_u += ku
+        sum_v += kv
+        return _shifted(u, dt / 6.0, sum_u, su), _shifted(v, dt / 6.0, sum_v, sv)
 
     def step_arrays(self, u: np.ndarray, v: np.ndarray, t: float,
                     reaction: tuple[np.ndarray, np.ndarray] | None = None
@@ -307,7 +352,8 @@ class StrangStepper(_Stepper):
         the step reacts at a half-diffused state."""
         u, v = self._half_diffuse(u, v)
         if self.include_reaction:
-            u, v = self._react(u, v)
+            with np.errstate(over="ignore", invalid="ignore"):
+                u, v = self._react(u, v)
         u, v = self._half_diffuse(u, v)
         _check_finite(u, v, t + self.dt)
         return u, v
@@ -475,12 +521,13 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
     min_value = float(min(u.min(), v.min()))
 
     def sample(tt: float, uu: np.ndarray, vv: np.ndarray):
-        """Append a series row at (uu, vv); return the kinetics there, which
-        an IMEX step from (uu, vv) reuses."""
+        """Append a series row at (uu, vv); return the rates there, in the
+        stepper's buffers, which an IMEX step from (uu, vv) reuses."""
         # a diverging state can still be finite while its statistics
         # overflow; that is a NonFinite failure, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            reaction = kinetics(uu, vv, p) if include_reaction else (0.0, 0.0)
+            reaction = (stepper._kinetics.rates(uu, vv) if include_reaction
+                        else (0.0, 0.0))
             du, dv = semidiscrete_rhs(uu, vv, p, d, dx, reaction)
             row = (tt, trapezoid_mass(uu, dx) / grid.L,
                    trapezoid_mass(vv, dx) / grid.L, float(np.var(uu)),

@@ -19,7 +19,6 @@ from alleekit.continuation import (
     STABILITY_SHIFT,
     UNSTABLE_TOL,
     BandedLU,
-    Branch,
     KL,
     KU,
     SteadyProblem,
@@ -35,7 +34,6 @@ from alleekit.continuation import (
     newton_correct,
     residual,
     residual_matvec,
-    sigma_derivative,
     solution_stability,
     split_fields,
     tangent_at,

@@ -152,9 +152,10 @@ def test_lyapunov_needs_enough_renormalizations(p_main):
     g = Grid(L=10.0, N=32)
     f0 = Field(g, np.full(32, 0.7), np.full(32, 0.3), 0.0)
     with pytest.raises(ValueError):
-        largest_lyapunov(f0, p_main, 46.0, T=50.0)
+        largest_lyapunov(f0, p_main, 46.0, T=50.0, dt=0.05)
     with pytest.raises(ValueError):
-        largest_lyapunov(f0, p_main, 46.0, T=250.0, renorm_interval=-1.0)
+        largest_lyapunov(f0, p_main, 46.0, T=250.0, renorm_interval=-1.0,
+                         dt=0.05)
 
 
 def test_lyapunov_on_a_limit_cycle_does_not_settle():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from alleekit.errors import Inconclusive, NonFinite, NoRoot, OutOfRange
-from alleekit.model import axial_equilibria, coexisting_equilibria, jacobian_fields
+from alleekit.model import (KineticParams, axial_equilibria, coexisting_equilibria,
+                            jacobian_fields, kinetics)
 from alleekit.pde import (
     DERIV_TOL,
     VARIANCE_TOL,
@@ -36,6 +37,12 @@ from alleekit.pde import (
 )
 
 D_REF = 46.0
+
+
+def _same_bits(a, b) -> bool:
+    """Equal to the last bit, signed zeros included."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _mid_level(p):
@@ -323,11 +330,71 @@ def test_step_with_tangent_matches_separate_solves(p_main, rng):
     un, vn, dun, dvn = st.step_with_tangent(u, v, du, dv, 0.0)
     # the state half is step_arrays to the bit
     su, sv = st.step_arrays(u, v, 0.0)
-    assert np.array_equal(un, su) and np.array_equal(vn, sv)
+    assert _same_bits(un, su) and _same_bits(vn, sv)
     # and a two-column solve is two one-column solves to the bit
     a10, a01, b10, b01 = jacobian_fields(u, v, p_main)
     assert np.array_equal(dun, st._fu.solve(du + 0.02 * (a10 * du + a01 * dv)))
     assert np.array_equal(dvn, st._fv.solve(dv + 0.02 * (b10 * du + b01 * dv)))
+
+
+@pytest.mark.parametrize("alpha", [0.07, 0.0])
+def test_stepper_kinetics_match_the_scalar_path_bit_for_bit(alpha, rng):
+    # the steppers' fused kernel holds its buffers, so it is called on a
+    # generic state first: the alpha = 0 origin node of the second state
+    # must then read 0, not what the first call left there
+    p = KineticParams(alpha=alpha, beta=0.2, gamma=1.2, sigma=2.7, eta=0.1)
+    g = Grid(L=50.0, N=257)
+    kin = ImexStepper(g, p, D_REF, 0.05)._kinetics
+    u = rng.uniform(-1e-3, 1.3, g.N)
+    v = rng.uniform(-1e-3, 0.8, g.N)
+    u[0] = v[0] = 0.0
+    for state in ((u[::-1].copy(), v[::-1].copy()), (u, v)):
+        fused = [x.copy() for x in kin.rates_and_derivatives(*state)]
+        scalar = [kinetics(a, b, p) + jacobian_fields(a, b, p)
+                  for a, b in zip(state[0].tolist(), state[1].tolist())]
+        assert all(_same_bits(x, y) for x, y in zip(fused, zip(*scalar)))
+    assert all(_same_bits(x, y) for x, y in zip(kin.rates(u, v), fused))
+    assert all(_same_bits(x, y) for x, y in zip(kin.derivatives(u, v), fused[2:]))
+    if alpha == 0.0:
+        assert [x[0] for x in fused] == [0.0, 0.0, -p.eta, 0.0, 0.0, -1.0]
+
+
+def test_strang_step_is_rk4_of_public_kinetics(p_main, rng):
+    g = Grid(L=50.0, N=257)
+    st = StrangStepper(g, p_main, D_REF, 0.05)
+    e = coexisting_equilibria(p_main)[-1]
+    u = e.u + 0.05 * rng.standard_normal(g.N)
+    v = e.v + 0.05 * rng.standard_normal(g.N)
+    dt = st.dt
+    hu, hv = st._half_diffuse(u, v)
+    k1u, k1v = kinetics(hu, hv, p_main)
+    k2u, k2v = kinetics(hu + 0.5 * dt * k1u, hv + 0.5 * dt * k1v, p_main)
+    k3u, k3v = kinetics(hu + 0.5 * dt * k2u, hv + 0.5 * dt * k2v, p_main)
+    k4u, k4v = kinetics(hu + dt * k3u, hv + dt * k3v, p_main)
+    ru = hu + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    rv = hv + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    ref_u, ref_v = st._half_diffuse(ru, rv)
+    un, vn = st.step_arrays(u, v, 0.0)
+    assert _same_bits(un, ref_u) and _same_bits(vn, ref_v)
+
+
+def test_steps_never_hand_out_held_buffers(p_main, rng):
+    g = Grid(L=20.0, N=64)
+    e = coexisting_equilibria(p_main)[-1]
+    u = e.u + 0.01 * rng.standard_normal(g.N)
+    v = e.v + 0.01 * rng.standard_normal(g.N)
+    du, dv = rng.standard_normal(g.N), rng.standard_normal(g.N)
+    imex = ImexStepper(g, p_main, D_REF, 0.05)
+    steps = [lambda st=st: st.step_arrays(u, v, 0.0)
+             for st in (imex, StrangStepper(g, p_main, D_REF, 0.05))]
+    steps.append(lambda: imex.step_with_tangent(u, v, du, dv, 0.0))
+    for step in steps:
+        first = step()
+        kept = [x.copy() for x in first]
+        second = step()
+        assert not any(np.shares_memory(x, y) for x in first for y in second)
+        assert all(_same_bits(x, y) for x, y in zip(first, kept))
+        assert all(_same_bits(x, y) for x, y in zip(second, kept))
 
 
 def test_run_homogeneous_relaxation_classified(p_main):

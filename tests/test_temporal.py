@@ -3,7 +3,7 @@ import pytest
 
 from alleekit import temporal
 from alleekit.errors import Inconclusive, NoRoot
-from alleekit.model import KineticParams, coexisting_equilibria
+from alleekit.model import coexisting_equilibria
 from alleekit.temporal import (
     EXTINCTION_LEVEL,
     AttractorKind,

@@ -1,15 +1,12 @@
 """Travelling-wave tests: profile system, end-state spectra, minimal speed,
 heteroclinic shooting, and the (sigma, c) classification scan."""
 
-import math
-
 import numpy as np
 import pytest
 
 from alleekit import waves
 from alleekit.errors import NoConvergence, NonFinite, OutOfRange
 from alleekit.model import (
-    axial_equilibria,
     coexisting_equilibria,
     kinetics,
     upper_axial,
