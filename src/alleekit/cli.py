@@ -26,7 +26,10 @@ parsed and before the run starts:
   alone again (no ``scipy.sparse``, and no ``linear``);
 * ``wave-scan``: ``waves``, with ``temporal``, ``collocation`` and ``pde``
   beneath it, so the LAPACK extension alone again (no ``scipy.integrate``,
-  ``scipy.interpolate``, ``continuation`` or ``linear``).
+  ``scipy.interpolate``, ``continuation`` or ``linear``). A scan with two
+  or more cells to shoot also loads ``multiprocessing`` and
+  ``concurrent.futures`` and shoots the cells in forked workers, one per
+  usable core; its files do not depend on the worker count.
 
 ``simulate``, ``lyapunov``, ``pulse`` and ``continue`` also load
 ``numpy.random``, which numpy itself loads only on first use.
@@ -285,7 +288,7 @@ def cmd_continue(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    from .waves import SCAN_TOL, WaveClass, scan_plane, shoot_heteroclinic
+    from .waves import scan_plane
 
     res = scan_plane(cfg.p, cfg.d, cfg.sigma_grid, cfg.c_grid)
     rows = [
@@ -296,14 +299,11 @@ def cmd_wave_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
     written = [_write_csv(out / "scan.csv",
                           ("sigma", "c", "classification_code",
                            "c_min_at_sigma"), rows)]
-    # a single cell that holds a front gets its orbit, from a repeat of the
-    # shot that classified it
-    if res.codes.shape == (1, 1) and res.codes[0, 0] in (
-            WaveClass.MONOTONIC, WaveClass.NON_MONOTONIC):
-        shot = shoot_heteroclinic(cfg.p.with_sigma(float(res.sigmas[0])),
-                                  cfg.d, float(res.cs[0]), tol=SCAN_TOL)
+    # a single cell that holds a front gets its orbit, from the shot that
+    # classified it
+    if res.shot is not None:
         written.append(_write_csv(out / "orbit.csv", ("t", "X", "Y", "W", "Z"),
-                                  zip(shot.t, *shot.states.T)))
+                                  zip(res.shot.t, *res.shot.states.T)))
     return written
 
 

@@ -10,13 +10,18 @@ The shooting runs on code of this package alone: the kinetic seed on
 :mod:`alleekit.temporal`'s Dormand-Prince pair, the profile on the banded
 Lobatto IIIA collocation of :mod:`alleekit.collocation`. Of scipy it loads
 only the LAPACK extension that :mod:`alleekit.pde` loads.
+
+The scan shoots its cells in forked worker processes, one per usable core;
+the result does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -449,6 +454,8 @@ class ScanResult:
     # per cell, why it is Unknown: the failure's exception name, or
     # "NotFound" for an orbit that does not settle; "" for the other cells
     reasons: np.ndarray
+    # the shot of a single-cell plane whose cell holds a front, else None
+    shot: Shot | None
 
     @property
     def monotonic_side(self) -> str:
@@ -462,18 +469,25 @@ class ScanResult:
         return "high_sigma" if mono_mean > non_mean else "low_sigma"
 
 
-def _classify_cell(p: KineticParams, d: float, c: float) -> tuple[int, str]:
-    """WaveClass code and reason (see ScanResult.reasons) of one cell at or
-    above the minimal speed, from one shot at SCAN_TOL."""
+def _shoot_cell(p: KineticParams, d: float, c: float) -> tuple[int, str, Shot | None]:
+    """WaveClass code, reason (see ScanResult.reasons) and, if it holds a
+    front, the shot of one cell at or above the minimal speed, from one
+    shot at SCAN_TOL."""
     try:
         shot = shoot_heteroclinic(p, d, c, tol=SCAN_TOL)
     except (NonFinite, OutOfRange, NoConvergence) as exc:
-        return int(WaveClass.UNKNOWN), type(exc).__name__
+        return int(WaveClass.UNKNOWN), type(exc).__name__, None
     if not shot.found:
-        return int(WaveClass.UNKNOWN), "NotFound"
+        return int(WaveClass.UNKNOWN), "NotFound", None
     if shot.monotone and not shot.spiral_tail:
-        return int(WaveClass.MONOTONIC), ""
-    return int(WaveClass.NON_MONOTONIC), ""
+        return int(WaveClass.MONOTONIC), "", shot
+    return int(WaveClass.NON_MONOTONIC), "", shot
+
+
+def _classify_cell(p: KineticParams, d: float, c: float) -> tuple[int, str]:
+    """The code and reason of :func:`_shoot_cell`, without the shot: what a
+    pool worker sends back."""
+    return _shoot_cell(p, d, c)[:2]
 
 
 def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
@@ -484,7 +498,16 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
     every scanned sigma; OutOfRange names the first sigma where it is not.
     Cells below the minimal speed are NoWave without shooting;
     per-cell failures are recorded as Unknown, with their reason in
-    ``reasons``, never raised.
+    ``reasons``, never raised. An exception a cell does not record (a
+    programming error) propagates.
+
+    The cells are independent, so they are shot in forked worker processes,
+    one per usable core (``os.sched_getaffinity``), at most one per cell;
+    with fewer than two workers (one cell, one core, or a platform without
+    ``sched_getaffinity``, where fork is missing or unsafe) they are shot
+    in this process. Results come back in cell order and do not depend on
+    the worker count. Every worker has exited when this returns or raises.
+    A single-cell plane keeps the shot of its front in ``ScanResult.shot``.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     cs = np.asarray(cs, dtype=float)
@@ -497,6 +520,7 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
     codes = np.full((sigmas.size, cs.size), int(WaveClass.UNKNOWN), dtype=int)
     reasons = np.full(codes.shape, "", dtype=object)
     cmins = np.empty(sigmas.size)
+    cells, args = [], []
     for i, sig in enumerate(sigmas):
         ps = p.with_sigma(float(sig))
         try:
@@ -510,5 +534,29 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
             if c < cm:
                 codes[i, j] = WaveClass.NO_WAVE
             else:
-                codes[i, j], reasons[i, j] = _classify_cell(ps, d, float(c))
-    return ScanResult(sigmas, cs, codes, cmins, reasons)
+                cells.append((i, j))
+                args.append((ps, d, float(c)))
+
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(cores, len(cells))
+    if workers >= 2:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: the workers inherit the loaded modules instead of importing
+        # them again. Cells go out one at a time, which balances their
+        # unequal costs. Unlike multiprocessing.Pool, which waits forever
+        # for the cell of a worker that died, the executor then raises
+        # BrokenProcessPool; leaving the block joins every worker.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            outcomes = list(pool.map(_classify_cell, *zip(*args)))
+    else:
+        outcomes = starmap(_shoot_cell, args)
+    shot = None
+    for (i, j), (code, reason, *kept) in zip(cells, outcomes):
+        codes[i, j], reasons[i, j] = code, reason
+        if codes.size == 1:  # one cell, so shot in this process
+            shot = kept[0]
+    return ScanResult(sigmas, cs, codes, cmins, reasons, shot)

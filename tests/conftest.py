@@ -1,3 +1,4 @@
+import multiprocessing
 import tempfile
 
 import numpy as np
@@ -7,6 +8,15 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from alleekit.model import KineticParams
 
 _HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Fail a test after which a child process of this one still runs: a
+    pool worker that outlives its call."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture

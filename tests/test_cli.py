@@ -275,7 +275,9 @@ def test_fmt_gives_numpy_scalars_the_text_of_python_values(np_value, value,
 # sha256 of manifest.txt on a continue run that tags six branch points (21
 # points) and on a 1 x 1 wave-scan that writes orbit.csv, which pins to the
 # bit the determinant signs, end-state spectra, launch direction and
-# projection rows behind them
+# projection rows behind them; and on a 2 x 2 wave-scan (the benchmark's
+# smoke scan), whose four cells a multi-core box shoots in worker
+# processes, recorded with the cells shot one after another
 @pytest.mark.parametrize("command,body,sigma,digest", [
     ("continue", "l = 200\n[grid]\nn = 256\n[sweep]\nds0 = 1.5e-3\n"
                  "bracket_lo = 1.767\nbracket_hi = 1.8305\nsteps = 20\n", 1.83,
@@ -283,6 +285,9 @@ def test_fmt_gives_numpy_scalars_the_text_of_python_values(np_value, value,
     ("wave-scan", "[sweep]\nsigma_lo = 1.9\nsigma_hi = 1.9\nsigma_count = 1\n"
                   "c_lo = 6.0\nc_hi = 6.0\nc_count = 1\n", 2.7,
      "5017b19e489d4ff98c4e61cfa9aed32e5f6663cbd9db726327d04e4ca35c11c0"),
+    ("wave-scan", "[sweep]\nsigma_lo = 1.9\nsigma_hi = 3.0\nsigma_count = 2\n"
+                  "c_lo = 4.7\nc_hi = 6.0\nc_count = 2\n", 2.7,
+     "17490c21097c794d3c5c2a0c005bff56d587b22fa9567d8966761b588532d4ff"),
 ])
 def test_linearizing_commands_give_golden_manifests(tmp_path, capsys, command,
                                                     body, sigma, digest):
@@ -338,21 +343,21 @@ def _written(tmp_path) -> list[str]:
     return [line.split("  ", 1)[1] for line in lines]
 
 
-def test_wave_scan_orbit_repeats_the_shot_that_classified_the_cell(
+def test_wave_scan_orbit_is_the_one_shot_that_classified_the_cell(
         tmp_path, capsys, monkeypatch):
-    # shots below SCAN_TOL fail, as a shot at the default 1e-10 does at
-    # (sigma, c) = (2.7, 100); the orbit is shot at the scan's tolerance
-    real = waves.shoot_heteroclinic
+    # the single cell is shot once, at the scan's tolerance, and orbit.csv
+    # is written from that shot
+    real, tols = waves.shoot_heteroclinic, []
 
     def shoot(*args, **kwargs):
-        if kwargs.get("tol", real.__kwdefaults__["tol"]) < SCAN_TOL:
-            raise NoConvergence("profile collocation failed")
+        tols.append(kwargs.get("tol"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(waves, "shoot_heteroclinic", shoot)
     rc, err = _run(tmp_path, capsys, "wave-scan", _ONE_FRONT_CELL)
     assert rc == 0, err
     assert _written(tmp_path) == ["orbit.csv", "scan.csv"]
+    assert tols == [SCAN_TOL]
 
 
 def test_wave_scan_of_one_unknown_cell_writes_no_orbit(tmp_path, capsys,

@@ -1,6 +1,9 @@
 """Travelling-wave tests: profile system, end-state spectra, minimal speed,
 heteroclinic shooting, and the (sigma, c) classification scan."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,82 @@ def test_scan_small_grid(p_main):
     assert (res.codes[0, 1:] == WaveClass.NON_MONOTONIC).all()
     assert (res.codes[1:, 1:] == WaveClass.MONOTONIC).all()
     assert res.monotonic_side == "high_sigma"
+    # the cells, shot in worker processes on a multi-core box, classify as
+    # they do shot one by one here
+    for i, sig in enumerate(sigmas):
+        for j, c in enumerate(cs):
+            if res.codes[i, j] != WaveClass.NO_WAVE:
+                assert (res.codes[i, j], res.reasons[i, j]) == _classify_cell(
+                    p_main.with_sigma(float(sig)), D_REF, float(c))
+    assert res.shot is None
+
+
+def _count_shots(monkeypatch) -> list:
+    """Patch shoot_heteroclinic to record each call made in this process."""
+    real, calls = waves.shoot_heteroclinic, []
+
+    def shoot(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(waves, "shoot_heteroclinic", shoot)
+    return calls
+
+
+def test_scan_on_one_core_gives_the_pooled_result(p_main, monkeypatch):
+    sigmas, cs = [1.9, 2.7, 3.0], [3.0, 4.7, 5.9]
+    pooled = scan_plane(p_main, D_REF, sigmas, cs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = _count_shots(monkeypatch)
+    alone = scan_plane(p_main, D_REF, sigmas, cs)
+    # one core: every cell above the minimal speed is shot in this process
+    assert len(calls) == int((alone.codes != WaveClass.NO_WAVE).sum()) == 6
+    assert alone.codes.tolist() == pooled.codes.tolist()
+    assert alone.reasons.tolist() == pooled.reasons.tolist()
+    assert alone.c_min_at_sigma.tolist() == pooled.c_min_at_sigma.tolist()
+    assert alone.shot is None and pooled.shot is None
+
+
+@pytest.mark.parametrize("cores", [None, {0}], ids=["pooled", "one_core"])
+def test_error_a_cell_does_not_record_propagates(p_main, monkeypatch, cores):
+    def broken_shot(*args, **kwargs):
+        raise RuntimeError("a defect in the shooting code")
+
+    monkeypatch.setattr(waves, "shoot_heteroclinic", broken_shot)
+    if cores is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    with pytest.raises(RuntimeError, match="a defect in the shooting code"):
+        scan_plane(p_main, D_REF, [2.7, 3.0], [5.9, 6.0])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one usable core: the scan runs in this process")
+def test_worker_that_dies_breaks_the_scan(p_main, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    here = os.getpid()
+
+    def dying_shot(*args, **kwargs):
+        if os.getpid() != here:  # never end the test process itself
+            os._exit(9)
+        raise AssertionError("cell shot in the test process")
+
+    monkeypatch.setattr(waves, "shoot_heteroclinic", dying_shot)
+    with pytest.raises(BrokenProcessPool):
+        scan_plane(p_main, D_REF, [2.7, 3.0], [5.9, 6.0])
+    assert multiprocessing.active_children() == []
+
+
+def test_single_cell_scan_keeps_the_shot_of_its_front(p_main, monkeypatch):
+    calls = _count_shots(monkeypatch)
+    res = scan_plane(p_main, D_REF, [1.9], [6.0])
+    assert res.codes.tolist() == [[WaveClass.NON_MONOTONIC]]
+    assert len(calls) == 1
+    ref = shoot_heteroclinic(p_main.with_sigma(1.9), D_REF, 6.0,
+                             tol=waves.SCAN_TOL)
+    assert np.array_equal(res.shot.t, ref.t)
+    assert np.array_equal(res.shot.states, ref.states)
 
 
 def test_scan_refuses_sigmas_below_hopf(p_main):
