@@ -49,8 +49,7 @@ _EXPORTS_BY_MODULE = {
                "nonexistence_dstar", "vbounds"),
     "pde": ("Grid", "Field", "ICKind", "Recorder", "SpaceTimeRecord",
             "AsymptoticKind", "ImexStepper", "StrangStepper", "make_stepper",
-            "make_ic", "run", "front_position", "measure_front_speed",
-            "classify_asymptotic"),
+            "make_ic", "run", "classify_asymptotic"),
     "continuation": ("SteadyProblem", "Branch", "BranchPoint",
                      "newton_correct", "continue_branch", "branch_switch",
                      "localized_seed", "solution_stability"),

@@ -109,13 +109,19 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence],
     return _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_snapshot(path: Path, x: np.ndarray, u: np.ndarray, v: np.ndarray,
+def _column(x: np.ndarray) -> list[str]:
+    """The _fmt text of each float in x, for a column many files share."""
+    return list(map("{:.11e}".format, x.tolist()))
+
+
+def _write_snapshot(path: Path, x: Sequence[str], u: np.ndarray, v: np.ndarray,
                     preamble: Sequence[str]) -> Path:
-    """_write_csv of float columns x, u, v, formatted a row at a time."""
-    row = "{:.11e},{:.11e},{:.11e}".format
+    """_write_csv of float columns x, u, v, formatted a row at a time; x
+    comes already formatted by _column."""
+    row = "{},{:.11e},{:.11e}".format
     lines = [f"# {p}" for p in preamble]
     lines.append("x,u,v")
-    lines.extend(map(row, x.tolist(), u.tolist(), v.tolist()))
+    lines.extend(map(row, x, u.tolist(), v.tolist()))
     return _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -240,14 +246,15 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
                        snapshot_every=cfg.snapshot_every),
               dt=dt, scheme=cfg.scheme)
     written = [_write_summary(out, rec)]
+    x = _column(grid.x)
     if cfg.snapshot_every > 0:
         for k, t in enumerate(rec.snap_times):
             written.append(_write_snapshot(
-                out / f"snapshot_{k:04d}.csv", grid.x,
+                out / f"snapshot_{k:04d}.csv", x,
                 rec.snap_u[k], rec.snap_v[k], (f"t = {_fmt(float(t))}",)))
     final = rec.final
     written.append(_write_snapshot(
-        out / "final.csv", grid.x, final.u, final.v,
+        out / "final.csv", x, final.u, final.v,
         (f"t = {_fmt(float(rec.snap_times[-1]))}",)))
     kind = classify_asymptotic(rec, window=cfg.T / 4)
     written.append(_write_text(out / "classification.txt", kind.value + "\n"))
@@ -277,12 +284,13 @@ def cmd_continue(cfg: ExperimentConfig, out: Path) -> list[Path]:
          for pt in br.points))]
     keep = {0, br.points[-1].index}
     keep.update(pt.index for pt in br.points if pt.tags)
+    x = _column(prob.grid.x)
     for pt in br.points:
         if pt.index not in keep:
             continue
         u, v = split_fields(pt.x)
         written.append(_write_snapshot(out / f"point_{pt.index:04d}.csv",
-                                       prob.grid.x, u, v,
+                                       x, u, v,
                                        (f"sigma = {_fmt(pt.sigma)}",)))
     return written
 

@@ -18,17 +18,23 @@ one denominator per state serves both the rates and the Jacobian entries
 of the tangent step, the arrays go to buffers the stepper holds, and no
 finiteness check runs per stage, since every step checks the state it
 makes. ``run`` samples its series with the same kernel and hands the
-rates on to the next IMEX step.
+rates on to the next IMEX step; the sample's Laplacians and sums go to
+arrays held for the run, in the order of operations of
+``semidiscrete_rhs``, ``np.trapezoid`` and ``np.var``.
 
-It also owns both LAPACK factor wrappers: ``_TriFactor`` (``dgttrf``) for
-the diffusion solves and ``BandedLU`` (``dgbtrf``, with the determinant
-sign) for the Newton matrices of :mod:`alleekit.continuation` and
-:mod:`alleekit.collocation`. Both call scipy's f2py extension
-``scipy.linalg._flapack``, which ``_load_flapack`` loads straight from its
-file: importing ``scipy.linalg`` would first run that package's init, about
-0.25 s per process on a 2-core x86-64 Xeon, which loads ``numpy.f2py``,
-``numpy.testing`` and ``numpy.ma`` and no solver used here. The module is
-registered under its own name, so a later ``import scipy.linalg`` reuses it.
+It also owns both LAPACK factor wrappers: ``_TriFactor`` for the diffusion
+solves and ``BandedLU`` (``dgbtrf``, with the determinant sign) for the
+Newton matrices of :mod:`alleekit.continuation` and
+:mod:`alleekit.collocation`. The Neumann Laplacian is self-adjoint under
+the trapezoid weights W = diag(1/2, 1, ..., 1, 1/2), so ``_TriFactor``
+factors the symmetric positive-definite W(I - c*Laplacian) as LDL^T
+(``dpttrf``) and solves with W b (``dpttrs``). Both wrappers call scipy's
+f2py extension ``scipy.linalg._flapack``, which ``_load_flapack`` loads
+straight from its file: importing ``scipy.linalg`` would first run that
+package's init, about 0.25 s per process on a 2-core x86-64 Xeon, which
+loads ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` and no solver used
+here. The module is registered under its own name, so a later
+``import scipy.linalg`` reuses it.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ from importlib.util import module_from_spec
 
 import numpy as np
 
-from .errors import (Inconclusive, NonFinite, NoRoot, OutOfRange,
-                     SingularJacobian, ToolkitError)
+from .errors import (Inconclusive, NonFinite, OutOfRange, SingularJacobian,
+                     ToolkitError)
 from .model import (
     KineticParams,
     _ArrayKinetics,
@@ -122,8 +128,16 @@ class Field:
 
 def apply_laplacian(w: np.ndarray, dx: float) -> np.ndarray:
     """Second-difference Laplacian with reflected (no-flux) end rows."""
-    out = np.empty_like(w)
-    out[1:-1] = w[:-2] - 2.0 * w[1:-1] + w[2:]
+    return _laplacian_into(w, dx, np.empty_like(w))
+
+
+def _laplacian_into(w: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
+    """apply_laplacian(w, dx) written into out, which must not overlap w;
+    each entry is (w[i-1] - 2*w[i]) + w[i+1], then divided by dx*dx."""
+    inner = out[1:-1]
+    np.multiply(w[1:-1], 2.0, out=inner)
+    np.subtract(w[:-2], inner, out=inner)
+    inner += w[2:]
     out[0] = 2.0 * (w[1] - w[0])
     out[-1] = 2.0 * (w[-2] - w[-1])
     out /= dx * dx
@@ -166,17 +180,34 @@ def l2_norm(w: np.ndarray, dx: float) -> float:
 
 
 class _TriFactor:
-    """Cached LU factorization of I - coef*Laplacian (tridiagonal)."""
+    """Cached LDL^T factorization (``dpttrf``) of W(I - coef*Laplacian).
+
+    W = diag(1/2, 1, ..., 1, 1/2) holds the trapezoid weights, under which
+    the Neumann Laplacian is self-adjoint: W(I - coef*Laplacian) is a
+    symmetric positive-definite M-matrix with diagonal 1/2 + r, 1 + 2r, ...,
+    1/2 + r and off-diagonal -r, r = coef/dx^2. ``solve`` scales a copy of
+    b by W (its end rows halved, which is exact) and runs ``dpttrs``.
+    """
 
     def __init__(self, n: int, dx: float, coef: float):
-        lower, diag, upper = laplacian_bands(n, dx, coef)
-        self.dl, self.d, self.du, self.du2, self.ipiv, info = flapack.dgttrf(
-            -lower, 1.0 - diag, -upper)
+        _, diag, upper = laplacian_bands(n, dx, coef)
+        d = 1.0 - diag
+        d[0] *= 0.5
+        d[-1] *= 0.5
+        # the end rows' doubled couplings halve to the interior -r
+        e = -upper
+        e[0] *= 0.5
+        self.d, self.e, info = flapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise NonFinite(f"diffusion matrix factorization failed (info={info})")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = flapack.dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, b)
+        """x with (I - coef*Laplacian) x = b, for one column b or a
+        Fortran-order (n, k) block; b itself is left as it was."""
+        x = np.array(b, order="F")
+        x[0] *= 0.5
+        x[-1] *= 0.5
+        x, info = flapack.dpttrs(self.d, self.e, x, overwrite_b=1)
         if info != 0:
             raise NonFinite(f"tridiagonal solve failed (info={info})")
         return x
@@ -224,9 +255,10 @@ def _shifted(base: np.ndarray, h: float, k: np.ndarray, out: np.ndarray) -> np.n
 
 
 class _Stepper:
-    """What both schemes share: the checks, ``_fu`` and ``_fv``, which
-    factor I - c*Laplacian for c = ``_cu`` = _SHARE*dt and ``_cv`` = _cu*d,
-    and ``_kinetics``, the reaction sized to the grid.
+    """What both schemes share: the checks, ``_fu`` and ``_fv``, the LDL^T
+    factors (``dpttrf``, solved by ``dpttrs``) of the W-weighted
+    W(I - c*Laplacian) for c = ``_cu`` = _SHARE*dt and ``_cv`` = _cu*d, and
+    ``_kinetics``, the reaction sized to the grid.
 
     The reaction and the work arrays of a step live in buffers the stepper
     holds (``_hold``); every array a step returns is a fresh solve output.
@@ -320,9 +352,11 @@ class StrangStepper(_Stepper):
     _SHARE = 0.25
 
     def _half_diffuse(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dx = self.grid.dx
-        u = self._fu.solve(u + self._cu * apply_laplacian(u, dx))
-        v = self._fv.solve(v + self._cv * apply_laplacian(v, dx))
+        """Crank-Nicolson over dt/2: each right-hand side w + c*Laplacian(w)
+        is built in ``_tmp``, which the solve copies before it returns."""
+        dx, tmp = self.grid.dx, self._tmp
+        u = self._fu.solve(_shifted(u, self._cu, _laplacian_into(u, dx, tmp), tmp))
+        v = self._fv.solve(_shifted(v, self._cv, _laplacian_into(v, dx, tmp), tmp))
         return u, v
 
     def _hold(self, n: int) -> None:
@@ -472,17 +506,25 @@ class SpaceTimeRecord:
 
 
 def semidiscrete_rhs(u: np.ndarray, v: np.ndarray, p: KineticParams, d: float,
-                     dx: float, reaction: tuple | None = None
+                     dx: float, reaction: tuple | None = None,
+                     out: tuple[np.ndarray, np.ndarray] | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative (du, dv) of the method-of-lines system.
 
     Its zeros are the discrete steady states that
     :mod:`alleekit.continuation` follows. `reaction` is kinetics(u, v, p)
     when the caller has already evaluated it, or (0.0, 0.0) for pure
-    diffusion.
+    diffusion. `out`, a pair of arrays that overlap neither u nor v,
+    receives (du, dv) in place of fresh arrays.
     """
     f1, f2 = kinetics(u, v, p) if reaction is None else reaction
-    return apply_laplacian(u, dx) + f1, d * apply_laplacian(v, dx) + f2
+    du, dv = (np.empty_like(u), np.empty_like(v)) if out is None else out
+    _laplacian_into(u, dx, du)
+    du += f1
+    _laplacian_into(v, dx, dv)
+    dv *= d
+    dv += f2
+    return du, dv
 
 
 def run(f0: Field, p: KineticParams, d: float, T: float,
@@ -519,6 +561,20 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
     t = f0.t
     dx = grid.dx
     min_value = float(min(u.min(), v.min()))
+    # the sample's work arrays, reused by every sample of the run
+    rhs_u, rhs_v, work = np.empty((3, grid.N))
+
+    def average(w: np.ndarray) -> float:
+        """trapezoid_mass(w, dx) / L, as np.trapezoid sums it."""
+        s = np.add(w[1:], w[:-1], out=work[:-1])
+        s *= dx
+        s /= 2.0
+        return float(s.sum()) / grid.L
+
+    def variance(w: np.ndarray) -> float:
+        """np.var(w): the squared deviations from the mean, summed."""
+        x = np.subtract(w, w.sum() / w.size, out=work)
+        return float(np.square(x, out=x).sum() / w.size)
 
     def sample(tt: float, uu: np.ndarray, vv: np.ndarray):
         """Append a series row at (uu, vv); return the rates there, in the
@@ -528,10 +584,11 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
         with np.errstate(over="ignore", invalid="ignore"):
             reaction = (stepper._kinetics.rates(uu, vv) if include_reaction
                         else (0.0, 0.0))
-            du, dv = semidiscrete_rhs(uu, vv, p, d, dx, reaction)
-            row = (tt, trapezoid_mass(uu, dx) / grid.L,
-                   trapezoid_mass(vv, dx) / grid.L, float(np.var(uu)),
-                   float(np.maximum(np.abs(du).max(), np.abs(dv).max())))
+            du, dv = semidiscrete_rhs(uu, vv, p, d, dx, reaction,
+                                      out=(rhs_u, rhs_v))
+            row = (tt, average(uu), average(vv), variance(uu),
+                   float(np.maximum(np.abs(du, out=du).max(),
+                                    np.abs(dv, out=dv).max())))
         if not all(map(math.isfinite, row)):
             raise NonFinite(f"state lost finiteness near t={tt:.6g}")
         samples.append(row)
@@ -571,35 +628,6 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
         snap_v=np.asarray(snaps_v),
         min_value=min_value,
     )
-
-
-def front_position(f: Field, level: float) -> float:
-    """Leftmost crossing of the prey profile through the level, interpolated."""
-    s = f.u - level
-    prod = s[:-1] * s[1:]
-    hits = np.nonzero(prod <= 0.0)[0]
-    if hits.size == 0:
-        raise NoRoot(f"prey profile never crosses level {level}")
-    i = int(hits[0])
-    if s[i] == 0.0:
-        return float(f.grid.x[i])
-    return float(f.grid.x[i] + f.grid.dx * s[i] / (s[i] - s[i + 1]))
-
-
-def measure_front_speed(record: SpaceTimeRecord, level: float,
-                        window: tuple[float, float]) -> float:
-    """Least-squares slope of front position against time over the window."""
-    t_lo, t_hi = window
-    mask = (record.snap_times >= t_lo) & (record.snap_times <= t_hi)
-    if int(mask.sum()) < 2:
-        raise ValueError("front-speed window must contain at least two snapshots")
-    ts = record.snap_times[mask]
-    xs = []
-    for j in np.nonzero(mask)[0]:
-        f = Field(record.grid, record.snap_u[j], record.snap_v[j], float(record.snap_times[j]))
-        xs.append(front_position(f, level))
-    slope = np.polyfit(ts, np.asarray(xs), 1)[0]
-    return float(slope)
 
 
 class AsymptoticKind(enum.Enum):

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from alleekit.cli import _fmt, _write_csv, _write_snapshot, main
+from alleekit.cli import _column, _fmt, _write_csv, _write_snapshot, main
 from alleekit.model import KineticParams
 from alleekit import waves
 from alleekit.errors import NoConvergence
@@ -198,6 +198,9 @@ def test_simulate_failure_exit_codes(tmp_path, capsys, grid, run, code):
     ("equilibria", ""),
     ("simulate", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 20\n"
                  "ic = perturbed_homogeneous\n"),
+    ("simulate", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 20\n"
+                 "ic = perturbed_homogeneous\nscheme = strang\n"
+                 "snapshot_every = 5\n"),
     ("lyapunov", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 230\n"
                  "transient = 10\n"),
     ("pulse", "l = 200\n[grid]\nn = 128\n[run]\nseed = 1\nt = 20\n"),
@@ -254,7 +257,7 @@ def test_snapshot_writer_matches_generic_writer(tmp_path):
     x = np.array(awkward)
     u = np.array(awkward[::-1])
     v = np.roll(x, 3)
-    _write_snapshot(tmp_path / "fast.csv", x, u, v, ("t = 1.5",))
+    _write_snapshot(tmp_path / "fast.csv", _column(x), u, v, ("t = 1.5",))
     _write_csv(tmp_path / "generic.csv", ("x", "u", "v"), zip(x, u, v),
                ("t = 1.5",))
     assert ((tmp_path / "fast.csv").read_bytes()

@@ -25,14 +25,13 @@ from alleekit.pde import (
     classify_asymptotic,
     default_dt,
     default_grid_size,
-    front_position,
     l2_norm,
     laplacian_bands,
     make_ic,
     make_stepper,
-    measure_front_speed,
     neumann_symbol,
     run,
+    semidiscrete_rhs,
     trapezoid_mass,
 )
 
@@ -43,6 +42,30 @@ def _same_bits(a, b) -> bool:
     """Equal to the last bit, signed zeros included."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _front_position(f, level: float) -> float:
+    """Leftmost crossing of the prey profile through the level, interpolated."""
+    s = f.u - level
+    prod = s[:-1] * s[1:]
+    hits = np.nonzero(prod <= 0.0)[0]
+    if hits.size == 0:
+        raise NoRoot(f"prey profile never crosses level {level}")
+    i = int(hits[0])
+    if s[i] == 0.0:
+        return float(f.grid.x[i])
+    return float(f.grid.x[i] + f.grid.dx * s[i] / (s[i] - s[i + 1]))
+
+
+def _measure_front_speed(record, level: float, window: tuple[float, float]) -> float:
+    """Least-squares slope of front position against time over the window."""
+    t_lo, t_hi = window
+    mask = (record.snap_times >= t_lo) & (record.snap_times <= t_hi)
+    if int(mask.sum()) < 2:
+        raise ValueError("front-speed window must contain at least two snapshots")
+    xs = [_front_position(Field(record.grid, u, v), level)
+          for u, v in zip(record.snap_u[mask], record.snap_v[mask])]
+    return float(np.polyfit(record.snap_times[mask], np.asarray(xs), 1)[0])
 
 
 def _mid_level(p):
@@ -153,6 +176,28 @@ def test_tri_factor_inverts_implicit_diffusion(rng):
         x = _TriFactor(g.N, g.dx, coef).solve(b)
         back = x - coef * apply_laplacian(x, g.dx)
         assert np.abs(back - b).max() < 1e-12 * (1.0 + np.abs(x).max())
+
+
+@pytest.mark.parametrize("n", [16, 257, 2048])
+@pytest.mark.parametrize("coef", [0.0125, 0.05, 2.3])
+def test_tri_factor_matches_a_dense_solve(rng, n, coef):
+    # oracle: the dense I - coef*Laplacian from the same bands; one
+    # two-column solve is its two one-column solves to the bit, and the
+    # right-hand side is read, never written
+    g = Grid(L=200.0, N=n)
+    lower, diag, upper = laplacian_bands(n, g.dx, coef)
+    dense = np.eye(n) - (np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
+    factor = _TriFactor(n, g.dx, coef)
+    b = np.asfortranarray(rng.standard_normal((n, 2)))
+    kept = b.copy()
+    x = factor.solve(b)
+    assert _same_bits(b, kept)
+    for j in range(2):
+        ref = np.linalg.solve(dense, b[:, j])
+        assert np.abs(x[:, j] - ref).max() < 1e-13 * np.abs(ref).max()
+        column = b[:, j].copy()
+        assert _same_bits(x[:, j], factor.solve(column))
+        assert _same_bits(column, kept[:, j])
 
 
 def test_ic_perturbed_amplitude_zero_is_constant(p_main):
@@ -318,6 +363,29 @@ def test_series_cadence_leaves_trajectory_unchanged(p_main, scheme):
     assert np.array_equal(sparse.final.u, dense.final.u)
     assert np.array_equal(sparse.final.v, dense.final.v)
     assert sparse.final.t == dense.final.t
+
+
+@pytest.mark.parametrize("scheme", ["imex1", "strang"])
+@pytest.mark.parametrize("include_reaction", [True, False])
+def test_series_is_the_public_formulas_bit_for_bit(p_main, scheme,
+                                                   include_reaction):
+    # a snapshot every step, so each series row has its state beside it;
+    # the run reuses its sample buffers from row to row
+    g = Grid(L=50.0, N=128)
+    f0 = make_ic("perturbed_homogeneous", g, p_main, amplitude=1e-2,
+                 rng=np.random.default_rng(11))
+    rec = run(f0, p_main, D_REF, 2.0, Recorder(snapshot_every=0.05), dt=0.05,
+              scheme=scheme, include_reaction=include_reaction)
+    assert rec.times.size == rec.snap_times.size == 41
+    assert _same_bits(rec.times, rec.snap_times)
+    for k, (u, v) in enumerate(zip(rec.snap_u, rec.snap_v)):
+        reaction = kinetics(u, v, p_main) if include_reaction else (0.0, 0.0)
+        du, dv = semidiscrete_rhs(u, v, p_main, D_REF, g.dx, reaction)
+        assert _same_bits(rec.u_av[k], trapezoid_mass(u, g.dx) / g.L)
+        assert _same_bits(rec.v_av[k], trapezoid_mass(v, g.dx) / g.L)
+        assert _same_bits(rec.var_u[k], np.var(u))
+        assert _same_bits(rec.dudt_sup[k],
+                          np.maximum(np.abs(du).max(), np.abs(dv).max()))
 
 
 def test_step_with_tangent_matches_separate_solves(p_main, rng):
@@ -487,11 +555,11 @@ def test_front_position_interpolates(p_main):
     g = Grid(L=100.0, N=256)
     u = np.where(g.x < 40.3, 0.2, 0.9)
     f = Field(g, u, np.zeros(g.N))
-    pos = front_position(f, 0.5)
+    pos = _front_position(f, 0.5)
     i = int(np.searchsorted(g.x, 40.3)) - 1
     assert g.x[i] <= pos <= g.x[i + 1]
     with pytest.raises(NoRoot, match="never crosses level"):
-        front_position(Field(g, np.full(g.N, 0.9), np.zeros(g.N)), 0.5)
+        _front_position(Field(g, np.full(g.N, 0.9), np.zeros(g.N)), 0.5)
 
 
 def test_front_speed_stationary_is_zero(p_main):
@@ -501,10 +569,10 @@ def test_front_speed_stationary_is_zero(p_main):
     # diffusion alone smooths the step without transporting the midpoint
     rec = run(f0, p_main, D_REF, 4.0, Recorder(snapshot_every=1.0), dt=0.05,
               include_reaction=False)
-    sp = measure_front_speed(rec, 0.55, (0.0, 4.0))
+    sp = _measure_front_speed(rec, 0.55, (0.0, 4.0))
     assert abs(sp) < 1e-8
     with pytest.raises(ValueError):
-        measure_front_speed(rec, 0.55, (100.0, 200.0))
+        _measure_front_speed(rec, 0.55, (100.0, 200.0))
 
 
 def test_invasion_front_speed_near_cmin(p_main):
@@ -514,7 +582,7 @@ def test_invasion_front_speed_near_cmin(p_main):
     rec = run(f0, p_main, D_REF, 300.0, Recorder(series_every=2.0, snapshot_every=4.0),
               dt=0.05)
     assert rec.min_value >= -1e-12
-    sp = measure_front_speed(rec, _mid_level(p_main), (200.0, 300.0))
+    sp = _measure_front_speed(rec, _mid_level(p_main), (200.0, 300.0))
     c_min = 4.6707
     assert c_min - 0.15 <= sp <= c_min + 0.2
 
