@@ -42,20 +42,19 @@ _EXPORTS_BY_MODULE = {
               "hopf_sigma", "first_lyapunov_coefficient", "kpm_roots"),
     "temporal": ("Trajectory", "AttractorKind", "AttractorSummary",
                  "DiagramPoint", "integrate_ode", "attractor_summary",
-                 "heteroclinic_threshold", "bifurcation_diagram"),
+                 "bifurcation_diagram"),
     "linear": ("ModeReport", "Regime", "SpatialSpectrum", "mode_reports",
                "spatial_spectrum", "turing_bd_thresholds",
-               "branch_point_sigmas", "branch_point_table", "band_modes",
-               "nonexistence_dstar", "vbounds"),
+               "branch_point_sigmas", "branch_point_table", "dstar_parts",
+               "vbounds"),
     "pde": ("Grid", "Field", "ICKind", "Recorder", "SpaceTimeRecord",
             "AsymptoticKind", "ImexStepper", "StrangStepper", "make_stepper",
             "make_ic", "run", "classify_asymptotic"),
     "continuation": ("SteadyProblem", "Branch", "BranchPoint",
-                     "newton_correct", "continue_branch", "branch_switch",
-                     "localized_seed", "solution_stability"),
-    "waves": ("Shot", "WaveClass", "ScanResult", "EndStateSpectra",
-              "j_constants", "c_min", "wedge_zeta", "end_state_spectra",
-              "shoot_heteroclinic", "scan_plane"),
+                     "newton_correct", "continue_branch",
+                     "solution_stability"),
+    "waves": ("Shot", "WaveClass", "ScanResult", "j_constants", "c_min",
+              "wedge_zeta", "shoot_heteroclinic", "scan_plane"),
     "diagnostics": ("LyapunovResult", "largest_lyapunov", "dominant_period",
                     "island_count", "island_series"),
     "config": ("ExperimentConfig", "parse_config"),

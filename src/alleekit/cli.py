@@ -8,6 +8,32 @@ profile shooter. Identical (config, seed) pairs produce byte-identical
 output files; ``manifest.txt`` records a sha256 per file the run wrote (and
 nothing else in the output directory) so reruns diff cheaply.
 
+What each command writes:
+
+* ``equilibria``: ``equilibria.csv``, every equilibrium with its trace,
+  det and stability code, and ``bifurcations.csv``, the temporal
+  bifurcation values sigma_SN, sigma_TC, the Hopf point sigma_H sought on
+  the ``[sweep]`` bracket, its first Lyapunov coefficient l1 and the
+  stability level sigma_s of E*, one ``quantity,value`` row each, nan
+  where the value's hypotheses fail;
+* ``temporal-diagram``: ``diagram.csv``, the equilibria and the simulated
+  cycle envelope on the sigma grid;
+* ``thresholds``: ``thresholds.csv``, the Turing/BD thresholds on the
+  bracket, and with ``l``, ``modes.csv``, the Neumann mode blocks at E*
+  under a preamble of sigma, the non-existence bound dstar (nan when
+  alpha = 0 or beta = 0) and the a-priori bounds u_sup and v_sup, and
+  ``bps.csv``, the branch points of each mode;
+* ``simulate``: ``summary.csv``, the spatial averages and variance over
+  time, ``snapshot_NNNN.csv`` at the snapshot interval, ``final.csv`` and
+  ``classification.txt``;
+* ``continue``: ``branch.csv``, one row per point with its unstable count
+  and tags, and ``point_NNNN.csv`` for the first, last and tagged points;
+* ``wave-scan``: ``scan.csv``, the class of each (sigma, c) cell, and for
+  a single cell that holds a front, its profile in ``orbit.csv``;
+* ``lyapunov``: ``lyapunov.csv``, the running exponent, and ``result.txt``;
+* ``pulse``: ``islands.csv``, ``summary.csv`` and ``result.txt``, the
+  largest island count and the dominant period.
+
 Each command loads only the layers it runs. ``import alleekit.cli`` loads
 ``config``, ``errors``, ``model`` and ``rootfind``, and neither numpy nor
 scipy; that is all ``equilibria`` needs. Parsing a config loads nothing
@@ -52,13 +78,20 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     HypothesisFailed,
+    NoRoot,
     NumericalError,
+    OutOfRange,
     ValidationError,
 )
 from .model import (
     EquilibriumKind,
     Stability,
     all_equilibria,
+    first_lyapunov_coefficient,
+    hopf_sigma,
+    sigma_s,
+    sigma_sn,
+    sigma_tc,
     upper_axial,
     upper_coexisting,
 )
@@ -148,6 +181,35 @@ def _rng(cfg: ExperimentConfig) -> np.random.Generator | None:
     return None if cfg.seed is None else np.random.default_rng(cfg.seed)
 
 
+# a value whose hypotheses fail at the configured kinetics is written as nan
+_NOT_APPLICABLE = (OutOfRange, HypothesisFailed, NoRoot)
+
+
+def _or_nan(f: Callable[..., float], *args) -> float:
+    try:
+        return f(*args)
+    except _NOT_APPLICABLE:
+        return float("nan")
+
+
+def _bifurcation_rows(cfg: ExperimentConfig) -> list[tuple[str, float]]:
+    """The temporal bifurcation values, in the row order of bifurcations.csv:
+    the Hopf point is sought on the [sweep] bracket, sigma_s is taken at
+    the configured E*."""
+    p = cfg.p
+    try:
+        sigma_h, e_h = hopf_sigma(p, cfg.bracket)
+    except _NOT_APPLICABLE:
+        sigma_h = l1 = float("nan")
+    else:
+        l1 = _or_nan(first_lyapunov_coefficient, p, sigma_h, e_h)
+    return [("sigma_sn", sigma_sn(p)),
+            ("sigma_tc", _or_nan(sigma_tc, p)),
+            ("sigma_hopf", sigma_h),
+            ("l1_hopf", l1),
+            ("sigma_s", _or_nan(lambda: sigma_s(upper_coexisting(p), p)))]
+
+
 def cmd_equilibria(cfg: ExperimentConfig, out: Path) -> list[Path]:
     rows = [
         (cfg.p.sigma, e.kind.value, e.u, e.v, e.trace, e.det,
@@ -157,7 +219,9 @@ def cmd_equilibria(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [_write_csv(out / "equilibria.csv",
                        ("sigma", "kind", "u", "v", "trace", "det",
                         "stability_code"),
-                       rows)]
+                       rows),
+            _write_csv(out / "bifurcations.csv", ("quantity", "value"),
+                       _bifurcation_rows(cfg))]
 
 
 def _branch_ids(eqs) -> list[int]:
@@ -198,8 +262,9 @@ def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    from .linear import (branch_point_table, kpm_roots, mode_reports,
-                         spatial_spectrum, turing_bd_thresholds)
+    from .linear import (branch_point_table, dstar_parts, kpm_roots,
+                         mode_reports, spatial_spectrum, turing_bd_thresholds,
+                         vbounds)
 
     nan = float("nan")
     rows = []
@@ -219,12 +284,20 @@ def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
     if cfg.L is None:
         return written
     e = upper_coexisting(cfg.p)
+    try:
+        dstar = dstar_parts(cfg.p, cfg.L)["dstar"]
+    except HypothesisFailed:  # alpha = 0 or beta = 0
+        dstar = nan
+    u_sup, v_sup = vbounds(cfg.p)
     return written + [
         _write_csv(out / "modes.csv",
                    ("j", "k_j", "trace", "det", "unstable"),
                    ((m.j, m.k_j, m.trace, m.det, m.unstable)
                     for m in mode_reports(e, cfg.p, cfg.d, cfg.L)),
-                   preamble=(f"sigma = {_fmt(cfg.p.sigma)}",)),
+                   preamble=(f"sigma = {_fmt(cfg.p.sigma)}",
+                             f"dstar = {_fmt(dstar)}",
+                             f"u_sup = {_fmt(u_sup)}",
+                             f"v_sup = {_fmt(v_sup)}")),
         _write_csv(out / "bps.csv", ("n", "sigma"),
                    branch_point_table(cfg.p, cfg.d, cfg.L, None, cfg.bracket)),
     ]

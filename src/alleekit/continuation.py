@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
-from .model import (KineticParams, _det_l, _mode_scalars, jacobian_fields,
-                    upper_coexisting)
+from .model import KineticParams, _det_l, _mode_scalars, jacobian_fields
 from .pde import (BandedLU, Grid, flapack, l2_norm, laplacian_bands,
                   neumann_symbol, semidiscrete_rhs)
 
@@ -41,8 +40,8 @@ KU = 2
 # with real part above UNSTABLE_TOL as unstable
 STABILITY_SHIFT = 0.13
 UNSTABLE_TOL = 1e-8
-# max-norm residual at which Newton, the arclength corrector, event
-# refinement and branch switching accept a point
+# max-norm residual at which Newton, the arclength corrector and event
+# refinement accept a point
 NEWTON_TOL = 1e-10
 # continue_branch halves a failed arclength step down to this length
 DS_MIN = 1e-4
@@ -531,102 +530,3 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
 
     branch.points[-1].tags.add("End")
     return branch
-
-
-def kernel_vector(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarray:
-    """Near-null vector of the steady-state Jacobian by inverse iteration
-    (at most 100 steps).
-
-    |J v|_inf must stay below 1e-8 times the matrix scale. That bound is
-    sized for points localized to ~1e-7 in sigma by event refinement, where
-    the crossing eigenvalue is orders below any other, and rejects points
-    that are merely close to a bifurcation.
-    """
-    ab = jacobian_banded(x, sigma, prob)
-    scale = float(np.abs(ab).max())
-    lu = BandedLU(ab, KL, KU)
-    if lu.singular:
-        shifted = ab.copy()
-        shifted[KL + KU, :] -= 1e-10 * scale
-        lu = BandedLU(shifted, KL, KU)
-        if lu.singular:
-            raise NoConvergence("could not factor near the branch point")
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(x.size)
-    v /= np.abs(v).max()
-    for _ in range(100):
-        w = lu.solve(v)
-        wn = float(np.abs(w).max())
-        if not math.isfinite(wn) or wn == 0.0:
-            raise NoConvergence("inverse iteration collapsed")
-        w /= wn
-        if np.abs(w - v).max() < 1e-12 or np.abs(w + v).max() < 1e-12:
-            v = w
-            break
-        v = w
-    r = residual_matvec(ab, v)
-    if float(np.abs(r).max()) > 1e-8 * scale:
-        raise NoConvergence("no sufficiently small singular direction found")
-    return v
-
-
-def residual_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Multiply a vector by the banded matrix stored in gbtrf layout."""
-    n = v.size
-    out = ab[KL + KU, :] * v
-    for off in range(1, KU + 1):
-        out[:-off] += ab[KL + KU - off, off:] * v[off:]
-    for off in range(1, KL + 1):
-        out[off:] += ab[KL + KU + off, :-off] * v[:-off]
-    return out
-
-
-def branch_switch(branch: Branch, bp_index: int,
-                  amplitude: float) -> tuple[np.ndarray, float]:
-    """Start point on the bifurcating branch at a detected BP.
-
-    The side of the pitchfork is not known in advance, so the seed is
-    corrected at sigma_bp -/+ 1e-3 with a short ladder of shrinking
-    kernel amplitudes; the first correction that lands off the parent
-    branch wins. Raises NoConvergence when every attempt fails, saying
-    whether they all returned to the parent branch.
-    """
-    pt = branch.points[bp_index]
-    if "BP" not in pt.tags:
-        raise ValueError(f"point {bp_index} is not tagged as a branch point")
-    prob = branch.prob
-    phi = kernel_vector(pt.x, pt.sigma, prob)
-    u_par, _ = split_fields(pt.x)
-    par_var = float(np.var(u_par))
-    only_fellback = True
-    for off in (-1e-3, 1e-3):
-        sig_new = pt.sigma + off
-        for amp in (amplitude, amplitude / 4.0, amplitude / 16.0):
-            try:
-                x_new = newton_correct(pt.x + amp * phi, sig_new, prob)
-            except (NoConvergence, SingularJacobian, NonFinite):
-                only_fellback = False
-                continue
-            u_new, _ = split_fields(x_new)
-            # "came back to the parent" = variance did not move off the
-            # parent's own variance scale (parent may itself be patterned)
-            if abs(float(np.var(u_new)) - par_var) > 1e-10 + 0.1 * par_var:
-                return x_new, sig_new
-    if only_fellback:
-        raise NoConvergence(
-            f"all corrections near sigma={pt.sigma:.6g} returned to the parent branch")
-    raise NoConvergence(
-        f"no convergent correction off the parent branch at sigma={pt.sigma:.6g}")
-
-
-def localized_seed(prob: SteadyProblem, sigma: float, amplitude: float,
-                   width: float) -> np.ndarray:
-    """Single sech bump of the given width on top of the coexisting state,
-    centered mid-domain."""
-    p = prob.p.with_sigma(sigma)
-    e = upper_coexisting(p)
-    xg = prob.grid.x
-    bump = amplitude / np.cosh((xg - 0.5 * prob.grid.L) / width)
-    u = e.u + bump
-    v = e.v + bump * (e.v / e.u)
-    return interleave(u, v)

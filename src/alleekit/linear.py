@@ -44,10 +44,8 @@ __all__ = [
     "spatial_spectrum",
     "branch_point_table",
     "branch_point_sigmas",
-    "nonexistence_dstar",
     "dstar_parts",
     "kpm_roots",
-    "band_modes",
     "vbounds",
 ]
 
@@ -253,7 +251,9 @@ def branch_point_sigmas(
 
 
 def dstar_parts(p: KineticParams, L: float) -> dict[str, float]:
-    """Ingredients of the non-existence bound: u1, u2, A, B, k1, dstar."""
+    """The non-existence bound and its ingredients: u1, u2, A, B, k1 and
+    dstar, the diffusion level below which no non-constant steady state
+    exists (a sufficient bound)."""
     if p.alpha == 0.0 or p.beta == 0.0:
         raise HypothesisFailed(
             "the non-existence bound needs alpha > 0 and beta > 0, got "
@@ -278,25 +278,6 @@ def dstar_parts(p: KineticParams, L: float) -> dict[str, float]:
         "k1": k1,
         "dstar": max(a, b) / k1,
     }
-
-
-def nonexistence_dstar(p: KineticParams, L: float) -> float:
-    """Diffusion level below which no non-constant steady state exists
-    (sufficient bound; see dstar_parts for the pieces)."""
-    return dstar_parts(p, L)["dstar"]
-
-
-def band_modes(e: Equilibrium, p: KineticParams, d: float, L: float) -> list[int]:
-    """Neumann mode indices whose k_j falls in the open band (k-, k+).
-
-    In 1D each Neumann eigenspace is simple, so the parity of this list's
-    length is the index-count parity used by degree arguments.
-    """
-    km, kp = kpm_roots(e, p, d)
-    j_lo = math.floor(_mode_index(km, L)) + 1
-    j_hi = math.ceil(_mode_index(kp, L)) - 1
-    return [j for j in range(max(j_lo, 1), j_hi + 1)
-            if km < _wavenumber(j, L) < kp]
 
 
 def vbounds(p: KineticParams) -> tuple[float, float]:

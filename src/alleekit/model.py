@@ -550,10 +550,10 @@ def sigma_tc(p: KineticParams) -> float:
 def sigma_s(e: Equilibrium, p: KineticParams) -> float:
     """Sufficient growth level for local stability of a coexisting state.
 
-    Evaluates v*/(gamma**2 u***3 (2u* - 1)). This upper-bounds the sharp
-    trace-sign threshold for u* < 1, so sigma > sigma_s still implies the
-    prey self-term is negative; it is a sufficient bound, not the exact
-    stability boundary.
+    Evaluates v/(gamma**2 u**3 (2u - 1)) at the state e = (u, v). This
+    upper-bounds the sharp trace-sign threshold for u < 1, so sigma >
+    sigma_s still implies the prey self-term is negative; it is a
+    sufficient bound, not the exact stability boundary.
     """
     if e.kind is not EquilibriumKind.COEXISTING:
         raise OutOfRange(f"sigma_s applies to coexisting equilibria, got {e.kind.value}")

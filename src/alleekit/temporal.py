@@ -31,7 +31,6 @@ from .errors import (
     Inconclusive,
     NoConvergence,
     NonFinite,
-    NoRoot,
     ToolkitError,
 )
 from .model import (
@@ -39,7 +38,6 @@ from .model import (
     KineticParams,
     Stability,
     all_equilibria,
-    coexisting_equilibria,
     kinetics,
 )
 from .rootfind import bracketed_root
@@ -52,7 +50,6 @@ __all__ = [
     "DiagramPoint",
     "integrate_ode",
     "attractor_summary",
-    "heteroclinic_threshold",
     "bifurcation_diagram",
 ]
 
@@ -363,13 +360,23 @@ def _refined_peaks(t: np.ndarray, x: np.ndarray) -> list[float]:
 def attractor_summary(tr: Trajectory, transient: float) -> AttractorSummary:
     """Classify the tail of a trajectory after discarding ``transient``.
 
-    Extinction: both components end below 1e-8. LimitCycle: relative
-    peak-to-peak amplitude of u above 1e-4 with consistent inter-peak
-    intervals (CV < 0.02). FixedPoint: amplitude at or below 1e-4.
-    Anything in between raises Inconclusive.
+    Extinction: both components end below 1e-8, or the integrator stopped
+    at its extinction level, however short the tail it left. LimitCycle:
+    relative peak-to-peak amplitude of u above 1e-4 with consistent
+    inter-peak intervals (CV < 0.02). FixedPoint: amplitude at or below
+    1e-4. Anything in between raises Inconclusive.
     """
     mask = tr.times >= transient
-    if mask.sum() < 10:
+    # The integrator stops at its (coarser) extinction level, possibly before
+    # the transient ends; the origin absorbs the orbit from there, so the
+    # stop state stands in for a tail the orbit never reached.
+    stopped_at_origin = (
+        tr.terminal is Terminal.CONVERGED_TO_POINT
+        and max(tr.states[-1]) < 1.01 * EXTINCTION_LEVEL
+    )
+    if stopped_at_origin:
+        mask[-1] = True
+    elif mask.sum() < 10:
         raise Inconclusive(
             f"only {int(mask.sum())} samples after transient={transient}; need more"
         )
@@ -377,13 +384,7 @@ def attractor_summary(tr: Trajectory, transient: float) -> AttractorSummary:
     u = tr.states[mask, 0]
     v = tr.states[mask, 1]
 
-    # Either the tail itself is at the origin, or the integrator already
-    # stopped at its (coarser) extinction level on the way there.
-    stopped_at_origin = (
-        tr.terminal is Terminal.CONVERGED_TO_POINT
-        and max(tr.states[-1]) < 1.01 * EXTINCTION_LEVEL
-    )
-    if max(u[-1], v[-1]) < 1e-8 or stopped_at_origin:
+    if stopped_at_origin or max(u[-1], v[-1]) < 1e-8:
         return AttractorSummary(
             kind=AttractorKind.EXTINCTION, u_min=float(u.min()), u_max=float(u.max())
         )
@@ -413,78 +414,6 @@ def attractor_summary(tr: Trajectory, transient: float) -> AttractorSummary:
         u_max=umax,
         period=float(intervals.mean()),
     )
-
-
-def _is_cycle_side(p: KineticParams) -> bool:
-    """True when the orbit from E*(sigma) + (0.01, 0.01) holds a limit
-    cycle, False when it goes extinct.
-
-    Integrates in growing chunks so the extinction side exits early; if the
-    time ceiling of 5e4 passes with no extinction, the orbit counts as
-    cycle-side (documented finite-T proxy: periods diverge at the global
-    bifurcation).
-    """
-    eqs = coexisting_equilibria(p)
-    if not eqs:
-        raise NoRoot(
-            f"no coexisting equilibrium at sigma={p.sigma}; bracket must "
-            "stay inside the coexistence range"
-        )
-    state = (eqs[-1].u + 0.01, eqs[-1].v + 0.01)
-    t_ceiling = 5e4
-    used = 0.0
-    chunk = 2500.0
-    while used < t_ceiling:
-        span = min(chunk, t_ceiling - used)
-        tr = integrate_ode(state, p, span)
-        used += tr.times[-1]
-        final = tr.states[-1]
-        if tr.terminal is Terminal.CONVERGED_TO_POINT and max(final) < 1e-4:
-            return False
-        try:
-            summary = attractor_summary(tr, transient=0.5 * span)
-        except Inconclusive:
-            state = (float(final[0]), float(final[1]))
-            chunk = min(chunk * 2.0, 20000.0)
-            continue
-        if summary.kind is AttractorKind.EXTINCTION:
-            return False
-        if summary.kind is AttractorKind.LIMIT_CYCLE:
-            return True
-        # A FixedPoint here would mean a stable interior state inside the
-        # bracket, which breaks the cycle-vs-extinction dichotomy.
-        raise Inconclusive(
-            "orbit settled on a fixed point inside the bisection bracket; "
-            "the cycle-vs-extinction predicate does not apply"
-        )
-    return True
-
-
-def heteroclinic_threshold(p: KineticParams, bracket: tuple[float, float]) -> float:
-    """sigma at which the stable cycle is destroyed globally.
-
-    Bisection on the cycle-vs-extinction predicate, to a bracket width of
-    1e-4. Each orbit is seeded at E*(sigma) + (0.01, 0.01).
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError(f"bracket must be increasing, got {bracket}")
-
-    side_lo = _is_cycle_side(p.with_sigma(lo))
-    side_hi = _is_cycle_side(p.with_sigma(hi))
-    if side_lo == side_hi:
-        kind = "cycle" if side_lo else "extinction"
-        raise NoRoot(
-            f"both bracket endpoints classify as {kind}; no threshold inside "
-            f"[{lo}, {hi}]"
-        )
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        if _is_cycle_side(p.with_sigma(mid)) == side_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -97,44 +97,6 @@ def wedge_zeta(d: float, c: float) -> float:
     return (c2 + math.sqrt(c2 * c2 + 4.0 * d * c2)) / (2.0 * c2)
 
 
-@dataclass(frozen=True)
-class EndStateSpectra:
-    """Eigen-structure at the two wave end states for given (p, d, c)."""
-
-    lambdas_prey_only: tuple[complex, complex, complex, complex]
-    lambdas_coexisting: tuple[complex, complex, complex, complex]
-    n_stable_coexisting: int
-    spiral_tail: bool  # complex stable pair at the coexisting state
-
-
-def end_state_spectra(p: KineticParams, d: float, c: float) -> EndStateSpectra:
-    """Closed-form spectrum at the prey-only state, numeric at E*.
-
-    lam_{1,2} = (c^2 +/- c sqrt(c^2 - 4 j1)) / 2 and
-    lam_{3,4} = (c^2 +/- c sqrt(c^2 - 4 d^2 j3)) / (2 d); the latter pair is
-    complex exactly for c < c_min, the spiral regime. At E* the stable count
-    and spiral flag come from :func:`_coexisting_spectrum`, as in a shot.
-    """
-    if c <= 0:
-        raise ValueError(f"need c > 0, got {c}")
-    j1, j3 = j_constants(p, d)
-    c2 = c * c
-    r12 = complex(c2 - 4.0 * j1, 0.0) ** 0.5
-    r34 = complex(c2 - 4.0 * d * d * j3, 0.0) ** 0.5
-    lam_e1 = (
-        (c2 + c * r12) / 2.0,
-        (c2 - c * r12) / 2.0,
-        (c2 + c * r34) / (2.0 * d),
-        (c2 - c * r34) / (2.0 * d),
-    )
-
-    e = upper_coexisting(p)
-    star = np.array([e.u, e.u, e.v, e.v])
-    lam_star, stable, spiral = _coexisting_spectrum(
-        np.linalg.eigvals(tw_jacobian(star, p, d, c)))
-    return EndStateSpectra(lam_e1, tuple(lam_star), int(stable.size), spiral)
-
-
 def _coexisting_spectrum(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """The eigenvalues at E* by ascending real part, those with negative
     real part, and whether these include a complex pair (a spiral tail)."""

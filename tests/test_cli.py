@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from alleekit.cli import _column, _fmt, _write_csv, _write_snapshot, main
-from alleekit.model import KineticParams
+from alleekit.linear import dstar_parts, vbounds
+from alleekit.model import (KineticParams, first_lyapunov_coefficient,
+                            hopf_sigma, sigma_s, sigma_sn, sigma_tc,
+                            upper_coexisting)
 from alleekit import waves
 from alleekit.errors import NoConvergence
 from alleekit.waves import SCAN_TOL, shoot_heteroclinic
@@ -220,9 +223,9 @@ def test_reruns_give_identical_manifests(tmp_path, capsys, command, body):
 # the kinetics and the CSV
 @pytest.mark.parametrize("command,body,digest", [
     ("equilibria", "",
-     "d466ae329b7675bef17bf9d843447df590e5084ca8d837c284835e45cc01d1c7"),
+     "d587ee135e077577b1b07a197098cb55f55762b1fd2429ef70a28048941fcc0a"),
     ("thresholds", "l = 200\n",
-     "eb8d5da017f21ccfda1233ab8a74f491d692dbf64f7b664fad3f0221bf486021"),
+     "80693177022b5b7e6a11046606874c06f8ee27a3f3bff61c120602c69747921d"),
 ])
 def test_scalar_commands_give_golden_manifests(tmp_path, capsys, command, body,
                                                digest):
@@ -248,7 +251,55 @@ def test_manifest_lists_only_what_the_run_wrote(tmp_path, capsys, monkeypatch,
         monkeypatch.chdir(out)
     assert main(argv) == 0, capsys.readouterr().err
     lines = (out / "manifest.txt").read_text().splitlines()
-    assert [line.split("  ", 1)[1] for line in lines] == ["equilibria.csv"]
+    assert [line.split("  ", 1)[1] for line in lines] == ["bifurcations.csv",
+                                                          "equilibria.csv"]
+
+
+def test_equilibria_writes_the_library_bifurcation_values(tmp_path, capsys,
+                                                          p_main):
+    rc, err = _run(tmp_path, capsys, "equilibria", "")
+    assert rc == 0, err
+    sigma_h, e_h = hopf_sigma(p_main, (1.5, 2.4))  # the default bracket
+    want = [("sigma_sn", sigma_sn(p_main)), ("sigma_tc", sigma_tc(p_main)),
+            ("sigma_hopf", sigma_h),
+            ("l1_hopf", first_lyapunov_coefficient(p_main, sigma_h, e_h)),
+            ("sigma_s", sigma_s(upper_coexisting(p_main), p_main))]
+    assert ((tmp_path / "out" / "bifurcations.csv").read_text().splitlines()
+            == ["quantity,value", *(f"{q},{_fmt(v)}" for q, v in want)])
+
+
+def test_thresholds_writes_the_library_bounds(tmp_path, capsys, p_main):
+    rc, err = _run(tmp_path, capsys, "thresholds", "l = 200\n")
+    assert rc == 0, err
+    u_sup, v_sup = vbounds(p_main)
+    lines = (tmp_path / "out" / "modes.csv").read_text().splitlines()
+    assert lines[:5] == [
+        f"# sigma = {_fmt(2.7)}",
+        f"# dstar = {_fmt(dstar_parts(p_main, 200.0)['dstar'])}",
+        f"# u_sup = {_fmt(u_sup)}",
+        f"# v_sup = {_fmt(v_sup)}",
+        "j,k_j,trace,det,unstable",
+    ]
+
+
+def test_values_whose_hypotheses_fail_are_written_as_nan(tmp_path, capsys):
+    # the ratio-dependent limit alpha = 0 has no transcritical point, no
+    # non-existence bound, and no Hopf point on this bracket
+    cfg = tmp_path / "ratio.cfg"
+    cfg.write_text("[kinetics]\nsigma = 6\nalpha = 0\nbeta = 0.2\n"
+                   "gamma = 1.2\neta = 0.1\n[spatial]\nd = 46\nl = 200\n"
+                   "[sweep]\nbracket_lo = 4\nbracket_hi = 8\n")
+    for command in ("equilibria", "thresholds"):
+        rc = main([command, "--config", str(cfg),
+                   "--out", str(tmp_path / command)])
+        assert rc == 0, capsys.readouterr().err
+    rows = (tmp_path / "equilibria" / "bifurcations.csv").read_text()
+    values = dict(row.split(",") for row in rows.splitlines()[1:])
+    assert [values[q] for q in ("sigma_tc", "sigma_hopf", "l1_hopf")] == [
+        "nan"] * 3
+    assert float(values["sigma_s"]) == pytest.approx(1.73352, abs=5e-6)
+    modes = (tmp_path / "thresholds" / "modes.csv").read_text().splitlines()
+    assert modes[1] == "# dstar = nan"
 
 
 def test_snapshot_writer_matches_generic_writer(tmp_path):

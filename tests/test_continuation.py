@@ -19,29 +19,27 @@ from alleekit.continuation import (
     STABILITY_SHIFT,
     UNSTABLE_TOL,
     BandedLU,
+    Branch,
     KL,
     KU,
     SteadyProblem,
     Tangent,
     _largest_ritz,
     _refine_event,
-    branch_switch,
     continue_branch,
     interleave,
     jacobian_banded,
-    kernel_vector,
-    localized_seed,
     newton_correct,
     residual,
-    residual_matvec,
     solution_stability,
     split_fields,
     tangent_at,
 )
-from alleekit.errors import NoConvergence, OutOfRange, SingularJacobian
+from alleekit.errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
 from alleekit.linear import (_estar_scalars, branch_point_sigmas, mode_reports,
                              vbounds)
-from alleekit.model import KineticParams, _det_l, coexisting_equilibria, jacobian
+from alleekit.model import (KineticParams, _det_l, coexisting_equilibria, jacobian,
+                            upper_coexisting)
 from alleekit.pde import Grid, l2_norm, neumann_symbol
 from alleekit.rootfind import bracketed_root
 
@@ -95,6 +93,111 @@ def _monotone_runs(u: np.ndarray, rel_tol: float = 1e-2) -> int:
     return int(np.count_nonzero(np.diff(np.sign(keep)))) + 1
 
 
+# Helpers: _residual_matvec multiplies by the band for the finite-difference
+# check of jacobian_banded; _kernel_vector and _branch_switch step off a BP
+# onto the bifurcating branch, whose mode number checks continue_branch's
+# BP tags; _localized_seed starts the snaking branch.
+
+
+def _kernel_vector(x: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndarray:
+    """Near-null vector of the steady-state Jacobian by inverse iteration
+    (at most 100 steps).
+
+    |J v|_inf must stay below 1e-8 times the matrix scale. That bound is
+    sized for points localized to ~1e-7 in sigma by event refinement, where
+    the crossing eigenvalue is orders below any other, and rejects points
+    that are merely close to a bifurcation.
+    """
+    ab = jacobian_banded(x, sigma, prob)
+    scale = float(np.abs(ab).max())
+    lu = BandedLU(ab, KL, KU)
+    if lu.singular:
+        shifted = ab.copy()
+        shifted[KL + KU, :] -= 1e-10 * scale
+        lu = BandedLU(shifted, KL, KU)
+        if lu.singular:
+            raise NoConvergence("could not factor near the branch point")
+    rng = np.random.default_rng(12345)
+    v = rng.standard_normal(x.size)
+    v /= np.abs(v).max()
+    for _ in range(100):
+        w = lu.solve(v)
+        wn = float(np.abs(w).max())
+        if not math.isfinite(wn) or wn == 0.0:
+            raise NoConvergence("inverse iteration collapsed")
+        w /= wn
+        if np.abs(w - v).max() < 1e-12 or np.abs(w + v).max() < 1e-12:
+            v = w
+            break
+        v = w
+    r = _residual_matvec(ab, v)
+    if float(np.abs(r).max()) > 1e-8 * scale:
+        raise NoConvergence("no sufficiently small singular direction found")
+    return v
+
+
+def _residual_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Multiply a vector by the banded matrix stored in gbtrf layout."""
+    n = v.size
+    out = ab[KL + KU, :] * v
+    for off in range(1, KU + 1):
+        out[:-off] += ab[KL + KU - off, off:] * v[off:]
+    for off in range(1, KL + 1):
+        out[off:] += ab[KL + KU + off, :-off] * v[:-off]
+    return out
+
+
+def _branch_switch(branch: Branch, bp_index: int,
+                   amplitude: float) -> tuple[np.ndarray, float]:
+    """Start point on the bifurcating branch at a detected BP.
+
+    The side of the pitchfork is not known in advance, so the seed is
+    corrected at sigma_bp -/+ 1e-3 with a short ladder of shrinking
+    kernel amplitudes; the first correction that lands off the parent
+    branch wins. Raises NoConvergence when every attempt fails, saying
+    whether they all returned to the parent branch.
+    """
+    pt = branch.points[bp_index]
+    if "BP" not in pt.tags:
+        raise ValueError(f"point {bp_index} is not tagged as a branch point")
+    prob = branch.prob
+    phi = _kernel_vector(pt.x, pt.sigma, prob)
+    u_par, _ = split_fields(pt.x)
+    par_var = float(np.var(u_par))
+    only_fellback = True
+    for off in (-1e-3, 1e-3):
+        sig_new = pt.sigma + off
+        for amp in (amplitude, amplitude / 4.0, amplitude / 16.0):
+            try:
+                x_new = newton_correct(pt.x + amp * phi, sig_new, prob)
+            except (NoConvergence, SingularJacobian, NonFinite):
+                only_fellback = False
+                continue
+            u_new, _ = split_fields(x_new)
+            # "came back to the parent" = variance did not move off the
+            # parent's own variance scale (parent may itself be patterned)
+            if abs(float(np.var(u_new)) - par_var) > 1e-10 + 0.1 * par_var:
+                return x_new, sig_new
+    if only_fellback:
+        raise NoConvergence(
+            f"all corrections near sigma={pt.sigma:.6g} returned to the parent branch")
+    raise NoConvergence(
+        f"no convergent correction off the parent branch at sigma={pt.sigma:.6g}")
+
+
+def _localized_seed(prob: SteadyProblem, sigma: float, amplitude: float,
+                    width: float) -> np.ndarray:
+    """Single sech bump of the given width on top of the coexisting state,
+    centered mid-domain."""
+    p = prob.p.with_sigma(sigma)
+    e = upper_coexisting(p)
+    xg = prob.grid.x
+    bump = amplitude / np.cosh((xg - 0.5 * prob.grid.L) / width)
+    u = e.u + bump
+    v = e.v + bump * (e.v / e.u)
+    return interleave(u, v)
+
+
 def test_problem_validation(base_p):
     with pytest.raises(ValueError):
         SteadyProblem(Grid(L=L_REF, N=64), base_p, 0.0)
@@ -112,7 +215,7 @@ def test_singular_band_refuses_to_solve():
 def test_localized_seed_needs_a_coexisting_state(base_p):
     prob = _problem(base_p, n=64)
     with pytest.raises(OutOfRange, match="no coexisting equilibrium at sigma=0.3"):
-        localized_seed(prob, 0.3, 0.1, width=8.0)
+        _localized_seed(prob, 0.3, 0.1, width=8.0)
 
 
 def test_residual_vanishes_at_constant_state(base_p):
@@ -135,7 +238,7 @@ def test_banded_jacobian_matches_fd(base_p, rng):
         fd = (residual(xp, 1.9, prob) - residual(xm, 1.9, prob)) / (2 * eps)
         ej = np.zeros(prob.n_unknowns)
         ej[j] = 1.0
-        assert np.abs(fd - residual_matvec(ab, ej)).max() < 1e-6 * scale
+        assert np.abs(fd - _residual_matvec(ab, ej)).max() < 1e-6 * scale
 
 
 def test_constant_state_spectrum_is_union_of_mode_blocks(base_p):
@@ -285,7 +388,7 @@ def test_branch_switch_counts_match_modes(base_p):
                          stability=False)
     by_sigma = sorted(br.tagged("BP"), key=lambda q: -q.sigma)
     for pt, n_mode in zip(by_sigma, (19, 20)):
-        x, _sig = branch_switch(br, pt.index, amplitude=0.05)
+        x, _sig = _branch_switch(br, pt.index, amplitude=0.05)
         u, _ = split_fields(x)
         assert _monotone_runs(u) == n_mode
 
@@ -298,8 +401,8 @@ def test_branch_switch_mirror_pair(base_p):
                          steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796),
                          stability=False)
     bp = br.tagged("BP")[0]
-    x_plus, s_plus = branch_switch(br, bp.index, amplitude=0.05)
-    x_minus, s_minus = branch_switch(br, bp.index, amplitude=-0.05)
+    x_plus, s_plus = _branch_switch(br, bp.index, amplitude=0.05)
+    x_minus, s_minus = _branch_switch(br, bp.index, amplitude=-0.05)
     assert s_plus == pytest.approx(s_minus, abs=1e-12)
     u_plus, _ = split_fields(x_plus)
     u_minus, _ = split_fields(x_minus)
@@ -313,14 +416,14 @@ def test_branch_switch_tiny_amplitude_falls_back(base_p):
                          stability=False)
     bp = br.tagged("BP")[0]
     with pytest.raises(NoConvergence, match="returned to the parent branch"):
-        branch_switch(br, bp.index, amplitude=1e-9)
+        _branch_switch(br, bp.index, amplitude=1e-9)
 
 
 def test_kernel_rejected_away_from_bifurcation(base_p):
     prob = _problem(base_p)
     with pytest.raises(NoConvergence,
                        match="no sufficiently small singular direction"):
-        kernel_vector(_flat(prob, 1.9), 1.9, prob)
+        _kernel_vector(_flat(prob, 1.9), 1.9, prob)
 
 
 def test_step_underflow_on_hopeless_step(base_p, monkeypatch):
@@ -343,7 +446,7 @@ def test_step_underflow_on_hopeless_step(base_p, monkeypatch):
 
 def test_localized_branch_snakes_through_folds(base_p):
     prob = _problem(base_p)
-    x = newton_correct(localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
+    x = newton_correct(_localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
     u0, _ = split_fields(x)
     assert np.ptp(u0) > 0.1  # genuinely localized, not the constant state
     br = continue_branch(x, 2.1, prob, direction=1, steps=60, ds0=0.01,
@@ -365,7 +468,7 @@ def test_stability_on_the_snaking_branch_matches_dense_eigenvalues(base_p):
     # fold; at the BP points among them a real eigenvalue lies within 1e-12
     # of zero
     prob = _problem(base_p)
-    x = newton_correct(localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
+    x = newton_correct(_localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
     br = continue_branch(x, 2.1, prob, direction=1, steps=60, ds0=0.01,
                          sigma_range=(1.95, 2.45))
     counts = [pt.n_unstable for pt in br.points]
@@ -632,7 +735,7 @@ def test_symbol_sizes_one_arnoldi_pass_at_the_benchmark_states(base_p, n,
 def test_symbol_sizes_one_arnoldi_pass_at_a_patterned_state(base_p,
                                                             monkeypatch):
     prob = _problem(base_p)
-    x = newton_correct(localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
+    x = newton_correct(_localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
     u, _ = split_fields(x)
     assert np.ptp(u) > 0.1
     calls = _ritz_calls(monkeypatch)

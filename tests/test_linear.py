@@ -12,13 +12,11 @@ import pytest
 from alleekit.errors import HypothesisFailed, NoRoot, OutOfRange
 from alleekit.linear import (
     Regime,
-    band_modes,
     branch_point_sigmas,
     branch_point_table,
     dstar_parts,
     kpm_roots,
     mode_reports,
-    nonexistence_dstar,
     spatial_spectrum,
     turing_bd_thresholds,
     vbounds,
@@ -209,9 +207,10 @@ def test_kpm_roots_oracle(p_main):
 
 def test_kpm_band_matches_unstable_modes(p_main):
     e, ps = _at(p_main, 1.8)
-    modes = band_modes(e, ps, D_REF, L_REF)
-    assert modes == list(range(7, 19))
+    km, kp = kpm_roots(e, ps, D_REF)
     reports = mode_reports(e, ps, D_REF, L_REF)
+    modes = [r.j for r in reports if km < r.k_j < kp]
+    assert modes == list(range(7, 19))
     det_unstable = [r.j for r in reports if r.det < 0]
     assert det_unstable == modes
     # sigma=1.8 sits below the Hopf point, so the homogeneous mode is
@@ -250,29 +249,29 @@ def test_dstar_paper_set():
     assert abs(parts["u2"] - 0.0718255807112) < 1e-10
     assert abs(parts["A"] - 4.38095155347) < 1e-9
     assert abs(parts["B"] - 2.89126938156) < 1e-9
-    d = nonexistence_dstar(p, 1.0)
+    d = parts["dstar"]
     assert abs(d - DSTAR_PAPERSET) < 1e-9
     assert abs(d - 0.4439) < 1e-3
 
 
 def test_dstar_scales_as_L_squared():
     p = KineticParams(alpha=0.2, beta=2.4, gamma=1.3, sigma=1.5, eta=0.1)
-    d1 = nonexistence_dstar(p, 1.0)
-    d3 = nonexistence_dstar(p, 3.0)
+    d1 = dstar_parts(p, 1.0)["dstar"]
+    d3 = dstar_parts(p, 3.0)["dstar"]
     assert abs(d3 - 9.0 * d1) < 1e-9
 
 
 def test_dstar_not_applicable():
     with pytest.raises(HypothesisFailed, match="needs alpha > 0 and beta > 0"):
-        nonexistence_dstar(
+        dstar_parts(
             KineticParams(alpha=0.0, beta=2.4, gamma=1.3, sigma=1.5, eta=0.1), 1.0
         )
     with pytest.raises(HypothesisFailed, match="needs alpha > 0 and beta > 0"):
-        nonexistence_dstar(
+        dstar_parts(
             KineticParams(alpha=0.2, beta=0.0, gamma=1.3, sigma=1.5, eta=0.1), 1.0
         )
     with pytest.raises(OutOfRange):
-        nonexistence_dstar(
+        dstar_parts(
             KineticParams(alpha=0.2, beta=2.4, gamma=1.3, sigma=0.39, eta=0.1), 1.0
         )
 

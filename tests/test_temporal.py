@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from alleekit import temporal
-from alleekit.errors import Inconclusive, NoRoot
-from alleekit.model import coexisting_equilibria
+from alleekit.errors import Inconclusive
+from alleekit.model import coexisting_equilibria, hopf_sigma
 from alleekit.temporal import (
     EXTINCTION_LEVEL,
     AttractorKind,
@@ -11,7 +11,6 @@ from alleekit.temporal import (
     Trajectory,
     attractor_summary,
     bifurcation_diagram,
-    heteroclinic_threshold,
     integrate_ode,
 )
 
@@ -139,18 +138,22 @@ def test_attractor_summary_synthetic_extinction():
     assert s.kind is AttractorKind.EXTINCTION
 
 
-def test_predicate_signs_around_threshold(p_main):
-    """sigma=1.7 loses the cycle, sigma=1.85 keeps it."""
-    with pytest.raises(NoRoot, match="both bracket endpoints classify as cycle"):
-        heteroclinic_threshold(p_main, (1.82, 1.85))
-    with pytest.raises(NoRoot, match="both bracket endpoints classify as extinction"):
-        heteroclinic_threshold(p_main, (1.60, 1.70))
+def test_diagram_point_of_an_extinct_orbit_is_no_failure(p_main):
+    # the orbit stops at the origin near t = 260, long before the transient
+    # t_sim/2 ends: extinction, with no tail left to classify
+    (pt,) = bifurcation_diagram(p_main, [1.78])
+    assert pt.error is None
+    assert pt.cycle is None
 
 
-def test_heteroclinic_threshold_narrow_bracket(p_main):
-    het = heteroclinic_threshold(p_main, (1.78, 1.80))
-    assert abs(het - 1.789) <= 0.005
-    assert het < 1.85660156367  # always below the Hopf point
+def test_diagram_brackets_the_global_bifurcation(p_main):
+    # the stable cycle is destroyed globally at sigma_het ~ 1.789, between
+    # these grid points and below the Hopf point
+    below, above = bifurcation_diagram(p_main, [1.785, 1.795])
+    assert below.error is None and below.cycle is None
+    assert above.error is None
+    assert above.cycle == pytest.approx((0.102, 0.939), abs=5e-4)
+    assert above.sigma < hopf_sigma(p_main, (1.7, 2.0))[0]
 
 
 def test_period_grows_toward_threshold(p_main):

@@ -18,9 +18,9 @@ from alleekit.waves import (
     Shot,
     WaveClass,
     _classify_cell,
+    _coexisting_spectrum,
     _launch,
     c_min,
-    end_state_spectra,
     j_constants,
     scan_plane,
     shoot_heteroclinic,
@@ -98,9 +98,25 @@ def test_block_calls_equal_column_calls(p_main, rng):
                               tw_jacobian(block[:, k], p_main, D_REF, C_REF))
 
 
+def _coexisting_at(p, c):
+    """_coexisting_spectrum at E*, on the eigenvalues a shot takes there."""
+    e = coexisting_equilibria(p)[-1]
+    star = np.array([e.u, e.u, e.v, e.v])
+    return _coexisting_spectrum(np.linalg.eigvals(tw_jacobian(star, p, D_REF, c)))
+
+
 def test_prey_only_spectrum_closed_form(p_main):
-    sp = end_state_spectra(p_main, D_REF, C_REF)
-    closed = sorted(sp.lambdas_prey_only, key=lambda z: z.real)
+    # lam_{1,2} = (c^2 +/- c sqrt(c^2 - 4 j1)) / 2 and
+    # lam_{3,4} = (c^2 +/- c sqrt(c^2 - 4 d^2 j3)) / (2 d); the latter pair
+    # is complex exactly for c < c_min, the spiral regime
+    j1, j3 = j_constants(p_main, D_REF)
+    c2 = C_REF * C_REF
+    r12 = complex(c2 - 4.0 * j1, 0.0) ** 0.5
+    r34 = complex(c2 - 4.0 * D_REF * D_REF * j3, 0.0) ** 0.5
+    closed = sorted([(c2 + C_REF * r12) / 2.0, (c2 - C_REF * r12) / 2.0,
+                     (c2 + C_REF * r34) / (2.0 * D_REF),
+                     (c2 - C_REF * r34) / (2.0 * D_REF)],
+                    key=lambda z: z.real)
     u1 = upper_axial(p_main).u
     numeric = sorted(
         np.linalg.eigvals(tw_jacobian(np.array([u1, u1, 0.0, 0.0]),
@@ -113,18 +129,18 @@ def test_prey_only_spectrum_closed_form(p_main):
 
 
 def test_coexisting_spectrum_frozen(p_main):
-    sp = end_state_spectra(p_main, D_REF, C_REF)
-    got = sorted(z.real for z in sp.lambdas_coexisting)
+    lam, stable, spiral = _coexisting_at(p_main, C_REF)
+    got = sorted(z.real for z in lam)
     want = [-0.418948111996, -0.229948761442, 0.872939963293, 35.3426960406]
     assert got == pytest.approx(want, rel=1e-8)
-    assert max(abs(z.imag) for z in sp.lambdas_coexisting) < 1e-12
-    assert sp.n_stable_coexisting == 2
-    assert not sp.spiral_tail
+    assert max(abs(z.imag) for z in lam) < 1e-12
+    assert stable.size == 2
+    assert not spiral
 
 
 def test_spiral_flag_flips_with_sigma(p_main):
-    assert end_state_spectra(p_main.with_sigma(1.9), D_REF, 6.0).spiral_tail
-    assert not end_state_spectra(p_main.with_sigma(2.8), D_REF, 6.0).spiral_tail
+    assert _coexisting_at(p_main.with_sigma(1.9), 6.0)[2]
+    assert not _coexisting_at(p_main.with_sigma(2.8), 6.0)[2]
 
 
 def test_wedge_zeta_frozen():
