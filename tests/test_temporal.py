@@ -146,7 +146,14 @@ def test_diagram_point_of_an_extinct_orbit_is_no_failure(p_main):
     assert pt.cycle is None
 
 
-def test_diagram_brackets_the_global_bifurcation(p_main):
+def test_predicate_signs_around_threshold(p_main):
+    """sigma=1.6 and 1.7 lose the cycle, sigma=1.82 and 1.85 keep it."""
+    pts = bifurcation_diagram(p_main, [1.60, 1.70, 1.82, 1.85])
+    assert all(pt.error is None for pt in pts)
+    assert [pt.cycle is not None for pt in pts] == [False, False, True, True]
+
+
+def test_heteroclinic_threshold_narrow_bracket(p_main):
     # the stable cycle is destroyed globally at sigma_het ~ 1.789, between
     # these grid points and below the Hopf point
     below, above = bifurcation_diagram(p_main, [1.785, 1.795])
