@@ -272,8 +272,14 @@ def _largest_ritz(apply, n: int, k: int) -> np.ndarray:
     ``apply`` (k <= n - 2), by Krylov-Schur restarted Arnoldi (Stewart,
     SIAM J. Matrix Anal. Appl. 23 (2002) 601).
 
-    The basis holds m = min(n, max(2k + 1, 20)) vectors, as ARPACK's
-    default. Each cycle takes one real Schur form of the m x m projection
+    The basis holds m = min(n, max(floor(7k/3) + 1, 20)) vectors. With
+    ARPACK's default 2k + 1, only 45 or 46 of the 52 wanted values of each
+    benchmark ``continue`` call had converged at the first Schur form, so
+    every call paid a restart and a second Schur form; 117 vectors (2.25k)
+    are the fewest that make all of them converge at once, and the rule
+    keeps five more as a margin, since a call just short of it pays the
+    whole restart.
+    Each cycle takes one real Schur form of the m x m projection
     (``dgees``) and moves the k wanted Ritz values, with the partner of a
     conjugate pair the k-th one splits, to its leading block (``dtrsen``).
     They count as converged when each entry of the residual row over that
@@ -285,7 +291,7 @@ def _largest_ritz(apply, n: int, k: int) -> np.ndarray:
     The start vector is seeded, so equal inputs give equal eigenvalues. A
     conjugate pair split at position k keeps the member with Im > 0.
     """
-    m = min(n, max(2 * k + 1, 20))
+    m = min(n, max(7 * k // 3 + 1, 20))
     keep = k + (m - k - 1) // 2  # plus a split pair's partner, still < m
     eps = np.finfo(float).eps
     cycles = 300

@@ -223,10 +223,10 @@ def test_reruns_give_identical_manifests(tmp_path, capsys, command, body):
 # the kinetics and the CSV
 @pytest.mark.parametrize("command,body,digest", [
     ("equilibria", "",
-     "d587ee135e077577b1b07a197098cb55f55762b1fd2429ef70a28048941fcc0a"),
+     "c1e13a3fdaffc3badfab3b2b78cbb114b59efd2d50e754c31a40c8408d0b4ae8"),
     ("thresholds", "l = 200\n",
      "80693177022b5b7e6a11046606874c06f8ee27a3f3bff61c120602c69747921d"),
-])
+], ids=["equilibria", "thresholds"])
 def test_scalar_commands_give_golden_manifests(tmp_path, capsys, command, body,
                                                digest):
     rc, err = _run(tmp_path, capsys, command, body)
@@ -342,7 +342,7 @@ def test_fmt_gives_numpy_scalars_the_text_of_python_values(np_value, value,
     ("wave-scan", "[sweep]\nsigma_lo = 1.9\nsigma_hi = 3.0\nsigma_count = 2\n"
                   "c_lo = 4.7\nc_hi = 6.0\nc_count = 2\n", 2.7,
      "17490c21097c794d3c5c2a0c005bff56d587b22fa9567d8966761b588532d4ff"),
-])
+], ids=["continue", "wave-scan-1x1", "wave-scan-2x2"])
 def test_linearizing_commands_give_golden_manifests(tmp_path, capsys, command,
                                                     body, sigma, digest):
     rc, err = _run(tmp_path, capsys, command, body, sigma=sigma)

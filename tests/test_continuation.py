@@ -10,9 +10,11 @@ Krylov-Schur eigensolver behind solution_stability.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from alleekit import continuation
 from alleekit.continuation import (
@@ -40,7 +42,7 @@ from alleekit.linear import (_estar_scalars, branch_point_sigmas, mode_reports,
                              vbounds)
 from alleekit.model import (KineticParams, _det_l, coexisting_equilibria, jacobian,
                             upper_coexisting)
-from alleekit.pde import Grid, l2_norm, neumann_symbol
+from alleekit.pde import Grid, flapack, l2_norm, neumann_symbol
 from alleekit.rootfind import bracketed_root
 
 D_REF = 46.0
@@ -249,10 +251,8 @@ def test_constant_state_spectrum_is_union_of_mode_blocks(base_p):
 
     e = coexisting_equilibria(base_p)[-1]
     J = jacobian(e.u, e.v, base_p)
-    dx = prob.grid.dx
     expected = []
-    for j in range(n):
-        kap = 2.0 * (1.0 - math.cos(j * math.pi / (n - 1))) / dx**2
+    for kap in neumann_symbol(n, prob.grid.dx):
         expected.extend(np.linalg.eigvals(J - kap * np.diag([1.0, D_REF])))
     got = np.sort_complex(ev)
     want = np.sort_complex(np.asarray(expected))
@@ -517,10 +517,8 @@ def test_stability_of_stable_constant_state(base_p):
     e = coexisting_equilibria(ps)[-1]
     assert all(not r.unstable for r in mode_reports(e, ps, D_REF, L_REF))
     J = jacobian(e.u, e.v, ps)
-    dx = prob.grid.dx
     best = -np.inf
-    for j in range(prob.grid.N):
-        kap = 2.0 * (1.0 - math.cos(j * math.pi / (prob.grid.N - 1))) / dx**2
+    for kap in neumann_symbol(prob.grid.N, prob.grid.dx):
         best = max(best, np.linalg.eigvals(J - kap * np.diag([1.0, D_REF])).real.max())
     assert lam[0].real == pytest.approx(best, abs=1e-6)
 
@@ -535,10 +533,8 @@ def test_stability_counts_band_and_oscillatory_pairs(base_p):
     ps = base_p.with_sigma(sig)
     e = coexisting_equilibria(ps)[-1]
     J = jacobian(e.u, e.v, ps)
-    dx = prob.grid.dx
     expect = 0
-    for j in range(prob.grid.N):
-        kap = 2.0 * (1.0 - math.cos(j * math.pi / (prob.grid.N - 1))) / dx**2
+    for kap in neumann_symbol(prob.grid.N, prob.grid.dx):
         ev = np.linalg.eigvals(J - kap * np.diag([1.0, D_REF]))
         expect += int((ev.real > 1e-8).sum())
     assert n_un == expect == 12
@@ -619,18 +615,38 @@ def test_stability_agrees_with_arpack(base_p, n):
     _assert_same_near_shift(lam, ref, 1e-10)
 
 
-@pytest.mark.parametrize("n, sigma_bp", [(256, 1.82971961783),
-                                         (1024, 1.82978641805)])
-def test_crossing_eigenvalue_at_benchmark_bp_agrees_with_arpack(base_p, n,
-                                                                 sigma_bp):
-    # the first step of each benchmark branch crosses the mode-8 BP; there
-    # the crossing eigenvalue sits only a few UNSTABLE_TOL above zero
+def _dgees_spy():
+    # a dgees that records the order of each Schur form it takes
+    sizes = []
+    real = flapack.dgees
+
+    def spy(*args, **kwargs):
+        sizes.append(args[1].shape[0])
+        return real(*args, **kwargs)
+
+    return sizes, spy
+
+
+_BENCHMARK_BPS = pytest.mark.parametrize("n, sigma_bp", [(256, 1.82971961783),
+                                                         (1024, 1.82978641805)])
+
+
+def _benchmark_bp(base_p, n, sigma_bp):
+    # the first step of each benchmark branch crosses the mode-8 BP
     prob = _problem(base_p, n=n)
     br = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
                          steps=1, ds0=1.5e-3, sigma_range=(1.767, 1.8305),
                          stability=False)
     (bp,) = br.tagged("BP")
     assert abs(bp.sigma - sigma_bp) < 1e-9
+    return prob, bp
+
+
+@_BENCHMARK_BPS
+def test_crossing_eigenvalue_at_benchmark_bp_agrees_with_arpack(base_p, n,
+                                                                 sigma_bp):
+    # there the crossing eigenvalue sits only a few UNSTABLE_TOL above zero
+    prob, bp = _benchmark_bp(base_p, n, sigma_bp)
     n_un, lam = solution_stability(bp.x, bp.sigma, prob)
     ref = _arpack_spectrum(bp.x, bp.sigma, prob, lam.size)
     assert n_un == int((ref.real > UNSTABLE_TOL).sum()) == 13
@@ -638,6 +654,19 @@ def test_crossing_eigenvalue_at_benchmark_bp_agrees_with_arpack(base_p, n,
     crossing = lam[np.argmin(np.abs(lam))]
     assert UNSTABLE_TOL < crossing.real < 5.0 * UNSTABLE_TOL
     assert abs(crossing - ref[np.argmin(np.abs(ref))]) < 1e-12
+
+
+@_BENCHMARK_BPS
+def test_benchmark_bp_stability_takes_one_schur_form(base_p, n, sigma_bp,
+                                                     monkeypatch):
+    # the first Krylov basis is large enough that the wanted Ritz values
+    # converge at its Schur form, with no restart
+    prob, bp = _benchmark_bp(base_p, n, sigma_bp)
+    sizes, spy = _dgees_spy()
+    monkeypatch.setattr(flapack, "dgees", spy)
+    n_un, _ = solution_stability(bp.x, bp.sigma, prob)
+    assert n_un == 13
+    assert len(sizes) == 1
 
 
 def test_stability_is_reproducible(base_p):
@@ -658,11 +687,8 @@ def test_stability_spectrum_is_the_discrete_symbol(base_p):
     ps = base_p.with_sigma(sig)
     e = coexisting_equilibria(ps)[-1]
     J = jacobian(e.u, e.v, ps)
-    dx = prob.grid.dx
-    kappa = (4.0 / dx**2) * np.sin(np.arange(prob.grid.N) * math.pi * dx
-                                   / (2.0 * L_REF))**2
     blocks = np.concatenate([np.linalg.eigvals(J - kap * np.diag([1.0, D_REF]))
-                             for kap in kappa])
+                             for kap in neumann_symbol(prob.grid.N, prob.grid.dx)])
     assert max(np.abs(blocks - z).min() for z in lam) < 1e-10
     radius = np.abs(lam - STABILITY_SHIFT).max() * (1.0 - 1e-9)
     inside = np.abs(blocks - STABILITY_SHIFT) < radius
@@ -679,6 +705,53 @@ def test_krylov_schur_restarts_after_an_invariant_subspace():
         d = np.repeat([5.0, -4.0, 3.0, 2.0, 1.0], 8)
         mu = _largest_ritz(lambda v: d * v, 40, 10)
     assert np.allclose(mu, [5.0] * 8 + [-4.0] * 2, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _block_diagonal(draw):
+    # n - 2 >= k and a random spectrum of distinct moduli q**e: 1 x 1 real
+    # blocks of either sign and 2 x 2 scaled rotations for conjugate pairs;
+    # the ratio q sets how fast the Ritz values converge
+    n = draw(st.integers(22, 40))
+    k = draw(st.integers(1, n - 2))
+    q = draw(st.floats(1.02, 1.5))
+    powers = draw(st.lists(st.integers(0, 80), min_size=n, max_size=n,
+                           unique=True))
+    a = np.zeros((n, n))
+    eigs = []
+    i = 0
+    for r in (q**e for e in powers):
+        if i == n:
+            break
+        if i + 2 <= n and draw(st.booleans()):
+            t = draw(st.floats(0.1, math.pi - 0.1))
+            a[i:i + 2, i:i + 2] = r * np.array([[math.cos(t), -math.sin(t)],
+                                                [math.sin(t), math.cos(t)]])
+            eigs += [r * complex(math.cos(t), math.sin(t)),
+                     r * complex(math.cos(t), -math.sin(t))]
+            i += 2
+        else:
+            a[i, i] = r * draw(st.sampled_from([1.0, -1.0]))
+            eigs.append(complex(a[i, i]))
+            i += 1
+    return a, np.array(eigs), k
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_block_diagonal())
+def test_largest_ritz_finds_the_k_largest_of_a_block_diagonal_operator(case):
+    # n = 22..40 against a basis of at least 20 vectors: small k restarts
+    # or converges at the first Schur form, large k fills the whole space
+    a, eigs, k = case
+    sizes, spy = _dgees_spy()
+    with mock.patch.object(flapack, "dgees", spy):
+        got = _largest_ritz(lambda v: a @ v, a.shape[0], k)
+    event("m = n" if sizes[0] == a.shape[0]
+          else "one cycle" if len(sizes) == 1 else "restarted")
+    want = eigs[np.lexsort((-eigs.imag, -np.abs(eigs)))[:k]]
+    assert got.shape == (k,)
+    # the operator is normal, so its 2-norm is its largest modulus
+    assert np.abs(got - want).max() < 1e-12 * np.abs(eigs).max()
 
 
 def test_stability_of_a_point_does_not_depend_on_the_branch_before_it(

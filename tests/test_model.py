@@ -49,6 +49,8 @@ SIGMA_S_27 = 1.4824864996
 SIGMA_H = 1.85660156367
 ESTAR_H = (0.598612943406, 0.248612943406)
 L1_ORACLE = -71.4674386639  # sympy exact derivatives + planar normal form
+# sympy, 50 digits, at the package's own Hopf point of alpha = 0, sigma = 3.9
+L1_ORACLE_RATIO = 280.482549454672
 
 
 def test_kinetics_vanishes_at_origin(p_main):
@@ -409,11 +411,11 @@ def test_first_lyapunov_coefficient(p_main):
     sh, e = hopf_sigma(p_main, (1.7, 2.0))
     l1 = first_lyapunov_coefficient(p_main, sh, e)
     assert l1 < 0
-    assert abs(l1 - L1_ORACLE) < 1e-3 * abs(L1_ORACLE)
+    assert abs(l1 - L1_ORACLE) < 1e-9 * abs(L1_ORACLE)
     # Reported magnitude check, as a multiple of pi.
     assert abs(l1 / math.pi + 22.7488) < 0.05 * 22.7488
     # the package's own value, bit for bit: plain float arithmetic throughout
-    assert l1.hex() == "-0x1.1ddf3dd3a66adp+6"
+    assert l1.hex() == "-0x1.1ddea83cfd2e3p+6"
 
 
 def test_first_lyapunov_positive_for_ratio_dependent():
@@ -421,7 +423,8 @@ def test_first_lyapunov_positive_for_ratio_dependent():
     sh, e = hopf_sigma(p, (3.85, 4.0))
     l1 = first_lyapunov_coefficient(p, sh, e)
     assert l1 > 0
-    assert l1.hex() == "0x1.187bcb6123c82p+8"
+    assert abs(l1 - L1_ORACLE_RATIO) < 1e-9 * L1_ORACLE_RATIO
+    assert l1.hex() == "0x1.187b885c6e843p+8"
 
 
 def test_first_lyapunov_rejects_non_hopf(p_main):
