@@ -351,8 +351,7 @@ def cmd_continue(cfg: ExperimentConfig, out: Path) -> list[Path]:
     written = [_write_csv(
         out / "branch.csv",
         ("point_index", "sigma", "l2norm_u", "n_unstable", "tag"),
-        ((pt.index, pt.sigma, pt.l2norm_u,
-          -1 if pt.n_unstable is None else pt.n_unstable,
+        ((pt.index, pt.sigma, pt.l2norm_u, pt.n_unstable,
           ";".join(sorted(pt.tags)))
          for pt in br.points))]
     keep = {0, br.points[-1].index}

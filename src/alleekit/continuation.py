@@ -178,9 +178,11 @@ def tangent_at(x: np.ndarray, sigma: float, prob: SteadyProblem,
     return tau, lu.det_sign
 
 
-def _arclength_correct(x_pred, sigma_pred, x0, sigma0, tau: Tangent, ds, prob):
-    x = x_pred.copy()
-    sig = sigma_pred
+def _arclength_correct(x0, sigma0, tau: Tangent, ds, prob):
+    """Correct the predictor (x0, sigma0) + ds*tau onto the branch, on the
+    hyperplane at arclength ds along tau; returns (x, sigma, iterations)."""
+    x = x0 + ds * tau.x
+    sig = sigma0 + ds * tau.sigma
     for it in range(10):
         if not sig > 0.0:
             # the kinetics exist for sigma > 0 only; the caller shrinks ds
@@ -214,7 +216,7 @@ class BranchPoint:
     sigma: float
     x: np.ndarray
     l2norm_u: float
-    n_unstable: int | None
+    n_unstable: int
     tags: set[str] = field(default_factory=set)
 
 
@@ -435,9 +437,7 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, indicator, value_lo):
         if mid <= 0.0 or hi - lo < 1e-12:
             break
         try:
-            xm, sm, _ = _arclength_correct(
-                x0 + mid * tau.x, sigma0 + mid * tau.sigma,
-                x0, sigma0, tau, mid, prob)
+            xm, sm, _ = _arclength_correct(x0, sigma0, tau, mid, prob)
         except (NoConvergence, SingularJacobian):
             hi = mid  # treat failures as the far side; shrink toward x0
             continue
@@ -452,16 +452,17 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, indicator, value_lo):
 
 def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem,
                     direction: int = 1, steps: int = 100, ds0: float = 0.02, *,
-                    sigma_range: tuple[float, float] | None = None,
-                    stability: bool = True, adapt: bool = True) -> Branch:
+                    sigma_range: tuple[float, float] | None = None) -> Branch:
     """Trace a solution branch, adding each event, localized to 1e-7 in
     sigma, as a point: Fold where the tangent's sigma part changes sign, and
     otherwise BP where det J does (an odd number of real crossings). A
     complex pair crossing, or two real crossings in one step, changes
-    ``n_unstable`` with no tag; ``stability=False`` gives no counts. Nor
-    need a BP tag change ``n_unstable``: the real eigenvalue that crosses
-    can stay below UNSTABLE_TOL on both sides of the step. Each point's
-    stability depends on that point alone, not on the branch before it.
+    ``n_unstable`` with no tag. Nor need a BP tag change ``n_unstable``: the
+    real eigenvalue that crosses can stay below UNSTABLE_TOL on both sides
+    of the step. Each point's ``n_unstable`` is certified by
+    ``solution_stability`` and depends on that point alone. A step grows
+    1.3-fold, up to 4*ds0, after a correction of at most four iterations,
+    and halves on a failed one, down to DS_MIN.
 
     A branch ends on its range bound: a step that leaves sigma_range is
     bisected like an event, and the first corrected point past the bound,
@@ -481,7 +482,7 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     branch = Branch(prob)
 
     def add_point(x, sigma, tags):
-        n_un = solution_stability(x, sigma, prob)[0] if stability else None
+        n_un = solution_stability(x, sigma, prob)[0]
         u, _ = split_fields(x)
         branch.points.append(BranchPoint(len(branch.points), sigma, x.copy(),
                                          l2_norm(u, prob.grid.dx), n_un, tags))
@@ -504,9 +505,7 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     for _ in range(steps):
         while True:
             try:
-                x1, sig1, iters = _arclength_correct(
-                    x + ds * tau.x, sigma + ds * tau.sigma,
-                    x, sigma, tau, ds, prob)
+                x1, sig1, iters = _arclength_correct(x, sigma, tau, ds, prob)
                 break
             except (NoConvergence, SingularJacobian):
                 ds *= 0.5
@@ -529,10 +528,9 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
         add_point(x1, sig1, set())
 
         x, sigma, tau, values = x1, sig1, tau1, values1
-        if adapt:
-            if iters <= 4:
-                ds = min(ds * 1.3, 4.0 * ds0)
-            ds = max(ds, DS_MIN)
+        if iters <= 4:
+            ds = min(ds * 1.3, 4.0 * ds0)
+        ds = max(ds, DS_MIN)
 
     branch.points[-1].tags.add("End")
     return branch

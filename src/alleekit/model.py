@@ -572,8 +572,12 @@ def upper_axial(p: KineticParams) -> Equilibrium:
 
 
 def upper_coexisting(p: KineticParams) -> Equilibrium:
-    """The largest-u coexisting equilibrium; OutOfRange when there is none."""
-    eqs = coexisting_equilibria(p)
+    """The largest-u coexisting equilibrium; OutOfRange when there is none,
+    as at beta = 0 with gamma <= 1."""
+    try:
+        eqs = coexisting_equilibria(p)
+    except DegenerateKinetics as exc:
+        raise OutOfRange(f"no coexisting equilibrium: {exc}") from exc
     if not eqs:
         raise OutOfRange(f"no coexisting equilibrium at sigma={p.sigma}")
     return eqs[-1]

@@ -264,7 +264,8 @@ class _Stepper:
     holds (``_hold``); every array a step returns is a fresh solve output.
     The reaction arithmetic runs under ``np.errstate(over="ignore",
     invalid="ignore")``: a diverging state is reported by ``_check_finite``
-    as NonFinite, not as a numpy warning.
+    as NonFinite, not as a numpy warning. ``include_reaction=False`` makes
+    ``step_arrays`` a pure-diffusion step.
     """
 
     _SHARE = 1.0
@@ -323,22 +324,20 @@ class ImexStepper(_Stepper):
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """step_arrays from (u, v), and its exact linearization at (u, v)
         applied to (du, dv); each field's state and tangent share one
-        two-column solve."""
+        two-column solve. The step always reacts: it linearizes the full
+        system, whatever ``include_reaction`` says."""
         dt, su, sv, tu, tv, tmp = self.dt, self._su, self._sv, self._tu, self._tv, self._tmp
-        if self.include_reaction:
-            with np.errstate(over="ignore", invalid="ignore"):
-                f1, f2, a10, a01, b10, b01 = self._kinetics.rates_and_derivatives(u, v)
-                _shifted(u, dt, f1, su)
-                _shifted(v, dt, f2, sv)
-                # du + dt*(a10*du + a01*dv), and likewise for dv
-                np.multiply(a10, du, out=tu)
-                tu += np.multiply(a01, dv, out=tmp)
-                _shifted(du, dt, tu, tu)
-                np.multiply(b10, du, out=tv)
-                tv += np.multiply(b01, dv, out=tmp)
-                _shifted(dv, dt, tv, tv)
-        else:
-            su[:], sv[:], tu[:], tv[:] = u, v, du, dv
+        with np.errstate(over="ignore", invalid="ignore"):
+            f1, f2, a10, a01, b10, b01 = self._kinetics.rates_and_derivatives(u, v)
+            _shifted(u, dt, f1, su)
+            _shifted(v, dt, f2, sv)
+            # du + dt*(a10*du + a01*dv), and likewise for dv
+            np.multiply(a10, du, out=tu)
+            tu += np.multiply(a01, dv, out=tmp)
+            _shifted(du, dt, tu, tu)
+            np.multiply(b10, du, out=tv)
+            tv += np.multiply(b01, dv, out=tmp)
+            _shifted(dv, dt, tv, tv)
         xu = self._fu.solve(self._bu)
         xv = self._fv.solve(self._bv)
         _check_finite(xu[:, 0], xv[:, 0], t + dt)
@@ -397,12 +396,13 @@ _SCHEMES = {"imex1": ImexStepper, "strang": StrangStepper}
 
 
 def make_stepper(grid: Grid, p: KineticParams, d: float, dt: float,
-                 *, scheme: str = "imex1", include_reaction: bool = True):
+                 *, scheme: str = "imex1"):
+    """The reacting stepper of ``scheme``, "imex1" or "strang"."""
     try:
         cls = _SCHEMES[scheme]
     except KeyError:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(_SCHEMES)}")
-    return cls(grid, p, d, dt, include_reaction=include_reaction)
+    return cls(grid, p, d, dt)
 
 
 def default_dt(grid: Grid, d: float) -> float:
@@ -513,9 +513,8 @@ def semidiscrete_rhs(u: np.ndarray, v: np.ndarray, p: KineticParams, d: float,
 
     Its zeros are the discrete steady states that
     :mod:`alleekit.continuation` follows. `reaction` is kinetics(u, v, p)
-    when the caller has already evaluated it, or (0.0, 0.0) for pure
-    diffusion. `out`, a pair of arrays that overlap neither u nor v,
-    receives (du, dv) in place of fresh arrays.
+    when the caller has already evaluated it. `out`, a pair of arrays that
+    overlap neither u nor v, receives (du, dv) in place of fresh arrays.
     """
     f1, f2 = kinetics(u, v, p) if reaction is None else reaction
     du, dv = (np.empty_like(u), np.empty_like(v)) if out is None else out
@@ -529,9 +528,9 @@ def semidiscrete_rhs(u: np.ndarray, v: np.ndarray, p: KineticParams, d: float,
 
 def run(f0: Field, p: KineticParams, d: float, T: float,
         recorder: Recorder | None = None, *,
-        dt: float, scheme: str = "imex1",
-        include_reaction: bool = True) -> SpaceTimeRecord:
-    """Advance a field to time T, recording series samples and snapshots.
+        dt: float, scheme: str = "imex1") -> SpaceTimeRecord:
+    """Advance a field to time T under the full reaction-diffusion system,
+    recording series samples and snapshots.
 
     The step is dt shrunk to T / ceil(T / dt), so that whole steps end at T.
     """
@@ -542,8 +541,7 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
 
     n_steps = max(1, math.ceil(T / dt))
     dt = T / n_steps
-    stepper = make_stepper(grid, p, d, dt, scheme=scheme,
-                           include_reaction=include_reaction)
+    stepper = make_stepper(grid, p, d, dt, scheme=scheme)
 
     series_every = recorder.series_every or max(dt, T / 4000.0)
     series_stride = max(1, round(series_every / dt))
@@ -582,8 +580,7 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
         # a diverging state can still be finite while its statistics
         # overflow; that is a NonFinite failure, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            reaction = (stepper._kinetics.rates(uu, vv) if include_reaction
-                        else (0.0, 0.0))
+            reaction = stepper._kinetics.rates(uu, vv)
             du, dv = semidiscrete_rhs(uu, vv, p, d, dx, reaction,
                                       out=(rhs_u, rhs_v))
             row = (tt, average(uu), average(vv), variance(uu),

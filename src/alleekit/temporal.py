@@ -12,7 +12,7 @@ relative), and an accept test that falls within that drift of its bound
 can go the other way. On the sigma = 1.82 cycle orbit they take the same
 steps; near a fixed point, where the error estimate is mostly rounding,
 they can differ by a step or two. The kinetics are non-stiff, so the explicit pair with
-relative tolerance 1e-8 is the default. Everything downstream works on
+relative tolerance 1e-8 (ODE_RTOL) is used. Everything downstream works on
 densely sampled :class:`Trajectory` objects. The same integrator, with its
 own stopping event and its accepted steps handed back, gives
 :mod:`alleekit.waves` the reaction-only orbit that seeds its collocation.
@@ -53,6 +53,9 @@ __all__ = [
     "bifurcation_diagram",
 ]
 
+# integrate_ode's relative and absolute tolerances
+ODE_RTOL = 1e-8
+ODE_ATOL = 1e-10
 EXTINCTION_LEVEL = 1e-6
 DIVERGENCE_LEVEL = 1e3
 
@@ -290,18 +293,17 @@ def integrate_ode(
     ic: tuple[float, float],
     p: KineticParams,
     T: float,
-    tol: float = 1e-8,
 ) -> Trajectory:
     """Integrate the kinetics from ``ic`` for ``T`` time units.
 
-    Relative tolerance ``tol``, absolute ``tol * 1e-2``. The trajectory is
+    Relative tolerance ODE_RTOL, absolute ODE_ATOL. The trajectory is
     sampled on a uniform grid from 0 to T, with samples about
     max(min(0.25, T/1000), T/200000) apart. Stops early
     (terminal ConvergedToPoint) once max(u, v) falls below 1e-6: from there
     the origin absorbs the orbit, since the prey growth term is quadratic
     at low density. Diverged is flagged at 1e3, which the bounded kinetics
     never reach from valid states. States that undershoot zero by less
-    than ``tol`` are clipped to 0; a worse undershoot is an integration
+    than ODE_RTOL are clipped to 0; a worse undershoot is an integration
     failure.
     """
     u0, v0 = float(ic[0]), float(ic[1])
@@ -309,8 +311,6 @@ def integrate_ode(
         raise NonFinite(f"initial condition must be finite, got {ic}")
     if u0 < 0 or v0 < 0:
         raise ValueError(f"initial condition must be non-negative, got {ic}")
-    if not (1e-12 <= tol <= 1e-3):
-        raise ValueError(f"tol must lie in [1e-12, 1e-3], got {tol}")
     if not 0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
 
@@ -318,17 +318,16 @@ def integrate_ode(
     n_out = int(round(T / dt_out))
     t_eval = np.linspace(0.0, T, n_out + 1)
 
-    t_list, flat, event = _dopri5(u0, v0, p, float(T), tol, tol * 1e-2,
-                                  t_eval.tolist(), _ode_gaps,
-                                  _ODE_EVENTS)
+    t_list, flat, event = _dopri5(u0, v0, p, float(T), ODE_RTOL, ODE_ATOL,
+                                  t_eval.tolist(), _ode_gaps, _ODE_EVENTS)
     times = np.array(t_list)
     states = np.array(flat).reshape(-1, 2)
 
     if not np.all(np.isfinite(states)):
         raise NonFinite("integration produced non-finite states")
     low = states.min()
-    if low < -tol:
-        raise NonFinite(f"positivity lost: state component reached {low:.3g} < -tol")
+    if low < -ODE_RTOL:
+        raise NonFinite(f"positivity lost: state component reached {low:.3g} < -ODE_RTOL")
     np.clip(states, 0.0, None, out=states)
 
     terminal = event

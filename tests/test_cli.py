@@ -458,3 +458,71 @@ def test_simulate_invasion_step_runs_on_a_short_domain(tmp_path, capsys):
                    "l = 200\n[grid]\nn = 64\n[run]\nic = invasion_step\n"
                    "t = 20\n")
     assert rc == 0, err
+
+
+def test_equilibria_without_a_coexisting_state_writes_nan(tmp_path, capsys):
+    # beta = 0 with gamma <= 1 has no coexisting state: the axial states
+    # and sigma_SN are written, and the values that need E* are nan
+    cfg = tmp_path / "holling.cfg"
+    cfg.write_text("[kinetics]\nsigma = 2.7\nalpha = 0.07\nbeta = 0\n"
+                   "gamma = 0.9\neta = 0.1\n")
+    rc = main(["equilibria", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    rows = (tmp_path / "equilibria.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["Trivial", "Axial1", "Axial2"]
+    rows = (tmp_path / "bifurcations.csv").read_text().splitlines()[1:]
+    assert dict(row.split(",") for row in rows) == {
+        "sigma_sn": _fmt(0.4), "sigma_tc": "nan", "sigma_hopf": "nan",
+        "l1_hopf": "nan", "sigma_s": "nan"}
+
+
+_K = _KINETICS.format(sigma=2.7, eta=0.1)
+_GRIDS = "c_lo = 5\nc_hi = 6\nc_count = 2\nsigma_lo = {}\nsigma_hi = {}\n"
+
+
+# a line after _K is line 9 of the config
+@pytest.mark.parametrize("command,text,named", [
+    ("equilibria", _K + "[sweep\n", "line 9: malformed section header '[sweep'"),
+    ("equilibria", _K + "[]\n", "line 9: malformed section header '[]'"),
+    ("equilibria", _K + "[bogus]\n", "line 9: unknown section [bogus]"),
+    ("equilibria", _K + "l 200\n", "line 9: expected 'key = value'"),
+    ("wave-scan", _K + "[sweep]\n" + _GRIDS.format(2.7, 2.8),
+     "[sweep]: sigma_count missing"),
+    ("wave-scan", _K + "[sweep]\nsigma_count = 0\n" + _GRIDS.format(2.7, 2.8),
+     "[sweep] sigma_count: must be >= 1"),
+    ("wave-scan", _K + "[sweep]\nsigma_count = 2\n" + _GRIDS.format(2.8, 2.7),
+     "[sweep] sigma_hi: must be >= sigma_lo"),
+    ("equilibria", "command = simulate\n" + _K,
+     "command mismatch: config says 'simulate', caller says 'equilibria'"),
+    ("equilibria", "[kinetics]\nsigma = 2.7\nalpha = 0.07\nbeta = 0.2\n",
+     "[kinetics]: missing gamma, eta"),
+    ("equilibria", _K.replace("gamma = 1.2", "gamma = 0"),
+     "[kinetics]: gamma, sigma, eta must be > 0"),
+    ("pulse", _K + "l = 200\n[run]\nt = 20\nseed = 1\nic = invasion_step\n",
+     "[run] ic: the pulse command always uses center_pulse"),
+    ("equilibria", _K + "[sweep]\nbracket_lo = 2\nbracket_hi = 2\n",
+     "[sweep] bracket_hi: must exceed bracket_lo"),
+], ids=["open-header", "empty-header", "unknown-section", "no-equals",
+        "partial-grid", "zero-count", "reversed-grid", "command-mismatch",
+        "missing-kinetics", "zero-gamma", "pulse-ic", "empty-bracket"])
+def test_config_errors_exit_2_naming_the_line_or_key(tmp_path, capsys,
+                                                     command, text, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:")
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_thresholds_without_a_domain_writes_only_the_thresholds(tmp_path,
+                                                                capsys):
+    rc, err = _run(tmp_path, capsys, "thresholds", "")
+    assert rc == 0, err
+    out = tmp_path / "out"
+    assert sorted(f.name for f in out.iterdir()) == ["manifest.txt",
+                                                     "thresholds.csv"]
+    (entry,) = (out / "manifest.txt").read_text().splitlines()
+    assert entry.endswith("  thresholds.csv")

@@ -291,8 +291,7 @@ def test_newton_far_seed_raises(base_p):
 def test_branch_points_match_linear_analysis(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.796), 1.796, prob, direction=-1,
-                         steps=40, ds0=2e-3, sigma_range=(1.768, 1.7965),
-                         stability=False)
+                         steps=40, ds0=2e-3, sigma_range=(1.768, 1.7965))
     got = sorted(pt.sigma for pt in br.tagged("BP"))
     assert len(got) == 2
     for n_mode, found in zip((20, 19), got):
@@ -306,8 +305,7 @@ def test_branch_points_are_roots_of_the_discrete_symbol(base_p):
     # of det L(kappa_j) along E*(sigma), to the 1e-7 refinement width
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
-                         steps=20, ds0=1.5e-3, sigma_range=(1.767, 1.8305),
-                         stability=False)
+                         steps=20, ds0=1.5e-3, sigma_range=(1.767, 1.8305))
     kappa = neumann_symbol(prob.grid.N, prob.grid.dx)
 
     def det_l(j, sigma):
@@ -331,8 +329,7 @@ def test_branch_point_sharpens_under_grid_refinement(base_p):
     for n in (256, 512):
         prob = _problem(base_p, n=n)
         br = continue_branch(_flat(prob, 1.795), 1.795, prob, direction=-1,
-                             steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796),
-                             stability=False)
+                             steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796))
         bp = br.tagged("BP")
         assert len(bp) == 1
         errs.append(abs(bp[0].sigma - cont))
@@ -340,13 +337,13 @@ def test_branch_point_sharpens_under_grid_refinement(base_p):
 
 
 def test_unstable_count_ladder_along_homogeneous_branch(base_p):
-    # fixed step well under the closest BP spacing so no crossing is skipped;
-    # window floor 1.767 keeps out the mode-2 oscillatory pair crossing at
+    # the adapted steps stay under 4*ds0 = 6e-3 in sigma, and none of them
+    # holds two crossings (the closest BPs, modes 18 and 7, lie 4.5e-3
+    # apart), so no crossing is skipped; window floor 1.767 keeps out the mode-2 oscillatory pair crossing at
     # sigma ~ 1.7648, which raises the count by 2 without any det-sign event
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
-                         steps=60, ds0=1.5e-3, sigma_range=(1.767, 1.8305),
-                         stability=True, adapt=False)
+                         steps=60, ds0=1.5e-3, sigma_range=(1.767, 1.8305))
     bps = br.tagged("BP")
     assert len(bps) == len(BP_WINDOW_ORACLE)
     for pt, (mode, sig_cont) in zip(sorted(bps, key=lambda q: -q.sigma),
@@ -384,8 +381,7 @@ def test_count_bisection_stops_at_the_det_sign_branch_point(base_p):
 def test_branch_switch_counts_match_modes(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.796), 1.796, prob, direction=-1,
-                         steps=40, ds0=2e-3, sigma_range=(1.768, 1.7965),
-                         stability=False)
+                         steps=40, ds0=2e-3, sigma_range=(1.768, 1.7965))
     by_sigma = sorted(br.tagged("BP"), key=lambda q: -q.sigma)
     for pt, n_mode in zip(by_sigma, (19, 20)):
         x, _sig = _branch_switch(br, pt.index, amplitude=0.05)
@@ -398,8 +394,7 @@ def test_branch_switch_mirror_pair(base_p):
     # reflection image x -> L - x of the first solution
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.795), 1.795, prob, direction=-1,
-                         steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796),
-                         stability=False)
+                         steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796))
     bp = br.tagged("BP")[0]
     x_plus, s_plus = _branch_switch(br, bp.index, amplitude=0.05)
     x_minus, s_minus = _branch_switch(br, bp.index, amplitude=-0.05)
@@ -412,8 +407,7 @@ def test_branch_switch_mirror_pair(base_p):
 def test_branch_switch_tiny_amplitude_falls_back(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.795), 1.795, prob, direction=-1,
-                         steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796),
-                         stability=False)
+                         steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796))
     bp = br.tagged("BP")[0]
     with pytest.raises(NoConvergence, match="returned to the parent branch"):
         _branch_switch(br, bp.index, amplitude=1e-9)
@@ -431,15 +425,14 @@ def test_step_underflow_on_hopeless_step(base_p, monkeypatch):
     # falls below DS_MIN
     tried = []
 
-    def hopeless(x_pred, sigma_pred, x0, sigma0, tau, ds, prob):
+    def hopeless(x0, sigma0, tau, ds, prob):
         tried.append(ds)
         raise NoConvergence("arclength corrector exhausted its iterations")
 
     monkeypatch.setattr(continuation, "_arclength_correct", hopeless)
     prob = _problem(base_p, n=64)
     with pytest.raises(NoConvergence, match="arclength step fell below"):
-        continue_branch(_flat(prob, 1.9), 1.9, prob, steps=3, ds0=0.01,
-                        stability=False)
+        continue_branch(_flat(prob, 1.9), 1.9, prob, steps=3, ds0=0.01)
     assert tried == [0.01 * 0.5 ** k for k in range(7)]
     assert tried[-1] >= continuation.DS_MIN > 0.5 * tried[-1]
 
@@ -450,7 +443,7 @@ def test_localized_branch_snakes_through_folds(base_p):
     u0, _ = split_fields(x)
     assert np.ptp(u0) > 0.1  # genuinely localized, not the constant state
     br = continue_branch(x, 2.1, prob, direction=1, steps=60, ds0=0.01,
-                         sigma_range=(1.95, 2.45), stability=False)
+                         sigma_range=(1.95, 2.45))
     assert len(br.points) > 20
     assert len(br.tagged("Fold")) >= 1
 
@@ -487,7 +480,7 @@ def test_stability_on_the_snaking_branch_matches_dense_eigenvalues(base_p):
 def test_branch_norms_consistent_with_vectors(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 2.0), 2.0, prob, direction=1, steps=8,
-                         ds0=5e-3, stability=False)
+                         ds0=5e-3)
     for pt in br.points:
         u, _ = split_fields(pt.x)
         assert abs(l2_norm(u, prob.grid.dx) - pt.l2norm_u) < 1e-12
@@ -497,10 +490,10 @@ def test_branch_norms_consistent_with_vectors(base_p):
 def test_forward_backward_returns_to_start(base_p):
     prob = _problem(base_p)
     out = continue_branch(_flat(prob, 2.0), 2.0, prob, direction=1, steps=10,
-                          ds0=5e-3, stability=False, adapt=False)
+                          ds0=5e-3)
     end = out.points[-1]
     back = continue_branch(end.x, end.sigma, prob, direction=-1, steps=10,
-                           ds0=5e-3, stability=False, adapt=False)
+                           ds0=5e-3)
     assert abs(back.points[-1].sigma - 2.0) < 1e-6
 
 
@@ -635,8 +628,7 @@ def _benchmark_bp(base_p, n, sigma_bp):
     # the first step of each benchmark branch crosses the mode-8 BP
     prob = _problem(base_p, n=n)
     br = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
-                         steps=1, ds0=1.5e-3, sigma_range=(1.767, 1.8305),
-                         stability=False)
+                         steps=1, ds0=1.5e-3, sigma_range=(1.767, 1.8305))
     (bp,) = br.tagged("BP")
     assert abs(bp.sigma - sigma_bp) < 1e-9
     return prob, bp
@@ -770,7 +762,7 @@ def test_stability_of_a_point_does_not_depend_on_the_branch_before_it(
     monkeypatch.setattr(continuation, "solution_stability", spy)
     prob = _problem(base_p, n=64)
     up = continue_branch(_flat(prob, 2.0), 2.0, prob, direction=1, steps=4,
-                         ds0=0.02, adapt=False)
+                         ds0=0.02)
     end = up.points[-1]
     assert end.sigma > 2.07
     first = seen[-1]
@@ -819,8 +811,9 @@ def test_symbol_sizes_one_arnoldi_pass_at_a_patterned_state(base_p,
 def test_one_factorization_per_point_besides_the_correctors(base_p,
                                                             monkeypatch):
     # the tangent's factorization also gives the determinant sign, so a
-    # point costs one LU besides those of Newton and the arclength corrector
-    made = {"all": 0, "correctors": 0}
+    # point costs one LU besides those of Newton, the arclength corrector
+    # and the shifted one of its stability
+    made = {"all": 0, "correctors": 0, "stability": 0}
 
     class Counting(BandedLU):
         def __init__(self, *args):
@@ -828,19 +821,22 @@ def test_one_factorization_per_point_besides_the_correctors(base_p,
             super().__init__(*args)
 
     monkeypatch.setattr(continuation, "BandedLU", Counting)
-    for name in ("newton_correct", "_arclength_correct"):
-        def spy(*args, _real=getattr(continuation, name)):
+    for name, bucket in (("newton_correct", "correctors"),
+                         ("_arclength_correct", "correctors"),
+                         ("solution_stability", "stability")):
+        def spy(*args, _real=getattr(continuation, name), _bucket=bucket):
             before = made["all"]
             try:
                 return _real(*args)
             finally:
-                made["correctors"] += made["all"] - before
+                made[_bucket] += made["all"] - before
         monkeypatch.setattr(continuation, name, spy)
     prob = _problem(base_p, n=64)
     br = continue_branch(_flat(prob, 2.0), 2.0, prob, direction=1, steps=8,
-                         ds0=5e-3, stability=False)
+                         ds0=5e-3)
     assert [pt.tags - {"Start", "End"} for pt in br.points] == [set()] * 9
-    assert made["all"] - made["correctors"] == len(br.points)
+    assert made["stability"] == len(br.points)
+    assert made["all"] - made["correctors"] - made["stability"] == len(br.points)
 
 
 def test_coverage_radius_follows_a_raised_shift(base_p, monkeypatch):

@@ -1,6 +1,7 @@
 """Simulator tests: discrete operators, steppers, IC constructors, fronts."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from alleekit.errors import Inconclusive, NonFinite, NoRoot, OutOfRange
 from alleekit.model import (KineticParams, axial_equilibria, coexisting_equilibria,
                             jacobian_fields, kinetics)
 from alleekit.pde import (
+    _SCHEMES,
     DERIV_TOL,
     VARIANCE_TOL,
     AsymptoticKind,
@@ -267,7 +269,7 @@ def test_pure_diffusion_conserves_mass(p_main, rng, scheme):
     g = Grid(L=30.0, N=256)
     u = rng.uniform(0.1, 1.0, g.N)
     v = rng.uniform(0.0, 0.6, g.N)
-    st = make_stepper(g, p_main, D_REF, 0.5, scheme=scheme, include_reaction=False)
+    st = _SCHEMES[scheme](g, p_main, D_REF, 0.5, include_reaction=False)
     mu, mv = trapezoid_mass(u, g.dx), trapezoid_mass(v, g.dx)
     for _ in range(20):
         un, vn = st.step_arrays(u, v, 0.0)
@@ -282,8 +284,8 @@ def test_cosine_mode_decay_rate(p_main):
     j = 1
     k_j = (j * math.pi / g.L) ** 2
     u0 = 1.0 + 0.1 * np.cos(j * np.pi * g.x / g.L)
-    for scheme, dt in [("imex1", 0.05), ("strang", 0.1)]:
-        st = make_stepper(g, p_main, 1.0, dt, scheme=scheme, include_reaction=False)
+    for cls, dt in [(ImexStepper, 0.05), (StrangStepper, 0.1)]:
+        st = cls(g, p_main, 1.0, dt, include_reaction=False)
         u, v = u0.copy(), np.ones(g.N)
         n = int(round(10.0 / dt))
         for _ in range(n):
@@ -366,21 +368,19 @@ def test_series_cadence_leaves_trajectory_unchanged(p_main, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["imex1", "strang"])
-@pytest.mark.parametrize("include_reaction", [True, False])
-def test_series_is_the_public_formulas_bit_for_bit(p_main, scheme,
-                                                   include_reaction):
+def test_series_is_the_public_formulas_bit_for_bit(p_main, scheme):
     # a snapshot every step, so each series row has its state beside it;
     # the run reuses its sample buffers from row to row
     g = Grid(L=50.0, N=128)
     f0 = make_ic("perturbed_homogeneous", g, p_main, amplitude=1e-2,
                  rng=np.random.default_rng(11))
     rec = run(f0, p_main, D_REF, 2.0, Recorder(snapshot_every=0.05), dt=0.05,
-              scheme=scheme, include_reaction=include_reaction)
+              scheme=scheme)
     assert rec.times.size == rec.snap_times.size == 41
     assert _same_bits(rec.times, rec.snap_times)
     for k, (u, v) in enumerate(zip(rec.snap_u, rec.snap_v)):
-        reaction = kinetics(u, v, p_main) if include_reaction else (0.0, 0.0)
-        du, dv = semidiscrete_rhs(u, v, p_main, D_REF, g.dx, reaction)
+        du, dv = semidiscrete_rhs(u, v, p_main, D_REF, g.dx,
+                                  kinetics(u, v, p_main))
         assert _same_bits(rec.u_av[k], trapezoid_mass(u, g.dx) / g.L)
         assert _same_bits(rec.v_av[k], trapezoid_mass(v, g.dx) / g.L)
         assert _same_bits(rec.var_u[k], np.var(u))
@@ -566,9 +566,18 @@ def test_front_speed_stationary_is_zero(p_main):
     g = Grid(L=100.0, N=256)
     u = np.where(g.x < 50.0, 0.2, 0.9)
     f0 = Field(g, u, np.zeros(g.N))
-    # diffusion alone smooths the step without transporting the midpoint
-    rec = run(f0, p_main, D_REF, 4.0, Recorder(snapshot_every=1.0), dt=0.05,
-              include_reaction=False)
+    # diffusion alone smooths the step without transporting the midpoint;
+    # a snapshot every 20 steps of 0.05, from t = 0 to 4
+    st = ImexStepper(g, p_main, D_REF, 0.05, include_reaction=False)
+    u, v = f0.u, f0.v
+    snaps = [(u, v)]
+    for k in range(1, 81):
+        u, v = st.step_arrays(u, v, 0.0)
+        if k % 20 == 0:
+            snaps.append((u, v))
+    snap_u, snap_v = map(np.asarray, zip(*snaps))
+    rec = SimpleNamespace(grid=g, snap_times=np.arange(5.0), snap_u=snap_u,
+                          snap_v=snap_v)
     sp = _measure_front_speed(rec, 0.55, (0.0, 4.0))
     assert abs(sp) < 1e-8
     with pytest.raises(ValueError):
