@@ -133,10 +133,7 @@ def newton_correct(x0: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndar
     for _ in range(25):
         if rn < NEWTON_TOL:
             return x
-        lu = _factor(x, sigma, prob)
-        if lu.singular:
-            raise SingularJacobian("Newton hit a singular Jacobian")
-        dx = lu.solve(-r)
+        dx = _factor(x, sigma, prob).solve(-r)
         lam = 1.0
         while True:
             xt = x + lam * dx
@@ -434,7 +431,7 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, indicator, value_lo):
     sig_lo = sigma0
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        if mid <= 0.0 or hi - lo < 1e-12:
+        if hi - lo < 1e-12:
             break
         try:
             xm, sm, _ = _arclength_correct(x0, sigma0, tau, mid, prob)

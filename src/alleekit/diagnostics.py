@@ -119,16 +119,16 @@ def dominant_period(times: np.ndarray, values: np.ndarray, *,
     return _dominant_period(t, x)
 
 
-def island_count(f: Field | np.ndarray, threshold: float) -> int:
-    """Number of maximal contiguous runs with u_i > threshold."""
+def island_count(u: np.ndarray, threshold: float) -> int:
+    """Number of maximal contiguous runs with u_i > threshold in the prey
+    profile u; 0 when no node is above it."""
     if not (threshold > 0 and math.isfinite(threshold)):
         raise ValueError("threshold must be positive and finite")
-    u = f.u if isinstance(f, Field) else np.asarray(f, dtype=float)
-    above = u > threshold
-    if not above.any():
-        return 0
-    starts = np.count_nonzero(above[1:] & ~above[:-1]) + int(above[0])
-    return int(starts)
+    above = np.asarray(u, dtype=float) > threshold
+    # a run starts at node 0 or where the profile rises through the
+    # threshold; above[:1] keeps an empty profile at 0 runs
+    return int(np.count_nonzero(above[:1])
+               + np.count_nonzero(above[1:] & ~above[:-1]))
 
 
 def island_series(record: SpaceTimeRecord, threshold: float) -> tuple[np.ndarray, np.ndarray]:

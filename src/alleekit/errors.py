@@ -1,4 +1,4 @@
-"""Exception taxonomy: three families, ten leaves, one name per failure.
+"""Exception taxonomy: three families, nine leaves, one name per failure.
 
 The families map to CLI exit codes in :mod:`alleekit.cli`:
 
@@ -7,7 +7,6 @@ The families map to CLI exit codes in :mod:`alleekit.cli`:
 
   - :class:`ParseError`: the config text is malformed.
   - :class:`ValidationError`: the config parses but breaks a precondition.
-  - :class:`DegenerateKinetics`: the parameters collapse the interaction.
   - :class:`OutOfRange`: a state, formula or window does not exist here.
   - :class:`HypothesisFailed`: a hypothesis of the statement is false.
 
@@ -36,7 +35,6 @@ __all__ = [
     "ConfigError",
     "ParseError",
     "ValidationError",
-    "DegenerateKinetics",
     "OutOfRange",
     "HypothesisFailed",
     "NumericalError",
@@ -74,10 +72,6 @@ class ValidationError(ConfigError):
     def __init__(self, messages: list[str]):
         self.messages = list(messages)
         super().__init__("\n".join(self.messages))
-
-
-class DegenerateKinetics(ConfigError):
-    """Parameter combination collapses the interaction structure."""
 
 
 class OutOfRange(ConfigError):

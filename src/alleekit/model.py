@@ -34,13 +34,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import (
-    DegenerateKinetics,
-    HypothesisFailed,
-    NonFinite,
-    NoRoot,
-    OutOfRange,
-)
+from .errors import HypothesisFailed, NonFinite, NoRoot, OutOfRange
 from .rootfind import bracketed_root, real_cubic_roots
 
 if TYPE_CHECKING:
@@ -311,8 +305,6 @@ def kinetics(u, v, p: KineticParams):
     va = np.asarray(v, dtype=float)
     if not (np.all(np.isfinite(ua)) and np.all(np.isfinite(va))):
         raise NonFinite("kinetics called with non-finite state")
-    if ua.shape != va.shape:
-        ua, va = np.broadcast_arrays(ua, va)
     # overflow on a diverging state is reported by the caller's finiteness
     # check, not as a warning here
     with np.errstate(over="ignore", invalid="ignore"):
@@ -322,11 +314,11 @@ def kinetics(u, v, p: KineticParams):
 def jacobian_fields(u, v, p: KineticParams):
     """Pointwise Jacobian entries (a10, a01, b10, b01) of the kinetics.
 
-    Vectorized counterpart of :func:`jacobian`; at points where the
-    response denominator vanishes (origin, alpha = 0) the interaction
-    derivatives are taken as 0, matching the origin convention. Float
-    inputs take the same plain-Python path as :func:`kinetics` and give
-    Python floats.
+    Vectorized counterpart of :func:`jacobian`, for floats or same-shape
+    arrays; at points where the response denominator vanishes (origin,
+    alpha = 0) the interaction derivatives are taken as 0, matching the
+    origin convention. Float inputs take the same plain-Python path as
+    :func:`kinetics` and give Python floats.
     """
     if isinstance(u, float) and isinstance(v, float):
         a10, a01, b10, b01 = _derivatives(float(u), float(v), p)
@@ -335,8 +327,6 @@ def jacobian_fields(u, v, p: KineticParams):
 
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
-    if ua.shape != va.shape:
-        ua, va = np.broadcast_arrays(ua, va)
     return _ArrayKinetics(p).derivatives(ua, va)
 
 
@@ -465,13 +455,12 @@ def coexisting_equilibria(p: KineticParams) -> list[Equilibrium]:
     and v = ((gamma-1)*u - alpha)/beta > 0. For beta = 0 the predator
     nullcline pins u = alpha/(gamma-1) directly. A double root inside the
     window (tangent nullclines) is reported once, tagged NonHyperbolic.
+    With gamma <= 1 there is no coexisting state at any beta: the list is
+    empty.
     """
     if p.beta == 0.0:
         if p.gamma <= 1.0:
-            raise DegenerateKinetics(
-                "beta = 0 with gamma <= 1: the predator nullcline "
-                f"u = alpha/(gamma-1) is undefined (gamma={p.gamma})"
-            )
+            return []
         # With beta = 0 the predator nullcline pins u* = alpha/(gamma-1)
         # exactly, so the generic strict window (which uses that same value
         # as its lower edge) does not apply; feasibility is the prey
@@ -514,18 +503,10 @@ def coexisting_equilibria(p: KineticParams) -> list[Equilibrium]:
 
 
 def all_equilibria(p: KineticParams) -> list[Equilibrium]:
-    """Trivial + axial + coexisting, in that order.
-
-    A beta = 0, gamma <= 1 parameter set has no coexisting state at all;
-    here that is an empty tail rather than an error.
-    """
-    eqs = [trivial_equilibrium(p)]
-    eqs.extend(axial_equilibria(p))
-    try:
-        eqs.extend(coexisting_equilibria(p))
-    except DegenerateKinetics:
-        pass
-    return eqs
+    """Trivial + axial + coexisting, in that order; the coexisting tail is
+    empty where there is no such state, as with gamma <= 1."""
+    return [trivial_equilibrium(p), *axial_equilibria(p),
+            *coexisting_equilibria(p)]
 
 
 def sigma_sn(p: KineticParams) -> float:
@@ -573,11 +554,8 @@ def upper_axial(p: KineticParams) -> Equilibrium:
 
 def upper_coexisting(p: KineticParams) -> Equilibrium:
     """The largest-u coexisting equilibrium; OutOfRange when there is none,
-    as at beta = 0 with gamma <= 1."""
-    try:
-        eqs = coexisting_equilibria(p)
-    except DegenerateKinetics as exc:
-        raise OutOfRange(f"no coexisting equilibrium: {exc}") from exc
+    as with gamma <= 1."""
+    eqs = coexisting_equilibria(p)
     if not eqs:
         raise OutOfRange(f"no coexisting equilibrium at sigma={p.sigma}")
     return eqs[-1]

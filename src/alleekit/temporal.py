@@ -153,7 +153,8 @@ _ODE_EVENTS = (Terminal.CONVERGED_TO_POINT, Terminal.DIVERGED)
 
 def _dense(s: float, t: float, h: float, u: float, v: float,
            cu: tuple[float, ...], cv: tuple[float, ...]) -> tuple[float, float]:
-    """The state at time s on the interpolant of the step [t, t + h]."""
+    """The state at time s on the interpolant of the step [t, t + h];
+    elementwise when the arguments are arrays, one entry per time."""
     x = (s - t) / h
     return (u + x * (cu[0] + x * (cu[1] + x * (cu[2] + x * cu[3]))),
             v + x * (cv[0] + x * (cv[1] + x * (cv[2] + x * cv[3]))))
@@ -166,10 +167,7 @@ def _dense_on_steps(steps: list[tuple], s: np.ndarray) -> np.ndarray:
     the first or last one."""
     t, h, u, v, cu, cv = (np.array(a) for a in zip(*steps))
     k = np.clip(np.searchsorted(t, s, side="left") - 1, 0, len(steps) - 1)
-    x = (s - t[k]) / h[k]
-    cu, cv = cu[k].T, cv[k].T
-    return np.array([u[k] + x * (cu[0] + x * (cu[1] + x * (cu[2] + x * cu[3]))),
-                     v[k] + x * (cv[0] + x * (cv[1] + x * (cv[2] + x * cv[3])))])
+    return np.array(_dense(s, t[k], h[k], u[k], v[k], cu[k].T, cv[k].T))
 
 
 def _crossing(gaps, k: int, step: tuple, t_new: float, g_old: float,

@@ -181,6 +181,8 @@ def test_nonpositive_sweep_low_is_a_config_error(tmp_path, capsys, command,
     ("dt = 50\n", "t = 2000\namplitude = 0.5\n", 3),
     # three series samples cannot fill the classification window
     ("", "t = 10\nseries_every = 5\n", 4),
+    # 21 samples fill it in time, but only 6 of them fall inside it
+    ("", "t = 100\nseries_every = 5\n", 4),
 ])
 def test_simulate_failure_exit_codes(tmp_path, capsys, grid, run, code):
     rc, err = _run(tmp_path, capsys, "simulate",
@@ -502,9 +504,15 @@ _GRIDS = "c_lo = 5\nc_hi = 6\nc_count = 2\nsigma_lo = {}\nsigma_hi = {}\n"
      "[run] ic: the pulse command always uses center_pulse"),
     ("equilibria", _K + "[sweep]\nbracket_lo = 2\nbracket_hi = 2\n",
      "[sweep] bracket_hi: must exceed bracket_lo"),
+    ("equilibria", _K + "[spatial]\nbogus = 1\n",
+     "line 10: unknown key 'bogus' in [spatial]"),
+    ("equilibria", _K + "d = 46\n", "line 9: duplicate key 'd' in [spatial]"),
+    ("equilibria", _K + "[bogus]\nx = 1\n",
+     "line 9: unknown section [bogus]"),
 ], ids=["open-header", "empty-header", "unknown-section", "no-equals",
         "partial-grid", "zero-count", "reversed-grid", "command-mismatch",
-        "missing-kinetics", "zero-gamma", "pulse-ic", "empty-bracket"])
+        "missing-kinetics", "zero-gamma", "pulse-ic", "empty-bracket",
+        "unknown-key", "duplicate-key", "key-in-unknown-section"])
 def test_config_errors_exit_2_naming_the_line_or_key(tmp_path, capsys,
                                                      command, text, named):
     cfg = tmp_path / "bad.cfg"

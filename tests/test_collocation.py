@@ -59,6 +59,24 @@ def test_too_few_nodes_is_status_1():
     assert sol.status == 1
 
 
+def test_unmet_boundary_condition_on_a_resolved_mesh_is_status_3():
+    # y' = 0 with y(0)^3 = 0: the residual is zero on every interval, so no
+    # node is added, and Newton creeps toward the triple root far slower
+    # than ten meshes allow at tol = 1e-30
+    x = np.linspace(0.0, 1.0, 5)
+    sol = solve_bvp(
+        lambda _x, y, _p: np.zeros_like(y),
+        lambda ya, _yb, _p: ya ** 3, x, np.ones((1, 5)), np.empty(0),
+        tol=1e-30, max_nodes=1000,
+        fun_jac=lambda _x, y, _p: (np.zeros((1, 1, y.shape[1])),
+                                   np.zeros((1, 0, y.shape[1]))),
+        bc_jac=lambda ya, _yb, _p: (np.array([[3.0 * ya[0] ** 2]]),
+                                    np.zeros((1, 1)), np.zeros((1, 0))))
+    assert sol.status == 3
+    assert np.array_equal(sol.x, x)
+    assert abs(sol.y[0, 0]) ** 3 > 1e-30
+
+
 def test_coupled_boundary_conditions_are_refused():
     def bc_jac(_ya, _yb, _p):
         dya, dyb, dp = _bc_jac(_ya, _yb, _p)

@@ -797,6 +797,24 @@ def test_symbol_sizes_one_arnoldi_pass_at_the_benchmark_states(base_p, n,
     assert calls == [52]
 
 
+@pytest.mark.parametrize("n,ks,n_unstable", [
+    (256, [8, 16, 32, 64], 16),
+    # at 128 unknowns the doubling stops at the n - 2 cap
+    (64, [8, 16, 32, 64, 126], 17),
+])
+def test_a_short_start_doubles_k_to_the_same_count(base_p, n, ks, n_unstable,
+                                                   monkeypatch):
+    # a symbol count of 0 starts k at 8; doubling it until the covered disk
+    # holds the Bendixson box must certify the count the symbol start gives
+    prob = _problem(base_p, n=n)
+    x = _flat(prob, 1.80)
+    assert solution_stability(x, 1.80, prob)[0] == n_unstable
+    monkeypatch.setattr(continuation, "_symbol_count", lambda *args: 0)
+    calls = _ritz_calls(monkeypatch)
+    assert solution_stability(x, 1.80, prob)[0] == n_unstable
+    assert calls == ks
+
+
 def test_symbol_sizes_one_arnoldi_pass_at_a_patterned_state(base_p,
                                                             monkeypatch):
     prob = _problem(base_p)

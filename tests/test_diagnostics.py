@@ -20,6 +20,7 @@ from alleekit.pde import Field, Grid, ImexStepper, SpaceTimeRecord
 
 def test_island_count_basic():
     assert island_count(np.zeros(50), 0.05) == 0
+    assert island_count(np.zeros(0), 0.05) == 0
     u = np.zeros(50)
     u[10:20] = 1.0
     assert island_count(u, 0.05) == 1
@@ -34,14 +35,6 @@ def test_island_count_rejects_bad_threshold():
         island_count(np.ones(10), 0.0)
     with pytest.raises(ValueError):
         island_count(np.ones(10), -0.1)
-
-
-def test_island_count_accepts_field():
-    g = Grid(L=10.0, N=32)
-    u = np.zeros(32)
-    u[5:9] = 0.8
-    f = Field(g, u, np.zeros(32), 0.0)
-    assert island_count(f, 0.05) == 1
 
 
 def test_island_count_threshold_plateau():

@@ -1,4 +1,4 @@
-"""The exception taxonomy: three families and ten leaves, one name per
+"""The exception taxonomy: three families and nine leaves, one name per
 failure; the CLI maps each family to its exit code."""
 
 import inspect
@@ -8,8 +8,8 @@ import pytest
 from alleekit import errors
 
 FAMILIES = {
-    errors.ConfigError: ("ParseError", "ValidationError", "DegenerateKinetics",
-                         "OutOfRange", "HypothesisFailed"),
+    errors.ConfigError: ("ParseError", "ValidationError", "OutOfRange",
+                         "HypothesisFailed"),
     errors.NumericalError: ("NonFinite", "SingularJacobian"),
     errors.ConvergenceError: ("NoRoot", "NoConvergence", "Inconclusive"),
 }
@@ -20,7 +20,7 @@ def test_all_names_the_root_the_families_and_the_leaves():
     for leaves in FAMILIES.values():
         expected.update(leaves)
     assert sorted(errors.__all__) == sorted(expected)
-    assert len(expected) == 14
+    assert len(expected) == 13
     # no exception class outside __all__ either
     defined = {name for name, obj in vars(errors).items()
                if inspect.isclass(obj) and issubclass(obj, Exception)}

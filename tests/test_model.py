@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from alleekit.errors import (
-    DegenerateKinetics,
     HypothesisFailed,
     NonFinite,
     NoRoot,
@@ -320,9 +319,9 @@ def test_holling_branch_no_state_at_axial2():
 
 
 def test_holling_branch_degenerate():
+    # gamma <= 1 leaves no coexisting state at beta = 0, as at beta > 0
     p = KineticParams(alpha=0.07, beta=0.0, gamma=1.0, sigma=2.7, eta=0.1)
-    with pytest.raises(DegenerateKinetics):
-        coexisting_equilibria(p)
+    assert coexisting_equilibria(p) == []
 
 
 def test_ratio_dependent_pair_and_saddle(p_ratio):
