@@ -24,9 +24,10 @@ extension (``pde`` and everything built on it: ``continuation``,
 ``collocation``, ``waves``, ``diagnostics``) cost nothing until something
 asks for them. numpy is kept out the same way: ``model`` imports it only
 inside the functions that handle arrays, and ``config``, ``linear``,
-``rootfind`` and ``errors`` not at all, so the scalar analysis (equilibria,
-temporal and spatial thresholds, branch points) runs without it;
-``temporal`` and every layer above it load it on import.
+``temporal``, ``rootfind`` and ``errors`` not at all, so the scalar
+analysis (equilibria, temporal and spatial thresholds, branch points, the
+ODE orbits and the temporal bifurcation diagram) runs without it;
+``pde`` and every layer built on it load it on import.
 """
 
 from importlib import import_module

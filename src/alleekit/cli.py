@@ -41,7 +41,7 @@ more, except for ``lyapunov``. Each command adds, after the config is
 parsed and before the run starts:
 
 * ``thresholds``: ``linear`` (no numpy), the only command that loads it;
-* ``temporal-diagram``: ``temporal`` and numpy (no scipy);
+* ``temporal-diagram``: ``temporal`` (no numpy);
 * ``simulate``: ``pde``, so numpy and scipy's LAPACK extension
   ``scipy.linalg._flapack`` alone, not the ``scipy.linalg`` package, and
   no ``linear``: without ``[grid] n`` the grid is sized from ``model``'s

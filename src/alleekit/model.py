@@ -465,7 +465,9 @@ def coexisting_equilibria(p: KineticParams) -> list[Equilibrium]:
         # exactly, so the generic strict window (which uses that same value
         # as its lower edge) does not apply; feasibility is the prey
         # nullcline positive at u*, i.e. u2 < u* < u1. Judged on u, not on
-        # the sign of v*, so a roundoff v* beside an axial state is no state.
+        # the sign of v*, so a roundoff v* beside an axial state is no state;
+        # a u* an ulp inside an edge can still round v* to <= 0, which is
+        # no state either.
         ustar = p.alpha / (p.gamma - 1.0)
         prey = _prey_window(p)
         if prey is None or not prey[0] < ustar < prey[1]:

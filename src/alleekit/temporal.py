@@ -16,16 +16,19 @@ relative tolerance 1e-8 (ODE_RTOL) is used. Everything downstream works on
 densely sampled :class:`Trajectory` objects. The same integrator, with its
 own stopping event and its accepted steps handed back, gives
 :mod:`alleekit.waves` the reaction-only orbit that seeds its collocation.
+
+The module imports no numpy: the samples, the checks on them and the
+attractor classification are plain Python floats and lists, so
+``temporal-diagram`` runs without numpy, like ``equilibria``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     Inconclusive,
@@ -68,8 +71,12 @@ class Terminal(Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (n, 2), columns u, v
+    """Samples of an orbit: ``times`` ascending floats, ``states[i]`` the
+    pair (u, v) at ``times[i]``. Both are lists; ``np.asarray(tr.states)``
+    gives the (n, 2) array, columns u and v, for array work."""
+
+    times: list[float]
+    states: list[tuple[float, float]]
     terminal: Terminal
 
 
@@ -153,21 +160,12 @@ _ODE_EVENTS = (Terminal.CONVERGED_TO_POINT, Terminal.DIVERGED)
 
 def _dense(s: float, t: float, h: float, u: float, v: float,
            cu: tuple[float, ...], cv: tuple[float, ...]) -> tuple[float, float]:
-    """The state at time s on the interpolant of the step [t, t + h];
-    elementwise when the arguments are arrays, one entry per time."""
+    """The state at time s on the interpolant of the step [t, t + h].
+    Elementwise when the arguments are arrays, one entry per time, as
+    :mod:`alleekit.waves` calls it on its seed's accepted steps."""
     x = (s - t) / h
     return (u + x * (cu[0] + x * (cu[1] + x * (cu[2] + x * cu[3]))),
             v + x * (cv[0] + x * (cv[1] + x * (cv[2] + x * cv[3]))))
-
-
-def _dense_on_steps(steps: list[tuple], s: np.ndarray) -> np.ndarray:
-    """:func:`_dense` at the times ``s`` over accepted ``steps``, shape
-    (2, len(s)). A time on a step boundary takes the step that ends there,
-    as scipy's ``OdeSolution`` does; times outside the steps extrapolate
-    the first or last one."""
-    t, h, u, v, cu, cv = (np.array(a) for a in zip(*steps))
-    k = np.clip(np.searchsorted(t, s, side="left") - 1, 0, len(steps) - 1)
-    return np.array(_dense(s, t[k], h[k], u[k], v[k], cu[k].T, cv[k].T))
 
 
 def _crossing(gaps, k: int, step: tuple, t_new: float, g_old: float,
@@ -312,34 +310,35 @@ def integrate_ode(
     if not 0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
 
+    T = float(T)
     dt_out = max(min(0.25, T / 1000.0), T / 200000.0)
     n_out = int(round(T / dt_out))
-    t_eval = np.linspace(0.0, T, n_out + 1)
+    # np.linspace(0, T, n_out + 1) to the bit
+    t_eval = [i * (T / n_out) for i in range(n_out)] + [T]
 
-    t_list, flat, event = _dopri5(u0, v0, p, float(T), ODE_RTOL, ODE_ATOL,
-                                  t_eval.tolist(), _ode_gaps, _ODE_EVENTS)
-    times = np.array(t_list)
-    states = np.array(flat).reshape(-1, 2)
-
-    if not np.all(np.isfinite(states)):
+    times, flat, event = _dopri5(u0, v0, p, T, ODE_RTOL, ODE_ATOL, t_eval,
+                                 _ode_gaps, _ODE_EVENTS)
+    if not all(map(math.isfinite, flat)):
         raise NonFinite("integration produced non-finite states")
-    low = states.min()
+    low = min(flat)
     if low < -ODE_RTOL:
         raise NonFinite(f"positivity lost: state component reached {low:.3g} < -ODE_RTOL")
-    np.clip(states, 0.0, None, out=states)
+    flat = [0.0 if x <= 0.0 else x for x in flat]  # max(x, 0.0) keeps -0.0
+    states = list(zip(flat[0::2], flat[1::2]))
 
     terminal = event
     if terminal is None:
         terminal = Terminal.REACHED_T
-        f1, f2 = kinetics(float(states[-1, 0]), float(states[-1, 1]), p)
+        u_end, v_end = states[-1]
+        f1, f2 = kinetics(u_end, v_end, p)
         if math.hypot(f1, f2) < 1e-9:
-            tail = states[times >= times[-1] - 0.05 * T]
-            if tail.size and np.abs(tail - states[-1]).max() < 1e-7:
+            tail = states[bisect_left(times, times[-1] - 0.05 * T):]
+            if max(max(abs(u - u_end), abs(v - v_end)) for u, v in tail) < 1e-7:
                 terminal = Terminal.CONVERGED_TO_POINT
     return Trajectory(times=times, states=states, terminal=terminal)
 
 
-def _refined_peaks(t: np.ndarray, x: np.ndarray) -> list[float]:
+def _refined_peaks(t: Sequence[float], x: Sequence[float]) -> list[float]:
     """Times of interior local maxima, refined by a 3-point parabola."""
     peaks = []
     for i in range(1, len(x) - 1):
@@ -348,9 +347,9 @@ def _refined_peaks(t: np.ndarray, x: np.ndarray) -> list[float]:
             if denom < 0:
                 delta = 0.5 * (x[i - 1] - x[i + 1]) / denom
                 dt_l = t[i] - t[i - 1]
-                peaks.append(float(t[i] + delta * dt_l))
+                peaks.append(t[i] + delta * dt_l)
             else:
-                peaks.append(float(t[i]))
+                peaks.append(t[i])
     return peaks
 
 
@@ -363,7 +362,8 @@ def attractor_summary(tr: Trajectory, transient: float) -> AttractorSummary:
     inter-peak intervals (CV < 0.02). FixedPoint: amplitude at or below
     1e-4. Anything in between raises Inconclusive.
     """
-    mask = tr.times >= transient
+    n = len(tr.times)
+    start = bisect_left(tr.times, transient)
     # The integrator stops at its (coarser) extinction level, possibly before
     # the transient ends; the origin absorbs the orbit from there, so the
     # stop state stands in for a tail the orbit never reached.
@@ -372,26 +372,22 @@ def attractor_summary(tr: Trajectory, transient: float) -> AttractorSummary:
         and max(tr.states[-1]) < 1.01 * EXTINCTION_LEVEL
     )
     if stopped_at_origin:
-        mask[-1] = True
-    elif mask.sum() < 10:
+        start = min(start, n - 1)
+    elif n - start < 10:
         raise Inconclusive(
-            f"only {int(mask.sum())} samples after transient={transient}; need more"
+            f"only {n - start} samples after transient={transient}; need more"
         )
-    t = tr.times[mask]
-    u = tr.states[mask, 0]
-    v = tr.states[mask, 1]
+    t = tr.times[start:]
+    u = [state[0] for state in tr.states[start:]]
+    umin, umax = min(u), max(u)
 
-    if stopped_at_origin or max(u[-1], v[-1]) < 1e-8:
-        return AttractorSummary(
-            kind=AttractorKind.EXTINCTION, u_min=float(u.min()), u_max=float(u.max())
-        )
+    if stopped_at_origin or max(tr.states[-1]) < 1e-8:
+        return AttractorSummary(kind=AttractorKind.EXTINCTION, u_min=umin, u_max=umax)
 
-    umin, umax = float(u.min()), float(u.max())
-    mean = abs(float(u.mean()))
+    mean = abs(math.fsum(u) / len(u))
     rel_amp = (umax - umin) / max(mean, 1e-300)
     if rel_amp <= 1e-4:
-        final = float(u[-1])
-        return AttractorSummary(kind=AttractorKind.FIXED_POINT, u_min=final, u_max=final)
+        return AttractorSummary(kind=AttractorKind.FIXED_POINT, u_min=u[-1], u_max=u[-1])
 
     peaks = _refined_peaks(t, u)
     if len(peaks) < 3:
@@ -399,8 +395,10 @@ def attractor_summary(tr: Trajectory, transient: float) -> AttractorSummary:
             f"oscillation with only {len(peaks)} peaks after the transient; "
             "integrate longer to classify"
         )
-    intervals = np.diff(peaks)
-    cv = float(intervals.std() / intervals.mean())
+    intervals = [b - a for a, b in zip(peaks, peaks[1:])]
+    period = math.fsum(intervals) / len(intervals)
+    cv = math.sqrt(math.fsum((x - period) ** 2 for x in intervals)
+                   / len(intervals)) / period
     if cv >= 0.02:
         raise Inconclusive(
             f"inter-peak intervals vary too much (CV={cv:.3f}) for a limit cycle"
@@ -409,7 +407,7 @@ def attractor_summary(tr: Trajectory, transient: float) -> AttractorSummary:
         kind=AttractorKind.LIMIT_CYCLE,
         u_min=umin,
         u_max=umax,
-        period=float(intervals.mean()),
+        period=period,
     )
 
 

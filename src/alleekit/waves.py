@@ -35,7 +35,7 @@ from .model import (
     upper_axial,
     upper_coexisting,
 )
-from .temporal import _dense_on_steps, _dopri5
+from .temporal import _dense, _dopri5
 
 
 def j_constants(p: KineticParams, d: float) -> tuple[float, float]:
@@ -143,6 +143,16 @@ def _oscillation(series: np.ndarray) -> float:
     """Total variation in excess of the net change; 0 for monotone data."""
     tv = float(np.abs(np.diff(series)).sum())
     return tv - abs(float(series[-1] - series[0]))
+
+
+def _dense_on_steps(steps: list[tuple], s: np.ndarray) -> np.ndarray:
+    """:func:`~alleekit.temporal._dense` at the times ``s`` over accepted
+    ``steps``, shape (2, len(s)). A time on a step boundary takes the step
+    that ends there, as scipy's ``OdeSolution`` does; times outside the
+    steps extrapolate the first or last one."""
+    t, h, u, v, cu, cv = (np.array(a) for a in zip(*steps))
+    k = np.clip(np.searchsorted(t, s, side="left") - 1, 0, len(steps) - 1)
+    return np.array(_dense(s, t[k], h[k], u[k], v[k], cu[k].T, cv[k].T))
 
 
 def _kinetic_seed(p: KineticParams, d: float, c: float, y0: np.ndarray,
@@ -485,13 +495,9 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
     cells, args = [], []
     for i, sig in enumerate(sigmas):
         ps = p.with_sigma(float(sig))
-        try:
-            cm = c_min(ps, d)
-        except OutOfRange:
-            cmins[i] = math.nan
-            reasons[i] = "OutOfRange"
-            continue
-        cmins[i] = cm
+        # the attracting coexisting state checked above needs
+        # alpha/(gamma - 1) < u1, which is j3 > 0, so c_min does not raise
+        cm = cmins[i] = c_min(ps, d)
         for j, c in enumerate(cs):
             if c < cm:
                 codes[i, j] = WaveClass.NO_WAVE

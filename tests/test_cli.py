@@ -220,18 +220,22 @@ def test_reruns_give_identical_manifests(tmp_path, capsys, command, body):
     assert manifests[0].count(b"\n") >= 1
 
 
-# sha256 of manifest.txt on the orbits benchmark configs (sigma = 2.7,
-# L = 200); both commands run on plain Python floats, with no numpy between
-# the kinetics and the CSV
-@pytest.mark.parametrize("command,body,digest", [
-    ("equilibria", "",
+# sha256 of manifest.txt on the orbits benchmark configs (sigma = 2.7 and
+# L = 200; the diagram at sigma = 1.82, inside the cycle window, with
+# t_sim = 2500); all three commands run on plain Python floats, with no numpy
+# between the kinetics and the CSV
+@pytest.mark.parametrize("command,body,sigma,digest", [
+    ("equilibria", "", 2.7,
      "c1e13a3fdaffc3badfab3b2b78cbb114b59efd2d50e754c31a40c8408d0b4ae8"),
-    ("thresholds", "l = 200\n",
+    ("thresholds", "l = 200\n", 2.7,
      "80693177022b5b7e6a11046606874c06f8ee27a3f3bff61c120602c69747921d"),
-], ids=["equilibria", "thresholds"])
+    ("temporal-diagram", "[sweep]\nsigma_lo = 1.82\nsigma_hi = 1.82\n"
+                         "sigma_count = 1\nt_sim = 2500\n", 1.82,
+     "59742e4b7b77c900e8bde24bae1f7e8679fbd5622b7ba59d257286191966efd9"),
+], ids=["equilibria", "thresholds", "temporal-diagram"])
 def test_scalar_commands_give_golden_manifests(tmp_path, capsys, command, body,
-                                               digest):
-    rc, err = _run(tmp_path, capsys, command, body)
+                                               sigma, digest):
+    rc, err = _run(tmp_path, capsys, command, body, sigma=sigma)
     assert rc == 0, err
     manifest = (tmp_path / "out" / "manifest.txt").read_bytes()
     assert hashlib.sha256(manifest).hexdigest() == digest

@@ -1,14 +1,16 @@
 """The import contract: ``import alleekit`` and ``import alleekit.cli`` load
-neither numpy nor scipy, nor do the ``equilibria`` and ``thresholds`` runs;
-``temporal-diagram`` loads numpy but no scipy; the time-stepping,
+neither numpy nor scipy, nor do the ``equilibria``, ``thresholds`` and
+``temporal-diagram`` runs; ``temporal`` integrates and classifies an orbit
+without numpy, while ``waves``, built on it, loads numpy; the time-stepping,
 ``continue`` and ``wave-scan`` runs load numpy and scipy's LAPACK extension
 but not the ``scipy.linalg`` package, ``continue`` loads no
 ``scipy.sparse``, ``wave-scan`` no ``scipy.integrate``,
 ``scipy.interpolate`` or ``scipy.sparse``, and ``scipy.linalg`` reuses the
 extension ``pde`` loaded; only ``thresholds`` loads ``linear`` (and the
 ``cmath`` it needs), because ``model`` owns the mode algebra the other
-layers use; each CLI command loads its layers, numpy included, before its
-run starts; and the lazy package namespace still serves every public name.
+layers use; each CLI command loads its layers, and numpy where they need
+it, before its run starts; and the lazy package namespace still serves
+every public name.
 
 Each check of what gets loaded runs in a fresh interpreter, because the
 test session itself has already imported every layer. Each command config
@@ -122,8 +124,29 @@ def test_scipy_free_commands_load_no_scipy(drive):
 
 def test_scalar_commands_load_no_numpy(drive):
     # nothing loaded by the end: not by import alleekit.cli, nor by the runs
-    for command in ("equilibria", "thresholds"):
+    for command in ("equilibria", "thresholds", "temporal-diagram"):
         assert all(m.split(".")[0] == "alleekit" for m in drive(command)["loaded"])
+
+
+def _numpy_modules_after(code: str) -> list[str]:
+    return json.loads(_python(
+        code + "import json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'numpy']))\n"))
+
+
+def test_temporal_integrates_and_classifies_without_numpy():
+    assert _numpy_modules_after(
+        "from alleekit.model import KineticParams, upper_coexisting\n"
+        "from alleekit.temporal import attractor_summary, integrate_ode\n"
+        "p = KineticParams(sigma=1.82, alpha=0.07, beta=0.2, gamma=1.2, eta=0.1)\n"
+        "e = upper_coexisting(p)\n"
+        "tr = integrate_ode((e.u + 0.01, e.v + 0.01), p, 500.0)\n"
+        "assert attractor_summary(tr, transient=250.0).kind.value == 'LimitCycle'\n"
+    ) == []
+
+
+def test_waves_still_loads_numpy():
+    assert "numpy" in _numpy_modules_after("import alleekit.waves\n")
 
 
 def test_stepping_commands_skip_scipy_linalg_package(drive):
@@ -187,12 +210,12 @@ _LAYERS = {
 
 @pytest.mark.parametrize("command", list(_BODIES))
 def test_run_imports_nothing_new(drive, command):
-    # main loads the command's layers, numpy with them, so the run itself
-    # imports nothing
+    # main loads the command's layers, numpy with them where they need it,
+    # so the run itself imports nothing
     report = drive(command)
     assert report["added_by_run"] == []
     assert set(_LAYERS[command]) <= set(report["loaded"])
-    scalar = command in ("equilibria", "thresholds")
+    scalar = command in ("equilibria", "thresholds", "temporal-diagram")
     assert ("numpy" in report["loaded"]) is not scalar
 
 

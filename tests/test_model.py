@@ -318,6 +318,21 @@ def test_holling_branch_no_state_at_axial2():
     assert coexisting_equilibria(p) == []
 
 
+@pytest.mark.parametrize("sigma,eta,edge", [(2.7, 0.2, "u2"), (1.82, 0.25, "u1")])
+def test_holling_branch_no_state_an_ulp_inside_the_prey_window(sigma, eta, edge):
+    # u* = alpha/(gamma-1) one ulp inside a computed axial root passes the
+    # window test on u, but sigma*u*(1-u) - eta rounds to <= 0 there, so v*
+    # is roundoff beside the axial state, not a state
+    axial = axial_equilibria(KineticParams(alpha=0.1, beta=0.0, gamma=2.0,
+                                           sigma=sigma, eta=eta))
+    u1, u2 = axial[0].u, axial[1].u
+    ustar = math.nextafter(u2, 1.0) if edge == "u2" else math.nextafter(u1, 0.0)
+    p = KineticParams(alpha=ustar, beta=0.0, gamma=2.0, sigma=sigma, eta=eta)
+    assert u2 < p.alpha / (p.gamma - 1.0) < u1
+    assert p.sigma * ustar * (1.0 - ustar) - p.eta <= 0.0
+    assert coexisting_equilibria(p) == []
+
+
 def test_holling_branch_degenerate():
     # gamma <= 1 leaves no coexisting state at beta = 0, as at beta > 0
     p = KineticParams(alpha=0.07, beta=0.0, gamma=1.0, sigma=2.7, eta=0.1)

@@ -17,7 +17,7 @@ from alleekit.temporal import (
 
 def test_origin_stays_put(p_main):
     tr = integrate_ode((0.0, 0.0), p_main, 50.0)
-    assert tr.states.max() == 0.0
+    assert np.asarray(tr.states).max() == 0.0
     assert tr.terminal is Terminal.CONVERGED_TO_POINT
     assert np.all(np.diff(tr.times) > 0)
 
@@ -26,7 +26,7 @@ def test_below_allee_threshold_goes_extinct(p_main):
     # u0 = 0.02 sits below the Allee threshold u2 = 0.0385.
     tr = integrate_ode((0.02, 0.01), p_main, 500.0)
     assert tr.terminal is Terminal.CONVERGED_TO_POINT
-    assert tr.states[-1].max() < 1e-5
+    assert np.asarray(tr.states)[-1].max() < 1e-5
     s = attractor_summary(tr, transient=0.25 * tr.times[-1])
     assert s.kind is AttractorKind.EXTINCTION
 
@@ -35,7 +35,7 @@ def test_limit_cycle_at_sigma_18(p_main):
     p = p_main.with_sigma(1.8)
     e = coexisting_equilibria(p)[-1]
     tr = integrate_ode((e.u + 1e-3, e.v), p, 3000.0)
-    assert tr.states.min() >= 0.0
+    assert np.asarray(tr.states).min() >= 0.0
     s = attractor_summary(tr, transient=1500.0)
     assert s.kind is AttractorKind.LIMIT_CYCLE
     assert s.u_max - s.u_min > 0.1
@@ -108,7 +108,7 @@ def test_integrator_reproduces_scipy_rk45_on_the_cycle(p_main, monkeypatch):
     monkeypatch.setattr(temporal, "kinetics", kinetics)
     sol = _scipy_rk45(ic, p, 2500.0, tr.times)
     assert sol.status == 0 and tr.terminal is Terminal.REACHED_T
-    assert np.abs(tr.states - sol.y.T).max() < 1e-10
+    assert np.abs(np.asarray(tr.states) - sol.y.T).max() < 1e-10
     # the same accepted and rejected steps; the one extra call is the
     # fixed-point check at T
     assert n_calls == sol.nfev + 1
@@ -119,7 +119,7 @@ def test_integrator_reproduces_scipy_rk45_extinction_stop(p_main):
     tr = integrate_ode((0.02, 0.01), p_main, 500.0)
     assert sol.status == 1 and tr.terminal is Terminal.CONVERGED_TO_POINT
     assert abs(tr.times[-1] - sol.t_events[0][0]) < 1e-9
-    assert abs(tr.states[-1].max() - EXTINCTION_LEVEL) < 1e-12
+    assert abs(np.asarray(tr.states)[-1].max() - EXTINCTION_LEVEL) < 1e-12
 
 
 def test_classification_invariant_to_doubling_T(p_main):
@@ -141,7 +141,8 @@ def test_attractor_summary_needs_data(p_main):
 def test_attractor_summary_synthetic_extinction():
     t = np.linspace(0.0, 100.0, 401)
     states = np.column_stack([1e-9 * np.exp(-t / 10.0), 1e-10 * np.exp(-t / 10.0)])
-    tr = Trajectory(times=t, states=states, terminal=Terminal.REACHED_T)
+    tr = Trajectory(times=t.tolist(), states=list(map(tuple, states.tolist())),
+                    terminal=Terminal.REACHED_T)
     s = attractor_summary(tr, transient=10.0)
     assert s.kind is AttractorKind.EXTINCTION
 
