@@ -44,10 +44,9 @@ _EXPORTS_BY_MODULE = {
     "temporal": ("Trajectory", "AttractorKind", "AttractorSummary",
                  "DiagramPoint", "integrate_ode", "attractor_summary",
                  "bifurcation_diagram"),
-    "linear": ("ModeReport", "Regime", "SpatialSpectrum", "mode_reports",
-               "spatial_spectrum", "turing_bd_thresholds",
-               "branch_point_sigmas", "branch_point_table", "dstar_parts",
-               "vbounds"),
+    "linear": ("ModeReport", "Regime", "mode_reports",
+               "turing_bd_thresholds", "branch_point_sigmas",
+               "branch_point_table", "dstar_parts", "vbounds"),
     "pde": ("Grid", "Field", "ICKind", "Recorder", "SpaceTimeRecord",
             "AsymptoticKind", "ImexStepper", "StrangStepper", "make_stepper",
             "make_ic", "run", "classify_asymptotic"),

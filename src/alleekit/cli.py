@@ -19,10 +19,13 @@ What each command writes:
 * ``temporal-diagram``: ``diagram.csv``, the equilibria and the simulated
   cycle envelope on the sigma grid;
 * ``thresholds``: ``thresholds.csv``, the Turing/BD thresholds on the
-  bracket, and with ``l``, ``modes.csv``, the Neumann mode blocks at E*
-  under a preamble of sigma, the non-existence bound dstar (nan when
-  alpha = 0 or beta = 0) and the a-priori bounds u_sup and v_sup, and
-  ``bps.csv``, the branch points of each mode;
+  bracket, each with the ends of the Turing band and K = -s/(2d), the
+  repeated squared spatial eigenvalue there, whose sign
+  ``turing_bd_thresholds`` tags it by; with ``l``, also ``modes.csv``,
+  the Neumann mode blocks at E* under a preamble of sigma, the
+  non-existence bound dstar (nan when alpha = 0 or beta = 0) and the
+  a-priori bounds u_sup and v_sup, and ``bps.csv``, the branch points of
+  each mode;
 * ``simulate``: ``summary.csv``, the spatial averages and variance over
   time, ``snapshot_NNNN.csv`` at the snapshot interval, ``final.csv`` and
   ``classification.txt``;
@@ -40,7 +43,8 @@ scipy; that is all ``equilibria`` needs. Parsing a config loads nothing
 more, except for ``lyapunov``. Each command adds, after the config is
 parsed and before the run starts:
 
-* ``thresholds``: ``linear`` (no numpy), the only command that loads it;
+* ``thresholds``: ``linear`` (no numpy, and no ``cmath``: no command
+  takes a complex square root), the only command that loads it;
 * ``temporal-diagram``: ``temporal`` (no numpy);
 * ``simulate``: ``pde``, so numpy and scipy's LAPACK extension
   ``scipy.linalg._flapack`` alone, not the ``scipy.linalg`` package, and
@@ -263,20 +267,17 @@ def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
     from .linear import (branch_point_table, dstar_parts, kpm_roots,
-                         mode_reports, spatial_spectrum, turing_bd_thresholds,
-                         vbounds)
+                         mode_reports, turing_bd_thresholds, vbounds)
 
     nan = float("nan")
     rows = []
-    for sigma, regime in turing_bd_thresholds(cfg.p, cfg.d, cfg.bracket):
+    for sigma, regime, K in turing_bd_thresholds(cfg.p, cfg.d, cfg.bracket):
         ps = cfg.p.with_sigma(sigma)
-        e = upper_coexisting(ps)
-        spec = spatial_spectrum(e, ps, cfg.d)
         try:
-            km, kp = kpm_roots(e, ps, cfg.d)
+            km, kp = kpm_roots(upper_coexisting(ps), ps, cfg.d)
         except HypothesisFailed:
             km = kp = nan
-        rows.append((sigma, regime.value, spec.K, km, kp))
+        rows.append((sigma, regime.value, K, km, kp))
     written = [_write_csv(out / "thresholds.csv",
                           ("sigma", "threshold_kind", "K", "kminus", "kplus"),
                           rows)]
@@ -404,7 +405,7 @@ def cmd_lyapunov(cfg: ExperimentConfig, out: Path) -> list[Path]:
     res = largest_lyapunov(f0, cfg.p, cfg.d, cfg.T,
                            renorm_interval=cfg.renorm_interval,
                            dt=dt, rng=rng)
-    ts = (1 + np.arange(res.convergence_series.size)) * res.renorm_interval
+    ts = (1 + np.arange(res.convergence_series.size)) * cfg.renorm_interval
     return [_write_csv(out / "lyapunov.csv", ("t", "lambda_running"),
                        zip(ts, res.convergence_series)),
             _write_text(out / "result.txt",

@@ -64,15 +64,14 @@ class CubicHermite:
 
 @dataclass
 class BVPResult:
-    """Final mesh ``x``, values ``y`` (n, m), parameters ``p``, spline
-    ``sol`` and ``status``: 0 converged, 1 more than ``max_nodes`` needed,
-    2 singular Newton matrix, 3 boundary residual still above ``tol`` when
-    no node is left to add, after ten meshes."""
+    """Final mesh ``x``, parameters ``p``, spline ``sol`` (its values at
+    the nodes are the final ``y``) and ``status``: 0 converged, 1 more than
+    ``max_nodes`` needed, 2 singular Newton matrix, 3 boundary residual
+    still above ``tol`` when no node is left to add, after ten meshes."""
 
     sol: CubicHermite
     p: np.ndarray
     x: np.ndarray
-    y: np.ndarray
     status: int
 
 
@@ -235,12 +234,12 @@ def solve_bvp(fun, bc, x, y, p, *, tol: float, max_nodes: int, fun_jac,
         max_bc_res = np.max(np.abs(bc(y[:, 0], y[:, -1], p)))
         sol = CubicHermite(x, y, f)
         if singular:
-            return BVPResult(sol, p, x, y, 2)
+            return BVPResult(sol, p, x, 2)
         rms = _rms_residuals(fun, sol, x, h, p, 1.5 * col_res / h, f_mid)
         insert_1, = np.nonzero((rms > tol) & (rms < 100 * tol))
         insert_2, = np.nonzero(rms >= 100 * tol)
         if x.size + insert_1.size + 2 * insert_2.size > max_nodes:
-            return BVPResult(sol, p, x, y, 1)
+            return BVPResult(sol, p, x, 1)
         if insert_1.size or insert_2.size:
             x = np.sort(np.concatenate([
                 x, 0.5 * (x[insert_1] + x[insert_1 + 1]),
@@ -249,6 +248,6 @@ def solve_bvp(fun, bc, x, y, p, *, tol: float, max_nodes: int, fun_jac,
             h = np.diff(x)
             y = sol(x)
         elif max_bc_res <= tol:
-            return BVPResult(sol, p, x, y, 0)
+            return BVPResult(sol, p, x, 0)
         elif meshes >= _MAX_MESHES:
-            return BVPResult(sol, p, x, y, 3)
+            return BVPResult(sol, p, x, 3)

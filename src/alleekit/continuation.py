@@ -219,7 +219,6 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    prob: SteadyProblem
     points: list[BranchPoint] = field(default_factory=list)
 
     def tagged(self, tag: str) -> list[BranchPoint]:
@@ -476,7 +475,7 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     sigma = sigma_start
     tau, det_sign = tangent_at(x, sigma, prob, prev=Tangent(np.zeros_like(x), direction))
 
-    branch = Branch(prob)
+    branch = Branch()
 
     def add_point(x, sigma, tags):
         n_un = solution_stability(x, sigma, prob)[0]

@@ -31,7 +31,6 @@ class LyapunovResult:
 
     lambda_max: float
     convergence_series: np.ndarray
-    renorm_interval: float
 
 
 def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
@@ -97,8 +96,7 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
         raise NoConvergence(
             f"running Lyapunov estimate has not settled (last-quartile std "
             f"{np.std(quart):.2e} vs mean {np.mean(quart):.2e})")
-    return LyapunovResult(lambda_max=lam, convergence_series=series,
-                          renorm_interval=renorm_interval)
+    return LyapunovResult(lambda_max=lam, convergence_series=series)
 
 
 def dominant_period(times: np.ndarray, values: np.ndarray, *,

@@ -9,12 +9,13 @@ band, ``kpm_roots``), lives in :mod:`alleekit.model`, which every command
 loads; ``kpm_roots`` is re-exported here. Everything in this module is
 built from those scalars evaluated at the upper coexisting state
 E*(sigma) (``_estar_scalars``), and only the ``thresholds`` command loads
-it.
+it. Of the spatial spectrum, the roots lam of d*lam**4 + s*lam**2 + D,
+the thresholds need only K = -s/(2d), the repeated lam**2 where the four
+roots collide, which ``turing_bd_thresholds`` returns with each root.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +24,6 @@ from typing import Iterable
 from .errors import HypothesisFailed, NoRoot, OutOfRange
 from .model import (
     Equilibrium,
-    EquilibriumKind,
     KineticParams,
     _band,
     _det_l,
@@ -38,10 +38,8 @@ from .rootfind import roots_from_scan, scan_grid, scan_roots
 __all__ = [
     "ModeReport",
     "Regime",
-    "SpatialSpectrum",
     "mode_reports",
     "turing_bd_thresholds",
-    "spatial_spectrum",
     "branch_point_table",
     "branch_point_sigmas",
     "dstar_parts",
@@ -68,22 +66,6 @@ class ModeReport:
 class Regime(Enum):
     TURING_SIDE = "TuringSide"
     BD_SIDE = "BDSide"
-    GENERIC = "Generic"
-
-
-@dataclass(frozen=True)
-class SpatialSpectrum:
-    """The four spatial eigenvalues of the steady-state linearization.
-
-    Roots of H(lam**2) = d*lam**4 + s*lam**2 + D, which come in exact
-    (+lam, -lam) pairs. K = -s/(2d) is the repeated lam**2 at a threshold
-    (where the discriminant of H in lam**2 vanishes): K < 0 means the
-    double pair is pure imaginary (Turing side), K > 0 real (BD side).
-    """
-
-    lambdas: tuple[complex, complex, complex, complex]
-    K: float
-    regime: Regime
 
 
 def _estar_scalars(p: KineticParams, d: float, sigma: float) -> tuple[float, float, float]:
@@ -132,11 +114,14 @@ def turing_bd_thresholds(
     p: KineticParams,
     d: float,
     bracket: tuple[float, float],
-) -> list[tuple[float, Regime]]:
-    """All roots of G(sigma) = 4 d D - s**2 on the bracket, tagged by side.
+) -> list[tuple[float, Regime, float]]:
+    """(sigma, side, K) for every root of G(sigma) = 4 d D - s**2 on the
+    bracket, sigma ascending.
 
-    G = 0 is where H(lam**2) has a repeated root lam**2 = K = -s/(2d);
-    K < 0 tags the Turing threshold, K > 0 the BD transition.
+    G = 0 is where the spatial quartic H(lam**2) = d*lam**4 + s*lam**2 + D
+    has a repeated root lam**2 = K = -s/(2d), so its four spatial
+    eigenvalues collide in two pairs: K < 0 (a pure imaginary pair) tags
+    the Turing threshold, K > 0 (a real pair) the BD transition.
     """
     if d <= 0:
         raise ValueError(f"need d > 0, got {d}")
@@ -148,41 +133,8 @@ def turing_bd_thresholds(
     out = []
     for r in scan_roots(g, bracket[0], bracket[1], n=N_SCAN):
         K = -_estar_scalars(p, d, r)[1] / (2.0 * d)
-        out.append((r, Regime.TURING_SIDE if K < 0 else Regime.BD_SIDE))
+        out.append((r, Regime.TURING_SIDE if K < 0 else Regime.BD_SIDE, K))
     return out
-
-
-def spatial_spectrum(e: Equilibrium, p: KineticParams, d: float) -> SpatialSpectrum:
-    """Exact roots of the spatial quartic H(lam**2) = d lam**4 + s lam**2 + D."""
-    if e.kind is not EquilibriumKind.COEXISTING:
-        raise OutOfRange(
-            f"spatial spectrum is defined about a coexisting state, got {e.kind.value}"
-        )
-    if d <= 0:
-        raise ValueError(f"need d > 0, got {d}")
-    _, s, det0 = _mode_scalars(e.u, e.v, p, d)
-    disc = s * s - 4.0 * d * det0
-    sq = cmath.sqrt(complex(disc, 0.0))
-    lam2 = ((-s + sq) / (2.0 * d), (-s - sq) / (2.0 * d))
-    pairs = []
-    for z in lam2:
-        r = cmath.sqrt(z)
-        pairs.extend((r, -r))
-    lambdas = tuple(sorted(pairs, key=lambda z: (z.real, z.imag)))
-
-    tol = 1e-12 * max(1.0, s * s, abs(4.0 * d * det0))
-    if disc >= -tol:
-        r_lo = (-s - abs(sq)) / (2.0 * d)
-        r_hi = (-s + abs(sq)) / (2.0 * d)
-        if r_hi <= tol:
-            regime = Regime.TURING_SIDE
-        elif r_lo >= -tol:
-            regime = Regime.BD_SIDE
-        else:
-            regime = Regime.GENERIC
-    else:
-        regime = Regime.GENERIC
-    return SpatialSpectrum(lambdas=lambdas, K=-s / (2.0 * d), regime=regime)
 
 
 def branch_point_table(

@@ -410,9 +410,11 @@ def axial_equilibria(p: KineticParams) -> list[Equilibrium]:
     (u = 1/2) at equality, none below. Returned in descending u (Axial1
     first), so the list is [u1, u2], [u = 1/2], or [].
     """
-    disc = p.sigma * p.sigma - 4.0 * p.sigma * p.eta
     # sigma = 4*eta exactly is a legal input; absorb float noise around it.
-    if abs(disc) <= 1e-14 * p.sigma * p.sigma:
+    # The discriminant sigma*(sigma - 4*eta) is tested divided by sigma
+    # (> 0): sigma**2 overflows past sigma ~ 1.34e154, where inf <= inf
+    # would take every larger sigma for this double root.
+    if abs(p.sigma - 4.0 * p.eta) <= 1e-14 * p.sigma:
         return [_make_equilibrium(EquilibriumKind.AXIAL1, 0.5, 0.0, p)]
     prey = _prey_window(p)
     if prey is None:

@@ -497,7 +497,6 @@ class SpaceTimeRecord:
     snap_times: np.ndarray
     snap_u: np.ndarray
     snap_v: np.ndarray
-    min_value: float
 
     @property
     def final(self) -> Field:
@@ -558,7 +557,6 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
     u, v = f0.u.copy(), f0.v.copy()
     t = f0.t
     dx = grid.dx
-    min_value = float(min(u.min(), v.min()))
     # the sample's work arrays, reused by every sample of the run
     rhs_u, rhs_v, work = np.empty((3, grid.N))
 
@@ -603,9 +601,6 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
         u, v = stepper.step_arrays(u, v, t, reaction)
         reaction = None
         t = f0.t + k * dt
-        m = float(min(u.min(), v.min()))
-        if m < min_value:
-            min_value = m
         if k % series_stride == 0 or k == n_steps:
             reaction = sample(t, u, v)
         if (snap_stride and k % snap_stride == 0 and k != n_steps):
@@ -623,7 +618,6 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
         snap_times=np.asarray(snap_t),
         snap_u=np.asarray(snaps_u),
         snap_v=np.asarray(snaps_v),
-        min_value=min_value,
     )
 
 

@@ -429,17 +429,6 @@ class ScanResult:
     # the shot of a single-cell plane whose cell holds a front, else None
     shot: Shot | None
 
-    @property
-    def monotonic_side(self) -> str:
-        """Which side of the empirical boundary the monotone cells occupy."""
-        mono = self.codes == WaveClass.MONOTONIC
-        non = self.codes == WaveClass.NON_MONOTONIC
-        if not mono.any() or not non.any():
-            return "undetermined"
-        mono_mean = float(np.broadcast_to(self.sigmas[:, None], self.codes.shape)[mono].mean())
-        non_mean = float(np.broadcast_to(self.sigmas[:, None], self.codes.shape)[non].mean())
-        return "high_sigma" if mono_mean > non_mean else "low_sigma"
-
 
 def _shoot_cell(p: KineticParams, d: float, c: float) -> tuple[int, str, Shot | None]:
     """WaveClass code, reason (see ScanResult.reasons) and, if it holds a

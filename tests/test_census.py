@@ -1,4 +1,4 @@
-"""Reach or remove, for functions and for options.
+"""Reach or remove, for functions, options and result fields.
 
 Functions: every public function of ``alleekit`` is run by one of the
 eight CLI commands, or ``_KEPT`` says why it stays without one. The
@@ -16,6 +16,15 @@ its bases. A call passes a parameter by keyword, by position (after the
 implicit ``self`` of a method) or through ``*`` or ``**``, which count as
 passing every parameter they can reach. The fields of dataclasses and
 named tuples are left out: their ``__init__`` is generated too.
+
+Result fields: every field of a dataclass or named tuple, and every
+property, defined in ``src/alleekit`` is read as an attribute somewhere in
+``src/alleekit``, or ``_KEPT_FIELDS`` says why it stays. A value computed
+on every call that no command reads is paid for by every run. The scan is
+static and goes by name, like the one for options: a load of ``.name`` on
+any object counts for every field and property called ``name``, so a field
+that only echoes a same-named field of another class (an argument handed
+back) hides from it.
 """
 
 import ast
@@ -182,3 +191,72 @@ def test_every_defaulted_parameter_is_passed_or_kept():
     rest = options - set(_KEPT_OPTIONS)
     assert rest - in_package - in_benchmark == set()
     assert (rest & in_benchmark) - in_package == set(_BENCHMARK_ONLY)
+
+
+# result fields that nothing in src/alleekit reads, and why each stays
+_KEPT_FIELDS = {
+    "temporal.AttractorSummary.period":
+        "test_period_grows_toward_threshold checks the paper's period growth "
+        "toward the global bifurcation with it; the mean interval behind it "
+        "is computed anyway for the regularity test",
+    "temporal.DiagramPoint.error":
+        "why a diagram point failed; the error column of diagram.csv "
+        "(ROADMAP.md item 4) is to write it",
+    "waves.ScanResult.reasons":
+        "why a scan cell is Unknown; the reason column of scan.csv "
+        "(ROADMAP.md item 4) is to write it",
+    "waves.Shot.wedge_ok":
+        "the check of the wedge proposition, asserted on the fronts the "
+        "tests find",
+}
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A @dataclass, bare or called, or a NamedTuple subclass."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+    return ("dataclass" in map(name, cls.decorator_list)
+            or "NamedTuple" in map(name, cls.bases))
+
+
+def _result_fields() -> dict:
+    """{qualified name: attribute name} of every field of a dataclass or
+    named tuple and every property defined in src/alleekit."""
+    fields = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)
+                        and _is_record(cls)):
+                    name = node.target.id
+                elif (isinstance(node, ast.FunctionDef)
+                      and any(isinstance(d, ast.Name) and d.id == "property"
+                              for d in node.decorator_list)):
+                    name = node.name
+                else:
+                    continue
+                fields[f"{path.stem}.{cls.name}.{name}"] = name
+    return fields
+
+
+def _loaded_attributes() -> set:
+    """The name of every attribute that code in src/alleekit loads."""
+    return {node.attr
+            for path in sorted(_PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_result_field_is_read_or_kept():
+    fields = _result_fields()
+    loaded = _loaded_attributes()
+    assert set(_KEPT_FIELDS) <= set(fields)
+    unread = {q for q, name in fields.items() if name not in loaded}
+    # a kept field that the package reads no longer needs its reason
+    assert unread == set(_KEPT_FIELDS)

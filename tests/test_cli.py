@@ -482,6 +482,17 @@ def test_equilibria_without_a_coexisting_state_writes_nan(tmp_path, capsys):
         "l1_hopf": "nan", "sigma_s": "nan"}
 
 
+@pytest.mark.parametrize("sigma", [1.4e154, 1e200])
+def test_equilibria_past_float_range_is_a_numerical_failure(tmp_path, capsys,
+                                                            sigma):
+    # sigma**2 overflows past sigma ~ 1.34e154, so the prey-only states are
+    # not computable: exit 3, not the sigma = 4*eta double root at u = 1/2
+    rc, err = _run(tmp_path, capsys, "equilibria", "", sigma=sigma)
+    assert rc == 3
+    assert "non-finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "manifest.txt").exists()
+
+
 _K = _KINETICS.format(sigma=2.7, eta=0.1)
 _GRIDS = "c_lo = 5\nc_hi = 6\nc_count = 2\nsigma_lo = {}\nsigma_hi = {}\n"
 

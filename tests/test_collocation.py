@@ -74,7 +74,7 @@ def test_unmet_boundary_condition_on_a_resolved_mesh_is_status_3():
                                     np.zeros((1, 1)), np.zeros((1, 0))))
     assert sol.status == 3
     assert np.array_equal(sol.x, x)
-    assert abs(sol.y[0, 0]) ** 3 > 1e-30
+    assert abs(sol.sol(0.0)[0]) ** 3 > 1e-30
 
 
 def test_coupled_boundary_conditions_are_refused():

@@ -149,7 +149,7 @@ def _residual_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _branch_switch(branch: Branch, bp_index: int,
+def _branch_switch(branch: Branch, prob: SteadyProblem, bp_index: int,
                    amplitude: float) -> tuple[np.ndarray, float]:
     """Start point on the bifurcating branch at a detected BP.
 
@@ -162,7 +162,6 @@ def _branch_switch(branch: Branch, bp_index: int,
     pt = branch.points[bp_index]
     if "BP" not in pt.tags:
         raise ValueError(f"point {bp_index} is not tagged as a branch point")
-    prob = branch.prob
     phi = _kernel_vector(pt.x, pt.sigma, prob)
     u_par, _ = split_fields(pt.x)
     par_var = float(np.var(u_par))
@@ -384,7 +383,7 @@ def test_branch_switch_counts_match_modes(base_p):
                          steps=40, ds0=2e-3, sigma_range=(1.768, 1.7965))
     by_sigma = sorted(br.tagged("BP"), key=lambda q: -q.sigma)
     for pt, n_mode in zip(by_sigma, (19, 20)):
-        x, _sig = _branch_switch(br, pt.index, amplitude=0.05)
+        x, _sig = _branch_switch(br, prob, pt.index, amplitude=0.05)
         u, _ = split_fields(x)
         assert _monotone_runs(u) == n_mode
 
@@ -396,8 +395,8 @@ def test_branch_switch_mirror_pair(base_p):
     br = continue_branch(_flat(prob, 1.795), 1.795, prob, direction=-1,
                          steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796))
     bp = br.tagged("BP")[0]
-    x_plus, s_plus = _branch_switch(br, bp.index, amplitude=0.05)
-    x_minus, s_minus = _branch_switch(br, bp.index, amplitude=-0.05)
+    x_plus, s_plus = _branch_switch(br, prob, bp.index, amplitude=0.05)
+    x_minus, s_minus = _branch_switch(br, prob, bp.index, amplitude=-0.05)
     assert s_plus == pytest.approx(s_minus, abs=1e-12)
     u_plus, _ = split_fields(x_plus)
     u_minus, _ = split_fields(x_minus)
@@ -410,7 +409,7 @@ def test_branch_switch_tiny_amplitude_falls_back(base_p):
                          steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796))
     bp = br.tagged("BP")[0]
     with pytest.raises(NoConvergence, match="returned to the parent branch"):
-        _branch_switch(br, bp.index, amplitude=1e-9)
+        _branch_switch(br, prob, bp.index, amplitude=1e-9)
 
 
 def test_kernel_rejected_away_from_bifurcation(base_p):

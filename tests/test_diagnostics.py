@@ -57,7 +57,7 @@ def test_island_series_over_record():
         grid=g, times=np.array([0.0]), u_av=np.zeros(1), v_av=np.zeros(1),
         var_u=np.zeros(1), dudt_sup=np.zeros(1),
         snap_times=np.array([0.0, 1.0, 2.0]), snap_u=snaps,
-        snap_v=np.zeros_like(snaps), min_value=0.0)
+        snap_v=np.zeros_like(snaps))
     t, n = island_series(rec, 0.05)
     assert list(n) == [0, 1, 2]
     assert list(t) == [0.0, 1.0, 2.0]
@@ -74,6 +74,15 @@ def test_dominant_period_pure_sine():
 def test_dominant_period_none_on_noise(rng):
     t = np.linspace(0.0, 100.0, 2001)
     assert dominant_period(t, rng.standard_normal(t.size)) is None
+
+
+def test_dominant_period_none_on_a_constant_with_a_rounded_mean():
+    # 101 copies of 0.1 average to 0.1 + 2.8e-17, so the centred series is
+    # a nonzero constant: every lag correlates at 1 and none dips below 0.5
+    # before a peak, which is no period
+    x = np.full(101, 0.1)
+    assert x.mean() != 0.1
+    assert dominant_period(np.arange(101.0), x) is None
 
 
 def test_dominant_period_trailing_window():

@@ -6,11 +6,11 @@ without numpy, while ``waves``, built on it, loads numpy; the time-stepping,
 but not the ``scipy.linalg`` package, ``continue`` loads no
 ``scipy.sparse``, ``wave-scan`` no ``scipy.integrate``,
 ``scipy.interpolate`` or ``scipy.sparse``, and ``scipy.linalg`` reuses the
-extension ``pde`` loaded; only ``thresholds`` loads ``linear`` (and the
-``cmath`` it needs), because ``model`` owns the mode algebra the other
-layers use; each CLI command loads its layers, and numpy where they need
-it, before its run starts; and the lazy package namespace still serves
-every public name.
+extension ``pde`` loaded; only ``thresholds`` loads ``linear``, because
+``model`` owns the mode algebra the other layers use, and no command loads
+``cmath``, because no threshold needs a complex spatial eigenvalue; each
+CLI command loads its layers, and numpy where they need it, before its run
+starts; and the lazy package namespace still serves every public name.
 
 Each check of what gets loaded runs in a fresh interpreter, because the
 test session itself has already imported every layer. Each command config
@@ -233,7 +233,7 @@ def test_lazy_namespace_serves_every_public_name():
         "                  'unknown': unknown,\n"
         "                  'version': alleekit.__version__}))\n")
     report = json.loads(out)
-    assert report == {"missing": [], "count": 72, "unknown": "AttributeError",
+    assert report == {"missing": [], "count": 70, "unknown": "AttributeError",
                       "version": "0.1.0"}
 
 
@@ -272,9 +272,9 @@ def test_simulate_sizing_its_grid_imports_nothing_new(drive):
 ], ids=[*_BODIES, "simulate-sizing-its-grid"])
 def test_only_thresholds_loads_linear(drive, command, body):
     # model owns the mode algebra (tr, s, D), det L(k) and the Turing band,
-    # so pde sizes a grid and continuation counts the symbol without linear,
-    # and only the spatial spectrum of thresholds needs cmath
+    # so pde sizes a grid and continuation counts the symbol without linear;
+    # thresholds takes K = -s/(2d) from the scalars, with no complex root
     report = drive(command, body)
     thresholds = command == "thresholds"
     assert ("alleekit.linear" in report["loaded"]) is thresholds
-    assert report["cmath"] is thresholds
+    assert report["cmath"] is False

@@ -17,7 +17,6 @@ from alleekit.linear import (
     dstar_parts,
     kpm_roots,
     mode_reports,
-    spatial_spectrum,
     turing_bd_thresholds,
     vbounds,
 )
@@ -25,6 +24,7 @@ from alleekit.model import (
     KineticParams,
     Stability,
     _jacobian_entries,
+    _mode_scalars,
     axial_equilibria,
     coexisting_equilibria,
     jacobian,
@@ -86,7 +86,7 @@ def test_mode_zero_matches_planar_classification(p_main):
 def test_threshold_locations(p_main):
     roots = turing_bd_thresholds(p_main, D_REF, (1.7, 2.3))
     assert len(roots) == 2
-    (s_t, tag_t), (s_bd, tag_bd) = roots
+    (s_t, tag_t, _), (s_bd, tag_bd, _) = roots
     assert abs(s_t - SIGMA_T) < 1e-8
     assert abs(s_bd - SIGMA_BD) < 1e-8
     assert tag_t is Regime.TURING_SIDE
@@ -95,14 +95,18 @@ def test_threshold_locations(p_main):
     assert abs(s_t - 1.861) < 5e-4 and abs(s_bd - 2.098) < 5e-4
 
 
+def _spatial_roots(p, sigma):
+    """np.roots of the spatial quartic d*lam**4 + s*lam**2 + D at E*(sigma)."""
+    e, ps = _at(p, sigma)
+    _, s, det0 = _mode_scalars(e.u, e.v, ps, D_REF)
+    return np.roots([D_REF, 0.0, s, 0.0, det0])
+
+
 def test_threshold_has_repeated_spatial_root(p_main):
-    for sigma, _ in turing_bd_thresholds(p_main, D_REF, (1.7, 2.3)):
-        e, ps = _at(p_main, sigma)
-        spec = spatial_spectrum(e, ps, D_REF)
-        lam2 = sorted({round((z * z).real, 14) for z in spec.lambdas})
-        # All four lambda**2 collapse onto K at a threshold.
-        for v in lam2:
-            assert abs(v - spec.K) < 1e-8
+    for sigma, _, K in turing_bd_thresholds(p_main, D_REF, (1.7, 2.3)):
+        # All four lambda**2 collapse onto the row's K at a threshold.
+        lams = _spatial_roots(p_main, sigma)
+        assert np.abs(lams * lams - K).max() < 1e-8
 
 
 def test_no_thresholds_outside_window(p_main):
@@ -110,39 +114,17 @@ def test_no_thresholds_outside_window(p_main):
         turing_bd_thresholds(p_main, D_REF, (2.3, 2.8))
 
 
-def test_spectrum_regimes_across_the_window(p_main):
-    tags = {}
-    for sigma in (1.80, 1.95, 2.2):
-        e, ps = _at(p_main, sigma)
-        tags[sigma] = spatial_spectrum(e, ps, D_REF).regime
-    assert tags[1.80] is Regime.TURING_SIDE
-    assert tags[1.95] is Regime.GENERIC
-    assert tags[2.2] is Regime.BD_SIDE
-
-
 def test_spectrum_k_sign_convention(p_main):
-    e_t, ps_t = _at(p_main, SIGMA_T)
-    e_bd, ps_bd = _at(p_main, SIGMA_BD)
-    spec_t = spatial_spectrum(e_t, ps_t, D_REF)
-    spec_bd = spatial_spectrum(e_bd, ps_bd, D_REF)
-    assert abs(spec_t.K - K_AT_T) < 1e-8
-    assert abs(spec_bd.K - K_AT_BD) < 1e-8
-    assert spec_t.K < 0 < spec_bd.K
-
-
-def test_spectrum_symmetry_and_vieta(p_main, rng):
-    for sigma in rng.uniform(1.5, 2.6, size=8):
-        e, ps = _at(p_main, float(sigma))
-        spec = spatial_spectrum(e, ps, D_REF)
-        lams = np.array(spec.lambdas)
-        # Quadrantal symmetry: the set is closed under negation.
-        for z in lams:
-            assert np.min(np.abs(lams + z)) < 1e-12
-        prod = complex(np.prod(lams))
-        _, _, _, _ = e.u, e.v, sigma, spec
-        a10b01 = e.det  # kinetics determinant at E*
-        assert abs(prod.imag) < 1e-10
-        assert abs(prod.real - a10b01 / D_REF) < 1e-10
+    (s_t, _, k_t), (s_bd, _, k_bd) = turing_bd_thresholds(
+        p_main, D_REF, (1.7, 2.3))
+    assert abs(k_t - K_AT_T) < 1e-8
+    assert abs(k_bd - K_AT_BD) < 1e-8
+    assert k_t < 0 < k_bd
+    # K < 0: the double pair is pure imaginary; K > 0: it is real
+    lams_t = _spatial_roots(p_main, s_t)
+    lams_bd = _spatial_roots(p_main, s_bd)
+    assert np.abs(lams_t.real).max() < 1e-12 < np.abs(lams_t.imag).min()
+    assert np.abs(lams_bd.imag).max() < 1e-12 < np.abs(lams_bd.real).min()
 
 
 def test_branch_points_against_oracle(p_main):

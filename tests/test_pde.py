@@ -344,10 +344,17 @@ def test_run_records_and_positivity(p_main):
               dt=0.05)
     assert rec.times[0] == 0.0 and rec.times[-1] == pytest.approx(20.0)
     assert rec.snap_times[0] == 0.0 and rec.snap_times[-1] == pytest.approx(20.0)
-    assert rec.min_value >= -1e-12
     assert rec.snap_u.shape[1] == g.N
     # sigma=2.7 is above every instability threshold: noise dies out
     assert rec.var_u[-1] < rec.var_u[0]
+    # the same 400 steps, taken one at a time, stay nonnegative after each
+    st = ImexStepper(g, p_main, D_REF, 0.05)
+    u, v = f0.u, f0.v
+    for k in range(400):
+        u, v = st.step_arrays(u, v, k * 0.05)
+        assert min(u.min(), v.min()) >= -1e-12
+    np.testing.assert_array_equal(u, rec.final.u)
+    np.testing.assert_array_equal(v, rec.final.v)
 
 
 @pytest.mark.parametrize("scheme", ["imex1", "strang"])
@@ -513,7 +520,7 @@ def test_settled_record_is_classified_by_its_variance(var_u, kind):
         var_u=np.full(32, var_u),
         dudt_sup=np.where(times < 10.0, 1.0, 0.5 * DERIV_TOL),
         snap_times=np.array([0.0]), snap_u=np.zeros((1, 16)),
-        snap_v=np.zeros((1, 16)), min_value=0.0)
+        snap_v=np.zeros((1, 16)))
     assert classify_asymptotic(rec, 20.0) is kind
 
 
@@ -590,7 +597,7 @@ def test_invasion_front_speed_near_cmin(p_main):
     f0 = make_ic("invasion_step", g, p_main)
     rec = run(f0, p_main, D_REF, 300.0, Recorder(series_every=2.0, snapshot_every=4.0),
               dt=0.05)
-    assert rec.min_value >= -1e-12
+    assert min(rec.snap_u.min(), rec.snap_v.min()) >= -1e-12
     sp = _measure_front_speed(rec, _mid_level(p_main), (200.0, 300.0))
     c_min = 4.6707
     assert c_min - 0.15 <= sp <= c_min + 0.2

@@ -155,6 +155,15 @@ def test_diagram_point_of_an_extinct_orbit_is_no_failure(p_main):
     assert pt.cycle is None
 
 
+def test_diagram_records_a_sigma_whose_equilibria_fail(p_main):
+    # sigma**2 overflows past sigma ~ 1.34e154, so the prey-only states are
+    # not computable: that point keeps why, and the next one is computed
+    bad, good = bifurcation_diagram(p_main, [1e160, 2.7])
+    assert bad.sigma == 1e160 and bad.equilibria == [] and bad.cycle is None
+    assert bad.error == "jacobian called at non-finite point (inf, 0.0)"
+    assert good.error is None and len(good.equilibria) == 4
+
+
 def test_predicate_signs_around_threshold(p_main):
     """sigma=1.6 and 1.7 lose the cycle, sigma=1.82 and 1.85 keep it."""
     pts = bifurcation_diagram(p_main, [1.60, 1.70, 1.82, 1.85])
