@@ -178,9 +178,9 @@ def _cleared(buf, like):
 class _ArrayKinetics:
     """The array formulas of the kinetics, for same-shape arrays u and v.
 
-    Each state gets one denominator alpha + u + beta*v and one den != 0
-    mask, shared by the rates and the Jacobian entries; where the mask is
-    off the interaction terms are 0, the origin convention. Every array
+    Each call takes one denominator alpha + u + beta*v and one den != 0
+    mask per state; where the mask is off the interaction terms are 0, the
+    origin convention. Every array
     follows the order of operations of ``_rates`` / ``_derivatives``, so it
     equals the scalar path bit for bit.
 
@@ -216,10 +216,12 @@ class _ArrayKinetics:
         mask = np.not_equal(den, 0.0, out=self._mask)
         return au, bv, den, mask, np.multiply(u, v, out=self._uv)
 
-    def _fill_rates(self, u, v, den, mask, uv):
+    def rates(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """(F1, F2) at the state (u, v)."""
         import numpy as np
 
         p = self.p
+        _, _, den, mask, uv = self._share(u, v)
         inter = _cleared(self._inter, den)
         np.divide(uv, den, out=inter, where=mask)
         # f1 = sigma*u*u*(1 - u) - eta*u - inter
@@ -233,10 +235,12 @@ class _ArrayKinetics:
         f2 -= v
         return f1, f2
 
-    def _fill_derivatives(self, u, v, au, bv, den, mask, uv):
+    def derivatives(self, u, v) -> tuple[np.ndarray, ...]:
+        """The Jacobian entries (a10, a01, b10, b01) at the state (u, v)."""
         import numpy as np
 
         p = self.p
+        au, bv, den, mask, uv = self._share(u, v)
         inv = _cleared(self._inv, den)
         np.divide(1.0, den, out=inv, where=mask)
         inv2 = np.multiply(inv, inv, out=self._inv2)
@@ -264,22 +268,6 @@ class _ArrayKinetics:
         b01 -= tmp
         b01 -= 1.0
         return a10, a01, b10, b01
-
-    def rates(self, u, v) -> tuple[np.ndarray, np.ndarray]:
-        """(F1, F2) at the state (u, v)."""
-        au, bv, den, mask, uv = self._share(u, v)
-        return self._fill_rates(u, v, den, mask, uv)
-
-    def derivatives(self, u, v) -> tuple[np.ndarray, ...]:
-        """The Jacobian entries (a10, a01, b10, b01) at the state (u, v)."""
-        return self._fill_derivatives(u, v, *self._share(u, v))
-
-    def rates_and_derivatives(self, u, v) -> tuple[np.ndarray, ...]:
-        """(F1, F2, a10, a01, b10, b01) at the state (u, v), from one
-        denominator."""
-        au, bv, den, mask, uv = self._share(u, v)
-        return (self._fill_rates(u, v, den, mask, uv)
-                + self._fill_derivatives(u, v, au, bv, den, mask, uv))
 
 
 def kinetics(u, v, p: KineticParams):
@@ -428,11 +416,17 @@ def axial_equilibria(p: KineticParams) -> list[Equilibrium]:
 
 def _prey_window(p: KineticParams) -> tuple[float, float] | None:
     """(u2, u1), where the prey nullcline v > 0 exactly on u2 < u < u1;
-    None unless sigma > 4*eta."""
+    None unless sigma > 4*eta.
+
+    u1 and u2 are the roots of sigma*u^2 - sigma*u + eta. The small root
+    comes from their product eta/sigma, not from sigma - s, which cancels
+    to 0 once 4*eta/sigma is below an ulp of 1.
+    """
     if p.sigma <= 4.0 * p.eta:
         return None
     s = math.sqrt(p.sigma * p.sigma - 4.0 * p.sigma * p.eta)
-    return (p.sigma - s) / (2.0 * p.sigma), (p.sigma + s) / (2.0 * p.sigma)
+    u1 = (p.sigma + s) / (2.0 * p.sigma)
+    return p.eta / (p.sigma * u1), u1
 
 
 def _feasibility_window(p: KineticParams) -> tuple[float, float] | None:

@@ -14,27 +14,33 @@ continuation solves it for zero and ``run`` samples it. Time stepping is
 first-order IMEX (explicit reaction, implicit tridiagonal diffusion) with
 a second-order Strang variant. Each stepper evaluates the reaction with
 its own :class:`alleekit.model._ArrayKinetics`, sized to the grid once:
-one denominator per state serves both the rates and the Jacobian entries
-of the tangent step, the arrays go to buffers the stepper holds, and no
-finiteness check runs per stage, since every step checks the state it
-makes. ``run`` samples its series with the same kernel and hands the
-rates on to the next IMEX step; the sample's Laplacians and sums go to
-arrays held for the run, in the order of operations of
-``semidiscrete_rhs``, ``np.trapezoid`` and ``np.var``.
+the arrays go to buffers the stepper holds, and no finiteness check runs
+per stage, since every step checks the state it makes. Both fields diffuse
+through one solve: one LDL^T factor holds the prey and the predator block,
+and each right-hand side stacks the prey rows over the predator rows.
+``ImexStepper.tangent_steps`` carries a tangent through a run of steps
+already taken, with the Jacobian entries of all their states from one
+kinetics call on a (steps, N) block. ``run`` samples its series with the
+same kernel and hands the rates on to the next IMEX step; the sample's
+Laplacians and sums go to arrays held for the run, in the order of
+operations of ``semidiscrete_rhs``, ``np.trapezoid`` and ``np.var``.
 
 It also owns both LAPACK factor wrappers: ``_TriFactor`` for the diffusion
 solves and ``BandedLU`` (``dgbtrf``, with the determinant sign) for the
 Newton matrices of :mod:`alleekit.continuation` and
 :mod:`alleekit.collocation`. The Neumann Laplacian is self-adjoint under
 the trapezoid weights W = diag(1/2, 1, ..., 1, 1/2), so ``_TriFactor``
-factors the symmetric positive-definite W(I - c*Laplacian) as LDL^T
-(``dpttrf``) and solves with W b (``dpttrs``). Both wrappers call scipy's
-f2py extension ``scipy.linalg._flapack``, which ``_load_flapack`` loads
-straight from its file: importing ``scipy.linalg`` would first run that
-package's init, about 0.25 s per process on a 2-core x86-64 Xeon, which
-loads ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` and no solver used
-here. The module is registered under its own name, so a later
-``import scipy.linalg`` reuses it.
+factors the symmetric positive-definite W(I - c*Laplacian) of each field,
+the blocks of one block-diagonal matrix, as LDL^T (``dpttrf``) and solves
+with W b (``dpttrs``). Both wrappers call scipy's f2py extension
+``scipy.linalg._flapack``, which ``_load_flapack`` loads straight from its
+file: importing ``scipy.linalg`` would first run that package's init,
+about 0.25 s per process on a 2-core x86-64 Xeon, which loads
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` and no solver used here.
+The file is found with ``importlib.util.find_spec("scipy")``, which reads
+where scipy lies without running scipy's own init (``scipy._lib``,
+``scipy.__config__``). The module is registered under its own name, so a
+later ``import scipy.linalg`` reuses it.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -70,9 +76,8 @@ def _load_flapack():
     """scipy's f2py LAPACK extension, without scipy.linalg's package init."""
     module = sys.modules.get(_FLAPACK)
     if module is None:
-        import scipy
-
-        directory = os.path.join(scipy.__path__[0], "linalg")
+        directory = os.path.join(
+            find_spec("scipy").submodule_search_locations[0], "linalg")
         spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)
                           ).find_spec(_FLAPACK)
         if spec is None:
@@ -180,33 +185,42 @@ def l2_norm(w: np.ndarray, dx: float) -> float:
 
 
 class _TriFactor:
-    """Cached LDL^T factorization (``dpttrf``) of W(I - coef*Laplacian).
+    """Cached LDL^T factorization (``dpttrf``) of the block-diagonal matrix
+    with one block W(I - c*Laplacian) per coefficient c in ``coefs``.
 
     W = diag(1/2, 1, ..., 1, 1/2) holds the trapezoid weights, under which
-    the Neumann Laplacian is self-adjoint: W(I - coef*Laplacian) is a
-    symmetric positive-definite M-matrix with diagonal 1/2 + r, 1 + 2r, ...,
-    1/2 + r and off-diagonal -r, r = coef/dx^2. ``solve`` scales a copy of
-    b by W (its end rows halved, which is exact) and runs ``dpttrs``.
+    the Neumann Laplacian is self-adjoint: each block is a symmetric
+    positive-definite M-matrix with diagonal 1/2 + r, 1 + 2r, ..., 1/2 + r
+    and off-diagonal -r, r = c/dx^2. Blocks meet with a zero coupling, so
+    the factor and solve of each block's rows are those of the block alone,
+    bit for bit. ``solve`` scales b by W (the end rows of every block
+    halved, which is exact) into a fresh array and runs ``dpttrs`` on it.
     """
 
-    def __init__(self, n: int, dx: float, coef: float):
-        _, diag, upper = laplacian_bands(n, dx, coef)
-        d = 1.0 - diag
-        d[0] *= 0.5
-        d[-1] *= 0.5
-        # the end rows' doubled couplings halve to the interior -r
-        e = -upper
-        e[0] *= 0.5
+    def __init__(self, n: int, dx: float, *coefs: float):
+        d = np.empty(n * len(coefs))
+        e = np.zeros(d.size - 1)
+        self._w = np.ones(d.size)
+        for k, coef in enumerate(coefs):
+            first, last = k * n, k * n + n - 1
+            _, diag, upper = laplacian_bands(n, dx, coef)
+            d[first:last + 1] = 1.0 - diag
+            # the end rows' doubled couplings halve to the interior -r
+            e[first:last] = -upper
+            e[first] *= 0.5
+            self._w[[first, last]] = 0.5
+        d *= self._w
         self.d, self.e, info = flapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise NonFinite(f"diffusion matrix factorization failed (info={info})")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with (I - coef*Laplacian) x = b, for one column b or a
-        Fortran-order (n, k) block; b itself is left as it was."""
-        x = np.array(b, order="F")
-        x[0] *= 0.5
-        x[-1] *= 0.5
+        """x with the block-diagonal I - c*Laplacian taking x to b, for one
+        column b or a Fortran-order (rows, k) block; b itself is left as it
+        was."""
+        # b.T has the rows along its last axis, which the weights broadcast
+        # over; transposed back, W b is Fortran-ordered like b
+        x = np.multiply(b.T, self._w).T
         x, info = flapack.dpttrs(self.d, self.e, x, overwrite_b=1)
         if info != 0:
             raise NonFinite(f"tridiagonal solve failed (info={info})")
@@ -244,8 +258,8 @@ class BandedLU:
         return -1 if (neg + swaps) % 2 else 1
 
 
-def _check_finite(u: np.ndarray, v: np.ndarray, t: float) -> None:
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+def _check_finite(x: np.ndarray, t: float) -> None:
+    if not np.isfinite(x).all():
         raise NonFinite(f"state lost finiteness near t={t:.6g}")
 
 
@@ -255,17 +269,20 @@ def _shifted(base: np.ndarray, h: float, k: np.ndarray, out: np.ndarray) -> np.n
 
 
 class _Stepper:
-    """What both schemes share: the checks, ``_fu`` and ``_fv``, the LDL^T
-    factors (``dpttrf``, solved by ``dpttrs``) of the W-weighted
-    W(I - c*Laplacian) for c = ``_cu`` = _SHARE*dt and ``_cv`` = _cu*d, and
-    ``_kinetics``, the reaction sized to the grid.
+    """What both schemes share: the checks, ``_factor``, the one LDL^T
+    factor (``dpttrf``, solved by ``dpttrs``) of the block-diagonal matrix
+    whose blocks are the W-weighted W(I - c*Laplacian) for c = ``_cu`` =
+    _SHARE*dt (prey) and ``_cv`` = _cu*d (predator), and ``_kinetics``, the
+    reaction sized to the grid.
 
-    The reaction and the work arrays of a step live in buffers the stepper
-    holds (``_hold``); every array a step returns is a fresh solve output.
-    The reaction arithmetic runs under ``np.errstate(over="ignore",
-    invalid="ignore")``: a diverging state is reported by ``_check_finite``
-    as NonFinite, not as a numpy warning. ``include_reaction=False`` makes
-    ``step_arrays`` a pure-diffusion step.
+    Both fields go through one solve: the right-hand side is the prey rows
+    followed by the predator rows, built in ``_b`` (its halves ``_bu`` and
+    ``_bv``), and a step returns the two halves of the fresh solve output.
+    The reaction and the other work arrays of a step live in buffers the
+    stepper holds (``_hold``). The reaction arithmetic runs under
+    ``np.errstate(over="ignore", invalid="ignore")``: a diverging state is
+    reported by ``_check_finite`` as NonFinite, not as a numpy warning.
+    ``include_reaction=False`` makes ``step_arrays`` a pure-diffusion step.
     """
 
     _SHARE = 1.0
@@ -283,10 +300,16 @@ class _Stepper:
         self.include_reaction = include_reaction
         self._cu = self._SHARE * dt
         self._cv = self._SHARE * dt * d
-        self._fu = _TriFactor(grid.N, grid.dx, self._cu)
-        self._fv = _TriFactor(grid.N, grid.dx, self._cv)
+        self._factor = _TriFactor(grid.N, grid.dx, self._cu, self._cv)
         self._kinetics = _ArrayKinetics(p, (grid.N,))
+        self._b = np.empty(2 * grid.N)
+        self._bu, self._bv = self._b.reshape(2, grid.N)
         self._hold(grid.N)
+
+    def _checked(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The halves (u, v) of x, a solve output reached at time t."""
+        _check_finite(x, t)
+        return x[:self.grid.N], x[self.grid.N:]
 
 
 class ImexStepper(_Stepper):
@@ -294,14 +317,15 @@ class ImexStepper(_Stepper):
 
     The implicit matrices are M-matrices, so diffusion alone preserves
     positivity for any dt; the explicit reaction bounds dt in practice.
+    ``tangent_steps`` applies the exact linearization of ``step_arrays``.
     """
 
     def _hold(self, n: int) -> None:
-        # one Fortran-order (n, 2) right-hand side per field, so that a
-        # state column and a tangent column share one solve
-        self._bu, self._bv = np.empty((2, 2, n)).transpose(0, 2, 1)
-        (self._su, self._tu), (self._sv, self._tv) = self._bu.T, self._bv.T
-        self._tmp = np.empty(n)
+        # the tangent step's products a*w, (2, 2, n), and their row sums
+        self._prod = np.empty((2, 2, n))
+        self._lin = np.empty(2 * n)
+        # the kinetics of tangent_steps, sized to each number of states
+        self._blocks: dict[int, _ArrayKinetics] = {}
 
     def step_arrays(self, u: np.ndarray, v: np.ndarray, t: float,
                     reaction: tuple[np.ndarray, np.ndarray] | None = None
@@ -312,36 +336,41 @@ class ImexStepper(_Stepper):
         if self.include_reaction:
             with np.errstate(over="ignore", invalid="ignore"):
                 f1, f2 = self._kinetics.rates(u, v) if reaction is None else reaction
-                u = _shifted(u, self.dt, f1, self._su)
-                v = _shifted(v, self.dt, f2, self._sv)
-        un = self._fu.solve(u)
-        vn = self._fv.solve(v)
-        _check_finite(un, vn, t + self.dt)
-        return un, vn
+                _shifted(u, self.dt, f1, self._bu)
+                _shifted(v, self.dt, f2, self._bv)
+        else:
+            np.concatenate((u, v), out=self._b)
+        return self._checked(self._factor.solve(self._b), t + self.dt)
 
-    def step_with_tangent(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
-                          dv: np.ndarray, t: float
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """step_arrays from (u, v), and its exact linearization at (u, v)
-        applied to (du, dv); each field's state and tangent share one
-        two-column solve. The step always reacts: it linearizes the full
-        system, whatever ``include_reaction`` says."""
-        dt, su, sv, tu, tv, tmp = self.dt, self._su, self._sv, self._tu, self._tv, self._tmp
+    def tangent_steps(self, us: list[np.ndarray], vs: list[np.ndarray],
+                      w: np.ndarray) -> np.ndarray:
+        """The tangent w, the prey rows followed by the predator rows,
+        carried through the steps that ``step_arrays`` takes from the states
+        (us[k], vs[k]) in order, by the exact linearization of each step.
+
+        That linearization is w <- solve(w + dt*J_k w), with J_k the
+        reaction Jacobian at (us[k], vs[k]), or w <- solve(w) when the
+        stepper does not react. The Jacobian entries of all the states come
+        from one kinetics call on the (steps, N) block: the arithmetic is
+        elementwise, so each entry is that of the call at its own state.
+        Returns a fresh array.
+        """
+        if not self.include_reaction:
+            for _ in us:
+                w = self._factor.solve(w)
+            return w
+        n, m, prod, lin = self.grid.N, len(us), self._prod, self._lin
+        if m not in self._blocks:
+            self._blocks[m] = _ArrayKinetics(self.p, (m, n))
         with np.errstate(over="ignore", invalid="ignore"):
-            f1, f2, a10, a01, b10, b01 = self._kinetics.rates_and_derivatives(u, v)
-            _shifted(u, dt, f1, su)
-            _shifted(v, dt, f2, sv)
-            # du + dt*(a10*du + a01*dv), and likewise for dv
-            np.multiply(a10, du, out=tu)
-            tu += np.multiply(a01, dv, out=tmp)
-            _shifted(du, dt, tu, tu)
-            np.multiply(b10, du, out=tv)
-            tv += np.multiply(b01, dv, out=tmp)
-            _shifted(dv, dt, tv, tv)
-        xu = self._fu.solve(self._bu)
-        xv = self._fv.solve(self._bv)
-        _check_finite(xu[:, 0], xv[:, 0], t + dt)
-        return xu[:, 0], xv[:, 0], xu[:, 1], xv[:, 1]
+            entries = self._blocks[m].derivatives(np.array(us), np.array(vs))
+        # row k is the (2, 2, n) block [[a10, a01], [b10, b01]] of step k
+        for a in np.stack(entries, axis=1).reshape(m, 2, 2, n):
+            # w + dt*(a10*du + a01*dv) over the prey rows, likewise below
+            np.multiply(a, w.reshape(2, n), out=prod)
+            np.add(prod[:, 0], prod[:, 1], out=lin.reshape(2, n))
+            w = self._factor.solve(_shifted(w, self.dt, lin, lin))
+        return w
 
 
 class StrangStepper(_Stepper):
@@ -350,13 +379,13 @@ class StrangStepper(_Stepper):
     # Crank-Nicolson over dt/2 shifts by dt/4 on each side
     _SHARE = 0.25
 
-    def _half_diffuse(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Crank-Nicolson over dt/2: each right-hand side w + c*Laplacian(w)
-        is built in ``_tmp``, which the solve copies before it returns."""
-        dx, tmp = self.grid.dx, self._tmp
-        u = self._fu.solve(_shifted(u, self._cu, _laplacian_into(u, dx, tmp), tmp))
-        v = self._fv.solve(_shifted(v, self._cv, _laplacian_into(v, dx, tmp), tmp))
-        return u, v
+    def _half_diffuse(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Crank-Nicolson over dt/2, (u, v) stacked: each right-hand side
+        w + c*Laplacian(w) is built in its half of ``_b``."""
+        dx, bu, bv = self.grid.dx, self._bu, self._bv
+        _shifted(u, self._cu, _laplacian_into(u, dx, bu), bu)
+        _shifted(v, self._cv, _laplacian_into(v, dx, bv), bv)
+        return self._factor.solve(self._b)
 
     def _hold(self, n: int) -> None:
         self._su, self._sv, self._sum_u, self._sum_v, self._tmp = np.empty((5, n))
@@ -383,13 +412,12 @@ class StrangStepper(_Stepper):
                     ) -> tuple[np.ndarray, np.ndarray]:
         """One step from (u, v) at time t; `reaction` is ignored, because
         the step reacts at a half-diffused state."""
-        u, v = self._half_diffuse(u, v)
+        x = self._half_diffuse(u, v)
+        u, v = x[:self.grid.N], x[self.grid.N:]
         if self.include_reaction:
             with np.errstate(over="ignore", invalid="ignore"):
                 u, v = self._react(u, v)
-        u, v = self._half_diffuse(u, v)
-        _check_finite(u, v, t + self.dt)
-        return u, v
+        return self._checked(self._half_diffuse(u, v), t + self.dt)
 
 
 _SCHEMES = {"imex1": ImexStepper, "strang": StrangStepper}

@@ -482,6 +482,17 @@ def test_equilibria_without_a_coexisting_state_writes_nan(tmp_path, capsys):
         "l1_hopf": "nan", "sigma_s": "nan"}
 
 
+def test_equilibria_at_large_sigma_keeps_axial2_off_the_origin(tmp_path, capsys):
+    # u2 = eta/(sigma*u1) ~ 1e-17, a saddle; (sigma - s)/(2*sigma) cancelled
+    # to 0 and wrote a copy of the trivial row
+    rc, err = _run(tmp_path, capsys, "equilibria", "", sigma=1e16)
+    assert rc == 0, err
+    rows = (tmp_path / "out" / "equilibria.csv").read_text().splitlines()[1:]
+    rows = {row.split(",")[1]: row.split(",")[2:] for row in rows}
+    assert rows["Axial2"][0] == _fmt(1e-17)
+    assert rows["Axial2"][-1] == "4" and rows["Trivial"][-1] == "0"
+
+
 @pytest.mark.parametrize("sigma", [1.4e154, 1e200])
 def test_equilibria_past_float_range_is_a_numerical_failure(tmp_path, capsys,
                                                             sigma):

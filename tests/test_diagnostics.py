@@ -6,16 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from alleekit import diagnostics
 from alleekit.diagnostics import (
     LyapunovResult,
     dominant_period,
     island_count,
     island_series,
+    kept_renormalizations,
     largest_lyapunov,
 )
 from alleekit.errors import NoConvergence
-from alleekit.model import KineticParams, coexisting_equilibria
-from alleekit.pde import Field, Grid, ImexStepper, SpaceTimeRecord
+from alleekit.model import KineticParams, coexisting_equilibria, jacobian_fields
+from alleekit.pde import Field, Grid, ImexStepper, SpaceTimeRecord, _TriFactor
 
 
 def test_island_count_basic():
@@ -99,6 +101,15 @@ def test_dominant_period_validates_shapes():
         dominant_period(np.zeros(5), np.zeros(6))
 
 
+def test_dominant_period_none_on_a_time_axis_that_does_not_advance():
+    # a clean period-8 tone, sampled 32 times at one instant or backwards
+    # in time, has no period to report
+    values = np.cos(np.arange(32) * (2.0 * np.pi / 8.0))
+    assert dominant_period(np.arange(32.0), values) == pytest.approx(8.0, rel=0.01)
+    assert dominant_period(np.full(32, 5.0), values) is None
+    assert dominant_period(np.arange(32.0)[::-1], values) is None
+
+
 def test_tangent_matches_trajectory_separation(p_main):
     # the propagated tangent is the exact derivative of the discrete map
     g = Grid(L=20.0, N=64)
@@ -113,15 +124,88 @@ def test_tangent_matches_trajectory_separation(p_main):
     st = ImexStepper(g, p_main, d, dt)
     ua, va = u.copy(), v.copy()
     ub, vb = u + eps * du, v + eps * dv
-    tu, tv = du.copy(), dv.copy()
+    us, vs = [], []
     for k in range(100):
-        ua, va, tu, tv = st.step_with_tangent(ua, va, tu, tv, k * dt)
+        us.append(ua)
+        vs.append(va)
+        ua, va = st.step_arrays(ua, va, k * dt)
         ub, vb = st.step_arrays(ub, vb, k * dt)
+    tu, tv = np.split(st.tangent_steps(us, vs, np.concatenate((du, dv))), 2)
     fd_u = (ub - ua) / eps
     fd_v = (vb - va) / eps
     num = math.hypot(np.linalg.norm(fd_u - tu), np.linalg.norm(fd_v - tv))
     den = math.hypot(np.linalg.norm(tu), np.linalg.norm(tv))
     assert num / den < 1e-4
+
+
+def _reference_series(f0, p, d, T, renorm_interval, dt, rng):
+    """largest_lyapunov's running estimate, one step at a time: the tangent
+    by the IMEX map's linearization at each state, with the public Jacobian
+    and one solve per field, then the state by step_arrays."""
+    g = f0.grid
+    steps_per = max(1, round(renorm_interval / dt))
+    dt = renorm_interval / steps_per
+    n_renorm = math.ceil(T / renorm_interval)
+    st = ImexStepper(g, p, d, dt)
+    fu, fv = _TriFactor(g.N, g.dx, dt), _TriFactor(g.N, g.dx, dt * d)
+    u, v = f0.u.copy(), f0.v.copy()
+    du, dv = rng.standard_normal(g.N), rng.standard_normal(g.N)
+    nrm = math.hypot(np.linalg.norm(du), np.linalg.norm(dv))
+    du, dv = du / nrm, dv / nrm
+    logs, t = [], f0.t
+    for _ in range(n_renorm):
+        for _ in range(steps_per):
+            a10, a01, b10, b01 = jacobian_fields(u, v, p)
+            du, dv = (fu.solve(du + dt * (a10 * du + a01 * dv)),
+                      fv.solve(dv + dt * (b10 * du + b01 * dv)))
+            u, v = st.step_arrays(u, v, t)
+            t += dt
+        growth = math.hypot(np.linalg.norm(du), np.linalg.norm(dv))
+        logs.append(math.log(growth))
+        du, dv = du / growth, dv / growth
+    kept = np.array(logs[n_renorm - kept_renormalizations(T, renorm_interval):])
+    return np.cumsum(kept) / (renorm_interval * np.arange(1, kept.size + 1))
+
+
+@pytest.mark.parametrize("renorm_interval,dt,T,stored", [
+    (1.0, 0.05, 250.0, None),  # 20 steps per interval, one run
+    (0.05, 0.05, 40.0, None),  # one step per interval
+    (1.0, 0.05, 250.0, 3),  # runs of 3 states: 6 runs of 3, then 2
+    (1.0, 0.05, 250.0, 0),  # runs of one state
+], ids=["steps-per-interval", "interval-is-dt", "runs-of-3", "runs-of-1"])
+def test_lyapunov_is_the_step_by_step_tangent_bit_for_bit(
+        p_main, monkeypatch, renorm_interval, dt, T, stored):
+    # the per-interval Jacobian block and the stacked solve give the
+    # growth factors of the step-by-step tangent to the last bit
+    p = p_main.with_sigma(2.2)
+    g = Grid(L=20.0, N=32)
+    e = coexisting_equilibria(p)[-1]
+    rng = np.random.default_rng(5)
+    f0 = Field(g, e.u + 1e-3 * rng.standard_normal(g.N),
+               e.v + 1e-3 * rng.standard_normal(g.N), 0.0)
+    if stored is not None:
+        monkeypatch.setattr(diagnostics, "STORED_VALUES", stored * 2 * g.N)
+    runs = []
+    tangent_steps = ImexStepper.tangent_steps
+
+    def spy(self, us, vs, w):
+        runs.append(len(us))
+        return tangent_steps(self, us, vs, w)
+
+    monkeypatch.setattr(ImexStepper, "tangent_steps", spy)
+    res = largest_lyapunov(f0, p, 46.0, T, renorm_interval, dt=dt,
+                           rng=np.random.default_rng(9))
+    monkeypatch.undo()
+    ref = _reference_series(f0, p, 46.0, T, renorm_interval, dt,
+                            np.random.default_rng(9))
+    assert np.array_equal(res.convergence_series.view(np.uint64),
+                          ref.view(np.uint64))
+    assert res.lambda_max == ref[-1]
+    # the held states never pass the cap, and every step is linearized
+    steps_per = round(renorm_interval / dt)
+    per_run = {None: steps_per, 3: 3, 0: 1}[stored]
+    assert max(runs) == per_run
+    assert sum(runs) == steps_per * math.ceil(T / renorm_interval)
 
 
 def test_lyapunov_negative_on_stable_state(p_main):

@@ -3,7 +3,8 @@ neither numpy nor scipy, nor do the ``equilibria``, ``thresholds`` and
 ``temporal-diagram`` runs; ``temporal`` integrates and classifies an orbit
 without numpy, while ``waves``, built on it, loads numpy; the time-stepping,
 ``continue`` and ``wave-scan`` runs load numpy and scipy's LAPACK extension
-but not the ``scipy.linalg`` package, ``continue`` loads no
+but not the ``scipy.linalg`` package, nor run scipy's own package init
+(``scipy._lib``, ``scipy.__config__``), ``continue`` loads no
 ``scipy.sparse``, ``wave-scan`` no ``scipy.integrate``,
 ``scipy.interpolate`` or ``scipy.sparse``, and ``scipy.linalg`` reuses the
 extension ``pde`` loaded; only ``thresholds`` loads ``linear``, because
@@ -23,9 +24,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-import scipy
 
 from alleekit import pde
 
@@ -156,6 +157,17 @@ def test_stepping_commands_skip_scipy_linalg_package(drive):
         assert "scipy.linalg" not in report["loaded"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "lyapunov", "pulse", "continue",
+                                     "wave-scan"])
+def test_lapack_commands_run_no_scipy_package_init(drive, command):
+    # pde finds the extension's file without importing scipy itself
+    loaded = drive(command)["loaded"]
+    assert not [m for m in loaded if m in ("scipy", "scipy.__config__")
+                or m.startswith("scipy._lib")]
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == [
+        "scipy.linalg._flapack"]
+
+
 def test_continue_loads_lapack_but_no_sparse_or_linalg_package(drive):
     report = drive("continue")
     assert "scipy.linalg._flapack" in report["loaded"]
@@ -189,7 +201,8 @@ def test_scipy_linalg_reuses_the_extension_pde_loaded():
 
 
 def test_missing_lapack_extension_names_the_directory(tmp_path, monkeypatch):
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.setattr(pde, "find_spec", lambda name: SimpleNamespace(
+        submodule_search_locations=[str(tmp_path)]))
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
         pde._load_flapack()

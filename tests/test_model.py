@@ -6,7 +6,9 @@ exact derivatives for the Lyapunov number) before this package's own
 closed-form/bisection paths were written.
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -188,6 +190,28 @@ def test_upper_axial_is_u1_down_to_the_fold():
         upper_axial(mk(0.39))
 
 
+@pytest.mark.parametrize("sigma", [0.41, 1.0, 1.82, 2.7, 1e4, 1e8, 1e16, 1e150])
+def test_axial_roots_are_accurate_to_two_ulps(sigma):
+    # oracle: the roots of sigma*u^2 - sigma*u + eta in 400-digit decimals;
+    # u2 as (sigma - s)/(2*sigma) would cancel, to exactly 0 at 1e16
+    u1, u2 = (e.u for e in axial_equilibria(
+        KineticParams(alpha=0.07, beta=0.2, gamma=1.2, sigma=sigma, eta=0.1)))
+    with decimal.localcontext(prec=400):
+        root = (1 - 4 * Decimal(0.1) / Decimal(sigma)).sqrt()
+        for got, exact in ((u1, (1 + root) / 2), (u2, (1 - root) / 2)):
+            assert abs(Decimal(got) - exact) <= 2 * Decimal(math.ulp(float(exact)))
+
+
+def test_axial2_at_large_sigma_is_a_saddle_not_the_origin():
+    # u2 ~ eta/sigma: the prey growth a10 ~ eta > 0 there, while the
+    # origin's a10 = -eta
+    p = KineticParams(alpha=0.07, beta=0.2, gamma=1.2, sigma=1e16, eta=0.1)
+    trivial, _, axial2, _ = all_equilibria(p)
+    assert axial2.u == pytest.approx(1e-17, rel=1e-15)
+    assert axial2.stability is Stability.SADDLE
+    assert trivial.u == 0.0 and trivial.stability is not Stability.SADDLE
+
+
 def test_axial_stable_and_unstable_classes():
     # u1 = 0.55 inside (1/2, alpha/(gamma-1)) = (0.5, 0.6): stable.
     p = KineticParams(alpha=0.3, beta=0.2, gamma=1.5, sigma=1.0, eta=0.2475)
@@ -318,7 +342,7 @@ def test_holling_branch_no_state_at_axial2():
     assert coexisting_equilibria(p) == []
 
 
-@pytest.mark.parametrize("sigma,eta,edge", [(2.7, 0.2, "u2"), (1.82, 0.25, "u1")])
+@pytest.mark.parametrize("sigma,eta,edge", [(2.7, 0.25, "u2"), (1.82, 0.25, "u1")])
 def test_holling_branch_no_state_an_ulp_inside_the_prey_window(sigma, eta, edge):
     # u* = alpha/(gamma-1) one ulp inside a computed axial root passes the
     # window test on u, but sigma*u*(1-u) - eta rounds to <= 0 there, so v*

@@ -183,23 +183,30 @@ def test_tri_factor_inverts_implicit_diffusion(rng):
 @pytest.mark.parametrize("n", [16, 257, 2048])
 @pytest.mark.parametrize("coef", [0.0125, 0.05, 2.3])
 def test_tri_factor_matches_a_dense_solve(rng, n, coef):
-    # oracle: the dense I - coef*Laplacian from the same bands; one
-    # two-column solve is its two one-column solves to the bit, and the
-    # right-hand side is read, never written
+    # oracle: the dense I - c*Laplacian from the same bands, for each block
+    # of a two-block factor (c = coef, then 0.5*coef); each block's rows
+    # are the block's own factor's solve to the bit, one two-column solve is
+    # its two one-column solves to the bit, and the right-hand side is read,
+    # never written
     g = Grid(L=200.0, N=n)
-    lower, diag, upper = laplacian_bands(n, g.dx, coef)
-    dense = np.eye(n) - (np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
-    factor = _TriFactor(n, g.dx, coef)
-    b = np.asfortranarray(rng.standard_normal((n, 2)))
+    coefs = (coef, 0.5 * coef)
+    factor = _TriFactor(n, g.dx, *coefs)
+    b = np.asfortranarray(rng.standard_normal((2 * n, 2)))
     kept = b.copy()
     x = factor.solve(b)
     assert _same_bits(b, kept)
-    for j in range(2):
-        ref = np.linalg.solve(dense, b[:, j])
-        assert np.abs(x[:, j] - ref).max() < 1e-13 * np.abs(ref).max()
-        column = b[:, j].copy()
-        assert _same_bits(x[:, j], factor.solve(column))
-        assert _same_bits(column, kept[:, j])
+    for k, c in enumerate(coefs):
+        rows = slice(k * n, (k + 1) * n)
+        lower, diag, upper = laplacian_bands(n, g.dx, c)
+        dense = np.eye(n) - (np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
+        block = _TriFactor(n, g.dx, c)
+        assert _same_bits(x[rows], block.solve(b[rows]))
+        for j in range(2):
+            ref = np.linalg.solve(dense, b[rows, j])
+            assert np.abs(x[rows, j] - ref).max() < 1e-13 * np.abs(ref).max()
+            column = b[:, j].copy()
+            assert _same_bits(x[:, j], factor.solve(column))
+            assert _same_bits(column, kept[:, j])
 
 
 def test_ic_perturbed_amplitude_zero_is_constant(p_main):
@@ -395,26 +402,52 @@ def test_series_is_the_public_formulas_bit_for_bit(p_main, scheme):
                           np.maximum(np.abs(du).max(), np.abs(dv).max()))
 
 
-def test_step_with_tangent_matches_separate_solves(p_main, rng):
+def test_imex_and_tangent_steps_match_separate_solves(p_main, rng):
+    # the one solve of both fields is each field's own solve to the bit,
+    # for the state step and for the tangent step at the same state
     g = Grid(L=20.0, N=64)
     st = ImexStepper(g, p_main, D_REF, 0.02)
+    fu, fv = _TriFactor(g.N, g.dx, 0.02), _TriFactor(g.N, g.dx, 0.02 * D_REF)
     e = coexisting_equilibria(p_main)[-1]
     u = e.u + 0.01 * rng.standard_normal(g.N)
     v = e.v + 0.01 * rng.standard_normal(g.N)
     du, dv = rng.standard_normal(g.N), rng.standard_normal(g.N)
-    un, vn, dun, dvn = st.step_with_tangent(u, v, du, dv, 0.0)
-    # the state half is step_arrays to the bit
-    su, sv = st.step_arrays(u, v, 0.0)
-    assert _same_bits(un, su) and _same_bits(vn, sv)
-    # and a two-column solve is two one-column solves to the bit
+    f1, f2 = kinetics(u, v, p_main)
+    un, vn = st.step_arrays(u, v, 0.0)
+    assert _same_bits(un, fu.solve(u + 0.02 * f1))
+    assert _same_bits(vn, fv.solve(v + 0.02 * f2))
+    dun, dvn = np.split(st.tangent_steps([u], [v], np.concatenate((du, dv))), 2)
     a10, a01, b10, b01 = jacobian_fields(u, v, p_main)
-    assert np.array_equal(dun, st._fu.solve(du + 0.02 * (a10 * du + a01 * dv)))
-    assert np.array_equal(dvn, st._fv.solve(dv + 0.02 * (b10 * du + b01 * dv)))
+    assert _same_bits(dun, fu.solve(du + 0.02 * (a10 * du + a01 * dv)))
+    assert _same_bits(dvn, fv.solve(dv + 0.02 * (b10 * du + b01 * dv)))
+
+
+def test_tangent_steps_linearize_the_step_as_configured(p_main, rng):
+    # a run of tangent steps is the run of one-state tangent steps, and
+    # without reaction the step is linear, so its tangent map is the step
+    g = Grid(L=20.0, N=64)
+    e = coexisting_equilibria(p_main)[-1]
+    u = e.u + 0.01 * rng.standard_normal(g.N)
+    v = e.v + 0.01 * rng.standard_normal(g.N)
+    w = rng.standard_normal(2 * g.N)
+    reacting = ImexStepper(g, p_main, D_REF, 0.02)
+    us, vs, one = [], [], w
+    for k in range(5):
+        us.append(u)
+        vs.append(v)
+        one = reacting.tangent_steps([u], [v], one)
+        u, v = reacting.step_arrays(u, v, k * 0.02)
+    assert _same_bits(reacting.tangent_steps(us, vs, w), one)
+    diffusing = ImexStepper(g, p_main, D_REF, 0.02, include_reaction=False)
+    du, dv = np.split(w, 2)
+    for _ in range(5):
+        du, dv = diffusing.step_arrays(du, dv, 0.0)
+    assert _same_bits(diffusing.tangent_steps(us, vs, w), np.concatenate((du, dv)))
 
 
 @pytest.mark.parametrize("alpha", [0.07, 0.0])
 def test_stepper_kinetics_match_the_scalar_path_bit_for_bit(alpha, rng):
-    # the steppers' fused kernel holds its buffers, so it is called on a
+    # the steppers' kernel holds its buffers, so it is called on a
     # generic state first: the alpha = 0 origin node of the second state
     # must then read 0, not what the first call left there
     p = KineticParams(alpha=alpha, beta=0.2, gamma=1.2, sigma=2.7, eta=0.1)
@@ -424,7 +457,7 @@ def test_stepper_kinetics_match_the_scalar_path_bit_for_bit(alpha, rng):
     v = rng.uniform(-1e-3, 0.8, g.N)
     u[0] = v[0] = 0.0
     for state in ((u[::-1].copy(), v[::-1].copy()), (u, v)):
-        fused = [x.copy() for x in kin.rates_and_derivatives(*state)]
+        fused = [x.copy() for x in kin.rates(*state) + kin.derivatives(*state)]
         scalar = [kinetics(a, b, p) + jacobian_fields(a, b, p)
                   for a, b in zip(state[0].tolist(), state[1].tolist())]
         assert all(_same_bits(x, y) for x, y in zip(fused, zip(*scalar)))
@@ -441,14 +474,14 @@ def test_strang_step_is_rk4_of_public_kinetics(p_main, rng):
     u = e.u + 0.05 * rng.standard_normal(g.N)
     v = e.v + 0.05 * rng.standard_normal(g.N)
     dt = st.dt
-    hu, hv = st._half_diffuse(u, v)
+    hu, hv = np.split(st._half_diffuse(u, v), 2)
     k1u, k1v = kinetics(hu, hv, p_main)
     k2u, k2v = kinetics(hu + 0.5 * dt * k1u, hv + 0.5 * dt * k1v, p_main)
     k3u, k3v = kinetics(hu + 0.5 * dt * k2u, hv + 0.5 * dt * k2v, p_main)
     k4u, k4v = kinetics(hu + dt * k3u, hv + dt * k3v, p_main)
     ru = hu + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     rv = hv + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    ref_u, ref_v = st._half_diffuse(ru, rv)
+    ref_u, ref_v = np.split(st._half_diffuse(ru, rv), 2)
     un, vn = st.step_arrays(u, v, 0.0)
     assert _same_bits(un, ref_u) and _same_bits(vn, ref_v)
 
@@ -458,11 +491,11 @@ def test_steps_never_hand_out_held_buffers(p_main, rng):
     e = coexisting_equilibria(p_main)[-1]
     u = e.u + 0.01 * rng.standard_normal(g.N)
     v = e.v + 0.01 * rng.standard_normal(g.N)
-    du, dv = rng.standard_normal(g.N), rng.standard_normal(g.N)
+    w = rng.standard_normal(2 * g.N)
     imex = ImexStepper(g, p_main, D_REF, 0.05)
     steps = [lambda st=st: st.step_arrays(u, v, 0.0)
              for st in (imex, StrangStepper(g, p_main, D_REF, 0.05))]
-    steps.append(lambda: imex.step_with_tangent(u, v, du, dv, 0.0))
+    steps.append(lambda: (imex.tangent_steps([u, u], [v, v], w),))
     for step in steps:
         first = step()
         kept = [x.copy() for x in first]
