@@ -266,12 +266,15 @@ def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    from .linear import (branch_point_table, dstar_parts, kpm_roots,
-                         mode_reports, turing_bd_thresholds, vbounds)
+    from .linear import (branch_point_table, dstar_parts, estar_scan,
+                         kpm_roots, mode_reports, turing_bd_thresholds,
+                         vbounds)
 
     nan = float("nan")
+    scan = estar_scan(cfg.p, cfg.d, cfg.bracket)
     rows = []
-    for sigma, regime, K in turing_bd_thresholds(cfg.p, cfg.d, cfg.bracket):
+    for sigma, regime, K in turing_bd_thresholds(cfg.p, cfg.d, cfg.bracket,
+                                                 scan=scan):
         ps = cfg.p.with_sigma(sigma)
         try:
             km, kp = kpm_roots(upper_coexisting(ps), ps, cfg.d)
@@ -300,7 +303,8 @@ def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
                              f"u_sup = {_fmt(u_sup)}",
                              f"v_sup = {_fmt(v_sup)}")),
         _write_csv(out / "bps.csv", ("n", "sigma"),
-                   branch_point_table(cfg.p, cfg.d, cfg.L, None, cfg.bracket)),
+                   branch_point_table(cfg.p, cfg.d, cfg.L, None, cfg.bracket,
+                                      scan=scan)),
     ]
 
 

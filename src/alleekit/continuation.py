@@ -130,9 +130,9 @@ def newton_correct(x0: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndar
         raise ValueError("solution vector has the wrong length")
     r = residual(x, sigma, prob)
     rn = float(np.abs(r).max())
+    if rn < NEWTON_TOL:
+        return x
     for _ in range(25):
-        if rn < NEWTON_TOL:
-            return x
         dx = _factor(x, sigma, prob).solve(-r)
         lam = 1.0
         while True:
@@ -148,8 +148,8 @@ def newton_correct(x0: np.ndarray, sigma: float, prob: SteadyProblem) -> np.ndar
             if lam < 1.0 / 64.0:
                 raise NoConvergence("Newton line search stalled")
         x, r, rn = xt, rt, rtn
-    if rn < NEWTON_TOL:
-        return x
+        if rn < NEWTON_TOL:
+            return x
     raise NoConvergence(f"Newton residual {rn:.3e} after 25 iterations")
 
 

@@ -12,6 +12,9 @@ E*(sigma) (``_estar_scalars``), and only the ``thresholds`` command loads
 it. Of the spatial spectrum, the roots lam of d*lam**4 + s*lam**2 + D,
 the thresholds need only K = -s/(2d), the repeated lam**2 where the four
 roots collide, which ``turing_bd_thresholds`` returns with each root.
+Both the thresholds and the branch points are sign changes on one scan of
+those scalars over a sigma bracket (``estar_scan``), which a ``thresholds``
+run builds once and hands to both.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import HypothesisFailed, NoRoot, OutOfRange
 from .model import (
@@ -33,11 +36,13 @@ from .model import (
     upper_axial,
     upper_coexisting,
 )
-from .rootfind import roots_from_scan, scan_grid, scan_roots
+from .rootfind import roots_from_scan, scan_grid
 
 __all__ = [
     "ModeReport",
     "Regime",
+    "EstarScan",
+    "estar_scan",
     "mode_reports",
     "turing_bd_thresholds",
     "branch_point_table",
@@ -74,6 +79,41 @@ def _estar_scalars(p: KineticParams, d: float, sigma: float) -> tuple[float, flo
     ps = p.with_sigma(sigma)
     e = upper_coexisting(ps)
     return _mode_scalars(e.u, e.v, ps, d)
+
+
+class EstarScan(NamedTuple):
+    """(tr, s, D) at E*(sigma) (``scalars``) on the N_SCAN-cell grid
+    ``sigmas`` of ``bracket``, for the parameters p and diffusion ratio d.
+    A named tuple: a frozen dataclass would add about 1 ms to the import."""
+
+    p: KineticParams
+    d: float
+    bracket: tuple[float, float]
+    sigmas: list[float]
+    scalars: list[tuple[float, float, float]]
+
+
+def estar_scan(p: KineticParams, d: float,
+               bracket: tuple[float, float]) -> EstarScan:
+    """Scan E*(sigma) on the N_SCAN-cell grid of the bracket, one
+    evaluation per grid point."""
+    if d <= 0:
+        raise ValueError(f"need d > 0, got {d}")
+    sigmas, scalars = scan_grid(lambda sigma: _estar_scalars(p, d, sigma),
+                                bracket[0], bracket[1], n=N_SCAN)
+    return EstarScan(p, d, tuple(bracket), sigmas, scalars)
+
+
+def _scan_of(p: KineticParams, d: float, bracket: tuple[float, float],
+             scan: EstarScan | None) -> EstarScan:
+    """``scan``, checked to be of (p, d, bracket), or a new scan if None."""
+    if scan is None:
+        return estar_scan(p, d, bracket)
+    if (scan.p, scan.d, scan.bracket) != (p, d, tuple(bracket)):
+        raise ValueError(
+            f"the scan is of p={scan.p}, d={scan.d}, bracket={scan.bracket}, "
+            f"not of p={p}, d={d}, bracket={bracket}")
+    return scan
 
 
 def _wavenumber(j: int, L: float) -> float:
@@ -114,6 +154,8 @@ def turing_bd_thresholds(
     p: KineticParams,
     d: float,
     bracket: tuple[float, float],
+    *,
+    scan: EstarScan | None = None,
 ) -> list[tuple[float, Regime, float]]:
     """(sigma, side, K) for every root of G(sigma) = 4 d D - s**2 on the
     bracket, sigma ascending.
@@ -121,17 +163,23 @@ def turing_bd_thresholds(
     G = 0 is where the spatial quartic H(lam**2) = d*lam**4 + s*lam**2 + D
     has a repeated root lam**2 = K = -s/(2d), so its four spatial
     eigenvalues collide in two pairs: K < 0 (a pure imaginary pair) tags
-    the Turing threshold, K > 0 (a real pair) the BD transition.
+    the Turing threshold, K > 0 (a real pair) the BD transition. The sign
+    changes come from ``scan``, the bracket's ``estar_scan``, made here
+    when it is None. Raises :class:`NoRoot` when the scan sees none.
     """
-    if d <= 0:
-        raise ValueError(f"need d > 0, got {d}")
+    scan = _scan_of(p, d, bracket, scan)
 
-    def g(sigma: float) -> float:
-        _, s, det0 = _estar_scalars(p, d, sigma)
+    def g(scalars: tuple[float, float, float]) -> float:
+        _, s, det0 = scalars
         return 4.0 * d * det0 - s * s
 
+    roots = roots_from_scan(lambda sigma: g(_estar_scalars(p, d, sigma)),
+                            scan.sigmas, [g(x) for x in scan.scalars])
+    if not roots:
+        raise NoRoot(f"no sign change of 4dD - s**2 on [{bracket[0]}, "
+                     f"{bracket[1]}] with {N_SCAN} scan cells")
     out = []
-    for r in scan_roots(g, bracket[0], bracket[1], n=N_SCAN):
+    for r in roots:
         K = -_estar_scalars(p, d, r)[1] / (2.0 * d)
         out.append((r, Regime.TURING_SIDE if K < 0 else Regime.BD_SIDE, K))
     return out
@@ -143,14 +191,16 @@ def branch_point_table(
     L: float,
     modes: Iterable[int] | None,
     bracket: tuple[float, float],
+    *,
+    scan: EstarScan | None = None,
 ) -> list[tuple[int, float]]:
     """(n, sigma) pairs where Neumann mode n is marginally stable, for each
     requested mode in turn, sigma ascending within a mode.
 
     Solves det L_n(sigma) = d k_n**2 - s(sigma) k_n + D(sigma) = 0 with
     k_n = (n*pi/L)**2, implicitly through E*(sigma), on the bracket.
-    s and D do not depend on n, so they are scanned once on the N_SCAN-cell
-    grid and every mode's sign changes come from those cached values; a
+    s and D do not depend on n, so every mode's sign changes come from one
+    ``scan``, the bracket's ``estar_scan``, made here when it is None; a
     mode whose scan sees no sign change contributes no pair. ``modes=None``
     takes modes 1 .. floor(L*sqrt(k+)/pi) + 1, k+ the scan's largest band top.
     """
@@ -161,10 +211,9 @@ def branch_point_table(
     if d <= 0 or L <= 0:
         raise ValueError(f"need d > 0 and L > 0, got d={d}, L={L}")
 
-    xs, scalars = scan_grid(lambda sigma: _estar_scalars(p, d, sigma),
-                            bracket[0], bracket[1], n=N_SCAN)
+    scan = _scan_of(p, d, bracket, scan)
     if modes is None:
-        bands = [_band(s, det0, d) for _, s, det0 in scalars]
+        bands = [_band(s, det0, d) for _, s, det0 in scan.scalars]
         k_top = max([0.0] + [band[1] for band in bands if band])
         modes = range(1, math.floor(_mode_index(k_top, L)) + 2)
     out = []
@@ -175,8 +224,9 @@ def branch_point_table(
             _, s, det0 = _estar_scalars(p, d, sigma)
             return _det_l(k, s, det0, d)
 
-        fs = [_det_l(k, s, det0, d) for _, s, det0 in scalars]
-        out.extend((n, sigma) for sigma in roots_from_scan(det_n, xs, fs))
+        fs = [_det_l(k, s, det0, d) for _, s, det0 in scan.scalars]
+        out.extend((n, sigma)
+                   for sigma in roots_from_scan(det_n, scan.sigmas, fs))
     return out
 
 
@@ -189,9 +239,9 @@ def branch_point_sigmas(
 ) -> list[float]:
     """sigma values where Neumann mode n is marginally stable.
 
-    The one-mode case of :func:`branch_point_table`, which scans s and D
-    once for many modes; raises :class:`NoRoot` when the scan sees no sign
-    change of det L_n.
+    The one-mode case of :func:`branch_point_table`, with a scan of its
+    own; raises :class:`NoRoot` when the scan sees no sign change of
+    det L_n.
     """
     roots = [sigma for _, sigma in branch_point_table(p, d, L, (n,), bracket)]
     if not roots:

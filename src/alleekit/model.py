@@ -30,7 +30,7 @@ inside the branches that take arrays, so the scalar path runs without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -72,6 +72,9 @@ class KineticParams:
     gamma: conversion efficiency, > 0
     sigma: prey growth scale, > 0
     eta: prey mortality, > 0
+
+    The fields are stored as Python floats, whatever real numbers they are
+    given, so the scalar kinetics return Python floats.
     """
 
     alpha: float
@@ -82,7 +85,7 @@ class KineticParams:
 
     def __post_init__(self) -> None:
         vals = (self.alpha, self.beta, self.gamma, self.sigma, self.eta)
-        if not all(math.isfinite(x) for x in vals):
+        if not all(map(math.isfinite, vals)):
             raise NonFinite(f"kinetic parameters must be finite, got {vals}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError(
@@ -93,9 +96,12 @@ class KineticParams:
                 "gamma, sigma, eta must be > 0, got "
                 f"gamma={self.gamma}, sigma={self.sigma}, eta={self.eta}"
             )
+        if set(map(type, vals)) != {float}:
+            for name, x in zip(("alpha", "beta", "gamma", "sigma", "eta"), vals):
+                object.__setattr__(self, name, float(x))
 
     def with_sigma(self, sigma: float) -> "KineticParams":
-        return replace(self, sigma=sigma)
+        return KineticParams(self.alpha, self.beta, self.gamma, sigma, self.eta)
 
 
 class Stability(Enum):
@@ -282,11 +288,13 @@ def kinetics(u, v, p: KineticParams):
     adaptive steppers are evaluated as written rather than rejected; only
     non-finite input is an error.
     """
+    if (type(u) is float and type(v) is float
+            and math.isfinite(u) and math.isfinite(v)):
+        return _rates(u, v, p)  # the integrators' case, with nothing to convert
     if isinstance(u, float) and isinstance(v, float):
         if not (math.isfinite(u) and math.isfinite(v)):
             raise NonFinite("kinetics called with non-finite state")
-        f1, f2 = _rates(float(u), float(v), p)
-        return float(f1), float(f2)
+        return _rates(float(u), float(v), p)
     import numpy as np
 
     ua = np.asarray(u, dtype=float)
@@ -308,9 +316,10 @@ def jacobian_fields(u, v, p: KineticParams):
     origin convention. Float inputs take the same plain-Python path as
     :func:`kinetics` and give Python floats.
     """
+    if type(u) is float and type(v) is float:
+        return _derivatives(u, v, p)
     if isinstance(u, float) and isinstance(v, float):
-        a10, a01, b10, b01 = _derivatives(float(u), float(v), p)
-        return float(a10), float(a01), float(b10), float(b01)
+        return _derivatives(float(u), float(v), p)
     import numpy as np
 
     ua = np.asarray(u, dtype=float)

@@ -1,9 +1,9 @@
 """Scalar root finding shared by every module.
 
-One bracketed solver (bisection with secant acceleration), one sign-change
-scanner built on it (split into grid evaluation and root extraction, so
-one scanned grid can serve several functions), and a closed-form
-real-cubic solver with Newton polish.
+One bracketed solver (bisection that takes a secant step only well inside
+the bracket), one sign-change scanner built on it (split into grid
+evaluation and root extraction, so one scanned grid can serve several
+functions), and a closed-form real-cubic solver with Newton polish.
 Everything downstream (threshold curves, branch-point locations, Hopf
 location) goes through these so tolerances live in one place.
 """
@@ -37,11 +37,14 @@ def bracketed_root(
 ) -> float:
     """Root of ``f`` in ``[a, b]``, assuming a sign change.
 
-    Bisection, with a secant candidate tried first whenever it falls safely
-    inside the current bracket; stops when the bracket is narrower than
-    ``ROOT_TOL`` (or after 200 iterations, or at an exact zero). Endpoint
-    zeros are returned directly. ``fa``/``fb`` let callers reuse endpoint
-    evaluations from a scan.
+    Bisection, taking the secant point instead when it falls inside the
+    middle 80 % of the current bracket; stops when the bracket is narrower
+    than ``ROOT_TOL`` (or after 200 iterations, or at an exact zero).
+    Close to a root the secant point falls within 10 % of an endpoint and
+    is refused, so most steps bisect: about 25 evaluations per root from a
+    scan cell of the ``thresholds`` bracket. Endpoint zeros are returned
+    directly. ``fa``/``fb`` let callers reuse endpoint evaluations from a
+    scan.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NonFinite(f"bracket endpoints must be finite, got [{a}, {b}]")
@@ -124,10 +127,11 @@ def scan_roots(
     a: float,
     b: float,
     *,
-    n: int = 400,
+    n: int,
 ) -> list[float]:
     """All roots of ``f`` found by sign changes on an ``n``-cell grid of
-    ``[a, b]``, each refined with :func:`bracketed_root`, left to right.
+    ``[a, b]``, each refined with :func:`bracketed_root`, left to right: the
+    one-function form of :func:`scan_grid` and :func:`roots_from_scan`.
 
     Raises :class:`NoRoot` when the scan sees no sign change (a root of even
     multiplicity can hide between grid points; callers choose ``n``).

@@ -12,7 +12,7 @@ from alleekit.linear import dstar_parts, vbounds
 from alleekit.model import (KineticParams, first_lyapunov_coefficient,
                             hopf_sigma, sigma_s, sigma_sn, sigma_tc,
                             upper_coexisting)
-from alleekit import waves
+from alleekit import linear, waves
 from alleekit.errors import NoConvergence
 from alleekit.waves import SCAN_TOL, shoot_heteroclinic
 
@@ -456,6 +456,23 @@ def test_thresholds_list_every_branch_point_of_the_scan(tmp_path, capsys):
     rows = (tmp_path / "out" / "bps.csv").read_text().splitlines()[1:]
     assert len(rows) == 72
     assert max(int(row.split(",")[0]) for row in rows) == 83
+
+
+def test_thresholds_scans_estar_once_for_thresholds_and_branch_points(
+        tmp_path, capsys, monkeypatch):
+    # 401 scan points, 26 refined roots and the K of the two thresholds; a
+    # second scan for the branch points would add 401
+    evaluations = []
+    estar_scalars = linear._estar_scalars
+
+    def counted(p, d, sigma):
+        evaluations.append(sigma)
+        return estar_scalars(p, d, sigma)
+
+    monkeypatch.setattr(linear, "_estar_scalars", counted)
+    rc, err = _run(tmp_path, capsys, "thresholds", "l = 200\n")
+    assert rc == 0, err
+    assert len(evaluations) == 1065
 
 
 def test_simulate_invasion_step_runs_on_a_short_domain(tmp_path, capsys):

@@ -9,12 +9,14 @@ import math
 import numpy as np
 import pytest
 
+from alleekit import linear
 from alleekit.errors import HypothesisFailed, NoRoot, OutOfRange
 from alleekit.linear import (
     Regime,
     branch_point_sigmas,
     branch_point_table,
     dstar_parts,
+    estar_scan,
     kpm_roots,
     mode_reports,
     turing_bd_thresholds,
@@ -125,6 +127,43 @@ def test_spectrum_k_sign_convention(p_main):
     lams_bd = _spatial_roots(p_main, s_bd)
     assert np.abs(lams_t.real).max() < 1e-12 < np.abs(lams_t.imag).min()
     assert np.abs(lams_bd.imag).max() < 1e-12 < np.abs(lams_bd.real).min()
+
+
+def test_threshold_calls_share_no_scan(p_main, monkeypatch):
+    # each call scans E* on its own 401 points, so a benchmark that repeats
+    # the call times the whole of it
+    evaluations = []
+    estar_scalars = linear._estar_scalars
+
+    def counted(p, d, sigma):
+        evaluations.append(sigma)
+        return estar_scalars(p, d, sigma)
+
+    monkeypatch.setattr(linear, "_estar_scalars", counted)
+    counts = []
+    for _ in range(2):
+        evaluations.clear()
+        turing_bd_thresholds(p_main, D_REF, (1.5, 2.4))
+        counts.append(len(evaluations))
+    assert counts == [453, 453]
+
+
+def test_one_scan_serves_thresholds_and_branch_points(p_main):
+    bracket = (1.5, 2.4)
+    scan = estar_scan(p_main, D_REF, bracket)
+    assert (turing_bd_thresholds(p_main, D_REF, bracket, scan=scan)
+            == turing_bd_thresholds(p_main, D_REF, bracket))
+    assert (branch_point_table(p_main, D_REF, L_REF, None, bracket, scan=scan)
+            == branch_point_table(p_main, D_REF, L_REF, None, bracket))
+    # a scan of other inputs is refused, not read
+    for p, d, other in ((p_main.with_sigma(2.0), D_REF, bracket),
+                        (p_main, 40.0, bracket), (p_main, D_REF, (1.5, 2.3))):
+        with pytest.raises(ValueError, match="the scan is of"):
+            turing_bd_thresholds(p, d, other, scan=scan)
+        with pytest.raises(ValueError, match="the scan is of"):
+            branch_point_table(p, d, L_REF, None, other, scan=scan)
+    with pytest.raises(ValueError, match="need d > 0"):
+        estar_scan(p_main, 0.0, bracket)
 
 
 def test_branch_points_against_oracle(p_main):

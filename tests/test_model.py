@@ -8,6 +8,7 @@ closed-form/bisection paths were written.
 
 import decimal
 import math
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -100,19 +101,37 @@ def _trial_states():
 
 @pytest.mark.parametrize("alpha", [0.07, 0.0])
 def test_scalar_and_array_paths_agree_bit_for_bit(alpha):
-    p = KineticParams(alpha=alpha, beta=0.2, gamma=1.2, sigma=2.7, eta=0.1)
+    values = dict(alpha=alpha, beta=0.2, gamma=1.2, sigma=2.7, eta=0.1)
     u, v = _trial_states()
-    f_arr = kinetics(u, v, p)
-    j_arr = jacobian_fields(u, v, p)
-    for i in range(u.size):
-        for a, b in ((float(u[i]), float(v[i])), (u[i], v[i])):
-            f = kinetics(a, b, p)
-            assert all(type(x) is float for x in f)
-            assert _bits(f).tolist() == _bits([c[i] for c in f_arr]).tolist(), (a, b)
-            j = jacobian_fields(a, b, p)
-            assert all(type(x) is float for x in j)
-            assert _bits(j).tolist() == _bits([c[i] for c in j_arr]).tolist(), (a, b)
-            assert _bits(jacobian(a, b, p)).ravel().tolist() == _bits(j).tolist()
+    # parameters given as numpy scalars are stored as Python floats, so the
+    # scalar path still returns Python floats
+    for kind in (float, np.float64):
+        p = KineticParams(**{k: kind(x) for k, x in values.items()})
+        assert all(type(getattr(p, k)) is float for k in values)
+        f_arr = kinetics(u, v, p)
+        j_arr = jacobian_fields(u, v, p)
+        for i in range(u.size):
+            for a, b in ((float(u[i]), float(v[i])), (u[i], v[i])):
+                f = kinetics(a, b, p)
+                assert all(type(x) is float for x in f)
+                assert _bits(f).tolist() == _bits([c[i] for c in f_arr]).tolist(), (a, b)
+                j = jacobian_fields(a, b, p)
+                assert all(type(x) is float for x in j)
+                assert _bits(j).tolist() == _bits([c[i] for c in j_arr]).tolist(), (a, b)
+                assert _bits(jacobian(a, b, p)).ravel().tolist() == _bits(j).tolist()
+
+
+def test_with_sigma_is_replace_and_is_validated(p_main):
+    for sigma in (1.82, np.float64(1.82), 2):
+        q = p_main.with_sigma(sigma)
+        assert q == replace(p_main, sigma=sigma)
+        assert hash(q) == hash(replace(p_main, sigma=sigma))
+        assert type(q.sigma) is float
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            p_main.with_sigma(bad)
+    with pytest.raises(NonFinite):
+        p_main.with_sigma(math.nan)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -112,6 +112,8 @@ def test_integrator_reproduces_scipy_rk45_on_the_cycle(p_main, monkeypatch):
     # the same accepted and rejected steps; the one extra call is the
     # fixed-point check at T
     assert n_calls == sol.nfev + 1
+    # the right-hand-side count the benchmark reads through this attribute
+    assert (n_calls, len(tr.times)) == (28575, 10001)
 
 
 def test_integrator_reproduces_scipy_rk45_extinction_stop(p_main):
