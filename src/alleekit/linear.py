@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import HypothesisFailed, NoRoot, OutOfRange
 from .model import (
@@ -41,7 +41,6 @@ from .rootfind import roots_from_scan, scan_grid
 __all__ = [
     "ModeReport",
     "Regime",
-    "EstarScan",
     "estar_scan",
     "mode_reports",
     "turing_bd_thresholds",
@@ -81,39 +80,13 @@ def _estar_scalars(p: KineticParams, d: float, sigma: float) -> tuple[float, flo
     return _mode_scalars(e.u, e.v, ps, d)
 
 
-class EstarScan(NamedTuple):
-    """(tr, s, D) at E*(sigma) (``scalars``) on the N_SCAN-cell grid
-    ``sigmas`` of ``bracket``, for the parameters p and diffusion ratio d.
-    A named tuple: a frozen dataclass would add about 1 ms to the import."""
-
-    p: KineticParams
-    d: float
-    bracket: tuple[float, float]
-    sigmas: list[float]
-    scalars: list[tuple[float, float, float]]
-
-
-def estar_scan(p: KineticParams, d: float,
-               bracket: tuple[float, float]) -> EstarScan:
-    """Scan E*(sigma) on the N_SCAN-cell grid of the bracket, one
-    evaluation per grid point."""
-    if d <= 0:
-        raise ValueError(f"need d > 0, got {d}")
-    sigmas, scalars = scan_grid(lambda sigma: _estar_scalars(p, d, sigma),
-                                bracket[0], bracket[1], n=N_SCAN)
-    return EstarScan(p, d, tuple(bracket), sigmas, scalars)
-
-
-def _scan_of(p: KineticParams, d: float, bracket: tuple[float, float],
-             scan: EstarScan | None) -> EstarScan:
-    """``scan``, checked to be of (p, d, bracket), or a new scan if None."""
-    if scan is None:
-        return estar_scan(p, d, bracket)
-    if (scan.p, scan.d, scan.bracket) != (p, d, tuple(bracket)):
-        raise ValueError(
-            f"the scan is of p={scan.p}, d={scan.d}, bracket={scan.bracket}, "
-            f"not of p={p}, d={d}, bracket={bracket}")
-    return scan
+def estar_scan(
+    p: KineticParams, d: float, bracket: tuple[float, float],
+) -> tuple[list[float], list[tuple[float, float, float]]]:
+    """(sigmas, scalars): the N_SCAN-cell grid of the bracket and (tr, s, D)
+    at E*(sigma) on it, one evaluation per grid point."""
+    return scan_grid(lambda sigma: _estar_scalars(p, d, sigma),
+                     bracket[0], bracket[1], n=N_SCAN)
 
 
 def _wavenumber(j: int, L: float) -> float:
@@ -155,7 +128,7 @@ def turing_bd_thresholds(
     d: float,
     bracket: tuple[float, float],
     *,
-    scan: EstarScan | None = None,
+    scan: tuple[list[float], list[tuple[float, float, float]]] | None = None,
 ) -> list[tuple[float, Regime, float]]:
     """(sigma, side, K) for every root of G(sigma) = 4 d D - s**2 on the
     bracket, sigma ascending.
@@ -167,14 +140,16 @@ def turing_bd_thresholds(
     changes come from ``scan``, the bracket's ``estar_scan``, made here
     when it is None. Raises :class:`NoRoot` when the scan sees none.
     """
-    scan = _scan_of(p, d, bracket, scan)
+    if d <= 0:
+        raise ValueError(f"need d > 0, got {d}")
+    xs, scalars = estar_scan(p, d, bracket) if scan is None else scan
 
-    def g(scalars: tuple[float, float, float]) -> float:
-        _, s, det0 = scalars
+    def g(x: tuple[float, float, float]) -> float:
+        _, s, det0 = x
         return 4.0 * d * det0 - s * s
 
     roots = roots_from_scan(lambda sigma: g(_estar_scalars(p, d, sigma)),
-                            scan.sigmas, [g(x) for x in scan.scalars])
+                            xs, [g(x) for x in scalars])
     if not roots:
         raise NoRoot(f"no sign change of 4dD - s**2 on [{bracket[0]}, "
                      f"{bracket[1]}] with {N_SCAN} scan cells")
@@ -192,7 +167,7 @@ def branch_point_table(
     modes: Iterable[int] | None,
     bracket: tuple[float, float],
     *,
-    scan: EstarScan | None = None,
+    scan: tuple[list[float], list[tuple[float, float, float]]] | None = None,
 ) -> list[tuple[int, float]]:
     """(n, sigma) pairs where Neumann mode n is marginally stable, for each
     requested mode in turn, sigma ascending within a mode.
@@ -211,9 +186,9 @@ def branch_point_table(
     if d <= 0 or L <= 0:
         raise ValueError(f"need d > 0 and L > 0, got d={d}, L={L}")
 
-    scan = _scan_of(p, d, bracket, scan)
+    xs, scalars = estar_scan(p, d, bracket) if scan is None else scan
     if modes is None:
-        bands = [_band(s, det0, d) for _, s, det0 in scan.scalars]
+        bands = [_band(s, det0, d) for _, s, det0 in scalars]
         k_top = max([0.0] + [band[1] for band in bands if band])
         modes = range(1, math.floor(_mode_index(k_top, L)) + 2)
     out = []
@@ -224,9 +199,8 @@ def branch_point_table(
             _, s, det0 = _estar_scalars(p, d, sigma)
             return _det_l(k, s, det0, d)
 
-        fs = [_det_l(k, s, det0, d) for _, s, det0 in scan.scalars]
-        out.extend((n, sigma)
-                   for sigma in roots_from_scan(det_n, scan.sigmas, fs))
+        fs = [_det_l(k, s, det0, d) for _, s, det0 in scalars]
+        out.extend((n, sigma) for sigma in roots_from_scan(det_n, xs, fs))
     return out
 
 
@@ -239,9 +213,9 @@ def branch_point_sigmas(
 ) -> list[float]:
     """sigma values where Neumann mode n is marginally stable.
 
-    The one-mode case of :func:`branch_point_table`, with a scan of its
-    own; raises :class:`NoRoot` when the scan sees no sign change of
-    det L_n.
+    The one-mode case of :func:`branch_point_table`, which scans s and D
+    once for many modes; raises :class:`NoRoot` when the scan sees no sign
+    change of det L_n.
     """
     roots = [sigma for _, sigma in branch_point_table(p, d, L, (n,), bracket)]
     if not roots:

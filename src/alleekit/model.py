@@ -85,7 +85,7 @@ class KineticParams:
 
     def __post_init__(self) -> None:
         vals = (self.alpha, self.beta, self.gamma, self.sigma, self.eta)
-        if not all(map(math.isfinite, vals)):
+        if not all(math.isfinite(x) for x in vals):
             raise NonFinite(f"kinetic parameters must be finite, got {vals}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError(
@@ -96,7 +96,7 @@ class KineticParams:
                 "gamma, sigma, eta must be > 0, got "
                 f"gamma={self.gamma}, sigma={self.sigma}, eta={self.eta}"
             )
-        if set(map(type, vals)) != {float}:
+        if any(type(x) is not float for x in vals):
             for name, x in zip(("alpha", "beta", "gamma", "sigma", "eta"), vals):
                 object.__setattr__(self, name, float(x))
 
@@ -316,8 +316,6 @@ def jacobian_fields(u, v, p: KineticParams):
     origin convention. Float inputs take the same plain-Python path as
     :func:`kinetics` and give Python floats.
     """
-    if type(u) is float and type(v) is float:
-        return _derivatives(u, v, p)
     if isinstance(u, float) and isinstance(v, float):
         return _derivatives(float(u), float(v), p)
     import numpy as np
