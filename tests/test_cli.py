@@ -1,5 +1,5 @@
 """The command-line interface: documented exit codes, the pulse command,
-byte-identical reruns and writers, golden manifests of the scalar commands,
+byte-identical reruns and writers, golden manifests of every command,
 and manifests of what a run wrote."""
 
 import hashlib
@@ -357,6 +357,32 @@ def test_linearizing_commands_give_golden_manifests(tmp_path, capsys, command,
         rows = (tmp_path / "out" / "branch.csv").read_text().splitlines()[1:]
         assert len(rows) == 21
         assert sum(row.endswith(",BP") for row in rows) == 6
+    manifest = (tmp_path / "out" / "manifest.txt").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == digest
+
+
+# sha256 of manifest.txt on the small stepping configs of
+# test_reruns_give_identical_manifests: simulate with each scheme, lyapunov
+# and pulse, all seeded, so each pins the stepper, the recorder and the
+# diagnostics to the bit
+@pytest.mark.parametrize("command,body,digest", [
+    ("simulate", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 20\n"
+                 "ic = perturbed_homogeneous\n",
+     "3ad5b9bd7e0d4bacd9fd2a5569cfafa9ecd06c6e8a7c78a3494e9843c7f9d9da"),
+    ("simulate", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 20\n"
+                 "ic = perturbed_homogeneous\nscheme = strang\n"
+                 "snapshot_every = 5\n",
+     "89e450b44e264852caa02435729e8323b27bd33c6e359d7f5d213790117ba925"),
+    ("lyapunov", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 230\n"
+                 "transient = 10\n",
+     "2460be477cba492df0f22518cd85a6aa0861e12b59ed2ada62f4ce7014476d2d"),
+    ("pulse", "l = 200\n[grid]\nn = 128\n[run]\nseed = 1\nt = 20\n",
+     "c2771b6a9a439c36d71c9df930d642e171a8c85f52074f08fedb0d19e1555321"),
+], ids=["simulate-imex", "simulate-strang", "lyapunov", "pulse"])
+def test_stepping_commands_give_golden_manifests(tmp_path, capsys, command,
+                                                 body, digest):
+    rc, err = _run(tmp_path, capsys, command, body)
+    assert rc == 0, err
     manifest = (tmp_path / "out" / "manifest.txt").read_bytes()
     assert hashlib.sha256(manifest).hexdigest() == digest
 
