@@ -436,65 +436,33 @@ def _prey_window(p: KineticParams) -> tuple[float, float] | None:
     return p.eta / (p.sigma * u1), u1
 
 
-def _feasibility_window(p: KineticParams) -> tuple[float, float] | None:
-    """(lo, hi) such that coexisting states need lo < u < hi; None if empty."""
-    prey = _prey_window(p)
-    if p.gamma <= 1.0 or prey is None:
-        return None
-    u2, u1 = prey
-    lo = max(p.alpha / (p.gamma - 1.0), u2)
-    return (lo, u1) if lo < u1 else None
-
-
 def coexisting_equilibria(p: KineticParams) -> list[Equilibrium]:
-    """Interior equilibria (u > 0, v > 0), ascending in u.
-
-    For beta > 0 these are roots of the cubic
+    """Interior equilibria (u > 0, v > 0), ascending in u, for every
+    beta >= 0: the roots of the cubic
 
         Q(u) = sigma*gamma*beta*u**3 - sigma*gamma*beta*u**2
                + (beta*eta*gamma + gamma - 1)*u - alpha
 
-    filtered by the feasibility window max{alpha/(gamma-1), u2} < u < u1
-    and v = ((gamma-1)*u - alpha)/beta > 0. For beta = 0 the predator
-    nullcline pins u = alpha/(gamma-1) directly. A double root inside the
-    window (tangent nullclines) is reported once, tagged NonHyperbolic.
-    With gamma <= 1 there is no coexisting state at any beta: the list is
-    empty.
+    in the prey window u2 < u < u1, with v = gamma*u*g(u), g(u) =
+    sigma*u*(1-u) - eta, from the prey nullcline (alpha + u + beta*v =
+    gamma*u on the predator one). At beta = 0, Q is linear with root
+    alpha/(gamma-1), so the Holling-II state is the beta -> 0 limit. A u
+    that rounds v to <= 0 beside an axial state is no state. A double root
+    (tangent nullclines) is reported once, tagged NonHyperbolic. With
+    gamma <= 1 there is none at any beta: on the window (gamma-1)*u -
+    alpha <= 0 < beta*gamma*u*g(u).
     """
-    if p.beta == 0.0:
-        if p.gamma <= 1.0:
-            return []
-        # With beta = 0 the predator nullcline pins u* = alpha/(gamma-1)
-        # exactly, so the generic strict window (which uses that same value
-        # as its lower edge) does not apply; feasibility is the prey
-        # nullcline positive at u*, i.e. u2 < u* < u1. Judged on u, not on
-        # the sign of v*, so a roundoff v* beside an axial state is no state;
-        # a u* an ulp inside an edge can still round v* to <= 0, which is
-        # no state either.
-        ustar = p.alpha / (p.gamma - 1.0)
-        prey = _prey_window(p)
-        if prey is None or not prey[0] < ustar < prey[1]:
-            return []
-        vstar = (p.sigma * ustar * (1.0 - ustar) - p.eta) * (p.alpha + ustar)
-        if vstar <= 0.0:
-            return []
-        return [_make_equilibrium(EquilibriumKind.COEXISTING, ustar, vstar, p)]
-
-    window = _feasibility_window(p)
-    if window is None:
+    prey = _prey_window(p)
+    if p.gamma <= 1.0 or prey is None:
         return []
     c3 = p.sigma * p.gamma * p.beta
     c2 = -c3
     c1 = p.beta * p.eta * p.gamma + p.gamma - 1.0
     c0 = -p.alpha
-    roots = real_cubic_roots(c3, c2, c1, c0)
     out: list[Equilibrium] = []
-    lo, hi = window
-    for u in roots:
-        if not (lo < u < hi):
-            continue
-        v = ((p.gamma - 1.0) * u - p.alpha) / p.beta
-        if v <= 0.0:
+    for u in real_cubic_roots(c3, c2, c1, c0):
+        v = p.gamma * u * (p.sigma * u * (1.0 - u) - p.eta)
+        if not (prey[0] < u < prey[1] and v > 0.0):
             continue
         dq = (3.0 * c3 * u + 2.0 * c2) * u + c1
         scale = max(abs(c3), abs(c1), abs(c0), 1e-30)

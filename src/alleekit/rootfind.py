@@ -3,7 +3,8 @@
 One bracketed solver (bisection that takes a secant step only well inside
 the bracket), one sign-change scanner built on it (split into grid
 evaluation and root extraction, so one scanned grid can serve several
-functions), and a closed-form real-cubic solver with Newton polish.
+functions), and a closed-form real-cubic solver with Newton polish for
+coefficients anywhere in the float range.
 Everything downstream (threshold curves, branch-point locations, Hopf
 location) goes through these so tolerances live in one place.
 """
@@ -143,7 +144,7 @@ def scan_roots(
 
 
 def _polish_cubic(c3: float, c2: float, c1: float, c0: float, x: float) -> float:
-    """A few Newton steps on the original (unscaled) cubic."""
+    """A few Newton steps on the cubic itself, not its depressed form."""
     for _ in range(8):
         fx = ((c3 * x + c2) * x + c1) * x + c0
         dfx = (3.0 * c3 * x + 2.0 * c2) * x + c1
@@ -156,19 +157,69 @@ def _polish_cubic(c3: float, c2: float, c1: float, c0: float, x: float) -> float
     return x
 
 
-def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """Real roots of ``c3 x³ + c2 x² + c1 x + c0``, ascending.
+# log2 of a root size past which real_cubic_roots rescales (2**(6*128)
+# keeps p**3 and q*q in range), and of a gap between sizes past which it
+# solves each size apart
+_UNSCALED_EXPONENT = 128
 
-    Zero leading coefficients fall through to the quadratic/linear cases.
-    Three-real-root cubics use the trigonometric form, the one-real
-    case uses Cardano via cube roots; every root gets a Newton polish on the
-    original coefficients. Multiple roots are returned once.
+
+def _newton_polygon(coeffs: Sequence[float]) -> list[tuple[int, int, int]]:
+    """(i, j, k) per edge of the upper hull of (index, binary exponent) over
+    the nonzero coefficients: coeffs[i..j] hold j - i roots of size ~2**k."""
+    exps = [math.frexp(c)[1] if c else None for c in coeffs]
+    i = next(n for n, e in enumerate(exps) if e is not None)
+    edges = []
+    while ends := [(-((exps[i] - e) // (j - i)), j)
+                   for j, e in enumerate(exps) if j > i and e is not None]:
+        k, j = max(ends)
+        edges.append((i, j, k))
+        i = j
+    return edges
+
+
+def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
+    """Real roots of ``c3 x³ + c2 x² + c1 x + c0``, ascending, once each;
+    roots past the float range are dropped.
+
+    Zero leading coefficients fall through to the quadratic and linear
+    cases. Three-real-root cubics use the trigonometric form, the one-real
+    case Cardano via cube roots; every root gets a Newton polish.
+
+    Where a binary exponent lies past ±32, root sizes are read off the
+    Newton polygon (Kahan, "To solve a real cubic equation", 1986): sizes
+    more than 2**128 apart are solved apart, from their own edges'
+    coefficients, and a size 2**k past 2**±128 for x = 2**k*y. Scaling by
+    powers of two is exact, so a common power-of-two factor leaves the
+    roots unchanged to the bit.
     """
     coeffs = (c3, c2, c1, c0)
     if not all(math.isfinite(c) for c in coeffs):
         raise NonFinite(f"cubic coefficients must be finite, got {coeffs}")
     if not any(coeffs):
         raise ValueError("all cubic coefficients are zero")
+    if all(abs(math.frexp(c)[1]) <= 32 for c in coeffs):
+        return _cubic_roots(c3, c2, c1, c0)
+    edges = _newton_polygon(coeffs)
+    # the size 2**k of the roots of the edge from coeffs[i], past 2**±128
+    sizes = {i: k for i, _, k in edges if abs(k) > _UNSCALED_EXPONENT}
+    ends = [next(i for i, c in enumerate(coeffs) if c),
+            *(j for (_, j, k), (_, _, k_next) in zip(edges, edges[1:])
+              if k - k_next > _UNSCALED_EXPONENT), 3]
+    roots = []
+    for i, j in zip(ends, ends[1:]):
+        k = sizes.get(i, 0)
+        e = math.frexp(coeffs[i])[1]
+        ys = _cubic_roots(*(0.0,) * (3 - j + i),
+                          *(math.ldexp(c, -e - m * k)
+                            for m, c in enumerate(coeffs[i:j + 1])))
+        roots += [math.ldexp(y, k) for y in ys
+                  if not y or math.frexp(y)[1] + k <= 1024]
+    return sorted(roots)
+
+
+def _cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
+    """:func:`real_cubic_roots` by the closed forms, on coefficients whose
+    sizes keep p**3 and q*q in range."""
     if c3 == 0.0:
         # Quadratic (or linear) case.
         if c2 == 0.0:
@@ -230,7 +281,7 @@ def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
         else:
             e1 = c2 + c3 * r
             e0 = c1 + e1 * r
-        roots = [r] + real_cubic_roots(0.0, c3, e1, e0)
+        roots = [r] + _cubic_roots(0.0, c3, e1, e0)
     roots = [_polish_cubic(c3, c2, c1, c0, r) for r in roots]
     roots.sort()
     # Collapse duplicates the polish may have merged.

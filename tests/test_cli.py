@@ -3,6 +3,7 @@ byte-identical reruns and writers, golden manifests of every command,
 and manifests of what a run wrote."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def test_reruns_give_identical_manifests(tmp_path, capsys, command, body):
     ("equilibria", "", 2.7,
      "c1e13a3fdaffc3badfab3b2b78cbb114b59efd2d50e754c31a40c8408d0b4ae8"),
     ("thresholds", "l = 200\n", 2.7,
-     "80693177022b5b7e6a11046606874c06f8ee27a3f3bff61c120602c69747921d"),
+     "ea3b9b3e74d44217ee0eb420ada7d51165783f76757c0f226282ea61c535bda7"),
     ("temporal-diagram", "[sweep]\nsigma_lo = 1.82\nsigma_hi = 1.82\n"
                          "sigma_count = 1\nt_sim = 2500\n", 1.82,
      "59742e4b7b77c900e8bde24bae1f7e8679fbd5622b7ba59d257286191966efd9"),
@@ -368,11 +369,11 @@ def test_linearizing_commands_give_golden_manifests(tmp_path, capsys, command,
 @pytest.mark.parametrize("command,body,digest", [
     ("simulate", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 20\n"
                  "ic = perturbed_homogeneous\n",
-     "3ad5b9bd7e0d4bacd9fd2a5569cfafa9ecd06c6e8a7c78a3494e9843c7f9d9da"),
+     "4ed98d35ca9c184df1792ac7601c3d1cc8629bccbedd3f79814666e97ba6905b"),
     ("simulate", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 20\n"
                  "ic = perturbed_homogeneous\nscheme = strang\n"
                  "snapshot_every = 5\n",
-     "89e450b44e264852caa02435729e8323b27bd33c6e359d7f5d213790117ba925"),
+     "4a8347a4b43ac08fa58a94eb0d6199c40b2a9c896400d283e2ab17b50a505b10"),
     ("lyapunov", "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 230\n"
                  "transient = 10\n",
      "2460be477cba492df0f22518cd85a6aa0861e12b59ed2ada62f4ce7014476d2d"),
@@ -545,6 +546,47 @@ def test_equilibria_past_float_range_is_a_numerical_failure(tmp_path, capsys,
     assert rc == 3
     assert "non-finite" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "manifest.txt").exists()
+
+
+_HOLLING_BODIES = {
+    "equilibria": "",
+    "temporal-diagram": "[sweep]\nsigma_lo = 1.82\nsigma_hi = 1.9\n"
+                        "sigma_count = 2\nt_sim = 200\n",
+    "pulse": "l = 200\n[grid]\nn = 128\n[run]\nseed = 1\nt = 20\n",
+}
+
+
+@pytest.mark.parametrize("command", list(_HOLLING_BODIES))
+def test_holling_limit_runs_like_beta_zero(tmp_path, capsys, command):
+    # beta = 1e-300 ran into OverflowError in the cubic solver; now every
+    # number the run writes (E*, its bifurcation values, the orbits and the
+    # pulse series built on it) agrees with the Holling-II (beta = 0) run
+    cells = {}
+    for beta in ("0", "1e-300"):
+        cfg = tmp_path / f"{beta}.cfg"
+        cfg.write_text(_KINETICS.format(sigma=2.7, eta=0.1).replace(
+            "beta = 0.2", f"beta = {beta}") + _HOLLING_BODIES[command])
+        rc = main([command, "--config", str(cfg),
+                   "--out", str(tmp_path / beta)])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        assert "Traceback" not in err
+        cells[beta] = {path.name: [row.split(",") for row in
+                                   path.read_text().splitlines()[1:]]
+                       for path in sorted((tmp_path / beta).glob("*.csv"))}
+    assert cells["0"].keys() == cells["1e-300"].keys()
+    for name, rows in cells["0"].items():
+        small = cells["1e-300"][name]
+        assert [len(row) for row in small] == [len(row) for row in rows]
+        for row, row_small in zip(rows, small):
+            for a, b in zip(row, row_small):
+                try:
+                    a, b = float(a), float(b)
+                except ValueError:
+                    assert a == b, name
+                else:
+                    assert math.isclose(a, b, rel_tol=1e-12) or (
+                        math.isnan(a) and math.isnan(b)), name
 
 
 _K = _KINETICS.format(sigma=2.7, eta=0.1)

@@ -145,7 +145,7 @@ def test_threshold_calls_share_no_scan(p_main, monkeypatch):
         evaluations.clear()
         turing_bd_thresholds(p_main, D_REF, (1.5, 2.4))
         counts.append(len(evaluations))
-    assert counts == [453, 453]
+    assert counts == [452, 452]
 
 
 def test_one_scan_serves_thresholds_and_branch_points(p_main):

@@ -353,6 +353,20 @@ def test_holling_branch_beta_zero():
     assert abs(f1) < 1e-14 and abs(f2) < 1e-14
 
 
+@pytest.mark.parametrize("beta", [10.0**-k for k in range(2, 301)] + [5e-324])
+def test_coexisting_state_tends_to_the_holling_state(beta):
+    # one path for every beta >= 0: E*(beta) - E*(0) = O(beta), with
+    # |dE*/dbeta| at beta = 0 of v*/(gamma-1) = 1.08 for u and 1.03 for v,
+    # down to roundoff, which the beta > 0 formula v = ((gamma-1)u -
+    # alpha)/beta amplified without bound
+    p0 = KineticParams(alpha=0.07, beta=0.0, gamma=1.2, sigma=2.7, eta=0.1)
+    (e0,) = coexisting_equilibria(p0)
+    (e,) = coexisting_equilibria(replace(p0, beta=beta))
+    assert abs(e.u - e0.u) <= 2.0 * beta + 4.0 * math.ulp(e0.u)
+    assert abs(e.v - e0.v) <= 2.0 * beta + 4.0 * math.ulp(e0.v)
+    assert e.stability is e0.stability
+
+
 def test_holling_branch_no_state_at_axial2():
     # u* = alpha/(gamma-1) = 1/3 = u2: the predator nullcline meets the prey
     # nullcline on the u axis, at Axial2; v* there is roundoff, not a state
@@ -481,7 +495,7 @@ def test_first_lyapunov_positive_for_ratio_dependent():
     l1 = first_lyapunov_coefficient(p, sh, e)
     assert l1 > 0
     assert abs(l1 - L1_ORACLE_RATIO) < 1e-9 * L1_ORACLE_RATIO
-    assert l1.hex() == "0x1.187b885c6e843p+8"
+    assert l1.hex() == "0x1.187b885c6e7e3p+8"
 
 
 def test_first_lyapunov_rejects_non_hopf(p_main):

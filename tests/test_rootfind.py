@@ -129,3 +129,51 @@ def test_cubic_roots_zero_the_cubic(c3, c2, c1, c0):
         res = ((c3 * r + c2) * r + c1) * r + c0
         terms = abs(c3 * r**3) + abs(c2 * r * r) + abs(c1 * r) + abs(c0)
         assert abs(res) <= 1e-9 * terms + 1e-12 * max(map(abs, coeffs)), r
+
+
+_SCALED_CUBICS = [
+    (1.0, -6.0, 11.0, -6.0),  # three real roots
+    (1.0, 0.0, 1.0, 1.0),  # one real root
+    (1.0, -3.0, 0.0, 4.0),  # a double root beside a simple one
+    (0.125, 480.0, 1.0, 0.0),  # a close pair beside a far root, and x = 0
+    (0.0, 1.0, -3.0, 2.0),  # quadratic
+    (0.0, 0.0, 2.0, -5.0),  # linear
+    (0.6480000000000001, -0.6480000000000001, 0.22399999999999998, -0.07),  # E* at sigma = 2.7
+]
+
+
+@pytest.mark.parametrize("coeffs", _SCALED_CUBICS)
+def test_cubic_roots_ignore_a_common_power_of_two(coeffs):
+    # every decision reads exponent differences, and every operation is
+    # exact under a power of two, whether the run is scaled or not
+    want = real_cubic_roots(*coeffs)
+    for k in range(-900, 901, 25):
+        assert real_cubic_roots(*(math.ldexp(c, k) for c in coeffs)) == want
+
+
+@pytest.mark.parametrize("c3", [1e-20, 1e-100, 1e-110, 1e-200, 1e-300, 5e-324])
+def test_cubic_with_a_vanishing_leading_term_keeps_its_small_roots(c3):
+    # p**3 and q*q of the normalized cubic would leave the float range
+    # (OverflowError, or nan from c1/c3 = inf); the small roots tend to the
+    # linear or the quadratic part's, and a far root past the float range
+    # is dropped
+    assert real_cubic_roots(c3, -c3, 0.2, -0.07) == pytest.approx([0.35],
+                                                                  rel=1e-15)
+    small = [-0.1 - math.sqrt(0.08), -0.1 + math.sqrt(0.08)]
+    far = [-1.0 / c3] if 1.0 / c3 < math.inf else []
+    assert real_cubic_roots(c3, 1.0, 0.2, -0.07) == pytest.approx(
+        far + small, rel=1e-15)
+    assert real_cubic_roots(c3, 1.0, 0.0, 0.0) == pytest.approx(far + [0.0],
+                                                                rel=1e-15)
+
+
+@pytest.mark.parametrize("roots", [
+    (1e-300, 1.0, 1e300),  # three sizes, each found on its own edges
+    (1e-100, 2e-100, 3e-100),  # p**3 and q*q underflow unscaled
+    (-1e100, 1e100, 2e100),  # p**3 overflows unscaled
+])
+def test_cubic_roots_across_the_float_range(roots):
+    a, b, c = roots
+    coeffs = (1.0, -(a + b + c), a * b + a * c + b * c, -a * b * c)
+    assert real_cubic_roots(*coeffs) == pytest.approx(sorted(roots),
+                                                      rel=1e-12)
