@@ -19,13 +19,13 @@ What each command writes:
 * ``temporal-diagram``: ``diagram.csv``, the equilibria and the simulated
   cycle envelope on the sigma grid;
 * ``thresholds``: ``thresholds.csv``, the Turing/BD thresholds on the
-  bracket, each with the ends of the Turing band and K = -s/(2d), the
-  repeated squared spatial eigenvalue there, whose sign
-  ``turing_bd_thresholds`` tags it by; with ``l``, also ``modes.csv``,
-  the Neumann mode blocks at E* under a preamble of sigma, the
-  non-existence bound dstar (nan when alpha = 0 or beta = 0) and the
-  a-priori bounds u_sup and v_sup, and ``bps.csv``, the branch points of
-  each mode;
+  bracket, each with K = -s/(2d), the repeated squared spatial eigenvalue
+  there, whose sign ``turing_bd_thresholds`` tags it by, and the Turing
+  band's ends there: the double root -K on the Turing side, nan on the BD
+  side; with ``l``, also ``modes.csv``, the Neumann mode blocks at E*
+  under a preamble of sigma, the non-existence bound dstar (nan when
+  alpha = 0 or beta = 0) and the a-priori bounds u_sup and v_sup, and
+  ``bps.csv``, the branch points of each mode;
 * ``simulate``: ``summary.csv``, the spatial averages and variance over
   time, ``snapshot_NNNN.csv`` at the snapshot interval, ``final.csv`` and
   ``classification.txt``;
@@ -266,8 +266,8 @@ def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    from .linear import (branch_point_table, dstar_parts, estar_scan,
-                         kpm_roots, mode_reports, turing_bd_thresholds,
+    from .linear import (Regime, branch_point_table, dstar_parts,
+                         estar_scan, mode_reports, turing_bd_thresholds,
                          vbounds)
 
     nan = float("nan")
@@ -275,12 +275,9 @@ def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
     rows = []
     for sigma, regime, K in turing_bd_thresholds(cfg.p, cfg.d, cfg.bracket,
                                                  scan=scan):
-        ps = cfg.p.with_sigma(sigma)
-        try:
-            km, kp = kpm_roots(upper_coexisting(ps), ps, cfg.d)
-        except HypothesisFailed:
-            km = kp = nan
-        rows.append((sigma, regime.value, K, km, kp))
+        # at 4dD = s**2 the band is the double root k = s/(2d) = -K, or empty
+        k = -K if regime is Regime.TURING_SIDE else nan
+        rows.append((sigma, regime.value, K, k, k))
     written = [_write_csv(out / "thresholds.csv",
                           ("sigma", "threshold_kind", "K", "kminus", "kplus"),
                           rows)]

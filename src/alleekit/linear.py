@@ -6,15 +6,15 @@ E decomposes into 2x2 blocks L_j = J(E) - k_j*diag(1, d) of trace
 tr - (1+d)*k_j and determinant det L(k_j) = d*k_j**2 - s*k_j + D. That
 mode algebra, the scalars (tr, s, D), det L(k) and its roots (the Turing
 band, ``kpm_roots``), lives in :mod:`alleekit.model`, which every command
-loads; ``kpm_roots`` is re-exported here. Everything in this module is
-built from those scalars evaluated at the upper coexisting state
-E*(sigma) (``_estar_scalars``), and only the ``thresholds`` command loads
-it. Of the spatial spectrum, the roots lam of d*lam**4 + s*lam**2 + D,
-the thresholds need only K = -s/(2d), the repeated lam**2 where the four
-roots collide, which ``turing_bd_thresholds`` returns with each root.
-Both the thresholds and the branch points are sign changes on one scan of
-those scalars over a sigma bracket (``estar_scan``), which a ``thresholds``
-run builds once and hands to both.
+loads. Everything in this module is built from those scalars evaluated at
+the upper coexisting state E*(sigma) (``_estar_scalars``), and only the
+``thresholds`` command loads it. Of the spatial spectrum, the roots lam
+of d*lam**4 + s*lam**2 + D, the thresholds need only K = -s/(2d), the
+repeated lam**2 where the four roots collide, which
+``turing_bd_thresholds`` returns with each root. Both the thresholds and
+the branch points are sign changes on one scan of those scalars over a
+sigma bracket (``estar_scan``), which a ``thresholds`` run builds once
+and hands to both.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .model import (
     _det_l,
     _mode_scalars,
     _prey_window,
-    kpm_roots,
     upper_axial,
     upper_coexisting,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "branch_point_table",
     "branch_point_sigmas",
     "dstar_parts",
-    "kpm_roots",
     "vbounds",
 ]
 

@@ -44,6 +44,9 @@ _KEPT = {
     "jacobian": "the 2 x 2 reference that tests compare the scalar "
                 "entries, the banded Jacobian and the mode blocks against",
     "branch_point_sigmas": "the benchmark's linear.bps_ms probe times it",
+    "kpm_roots": "pde.default_grid_size calls it when [grid] n is absent; "
+                 "a census run of that size (N = 512, dt about 6.7e-4) is "
+                 "too slow",
 }
 
 

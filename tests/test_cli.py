@@ -229,7 +229,7 @@ def test_reruns_give_identical_manifests(tmp_path, capsys, command, body):
     ("equilibria", "", 2.7,
      "c1e13a3fdaffc3badfab3b2b78cbb114b59efd2d50e754c31a40c8408d0b4ae8"),
     ("thresholds", "l = 200\n", 2.7,
-     "ea3b9b3e74d44217ee0eb420ada7d51165783f76757c0f226282ea61c535bda7"),
+     "ad91e30618d7be241212c600ae58fca179887a343df612c4252db13ac2d3af6d"),
     ("temporal-diagram", "[sweep]\nsigma_lo = 1.82\nsigma_hi = 1.82\n"
                          "sigma_count = 1\nt_sim = 2500\n", 1.82,
      "59742e4b7b77c900e8bde24bae1f7e8679fbd5622b7ba59d257286191966efd9"),

@@ -17,7 +17,6 @@ from alleekit.linear import (
     branch_point_table,
     dstar_parts,
     estar_scan,
-    kpm_roots,
     mode_reports,
     turing_bd_thresholds,
     vbounds,
@@ -30,6 +29,7 @@ from alleekit.model import (
     axial_equilibria,
     coexisting_equilibria,
     jacobian,
+    kpm_roots,
     trivial_equilibrium,
     upper_coexisting,
 )
