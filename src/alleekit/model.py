@@ -491,14 +491,16 @@ def sigma_tc(p: KineticParams) -> float:
     """Growth threshold of the exchange of stability on the u axis.
 
     sigma_TC = eta*(gamma-1)**2 / (alpha*(gamma-alpha-1)); needs alpha > 0
-    and gamma > alpha + 1 for the crossing to exist at positive u.
+    and gamma > alpha + 1 for the crossing to exist at positive u. A
+    product of ratios, so no square overflows (float ``**`` would raise).
     """
     if p.alpha <= 0.0 or p.gamma <= p.alpha + 1.0:
         raise OutOfRange(
             "sigma_tc needs alpha > 0 and gamma > alpha + 1, got "
             f"alpha={p.alpha}, gamma={p.gamma}"
         )
-    return p.eta * (p.gamma - 1.0) ** 2 / (p.alpha * (p.gamma - p.alpha - 1.0))
+    g = p.gamma - 1.0
+    return p.eta * (g / p.alpha) * (g / (p.gamma - p.alpha - 1.0))
 
 
 def sigma_s(e: Equilibrium, p: KineticParams) -> float:

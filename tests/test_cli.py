@@ -548,6 +548,20 @@ def test_equilibria_past_float_range_is_a_numerical_failure(tmp_path, capsys,
     assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
+def test_equilibria_at_huge_gamma_writes_sigma_tc(tmp_path, capsys):
+    # (gamma - 1)**2 raised OverflowError past gamma ~ 1.3e154, although
+    # sigma_TC itself is ~1.2e290
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text("[kinetics]\nsigma = 0.0172\nalpha = 3.26e7\n"
+                   "beta = 7.75e-5\ngamma = 1e300\neta = 3.92e-3\n")
+    rc = main(["equilibria", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 0, err
+    rows = (tmp_path / "bifurcations.csv").read_text().splitlines()[1:]
+    sigma_tc = float(dict(row.split(",") for row in rows)["sigma_tc"])
+    assert sigma_tc == pytest.approx(3.92e-3 * 1e300 / 3.26e7, rel=1e-11)
+
+
 _HOLLING_BODIES = {
     "equilibria": "",
     "temporal-diagram": "[sweep]\nsigma_lo = 1.82\nsigma_hi = 1.9\n"
