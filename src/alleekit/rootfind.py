@@ -20,7 +20,6 @@ __all__ = [
     "bracketed_root",
     "scan_grid",
     "roots_from_scan",
-    "scan_roots",
     "real_cubic_roots",
 ]
 
@@ -120,26 +119,6 @@ def roots_from_scan(
                 bracketed_root(f, xs[i], xs[i + 1], fa=fa, fb=fb)
             )
     roots.sort()
-    return roots
-
-
-def scan_roots(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    n: int,
-) -> list[float]:
-    """All roots of ``f`` found by sign changes on an ``n``-cell grid of
-    ``[a, b]``, each refined with :func:`bracketed_root`, left to right: the
-    one-function form of :func:`scan_grid` and :func:`roots_from_scan`.
-
-    Raises :class:`NoRoot` when the scan sees no sign change (a root of even
-    multiplicity can hide between grid points; callers choose ``n``).
-    """
-    roots = roots_from_scan(f, *scan_grid(f, a, b, n=n))
-    if not roots:
-        raise NoRoot(f"no sign change of f on [{a}, {b}] with {n} scan cells")
     return roots
 
 

@@ -33,7 +33,7 @@ from alleekit.model import (
     trivial_equilibrium,
     upper_coexisting,
 )
-from alleekit.rootfind import scan_roots
+from test_rootfind import scan_roots
 
 D_REF = 46.0
 L_REF = 200.0

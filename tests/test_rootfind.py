@@ -10,8 +10,18 @@ from alleekit.rootfind import (
     real_cubic_roots,
     roots_from_scan,
     scan_grid,
-    scan_roots,
 )
+
+
+def scan_roots(f, a, b, *, n):
+    """All roots of ``f`` found by sign changes on an ``n``-cell grid of
+    ``[a, b]``, left to right: the one-function form of ``scan_grid`` and
+    ``roots_from_scan``, and the reference that the shared-grid tests
+    compare against. Raises NoRoot when the scan sees no sign change."""
+    roots = roots_from_scan(f, *scan_grid(f, a, b, n=n))
+    if not roots:
+        raise NoRoot(f"no sign change of f on [{a}, {b}] with {n} scan cells")
+    return roots
 
 
 def test_bracketed_root_simple():
