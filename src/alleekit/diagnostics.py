@@ -59,7 +59,9 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     kinetics call. So growth factors measure the discrete flow itself
     rather than a separately discretized variational equation. The tangent
     starts as normalized noise and the first DISCARD fraction of growth
-    factors is dropped to let it align with the leading direction.
+    factors is dropped to let it align with the leading direction. The
+    step is dt shrunk to renorm_interval / ceil(renorm_interval / dt), so
+    that whole steps end each interval, as ``pde.run`` does for T.
 
     Raises NoConvergence when the running estimate has not settled (standard
     deviation over the last quartile above 20% of the mean magnitude).
@@ -71,7 +73,7 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     if not (renorm_interval > 0 and math.isfinite(renorm_interval)):
         raise ValueError("renorm_interval must be positive and finite")
     grid = f0.grid
-    steps_per = max(1, round(renorm_interval / dt))
+    steps_per = max(1, math.ceil(renorm_interval / dt))
     dt = renorm_interval / steps_per
     n_renorm = math.ceil(T / renorm_interval)
     n_kept = kept_renormalizations(T, renorm_interval)

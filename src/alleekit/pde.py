@@ -3,7 +3,7 @@
 Neumann boundaries are encoded by reflected ghost points on a
 vertex-centered grid, which makes the discrete pure-diffusion flow
 conserve trapezoid mass exactly. This module owns that discrete Neumann
-operator: ``apply_laplacian`` applies it, ``laplacian_bands`` gives its
+operator: ``_laplacian_into`` applies it, ``laplacian_bands`` gives its
 tridiagonal bands, which the implicit diffusion solves here and the
 steady-state Jacobian in :mod:`alleekit.continuation` are built from, and
 ``neumann_symbol`` gives its eigenvalues: the discrete wavenumbers k at
@@ -131,14 +131,10 @@ class Field:
             raise ValueError("field arrays must have one value per grid node")
 
 
-def apply_laplacian(w: np.ndarray, dx: float) -> np.ndarray:
-    """Second-difference Laplacian with reflected (no-flux) end rows."""
-    return _laplacian_into(w, dx, np.empty_like(w))
-
-
 def _laplacian_into(w: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
-    """apply_laplacian(w, dx) written into out, which must not overlap w;
-    each entry is (w[i-1] - 2*w[i]) + w[i+1], then divided by dx*dx."""
+    """The second-difference Laplacian of w with reflected (no-flux) end
+    rows, written into out, which must not overlap w; each entry is
+    (w[i-1] - 2*w[i]) + w[i+1], then divided by dx*dx."""
     inner = out[1:-1]
     np.multiply(w[1:-1], 2.0, out=inner)
     np.subtract(w[:-2], inner, out=inner)
@@ -151,7 +147,7 @@ def _laplacian_into(w: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
 
 def laplacian_bands(n: int, dx: float,
                     coef: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lower, diag, upper) of coef times the matrix of apply_laplacian.
+    """(lower, diag, upper) of coef times the matrix of _laplacian_into.
 
     Row i reads lower[i-1]*w[i-1] + diag[i]*w[i] + upper[i]*w[i+1].
     """
@@ -169,7 +165,7 @@ def neumann_symbol(n: int, dx: float) -> np.ndarray:
     """kappa_j = (4/dx^2) sin^2(j pi / (2(n-1))) for j < n.
 
     With dx = L/(n-1) the sampled cosine cos(j pi x/L) is an exact
-    eigenvector of apply_laplacian, doubled end rows included, with
+    eigenvector of _laplacian_into, doubled end rows included, with
     eigenvalue -kappa_j.
     """
     return (4.0 / (dx * dx)) * np.sin(np.arange(n) * (0.5 * math.pi / (n - 1))) ** 2

@@ -339,10 +339,12 @@ def integrate_ode(
 
 
 def _refined_peaks(t: Sequence[float], x: Sequence[float]) -> list[float]:
-    """Times of interior local maxima, refined by a 3-point parabola."""
+    """Times of interior local maxima, refined by a 3-point parabola. A
+    maximum lies strictly above its left neighbour and at or above its
+    right one, so a two-sample flat top is one peak, at its midpoint."""
     peaks = []
     for i in range(1, len(x) - 1):
-        if x[i] >= x[i - 1] and x[i] >= x[i + 1] and (x[i] > x[i - 1] or x[i] > x[i + 1]):
+        if x[i] > x[i - 1] and x[i] >= x[i + 1]:
             denom = x[i - 1] - 2.0 * x[i] + x[i + 1]
             if denom < 0:
                 delta = 0.5 * (x[i - 1] - x[i + 1]) / denom

@@ -1,11 +1,14 @@
 """Reach or remove, for functions, options and result fields.
 
-Functions: every public function of ``alleekit`` is run by one of the
-eight CLI commands, or ``_KEPT`` says why it stays without one. The
-commands run in this process, on the small configs of ``test_imports``,
-under ``sys.setprofile``, which sees every call of a Python function; a
-1 x 1 ``wave-scan`` shoots its cell in this process too. Classes and enums
-are left out: their ``__init__`` is generated.
+Functions: every public function, that is every function defined at
+module level in ``src/alleekit`` whose name has no leading underscore, is
+run by one of the eight CLI commands, or ``_KEPT`` says why it stays
+without one; each is keyed ``module.name``. The commands run in this
+process, on the small configs of ``test_imports``, under
+``sys.setprofile``, which sees every call of a Python function; a 1 x 1
+``wave-scan`` shoots its cell in this process too, and ``simulate`` sizes
+its own grid. Classes and enums are left out: their ``__init__`` is
+generated.
 
 Options: every defaulted parameter of a function or method defined in
 ``src/alleekit`` is passed by some call in ``src/alleekit`` or
@@ -29,7 +32,9 @@ back) hides from it.
 
 import ast
 import inspect
+import pkgutil
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import alleekit
@@ -41,18 +46,25 @@ _BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
 
 # public functions that no command runs, and why each stays
 _KEPT = {
-    "jacobian": "the 2 x 2 reference that tests compare the scalar "
-                "entries, the banded Jacobian and the mode blocks against",
-    "branch_point_sigmas": "the benchmark's linear.bps_ms probe times it",
-    "kpm_roots": "pde.default_grid_size calls it when [grid] n is absent; "
-                 "a census run of that size (N = 512, dt about 6.7e-4) is "
-                 "too slow",
+    "model.jacobian": "the 2 x 2 reference that tests compare the scalar "
+                      "entries, the banded Jacobian and the mode blocks "
+                      "against",
+    "linear.branch_point_sigmas": "the benchmark's linear.bps_ms probe "
+                                  "times it",
 }
 
 
 def _public_functions() -> dict:
-    return {name: obj for name in alleekit.__all__
-            if inspect.isfunction(obj := getattr(alleekit, name))}
+    """{module.name: function} of every function defined at module level
+    in src/alleekit whose name has no leading underscore."""
+    functions = {}
+    for info in pkgutil.iter_modules([str(_PACKAGE)]):
+        module = import_module(f"alleekit.{info.name}")
+        functions.update(
+            (f"{info.name}.{name}", obj) for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__
+            and not name.startswith("_"))
+    return functions
 
 
 def _codes_run_by_commands(tmp_path) -> set:

@@ -143,7 +143,7 @@ def _reference_series(f0, p, d, T, renorm_interval, dt, rng):
     by the IMEX map's linearization at each state, with the public Jacobian
     and one solve per field, then the state by step_arrays."""
     g = f0.grid
-    steps_per = max(1, round(renorm_interval / dt))
+    steps_per = max(1, math.ceil(renorm_interval / dt))
     dt = renorm_interval / steps_per
     n_renorm = math.ceil(T / renorm_interval)
     st = ImexStepper(g, p, d, dt)
@@ -202,10 +202,22 @@ def test_lyapunov_is_the_step_by_step_tangent_bit_for_bit(
                           ref.view(np.uint64))
     assert res.lambda_max == ref[-1]
     # the held states never pass the cap, and every step is linearized
-    steps_per = round(renorm_interval / dt)
+    steps_per = math.ceil(renorm_interval / dt)
     per_run = {None: steps_per, 3: 3, 0: 1}[stored]
     assert max(runs) == per_run
     assert sum(runs) == steps_per * math.ceil(T / renorm_interval)
+
+
+def test_lyapunov_step_never_exceeds_dt(p_main):
+    # dt = 0.03 takes ceil(1/0.03) = 34 steps per unit interval, as
+    # dt = 1/34 does; rounding to 33 would step past the configured dt
+    p = p_main.with_sigma(2.2)
+    g = Grid(L=20.0, N=32)
+    e = coexisting_equilibria(p)[-1]
+    f0 = Field(g, np.full(g.N, e.u * 1.01), np.full(g.N, e.v * 0.99), 0.0)
+    lam = {dt: largest_lyapunov(f0, p, 46.0, T=250.0, dt=dt).lambda_max
+           for dt in (0.03, 1 / 34, 1 / 33)}
+    assert lam[0.03] == lam[1 / 34] != lam[1 / 33]
 
 
 def test_lyapunov_negative_on_stable_state(p_main):

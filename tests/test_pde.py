@@ -23,7 +23,7 @@ from alleekit.pde import (
     StrangStepper,
     _TriFactor,
     _dominant_period,
-    apply_laplacian,
+    _laplacian_into,
     classify_asymptotic,
     default_dt,
     default_grid_size,
@@ -38,6 +38,12 @@ from alleekit.pde import (
 )
 
 D_REF = 46.0
+
+
+def apply_laplacian(w, dx):
+    """The discrete Neumann Laplacian of w, in a new array: the operator
+    that the steppers, ``semidiscrete_rhs`` and ``laplacian_bands`` share."""
+    return _laplacian_into(w, dx, np.empty_like(w))
 
 
 def _same_bits(a, b) -> bool:

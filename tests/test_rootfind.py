@@ -24,6 +24,19 @@ def scan_roots(f, a, b, *, n):
     return roots
 
 
+def test_roots_from_scan_keeps_a_grid_zero_once():
+    # f(0.5) is exactly zero on the grid: that node is a root, and neither
+    # cell beside it is refined again
+    def f(x):
+        return (x - 0.5) * (x - 0.8)
+
+    xs, fs = scan_grid(f, 0.0, 1.0, n=4)
+    assert xs == [0.0, 0.25, 0.5, 0.75, 1.0] and fs[2] == 0.0
+    roots = roots_from_scan(f, xs, fs)
+    assert len(roots) == 2 and roots[0] == 0.5
+    assert roots[1] == pytest.approx(0.8, abs=1e-10)
+
+
 def test_bracketed_root_simple():
     r = bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0)
     assert abs(r - math.sqrt(2.0)) < 1e-10

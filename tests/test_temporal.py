@@ -149,6 +149,23 @@ def test_attractor_summary_synthetic_extinction():
     assert s.kind is AttractorKind.EXTINCTION
 
 
+@pytest.mark.parametrize("u_period,period", [
+    # each flat top at 2.0 is one peak, at its midpoint; counting both of
+    # its samples would alternate intervals of one sample and nine (CV 1.03)
+    ((1.0, 1.3, 1.7, 2.0, 2.0, 1.7, 1.3, 1.0, 0.8, 0.9), 2.5),
+    # at the first 1.0 the parabola's second difference (1 - 2**-53) - 2 + 1
+    # rounds to zero, so that peak stays on its sample
+    ((0.5, 0.75, 1.0 - 2.0 ** -53, 1.0, 1.0), 1.25),
+], ids=["flat-top", "parabola-rounds-flat"])
+def test_flat_topped_cycle_has_one_peak_per_period(u_period, period):
+    u = list(u_period) * 20
+    tr = Trajectory(times=[0.25 * i for i in range(len(u))],
+                    states=[(x, 1.0) for x in u], terminal=Terminal.REACHED_T)
+    s = attractor_summary(tr, transient=5.0)
+    assert s.kind is AttractorKind.LIMIT_CYCLE
+    assert s.period == pytest.approx(period, rel=1e-12)
+
+
 def test_diagram_point_of_an_extinct_orbit_is_no_failure(p_main):
     # the orbit stops at the origin near t = 260, long before the transient
     # t_sim/2 ends: extinction, with no tail left to classify
