@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NoConvergence
 from .pde import BandedLU
 
 # damped Newton: at most _MAX_ITER iterations and _MAX_NJEV Jacobians per
@@ -64,15 +65,12 @@ class CubicHermite:
 
 @dataclass
 class BVPResult:
-    """Final mesh ``x``, parameters ``p``, spline ``sol`` (its values at
-    the nodes are the final ``y``) and ``status``: 0 converged, 1 more than
-    ``max_nodes`` needed, 2 singular Newton matrix, 3 boundary residual
-    still above ``tol`` when no node is left to add, after ten meshes."""
+    """A converged solution: final mesh ``x``, parameters ``p`` and spline
+    ``sol``, whose values at the nodes are the final ``y``."""
 
     sol: CubicHermite
     p: np.ndarray
     x: np.ndarray
-    status: int
 
 
 def _collocation(fun, x, h, y, p):
@@ -140,7 +138,7 @@ class _BandedSystem:
 
 
 def _newton(fun, bc, fun_jac, bc_jac, x, h, y, p, n_a, tol):
-    """Damped Newton on one mesh; returns (y, p, singular)."""
+    """Damped Newton on one mesh; returns (y, p)."""
     system = _BandedSystem(y.shape[0], p.size, x.size, n_a)
     # converged once the midpoint residual 1.5 col_res / h is 20 times below
     # tol, relative to 1 + |f|
@@ -159,8 +157,6 @@ def _newton(fun, bc, fun_jac, bc_jac, x, h, y, p, n_a, tol):
         if recompute:
             lu = system.factor(fun_jac, bc_jac, x, h, y, p, y_mid)
             njev += 1
-            if lu.singular:
-                return y, p, True
             y_step, p_step, cost = criterion(lu, col_res, bc_res)
 
         alpha = 1.0
@@ -184,7 +180,7 @@ def _newton(fun, bc, fun_jac, bc_jac, x, h, y, p, n_a, tol):
         recompute = alpha != 1
         if not recompute:
             y_step, p_step, cost = y_next, p_next, cost_new
-    return y, p, False
+    return y, p
 
 
 def _rms_residuals(fun, sol, x, h, p, r_mid, f_mid) -> np.ndarray:
@@ -214,6 +210,11 @@ def solve_bvp(fun, bc, x, y, p, *, tol: float, max_nodes: int, fun_jac,
     separated: the leading rows may act on y(a) only and the rest on y(b)
     only. The residual tolerance is ``tol``, and so is the boundary
     tolerance.
+
+    Only a converged solution is returned. A singular Newton matrix raises
+    SingularJacobian; a mesh that would need more than ``max_nodes`` nodes,
+    or a boundary residual still above ``tol`` after ten meshes with no
+    node left to add, raises NoConvergence.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -228,18 +229,17 @@ def solve_bvp(fun, bc, x, y, p, *, tol: float, max_nodes: int, fun_jac,
     h = np.diff(x)
     meshes = 0
     while True:
-        y, p, singular = _newton(fun, bc, fun_jac, bc_jac, x, h, y, p, n_a, tol)
+        y, p = _newton(fun, bc, fun_jac, bc_jac, x, h, y, p, n_a, tol)
         meshes += 1
         col_res, _, f, f_mid = _collocation(fun, x, h, y, p)
         max_bc_res = np.max(np.abs(bc(y[:, 0], y[:, -1], p)))
         sol = CubicHermite(x, y, f)
-        if singular:
-            return BVPResult(sol, p, x, 2)
         rms = _rms_residuals(fun, sol, x, h, p, 1.5 * col_res / h, f_mid)
         insert_1, = np.nonzero((rms > tol) & (rms < 100 * tol))
         insert_2, = np.nonzero(rms >= 100 * tol)
         if x.size + insert_1.size + 2 * insert_2.size > max_nodes:
-            return BVPResult(sol, p, x, 1)
+            raise NoConvergence(
+                f"collocation needs more than max_nodes={max_nodes} nodes")
         if insert_1.size or insert_2.size:
             x = np.sort(np.concatenate([
                 x, 0.5 * (x[insert_1] + x[insert_1 + 1]),
@@ -248,6 +248,8 @@ def solve_bvp(fun, bc, x, y, p, *, tol: float, max_nodes: int, fun_jac,
             h = np.diff(x)
             y = sol(x)
         elif max_bc_res <= tol:
-            return BVPResult(sol, p, x, 0)
+            return BVPResult(sol, p, x)
         elif meshes >= _MAX_MESHES:
-            return BVPResult(sol, p, x, 3)
+            raise NoConvergence(
+                f"collocation boundary residual {max_bc_res:.3g} is above "
+                f"tol={tol:.3g} after {meshes} meshes of {x.size} nodes")

@@ -221,9 +221,6 @@ class BranchPoint:
 class Branch:
     points: list[BranchPoint] = field(default_factory=list)
 
-    def tagged(self, tag: str) -> list[BranchPoint]:
-        return [pt for pt in self.points if tag in pt.tags]
-
 
 def _bendixson_caps(x: np.ndarray, sigma: float, prob: SteadyProblem) -> tuple[float, float]:
     """Upper bounds for Re(lam) and |Im(lam)| of the linearization.

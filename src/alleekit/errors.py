@@ -114,10 +114,11 @@ class NoConvergence(ConvergenceError):
     """An iterative solve or estimate did not converge: Newton or the
     arclength corrector ran out of iterations, the arclength step fell
     below its floor, an integrator failed, the eigensolver stalled,
-    inverse iteration found no kernel vector, branch switching returned to
-    the parent branch, collocation failed, an orbit reached its time
-    ceiling with no verdict, or a running estimate (the Lyapunov exponent)
-    did not settle."""
+    collocation needed more than its node budget or left a boundary
+    residual above tolerance on a resolved mesh, a travelling-wave orbit
+    did not stay in its target ball, an orbit reached its time ceiling
+    with no verdict, or a running estimate (the Lyapunov exponent) did
+    not settle."""
 
 
 class Inconclusive(ConvergenceError):

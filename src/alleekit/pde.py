@@ -430,8 +430,13 @@ def make_stepper(grid: Grid, p: KineticParams, d: float, dt: float,
 
 
 def default_dt(grid: Grid, d: float) -> float:
-    """Splitting-error budget rule; long runs usually override this."""
-    return min(0.2 * grid.dx ** 2 / max(1.0, d), 0.05)
+    """Splitting-error budget rule; long runs usually override this.
+    OutOfRange when the rule underflows to zero."""
+    dt = min(0.2 * grid.dx ** 2 / max(1.0, d), 0.05)
+    if dt == 0.0:
+        raise OutOfRange(f"the default time step underflows at dx={grid.dx:.3g}; "
+                         "set [grid] dt")
+    return dt
 
 
 def default_grid_size(p: KineticParams, d: float, L: float) -> int:
@@ -467,34 +472,30 @@ def make_ic(kind: ICKind | str, grid: Grid, p: KineticParams, *,
     e = upper_coexisting(p)
     x = grid.x
 
-    if kind is ICKind.PERTURBED_HOMOGENEOUS:
-        u = np.full(grid.N, e.u)
-        v = np.full(grid.N, e.v)
-        if amplitude != 0.0:
-            if rng is None:
-                raise ValueError("a seeded generator is required for noisy initial data")
-            u = u + amplitude * rng.standard_normal(grid.N)
-            v = v + amplitude * rng.standard_normal(grid.N)
-    elif kind is ICKind.INVASION_STEP:
+    if kind is ICKind.INVASION_STEP:
         interface = 200.0 if grid.L > 200.0 else 0.5 * grid.L
         u1 = upper_axial(p).u
         left = x < interface
         u = np.where(left, e.u, u1)
         v = np.where(left, e.v, 0.0)
     else:
-        a, b = 0.5 * grid.L - 5.0, 0.5 * grid.L + 5.0
-        if not (0.0 <= a < b <= grid.L):
-            raise OutOfRange(f"pulse window [{a}, {b}] does not fit inside [0, {grid.L}]")
-        if amplitude != 0.0 and rng is None:
-            raise ValueError("a seeded generator is required for noisy initial data")
-        inside = (x >= a) & (x <= b)
+        # the coexisting state plus noise inside a window, zero outside; the
+        # perturbed homogeneous window is the whole domain
+        inside = np.ones(grid.N, dtype=bool)
+        if kind is ICKind.CENTER_PULSE:
+            a, b = 0.5 * grid.L - 5.0, 0.5 * grid.L + 5.0
+            if not (0.0 <= a < b <= grid.L):
+                raise OutOfRange(f"pulse window [{a}, {b}] does not fit inside [0, {grid.L}]")
+            inside = (x >= a) & (x <= b)
         u = np.zeros(grid.N)
         v = np.zeros(grid.N)
-        n_in = int(inside.sum())
-        noise_u = amplitude * rng.standard_normal(n_in) if amplitude != 0.0 else 0.0
-        noise_v = amplitude * rng.standard_normal(n_in) if amplitude != 0.0 else 0.0
-        u[inside] = e.u + noise_u
-        v[inside] = e.v + noise_v
+        u[inside], v[inside] = e.u, e.v
+        if amplitude != 0.0:
+            if rng is None:
+                raise ValueError("a seeded generator is required for noisy initial data")
+            n_in = int(inside.sum())
+            u[inside] += amplitude * rng.standard_normal(n_in)
+            v[inside] += amplitude * rng.standard_normal(n_in)
 
     # densities stay non-negative; the noise amplitude never reaches the mean
     np.clip(u, 0.0, None, out=u)

@@ -26,7 +26,7 @@ from itertools import starmap
 import numpy as np
 
 from .collocation import solve_bvp
-from .errors import NoConvergence, NonFinite, OutOfRange
+from .errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
 from .model import (
     KineticParams,
     Stability,
@@ -108,9 +108,9 @@ def _coexisting_spectrum(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]
 
 @dataclass
 class Shot:
-    """One shooting run along the slow unstable direction of (u1, u1, 0, 0)."""
+    """One shooting run along the slow unstable direction of (u1, u1, 0, 0),
+    an orbit that ends inside the target ball (see shoot_heteroclinic)."""
 
-    found: bool
     t: np.ndarray
     states: np.ndarray  # one (X, Y, W, Z) row per sample
     monotone: bool
@@ -203,7 +203,7 @@ _CORE_AMPLITUDE = 0.02
 _CORE_RADIUS = 0.02
 # Launch distance from the prey-only state, in units of u1, and the target
 # ball (max-norm radius) an orbit must enter and stay inside for _STAY time
-# units to count as found.
+# units.
 _LAUNCH_SCALE = 1e-5
 _BALL = 1e-4
 _STAY = 10.0
@@ -228,20 +228,22 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     and the linear flow on the stable subspace of the coexisting state from
     there on. The collocation runs at ``tol`` and, failing that (more than
     30000 nodes, a singular Newton matrix, a boundary residual that does
-    not settle, or a non-finite iterate), once more at max(100 tol, 1e-8).
+    not settle, or a non-finite iterate: NoConvergence, SingularJacobian or
+    NonFinite), once more at max(100 tol, 1e-8).
 
     Each end state is linearized once, by one ``np.linalg.eig`` and the
     inverse of its eigenvectors (the left rows), which give the launch and
     entry conditions at E1 and the decay rate, spiral flag, projection rows
     and tail flow at E*.
 
-    found requires the orbit to enter the max-norm ball of radius _BALL
-    around the coexisting point and remain inside through the end, for at
-    least _STAY time units. The orbit leaving the box [-1, 2 u1]^4 raises
-    NonFinite; a transit longer than t_max, a seed that does not reach the
-    coexisting state, or a collocation failure at both tolerances raises
-    NoConvergence. Monotonicity of X and W is judged on the trailing
-    80% of the orbit with oscillation tolerance 1e-4.
+    The orbit must enter the max-norm ball of radius _BALL around the
+    coexisting point and remain inside through the end, for at least _STAY
+    time units. The orbit leaving the box [-1, 2 u1]^4 raises NonFinite; an
+    orbit that ends outside the ball or stays in it for less than _STAY, a
+    transit longer than t_max, a seed that does not reach the coexisting
+    state, or a collocation failure at both tolerances raises
+    NoConvergence. Monotonicity of X and W is judged on the trailing 80% of
+    the orbit with oscillation tolerance 1e-4.
     """
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
@@ -330,10 +332,9 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
         try:
             sol = solve_bvp(fun, bc, sfr, sub, p=[Tc0], tol=bvp_tol,
                             max_nodes=30000, fun_jac=fun_jac, bc_jac=bc_jac)
-        except NonFinite:
+        except (NonFinite, SingularJacobian, NoConvergence):
             continue
-        if sol.status == 0:
-            break
+        break
     else:
         raise NoConvergence(
             f"profile collocation failed at sigma={p.sigma}, c={c}")
@@ -386,7 +387,10 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     if not inside[-1]:
         raise NoConvergence("orbit does not end inside the target ball")
     i_ball = int(np.nonzero(~inside)[0][-1]) + 1 if not inside.all() else 0
-    found = T - tarr[i_ball] >= _STAY
+    stay = T - tarr[i_ball]
+    if stay < _STAY:
+        raise NoConvergence(f"orbit stays inside the target ball for {stay:.3g} "
+                            f"time units, less than {_STAY:g}")
 
     tail = slice(ns // 5, None)
     osc = max(_oscillation(sarr[tail, 0]), _oscillation(sarr[tail, 2]))
@@ -400,7 +404,7 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
         and (Z >= 0.5 * W - slack).all() and (Z <= m * W + slack).all()
     )
 
-    return Shot(found, tarr, sarr, monotone, wedge_ok, spiral)
+    return Shot(tarr, sarr, monotone, wedge_ok, spiral)
 
 
 # collocation tolerance of the scan's shots; a shot that repeats one of
@@ -423,8 +427,8 @@ class ScanResult:
     cs: np.ndarray
     codes: np.ndarray          # shape (len(sigmas), len(cs))
     c_min_at_sigma: np.ndarray
-    # per cell, why it is Unknown: the failure's exception name, or
-    # "NotFound" for an orbit that does not settle; "" for the other cells
+    # per cell, why it is Unknown: the failure's exception name; "" for the
+    # other cells
     reasons: np.ndarray
     # the shot of a single-cell plane whose cell holds a front, else None
     shot: Shot | None
@@ -438,8 +442,6 @@ def _shoot_cell(p: KineticParams, d: float, c: float) -> tuple[int, str, Shot | 
         shot = shoot_heteroclinic(p, d, c, tol=SCAN_TOL)
     except (NonFinite, OutOfRange, NoConvergence) as exc:
         return int(WaveClass.UNKNOWN), type(exc).__name__, None
-    if not shot.found:
-        return int(WaveClass.UNKNOWN), "NotFound", None
     if shot.monotone and not shot.spiral_tail:
         return int(WaveClass.MONOTONIC), "", shot
     return int(WaveClass.NON_MONOTONIC), "", shot

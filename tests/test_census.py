@@ -1,14 +1,17 @@
 """Reach or remove, for functions, options and result fields.
 
 Functions: every public function, that is every function defined at
-module level in ``src/alleekit`` whose name has no leading underscore, is
-run by one of the eight CLI commands, or ``_KEPT`` says why it stays
-without one; each is keyed ``module.name``. The commands run in this
-process, on the small configs of ``test_imports``, under
-``sys.setprofile``, which sees every call of a Python function; a 1 x 1
-``wave-scan`` shoots its cell in this process too, and ``simulate`` sizes
-its own grid. Classes and enums are left out: their ``__init__`` is
-generated.
+module level in ``src/alleekit`` whose name has no leading underscore, and
+every public method, one with no leading underscore defined in such a
+class, is run by one of the eight CLI commands, or ``_KEPT`` says why it
+stays without one; each is keyed ``module.name`` or
+``module.Class.name``. The commands run in this process, on the small
+configs of ``test_imports``, under ``sys.setprofile``, which sees every
+call of a Python function; a 1 x 1 ``wave-scan`` shoots its cell in this
+process too, ``simulate`` sizes its own grid and ``pulse`` steps with
+Strang splitting. Properties are left out here (the result-field census
+below counts their reads), and so are constructors: a dataclass's
+``__init__`` is generated.
 
 Options: every defaulted parameter of a function or method defined in
 ``src/alleekit`` is passed by some call in ``src/alleekit`` or
@@ -56,14 +59,22 @@ _KEPT = {
 
 def _public_functions() -> dict:
     """{module.name: function} of every function defined at module level
-    in src/alleekit whose name has no leading underscore."""
+    in src/alleekit whose name has no leading underscore, and
+    {module.Class.name: function} of every such method of such a class."""
     functions = {}
     for info in pkgutil.iter_modules([str(_PACKAGE)]):
         module = import_module(f"alleekit.{info.name}")
-        functions.update(
-            (f"{info.name}.{name}", obj) for name, obj in vars(module).items()
-            if inspect.isfunction(obj) and obj.__module__ == module.__name__
-            and not name.startswith("_"))
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or getattr(obj, "__module__", None)
+                    != module.__name__):
+                continue
+            if inspect.isfunction(obj):
+                functions[f"{info.name}.{name}"] = obj
+            elif inspect.isclass(obj):
+                functions.update(
+                    (f"{info.name}.{name}.{attr}", fn)
+                    for attr, fn in vars(obj).items()
+                    if inspect.isfunction(fn) and not attr.startswith("_"))
     return functions
 
 

@@ -193,6 +193,18 @@ def test_simulate_failure_exit_codes(tmp_path, capsys, grid, run, code):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "lyapunov"])
+def test_underflowing_default_dt_is_a_config_error(tmp_path, capsys, command):
+    # dx = 1e-200 / 15, so dx ** 2, and with it the default step, is 0
+    rc, err = _run(tmp_path, capsys, command,
+                   "l = 1e-200\n[grid]\nn = 16\n[run]\n"
+                   "ic = perturbed_homogeneous\nt = 230\ntransient = 10\n",
+                   seed=1)
+    assert rc == 2, err
+    assert "dx=6.67e-202" in err and "[grid] dt" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,body", [
     ("thresholds", "l = 200\n"),
     ("continue", "l = 200\n[grid]\nn = 64\n[sweep]\nsteps = 3\n"

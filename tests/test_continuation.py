@@ -59,6 +59,11 @@ BP_WINDOW_ORACLE = {
 }
 
 
+def _tagged(br: Branch, tag: str) -> list:
+    """The points of ``br`` whose tags include ``tag``."""
+    return [pt for pt in br.points if tag in pt.tags]
+
+
 @pytest.fixture
 def base_p() -> KineticParams:
     return KineticParams(sigma=1.9, eta=0.1, alpha=0.07, beta=0.2, gamma=1.2)
@@ -291,7 +296,7 @@ def test_branch_points_match_linear_analysis(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.796), 1.796, prob, direction=-1,
                          steps=40, ds0=2e-3, sigma_range=(1.768, 1.7965))
-    got = sorted(pt.sigma for pt in br.tagged("BP"))
+    got = sorted(pt.sigma for pt in _tagged(br, "BP"))
     assert len(got) == 2
     for n_mode, found in zip((20, 19), got):
         cont = branch_point_sigmas(base_p, D_REF, L_REF, n_mode, (1.7, 1.9))[0]
@@ -312,7 +317,7 @@ def test_branch_points_are_roots_of_the_discrete_symbol(base_p):
         return _det_l(kappa[j], s, det0, D_REF)
 
     modes = []
-    for pt in br.tagged("BP"):
+    for pt in _tagged(br, "BP"):
         lo, hi = pt.sigma - 1e-5, pt.sigma + 1e-5
         (j,) = [j for j in range(prob.grid.N)
                 if det_l(j, lo) * det_l(j, hi) < 0.0]
@@ -329,7 +334,7 @@ def test_branch_point_sharpens_under_grid_refinement(base_p):
         prob = _problem(base_p, n=n)
         br = continue_branch(_flat(prob, 1.795), 1.795, prob, direction=-1,
                              steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796))
-        bp = br.tagged("BP")
+        bp = _tagged(br, "BP")
         assert len(bp) == 1
         errs.append(abs(bp[0].sigma - cont))
     assert errs[1] < errs[0]
@@ -343,7 +348,7 @@ def test_unstable_count_ladder_along_homogeneous_branch(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
                          steps=60, ds0=1.5e-3, sigma_range=(1.767, 1.8305))
-    bps = br.tagged("BP")
+    bps = _tagged(br, "BP")
     assert len(bps) == len(BP_WINDOW_ORACLE)
     for pt, (mode, sig_cont) in zip(sorted(bps, key=lambda q: -q.sigma),
                                     sorted(BP_WINDOW_ORACLE.items(),
@@ -381,7 +386,7 @@ def test_branch_switch_counts_match_modes(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.796), 1.796, prob, direction=-1,
                          steps=40, ds0=2e-3, sigma_range=(1.768, 1.7965))
-    by_sigma = sorted(br.tagged("BP"), key=lambda q: -q.sigma)
+    by_sigma = sorted(_tagged(br, "BP"), key=lambda q: -q.sigma)
     for pt, n_mode in zip(by_sigma, (19, 20)):
         x, _sig = _branch_switch(br, prob, pt.index, amplitude=0.05)
         u, _ = split_fields(x)
@@ -394,7 +399,7 @@ def test_branch_switch_mirror_pair(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.795), 1.795, prob, direction=-1,
                          steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796))
-    bp = br.tagged("BP")[0]
+    bp = _tagged(br, "BP")[0]
     x_plus, s_plus = _branch_switch(br, prob, bp.index, amplitude=0.05)
     x_minus, s_minus = _branch_switch(br, prob, bp.index, amplitude=-0.05)
     assert s_plus == pytest.approx(s_minus, abs=1e-12)
@@ -407,7 +412,7 @@ def test_branch_switch_tiny_amplitude_falls_back(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.795), 1.795, prob, direction=-1,
                          steps=25, ds0=2e-3, sigma_range=(1.7885, 1.796))
-    bp = br.tagged("BP")[0]
+    bp = _tagged(br, "BP")[0]
     with pytest.raises(NoConvergence, match="returned to the parent branch"):
         _branch_switch(br, prob, bp.index, amplitude=1e-9)
 
@@ -444,7 +449,7 @@ def test_localized_branch_snakes_through_folds(base_p):
     br = continue_branch(x, 2.1, prob, direction=1, steps=60, ds0=0.01,
                          sigma_range=(1.95, 2.45))
     assert len(br.points) > 20
-    assert len(br.tagged("Fold")) >= 1
+    assert len(_tagged(br, "Fold")) >= 1
 
     # a-priori box for any steady state, checked pointwise per sigma
     for pt in br.points:
@@ -465,9 +470,9 @@ def test_stability_on_the_snaking_branch_matches_dense_eigenvalues(base_p):
                          sigma_range=(1.95, 2.45))
     counts = [pt.n_unstable for pt in br.points]
     changes = [i for i in range(1, len(counts)) if counts[i] != counts[i - 1]]
-    assert len(counts) == 30 and len(br.tagged("Fold")) == 1
+    assert len(counts) == 30 and len(_tagged(br, "Fold")) == 1
     assert [counts[0]] + [counts[i] for i in changes] == [3, 4, 5, 2, 3]
-    check = {br.tagged("Fold")[0].index}
+    check = {_tagged(br, "Fold")[0].index}
     check.update(j for i in changes for j in (i - 1, i))
     for i in sorted(check):
         pt = br.points[i]
@@ -628,7 +633,7 @@ def _benchmark_bp(base_p, n, sigma_bp):
     prob = _problem(base_p, n=n)
     br = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
                          steps=1, ds0=1.5e-3, sigma_range=(1.767, 1.8305))
-    (bp,) = br.tagged("BP")
+    (bp,) = _tagged(br, "BP")
     assert abs(bp.sigma - sigma_bp) < 1e-9
     return prob, bp
 

