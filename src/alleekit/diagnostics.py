@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import NoConvergence
 from .model import KineticParams
-from .pde import Field, ImexStepper, SpaceTimeRecord, _dominant_period
+from .pde import (Field, ImexStepper, SpaceTimeRecord, _check_plan,
+                  _dominant_period)
 
 
 # growth factors largest_lyapunov needs after its discard window
@@ -61,7 +62,9 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
     starts as normalized noise and the first DISCARD fraction of growth
     factors is dropped to let it align with the leading direction. The
     step is dt shrunk to renorm_interval / ceil(renorm_interval / dt), so
-    that whole steps end each interval, as ``pde.run`` does for T.
+    that whole steps end each interval, as ``pde.run`` does for T, and
+    OutOfRange is raised when the run plans more than ``pde.MAX_STEPS``
+    steps, as there.
 
     Raises NoConvergence when the running estimate has not settled (standard
     deviation over the last quartile above 20% of the mean magnitude).
@@ -72,6 +75,8 @@ def largest_lyapunov(f0: Field, p: KineticParams, d: float, T: float,
         raise ValueError("T must be positive and finite")
     if not (renorm_interval > 0 and math.isfinite(renorm_interval)):
         raise ValueError("renorm_interval must be positive and finite")
+    # the intervals times the steps per interval, before either is rounded up
+    _check_plan(T / renorm_interval * max(1.0, renorm_interval / dt), dt)
     grid = f0.grid
     steps_per = max(1, math.ceil(renorm_interval / dt))
     dt = renorm_interval / steps_per

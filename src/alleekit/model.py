@@ -23,8 +23,13 @@ come from ``_mode_scalars``, and the roots of det L(k) are the Turing band
 from them, :mod:`alleekit.pde` sizes its default grid from the band, and
 :mod:`alleekit.continuation` counts the symbol's eigenvalues with them.
 
-Everything here is a pure function of its inputs. numpy is imported only
-inside the branches that take arrays, so the scalar path runs without it.
+``kinetics`` and ``jacobian_fields`` are the one entry for the rates and
+for the Jacobian entries: floats take plain Python arithmetic and raise
+NonFinite at a non-finite point, and arrays go through ``_ArrayKinetics``,
+sized to them, which the :mod:`alleekit.pde` steppers also hold, sized to
+their grid. Everything here is a pure function of its inputs. numpy is
+imported only inside the branches that take arrays, so the scalar path
+runs without it.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ __all__ = [
     "EquilibriumKind",
     "Equilibrium",
     "kinetics",
-    "jacobian",
     "jacobian_fields",
     "trivial_equilibrium",
     "axial_equilibria",
@@ -170,47 +174,31 @@ def _derivatives(u: float, v: float,
     return a10, a01, b10, b01
 
 
-def _cleared(buf, like):
-    """buf set to 0, or a fresh zero array shaped like `like` when there is
-    no buffer."""
-    if buf is None:
-        import numpy as np
-
-        return np.zeros_like(like)
-    buf.fill(0.0)
-    return buf
-
-
 class _ArrayKinetics:
-    """The array formulas of the kinetics, for same-shape arrays u and v.
+    """The array formulas of the kinetics, for arrays u and v of the shape
+    the instance is sized to.
 
     Each call takes one denominator alpha + u + beta*v and one den != 0
     mask per state; where the mask is off the interaction terms are 0, the
-    origin convention. Every array
-    follows the order of operations of ``_rates`` / ``_derivatives``, so it
-    equals the scalar path bit for bit.
+    origin convention. Every array follows the order of operations of
+    ``_rates`` / ``_derivatives``, so it equals the scalar path bit for bit.
 
-    Sized with a shape, the instance holds one buffer per array and each
-    call overwrites the arrays the previous call returned; without one,
-    every call returns fresh arrays. There is no finiteness check: callers
-    check the state they go on to produce, and wrap the call in
+    The instance holds one buffer per array, the float ones as the rows of
+    one block, and each call overwrites the arrays the previous call
+    returned. There is no finiteness check: callers check the state they
+    go on to produce, and wrap the call in
     ``np.errstate(over="ignore", invalid="ignore")`` where a diverging state
     must not warn.
     """
 
-    # the buffers of an unsized instance: each ufunc allocates its result
-    _mask = _au = _bv = _den = _uv = _tmp = _inter = _f1 = _f2 = None
-    _inv = _inv2 = _a10 = _a01 = _b10 = _b01 = None
+    def __init__(self, p: KineticParams, shape: tuple[int, ...]):
+        import numpy as np
 
-    def __init__(self, p: KineticParams, shape: tuple[int, ...] | None = None):
         self.p = p
-        if shape is not None:
-            import numpy as np
-
-            self._mask = np.empty(shape, dtype=bool)
-            (self._au, self._bv, self._den, self._uv, self._tmp, self._inter,
-             self._f1, self._f2, self._inv, self._inv2, self._a10, self._a01,
-             self._b10, self._b01) = (np.empty(shape) for _ in range(14))
+        self._mask = np.empty(shape, dtype=bool)
+        (self._au, self._bv, self._den, self._uv, self._tmp, self._inter,
+         self._f1, self._f2, self._inv, self._inv2, self._a10, self._a01,
+         self._b10, self._b01) = np.empty((14, *shape))
 
     def _share(self, u, v):
         """(alpha + u, beta*v, den, den != 0, u*v)."""
@@ -228,8 +216,8 @@ class _ArrayKinetics:
 
         p = self.p
         _, _, den, mask, uv = self._share(u, v)
-        inter = _cleared(self._inter, den)
-        np.divide(uv, den, out=inter, where=mask)
+        self._inter.fill(0.0)
+        inter = np.divide(uv, den, out=self._inter, where=mask)
         # f1 = sigma*u*u*(1 - u) - eta*u - inter
         f1 = np.multiply(u, p.sigma, out=self._f1)
         f1 *= u
@@ -247,8 +235,8 @@ class _ArrayKinetics:
 
         p = self.p
         au, bv, den, mask, uv = self._share(u, v)
-        inv = _cleared(self._inv, den)
-        np.divide(1.0, den, out=inv, where=mask)
+        self._inv.fill(0.0)
+        inv = np.divide(1.0, den, out=self._inv, where=mask)
         inv2 = np.multiply(inv, inv, out=self._inv2)
         # a10 = sigma*u*(2 - 3*u) - eta - v*inv + u*v*inv2
         a10 = np.multiply(u, p.sigma, out=self._a10)
@@ -282,6 +270,8 @@ def kinetics(u, v, p: KineticParams):
     Scalar contract: when u and v are both floats (np.float64 included),
     the rates are computed in plain Python arithmetic and returned as
     Python floats, bit for bit equal to the array path at the same point.
+    Arrays go through an ``_ArrayKinetics`` sized to them, one per call,
+    so the arrays of two calls never share memory.
 
     At (0, 0) with alpha = 0 the interaction terms are defined as 0 (the
     limit along any ray is bounded). Slightly negative trial states from
@@ -304,47 +294,35 @@ def kinetics(u, v, p: KineticParams):
     # overflow on a diverging state is reported by the caller's finiteness
     # check, not as a warning here
     with np.errstate(over="ignore", invalid="ignore"):
-        return _ArrayKinetics(p).rates(ua, va)
+        return _ArrayKinetics(p, ua.shape).rates(ua, va)
 
 
 def jacobian_fields(u, v, p: KineticParams):
     """Pointwise Jacobian entries (a10, a01, b10, b01) of the kinetics.
 
-    Vectorized counterpart of :func:`jacobian`, for floats or same-shape
-    arrays; at points where the response denominator vanishes (origin,
-    alpha = 0) the interaction derivatives are taken as 0, matching the
-    origin convention. Float inputs take the same plain-Python path as
-    :func:`kinetics` and give Python floats.
+    For floats or same-shape arrays, as :func:`kinetics`: float inputs
+    take the plain-Python path, give Python floats and raise NonFinite at
+    a non-finite point; arrays go through a fresh sized
+    ``_ArrayKinetics``, unchecked. At points where the response
+    denominator vanishes (origin, alpha = 0) the interaction derivatives
+    are taken as 0, matching the origin convention.
     """
     if isinstance(u, float) and isinstance(v, float):
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise NonFinite(f"jacobian called at non-finite point ({u}, {v})")
         return _derivatives(float(u), float(v), p)
     import numpy as np
 
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
-    return _ArrayKinetics(p).derivatives(ua, va)
-
-
-def _jacobian_entries(u: float, v: float,
-                      p: KineticParams) -> tuple[float, float, float, float]:
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise NonFinite(f"jacobian called at non-finite point ({u}, {v})")
-    return jacobian_fields(float(u), float(v), p)
-
-
-def jacobian(u: float, v: float, p: KineticParams) -> np.ndarray:
-    """2x2 Jacobian of the kinetics at a point."""
-    import numpy as np
-
-    a10, a01, b10, b01 = _jacobian_entries(u, v, p)
-    return np.array([[a10, a01], [b10, b01]])
+    return _ArrayKinetics(p, ua.shape).derivatives(ua, va)
 
 
 def _mode_scalars(u: float, v: float, p: KineticParams,
                   d: float) -> tuple[float, float, float]:
     """(tr, s, D) of J at the homogeneous state (u, v), as in the module
     docstring."""
-    a10, a01, b10, b01 = _jacobian_entries(u, v, p)
+    a10, a01, b10, b01 = jacobian_fields(u, v, p)
     return a10 + b01, d * a10 + b01, a10 * b01 - a01 * b10
 
 
@@ -370,8 +348,8 @@ def kpm_roots(e: Equilibrium, p: KineticParams, d: float) -> tuple[float, float]
     """
     if d <= 0:
         raise ValueError(f"need d > 0, got {d}")
-    a10 = _jacobian_entries(e.u, e.v, p)[0]
-    _, s, det0 = _mode_scalars(e.u, e.v, p, d)
+    a10, a01, b10, b01 = jacobian_fields(e.u, e.v, p)
+    s, det0 = d * a10 + b01, a10 * b01 - a01 * b10
     if a10 <= 0.0:
         raise HypothesisFailed(f"needs a10 > 0, got a10={a10:.6g}")
     if det0 <= 0.0:
@@ -386,7 +364,7 @@ def kpm_roots(e: Equilibrium, p: KineticParams, d: float) -> tuple[float, float]
 
 def _make_equilibrium(kind: EquilibriumKind, u: float, v: float, p: KineticParams,
                       *, force_nonhyperbolic: bool = False) -> Equilibrium:
-    a10, a01, b10, b01 = _jacobian_entries(u, v, p)
+    a10, a01, b10, b01 = jacobian_fields(u, v, p)
     tr = a10 + b01
     det = a10 * b01 - a01 * b10
     stab = Stability.NON_HYPERBOLIC if force_nonhyperbolic else _classify(tr, det)
@@ -609,7 +587,7 @@ def first_lyapunov_coefficient(p: KineticParams, sigma_h: float, estar: Equilibr
     cycle is stable.
     """
     ph = p.with_sigma(sigma_h)
-    a, b, c, d = _jacobian_entries(estar.u, estar.v, ph)
+    a, b, c, d = jacobian_fields(estar.u, estar.v, ph)
     tr = a + d
     delta = a * d - b * c
     if abs(tr) > 1e-6 * max(1.0, abs(a), abs(d)):

@@ -24,6 +24,8 @@ kinetics call on a (steps, N) block. ``run`` samples its series with the
 same kernel and hands the rates on to the next IMEX step; the sample's
 Laplacians and sums go to arrays held for the run, in the order of
 operations of ``semidiscrete_rhs``, ``np.trapezoid`` and ``np.var``.
+``run``, like :func:`alleekit.diagnostics.largest_lyapunov`, raises
+OutOfRange before its first step when it plans more than MAX_STEPS steps.
 
 It also owns both LAPACK factor wrappers: ``_TriFactor`` for the diffusion
 solves and ``BandedLU`` (``dgbtrf``, with the determinant sign) for the
@@ -68,6 +70,9 @@ from .model import (
 
 DERIV_TOL = 1e-6
 VARIANCE_TOL = 1e-6
+# the most time steps a run may plan; more means a step far too small for
+# its span, such as a default dt on a vanishing grid spacing
+MAX_STEPS = 10 ** 8
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -211,13 +216,9 @@ class _TriFactor:
             raise NonFinite(f"diffusion matrix factorization failed (info={info})")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with the block-diagonal I - c*Laplacian taking x to b, for one
-        column b or a Fortran-order (rows, k) block; b itself is left as it
-        was."""
-        # b.T has the rows along its last axis, which the weights broadcast
-        # over; transposed back, W b is Fortran-ordered like b
-        x = np.multiply(b.T, self._w).T
-        x, info = flapack.dpttrs(self.d, self.e, x, overwrite_b=1)
+        """x with the block-diagonal I - c*Laplacian taking x to b, for a
+        column b; b itself is left as it was."""
+        x, info = flapack.dpttrs(self.d, self.e, b * self._w, overwrite_b=1)
         if info != 0:
             raise NonFinite(f"tridiagonal solve failed (info={info})")
         return x
@@ -278,13 +279,11 @@ class _Stepper:
     stepper holds (``_hold``). The reaction arithmetic runs under
     ``np.errstate(over="ignore", invalid="ignore")``: a diverging state is
     reported by ``_check_finite`` as NonFinite, not as a numpy warning.
-    ``include_reaction=False`` makes ``step_arrays`` a pure-diffusion step.
     """
 
     _SHARE = 1.0
 
-    def __init__(self, grid: Grid, p: KineticParams, d: float, dt: float,
-                 *, include_reaction: bool = True):
+    def __init__(self, grid: Grid, p: KineticParams, d: float, dt: float):
         if not (dt > 0 and math.isfinite(dt)):
             raise ValueError("dt must be positive and finite")
         if not (d > 0 and math.isfinite(d)):
@@ -293,7 +292,6 @@ class _Stepper:
         self.p = p
         self.d = d
         self.dt = dt
-        self.include_reaction = include_reaction
         self._cu = self._SHARE * dt
         self._cv = self._SHARE * dt * d
         self._factor = _TriFactor(grid.N, grid.dx, self._cu, self._cv)
@@ -314,7 +312,13 @@ class ImexStepper(_Stepper):
     The implicit matrices are M-matrices, so diffusion alone preserves
     positivity for any dt; the explicit reaction bounds dt in practice.
     ``tangent_steps`` applies the exact linearization of ``step_arrays``.
+    ``include_reaction=False`` makes a step the implicit diffusion alone.
     """
+
+    def __init__(self, grid: Grid, p: KineticParams, d: float, dt: float,
+                 *, include_reaction: bool = True):
+        super().__init__(grid, p, d, dt)
+        self.include_reaction = include_reaction
 
     def _hold(self, n: int) -> None:
         # the tangent step's products a*w, (2, 2, n), and their row sums
@@ -409,10 +413,8 @@ class StrangStepper(_Stepper):
         """One step from (u, v) at time t; `reaction` is ignored, because
         the step reacts at a half-diffused state."""
         x = self._half_diffuse(u, v)
-        u, v = x[:self.grid.N], x[self.grid.N:]
-        if self.include_reaction:
-            with np.errstate(over="ignore", invalid="ignore"):
-                u, v = self._react(u, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, v = self._react(x[:self.grid.N], x[self.grid.N:])
         return self._checked(self._half_diffuse(u, v), t + self.dt)
 
 
@@ -439,6 +441,14 @@ def default_dt(grid: Grid, d: float) -> float:
     return dt
 
 
+def _check_plan(steps: float, dt: float) -> None:
+    """OutOfRange, before the first step, when a run plans more than
+    MAX_STEPS steps of dt."""
+    if not steps <= MAX_STEPS:
+        raise OutOfRange(f"the run plans {steps:.3g} steps of dt={dt:.3g}, "
+                         f"more than {MAX_STEPS:.0e}; set a larger [grid] dt")
+
+
 def default_grid_size(p: KineticParams, d: float, L: float) -> int:
     """At least 4 nodes per expected pattern wavelength, floored hard."""
     n = 0
@@ -449,7 +459,7 @@ def default_grid_size(p: KineticParams, d: float, L: float) -> int:
     except ToolkitError:
         pass
     floor = 512 if L >= 200 else 128
-    return max(n, floor, 16)
+    return max(n, floor)
 
 
 class ICKind(enum.Enum):
@@ -557,12 +567,14 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
     recording series samples and snapshots.
 
     The step is dt shrunk to T / ceil(T / dt), so that whole steps end at T.
+    OutOfRange when that plans more than MAX_STEPS steps.
     """
     if not (T > 0 and math.isfinite(T)):
         raise ValueError("T must be positive and finite")
     grid = f0.grid
     recorder = recorder or Recorder()
 
+    _check_plan(T / dt, dt)
     n_steps = max(1, math.ceil(T / dt))
     dt = T / n_steps
     stepper = make_stepper(grid, p, d, dt, scheme=scheme)

@@ -43,7 +43,7 @@ def j_constants(p: KineticParams, d: float) -> tuple[float, float]:
 
     j1 = sigma*u1*(1 - 2*u1) < 0 for sigma > 4*eta; j3 > 0 exactly when the
     predator can invade the prey-only state. The proposition's constant M
-    is the same expression as j3 (duplicated notation, asserted equal here).
+    is the same expression as j3 under another name, so j3 stands for both.
     """
     if d <= 0:
         raise ValueError(f"need d > 0, got {d}")

@@ -49,9 +49,6 @@ _BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
 
 # public functions that no command runs, and why each stays
 _KEPT = {
-    "model.jacobian": "the 2 x 2 reference that tests compare the scalar "
-                      "entries, the banded Jacobian and the mode blocks "
-                      "against",
     "linear.branch_point_sigmas": "the benchmark's linear.bps_ms probe "
                                   "times it",
 }
@@ -114,7 +111,7 @@ def test_every_public_function_is_run_by_a_command_or_kept(tmp_path):
 _BENCHMARK_ONLY = {
     "continuation.solution_stability.n_eigs":
         "continuation.stability_ms.n1024 asks for 24 eigenvalues",
-    "pde._Stepper.__init__.include_reaction":
+    "pde.ImexStepper.__init__.include_reaction":
         "pde.diffusion_step_us.n2048 times a step without the reaction",
     "waves.shoot_heteroclinic.t_max":
         "waves.shoot_s.* shoot with the kinetic seed run to t = 2000",

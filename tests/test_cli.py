@@ -4,6 +4,7 @@ and manifests of what a run wrote."""
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from alleekit.linear import dstar_parts, vbounds
 from alleekit.model import (KineticParams, first_lyapunov_coefficient,
                             hopf_sigma, sigma_s, sigma_sn, sigma_tc,
                             upper_coexisting)
-from alleekit import linear, waves
+from alleekit import linear, pde, waves
 from alleekit.errors import NoConvergence
 from alleekit.waves import SCAN_TOL, shoot_heteroclinic
 
@@ -202,6 +203,27 @@ def test_underflowing_default_dt_is_a_config_error(tmp_path, capsys, command):
                    seed=1)
     assert rc == 2, err
     assert "dx=6.67e-202" in err and "[grid] dt" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,transient", [
+    ("simulate", 10), ("lyapunov", 10), ("lyapunov", 0)])
+def test_endless_default_dt_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                              command, transient):
+    # dx = 1e-150 / 15 gives a default step of 1.93e-305, so T = 230 would
+    # take about 1.2e307 steps: the run refuses before it builds a stepper
+    # (lyapunov's transient run first, or largest_lyapunov without one)
+    def no_stepper(*args, **kwargs):
+        raise AssertionError("a stepper was built")
+    monkeypatch.setattr(pde._Stepper, "__init__", no_stepper)
+    start = time.perf_counter()
+    rc, err = _run(tmp_path, capsys, command,
+                   "l = 1e-150\n[grid]\nn = 16\n[run]\n"
+                   f"ic = perturbed_homogeneous\nt = 230\ntransient = {transient}\n",
+                   seed=1)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2, err
+    assert "steps of dt=1.93e-305" in err and "[grid] dt" in err
     assert "Traceback" not in err
 
 

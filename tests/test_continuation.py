@@ -40,8 +40,8 @@ from alleekit.continuation import (
 from alleekit.errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
 from alleekit.linear import (_estar_scalars, branch_point_sigmas, mode_reports,
                              vbounds)
-from alleekit.model import (KineticParams, _det_l, coexisting_equilibria, jacobian,
-                            upper_coexisting)
+from alleekit.model import (KineticParams, _det_l, coexisting_equilibria,
+                            jacobian_fields, upper_coexisting)
 from alleekit.pde import Grid, flapack, l2_norm, neumann_symbol
 from alleekit.rootfind import bracketed_root
 
@@ -254,7 +254,7 @@ def test_constant_state_spectrum_is_union_of_mode_blocks(base_p):
     ev = np.linalg.eigvals(_banded_to_dense(jacobian_banded(x, 1.9, prob)))
 
     e = coexisting_equilibria(base_p)[-1]
-    J = jacobian(e.u, e.v, base_p)
+    J = np.reshape(jacobian_fields(e.u, e.v, base_p), (2, 2))
     expected = []
     for kap in neumann_symbol(n, prob.grid.dx):
         expected.extend(np.linalg.eigvals(J - kap * np.diag([1.0, D_REF])))
@@ -513,7 +513,7 @@ def test_stability_of_stable_constant_state(base_p):
     ps = base_p.with_sigma(sig)
     e = coexisting_equilibria(ps)[-1]
     assert all(not r.unstable for r in mode_reports(e, ps, D_REF, L_REF))
-    J = jacobian(e.u, e.v, ps)
+    J = np.reshape(jacobian_fields(e.u, e.v, ps), (2, 2))
     best = -np.inf
     for kap in neumann_symbol(prob.grid.N, prob.grid.dx):
         best = max(best, np.linalg.eigvals(J - kap * np.diag([1.0, D_REF])).real.max())
@@ -529,7 +529,7 @@ def test_stability_counts_band_and_oscillatory_pairs(base_p):
 
     ps = base_p.with_sigma(sig)
     e = coexisting_equilibria(ps)[-1]
-    J = jacobian(e.u, e.v, ps)
+    J = np.reshape(jacobian_fields(e.u, e.v, ps), (2, 2))
     expect = 0
     for kap in neumann_symbol(prob.grid.N, prob.grid.dx):
         ev = np.linalg.eigvals(J - kap * np.diag([1.0, D_REF]))
@@ -682,7 +682,7 @@ def test_stability_spectrum_is_the_discrete_symbol(base_p):
     n_un, lam = solution_stability(_flat(prob, sig), sig, prob)
     ps = base_p.with_sigma(sig)
     e = coexisting_equilibria(ps)[-1]
-    J = jacobian(e.u, e.v, ps)
+    J = np.reshape(jacobian_fields(e.u, e.v, ps), (2, 2))
     blocks = np.concatenate([np.linalg.eigvals(J - kap * np.diag([1.0, D_REF]))
                              for kap in neumann_symbol(prob.grid.N, prob.grid.dx)])
     assert max(np.abs(blocks - z).min() for z in lam) < 1e-10

@@ -24,14 +24,12 @@ from alleekit.linear import (
 from alleekit.model import (
     KineticParams,
     Stability,
-    _jacobian_entries,
     _mode_scalars,
     axial_equilibria,
     coexisting_equilibria,
-    jacobian,
+    jacobian_fields,
     kpm_roots,
     trivial_equilibrium,
-    upper_coexisting,
 )
 from test_rootfind import scan_roots
 
@@ -199,7 +197,7 @@ def test_branch_point_table_matches_per_mode_scans(p_main):
 
         def det_n(sigma):
             e, ps = _at(p_main, sigma)
-            (a10, a01), (b10, b01) = jacobian(e.u, e.v, ps)
+            a10, a01, b10, b01 = jacobian_fields(e.u, e.v, ps)
             return D_REF * k * k - (D_REF * a10 + b01) * k + (a10 * b01 - a01 * b10)
 
         try:
@@ -299,17 +297,6 @@ def test_vbounds(p_main):
     assert u1_edge == 0.5 and mstar_edge == 0.0
     with pytest.raises(OutOfRange):
         vbounds(p_main.with_sigma(0.39))
-
-
-@pytest.mark.parametrize("sigma", [1.82, 2.7])
-def test_entries_are_the_jacobian_matrix_bit_for_bit(p_main, sigma):
-    # the entries come from the scalar path, with no numpy 2x2 in between
-    ps = p_main.with_sigma(sigma)
-    e = upper_coexisting(ps)
-    got = _jacobian_entries(e.u, e.v, ps)
-    assert all(type(x) is float for x in got)
-    assert ([x.hex() for x in got]
-            == [float(x).hex() for x in jacobian(e.u, e.v, ps).ravel()])
 
 
 @pytest.mark.parametrize("L", [200.0, 600.0, 1000.0])

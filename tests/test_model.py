@@ -32,7 +32,6 @@ from alleekit.model import (
     coexisting_equilibria,
     first_lyapunov_coefficient,
     hopf_sigma,
-    jacobian,
     jacobian_fields,
     kinetics,
     sigma_s,
@@ -73,7 +72,8 @@ def test_kinetics_near_zero_at_rounded_estar(p_main):
 def test_kinetics_origin_convention_ratio_dependent():
     p = KineticParams(alpha=0.0, beta=0.2, gamma=1.2, sigma=2.7, eta=0.1)
     assert kinetics(0.0, 0.0, p) == (0.0, 0.0)
-    np.testing.assert_allclose(jacobian(0.0, 0.0, p), np.diag([-0.1, -1.0]))
+    np.testing.assert_allclose(np.reshape(jacobian_fields(0.0, 0.0, p), (2, 2)),
+                               np.diag([-0.1, -1.0]))
 
 
 def test_kinetics_vectorized_matches_scalar(p_main, rng):
@@ -118,7 +118,18 @@ def test_scalar_and_array_paths_agree_bit_for_bit(alpha):
                 j = jacobian_fields(a, b, p)
                 assert all(type(x) is float for x in j)
                 assert _bits(j).tolist() == _bits([c[i] for c in j_arr]).tolist(), (a, b)
-                assert _bits(jacobian(a, b, p)).ravel().tolist() == _bits(j).tolist()
+
+
+def test_array_calls_share_no_memory(p_main):
+    # each array call sizes its own buffers, so a later call leaves the
+    # arrays of an earlier one as they were
+    u, v = _trial_states()
+    for f in (kinetics, jacobian_fields):
+        first = f(u, v, p_main)
+        kept = [a.copy() for a in first]
+        second = f(v, u, p_main)
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+        assert _bits(first).tolist() == _bits(kept).tolist()
 
 
 def test_with_sigma_is_replace_and_is_validated(p_main):
@@ -139,14 +150,15 @@ def test_scalar_kinetics_rejects_non_finite(p_main, bad):
     for u, v in ((bad, 0.3), (0.3, bad), (np.float64(bad), np.float64(0.3))):
         with pytest.raises(NonFinite):
             kinetics(u, v, p_main)
-        with pytest.raises(NonFinite):
-            jacobian(u, v, p_main)
+        with pytest.raises(NonFinite, match="jacobian called at non-finite point"):
+            jacobian_fields(u, v, p_main)
     with pytest.raises(NonFinite):
         kinetics(np.array([0.3, bad]), np.array([0.3, 0.3]), p_main)
 
 
 def test_jacobian_at_origin(p_main):
-    np.testing.assert_allclose(jacobian(0.0, 0.0, p_main), np.diag([-0.1, -1.0]))
+    np.testing.assert_allclose(np.reshape(jacobian_fields(0.0, 0.0, p_main), (2, 2)),
+                               np.diag([-0.1, -1.0]))
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.07, 0.2), (0.0, 0.2), (0.07, 0.0), (0.3, 0.5)])
@@ -155,7 +167,7 @@ def test_jacobian_matches_finite_differences(alpha, beta, rng):
     h = 1e-6
     for _ in range(40):
         u, v = rng.uniform(0.05, 2.0, size=2)
-        j = jacobian(u, v, p)
+        j = np.reshape(jacobian_fields(u, v, p), (2, 2))
         fd = np.empty((2, 2))
         fp = kinetics(u + h, v, p)
         fm = kinetics(u - h, v, p)
