@@ -113,12 +113,13 @@ class NoRoot(ConvergenceError):
 class NoConvergence(ConvergenceError):
     """An iterative solve or estimate did not converge: Newton or the
     arclength corrector ran out of iterations, the arclength step fell
-    below its floor, an integrator failed, the eigensolver stalled,
-    collocation needed more than its node budget or left a boundary
-    residual above tolerance on a resolved mesh, a travelling-wave orbit
-    did not stay in its target ball, an orbit reached its time ceiling
-    with no verdict, or a running estimate (the Lyapunov exponent) did
-    not settle."""
+    below its floor, the ODE integrator's step fell below the float
+    spacing or it ran past its budget of ``temporal.ODE_MAX_STEPS``
+    attempted steps, the eigensolver stalled, collocation needed more
+    than its node budget or left a boundary residual above tolerance on
+    a resolved mesh, a travelling-wave orbit did not stay in its target
+    ball, an orbit reached its time ceiling with no verdict, or a running
+    estimate (the Lyapunov exponent) did not settle."""
 
 
 class Inconclusive(ConvergenceError):

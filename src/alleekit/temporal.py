@@ -12,10 +12,13 @@ relative), and an accept test that falls within that drift of its bound
 can go the other way. On the sigma = 1.82 cycle orbit they take the same
 steps; near a fixed point, where the error estimate is mostly rounding,
 they can differ by a step or two. The kinetics are non-stiff, so the explicit pair with
-relative tolerance 1e-8 (ODE_RTOL) is used. Everything downstream works on
-densely sampled :class:`Trajectory` objects. The same integrator, with its
-own stopping event and its accepted steps handed back, gives
-:mod:`alleekit.waves` the reaction-only orbit that seeds its collocation.
+relative tolerance 1e-8 (ODE_RTOL) is used. Each run has one stop event, a
+gap that rises through zero, and a budget of ODE_MAX_STEPS attempted steps;
+past the budget it raises NoConvergence, so no run is endless. Everything
+downstream works on densely sampled :class:`Trajectory` objects. The same
+integrator, with its own stop event and its accepted steps handed back,
+gives :mod:`alleekit.waves` the reaction-only orbit that seeds its
+collocation.
 
 The module imports no numpy: the samples, the checks on them and the
 attractor classification are plain Python floats and lists, so
@@ -46,7 +49,6 @@ from .model import (
 from .rootfind import bracketed_root
 
 __all__ = [
-    "Terminal",
     "Trajectory",
     "AttractorKind",
     "AttractorSummary",
@@ -59,25 +61,21 @@ __all__ = [
 # integrate_ode's relative and absolute tolerances
 ODE_RTOL = 1e-8
 ODE_ATOL = 1e-10
+# _dopri5's step budget: attempted steps, rejected ones included
+ODE_MAX_STEPS = 10**6
 EXTINCTION_LEVEL = 1e-6
-DIVERGENCE_LEVEL = 1e3
-
-
-class Terminal(Enum):
-    REACHED_T = "ReachedT"
-    CONVERGED_TO_POINT = "ConvergedToPoint"
-    DIVERGED = "Diverged"
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Samples of an orbit: ``times`` ascending floats, ``states[i]`` the
     pair (u, v) at ``times[i]``. Both are lists; ``np.asarray(tr.states)``
-    gives the (n, 2) array, columns u and v, for array work."""
+    gives the (n, 2) array, columns u and v, for array work. The orbit
+    stopped early, at its extinction level, when ``times[-1]`` is below
+    the requested T."""
 
     times: list[float]
     states: list[tuple[float, float]]
-    terminal: Terminal
 
 
 class AttractorKind(Enum):
@@ -148,14 +146,10 @@ def _initial_step(u: float, v: float, fu: float, fv: float, p: KineticParams,
     return min(100 * h0, h1, T)
 
 
-def _ode_gaps(u: float, v: float) -> tuple[float, float]:
-    """integrate_ode's terminal events, each rising through zero when it
-    fires: extinction as max(u, v) falls through EXTINCTION_LEVEL,
-    divergence as max(|u|, |v|) rises through DIVERGENCE_LEVEL."""
-    return EXTINCTION_LEVEL - max(u, v), max(abs(u), abs(v)) - DIVERGENCE_LEVEL
-
-
-_ODE_EVENTS = (Terminal.CONVERGED_TO_POINT, Terminal.DIVERGED)
+def _extinction_gap(u: float, v: float) -> float:
+    """integrate_ode's stop event: rises through zero as max(u, v) falls
+    through EXTINCTION_LEVEL."""
+    return EXTINCTION_LEVEL - max(u, v)
 
 
 def _dense(s: float, t: float, h: float, u: float, v: float,
@@ -168,35 +162,27 @@ def _dense(s: float, t: float, h: float, u: float, v: float,
             v + x * (cv[0] + x * (cv[1] + x * (cv[2] + x * cv[3]))))
 
 
-def _crossing(gaps, k: int, step: tuple, t_new: float, g_old: float,
-              g_new: float) -> float:
-    """Where event ``k`` of ``gaps`` rises through zero on the interpolant
-    of the accepted step ending at ``t_new``."""
-    return bracketed_root(lambda s: gaps(*_dense(s, *step))[k], step[0], t_new,
-                          fa=g_old, fb=g_new)
-
-
 def _dopri5(u: float, v: float, p: KineticParams, T: float, rtol: float,
-            atol: float, t_eval: list[float], gaps, labels: Sequence,
-            steps: list | None = None) -> tuple[list[float], list[float], object]:
+            atol: float, t_eval: list[float], gap,
+            steps: list | None = None) -> tuple[list[float], list[float], bool]:
     """Integrate from (u, v) at t = 0 toward T, sampling the dense output
     at ``t_eval`` (ascending, inside [0, T]).
 
-    ``gaps(u, v)`` returns one value per terminal event, signed so that the
-    event fires when its value rises through zero; the sign carries the
-    event's direction. Gaps are checked at each step end. The run stops at
-    the root of the gap on the step's interpolant, with the samples before
-    it and then the event state itself, unless a sample time falls exactly
-    on it. Returns the times, the flat states [u0, v0, u1, v1, ...] and
-    ``labels[k]`` for the event k that stopped the run (None when T was
-    reached). When ``steps`` is a list, every accepted step is appended to
-    it as (t, h, u, v, cu, cv), the arguments :func:`_dense` takes after
-    the time.
+    The float ``gap(u, v)`` is the stop event, checked at each step end.
+    When it rises through zero, the run stops at its root on the step's
+    interpolant (Hairer, Norsett & Wanner II.6), with the samples before it
+    and then the stop state itself, unless a sample time falls exactly on
+    it. Returns the times, the flat states [u0, v0, u1, v1, ...] and
+    whether the gap stopped the run. When ``steps`` is a list, every
+    accepted step is appended to it as (t, h, u, v, cu, cv), the arguments
+    :func:`_dense` takes after the time. More than ODE_MAX_STEPS attempted
+    steps, or a step below the float spacing at t, raise NoConvergence.
     """
     k1u, k1v = kinetics(u, v, p)
     h_abs = _initial_step(u, v, k1u, k1v, p, T, rtol, atol)
-    g_old = gaps(u, v)
+    g_old = gap(u, v)
     n_eval = len(t_eval)
+    budget = ODE_MAX_STEPS
     times: list[float] = []
     out: list[float] = []
     i = 0
@@ -210,6 +196,11 @@ def _dopri5(u: float, v: float, p: KineticParams, T: float, rtol: float,
                 raise NoConvergence(
                     f"integrator failed at t={t}: required step size is less "
                     "than spacing between numbers")
+            if budget == 0:
+                raise NoConvergence(
+                    f"integrator used its budget of ODE_MAX_STEPS={ODE_MAX_STEPS} "
+                    f"attempted steps at t={t} of T={T}")
+            budget -= 1
             t_new = min(t + h_abs, T)
             h = t_new - t
             k2u, k2v = kinetics(u + (_A21 * k1u) * h, v + (_A21 * k1v) * h, p)
@@ -262,26 +253,24 @@ def _dopri5(u: float, v: float, p: KineticParams, T: float, rtol: float,
         if steps is not None:
             steps.append(step)
 
-        t_end, event = t_new, None
-        g_new = gaps(un, vn)
-        if max(g_new) >= 0.0:
-            for k, label in enumerate(labels):
-                if g_old[k] <= 0.0 <= g_new[k]:
-                    t_hit = _crossing(gaps, k, step, t_new, g_old[k], g_new[k])
-                    if event is None or t_hit < t_end:
-                        t_end, event = t_hit, label
+        t_end = t_new
+        g_new = gap(un, vn)
+        hit = g_old <= 0.0 <= g_new
+        if hit:
+            t_end = bracketed_root(lambda s: gap(*_dense(s, *step)), t, t_new,
+                                   fa=g_old, fb=g_new)
 
         while i < n_eval and t_eval[i] <= t_end:
             times.append(t_eval[i])
             out.extend(_dense(t_eval[i], *step))
             i += 1
-        if event is not None:
+        if hit:
             if not times or times[-1] < t_end:
                 times.append(t_end)
                 out.extend(_dense(t_end, *step))
-            return times, out, event
+            return times, out, True
         if t_new >= T:
-            return times, out, None
+            return times, out, False
         t, u, v, k1u, k1v, g_old = t_new, un, vn, k7u, k7v, g_new
 
 
@@ -294,13 +283,13 @@ def integrate_ode(
 
     Relative tolerance ODE_RTOL, absolute ODE_ATOL. The trajectory is
     sampled on a uniform grid from 0 to T, with samples about
-    max(min(0.25, T/1000), T/200000) apart. Stops early
-    (terminal ConvergedToPoint) once max(u, v) falls below 1e-6: from there
-    the origin absorbs the orbit, since the prey growth term is quadratic
-    at low density. Diverged is flagged at 1e3, which the bounded kinetics
-    never reach from valid states. States that undershoot zero by less
-    than ODE_RTOL are clipped to 0; a worse undershoot is an integration
-    failure.
+    max(min(0.25, T/1000), T/200000) apart. Stops early, with
+    ``times[-1] < T``, where max(u, v) falls through EXTINCTION_LEVEL = 1e-6:
+    from there the origin absorbs the orbit, since the prey growth term is
+    quadratic at low density. States that undershoot zero by less than
+    ODE_RTOL are clipped to 0; a worse undershoot, or a non-finite state,
+    is an integration failure (NonFinite). More than ODE_MAX_STEPS
+    attempted steps raise NoConvergence.
     """
     u0, v0 = float(ic[0]), float(ic[1])
     if not (math.isfinite(u0) and math.isfinite(v0)):
@@ -316,26 +305,15 @@ def integrate_ode(
     # np.linspace(0, T, n_out + 1) to the bit
     t_eval = [i * (T / n_out) for i in range(n_out)] + [T]
 
-    times, flat, event = _dopri5(u0, v0, p, T, ODE_RTOL, ODE_ATOL, t_eval,
-                                 _ode_gaps, _ODE_EVENTS)
+    times, flat, _ = _dopri5(u0, v0, p, T, ODE_RTOL, ODE_ATOL, t_eval,
+                             _extinction_gap)
     if not all(map(math.isfinite, flat)):
         raise NonFinite("integration produced non-finite states")
     low = min(flat)
     if low < -ODE_RTOL:
         raise NonFinite(f"positivity lost: state component reached {low:.3g} < -ODE_RTOL")
     flat = [0.0 if x <= 0.0 else x for x in flat]  # max(x, 0.0) keeps -0.0
-    states = list(zip(flat[0::2], flat[1::2]))
-
-    terminal = event
-    if terminal is None:
-        terminal = Terminal.REACHED_T
-        u_end, v_end = states[-1]
-        f1, f2 = kinetics(u_end, v_end, p)
-        if math.hypot(f1, f2) < 1e-9:
-            tail = states[bisect_left(times, times[-1] - 0.05 * T):]
-            if max(max(abs(u - u_end), abs(v - v_end)) for u, v in tail) < 1e-7:
-                terminal = Terminal.CONVERGED_TO_POINT
-    return Trajectory(times=times, states=states, terminal=terminal)
+    return Trajectory(times=times, states=list(zip(flat[0::2], flat[1::2])))
 
 
 def _refined_peaks(t: Sequence[float], x: Sequence[float]) -> list[float]:
@@ -358,22 +336,19 @@ def _refined_peaks(t: Sequence[float], x: Sequence[float]) -> list[float]:
 def attractor_summary(tr: Trajectory, transient: float) -> AttractorSummary:
     """Classify the tail of a trajectory after discarding ``transient``.
 
-    Extinction: both components end below 1e-8, or the integrator stopped
-    at its extinction level, however short the tail it left. LimitCycle:
-    relative peak-to-peak amplitude of u above 1e-4 with consistent
-    inter-peak intervals (CV < 0.02). FixedPoint: amplitude at or below
-    1e-4. Anything in between raises Inconclusive.
+    Extinction: both components end below 1.01 * EXTINCTION_LEVEL, where
+    integrate_ode's stop leaves an extinct orbit, however short the tail
+    it left. LimitCycle: relative peak-to-peak amplitude of u above 1e-4
+    with consistent inter-peak intervals (CV < 0.02). FixedPoint:
+    amplitude at or below 1e-4. Anything in between raises Inconclusive.
     """
     n = len(tr.times)
     start = bisect_left(tr.times, transient)
-    # The integrator stops at its (coarser) extinction level, possibly before
-    # the transient ends; the origin absorbs the orbit from there, so the
-    # stop state stands in for a tail the orbit never reached.
-    stopped_at_origin = (
-        tr.terminal is Terminal.CONVERGED_TO_POINT
-        and max(tr.states[-1]) < 1.01 * EXTINCTION_LEVEL
-    )
-    if stopped_at_origin:
+    # The integrator stops at its extinction level, possibly before the
+    # transient ends; the origin absorbs the orbit from there, so the stop
+    # state stands in for a tail the orbit never reached.
+    extinct = max(tr.states[-1]) < 1.01 * EXTINCTION_LEVEL
+    if extinct:
         start = min(start, n - 1)
     elif n - start < 10:
         raise Inconclusive(
@@ -383,7 +358,7 @@ def attractor_summary(tr: Trajectory, transient: float) -> AttractorSummary:
     u = [state[0] for state in tr.states[start:]]
     umin, umax = min(u), max(u)
 
-    if stopped_at_origin or max(tr.states[-1]) < 1e-8:
+    if extinct:
         return AttractorSummary(kind=AttractorKind.EXTINCTION, u_min=umin, u_max=umax)
 
     mean = abs(math.fsum(u) / len(u))

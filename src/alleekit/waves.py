@@ -172,12 +172,12 @@ def _kinetic_seed(p: KineticParams, d: float, c: float, y0: np.ndarray,
     us, vs = float(target[0]), float(target[2])
 
     def near(u, v):
-        return (r_cut - math.hypot(u - us, v - vs),)
+        return r_cut - math.hypot(u - us, v - vs)
 
     steps: list[tuple] = []
     times, _, hit = _dopri5(float(y0[0]), float(y0[2]), p, 2.0 * t_max,
-                            1e-10, 1e-13, [], near, (True,), steps)
-    if hit is None:
+                            1e-10, 1e-13, [], near, steps)
+    if not hit:
         raise NoConvergence(
             f"reaction flow does not reach the coexisting state by t={2.0 * t_max}")
     T0 = times[-1]

@@ -173,6 +173,19 @@ def test_slow_vector_is_eigenvector(p_main):
     assert v[2] > 0  # oriented into the predator quadrant
 
 
+def test_launch_direction_does_not_depend_on_the_eigenvector_sign(p_main):
+    # np.linalg.eig may return either sign of an eigenvector; the launch
+    # flips a negative W part, at a benchmark cell
+    u1 = upper_axial(p_main).u
+    lam, vecs = np.linalg.eig(tw_jacobian(np.array([u1, u1, 0.0, 0.0]),
+                                          p_main, D_REF, 4.7))
+    i, v = _launch(lam, vecs)
+    i_flip, v_flip = _launch(lam, -vecs)
+    assert i_flip == i
+    assert np.array_equal(v_flip, v)
+    assert v[2] > 0
+
+
 def test_shot_main_front(p_main):
     s = shoot_heteroclinic(p_main, D_REF, C_REF)
     assert isinstance(s, Shot)
