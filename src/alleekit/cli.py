@@ -231,19 +231,11 @@ def cmd_equilibria(cfg: ExperimentConfig, out: Path) -> list[Path]:
 def _branch_ids(eqs) -> list[int]:
     """0 = extinction state, 1/2 = prey-only by ascending u, 3+ = coexisting
     by ascending u; stable across the sigma sweep so a reader can join rows
-    of one branch."""
-    ids = [0] * len(eqs)
-    axial = sorted((i for i, e in enumerate(eqs)
-                    if e.kind in (EquilibriumKind.AXIAL1, EquilibriumKind.AXIAL2)),
-                   key=lambda i: eqs[i].u)
-    coex = sorted((i for i, e in enumerate(eqs)
-                   if e.kind is EquilibriumKind.COEXISTING),
-                  key=lambda i: eqs[i].u)
-    for rank, i in enumerate(axial):
-        ids[i] = 1 + rank
-    for rank, i in enumerate(coex):
-        ids[i] = 3 + rank
-    return ids
+    of one branch. Read off the order of ``all_equilibria``: the trivial
+    state, the prey-only states by descending u, then the coexisting ones
+    by ascending u."""
+    n_coex = sum(e.kind is EquilibriumKind.COEXISTING for e in eqs)
+    return [0, *range(len(eqs) - 1 - n_coex, 0, -1), *range(3, 3 + n_coex)]
 
 
 def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> list[Path]:
@@ -253,11 +245,10 @@ def cmd_temporal_diagram(cfg: ExperimentConfig, out: Path) -> list[Path]:
     rows = []
     for pt in bifurcation_diagram(cfg.p, cfg.sigma_grid, t_sim=cfg.t_sim):
         ids = _branch_ids(pt.equilibria)
-        top_coex = max((i for i, e in enumerate(pt.equilibria)
-                        if e.kind is EquilibriumKind.COEXISTING),
-                       key=lambda i: pt.equilibria[i].u, default=None)
+        # a cycle envelope belongs to the upper coexisting state, the last one
+        last = len(pt.equilibria) - 1
         for i, e in enumerate(pt.equilibria):
-            lo, hi = pt.cycle if (i == top_coex and pt.cycle) else (nan, nan)
+            lo, hi = pt.cycle if (i == last and pt.cycle) else (nan, nan)
             rows.append((pt.sigma, ids[i], e.u, _STAB_CODE[e.stability], lo, hi))
     return [_write_csv(out / "diagram.csv",
                        ("sigma", "branch_id", "u", "stability_code",
@@ -347,20 +338,19 @@ def cmd_continue(cfg: ExperimentConfig, out: Path) -> list[Path]:
     prob = SteadyProblem(Grid(L=cfg.L, N=n), cfg.p, cfg.d)
     e = upper_coexisting(cfg.p)
     x0 = interleave(np.full(n, e.u), np.full(n, e.v))
-    br = continue_branch(x0, cfg.p.sigma, prob, direction=cfg.direction,
-                         steps=cfg.steps, ds0=cfg.ds0,
-                         sigma_range=cfg.bracket)
+    points = continue_branch(x0, cfg.p.sigma, prob, direction=cfg.direction,
+                             steps=cfg.steps, ds0=cfg.ds0,
+                             sigma_range=cfg.bracket)
     written = [_write_csv(
         out / "branch.csv",
         ("point_index", "sigma", "l2norm_u", "n_unstable", "tag"),
         ((pt.index, pt.sigma, pt.l2norm_u, pt.n_unstable,
           ";".join(sorted(pt.tags)))
-         for pt in br.points))]
-    keep = {0, br.points[-1].index}
-    keep.update(pt.index for pt in br.points if pt.tags)
+         for pt in points))]
     x = _column(prob.grid.x)
-    for pt in br.points:
-        if pt.index not in keep:
+    # the first and last points carry Start and End, so this keeps them too
+    for pt in points:
+        if not pt.tags:
             continue
         u, v = split_fields(pt.x)
         written.append(_write_snapshot(out / f"point_{pt.index:04d}.csv",

@@ -61,6 +61,7 @@ class _Key(NamedTuple):
 
 _POSITIVE = (lambda x: x > 0, "must be positive")
 _NON_NEGATIVE = (lambda x: x >= 0, "must be non-negative")
+_AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
 
 _KINETIC_KEYS = ("sigma", "alpha", "beta", "gamma", "eta")
 
@@ -83,10 +84,15 @@ _KEYS: dict[tuple[str, str], _Key] = {
     ("run", "series_every"): _Key(_as_float, "series_every", _NON_NEGATIVE),
     ("run", "transient"): _Key(_as_float, "transient", _NON_NEGATIVE),
     ("run", "renorm_interval"): _Key(_as_float, "renorm_interval", _POSITIVE),
-    # the sigma and c grids, read by _grid_from
-    **{("sweep", f"{grid}_{end}"): _Key(_as_int if end == "count" else _as_float)
-       for grid in ("sigma", "c") for end in ("lo", "hi", "count")},
-    ("sweep", "steps"): _Key(_as_int, "steps", (lambda n: n >= 1, "must be >= 1")),
+    # the sigma and c grids, read by _grid_from; sigma is a kinetic rate and
+    # c a wave speed, so both grids start above zero
+    ("sweep", "sigma_lo"): _Key(_as_float, bound=_POSITIVE),
+    ("sweep", "sigma_hi"): _Key(_as_float),
+    ("sweep", "sigma_count"): _Key(_as_int, bound=_AT_LEAST_ONE),
+    ("sweep", "c_lo"): _Key(_as_float, bound=_POSITIVE),
+    ("sweep", "c_hi"): _Key(_as_float),
+    ("sweep", "c_count"): _Key(_as_int, bound=_AT_LEAST_ONE),
+    ("sweep", "steps"): _Key(_as_int, "steps", _AT_LEAST_ONE),
     ("sweep", "ds0"): _Key(_as_float, "ds0", _POSITIVE),
     ("sweep", "direction"): _Key(_as_int, "direction",
                                  (lambda s: s in (-1, 1), "must be -1 or +1")),
@@ -201,16 +207,10 @@ def _grid_from(data, issues, prefix: str, cmd: str,
                       f"(all three of {prefix}_lo/{prefix}_hi/{prefix}_count "
                       "are needed)")
         return None
-    if count < 1:
-        issues.append(f"[sweep] {prefix}_count: must be >= 1")
-        return None
     if hi < lo:
         issues.append(f"[sweep] {prefix}_hi: must be >= {prefix}_lo")
         return None
-    # sigma is a kinetic rate and c a wave speed: both must be positive
-    if lo <= 0:
-        issues.append(f"[sweep] {prefix}_lo: must be positive")
-    if count == 1:
+    if count <= 1:  # below 1 its bound has refused the config
         return (lo,)
     # np.linspace(lo, hi, count) to the bit, which scales i / div by hi - lo
     # when the step underflows to zero

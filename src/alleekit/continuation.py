@@ -217,11 +217,6 @@ class BranchPoint:
     tags: set[str] = field(default_factory=set)
 
 
-@dataclass
-class Branch:
-    points: list[BranchPoint] = field(default_factory=list)
-
-
 def _bendixson_caps(x: np.ndarray, sigma: float, prob: SteadyProblem) -> tuple[float, float]:
     """Upper bounds for Re(lam) and |Im(lam)| of the linearization.
 
@@ -445,17 +440,19 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, indicator, value_lo):
 
 def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem,
                     direction: int = 1, steps: int = 100, ds0: float = 0.02, *,
-                    sigma_range: tuple[float, float] | None = None) -> Branch:
-    """Trace a solution branch, adding each event, localized to 1e-7 in
-    sigma, as a point: Fold where the tangent's sigma part changes sign, and
-    otherwise BP where det J does (an odd number of real crossings). A
-    complex pair crossing, or two real crossings in one step, changes
-    ``n_unstable`` with no tag. Nor need a BP tag change ``n_unstable``: the
-    real eigenvalue that crosses can stay below UNSTABLE_TOL on both sides
-    of the step. Each point's ``n_unstable`` is certified by
-    ``solution_stability`` and depends on that point alone. A step grows
-    1.3-fold, up to 4*ds0, after a correction of at most four iterations,
-    and halves on a failed one, down to DS_MIN.
+                    sigma_range: tuple[float, float] | None = None
+                    ) -> list[BranchPoint]:
+    """The points of a solution branch, in order, with each event,
+    localized to 1e-7 in sigma, added as a point: Fold where the tangent's
+    sigma part changes sign, and otherwise BP where det J does (an odd
+    number of real crossings). A complex pair crossing, or two real
+    crossings in one step, changes ``n_unstable`` with no tag. Nor need a
+    BP tag change ``n_unstable``: the real eigenvalue that crosses can stay
+    below UNSTABLE_TOL on both sides of the step. Each point's
+    ``n_unstable`` is certified by ``solution_stability`` and depends on
+    that point alone. A step grows 1.3-fold, up to 4*ds0, after a
+    correction of at most four iterations, and halves on a failed one, down
+    to DS_MIN.
 
     A branch ends on its range bound: a step that leaves sigma_range is
     bisected like an event, and the first corrected point past the bound,
@@ -472,13 +469,13 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
     sigma = sigma_start
     tau, det_sign = tangent_at(x, sigma, prob, prev=Tangent(np.zeros_like(x), direction))
 
-    branch = Branch()
+    points: list[BranchPoint] = []
 
     def add_point(x, sigma, tags):
         n_un = solution_stability(x, sigma, prob)[0]
         u, _ = split_fields(x)
-        branch.points.append(BranchPoint(len(branch.points), sigma, x.copy(),
-                                         l2_norm(u, prob.grid.dx), n_un, tags))
+        points.append(BranchPoint(len(points), sigma, x.copy(),
+                                  l2_norm(u, prob.grid.dx), n_un, tags))
 
     def in_range(xm, sm):
         return 1 if lo <= sm <= hi else -1
@@ -525,5 +522,5 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
             ds = min(ds * 1.3, 4.0 * ds0)
         ds = max(ds, DS_MIN)
 
-    branch.points[-1].tags.add("End")
-    return branch
+    points[-1].tags.add("End")
+    return points

@@ -88,8 +88,14 @@ def estar_scan(
 
 
 def _wavenumber(j: int, L: float) -> float:
-    """k_j = (j*pi/L)**2 of the Neumann mode cos(j*pi*x/L) on [0, L]."""
-    return (j * math.pi / L) ** 2
+    """k_j = (j*pi/L)**2 of the Neumann mode cos(j*pi*x/L) on [0, L];
+    OutOfRange for a mode j >= 1 unless 2**-510 <= j*pi/L < 2**511, where
+    k_j is a normal float."""
+    root = j * math.pi / L
+    if j and not 2.0 ** -510 <= root < 2.0 ** 511:
+        raise OutOfRange(f"k_{j} = ({j}*pi/L)**2 leaves the float range "
+                         f"at L={L:.3g}")
+    return root ** 2
 
 
 def _mode_index(k: float, L: float) -> float:

@@ -454,8 +454,9 @@ def coexisting_equilibria(p: KineticParams) -> list[Equilibrium]:
 
 
 def all_equilibria(p: KineticParams) -> list[Equilibrium]:
-    """Trivial + axial + coexisting, in that order; the coexisting tail is
-    empty where there is no such state, as with gamma <= 1."""
+    """Trivial, then the prey-only states by descending u, then the
+    coexisting ones by ascending u; the coexisting tail is empty where
+    there is no such state, as with gamma <= 1."""
     return [trivial_equilibrium(p), *axial_equilibria(p),
             *coexisting_equilibria(p)]
 

@@ -100,7 +100,10 @@ flapack = _load_flapack()
 
 @dataclass(frozen=True)
 class Grid:
-    """Vertex-centered grid on (0, L): nodes x_i = i*dx, dx = L/(N-1)."""
+    """Vertex-centered grid on (0, L): nodes x_i = i*dx, dx = L/(N-1).
+    Every Laplacian divides by dx*dx and ``default_dt`` takes dx**2, so
+    OutOfRange unless 2**-510 <= dx < 2**511, where both are normal floats.
+    """
 
     L: float
     N: int
@@ -110,6 +113,11 @@ class Grid:
             raise ValueError("domain length must be positive and finite")
         if self.N < 16:
             raise ValueError("grid needs at least 16 nodes")
+        if not 2.0 ** -510 <= self.dx < 2.0 ** 511:
+            raise OutOfRange(
+                f"the grid spacing dx={self.dx:.3g} squares out of the float "
+                "range, so no [grid] dt can step this grid; set [spatial] l "
+                "or [grid] n")
 
     @property
     def dx(self) -> float:
@@ -421,16 +429,6 @@ class StrangStepper(_Stepper):
 _SCHEMES = {"imex1": ImexStepper, "strang": StrangStepper}
 
 
-def make_stepper(grid: Grid, p: KineticParams, d: float, dt: float,
-                 *, scheme: str = "imex1"):
-    """The reacting stepper of ``scheme``, "imex1" or "strang"."""
-    try:
-        cls = _SCHEMES[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(_SCHEMES)}")
-    return cls(grid, p, d, dt)
-
-
 def default_dt(grid: Grid, d: float) -> float:
     """Splitting-error budget rule; long runs usually override this.
     OutOfRange when the rule underflows to zero."""
@@ -571,13 +569,15 @@ def run(f0: Field, p: KineticParams, d: float, T: float,
     """
     if not (T > 0 and math.isfinite(T)):
         raise ValueError("T must be positive and finite")
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(_SCHEMES)}")
     grid = f0.grid
     recorder = recorder or Recorder()
 
     _check_plan(T / dt, dt)
     n_steps = max(1, math.ceil(T / dt))
     dt = T / n_steps
-    stepper = make_stepper(grid, p, d, dt, scheme=scheme)
+    stepper = _SCHEMES[scheme](grid, p, d, dt)
 
     series_every = recorder.series_every or max(dt, T / 4000.0)
     series_stride = max(1, round(series_every / dt))

@@ -422,9 +422,8 @@ def bifurcation_diagram(
             continue
         cycle = None
         err = None
-        coex = [e for e in eqs if e.kind is EquilibriumKind.COEXISTING]
-        if coex and coex[-1].stability in unstable:
-            e = coex[-1]
+        e = eqs[-1]  # the upper coexisting state, if there is one
+        if e.kind is EquilibriumKind.COEXISTING and e.stability in unstable:
             try:
                 tr = integrate_ode((e.u + 0.01, e.v + 0.01), ps, t_sim)
                 summary = attractor_summary(tr, transient=0.5 * t_sim)

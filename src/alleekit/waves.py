@@ -238,8 +238,9 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
 
     The orbit must enter the max-norm ball of radius _BALL around the
     coexisting point and remain inside through the end, for at least _STAY
-    time units. The orbit leaving the box [-1, 2 u1]^4 raises NonFinite; an
-    orbit that ends outside the ball or stays in it for less than _STAY, a
+    time units. An end-state Jacobian past the float range (c**2 overflows)
+    or the orbit leaving the box [-1, 2 u1]^4 raises NonFinite; an orbit
+    that ends outside the ball or stays in it for less than _STAY, a
     transit longer than t_max, a seed that does not reach the coexisting
     state, or a collocation failure at both tolerances raises
     NoConvergence. Monotonicity of X and W is judged on the trailing 80% of
@@ -254,14 +255,17 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     e1 = np.array([u1, u1, 0.0, 0.0])
     target = np.array([e.u, e.u, e.v, e.v])
 
-    lam_s, vecs_s = np.linalg.eig(tw_jacobian(target, p, d, c))
+    jac_s, jac1 = tw_jacobian(target, p, d, c), tw_jacobian(e1, p, d, c)
+    if not (np.isfinite(jac_s).all() and np.isfinite(jac1).all()):
+        raise NonFinite(f"wave Jacobian overflows at c={c:.3g}, d={d:.3g}")
+    lam_s, vecs_s = np.linalg.eig(jac_s)
     left_s = np.linalg.inv(vecs_s)
     _, stable, spiral = _coexisting_spectrum(lam_s)
     if stable.size < 2:
         raise OutOfRange("coexisting state has no 2D stable manifold")
     rate = -float(stable.real.max())
 
-    lam1, vecs1 = np.linalg.eig(tw_jacobian(e1, p, d, c))
+    lam1, vecs1 = np.linalg.eig(jac1)
     left1 = np.linalg.inv(vecs1)
     i_slow, v = _launch(lam1, vecs1)
     y0 = e1 + _LAUNCH_SCALE * u1 * v
@@ -299,9 +303,8 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
 
     # phase: fix the far end on the section through the seed endpoint
     w_end = sub[:, -1] - target
+    # the seed stops where hypot(X - u*, W - v*) = _CORE_RADIUS, so r0 > 0
     r0 = float(np.linalg.norm(w_end))
-    if r0 == 0.0:
-        raise NoConvergence("seed endpoint coincides with the target state")
     w_end = w_end / r0
 
     def fun(_s, y, q):

@@ -4,16 +4,18 @@ and manifests of what a run wrote."""
 
 import hashlib
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
-from alleekit.cli import _column, _fmt, _write_csv, _write_snapshot, main
+from alleekit.cli import (_branch_ids, _column, _fmt, _write_csv,
+                          _write_snapshot, main)
 from alleekit.linear import dstar_parts, vbounds
-from alleekit.model import (KineticParams, first_lyapunov_coefficient,
-                            hopf_sigma, sigma_s, sigma_sn, sigma_tc,
-                            upper_coexisting)
+from alleekit.model import (EquilibriumKind, KineticParams, all_equilibria,
+                            first_lyapunov_coefficient, hopf_sigma, sigma_s,
+                            sigma_sn, sigma_tc, upper_coexisting)
 from alleekit import linear, pde, waves
 from alleekit.errors import NoConvergence
 from alleekit.waves import SCAN_TOL, shoot_heteroclinic
@@ -196,7 +198,8 @@ def test_simulate_failure_exit_codes(tmp_path, capsys, grid, run, code):
 
 @pytest.mark.parametrize("command", ["simulate", "lyapunov"])
 def test_underflowing_default_dt_is_a_config_error(tmp_path, capsys, command):
-    # dx = 1e-200 / 15, so dx ** 2, and with it the default step, is 0
+    # dx = 1e-200 / 15 squares to 0, and so would the default step: the
+    # grid refuses it first, naming dx, since no [grid] dt can step it
     rc, err = _run(tmp_path, capsys, command,
                    "l = 1e-200\n[grid]\nn = 16\n[run]\n"
                    "ic = perturbed_homogeneous\nt = 230\ntransient = 10\n",
@@ -225,6 +228,82 @@ def test_endless_default_dt_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert rc == 2, err
     assert "steps of dt=1.93e-305" in err and "[grid] dt" in err
     assert "Traceback" not in err
+
+
+_TINY_GRID = "[grid]\nn = 16\n"
+_ONE_SIGMA = "[sweep]\nsigma_lo = 2.7\nsigma_hi = 2.7\nsigma_count = 1\n"
+
+# configs at the ends of the float range: (command, kinetics and [spatial]
+# values that replace those of _KINETICS, the rest of the config, the exit
+# code, and what stderr must name); exit 0 where the run has an answer
+_EDGE_CONFIGS = {
+    "simulate-dx-squares-to-0": (
+        "simulate", {}, "l = 1e-300\n" + _TINY_GRID + "dt = 0.05\n[run]\n"
+        "ic = perturbed_homogeneous\nt = 1\nseed = 1\n",
+        2, "dx=6.67e-302 squares out of the float range"),
+    "lyapunov-dx-squares-to-0": (
+        "lyapunov", {}, "l = 1e-300\n" + _TINY_GRID + "dt = 0.05\n[run]\n"
+        "t = 230\ntransient = 10\nseed = 1\n",
+        2, "dx=6.67e-302 squares out of the float range"),
+    "continue-dx-squares-to-0": (
+        "continue", {}, "l = 1e-300\n" + _TINY_GRID + "[sweep]\nsteps = 3\n"
+        "bracket_hi = 2.8\n",
+        2, "dx=6.67e-302 squares out of the float range"),
+    "simulate-dx-squares-past-max": (
+        "simulate", {}, "l = 1e300\n" + _TINY_GRID + "[run]\n"
+        "ic = perturbed_homogeneous\nt = 1\nseed = 1\n",
+        2, "dx=6.67e+298 squares out of the float range"),
+    "thresholds-k1-past-max": (
+        "thresholds", {}, "l = 1e-300\n",
+        2, "k_1 = (1*pi/L)**2 leaves the float range at L=1e-300"),
+    "thresholds-k1-to-0": (
+        "thresholds", {}, "l = 1e300\n",
+        2, "k_1 = (1*pi/L)**2 leaves the float range at L=1e+300"),
+    # c**2 overflows, so each cell is Unknown (NonFinite), in process and
+    # from the pool alike
+    "wave-scan-c-squared-past-max": (
+        "wave-scan", {}, _ONE_SIGMA + "c_lo = 1e200\nc_hi = 1e200\nc_count = 1\n",
+        0, None),
+    "wave-scan-pool-c-squared-past-max": (
+        "wave-scan", {}, _ONE_SIGMA + "c_lo = 1e200\nc_hi = 1e250\nc_count = 2\n",
+        0, None),
+    "equilibria-sigma-1e200": (
+        "equilibria", {"sigma": "1e200"}, "", 3, "non-finite"),
+    "equilibria-gamma-1e300": (
+        "equilibria", {"sigma": "0.0172", "alpha": "3.26e7",
+                       "beta": "7.75e-5", "gamma": "1e300", "eta": "3.92e-3"},
+        "", 0, None),
+    "equilibria-beta-1e-300": (
+        "equilibria", {"beta": "1e-300"}, "", 0, None),
+    "simulate-default-dt-dx-squares-to-0": (
+        "simulate", {}, "l = 1e-200\n" + _TINY_GRID + "[run]\n"
+        "ic = perturbed_homogeneous\nt = 230\nseed = 1\n",
+        2, "dx=6.67e-202 squares out of the float range"),
+    "simulate-default-dt-underflows": (
+        "simulate", {"d": "1e300"}, "l = 1e-100\n" + _TINY_GRID + "[run]\n"
+        "ic = perturbed_homogeneous\nt = 230\nseed = 1\n",
+        2, "the default time step underflows at dx=6.67e-102"),
+    "simulate-plan-past-max-steps": (
+        "simulate", {}, "l = 1e-150\n" + _TINY_GRID + "[run]\n"
+        "ic = perturbed_homogeneous\nt = 230\nseed = 1\n",
+        2, "steps of dt=1.93e-305"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CONFIGS))
+def test_edge_configs_exit_with_a_documented_code(tmp_path, capsys, case):
+    command, values, body, code, named = _EDGE_CONFIGS[case]
+    text = _KINETICS.format(sigma=2.7, eta=0.1)
+    for key, value in values.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(text + body)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert "Traceback" not in err
+    if named is not None:
+        assert named in err
 
 
 @pytest.mark.parametrize("command,body", [
@@ -274,6 +353,40 @@ def test_scalar_commands_give_golden_manifests(tmp_path, capsys, command, body,
     assert rc == 0, err
     manifest = (tmp_path / "out" / "manifest.txt").read_bytes()
     assert hashlib.sha256(manifest).hexdigest() == digest
+
+
+def _sorted_branch_ids(eqs) -> list[int]:
+    """The diagram's branch ids by sorting each kind by u: 0 for the
+    trivial state, 1/2 for the prey-only ones, 3+ for the coexisting ones."""
+    ids = [0] * len(eqs)
+    for first, kinds in ((1, (EquilibriumKind.AXIAL1, EquilibriumKind.AXIAL2)),
+                         (3, (EquilibriumKind.COEXISTING,))):
+        ranked = sorted((i for i, e in enumerate(eqs) if e.kind in kinds),
+                        key=lambda i: eqs[i].u)
+        for rank, i in enumerate(ranked):
+            ids[i] = first + rank
+    return ids
+
+
+@pytest.mark.parametrize("kinetics", ["p_main", "p_ratio"])
+def test_branch_ids_read_the_order_of_all_equilibria(request, kinetics):
+    # the diagram's ids and its cycle row rest on this order: the trivial
+    # state, the prey-only states by descending u, the coexisting ones by
+    # ascending u (p_ratio, alpha = 0, has two of them above sigma ~ 3.9)
+    p = request.getfixturevalue(kinetics)
+    counts = set()
+    for sigma in [0.4, *np.geomspace(0.3, 1e6, 80)]:
+        eqs = all_equilibria(p.with_sigma(float(sigma)))
+        axial = [e.u for e in eqs if e.kind in (EquilibriumKind.AXIAL1,
+                                                EquilibriumKind.AXIAL2)]
+        coex = [e.u for e in eqs if e.kind is EquilibriumKind.COEXISTING]
+        assert eqs[0].kind is EquilibriumKind.TRIVIAL
+        assert [e.u for e in eqs[1:]] == axial + coex
+        assert axial == sorted(set(axial), reverse=True)
+        assert coex == sorted(set(coex))
+        assert _branch_ids(eqs) == _sorted_branch_ids(eqs)
+        counts.add((len(axial), len(coex)))
+    assert {(0, 0), (1, 0), (2, 1 if kinetics == "p_main" else 2)} <= counts
 
 
 @pytest.mark.parametrize("give_out", [True, False], ids=["out", "cwd"])

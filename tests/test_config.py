@@ -124,6 +124,10 @@ _OUT_OF_BOUND = {
     ("run", "series_every"): ("-0.5", "must be non-negative"),
     ("run", "transient"): ("-10", "must be non-negative"),
     ("run", "renorm_interval"): ("0", "must be positive"),
+    ("sweep", "sigma_lo"): ("0", "must be positive"),
+    ("sweep", "sigma_count"): ("0", "must be >= 1"),
+    ("sweep", "c_lo"): ("-1", "must be positive"),
+    ("sweep", "c_count"): ("-2", "must be >= 1"),
     ("sweep", "steps"): ("0", "must be >= 1"),
     ("sweep", "ds0"): ("0", "must be positive"),
     ("sweep", "direction"): ("0", "must be -1 or +1"),

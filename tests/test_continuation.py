@@ -21,7 +21,7 @@ from alleekit.continuation import (
     STABILITY_SHIFT,
     UNSTABLE_TOL,
     BandedLU,
-    Branch,
+    BranchPoint,
     KL,
     KU,
     SteadyProblem,
@@ -59,9 +59,9 @@ BP_WINDOW_ORACLE = {
 }
 
 
-def _tagged(br: Branch, tag: str) -> list:
+def _tagged(br: list[BranchPoint], tag: str) -> list:
     """The points of ``br`` whose tags include ``tag``."""
-    return [pt for pt in br.points if tag in pt.tags]
+    return [pt for pt in br if tag in pt.tags]
 
 
 @pytest.fixture
@@ -154,8 +154,8 @@ def _residual_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _branch_switch(branch: Branch, prob: SteadyProblem, bp_index: int,
-                   amplitude: float) -> tuple[np.ndarray, float]:
+def _branch_switch(branch: list[BranchPoint], prob: SteadyProblem,
+                   bp_index: int, amplitude: float) -> tuple[np.ndarray, float]:
     """Start point on the bifurcating branch at a detected BP.
 
     The side of the pitchfork is not known in advance, so the seed is
@@ -164,7 +164,7 @@ def _branch_switch(branch: Branch, prob: SteadyProblem, bp_index: int,
     branch wins. Raises NoConvergence when every attempt fails, saying
     whether they all returned to the parent branch.
     """
-    pt = branch.points[bp_index]
+    pt = branch[bp_index]
     if "BP" not in pt.tags:
         raise ValueError(f"point {bp_index} is not tagged as a branch point")
     phi = _kernel_vector(pt.x, pt.sigma, prob)
@@ -356,7 +356,7 @@ def test_unstable_count_ladder_along_homogeneous_branch(base_p):
         assert abs(pt.sigma - sig_cont) < 2e-3, f"mode {mode}"
 
     # counts step up by exactly one between consecutive untagged points
-    plain = [pt for pt in br.points if not pt.tags & {"BP", "Fold"}]
+    plain = [pt for pt in br if not pt.tags & {"BP", "Fold"}]
     diffs = np.diff([pt.n_unstable for pt in plain])
     assert set(diffs.tolist()) <= {0, 1}
     assert diffs.sum() == len(bps)
@@ -369,7 +369,7 @@ def test_count_bisection_stops_at_the_det_sign_branch_point(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
                          steps=1, ds0=1.5e-3)
-    start, bp = br.points[:2]
+    start, bp = br[:2]
     assert bp.tags == {"BP"} and bp.n_unstable == 13
     tau, _ = tangent_at(start.x, start.sigma, prob,
                         prev=Tangent(np.zeros_like(start.x), -1.0))
@@ -380,6 +380,44 @@ def test_count_bisection_stops_at_the_det_sign_branch_point(base_p):
     assert sig_ev == bp.sigma
     assert x_ev.tobytes() == bp.x.tobytes()
     assert solution_stability(x_ev, sig_ev, prob)[0] == 13
+
+
+def test_event_whose_refinement_never_corrects_is_dropped(base_p, monkeypatch):
+    # every correction inside the event bisection fails, so each halving
+    # moves its far end toward the last point until the step is below
+    # 1e-12; the BP is dropped and the branch goes on as without the fault
+    prob = _problem(base_p)
+    clean = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
+                            steps=3, ds0=1.5e-3)
+    real_refine, real_correct = _refine_event, continuation._arclength_correct
+    refining, tried = [], []
+
+    def refine(*args):
+        refining.append(True)
+        try:
+            return real_refine(*args)
+        finally:
+            refining.pop()
+
+    def correct(x0, sigma0, tau, ds, prob):
+        if refining:
+            tried.append(ds)
+            raise NoConvergence("arclength corrector exhausted its iterations")
+        return real_correct(x0, sigma0, tau, ds, prob)
+
+    monkeypatch.setattr(continuation, "_refine_event", refine)
+    monkeypatch.setattr(continuation, "_arclength_correct", correct)
+    faulted = continue_branch(_flat(prob, 1.83), 1.83, prob, direction=-1,
+                              steps=3, ds0=1.5e-3)
+    events = _tagged(clean, "BP")
+    assert len(events) == 1 and not _tagged(faulted, "BP")
+    assert tried == [1.5e-3 * 0.5 ** k for k in range(1, len(tried) + 1)]
+    assert tried[-1] < 1e-12 <= tried[-2]  # the width test ends it
+    kept = [pt for pt in clean if pt is not events[0]]
+    assert len(faulted) == len(kept) == 4
+    for pt, ref in zip(faulted, kept):
+        assert (pt.sigma, pt.n_unstable, pt.tags, pt.x.tobytes()) == (
+            ref.sigma, ref.n_unstable, ref.tags, ref.x.tobytes())
 
 
 def test_branch_switch_counts_match_modes(base_p):
@@ -448,11 +486,11 @@ def test_localized_branch_snakes_through_folds(base_p):
     assert np.ptp(u0) > 0.1  # genuinely localized, not the constant state
     br = continue_branch(x, 2.1, prob, direction=1, steps=60, ds0=0.01,
                          sigma_range=(1.95, 2.45))
-    assert len(br.points) > 20
+    assert len(br) > 20
     assert len(_tagged(br, "Fold")) >= 1
 
     # a-priori box for any steady state, checked pointwise per sigma
-    for pt in br.points:
+    for pt in br:
         u, v = split_fields(pt.x)
         u1, mstar = vbounds(prob.p.with_sigma(pt.sigma))
         assert u.min() > 0.0 and u.max() < u1
@@ -468,14 +506,14 @@ def test_stability_on_the_snaking_branch_matches_dense_eigenvalues(base_p):
     x = newton_correct(_localized_seed(prob, 2.1, -0.15, width=8.0), 2.1, prob)
     br = continue_branch(x, 2.1, prob, direction=1, steps=60, ds0=0.01,
                          sigma_range=(1.95, 2.45))
-    counts = [pt.n_unstable for pt in br.points]
+    counts = [pt.n_unstable for pt in br]
     changes = [i for i in range(1, len(counts)) if counts[i] != counts[i - 1]]
     assert len(counts) == 30 and len(_tagged(br, "Fold")) == 1
     assert [counts[0]] + [counts[i] for i in changes] == [3, 4, 5, 2, 3]
     check = {_tagged(br, "Fold")[0].index}
     check.update(j for i in changes for j in (i - 1, i))
     for i in sorted(check):
-        pt = br.points[i]
+        pt = br[i]
         ab = jacobian_banded(pt.x, pt.sigma, prob)
         lam = np.linalg.eigvals(_banded_to_dense(ab))
         assert (lam.real > UNSTABLE_TOL).sum() == pt.n_unstable, f"point {i}"
@@ -485,7 +523,7 @@ def test_branch_norms_consistent_with_vectors(base_p):
     prob = _problem(base_p)
     br = continue_branch(_flat(prob, 2.0), 2.0, prob, direction=1, steps=8,
                          ds0=5e-3)
-    for pt in br.points:
+    for pt in br:
         u, _ = split_fields(pt.x)
         assert abs(l2_norm(u, prob.grid.dx) - pt.l2norm_u) < 1e-12
         assert np.abs(residual(pt.x, pt.sigma, prob)).max() < 1e-9
@@ -495,10 +533,10 @@ def test_forward_backward_returns_to_start(base_p):
     prob = _problem(base_p)
     out = continue_branch(_flat(prob, 2.0), 2.0, prob, direction=1, steps=10,
                           ds0=5e-3)
-    end = out.points[-1]
+    end = out[-1]
     back = continue_branch(end.x, end.sigma, prob, direction=-1, steps=10,
                            ds0=5e-3)
-    assert abs(back.points[-1].sigma - 2.0) < 1e-6
+    assert abs(back[-1].sigma - 2.0) < 1e-6
 
 
 def test_stability_of_stable_constant_state(base_p):
@@ -767,7 +805,7 @@ def test_stability_of_a_point_does_not_depend_on_the_branch_before_it(
     prob = _problem(base_p, n=64)
     up = continue_branch(_flat(prob, 2.0), 2.0, prob, direction=1, steps=4,
                          ds0=0.02)
-    end = up.points[-1]
+    end = up[-1]
     assert end.sigma > 2.07
     first = seen[-1]
     seen.clear()
@@ -856,9 +894,9 @@ def test_one_factorization_per_point_besides_the_correctors(base_p,
     prob = _problem(base_p, n=64)
     br = continue_branch(_flat(prob, 2.0), 2.0, prob, direction=1, steps=8,
                          ds0=5e-3)
-    assert [pt.tags - {"Start", "End"} for pt in br.points] == [set()] * 9
-    assert made["stability"] == len(br.points)
-    assert made["all"] - made["correctors"] - made["stability"] == len(br.points)
+    assert [pt.tags - {"Start", "End"} for pt in br] == [set()] * 9
+    assert made["stability"] == len(br)
+    assert made["all"] - made["correctors"] - made["stability"] == len(br)
 
 
 def test_coverage_radius_follows_a_raised_shift(base_p, monkeypatch):

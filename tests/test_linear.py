@@ -288,6 +288,15 @@ def test_dstar_not_applicable():
         )
 
 
+@pytest.mark.parametrize("L", [1e-300, 1e300])
+def test_dstar_where_k1_leaves_the_float_range_is_refused(L):
+    # (pi/L)**2 overflowed at L = 1e-300 and underflowed to 0 at L = 1e300,
+    # where dstar divided by it
+    p = KineticParams(alpha=0.2, beta=2.4, gamma=1.3, sigma=1.5, eta=0.1)
+    with pytest.raises(OutOfRange, match="k_1 = \\(1\\*pi/L\\)\\*\\*2 leaves"):
+        dstar_parts(p, L)
+
+
 def test_vbounds(p_main):
     u1, mstar = vbounds(p_main)
     assert abs(u1 - 0.961479103495) < 1e-10

@@ -495,6 +495,20 @@ def test_scan_reports_why_each_cell_is_unknown(p_main, monkeypatch, outcome,
     assert res.reasons.tolist() == [["", reason]]
 
 
+@pytest.mark.parametrize("cores", [None, {0}], ids=["pooled", "one_core"])
+def test_wave_jacobian_past_the_float_range_is_an_unknown_cell(
+        p_main, monkeypatch, cores):
+    # c**2 overflows to inf past c ~ 1.34e154; np.linalg.eig refused the
+    # Jacobian with a LinAlgError that no cell recorded
+    with pytest.raises(NonFinite, match="wave Jacobian overflows at c=1e\\+200"):
+        shoot_heteroclinic(p_main, D_REF, 1e200)
+    if cores is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    res = scan_plane(p_main, D_REF, [2.7], [1e200, 1e250])
+    assert res.codes.tolist() == [[WaveClass.UNKNOWN] * 2]
+    assert res.reasons.tolist() == [["NonFinite"] * 2]
+
+
 @pytest.mark.parametrize("sigma,c", [(2.7, C_REF), (1.9, 6.0)],
                          ids=["monotone", "spiral"])
 def test_each_end_state_is_decomposed_once_per_shot(p_main, monkeypatch,
