@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NonFinite
 from .pde import BandedLU
 
 # damped Newton: at most _MAX_ITER iterations and _MAX_NJEV Jacobians per
@@ -80,6 +80,8 @@ def _collocation(fun, x, h, y, p):
     y_mid = 0.5 * (y[:, 1:] + y[:, :-1]) - 0.125 * h * (f[:, 1:] - f[:, :-1])
     f_mid = fun(x[:-1] + 0.5 * h, y_mid, p)
     res = y[:, 1:] - y[:, :-1] - h / 6 * (f[:, :-1] + f[:, 1:] + 4 * f_mid)
+    if not np.isfinite(res).all():
+        raise NonFinite("collocation residual is not finite")
     return res, y_mid, f, f_mid
 
 
@@ -198,6 +200,9 @@ def _rms_residuals(fun, sol, x, h, p, r_mid, f_mid) -> np.ndarray:
     return (0.5 * (32 / 45 * r_sq + 49 / 90 * (squares[0] + squares[1]))) ** 0.5
 
 
+# an iterate that overflows is reported as NonFinite by the finiteness
+# check on its residual, not as a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def solve_bvp(fun, bc, x, y, p, *, tol: float, max_nodes: int, fun_jac,
               bc_jac) -> BVPResult:
     """Solve y' = fun(x, y, p) on [x[0], x[-1]] with bc(y(a), y(b), p) = 0,
@@ -211,10 +216,11 @@ def solve_bvp(fun, bc, x, y, p, *, tol: float, max_nodes: int, fun_jac,
     only. The residual tolerance is ``tol``, and so is the boundary
     tolerance.
 
-    Only a converged solution is returned. A singular Newton matrix raises
-    SingularJacobian; a mesh that would need more than ``max_nodes`` nodes,
-    or a boundary residual still above ``tol`` after ten meshes with no
-    node left to add, raises NoConvergence.
+    Only a converged solution is returned. An iterate whose residual is not
+    finite raises NonFinite, and a singular Newton matrix SingularJacobian;
+    a mesh that would need more than ``max_nodes`` nodes, or a boundary
+    residual still above ``tol`` after ten meshes with no node left to add,
+    raises NoConvergence.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

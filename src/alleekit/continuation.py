@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
+from .errors import (NoConvergence, NonFinite, NumericalError, OutOfRange,
+                     SingularJacobian)
 from .model import KineticParams, _det_l, _mode_scalars, jacobian_fields
 from .pde import (BandedLU, Grid, flapack, l2_norm, laplacian_bands,
                   neumann_symbol, semidiscrete_rhs)
@@ -177,17 +178,17 @@ def tangent_at(x: np.ndarray, sigma: float, prob: SteadyProblem,
 
 def _arclength_correct(x0, sigma0, tau: Tangent, ds, prob):
     """Correct the predictor (x0, sigma0) + ds*tau onto the branch, on the
-    hyperplane at arclength ds along tau; returns (x, sigma, iterations)."""
+    hyperplane at arclength ds along tau; returns (x, sigma, iterations).
+    A failed correction raises NoConvergence, or the NumericalError it met:
+    NonFinite from the residual at a non-finite x or sigma, or
+    SingularJacobian."""
     x = x0 + ds * tau.x
     sig = sigma0 + ds * tau.sigma
     for it in range(10):
         if not sig > 0.0:
             # the kinetics exist for sigma > 0 only; the caller shrinks ds
             raise NoConvergence(f"corrector reached sigma={sig:.6g}")
-        try:
-            r = residual(x, sig, prob)
-        except NonFinite:
-            raise NoConvergence("corrector left the finite region")
+        r = residual(x, sig, prob)
         con = _wdot(tau.x, x - x0) + tau.sigma * (sig - sigma0) - ds
         rn = max(float(np.abs(r).max()), abs(con))
         if rn < NEWTON_TOL:
@@ -202,8 +203,6 @@ def _arclength_correct(x0, sigma0, tau: Tangent, ds, prob):
         dsig = -(con + _wdot(tau.x, a)) / denom
         x = x + (a - dsig * b)
         sig = sig + dsig
-        if not (math.isfinite(sig) and np.isfinite(x).all()):
-            raise NoConvergence("corrector diverged")
     raise NoConvergence("arclength corrector exhausted its iterations")
 
 
@@ -426,7 +425,7 @@ def _refine_event(x0, sigma0, tau, ds_hi, prob, indicator, value_lo):
             break
         try:
             xm, sm, _ = _arclength_correct(x0, sigma0, tau, mid, prob)
-        except (NoConvergence, SingularJacobian):
+        except (NoConvergence, NumericalError):
             hi = mid  # treat failures as the far side; shrink toward x0
             continue
         if indicator(xm, sm) == value_lo:
@@ -497,7 +496,7 @@ def continue_branch(x_start: np.ndarray, sigma_start: float, prob: SteadyProblem
             try:
                 x1, sig1, iters = _arclength_correct(x, sigma, tau, ds, prob)
                 break
-            except (NoConvergence, SingularJacobian):
+            except (NoConvergence, NumericalError):
                 ds *= 0.5
                 if ds < DS_MIN:
                     raise NoConvergence(

@@ -26,6 +26,13 @@ Library callers catch the family; a leaf names the kind of failure, and
 the message says where it happened. Add a leaf only when code catches it
 by name or when no leaf above names that kind of failure; otherwise raise
 the existing leaf with a message that tells the cases apart.
+
+A call whose arguments break its documented precondition (a non-positive
+length, speed or diffusion ratio, a wrong array shape, an unknown scheme
+name) raises ValueError, not a leaf. No valid config reaches such a raise,
+since :mod:`alleekit.config` refuses that input first, so it marks a
+programming error, as a TypeError would, and the CLI maps it to no exit
+code.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ __all__ = [
 
 
 class ToolkitError(Exception):
-    """Base class for everything raised deliberately by this package."""
+    """Base class of every failure this package names; a broken argument
+    precondition raises ValueError instead (see the module docstring)."""
 
 
 class ConfigError(ToolkitError):

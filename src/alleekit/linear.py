@@ -51,6 +51,12 @@ __all__ = [
 
 # scan cells on the sigma bracket behind every threshold and branch point
 N_SCAN = 400
+# the most Neumann modes a run may list; each mode's branch points take a
+# root refinement of their own, about 0.45 ms a mode on the benchmark
+# kinetics (11 to 13 s for the 27 700 modes at L = 2e5, on a 2-core x86-64
+# Xeon), so more modes would run for minutes to hours. It sits here, not
+# beside pde.MAX_STEPS, since ``thresholds`` loads no pde.
+MAX_MODES = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,15 @@ def _mode_index(k: float, L: float) -> float:
     return L * math.sqrt(k) / math.pi
 
 
+def _check_modes(count: int, L: float) -> None:
+    """OutOfRange, before the first mode, when a run lists more than
+    MAX_MODES modes."""
+    if not count <= MAX_MODES:
+        raise OutOfRange(f"the run lists {count:.3g} Neumann modes at "
+                         f"L={L:.3g}, more than {MAX_MODES:.0e}; set a "
+                         "smaller [spatial] l")
+
+
 def mode_reports(
     e: Equilibrium,
     p: KineticParams,
@@ -114,7 +129,8 @@ def mode_reports(
     Beyond k = max(trace(J)/(1+d), upper root of det L(k)) both the trace
     and determinant conditions are stable, so modes past that wavenumber
     cannot flip. j_max runs 5 modes past it, and is at least 8, so "no
-    unstable mode in the list" means linear stability.
+    unstable mode in the list" means linear stability. OutOfRange when
+    that lists more than MAX_MODES modes.
     """
     if d <= 0 or L <= 0:
         raise ValueError(f"need d > 0 and L > 0, got d={d}, L={L}")
@@ -122,6 +138,7 @@ def mode_reports(
     band = _band(s, det0, d)
     k_top = max(tr0 / (1.0 + d), 0.0, band[1] if band else 0.0)
     j_max = max(math.ceil(_mode_index(k_top, L)) + 5, 8)
+    _check_modes(j_max + 1, L)
     ks = [_wavenumber(j, L) for j in range(j_max + 1)]
     return [ModeReport(j, k, tr0 - (1.0 + d) * k, _det_l(k, s, det0, d))
             for j, k in enumerate(ks)]
@@ -181,7 +198,8 @@ def branch_point_table(
     s and D do not depend on n, so every mode's sign changes come from one
     ``scan``, the bracket's ``estar_scan``, made here when it is None; a
     mode whose scan sees no sign change contributes no pair. ``modes=None``
-    takes modes 1 .. floor(L*sqrt(k+)/pi) + 1, k+ the scan's largest band top.
+    takes modes 1 .. floor(L*sqrt(k+)/pi) + 1, k+ the scan's largest band
+    top, and raises OutOfRange when those are more than MAX_MODES.
     """
     if modes is not None:
         modes = list(modes)
@@ -195,6 +213,7 @@ def branch_point_table(
         bands = [_band(s, det0, d) for _, s, det0 in scalars]
         k_top = max([0.0] + [band[1] for band in bands if band])
         modes = range(1, math.floor(_mode_index(k_top, L)) + 2)
+        _check_modes(len(modes), L)
     out = []
     for n in modes:
         k = _wavenumber(n, L)

@@ -73,6 +73,11 @@ VARIANCE_TOL = 1e-6
 # the most time steps a run may plan; more means a step far too small for
 # its span, such as a default dt on a vanishing grid spacing
 MAX_STEPS = 10 ** 8
+# the most nodes a grid may have; a run holds some 400 bytes a node (0.12 GB
+# peak at 2e5 nodes in a short simulate run), so this bounds it near 0.4 GB,
+# where the default size of a domain far longer than its pattern wavelength
+# can ask for gigabytes
+MAX_NODES = 10 ** 6
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -102,7 +107,8 @@ flapack = _load_flapack()
 class Grid:
     """Vertex-centered grid on (0, L): nodes x_i = i*dx, dx = L/(N-1).
     Every Laplacian divides by dx*dx and ``default_dt`` takes dx**2, so
-    OutOfRange unless 2**-510 <= dx < 2**511, where both are normal floats.
+    OutOfRange unless 2**-510 <= dx < 2**511, where both are normal floats,
+    and unless N <= MAX_NODES.
     """
 
     L: float
@@ -113,6 +119,10 @@ class Grid:
             raise ValueError("domain length must be positive and finite")
         if self.N < 16:
             raise ValueError("grid needs at least 16 nodes")
+        if not self.N <= MAX_NODES:
+            raise OutOfRange(
+                f"the grid has {self.N:.3g} nodes at L={self.L:.3g}, more "
+                f"than {MAX_NODES:.0e}; set a smaller [grid] n or [spatial] l")
         if not 2.0 ** -510 <= self.dx < 2.0 ** 511:
             raise OutOfRange(
                 f"the grid spacing dx={self.dx:.3g} squares out of the float "

@@ -26,7 +26,8 @@ from itertools import starmap
 import numpy as np
 
 from .collocation import solve_bvp
-from .errors import NoConvergence, NonFinite, OutOfRange, SingularJacobian
+from .errors import (ConvergenceError, NoConvergence, NonFinite,
+                     NumericalError, OutOfRange)
 from .model import (
     KineticParams,
     Stability,
@@ -139,6 +140,17 @@ def _launch(lam: np.ndarray, vecs: np.ndarray) -> tuple[int, np.ndarray]:
     return i_slow, v
 
 
+def _left_rows(vecs: np.ndarray, state: str) -> np.ndarray:
+    """The inverse of an end state's eigenvector matrix; OutOfRange when the
+    eigenvectors do not span, since the projections need a full basis."""
+    try:
+        return np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:
+        raise OutOfRange(
+            f"the {state} state's wave Jacobian is defective (a double "
+            "eigenvalue with one eigenvector, as at c = c_min)") from None
+
+
 def _oscillation(series: np.ndarray) -> float:
     """Total variation in excess of the net change; 0 for monotone data."""
     tv = float(np.abs(np.diff(series)).sum())
@@ -226,25 +238,26 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     the reaction-only flow) of the full nonlinear profile with projection
     boundary conditions and free transit time down to radius _CORE_RADIUS,
     and the linear flow on the stable subspace of the coexisting state from
-    there on. The collocation runs at ``tol`` and, failing that (more than
-    30000 nodes, a singular Newton matrix, a boundary residual that does
-    not settle, or a non-finite iterate: NoConvergence, SingularJacobian or
-    NonFinite), once more at max(100 tol, 1e-8).
+    there on. The collocation runs once, at ``tol``, and its failure passes
+    up under its own name: NoConvergence for more than 30000 nodes or a
+    boundary residual that does not settle, SingularJacobian for a
+    singular Newton matrix, NonFinite for a non-finite iterate.
 
     Each end state is linearized once, by one ``np.linalg.eig`` and the
     inverse of its eigenvectors (the left rows), which give the launch and
     entry conditions at E1 and the decay rate, spiral flag, projection rows
-    and tail flow at E*.
+    and tail flow at E*. An end state whose eigenvectors do not span
+    (a double eigenvalue with one eigenvector, as the slow pair of E1 has
+    at c = c_min) raises OutOfRange.
 
     The orbit must enter the max-norm ball of radius _BALL around the
     coexisting point and remain inside through the end, for at least _STAY
     time units. An end-state Jacobian past the float range (c**2 overflows)
     or the orbit leaving the box [-1, 2 u1]^4 raises NonFinite; an orbit
     that ends outside the ball or stays in it for less than _STAY, a
-    transit longer than t_max, a seed that does not reach the coexisting
-    state, or a collocation failure at both tolerances raises
-    NoConvergence. Monotonicity of X and W is judged on the trailing 80% of
-    the orbit with oscillation tolerance 1e-4.
+    transit longer than t_max, or a seed that does not reach the coexisting
+    state raises NoConvergence. Monotonicity of X and W is judged on the
+    trailing 80% of the orbit with oscillation tolerance 1e-4.
     """
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
@@ -259,14 +272,14 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     if not (np.isfinite(jac_s).all() and np.isfinite(jac1).all()):
         raise NonFinite(f"wave Jacobian overflows at c={c:.3g}, d={d:.3g}")
     lam_s, vecs_s = np.linalg.eig(jac_s)
-    left_s = np.linalg.inv(vecs_s)
+    left_s = _left_rows(vecs_s, "coexisting")
     _, stable, spiral = _coexisting_spectrum(lam_s)
     if stable.size < 2:
         raise OutOfRange("coexisting state has no 2D stable manifold")
     rate = -float(stable.real.max())
 
     lam1, vecs1 = np.linalg.eig(jac1)
-    left1 = np.linalg.inv(vecs1)
+    left1 = _left_rows(vecs1, "prey-only")
     i_slow, v = _launch(lam1, vecs1)
     y0 = e1 + _LAUNCH_SCALE * u1 * v
 
@@ -331,16 +344,8 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     def bc_jac(ya, yb, q):
         return dya, dyb, np.zeros((5, 1))
 
-    for bvp_tol in (tol, max(100.0 * tol, 1e-8)):
-        try:
-            sol = solve_bvp(fun, bc, sfr, sub, p=[Tc0], tol=bvp_tol,
-                            max_nodes=30000, fun_jac=fun_jac, bc_jac=bc_jac)
-        except (NonFinite, SingularJacobian, NoConvergence):
-            continue
-        break
-    else:
-        raise NoConvergence(
-            f"profile collocation failed at sigma={p.sigma}, c={c}")
+    sol = solve_bvp(fun, bc, sfr, sub, p=[Tc0], tol=tol, max_nodes=30000,
+                    fun_jac=fun_jac, bc_jac=bc_jac)
     Tc = float(sol.p[0])
     if Tc <= 0.0:
         raise NoConvergence("collocation returned a non-positive transit time")
@@ -440,10 +445,11 @@ class ScanResult:
 def _shoot_cell(p: KineticParams, d: float, c: float) -> tuple[int, str, Shot | None]:
     """WaveClass code, reason (see ScanResult.reasons) and, if it holds a
     front, the shot of one cell at or above the minimal speed, from one
-    shot at SCAN_TOL."""
+    shot at SCAN_TOL. The cell records any NumericalError or
+    ConvergenceError, and OutOfRange, by the name it was raised with."""
     try:
         shot = shoot_heteroclinic(p, d, c, tol=SCAN_TOL)
-    except (NonFinite, OutOfRange, NoConvergence) as exc:
+    except (NumericalError, ConvergenceError, OutOfRange) as exc:
         return int(WaveClass.UNKNOWN), type(exc).__name__, None
     if shot.monotone and not shot.spiral_tail:
         return int(WaveClass.MONOTONIC), "", shot
@@ -462,10 +468,11 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
 
     Requires the upper coexisting state to be a stable node or focus at
     every scanned sigma; OutOfRange names the first sigma where it is not.
-    Cells below the minimal speed are NoWave without shooting;
-    per-cell failures are recorded as Unknown, with their reason in
-    ``reasons``, never raised. An exception a cell does not record (a
-    programming error) propagates.
+    Cells below the minimal speed are NoWave without shooting. A cell's
+    failure, any NumericalError or ConvergenceError and OutOfRange, is
+    recorded as Unknown with the name it was raised under in ``reasons``,
+    never raised. An exception a cell does not record (a programming
+    error) propagates.
 
     The cells are independent, so they are shot in forked worker processes,
     one per usable core (``os.sched_getaffinity``), at most one per cell;
@@ -477,20 +484,19 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
     """
     sigmas = np.asarray(sigmas, dtype=float)
     cs = np.asarray(cs, dtype=float)
-    for sig in sigmas:
-        e = upper_coexisting(p.with_sigma(float(sig)))
-        if e.stability not in (Stability.STABLE_NODE, Stability.STABLE_FOCUS):
-            raise OutOfRange(
-                f"scan needs the coexisting state to attract at every sigma; "
-                f"at sigma={sig:.4f} it is {e.stability.value}")
     codes = np.full((sigmas.size, cs.size), int(WaveClass.UNKNOWN), dtype=int)
     reasons = np.full(codes.shape, "", dtype=object)
     cmins = np.empty(sigmas.size)
     cells, args = [], []
     for i, sig in enumerate(sigmas):
         ps = p.with_sigma(float(sig))
-        # the attracting coexisting state checked above needs
-        # alpha/(gamma - 1) < u1, which is j3 > 0, so c_min does not raise
+        e = upper_coexisting(ps)
+        if e.stability not in (Stability.STABLE_NODE, Stability.STABLE_FOCUS):
+            raise OutOfRange(
+                f"scan needs the coexisting state to attract at every sigma; "
+                f"at sigma={sig:.4f} it is {e.stability.value}")
+        # an attracting coexisting state needs alpha/(gamma - 1) < u1,
+        # which is j3 > 0, so c_min does not raise
         cm = cmins[i] = c_min(ps, d)
         for j, c in enumerate(cs):
             if c < cm:

@@ -233,9 +233,10 @@ def test_endless_default_dt_is_a_config_error(tmp_path, capsys, monkeypatch,
 _TINY_GRID = "[grid]\nn = 16\n"
 _ONE_SIGMA = "[sweep]\nsigma_lo = 2.7\nsigma_hi = 2.7\nsigma_count = 1\n"
 
-# configs at the ends of the float range: (command, kinetics and [spatial]
-# values that replace those of _KINETICS, the rest of the config, the exit
-# code, and what stderr must name); exit 0 where the run has an answer
+# configs at the ends of the float range or past a cap on the work a run
+# may plan: (command, kinetics and [spatial] values that replace those of
+# _KINETICS, the rest of the config, the exit code, and what stderr must
+# name); exit 0 where the run has an answer
 _EDGE_CONFIGS = {
     "simulate-dx-squares-to-0": (
         "simulate", {}, "l = 1e-300\n" + _TINY_GRID + "dt = 0.05\n[run]\n"
@@ -287,6 +288,14 @@ _EDGE_CONFIGS = {
         "simulate", {}, "l = 1e-150\n" + _TINY_GRID + "[run]\n"
         "ic = perturbed_homogeneous\nt = 230\nseed = 1\n",
         2, "steps of dt=1.93e-305"),
+    # a long domain: 1.4e8 modes to list, or a default grid of 1.8e8 nodes
+    "thresholds-modes-past-max": (
+        "thresholds", {}, "l = 1e9\n",
+        2, "1.39e+08 Neumann modes at L=1e+09, more than 1e+05"),
+    "simulate-default-grid-past-max-nodes": (
+        "simulate", {"sigma": "1.8"}, "l = 1e9\n[run]\n"
+        "ic = perturbed_homogeneous\nt = 1\nseed = 1\n",
+        2, "1.84e+08 nodes at L=1e+09, more than 1e+06"),
 }
 
 

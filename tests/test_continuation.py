@@ -382,7 +382,19 @@ def test_count_bisection_stops_at_the_det_sign_branch_point(base_p):
     assert solution_stability(x_ev, sig_ev, prob)[0] == 13
 
 
-def test_event_whose_refinement_never_corrects_is_dropped(base_p, monkeypatch):
+# what a failed correction raises: its own NoConvergence, or the
+# NumericalError that the residual or a factorization met
+_CORRECTOR_FAILURES = [
+    NoConvergence("arclength corrector exhausted its iterations"),
+    SingularJacobian("degenerate arclength system"),
+    NonFinite("kinetics called with non-finite state"),
+]
+
+
+@pytest.mark.parametrize("failure", _CORRECTOR_FAILURES,
+                         ids=lambda exc: type(exc).__name__)
+def test_event_whose_refinement_never_corrects_is_dropped(base_p, monkeypatch,
+                                                          failure):
     # every correction inside the event bisection fails, so each halving
     # moves its far end toward the last point until the step is below
     # 1e-12; the BP is dropped and the branch goes on as without the fault
@@ -402,7 +414,7 @@ def test_event_whose_refinement_never_corrects_is_dropped(base_p, monkeypatch):
     def correct(x0, sigma0, tau, ds, prob):
         if refining:
             tried.append(ds)
-            raise NoConvergence("arclength corrector exhausted its iterations")
+            raise failure
         return real_correct(x0, sigma0, tau, ds, prob)
 
     monkeypatch.setattr(continuation, "_refine_event", refine)
@@ -462,14 +474,16 @@ def test_kernel_rejected_away_from_bifurcation(base_p):
         _kernel_vector(_flat(prob, 1.9), 1.9, prob)
 
 
-def test_step_underflow_on_hopeless_step(base_p, monkeypatch):
+@pytest.mark.parametrize("failure", _CORRECTOR_FAILURES,
+                         ids=lambda exc: type(exc).__name__)
+def test_step_underflow_on_hopeless_step(base_p, monkeypatch, failure):
     # every correction fails, so the first step halves from ds0 until it
     # falls below DS_MIN
     tried = []
 
     def hopeless(x0, sigma0, tau, ds, prob):
         tried.append(ds)
-        raise NoConvergence("arclength corrector exhausted its iterations")
+        raise failure
 
     monkeypatch.setattr(continuation, "_arclength_correct", hopeless)
     prob = _problem(base_p, n=64)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from alleekit import waves
-from alleekit.errors import NoConvergence, NonFinite, OutOfRange
+from alleekit.errors import (NoConvergence, NonFinite, OutOfRange,
+                             SingularJacobian)
 from alleekit.model import (
     coexisting_equilibria,
     kinetics,
@@ -457,8 +458,9 @@ def test_singular_newton_matrix_is_an_unknown_cell(p_main, monkeypatch, tmp_path
     from alleekit.pde import flapack
 
     monkeypatch.setattr(flapack, "dgbtrf", _singular_dgbtrf)
+    # the collocation runs once, and its failure keeps its name
     assert _classify_cell(p_main, D_REF, 5.9) == (WaveClass.UNKNOWN,
-                                                  "NoConvergence")
+                                                  "SingularJacobian")
 
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("[kinetics]\nsigma = 2.7\nalpha = 0.07\nbeta = 0.2\n"
@@ -480,6 +482,8 @@ def test_singular_newton_matrix_is_an_unknown_cell(p_main, monkeypatch, tmp_path
      "NoConvergence"),
     (Shot(np.zeros(1), np.zeros((1, 4)), True, True, False),
      WaveClass.MONOTONIC, ""),
+    (SingularJacobian("banded Jacobian is numerically singular"),
+     WaveClass.UNKNOWN, "SingularJacobian"),
 ])
 def test_scan_reports_why_each_cell_is_unknown(p_main, monkeypatch, outcome,
                                                code, reason):
@@ -507,6 +511,68 @@ def test_wave_jacobian_past_the_float_range_is_an_unknown_cell(
     res = scan_plane(p_main, D_REF, [2.7], [1e200, 1e250])
     assert res.codes.tolist() == [[WaveClass.UNKNOWN] * 2]
     assert res.reasons.tolist() == [["NonFinite"] * 2]
+
+
+@pytest.mark.parametrize("cores", [None, {0}], ids=["pooled", "one_core"])
+def test_cell_at_the_minimal_speed_is_an_unknown_cell(p_main, monkeypatch,
+                                                      cores):
+    # at c = c_min the slow pair of the prey-only state is double; here
+    # rounding leaves it real with one eigenvector, and inverting the
+    # eigenvectors raised a LinAlgError that no cell recorded
+    p = p_main.with_sigma(3.21)
+    c = 4.6805040602751244
+    assert c == c_min(p, D_REF)
+    with pytest.raises(OutOfRange, match="prey-only state's wave Jacobian "
+                                         "is defective"):
+        shoot_heteroclinic(p, D_REF, c)
+    if cores is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    res = scan_plane(p, D_REF, [3.21], [c, c])
+    assert res.codes.tolist() == [[WaveClass.UNKNOWN] * 2]
+    assert res.reasons.tolist() == [["OutOfRange"] * 2]
+
+
+# cells whose collocation overflowed and printed numpy RuntimeWarnings:
+# (sigma, d, c)
+_OVERFLOWING_CELLS = [(1.8571428571428572, 1.0, 0.9580852619660576),
+                      (2.7, D_REF, 1e20), (2.7, D_REF, 1.2e154)]
+
+
+@pytest.mark.parametrize("sigma,d,c", _OVERFLOWING_CELLS)
+def test_overflowing_collocation_is_a_named_unknown_cell(p_main, sigma, d, c):
+    # pytest turns a RuntimeWarning into an error, so a warning would
+    # escape the cell here
+    code, reason, shot = waves._shoot_cell(p_main.with_sigma(sigma), d, c)
+    assert (code, reason, shot) == (WaveClass.UNKNOWN, "NonFinite", None)
+
+
+def test_pooled_scan_of_overflowing_cells_prints_nothing(tmp_path):
+    # a scan of two cells shoots them in worker processes, whose warnings
+    # no pytest filter sees: only the stderr of a CLI run shows them
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    sigma, d, c = _OVERFLOWING_CELLS[0]
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(
+        f"[kinetics]\nsigma = {sigma!r}\nalpha = 0.07\nbeta = 0.2\n"
+        f"gamma = 1.2\neta = 0.1\n[spatial]\nd = {d!r}\n[sweep]\n"
+        f"sigma_lo = {sigma!r}\nsigma_hi = {sigma!r}\nsigma_count = 1\n"
+        f"c_lo = {c!r}\nc_hi = 1e20\nc_count = 2\n")
+    env = dict(os.environ)
+    src = str(Path(waves.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "alleekit.cli", "wave-scan", "--config",
+         str(cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    codes = [line.split(",")[2] for line in
+             (out / "scan.csv").read_text().splitlines()[1:]]
+    assert codes == ["3", "3"]
 
 
 @pytest.mark.parametrize("sigma,c", [(2.7, C_REF), (1.9, 6.0)],
