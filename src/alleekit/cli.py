@@ -56,10 +56,11 @@ parsed and before the run starts:
   alone again (no ``scipy.sparse``, and no ``linear``);
 * ``wave-scan``: ``waves``, with ``temporal``, ``collocation`` and ``pde``
   beneath it, so the LAPACK extension alone again (no ``scipy.integrate``,
-  ``scipy.interpolate``, ``continuation`` or ``linear``). A scan with two
-  or more cells to shoot also loads ``multiprocessing`` and
-  ``concurrent.futures`` and shoots the cells in forked workers, one per
-  usable core; its files do not depend on the worker count.
+  ``scipy.interpolate``, ``continuation`` or ``linear``). The scan runs
+  one worker per sigma row, cells chained in c. A scan with two or more
+  rows to shoot also loads ``multiprocessing`` and ``concurrent.futures``
+  and shoots the rows in forked workers, up to one per usable core; its
+  files do not depend on the worker count.
 
 ``simulate``, ``lyapunov``, ``pulse`` and ``continue`` also load
 ``numpy.random``, which numpy itself loads only on first use.
@@ -269,30 +270,30 @@ def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> list[Path]:
         # at 4dD = s**2 the band is the double root k = s/(2d) = -K, or empty
         k = -K if regime is Regime.TURING_SIDE else nan
         rows.append((sigma, regime.value, K, k, k))
-    written = [_write_csv(out / "thresholds.csv",
-                          ("sigma", "threshold_kind", "K", "kminus", "kplus"),
-                          rows)]
-
+    thresholds = (out / "thresholds.csv",
+                  ("sigma", "threshold_kind", "K", "kminus", "kplus"), rows)
     if cfg.L is None:
-        return written
+        return [_write_csv(*thresholds)]
+    # every row is built before the first file is written, so a run that
+    # lists too many modes (OutOfRange) leaves no file behind
     e = upper_coexisting(cfg.p)
     try:
         dstar = dstar_parts(cfg.p, cfg.L)["dstar"]
     except HypothesisFailed:  # alpha = 0 or beta = 0
         dstar = nan
     u_sup, v_sup = vbounds(cfg.p)
-    return written + [
+    modes = mode_reports(e, cfg.p, cfg.d, cfg.L)
+    bps = branch_point_table(cfg.p, cfg.d, cfg.L, None, cfg.bracket, scan=scan)
+    return [
+        _write_csv(*thresholds),
         _write_csv(out / "modes.csv",
                    ("j", "k_j", "trace", "det", "unstable"),
-                   ((m.j, m.k_j, m.trace, m.det, m.unstable)
-                    for m in mode_reports(e, cfg.p, cfg.d, cfg.L)),
+                   ((m.j, m.k_j, m.trace, m.det, m.unstable) for m in modes),
                    preamble=(f"sigma = {_fmt(cfg.p.sigma)}",
                              f"dstar = {_fmt(dstar)}",
                              f"u_sup = {_fmt(u_sup)}",
                              f"v_sup = {_fmt(v_sup)}")),
-        _write_csv(out / "bps.csv", ("n", "sigma"),
-                   branch_point_table(cfg.p, cfg.d, cfg.L, None, cfg.bracket,
-                                      scan=scan)),
+        _write_csv(out / "bps.csv", ("n", "sigma"), bps),
     ]
 
 

@@ -11,8 +11,10 @@ The shooting runs on code of this package alone: the kinetic seed on
 Lobatto IIIA collocation of :mod:`alleekit.collocation`. Of scipy it loads
 only the LAPACK extension that :mod:`alleekit.pde` loads.
 
-The scan shoots its cells in forked worker processes, one per usable core;
-the result does not depend on the worker count.
+The scan runs one worker per sigma row, cells chained in c: each cell's
+collocation starts from the converged profile of the cell before it in
+its row. The rows go to forked worker processes, one per usable core; the
+result does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .collocation import solve_bvp
+from .collocation import BVPResult, solve_bvp
 from .errors import (ConvergenceError, NoConvergence, NonFinite,
                      NumericalError, OutOfRange)
 from .model import (
@@ -117,6 +119,8 @@ class Shot:
     monotone: bool
     wedge_ok: bool
     spiral_tail: bool
+    # the converged core collocation, a first iterate for a nearby speed
+    bvp: BVPResult | None = None
 
 
 def _launch(lam: np.ndarray, vecs: np.ndarray) -> tuple[int, np.ndarray]:
@@ -222,7 +226,8 @@ _STAY = 10.0
 
 
 def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
-                       t_max: float = 2000.0, tol: float = 1e-10) -> Shot:
+                       t_max: float = 2000.0, tol: float = 1e-10,
+                       start: BVPResult | None = None) -> Shot:
     """Compute the orbit leaving the prey-only state along its slow unstable
     eigenvector and track it into the coexisting state.
 
@@ -242,6 +247,12 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     up under its own name: NoConvergence for more than 30000 nodes or a
     boundary residual that does not settle, SingularJacobian for a
     singular Newton matrix, NonFinite for a non-finite iterate.
+
+    ``start``, the converged collocation of a nearby cell (``Shot.bvp``),
+    replaces the kinetic seed as the collocation's first iterate: its
+    mesh, its nodal profile and its transit time. The seed still runs, and
+    every boundary condition still comes from this cell's launch point and
+    seed, so Newton converges to this cell's own front.
 
     Each end state is linearized once, by one ``np.linalg.eig`` and the
     inverse of its eigenvectors (the left rows), which give the launch and
@@ -344,7 +355,9 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
     def bc_jac(ya, yb, q):
         return dya, dyb, np.zeros((5, 1))
 
-    sol = solve_bvp(fun, bc, sfr, sub, p=[Tc0], tol=tol, max_nodes=30000,
+    guess = ((sfr, sub, [Tc0]) if start is None
+             else (start.x, start.sol(start.x), start.p))
+    sol = solve_bvp(fun, bc, *guess, tol=tol, max_nodes=30000,
                     fun_jac=fun_jac, bc_jac=bc_jac)
     Tc = float(sol.p[0])
     if Tc <= 0.0:
@@ -412,7 +425,7 @@ def shoot_heteroclinic(p: KineticParams, d: float, c: float, *,
         and (Z >= 0.5 * W - slack).all() and (Z <= m * W + slack).all()
     )
 
-    return Shot(tarr, sarr, monotone, wedge_ok, spiral)
+    return Shot(tarr, sarr, monotone, wedge_ok, spiral, sol)
 
 
 # collocation tolerance of the scan's shots; a shot that repeats one of
@@ -442,13 +455,15 @@ class ScanResult:
     shot: Shot | None
 
 
-def _shoot_cell(p: KineticParams, d: float, c: float) -> tuple[int, str, Shot | None]:
+def _shoot_cell(p: KineticParams, d: float, c: float,
+                start: BVPResult | None = None) -> tuple[int, str, Shot | None]:
     """WaveClass code, reason (see ScanResult.reasons) and, if it holds a
     front, the shot of one cell at or above the minimal speed, from one
-    shot at SCAN_TOL. The cell records any NumericalError or
-    ConvergenceError, and OutOfRange, by the name it was raised with."""
+    shot at SCAN_TOL from ``start`` (see shoot_heteroclinic). The cell
+    records any NumericalError or ConvergenceError, and OutOfRange, by the
+    name it was raised with."""
     try:
-        shot = shoot_heteroclinic(p, d, c, tol=SCAN_TOL)
+        shot = shoot_heteroclinic(p, d, c, tol=SCAN_TOL, start=start)
     except (NumericalError, ConvergenceError, OutOfRange) as exc:
         return int(WaveClass.UNKNOWN), type(exc).__name__, None
     if shot.monotone and not shot.spiral_tail:
@@ -456,10 +471,21 @@ def _shoot_cell(p: KineticParams, d: float, c: float) -> tuple[int, str, Shot | 
     return int(WaveClass.NON_MONOTONIC), "", shot
 
 
-def _classify_cell(p: KineticParams, d: float, c: float) -> tuple[int, str]:
-    """The code and reason of :func:`_shoot_cell`, without the shot: what a
-    pool worker sends back."""
-    return _shoot_cell(p, d, c)[:2]
+def _shoot_row(p: KineticParams, d: float, cs):
+    """_shoot_cell of each speed of ``cs`` in turn, chained: a cell starts
+    from the converged collocation of the cell before it, and after a cell
+    that holds no shot, cold from its own kinetic seed."""
+    start = None
+    for c in cs:
+        code, reason, shot = _shoot_cell(p, d, c, start)
+        start = shot.bvp if shot is not None else None
+        yield code, reason, shot
+
+
+def _classify_row(p: KineticParams, d: float, cs) -> list[tuple[int, str]]:
+    """The codes and reasons of :func:`_shoot_row`, without the shots: what
+    a pool worker sends back."""
+    return [cell[:2] for cell in _shoot_row(p, d, cs)]
 
 
 def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
@@ -474,20 +500,25 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
     never raised. An exception a cell does not record (a programming
     error) propagates.
 
-    The cells are independent, so they are shot in forked worker processes,
-    one per usable core (``os.sched_getaffinity``), at most one per cell;
-    with fewer than two workers (one cell, one core, or a platform without
+    The unit of work is a sigma row, one worker per row, cells chained in
+    c: a row's cells are shot in increasing c, each from the converged
+    collocation of the one before (see _shoot_row). The first cell, and
+    any cell after one that failed, starts cold. The rows are shot in
+    forked worker processes, one per usable core
+    (``os.sched_getaffinity``), at most one per row; with fewer than two
+    workers (one row, one core, or a platform without
     ``sched_getaffinity``, where fork is missing or unsafe) they are shot
-    in this process. Results come back in cell order and do not depend on
-    the worker count. Every worker has exited when this returns or raises.
-    A single-cell plane keeps the shot of its front in ``ScanResult.shot``.
+    in this process. Only codes and reasons leave a worker, so the result
+    does not depend on the worker count. Every worker has exited when this
+    returns or raises. A single-cell plane keeps the shot of its front in
+    ``ScanResult.shot``.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     cs = np.asarray(cs, dtype=float)
     codes = np.full((sigmas.size, cs.size), int(WaveClass.UNKNOWN), dtype=int)
     reasons = np.full(codes.shape, "", dtype=object)
     cmins = np.empty(sigmas.size)
-    cells, args = [], []
+    rows, args = [], []
     for i, sig in enumerate(sigmas):
         ps = p.with_sigma(float(sig))
         e = upper_coexisting(ps)
@@ -498,33 +529,34 @@ def scan_plane(p: KineticParams, d: float, sigmas, cs) -> ScanResult:
         # an attracting coexisting state needs alpha/(gamma - 1) < u1,
         # which is j3 > 0, so c_min does not raise
         cm = cmins[i] = c_min(ps, d)
-        for j, c in enumerate(cs):
-            if c < cm:
-                codes[i, j] = WaveClass.NO_WAVE
-            else:
-                cells.append((i, j))
-                args.append((ps, d, float(c)))
+        below = cs < cm
+        codes[i, below] = WaveClass.NO_WAVE
+        js = [j for j in np.argsort(cs, kind="stable") if not below[j]]
+        if js:
+            rows.append((i, js))
+            args.append((ps, d, cs[js].tolist()))
 
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity") else 1)
-    workers = min(cores, len(cells))
+    workers = min(cores, len(rows))
     if workers >= 2:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # fork: the workers inherit the loaded modules instead of importing
-        # them again. Cells go out one at a time, which balances their
+        # them again. Rows go out one at a time, which balances their
         # unequal costs. Unlike multiprocessing.Pool, which waits forever
-        # for the cell of a worker that died, the executor then raises
+        # for the row of a worker that died, the executor then raises
         # BrokenProcessPool; leaving the block joins every worker.
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            outcomes = list(pool.map(_classify_cell, *zip(*args)))
+            outcomes = list(pool.map(_classify_row, *zip(*args)))
     else:
-        outcomes = starmap(_shoot_cell, args)
+        outcomes = starmap(_shoot_row, args)
     shot = None
-    for (i, j), (code, reason, *kept) in zip(cells, outcomes):
-        codes[i, j], reasons[i, j] = code, reason
-        if codes.size == 1:  # one cell, so shot in this process
-            shot = kept[0]
+    for (i, js), row in zip(rows, outcomes):
+        for j, (code, reason, *kept) in zip(js, row):
+            codes[i, j], reasons[i, j] = code, reason
+            if codes.size == 1:  # one cell, so shot in this process
+                shot = kept[0]
     return ScanResult(sigmas, cs, codes, cmins, reasons, shot)

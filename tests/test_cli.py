@@ -261,12 +261,17 @@ _EDGE_CONFIGS = {
         "thresholds", {}, "l = 1e300\n",
         2, "k_1 = (1*pi/L)**2 leaves the float range at L=1e+300"),
     # c**2 overflows, so each cell is Unknown (NonFinite), in process and
-    # from the pool alike
+    # from the pool alike: a scan of one sigma row runs in process, one of
+    # two rows in worker processes on a multi-core box
     "wave-scan-c-squared-past-max": (
         "wave-scan", {}, _ONE_SIGMA + "c_lo = 1e200\nc_hi = 1e200\nc_count = 1\n",
         0, None),
     "wave-scan-pool-c-squared-past-max": (
         "wave-scan", {}, _ONE_SIGMA + "c_lo = 1e200\nc_hi = 1e250\nc_count = 2\n",
+        0, None),
+    "wave-scan-two-rows-c-squared-past-max": (
+        "wave-scan", {}, "[sweep]\nsigma_lo = 2.7\nsigma_hi = 3.0\n"
+        "sigma_count = 2\nc_lo = 1e200\nc_hi = 1e250\nc_count = 2\n",
         0, None),
     "equilibria-sigma-1e200": (
         "equilibria", {"sigma": "1e200"}, "", 3, "non-finite"),
@@ -313,6 +318,15 @@ def test_edge_configs_exit_with_a_documented_code(tmp_path, capsys, case):
     assert "Traceback" not in err
     if named is not None:
         assert named in err
+
+
+def test_thresholds_run_refused_for_too_many_modes_writes_no_file(tmp_path,
+                                                                   capsys):
+    # the modes are counted before the first file is written
+    command, _, body, code, _ = _EDGE_CONFIGS["thresholds-modes-past-max"]
+    rc, err = _run(tmp_path, capsys, command, body)
+    assert rc == code, err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("command,body", [
@@ -493,8 +507,9 @@ def test_fmt_gives_numpy_scalars_the_text_of_python_values(np_value, value,
 # points) and on a 1 x 1 wave-scan that writes orbit.csv, which pins to the
 # bit the determinant signs, end-state spectra, launch direction and
 # projection rows behind them; and on a 2 x 2 wave-scan (the benchmark's
-# smoke scan), whose four cells a multi-core box shoots in worker
-# processes, recorded with the cells shot one after another
+# smoke scan), whose two sigma rows a multi-core box shoots in worker
+# processes, one worker per row with its cells chained in c, recorded with
+# each cell shot cold, one after another
 @pytest.mark.parametrize("command,body,sigma,digest", [
     ("continue", "l = 200\n[grid]\nn = 256\n[sweep]\nds0 = 1.5e-3\n"
                  "bracket_lo = 1.767\nbracket_hi = 1.8305\nsteps = 20\n", 1.83,

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from alleekit import waves
+from alleekit import collocation, waves
 from alleekit.errors import (NoConvergence, NonFinite, OutOfRange,
                              SingularJacobian)
 from alleekit.model import (
@@ -18,9 +18,9 @@ from alleekit.model import (
 from alleekit.waves import (
     Shot,
     WaveClass,
-    _classify_cell,
     _coexisting_spectrum,
     _launch,
+    _shoot_cell,
     c_min,
     j_constants,
     scan_plane,
@@ -265,8 +265,8 @@ def test_scan_small_grid(p_main):
     for i, sig in enumerate(sigmas):
         for j, c in enumerate(cs):
             if res.codes[i, j] != WaveClass.NO_WAVE:
-                assert (res.codes[i, j], res.reasons[i, j]) == _classify_cell(
-                    p_main.with_sigma(float(sig)), D_REF, float(c))
+                assert (res.codes[i, j], res.reasons[i, j]) == _shoot_cell(
+                    p_main.with_sigma(float(sig)), D_REF, float(c))[:2]
     assert res.shot is None
 
 
@@ -294,6 +294,69 @@ def test_scan_on_one_core_gives_the_pooled_result(p_main, monkeypatch):
     assert alone.reasons.tolist() == pooled.reasons.tolist()
     assert alone.c_min_at_sigma.tolist() == pooled.c_min_at_sigma.tolist()
     assert alone.shot is None and pooled.shot is None
+
+
+def _count_newton_solves(monkeypatch):
+    """Patch the collocation's Newton solve to count its calls, in this
+    process and in forked pool workers alike (a shared counter)."""
+    real = collocation._newton
+    count = multiprocessing.get_context("fork").Value("i", 0)
+
+    def newton(*args, **kwargs):
+        with count.get_lock():
+            count.value += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(collocation, "_newton", newton)
+    return count
+
+
+# a sigma row of the benchmark's scan, all four cells above the minimal speed
+_ROW_SIGMA, _ROW_CS = 2.7, np.linspace(4.7, 6.0, 4)
+
+
+def test_chained_row_takes_half_the_newton_solves_of_cold_cells(
+        p_main, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    count = _count_newton_solves(monkeypatch)
+    p = p_main.with_sigma(_ROW_SIGMA)
+    cold = [_shoot_cell(p, D_REF, float(c))[:2] for c in _ROW_CS]
+    assert count.value == 25
+    count.value = 0
+    res = scan_plane(p_main, D_REF, [_ROW_SIGMA], _ROW_CS)
+    assert count.value == 12
+    assert list(zip(res.codes[0].tolist(), res.reasons[0].tolist())) == cold
+
+
+def test_cell_after_a_failed_cell_starts_cold(p_main, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cold = _shoot_cell(p_main.with_sigma(_ROW_SIGMA), D_REF, float(_ROW_CS[2]))
+    real, starts = waves.shoot_heteroclinic, []
+
+    def shoot(p, d, c, **kwargs):
+        starts.append(kwargs["start"])
+        if c == _ROW_CS[1]:
+            raise NoConvergence("a failure in the middle of the row")
+        return real(p, d, c, **kwargs)
+
+    monkeypatch.setattr(waves, "shoot_heteroclinic", shoot)
+    res = scan_plane(p_main, D_REF, [_ROW_SIGMA], _ROW_CS)
+    assert [s is None for s in starts] == [True, False, True, False]
+    assert res.reasons[0, 1] == "NoConvergence"
+    assert (res.codes[0, 2], res.reasons[0, 2]) == cold[:2]
+
+
+@pytest.mark.parametrize("cores", [None, {0}], ids=["pooled", "one_core"])
+def test_benchmark_scan_makes_at_most_50_newton_solves(p_main, monkeypatch,
+                                                       cores):
+    # 100 with every cell shot cold
+    if cores is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    count = _count_newton_solves(monkeypatch)
+    grid = np.linspace(1.9, 3.0, 4), np.linspace(4.7, 6.0, 4)
+    res = scan_plane(p_main, D_REF, *grid)
+    assert (res.codes != WaveClass.NO_WAVE).all()
+    assert count.value <= 50
 
 
 @pytest.mark.parametrize("cores", [None, {0}], ids=["pooled", "one_core"])
@@ -360,7 +423,7 @@ def test_failed_shot_classifies_as_unknown(p_main, monkeypatch, error):
         raise error
 
     monkeypatch.setattr(waves, "shoot_heteroclinic", failing_shot)
-    assert _classify_cell(p_main, D_REF, 5.9)[0] == WaveClass.UNKNOWN
+    assert _shoot_cell(p_main, D_REF, 5.9)[0] == WaveClass.UNKNOWN
 
 
 # the benchmark's monotone and spiral cells, (sigma, c)
@@ -459,8 +522,8 @@ def test_singular_newton_matrix_is_an_unknown_cell(p_main, monkeypatch, tmp_path
 
     monkeypatch.setattr(flapack, "dgbtrf", _singular_dgbtrf)
     # the collocation runs once, and its failure keeps its name
-    assert _classify_cell(p_main, D_REF, 5.9) == (WaveClass.UNKNOWN,
-                                                  "SingularJacobian")
+    assert _shoot_cell(p_main, D_REF, 5.9)[:2] == (WaveClass.UNKNOWN,
+                                                   "SingularJacobian")
 
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("[kinetics]\nsigma = 2.7\nalpha = 0.07\nbeta = 0.2\n"
@@ -546,9 +609,9 @@ def test_overflowing_collocation_is_a_named_unknown_cell(p_main, sigma, d, c):
     assert (code, reason, shot) == (WaveClass.UNKNOWN, "NonFinite", None)
 
 
-def test_pooled_scan_of_overflowing_cells_prints_nothing(tmp_path):
-    # a scan of two cells shoots them in worker processes, whose warnings
-    # no pytest filter sees: only the stderr of a CLI run shows them
+def _scan_overflowing_cells(tmp_path, sigma_count: int):
+    """A CLI wave-scan of sigma_count equal sigma rows, each holding the
+    first overflowing cell and c = 1e20: its exit code, stderr and codes."""
     import subprocess
     import sys
     from pathlib import Path
@@ -558,8 +621,8 @@ def test_pooled_scan_of_overflowing_cells_prints_nothing(tmp_path):
     cfg.write_text(
         f"[kinetics]\nsigma = {sigma!r}\nalpha = 0.07\nbeta = 0.2\n"
         f"gamma = 1.2\neta = 0.1\n[spatial]\nd = {d!r}\n[sweep]\n"
-        f"sigma_lo = {sigma!r}\nsigma_hi = {sigma!r}\nsigma_count = 1\n"
-        f"c_lo = {c!r}\nc_hi = 1e20\nc_count = 2\n")
+        f"sigma_lo = {sigma!r}\nsigma_hi = {sigma!r}\n"
+        f"sigma_count = {sigma_count}\nc_lo = {c!r}\nc_hi = 1e20\nc_count = 2\n")
     env = dict(os.environ)
     src = str(Path(waves.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
@@ -569,10 +632,24 @@ def test_pooled_scan_of_overflowing_cells_prints_nothing(tmp_path):
         [sys.executable, "-m", "alleekit.cli", "wave-scan", "--config",
          str(cfg), "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=300)
-    assert (proc.returncode, proc.stderr) == (0, "")
     codes = [line.split(",")[2] for line in
              (out / "scan.csv").read_text().splitlines()[1:]]
+    return proc.returncode, proc.stderr, codes
+
+
+def test_pooled_scan_of_overflowing_cells_prints_nothing(tmp_path):
+    # a scan of one sigma row shoots it in the CLI process, which pytest's
+    # warning filters do not see: only the stderr of a CLI run shows them
+    rc, err, codes = _scan_overflowing_cells(tmp_path, 1)
+    assert (rc, err) == (0, "")
     assert codes == ["3", "3"]
+
+
+def test_scan_of_overflowing_rows_in_workers_prints_nothing(tmp_path):
+    # two sigma rows go to worker processes on a multi-core box
+    rc, err, codes = _scan_overflowing_cells(tmp_path, 2)
+    assert (rc, err) == (0, "")
+    assert codes == ["3"] * 4
 
 
 @pytest.mark.parametrize("sigma,c", [(2.7, C_REF), (1.9, 6.0)],
